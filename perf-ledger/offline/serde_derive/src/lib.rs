@@ -1,0 +1,16 @@
+//! Offline stand-in for `serde_derive` (see ../README.md): both derives
+//! accept the `#[serde(..)]` helper attribute and expand to nothing.
+
+use proc_macro::TokenStream;
+
+/// `#[derive(Serialize)]`: no impl is generated.
+#[proc_macro_derive(Serialize, attributes(serde))]
+pub fn derive_serialize(_input: TokenStream) -> TokenStream {
+    TokenStream::new()
+}
+
+/// `#[derive(Deserialize)]`: no impl is generated.
+#[proc_macro_derive(Deserialize, attributes(serde))]
+pub fn derive_deserialize(_input: TokenStream) -> TokenStream {
+    TokenStream::new()
+}
