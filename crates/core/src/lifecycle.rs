@@ -31,9 +31,13 @@
 //! One [`TileLifecycle`] instance covers one image from dispatch to
 //! completion. Shared knobs live in [`LifecyclePolicy`] — including the
 //! deadline slack factor that both old copies hard-coded as `1.25`.
+//! [`replay`] drives the machine from a recorded trace under a
+//! caller-supplied clock: the cross-driver differential test's one loop.
 
-use crate::obs::{ObsEvent, SinkHandle};
+use crate::obs::{ObsEvent, RecordingSink, SinkHandle};
+use crate::report::AttributionSink;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Comparison epsilon for abstract timestamps (well below both the
 /// nanosecond granularity of `Instant` and any simulated event spacing).
@@ -133,6 +137,26 @@ pub enum Event {
     /// Nothing can ever arrive again (every worker gone): zero-fill the
     /// remainder and complete.
     Abort,
+}
+
+impl Event {
+    /// The same event with its timestamp, if it carries one, passed through
+    /// `clock` — a driver's mapping from trace seconds onto the machine's
+    /// time axis. The match is exhaustive on purpose: a new timed variant
+    /// cannot be added without deciding here whether a clock touches it.
+    pub fn map_time(self, clock: impl Fn(f64) -> f64) -> Event {
+        match self {
+            Event::SendComplete { at } => Event::SendComplete { at: clock(at) },
+            Event::ResultArrived { at, tile, worker, ok } => {
+                Event::ResultArrived { at: clock(at), tile, worker, ok }
+            }
+            Event::DeadlineFired { at } => Event::DeadlineFired { at: clock(at) },
+            Event::TileDelivered { .. }
+            | Event::WorkerDied { .. }
+            | Event::SendRejected { .. }
+            | Event::Abort => self,
+        }
+    }
 }
 
 /// What the driver must do. Decisions only — no IO happens here.
@@ -779,6 +803,69 @@ impl TileLifecycle {
     }
 }
 
+/// Everything one [`replay`] pass produced.
+#[derive(Debug, PartialEq)]
+pub struct Replay {
+    /// Every action in emission order, tagged with the index (into
+    /// `allocs`) of the image whose machine took it.
+    pub decisions: Vec<(usize, Action)>,
+    /// The structured events the machines mirrored into their shared sink.
+    pub events: Vec<ObsEvent>,
+    /// Per image, the attribution fold's [`ImageReport`](crate::report::ImageReport)
+    /// as canonical JSON; `None` where the trace never finished the image.
+    pub reports: Vec<Option<String>>,
+}
+
+/// Replay an abstract event trace through the lifecycle machine with the
+/// transport abstracted away: one machine per entry of `allocs` (image id =
+/// index, all begun at `clock(0.0)`, in order), then the interleaved
+/// `(image_index, event)` trace — the shape a pipelined collector
+/// demultiplexes; a single image is the one-alloc case. Every timestamp
+/// reaches the machine through `clock`, which is the only thing a driver
+/// contributes: the simulator's is the identity, the runtime's is its
+/// `Instant` roundtrip. Decisions, events and reports all come out of the
+/// same pass, so the cross-driver differential test compares whole
+/// [`Replay`]s.
+pub fn replay(
+    policy: LifecyclePolicy,
+    d: usize,
+    allocs: &[Vec<u32>],
+    speeds: &[f64],
+    live: &[bool],
+    trace: &[(usize, Event)],
+    clock: impl Fn(f64) -> f64,
+) -> Replay {
+    let rec = Arc::new(RecordingSink::new());
+    let attr = Arc::new(AttributionSink::new());
+    let sink = SinkHandle::new(rec.clone()).tee(attr.clone());
+    let mut decisions = Vec::new();
+    let mut machines = Vec::with_capacity(allocs.len());
+    for (i, alloc) in allocs.iter().enumerate() {
+        let (lc, acts) = TileLifecycle::begin_observed(
+            policy,
+            clock(0.0),
+            d,
+            alloc,
+            speeds,
+            live,
+            i as u64,
+            sink.clone(),
+        );
+        decisions.extend(acts.into_iter().map(|a| (i, a)));
+        machines.push(lc);
+    }
+    for &(i, ev) in trace {
+        decisions.extend(machines[i].handle(ev.map_time(&clock)).into_iter().map(|a| (i, a)));
+    }
+    Replay {
+        decisions,
+        events: rec.events(),
+        reports: (0..allocs.len())
+            .map(|i| attr.report_for(i as u64).map(|r| r.to_json()))
+            .collect(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1062,6 +1149,73 @@ mod tests {
             assert_eq!(*zero_filled, lc.counters().zero_filled);
             assert_eq!(*redispatched, lc.counters().redispatched);
         }
+    }
+
+    #[test]
+    fn map_time_rewrites_exactly_the_three_timed_variants() {
+        let shift = |at: f64| at + 1.0;
+        assert_eq!(
+            Event::SendComplete { at: 0.5 }.map_time(shift),
+            Event::SendComplete { at: 1.5 }
+        );
+        assert_eq!(
+            Event::ResultArrived { at: 0.25, tile: 3, worker: 1, ok: false }.map_time(shift),
+            Event::ResultArrived { at: 1.25, tile: 3, worker: 1, ok: false }
+        );
+        assert_eq!(
+            Event::DeadlineFired { at: 2.0 }.map_time(shift),
+            Event::DeadlineFired { at: 3.0 }
+        );
+        for untimed in [
+            Event::TileDelivered { tile: 2 },
+            Event::WorkerDied { worker: 1 },
+            Event::SendRejected { tile: 2, worker: 1 },
+            Event::Abort,
+        ] {
+            assert_eq!(untimed.map_time(|_| panic!("{untimed:?} carries no timestamp")), untimed);
+        }
+    }
+
+    #[test]
+    fn identity_replay_equals_a_hand_driven_machine_on_a_faulty_trace() {
+        // Worker 0 dies silent: its tiles are re-dispatched to worker 1, one
+        // recovery lands, the next deadline zero-fills the other.
+        let p = LifecyclePolicy { max_redispatch_rounds: 1, ..policy() };
+        let dl1 = 0.010 + 0.010 * p.slack + p.t_l;
+        let dl2 = dl1 + 0.010 * p.slack * 2.0 + p.t_l;
+        let trace = [
+            Event::TileDelivered { tile: 0 },
+            Event::TileDelivered { tile: 1 },
+            Event::TileDelivered { tile: 2 },
+            Event::TileDelivered { tile: 3 },
+            Event::SendComplete { at: 0.004 },
+            Event::ResultArrived { at: 0.010, tile: 1, worker: 1, ok: true },
+            Event::ResultArrived { at: 0.012, tile: 3, worker: 1, ok: true },
+            Event::WorkerDied { worker: 0 },
+            Event::DeadlineFired { at: dl1 },
+            Event::ResultArrived { at: 0.055, tile: 0, worker: 1, ok: true },
+            Event::DeadlineFired { at: dl2 },
+        ];
+        let (alloc, speeds, live) = ([2u32, 2], [1.0, 5.0], [true, true]);
+
+        let rec = Arc::new(RecordingSink::new());
+        let sink = SinkHandle::new(rec.clone());
+        let (mut lc, mut want) =
+            TileLifecycle::begin_observed(p, 0.0, 4, &alloc, &speeds, &live, 0, sink);
+        for ev in trace {
+            want.extend(lc.handle(ev));
+        }
+        assert!(want.contains(&Action::Redispatch { tile: 0, to: 1 }), "{want:?}");
+        assert!(want.contains(&Action::ZeroFill { tiles: vec![2] }), "{want:?}");
+        assert_eq!(want.last(), Some(&Action::Complete));
+
+        let tagged: Vec<(usize, Event)> = trace.iter().map(|&ev| (0, ev)).collect();
+        let got = replay(p, 4, &[alloc.to_vec()], &speeds, &live, &tagged, |at| at);
+        let want: Vec<(usize, Action)> = want.into_iter().map(|a| (0, a)).collect();
+        assert_eq!(got.decisions, want);
+        assert_eq!(got.events, rec.events());
+        let report = got.reports[0].as_deref().expect("the trace finishes the image");
+        assert!(report.contains("\"zero_filled\":1"), "{report}");
     }
 
     #[test]

@@ -54,8 +54,7 @@ use crate::profiles::LinkParams;
 use crate::tenancy::TenantSpec;
 use adcnn_core::config::ConfigError;
 use adcnn_core::fdsp::TileGrid;
-use adcnn_core::lifecycle::{Event, TileLifecycle};
-use adcnn_core::obs::{HistogramSnapshot, RecordingSink, SinkHandle};
+use adcnn_core::obs::{HistogramSnapshot, SinkHandle};
 use adcnn_nn::cost::DeviceProfile;
 use adcnn_nn::zoo::ModelSpec;
 use serde::{Deserialize, Serialize};
@@ -452,161 +451,10 @@ impl AdcnnSim {
     }
 }
 
-/// Replay an abstract event trace through the simulator's *time mapping*
-/// and the shared lifecycle machine, returning the Debug-formatted
-/// decision sequence. The simulator feeds event timestamps to the machine
-/// verbatim (abstract seconds ARE simulated seconds), so this is the
-/// identity mapping — the cross-driver differential test asserts the
-/// sequence is byte-identical to the runtime driver's
-/// (`adcnn_runtime::central::replay_lifecycle_trace`).
-pub fn replay_lifecycle_trace(
-    policy: LifecyclePolicy,
-    d: usize,
-    alloc: &[u32],
-    speeds: &[f64],
-    live: &[bool],
-    trace: &[Event],
-) -> Vec<String> {
-    let (mut lc, acts) = TileLifecycle::begin(policy, 0.0, d, alloc, speeds, live);
-    let mut out: Vec<String> = acts.iter().map(|a| format!("{a:?}")).collect();
-    for ev in trace {
-        out.extend(lc.handle(*ev).iter().map(|a| format!("{a:?}")));
-    }
-    out
-}
-
-/// Multi-image [`replay_lifecycle_trace`]: one lifecycle machine per entry
-/// of `allocs` (all begun at time 0, in order), driven by an interleaved
-/// trace of `(image_index, event)` pairs — the pipeline's concurrency
-/// shape with the transport abstracted away. Decision lines are prefixed
-/// `[i] ` with the owning image index. Timestamps are fed verbatim (the
-/// identity mapping); the cross-driver differential test asserts the
-/// sequence is byte-identical to the runtime driver's
-/// (`adcnn_runtime::central::replay_lifecycle_trace_multi`).
-pub fn replay_lifecycle_trace_multi(
-    policy: LifecyclePolicy,
-    d: usize,
-    allocs: &[Vec<u32>],
-    speeds: &[f64],
-    live: &[bool],
-    trace: &[(usize, Event)],
-) -> Vec<String> {
-    let mut machines = Vec::with_capacity(allocs.len());
-    let mut out = Vec::new();
-    for (i, alloc) in allocs.iter().enumerate() {
-        let (lc, acts) = TileLifecycle::begin(policy, 0.0, d, alloc, speeds, live);
-        out.extend(acts.iter().map(|a| format!("[{i}] {a:?}")));
-        machines.push(lc);
-    }
-    for (img, ev) in trace {
-        out.extend(machines[*img].handle(*ev).iter().map(|a| format!("[{img}] {a:?}")));
-    }
-    out
-}
-
-/// Like [`replay_lifecycle_trace`], but returns the Debug-formatted
-/// sequence of structured [`ObsEvent`]s the lifecycle machine emitted
-/// while replaying — the observability schema rather than the decision
-/// stream. Timestamps are fed verbatim (the identity mapping); the
-/// cross-driver differential test asserts the sequence is byte-identical
-/// to the runtime driver's (`adcnn_runtime::central::replay_lifecycle_events`).
-pub fn replay_lifecycle_events(
-    policy: LifecyclePolicy,
-    d: usize,
-    alloc: &[u32],
-    speeds: &[f64],
-    live: &[bool],
-    trace: &[Event],
-) -> Vec<String> {
-    let rec = std::sync::Arc::new(RecordingSink::new());
-    let (mut lc, _) = TileLifecycle::begin_observed(
-        policy,
-        0.0,
-        d,
-        alloc,
-        speeds,
-        live,
-        0,
-        SinkHandle::new(rec.clone()),
-    );
-    for ev in trace {
-        lc.handle(*ev);
-    }
-    rec.events().iter().map(|e| format!("{e:?}")).collect()
-}
-
-/// Multi-image [`replay_lifecycle_events`]: one machine per entry of
-/// `allocs` (image ids are the indices), all emitting into one shared
-/// recording sink, driven by an interleaved `(image_index, event)` trace.
-/// The recorded stream is the pipeline's interleaved observability schema;
-/// the cross-driver differential test asserts it is byte-identical to the
-/// runtime driver's (`adcnn_runtime::central::replay_lifecycle_events_multi`).
-pub fn replay_lifecycle_events_multi(
-    policy: LifecyclePolicy,
-    d: usize,
-    allocs: &[Vec<u32>],
-    speeds: &[f64],
-    live: &[bool],
-    trace: &[(usize, Event)],
-) -> Vec<String> {
-    let rec = std::sync::Arc::new(RecordingSink::new());
-    let mut machines = Vec::with_capacity(allocs.len());
-    for (i, alloc) in allocs.iter().enumerate() {
-        let (lc, _) = TileLifecycle::begin_observed(
-            policy,
-            0.0,
-            d,
-            alloc,
-            speeds,
-            live,
-            i as u64,
-            SinkHandle::new(rec.clone()),
-        );
-        machines.push(lc);
-    }
-    for (img, ev) in trace {
-        machines[*img].handle(*ev);
-    }
-    rec.events().iter().map(|e| format!("{e:?}")).collect()
-}
-
-/// Like [`replay_lifecycle_events`], but folds the replayed events through
-/// an [`AttributionSink`](adcnn_core::report::AttributionSink) and returns
-/// the resulting [`ImageReport`](adcnn_core::report::ImageReport) as its
-/// canonical JSON — the critical-path decision the attribution layer makes
-/// from the simulator's identity time mapping. The cross-driver
-/// differential test asserts this is byte-identical to the runtime
-/// driver's (`adcnn_runtime::central::replay_lifecycle_report`). `None` if
-/// the trace never finished the image.
-pub fn replay_lifecycle_report(
-    policy: LifecyclePolicy,
-    d: usize,
-    alloc: &[u32],
-    speeds: &[f64],
-    live: &[bool],
-    trace: &[Event],
-) -> Option<String> {
-    let attr = std::sync::Arc::new(adcnn_core::report::AttributionSink::new());
-    let (mut lc, _) = TileLifecycle::begin_observed(
-        policy,
-        0.0,
-        d,
-        alloc,
-        speeds,
-        live,
-        0,
-        SinkHandle::new(attr.clone()),
-    );
-    for ev in trace {
-        lc.handle(*ev);
-    }
-    attr.report_for(0).map(|r| r.to_json())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adcnn_core::obs::ObsEvent;
+    use adcnn_core::obs::{ObsEvent, RecordingSink};
     use adcnn_nn::cost::model_time_s;
     use adcnn_nn::zoo;
 

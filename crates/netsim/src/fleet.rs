@@ -637,9 +637,8 @@ impl FleetSim {
         // the baseline byte-identical to the pre-placement engine.
         let placement_all = cfg.placement.places_all();
         let initial_snap = live_view.snapshot(0.0);
-        let mut placement_decision = cfg.placement.place(
-            &PlacementInput::from_fleet(cfg, 0.0, &[]).with_live_stats(initial_snap.clone()),
-        );
+        let mut placement_decision =
+            cfg.placement.place(&PlacementInput::from_fleet(cfg, 0.0, &[]));
         let mut replacements: u64 = 0;
         if !placement_all {
             for (t, a) in placement_decision.assignments.iter().enumerate() {
@@ -816,10 +815,8 @@ impl FleetSim {
                     // the baseline trace stays byte-identical.
                     if roster_changed && !placement_all {
                         let snap = live_view.snapshot(now);
-                        placement_decision = cfg.placement.place(
-                            &PlacementInput::from_fleet(cfg, now, &dead_list)
-                                .with_live_stats(snap.clone()),
-                        );
+                        placement_decision =
+                            cfg.placement.place(&PlacementInput::from_fleet(cfg, now, &dead_list));
                         for (t, a) in placement_decision.assignments.iter().enumerate() {
                             tenants_rt[t].apply_placement(&a.nodes, &dead_list);
                         }

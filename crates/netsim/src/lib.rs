@@ -57,10 +57,8 @@ pub use adcnn_core::report::{AttributionSink, FlightRecorderSink, ImageReport};
 pub use arrivals::{ArrivalGen, ArrivalSpec};
 pub use churn::{ChurnPlan, ChurnPlanBuilder};
 pub use cluster::{
-    replay_lifecycle_events, replay_lifecycle_events_multi, replay_lifecycle_report,
-    replay_lifecycle_trace, replay_lifecycle_trace_multi, AdcnnSim, AdcnnSimConfig,
-    AdcnnSimConfigBuilder, ImageStats, LifecyclePolicy, SimNode, SimSummary, ThrottleSchedule,
-    TimerPolicy,
+    AdcnnSim, AdcnnSimConfig, AdcnnSimConfigBuilder, ImageStats, LifecyclePolicy, SimNode,
+    SimSummary, ThrottleSchedule, TimerPolicy,
 };
 pub use fleet::{FleetConfig, FleetConfigBuilder, FleetSim, FleetSummary, TenantSummary};
 pub use placement::{

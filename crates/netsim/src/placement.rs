@@ -29,7 +29,6 @@
 use crate::fleet::FleetConfig;
 use adcnn_core::compress::wire_bits_estimate;
 use adcnn_core::config::ConfigError;
-use adcnn_core::fleetobs::LiveStatsSnapshot;
 use adcnn_core::obs::json;
 use adcnn_core::wire::HEADER_BITS;
 use adcnn_nn::cost::{prefix_weight_load_s, tile_prefix_time_s};
@@ -199,12 +198,6 @@ pub struct PlacementInput {
     pub nodes: Vec<NodeView>,
     /// Per-tenant views, in tenant config order.
     pub tenants: Vec<TenantView>,
-    /// Observed node stats from the live-stats bus (EWMA rates,
-    /// availability), when the driver has them. `None` from
-    /// [`PlacementInput::from_fleet`] — the schedule-prior fields above
-    /// stay authoritative for the built-in policies, so golden decision
-    /// traces pin; a live-signal policy opts in by reading this.
-    pub live: Option<LiveStatsSnapshot>,
 }
 
 /// One node as a placement policy sees it.
@@ -306,14 +299,7 @@ impl PlacementInput {
                 }
             })
             .collect();
-        PlacementInput { now, horizon_s, nodes, tenants, live: None }
-    }
-
-    /// Attach an observed-stats snapshot from the live-stats bus (the
-    /// fleet driver does this at every decision point).
-    pub fn with_live_stats(mut self, live: LiveStatsSnapshot) -> Self {
-        self.live = Some(live);
-        self
+        PlacementInput { now, horizon_s, nodes, tenants }
     }
 }
 

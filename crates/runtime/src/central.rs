@@ -48,7 +48,7 @@ use crate::worker::{
 use adcnn_core::config::ConfigError;
 use adcnn_core::fdsp::TileGrid;
 use adcnn_core::lifecycle::{Action, Event, LifecyclePolicy, TileLifecycle, TimerPolicy};
-use adcnn_core::obs::{ObsEvent, RecordingSink, SinkHandle};
+use adcnn_core::obs::{ObsEvent, SinkHandle};
 use adcnn_core::report::{AttributionSink, ImageReport};
 use adcnn_core::sched::{StatsCollector, TileAllocator};
 use adcnn_core::wire::{TileKey, TileResult, TileTask};
@@ -335,6 +335,22 @@ struct Shared {
     queued: AtomicUsize,
 }
 
+impl Shared {
+    /// Fresh state for `k` workers, every slot initially `live` or not
+    /// (in-process threads exist from the start; a remote slot is dead
+    /// until a worker joins it, so nothing may be allocated or dispatched
+    /// to an empty slot).
+    fn new(k: usize, gamma: f64, live: bool) -> Arc<Shared> {
+        Arc::new(Shared {
+            stats: Mutex::new(StatsCollector::new(k, gamma)),
+            allocator: Mutex::new(TileAllocator::unbounded(k)),
+            live: (0..k).map(|_| AtomicBool::new(live)).collect(),
+            inflight: AtomicUsize::new(0),
+            queued: AtomicUsize::new(0),
+        })
+    }
+}
+
 /// An admitted image: its input tiles (kept so missed tiles can be
 /// re-dispatched), its own lifecycle machine, and its partially assembled
 /// boundary map.
@@ -381,12 +397,28 @@ struct Collector {
     intake_rx: Receiver<Submission>,
 }
 
-impl Collector {
-    /// `Instant` → the machine's abstract seconds.
-    fn rel(&self, at: Instant) -> f64 {
-        at.duration_since(self.epoch).as_secs_f64()
-    }
+/// `Instant` → the machine's abstract seconds since `epoch`.
+fn secs_since(epoch: Instant, at: Instant) -> f64 {
+    at.duration_since(epoch).as_secs_f64()
+}
 
+/// The machine's abstract seconds → the `Instant` a timer must fire at.
+fn instant_at(epoch: Instant, secs: f64) -> Instant {
+    epoch + Duration::from_secs_f64(secs)
+}
+
+/// The runtime driver's clock for [`adcnn_core::lifecycle::replay`]: every
+/// trace timestamp makes the journey it makes in production — abstract
+/// seconds → an `Instant` offset from an epoch → back to abstract seconds at
+/// the machine boundary — through the two functions the [`Collector`]
+/// itself calls (ns-grain, so millisecond trace timestamps survive the
+/// roundtrip bit-exactly).
+pub fn replay_clock() -> impl Fn(f64) -> f64 {
+    let epoch = Instant::now();
+    move |at| secs_since(epoch, instant_at(epoch, at))
+}
+
+impl Collector {
     /// Try to hand one tile to `node`'s bounded queue. On failure the task
     /// is returned for rerouting; a disconnected channel additionally marks
     /// the worker dead — speed 0 in the Algorithm 2 statistics — so the
@@ -480,7 +512,7 @@ impl Collector {
         self.shared.inflight.store(depth_now, Ordering::Relaxed);
         // Driver-emitted (never by the lifecycle), before the machine's
         // own ImageStart: admission is a pipeline fact, not a decision.
-        let at = self.rel(start);
+        let at = secs_since(self.epoch, start);
         self.sink.emit_with(|| ObsEvent::ImageAdmitted {
             at,
             image: image_id,
@@ -498,7 +530,7 @@ impl Collector {
             self.sink.clone(),
         );
         self.drive(&mut lc, acts, image_id, &tiles);
-        let at = self.rel(Instant::now());
+        let at = secs_since(self.epoch, Instant::now());
         let acts = lc.handle(Event::SendComplete { at });
         self.drive(&mut lc, acts, image_id, &tiles);
         let (bc, bh, bw) = self.boundary;
@@ -554,7 +586,7 @@ impl Collector {
             .forward_infer_range_with(&assembled, 0..n_suffix, &mut self.infer_scratch)
             .to_tensor();
         self.shared.inflight.store(remaining, Ordering::Relaxed);
-        let at = self.rel(Instant::now());
+        let at = secs_since(self.epoch, Instant::now());
         self.sink.emit_with(|| ObsEvent::ImageRetired {
             at,
             image: image_id,
@@ -668,7 +700,7 @@ impl Collector {
             let (idx, limit) = inflight
                 .iter()
                 .enumerate()
-                .map(|(i, f)| (i, self.epoch + Duration::from_secs_f64(f.lc.next_deadline())))
+                .map(|(i, f)| (i, instant_at(self.epoch, f.lc.next_deadline())))
                 .min_by_key(|e| e.1)
                 .expect("inflight is non-empty");
             let now = Instant::now();
@@ -676,7 +708,7 @@ impl Collector {
                 let inf = &mut inflight[idx];
                 // `max` guards the f64↔Duration roundtrip: the machine
                 // must never see a fire time before its own deadline.
-                let at = self.rel(now).max(inf.lc.next_deadline());
+                let at = secs_since(self.epoch, now).max(inf.lc.next_deadline());
                 let InFlight { image_id, ref tiles, ref mut lc, .. } = *inf;
                 let acts = lc.handle(Event::DeadlineFired { at });
                 self.drive(lc, acts, image_id, tiles);
@@ -691,7 +723,7 @@ impl Collector {
                     // dispatched): discard.
                     if let Some(pos) = inflight.iter().position(|f| f.image_id == res.key.image_id)
                     {
-                        let at = self.rel(when);
+                        let at = secs_since(self.epoch, when);
                         self.ingest(&mut inflight[pos], worker, &res, at);
                     }
                 }
@@ -732,6 +764,16 @@ fn split_model(model: &PartitionedModel) -> SplitModel {
     let tile_out = (oc, oh, ow);
     let boundary = (oc, oh * grid.rows, ow * grid.cols);
     SplitModel { grid, prefix, suffix, compression, tile_out, boundary }
+}
+
+/// Attribution rides the same event stream as any user sink: tee it in
+/// once, so the lifecycle machine and every worker share one effective
+/// sink (still `null` when neither is configured).
+fn effective_sink(cfg: &RuntimeConfig) -> SinkHandle {
+    match &cfg.attribution {
+        Some(attr) => cfg.sink.tee(attr.clone()),
+        None => cfg.sink.clone(),
+    }
 }
 
 /// The live system: the pipeline front-end plus its worker threads (or
@@ -776,13 +818,7 @@ impl AdcnnRuntime {
         // the workers do: they stamp their compute/compress spans against
         // it, and a span must never predate the axis.
         let epoch = Instant::now();
-        // Attribution rides the same event stream as any user sink: tee it
-        // in once, so the lifecycle machine and every worker share one
-        // effective sink (still `null` when neither is configured).
-        let sink = match &cfg.attribution {
-            Some(attr) => cfg.sink.tee(attr.clone()),
-            None => cfg.sink.clone(),
-        };
+        let sink = effective_sink(&cfg);
         let (result_tx, result_rx) = unbounded();
         let mut task_txs = Vec::with_capacity(k);
         let mut handles = Vec::with_capacity(k);
@@ -806,14 +842,26 @@ impl AdcnnRuntime {
             task_txs.push(tx);
             worker_stats.push(stats);
         }
+        let shared = Shared::new(k, cfg.gamma, true);
+        Self::start(sm, cfg, sink, epoch, shared, result_rx, task_txs, handles, worker_stats, None)
+    }
 
-        let shared = Arc::new(Shared {
-            stats: Mutex::new(StatsCollector::new(k, cfg.gamma)),
-            allocator: Mutex::new(TileAllocator::unbounded(k)),
-            live: (0..k).map(|_| AtomicBool::new(true)).collect(),
-            inflight: AtomicUsize::new(0),
-            queued: AtomicUsize::new(0),
-        });
+    /// The tail both launch paths share once their workers are up: the
+    /// intake queue, the [`Collector`] on its own thread, and the runtime
+    /// handle that owns them all.
+    #[allow(clippy::too_many_arguments)]
+    fn start(
+        sm: SplitModel,
+        cfg: RuntimeConfig,
+        sink: SinkHandle,
+        epoch: Instant,
+        shared: Arc<Shared>,
+        result_rx: Receiver<(usize, TileResult)>,
+        task_txs: Vec<Sender<WorkerMsg>>,
+        handles: Vec<JoinHandle<()>>,
+        worker_stats: Vec<Arc<WorkerStats>>,
+        transport: Option<RemoteCluster>,
+    ) -> Self {
         let (intake_tx, intake_rx) = bounded(cfg.intake_cap);
         let collector = Collector {
             grid: sm.grid,
@@ -826,7 +874,7 @@ impl AdcnnRuntime {
             rng: StdRng::seed_from_u64(cfg.seed),
             policy: cfg.policy,
             depth: cfg.pipeline_depth,
-            attribution: cfg.attribution.clone(),
+            attribution: cfg.attribution,
             sink,
             epoch,
             boundary: sm.boundary,
@@ -837,7 +885,6 @@ impl AdcnnRuntime {
             .name("adcnn-collector".into())
             .spawn(move || collector.run())
             .expect("failed to spawn collector thread");
-
         AdcnnRuntime {
             intake_tx: Some(intake_tx),
             collector: Some(collector),
@@ -845,7 +892,7 @@ impl AdcnnRuntime {
             handles,
             worker_stats,
             shared,
-            transport: None,
+            transport,
             next_image: AtomicU64::new(0),
         }
     }
@@ -879,22 +926,11 @@ impl AdcnnRuntime {
         let sm = split_model(&model);
         let k = workers;
         let epoch = Instant::now();
-        let sink = match &cfg.attribution {
-            Some(attr) => cfg.sink.tee(attr.clone()),
-            None => cfg.sink.clone(),
-        };
+        let sink = effective_sink(&cfg);
         let (result_tx, result_rx) = unbounded();
         let worker_stats: Vec<Arc<WorkerStats>> =
             (0..k).map(|_| Arc::new(WorkerStats::default())).collect();
-        let shared = Arc::new(Shared {
-            stats: Mutex::new(StatsCollector::new(k, cfg.gamma)),
-            allocator: Mutex::new(TileAllocator::unbounded(k)),
-            // A slot is dead until a worker joins it: nothing may be
-            // allocated or dispatched to an empty slot.
-            live: (0..k).map(|_| AtomicBool::new(false)).collect(),
-            inflight: AtomicUsize::new(0),
-            queued: AtomicUsize::new(0),
-        });
+        let shared = Shared::new(k, cfg.gamma, false);
         let hooks = TransportHooks {
             on_up: {
                 let shared = shared.clone();
@@ -961,39 +997,18 @@ impl AdcnnRuntime {
             }
             std::thread::sleep(Duration::from_millis(5));
         }
-        let (intake_tx, intake_rx) = bounded(cfg.intake_cap);
-        let collector = Collector {
-            grid: sm.grid,
-            suffix: sm.suffix,
-            infer_scratch: InferScratch::new(),
-            task_txs: task_txs.clone(),
-            result_rx,
-            worker_stats: worker_stats.clone(),
-            shared: shared.clone(),
-            rng: StdRng::seed_from_u64(cfg.seed),
-            policy: cfg.policy,
-            depth: cfg.pipeline_depth,
-            attribution: cfg.attribution.clone(),
+        Ok(Self::start(
+            sm,
+            cfg,
             sink,
             epoch,
-            boundary: sm.boundary,
-            tile_out: sm.tile_out,
-            intake_rx,
-        };
-        let collector = std::thread::Builder::new()
-            .name("adcnn-collector".into())
-            .spawn(move || collector.run())
-            .expect("failed to spawn collector thread");
-        Ok(AdcnnRuntime {
-            intake_tx: Some(intake_tx),
-            collector: Some(collector),
+            shared,
+            result_rx,
             task_txs,
             handles,
             worker_stats,
-            shared,
-            transport: Some(cluster),
-            next_image: AtomicU64::new(0),
-        })
+            Some(cluster),
+        ))
     }
 
     /// Number of workers.
@@ -1126,222 +1141,6 @@ impl Drop for AdcnnRuntime {
     fn drop(&mut self) {
         self.close();
     }
-}
-
-/// Replay an abstract event trace through the runtime's *time mapping* and
-/// the shared lifecycle machine, returning the Debug-formatted decision
-/// sequence. Every timestamp makes the same journey it makes in
-/// production: abstract seconds → an `Instant` offset from an epoch → back
-/// to abstract seconds at the machine boundary. The cross-driver
-/// differential test asserts this sequence is byte-identical to the
-/// simulator driver's (`adcnn_netsim::replay_lifecycle_trace`).
-pub fn replay_lifecycle_trace(
-    policy: LifecyclePolicy,
-    d: usize,
-    alloc: &[u32],
-    speeds: &[f64],
-    live: &[bool],
-    trace: &[Event],
-) -> Vec<String> {
-    let epoch = Instant::now();
-    // The production mapping, both directions (ns-grain, so millisecond
-    // trace timestamps survive the roundtrip bit-exactly).
-    let roundtrip = |at: f64| -> f64 {
-        let instant = epoch + Duration::from_secs_f64(at);
-        instant.duration_since(epoch).as_secs_f64()
-    };
-    let (mut lc, acts) = TileLifecycle::begin(policy, roundtrip(0.0), d, alloc, speeds, live);
-    let mut out: Vec<String> = acts.iter().map(|a| format!("{a:?}")).collect();
-    for ev in trace {
-        let ev = match *ev {
-            Event::SendComplete { at } => Event::SendComplete { at: roundtrip(at) },
-            Event::ResultArrived { at, tile, worker, ok } => {
-                Event::ResultArrived { at: roundtrip(at), tile, worker, ok }
-            }
-            Event::DeadlineFired { at } => Event::DeadlineFired { at: roundtrip(at) },
-            other => other,
-        };
-        out.extend(lc.handle(ev).iter().map(|a| format!("{a:?}")));
-    }
-    out
-}
-
-/// Multi-image [`replay_lifecycle_trace`]: one lifecycle machine per entry
-/// of `allocs` (all begun at time 0, in order), driven by an interleaved
-/// trace of `(image_index, event)` pairs — the pipeline's concurrency
-/// shape with the transport abstracted away. Decision lines are prefixed
-/// `[i] ` with the owning image index. The cross-driver differential test
-/// asserts this sequence is byte-identical to the simulator driver's
-/// (`adcnn_netsim::replay_lifecycle_trace_multi`).
-pub fn replay_lifecycle_trace_multi(
-    policy: LifecyclePolicy,
-    d: usize,
-    allocs: &[Vec<u32>],
-    speeds: &[f64],
-    live: &[bool],
-    trace: &[(usize, Event)],
-) -> Vec<String> {
-    let epoch = Instant::now();
-    let roundtrip = |at: f64| -> f64 {
-        let instant = epoch + Duration::from_secs_f64(at);
-        instant.duration_since(epoch).as_secs_f64()
-    };
-    let mut machines = Vec::with_capacity(allocs.len());
-    let mut out = Vec::new();
-    for (i, alloc) in allocs.iter().enumerate() {
-        let (lc, acts) = TileLifecycle::begin(policy, roundtrip(0.0), d, alloc, speeds, live);
-        out.extend(acts.iter().map(|a| format!("[{i}] {a:?}")));
-        machines.push(lc);
-    }
-    for (img, ev) in trace {
-        let ev = match *ev {
-            Event::SendComplete { at } => Event::SendComplete { at: roundtrip(at) },
-            Event::ResultArrived { at, tile, worker, ok } => {
-                Event::ResultArrived { at: roundtrip(at), tile, worker, ok }
-            }
-            Event::DeadlineFired { at } => Event::DeadlineFired { at: roundtrip(at) },
-            other => other,
-        };
-        out.extend(machines[*img].handle(ev).iter().map(|a| format!("[{img}] {a:?}")));
-    }
-    out
-}
-
-/// Like [`replay_lifecycle_trace`], but returns the Debug-formatted
-/// sequence of structured [`ObsEvent`](adcnn_core::obs::ObsEvent)s the
-/// lifecycle machine emitted while replaying — the observability schema
-/// rather than the decision stream. The cross-driver differential test
-/// asserts this sequence is byte-identical to the simulator driver's
-/// (`adcnn_netsim::replay_lifecycle_events`).
-pub fn replay_lifecycle_events(
-    policy: LifecyclePolicy,
-    d: usize,
-    alloc: &[u32],
-    speeds: &[f64],
-    live: &[bool],
-    trace: &[Event],
-) -> Vec<String> {
-    let epoch = Instant::now();
-    let roundtrip = |at: f64| -> f64 {
-        let instant = epoch + Duration::from_secs_f64(at);
-        instant.duration_since(epoch).as_secs_f64()
-    };
-    let rec = Arc::new(RecordingSink::new());
-    let (mut lc, _) = TileLifecycle::begin_observed(
-        policy,
-        roundtrip(0.0),
-        d,
-        alloc,
-        speeds,
-        live,
-        0,
-        SinkHandle::new(rec.clone()),
-    );
-    for ev in trace {
-        let ev = match *ev {
-            Event::SendComplete { at } => Event::SendComplete { at: roundtrip(at) },
-            Event::ResultArrived { at, tile, worker, ok } => {
-                Event::ResultArrived { at: roundtrip(at), tile, worker, ok }
-            }
-            Event::DeadlineFired { at } => Event::DeadlineFired { at: roundtrip(at) },
-            other => other,
-        };
-        lc.handle(ev);
-    }
-    rec.events().iter().map(|e| format!("{e:?}")).collect()
-}
-
-/// Multi-image [`replay_lifecycle_events`]: one machine per entry of
-/// `allocs` (image ids are the indices), all emitting into one shared
-/// recording sink, driven by an interleaved `(image_index, event)` trace.
-/// The recorded stream is the pipeline's interleaved observability schema;
-/// the cross-driver differential test asserts it is byte-identical to the
-/// simulator driver's (`adcnn_netsim::replay_lifecycle_events_multi`).
-pub fn replay_lifecycle_events_multi(
-    policy: LifecyclePolicy,
-    d: usize,
-    allocs: &[Vec<u32>],
-    speeds: &[f64],
-    live: &[bool],
-    trace: &[(usize, Event)],
-) -> Vec<String> {
-    let epoch = Instant::now();
-    let roundtrip = |at: f64| -> f64 {
-        let instant = epoch + Duration::from_secs_f64(at);
-        instant.duration_since(epoch).as_secs_f64()
-    };
-    let rec = Arc::new(RecordingSink::new());
-    let mut machines = Vec::with_capacity(allocs.len());
-    for (i, alloc) in allocs.iter().enumerate() {
-        let (lc, _) = TileLifecycle::begin_observed(
-            policy,
-            roundtrip(0.0),
-            d,
-            alloc,
-            speeds,
-            live,
-            i as u64,
-            SinkHandle::new(rec.clone()),
-        );
-        machines.push(lc);
-    }
-    for (img, ev) in trace {
-        let ev = match *ev {
-            Event::SendComplete { at } => Event::SendComplete { at: roundtrip(at) },
-            Event::ResultArrived { at, tile, worker, ok } => {
-                Event::ResultArrived { at: roundtrip(at), tile, worker, ok }
-            }
-            Event::DeadlineFired { at } => Event::DeadlineFired { at: roundtrip(at) },
-            other => other,
-        };
-        machines[*img].handle(ev);
-    }
-    rec.events().iter().map(|e| format!("{e:?}")).collect()
-}
-
-/// Like [`replay_lifecycle_events`], but folds the replayed events through
-/// an [`AttributionSink`] and returns the resulting [`ImageReport`] as its
-/// canonical JSON — the critical-path decision the attribution layer makes
-/// from the runtime driver's time mapping. The cross-driver differential
-/// test asserts this is byte-identical to the simulator driver's
-/// (`adcnn_netsim::replay_lifecycle_report`). `None` if the trace never
-/// finished the image.
-pub fn replay_lifecycle_report(
-    policy: LifecyclePolicy,
-    d: usize,
-    alloc: &[u32],
-    speeds: &[f64],
-    live: &[bool],
-    trace: &[Event],
-) -> Option<String> {
-    let epoch = Instant::now();
-    let roundtrip = |at: f64| -> f64 {
-        let instant = epoch + Duration::from_secs_f64(at);
-        instant.duration_since(epoch).as_secs_f64()
-    };
-    let attr = Arc::new(AttributionSink::new());
-    let (mut lc, _) = TileLifecycle::begin_observed(
-        policy,
-        roundtrip(0.0),
-        d,
-        alloc,
-        speeds,
-        live,
-        0,
-        SinkHandle::new(attr.clone()),
-    );
-    for ev in trace {
-        let ev = match *ev {
-            Event::SendComplete { at } => Event::SendComplete { at: roundtrip(at) },
-            Event::ResultArrived { at, tile, worker, ok } => {
-                Event::ResultArrived { at: roundtrip(at), tile, worker, ok }
-            }
-            Event::DeadlineFired { at } => Event::DeadlineFired { at: roundtrip(at) },
-            other => other,
-        };
-        lc.handle(ev);
-    }
-    attr.report_for(0).map(|r| r.to_json())
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@
 //! # Handshake
 //!
 //! A worker connects and sends `HELLO {magic, version, caps}`. The
-//! acceptor validates it, picks a free worker slot, and the slot's
+//! acceptor validates it, claims a free worker slot, and the slot's
 //! supervisor replies `WELCOME {worker_id, model spec}`. The
 //! [`RemoteModelSpec`] is deterministic-by-seed: both sides rebuild
 //! identical weights (the paper stores the separable-block filter weights
@@ -47,7 +47,7 @@
 use crate::worker::{process_tile, Compression, WorkerMsg, WorkerStats};
 use adcnn_core::compress::{CompressScratch, Quantizer};
 use adcnn_core::fdsp::TileGrid;
-use adcnn_core::lifecycle::{Event, LifecyclePolicy, TileLifecycle};
+use adcnn_core::lifecycle::Event;
 use adcnn_core::obs::{ObsEvent, SinkHandle};
 use adcnn_core::wire::{TileResult, TileTask};
 use adcnn_core::ClippedRelu;
@@ -642,7 +642,13 @@ pub(crate) struct TransportHooks {
 
 struct Slot {
     conn_tx: Sender<Conn>,
-    up: Arc<AtomicBool>,
+    /// Set by the acceptor in the same step that hands this slot a
+    /// connection; cleared by the slot's supervisor once that connection is
+    /// gone (handshake failure or disconnect). A flag the supervisor raised
+    /// only after its handshake would leave a window in which the acceptor
+    /// queues a second connection behind the first in this slot, where
+    /// nobody reads it, while another slot stays empty.
+    claimed: Arc<AtomicBool>,
 }
 
 /// The Central node's transport half: the acceptor thread plus one
@@ -684,8 +690,8 @@ impl RemoteCluster {
             // slot's supervisor, so a reconnect storm cannot queue up.
             let (conn_tx, conn_rx) = bounded::<Conn>(1);
             let (task_tx, task_rx) = bounded(task_queue_cap.max(1));
-            let up = Arc::new(AtomicBool::new(false));
-            slots.push(Slot { conn_tx, up: up.clone() });
+            let claimed = Arc::new(AtomicBool::new(false));
+            slots.push(Slot { conn_tx, claimed: claimed.clone() });
             task_txs.push(task_tx);
             let result_tx = result_tx.clone();
             let sink = sink.clone();
@@ -696,8 +702,8 @@ impl RemoteCluster {
                     .name(format!("conv-slot-{slot_id}"))
                     .spawn(move || {
                         supervise_slot(
-                            slot_id, spec, conn_rx, task_rx, result_tx, stats, sink, epoch, up,
-                            on_up, on_down,
+                            slot_id, spec, conn_rx, task_rx, result_tx, stats, sink, epoch,
+                            claimed, on_up, on_down,
                         )
                     })
                     .expect("failed to spawn slot supervisor"),
@@ -757,12 +763,17 @@ fn admit_connection(mut conn: Conn, slots: &[Slot]) {
     }
     let mut conn = conn;
     for slot in slots {
-        if slot.up.load(Ordering::SeqCst) {
+        // Claim the slot and hand the connection over as one step: a slot
+        // stays skipped from here until its supervisor releases it.
+        if slot.claimed.compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst).is_err() {
             continue;
         }
         match slot.conn_tx.try_send(conn) {
             Ok(()) => return,
-            Err(TrySendError::Full(c)) | Err(TrySendError::Disconnected(c)) => conn = c,
+            Err(TrySendError::Full(c)) | Err(TrySendError::Disconnected(c)) => {
+                slot.claimed.store(false, Ordering::SeqCst);
+                conn = c;
+            }
         }
     }
     let _ = write_frame(&mut conn, TAG_SHUTDOWN, &[]);
@@ -782,7 +793,7 @@ fn supervise_slot(
     stats: Arc<WorkerStats>,
     sink: SinkHandle,
     epoch: Instant,
-    up: Arc<AtomicBool>,
+    claimed: Arc<AtomicBool>,
     on_up: Arc<dyn Fn(usize) + Send + Sync>,
     on_down: Arc<dyn Fn(usize) + Send + Sync>,
 ) {
@@ -810,12 +821,17 @@ fn supervise_slot(
             }
         };
         let my_gen = generation.fetch_add(1, Ordering::SeqCst) + 1;
+        // A failed handshake releases the acceptor's claim on the slot.
         if write_frame(&mut conn, TAG_WELCOME, &encode_welcome(slot as u32, &spec)).is_err() {
+            claimed.store(false, Ordering::SeqCst);
             continue;
         }
         let reader_conn = match conn.try_clone() {
             Ok(c) => c,
-            Err(_) => continue,
+            Err(_) => {
+                claimed.store(false, Ordering::SeqCst);
+                continue;
+            }
         };
         let dead = Arc::new(AtomicBool::new(false));
         let reader = {
@@ -842,7 +858,6 @@ fn supervise_slot(
                 .expect("failed to spawn slot reader")
         };
         on_up(slot);
-        up.store(true, Ordering::SeqCst);
 
         // --- up: writer loop. The 20ms timeout bounds how long a silent
         // disconnect (reader EOF with no traffic) goes unnoticed.
@@ -877,7 +892,7 @@ fn supervise_slot(
         generation.fetch_add(1, Ordering::SeqCst);
         let _ = conn.shutdown();
         let _ = reader.join();
-        up.store(false, Ordering::SeqCst);
+        claimed.store(false, Ordering::SeqCst);
         if shutting_down {
             return;
         }
@@ -1003,23 +1018,16 @@ pub fn spawn_loopback_worker(endpoint: Endpoint) -> JoinHandle<io::Result<()>> {
 }
 
 // ---------------------------------------------------------------------------
-// Loopback differential replay
+// Loopback event carrier (differential replay)
 
-/// Replay an abstract lifecycle trace with the events carried over a real
-/// loopback TCP socket: a sender thread serializes each event into an
-/// `EVENT` frame; this side decodes and feeds the machine through the
-/// runtime driver's exact `Instant` roundtrip. The differential test
-/// asserts the decision sequence is byte-identical to
-/// [`crate::central::replay_lifecycle_trace`] and the simulator's — i.e.
-/// the wire neither reorders nor perturbs a single decision.
-pub fn replay_lifecycle_trace_loopback(
-    policy: LifecyclePolicy,
-    d: usize,
-    alloc: &[u32],
-    speeds: &[f64],
-    live: &[bool],
-    trace: &[Event],
-) -> Vec<String> {
+/// Carry a lifecycle trace over a real loopback TCP socket: a sender thread
+/// serializes each event into an `EVENT` frame, this side reads and decodes
+/// them back. The differential test feeds the result to
+/// [`adcnn_core::lifecycle::replay`] under
+/// [`replay_clock`](crate::central::replay_clock) and asserts the outcome
+/// is identical to replaying the trace directly — i.e. the wire neither
+/// reorders nor perturbs a single event.
+pub fn carry_events_loopback(trace: &[Event]) -> Vec<Event> {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("loopback addr");
     let events: Vec<Event> = trace.to_vec();
@@ -1032,28 +1040,13 @@ pub fn replay_lifecycle_trace_loopback(
         // Dropping the stream sends FIN: a clean end-of-trace.
     });
     let (mut conn, _) = listener.accept().expect("accept loopback");
-    let epoch = Instant::now();
-    let roundtrip = |at: f64| -> f64 {
-        let instant = epoch + Duration::from_secs_f64(at);
-        instant.duration_since(epoch).as_secs_f64()
-    };
-    let (mut lc, acts) = TileLifecycle::begin(policy, roundtrip(0.0), d, alloc, speeds, live);
-    let mut out: Vec<String> = acts.iter().map(|a| format!("{a:?}")).collect();
+    let mut carried = Vec::with_capacity(trace.len());
     while let Some((tag, body)) = read_frame(&mut conn).expect("read event frame") {
         assert_eq!(tag, TAG_EVENT, "unexpected frame tag {tag} in replay stream");
-        let ev = decode_event(&body).expect("undecodable event frame");
-        let ev = match ev {
-            Event::SendComplete { at } => Event::SendComplete { at: roundtrip(at) },
-            Event::ResultArrived { at, tile, worker, ok } => {
-                Event::ResultArrived { at: roundtrip(at), tile, worker, ok }
-            }
-            Event::DeadlineFired { at } => Event::DeadlineFired { at: roundtrip(at) },
-            other => other,
-        };
-        out.extend(lc.handle(ev).iter().map(|a| format!("{a:?}")));
+        carried.push(decode_event(&body).expect("undecodable event frame"));
     }
     sender.join().expect("sender thread panicked");
-    out
+    carried
 }
 
 #[cfg(test)]
@@ -1197,8 +1190,10 @@ mod tests {
 
     #[test]
     fn loopback_replay_matches_the_central_driver() {
+        use crate::central::replay_clock;
+        use adcnn_core::lifecycle::{replay, LifecyclePolicy};
         let policy = LifecyclePolicy { t_l: 0.030, ..Default::default() };
-        let alloc = [2u32, 2];
+        let allocs = [vec![2u32, 2]];
         let speeds = [1.0, 1.0];
         let live = [true, true];
         let trace = vec![
@@ -1213,10 +1208,18 @@ mod tests {
             Event::ResultArrived { at: 0.090, tile: 1, worker: 0, ok: true },
             Event::ResultArrived { at: 0.095, tile: 3, worker: 0, ok: true },
         ];
-        let over_wire = replay_lifecycle_trace_loopback(policy, 4, &alloc, &speeds, &live, &trace);
-        let in_process =
-            crate::central::replay_lifecycle_trace(policy, 4, &alloc, &speeds, &live, &trace);
+        let tag = |evs: &[Event]| evs.iter().map(|&ev| (0, ev)).collect::<Vec<_>>();
+        let over_wire = replay(
+            policy,
+            4,
+            &allocs,
+            &speeds,
+            &live,
+            &tag(&carry_events_loopback(&trace)),
+            replay_clock(),
+        );
+        let in_process = replay(policy, 4, &allocs, &speeds, &live, &tag(&trace), replay_clock());
         assert_eq!(over_wire, in_process, "the wire must not perturb a single decision");
-        assert!(!over_wire.is_empty());
+        assert!(!over_wire.decisions.is_empty());
     }
 }

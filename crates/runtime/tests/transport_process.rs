@@ -365,3 +365,32 @@ fn launch_remote_times_out_without_workers() {
         Ok(_) => panic!("launch_remote succeeded with no workers connected"),
     }
 }
+
+/// Regression for the join-barrier race: the acceptor used to offer a
+/// connection to the first slot whose supervisor had not *finished* its
+/// handshake, so two workers connecting back to back could both be queued
+/// into slot 0 and slot 1 never came up (about one launch in 130 on one
+/// CPU). Every launch must now seat both workers well inside a 2 s
+/// barrier.
+#[test]
+fn back_to_back_joins_never_strand_the_barrier() {
+    let x = rand_image(600);
+    for cycle in 0..300 {
+        let listener = bind_loopback();
+        let endpoint = listener.endpoint().clone();
+        let workers: Vec<_> = (0..2).map(|_| spawn_loopback_worker(endpoint.clone())).collect();
+        let mut rt = AdcnnRuntime::launch_remote(
+            spec(),
+            2,
+            RuntimeConfig::default(),
+            listener,
+            Duration::from_secs(2),
+        )
+        .unwrap_or_else(|e| panic!("launch {cycle}: {e}"));
+        assert_eq!(rt.infer(&x).zero_filled, 0, "launch {cycle}");
+        rt.shutdown();
+        for w in workers {
+            w.join().unwrap().unwrap();
+        }
+    }
+}

@@ -1,85 +1,89 @@
 //! Differential test for the sans-IO tile lifecycle: replay identical
-//! event traces through the runtime driver's time mapping
-//! (`Instant`-roundtripped abstract seconds) and the simulator driver's
-//! (identity), and assert the decision sequences — dispatch/re-dispatch
-//! targets, zero-fill sets, rate-update attribution, completion — are
-//! byte-identical. This is the contract that makes a deployment plan
-//! validated in `adcnn-netsim` trustworthy on `adcnn-runtime`: both sides
-//! drive the same `adcnn_core::lifecycle::TileLifecycle`, and neither
-//! side's clock plumbing may perturb a single decision.
+//! event traces through `adcnn_core::lifecycle::replay` — the one replay
+//! loop — under each driver's contribution to it: the simulator's clock
+//! (identity), the runtime's (`replay_clock()`, the `Instant` roundtrip the
+//! collector itself performs), and the runtime's clock fed by events that
+//! crossed a real loopback-TCP socket. The decision sequences —
+//! dispatch/re-dispatch targets, zero-fill sets, rate-update attribution,
+//! completion — the emitted `ObsEvent`s and the attribution reports must be
+//! identical. This is the contract that makes a deployment plan validated
+//! in `adcnn-netsim` trustworthy on `adcnn-runtime`: every side drives the
+//! same `adcnn_core::lifecycle::TileLifecycle`, and no side's clock or
+//! carrier plumbing may perturb a single decision.
 //!
 //! Trace timestamps are millisecond-grain so the runtime's
 //! `f64 → Duration → f64` roundtrip is bit-exact.
 
-use adcnn_core::lifecycle::{Event, LifecyclePolicy, TimerPolicy};
+use adcnn_core::lifecycle::{replay, Event, LifecyclePolicy, TimerPolicy};
+use adcnn_runtime::central::replay_clock;
+use adcnn_runtime::transport::carry_events_loopback;
 
 fn policy() -> LifecyclePolicy {
     LifecyclePolicy { t_l: 0.030, ..Default::default() }
 }
 
-/// Replay through all three drivers and assert byte-identical decisions:
-/// the runtime's in-process driver, the simulator's, and the runtime
-/// driver fed through a real loopback-TCP connection (the trace is
-/// serialized as length-prefixed `EVENT` frames, decoded on the far side,
-/// and `Instant`-roundtripped exactly like live transport results). A
-/// socket in the event path may not perturb a single decision.
+/// What the three drivers agreed on, rendered the way the assertions read
+/// it: Debug-formatted decision lines (prefixed `[i] ` with the owning
+/// image index when more than one image is in flight), Debug-formatted
+/// `ObsEvent`s, and image 0's `ImageReport` as canonical JSON.
+struct Agreed {
+    decisions: Vec<String>,
+    events: Vec<String>,
+    report: Option<String>,
+}
+
+/// Replay an interleaved `(image, event)` trace — the shape the pipelined
+/// collector demultiplexes; one image is the one-alloc case — under all
+/// three drivers and assert the whole outcome (decisions, `ObsEvent`
+/// schema/ordering/fields, per-image critical-path reports) is identical.
+/// The loopback leg serializes the trace as length-prefixed `EVENT`
+/// frames, decodes it on the far side and `Instant`-roundtrips it exactly
+/// like live transport results: a socket in the event path may not
+/// perturb a single decision.
 fn assert_identical(
     policy: LifecyclePolicy,
     d: usize,
-    alloc: &[u32],
+    allocs: &[Vec<u32>],
     speeds: &[f64],
     live: &[bool],
-    trace: &[Event],
-) -> Vec<String> {
-    let rt = adcnn_runtime::central::replay_lifecycle_trace(policy, d, alloc, speeds, live, trace);
-    let sim = adcnn_netsim::replay_lifecycle_trace(policy, d, alloc, speeds, live, trace);
-    assert_eq!(rt, sim, "runtime and simulator drivers disagree on a decision sequence");
-    let tcp = adcnn_runtime::transport::replay_lifecycle_trace_loopback(
-        policy, d, alloc, speeds, live, trace,
-    );
-    assert_eq!(rt, tcp, "a loopback-TCP event transport perturbed the decision sequence");
-    assert!(!rt.is_empty(), "a non-trivial trace must produce decisions");
-    rt
+    trace: &[(usize, Event)],
+) -> Agreed {
+    let sim = replay(policy, d, allocs, speeds, live, trace, |at| at);
+    let rt = replay(policy, d, allocs, speeds, live, trace, replay_clock());
+    assert_eq!(rt, sim, "runtime and simulator drivers disagree");
+    let (images, events): (Vec<usize>, Vec<Event>) = trace.iter().copied().unzip();
+    let carried: Vec<(usize, Event)> =
+        images.into_iter().zip(carry_events_loopback(&events)).collect();
+    let tcp = replay(policy, d, allocs, speeds, live, &carried, replay_clock());
+    assert_eq!(rt, tcp, "a loopback-TCP event transport perturbed the replay");
+    assert!(!rt.decisions.is_empty(), "a non-trivial trace must produce decisions");
+    assert!(!rt.events.is_empty(), "a non-trivial trace must emit events");
+    let report = rt.reports[0].clone();
+    if let Some(r) = &report {
+        assert!(adcnn_core::obs::json::is_well_formed(r), "malformed report JSON: {r}");
+    }
+    Agreed {
+        decisions: rt
+            .decisions
+            .iter()
+            .map(|(i, a)| if allocs.len() > 1 { format!("[{i}] {a:?}") } else { format!("{a:?}") })
+            .collect(),
+        events: rt.events.iter().map(|e| format!("{e:?}")).collect(),
+        report,
+    }
 }
 
-/// Replay through both drivers' observability plumbing and assert the
-/// emitted `ObsEvent` sequences (schema, ordering, every field) are
-/// byte-identical. A trace viewer or metrics pipeline built against one
-/// driver must read the other without translation.
-fn assert_identical_events(
+/// [`assert_identical`] for a single image.
+fn assert_identical_one(
     policy: LifecyclePolicy,
     d: usize,
     alloc: &[u32],
     speeds: &[f64],
     live: &[bool],
     trace: &[Event],
-) -> Vec<String> {
-    let rt = adcnn_runtime::central::replay_lifecycle_events(policy, d, alloc, speeds, live, trace);
-    let sim = adcnn_netsim::replay_lifecycle_events(policy, d, alloc, speeds, live, trace);
-    assert_eq!(rt, sim, "runtime and simulator emit different observability event sequences");
-    assert!(!rt.is_empty(), "a non-trivial trace must emit events");
-    rt
-}
-
-/// Replay through both drivers' attribution plumbing and assert the
-/// per-image critical-path reports — phase decomposition, critical tile,
-/// dominant phase — are byte-identical as canonical JSON. A Table 3
-/// breakdown computed against the simulator must be the breakdown the
-/// runtime would have reported for the same trace.
-fn assert_identical_report(
-    policy: LifecyclePolicy,
-    d: usize,
-    alloc: &[u32],
-    speeds: &[f64],
-    live: &[bool],
-    trace: &[Event],
-) -> String {
-    let rt = adcnn_runtime::central::replay_lifecycle_report(policy, d, alloc, speeds, live, trace);
-    let sim = adcnn_netsim::replay_lifecycle_report(policy, d, alloc, speeds, live, trace);
-    assert_eq!(rt, sim, "runtime and simulator drivers disagree on an ImageReport");
-    let report = rt.expect("trace must finish the image and yield a report");
-    assert!(adcnn_core::obs::json::is_well_formed(&report), "malformed report JSON: {report}");
-    report
+) -> Agreed {
+    let tagged: Vec<(usize, Event)> = trace.iter().map(|&ev| (0, ev)).collect();
+    assert_identical(policy, d, &[alloc.to_vec()], speeds, live, &tagged)
 }
 
 #[test]
@@ -91,7 +95,8 @@ fn healthy_trace_emits_identical_event_sequences() {
         Event::ResultArrived { at: 0.020, tile: 0, worker: 0, ok: true },
         Event::ResultArrived { at: 0.021, tile: 1, worker: 1, ok: true },
     ];
-    let events = assert_identical_events(policy(), 2, &[1, 1], &[1.0, 1.0], &[true, true], &trace);
+    let events =
+        assert_identical_one(policy(), 2, &[1, 1], &[1.0, 1.0], &[true, true], &trace).events;
     assert!(events[0].starts_with("ImageStart"), "{events:?}");
     assert_eq!(events.iter().filter(|e| e.starts_with("TileDispatch")).count(), 2);
     assert_eq!(events.iter().filter(|e| e.starts_with("TileArrival")).count(), 2);
@@ -125,7 +130,7 @@ fn faulty_trace_emits_identical_event_sequences() {
         // one corrupt straggler after completion: Late, not Accept
         Event::ResultArrived { at: 0.110, tile: 2, worker: 0, ok: false },
     ];
-    let events = assert_identical_events(p, 4, &[2, 2], &[1.0, 5.0], &[true, true], &trace);
+    let events = assert_identical_one(p, 4, &[2, 2], &[1.0, 5.0], &[true, true], &trace).events;
     for kind in
         ["WorkerDead", "DeadlineFired", "TileRedispatch", "TileZeroFill", "TileLate", "ImageFinish"]
     {
@@ -142,7 +147,9 @@ fn healthy_trace_produces_identical_image_reports() {
         Event::ResultArrived { at: 0.020, tile: 0, worker: 0, ok: true },
         Event::ResultArrived { at: 0.021, tile: 1, worker: 1, ok: true },
     ];
-    let report = assert_identical_report(policy(), 2, &[1, 1], &[1.0, 1.0], &[true, true], &trace);
+    let report = assert_identical_one(policy(), 2, &[1, 1], &[1.0, 1.0], &[true, true], &trace)
+        .report
+        .expect("trace must finish the image and yield a report");
     // Tile 1 arrives last: it is the critical path on both drivers.
     assert!(report.contains("\"critical_tile\":1"), "{report}");
     assert!(report.contains("\"zero_filled\":0"), "{report}");
@@ -170,7 +177,9 @@ fn faulty_trace_produces_identical_image_reports() {
         Event::DeadlineFired { at: dl2 },
         Event::ResultArrived { at: 0.110, tile: 2, worker: 0, ok: false },
     ];
-    let report = assert_identical_report(p, 4, &[2, 2], &[1.0, 5.0], &[true, true], &trace);
+    let report = assert_identical_one(p, 4, &[2, 2], &[1.0, 5.0], &[true, true], &trace)
+        .report
+        .expect("trace must finish the image and yield a report");
     assert!(report.contains("\"zero_filled\":1"), "{report}");
     assert!(report.contains("\"redispatched\":2"), "{report}");
     // Tile 2 never came back: the zero-fill at dl2 closes the image, and
@@ -192,7 +201,8 @@ fn healthy_completion_is_identical() {
         Event::ResultArrived { at: 0.030, tile: 2, worker: 0, ok: true },
         Event::ResultArrived { at: 0.032, tile: 3, worker: 1, ok: true },
     ];
-    let log = assert_identical(policy(), 4, &[2, 2], &[1.0, 1.0], &[true, true], &trace);
+    let log =
+        assert_identical_one(policy(), 4, &[2, 2], &[1.0, 1.0], &[true, true], &trace).decisions;
     // dispatch round-robin, one Accept per tile, rates for both, Complete
     assert_eq!(log.iter().filter(|l| l.starts_with("Dispatch")).count(), 4);
     assert_eq!(log.iter().filter(|l| l.starts_with("Accept")).count(), 4);
@@ -221,10 +231,12 @@ fn dead_worker_redispatch_then_zero_fill_is_identical() {
         Event::ResultArrived { at: 0.012, tile: 3, worker: 1, ok: true },
         Event::WorkerDied { worker: 0 },
         Event::DeadlineFired { at: dl1 },
-        Event::ResultArrived { at: dl1 + 0.005, tile: 0, worker: 1, ok: true },
+        // A literal, not `dl1 + 0.005`: the whole replay is compared now,
+        // `at` fields included, so it must be nanosecond-grain (see above).
+        Event::ResultArrived { at: 0.0575, tile: 0, worker: 1, ok: true },
         Event::DeadlineFired { at: dl2 },
     ];
-    let log = assert_identical(p, 4, &[2, 2], &[1.0, 5.0], &[true, true], &trace);
+    let log = assert_identical_one(p, 4, &[2, 2], &[1.0, 5.0], &[true, true], &trace).decisions;
     assert_eq!(log.iter().filter(|l| l.starts_with("Redispatch")).count(), 2);
     assert!(log.iter().any(|l| l.starts_with("ZeroFill")), "{log:?}");
     assert_eq!(log.last().unwrap(), "Complete");
@@ -245,8 +257,15 @@ fn send_rejection_reroute_is_identical() {
         Event::ResultArrived { at: 0.015, tile: 4, worker: 1, ok: true },
         Event::ResultArrived { at: 0.016, tile: 5, worker: 1, ok: true },
     ];
-    let log =
-        assert_identical(policy(), 6, &[2, 2, 2], &[1.0, 2.0, 0.5], &[true, true, true], &trace);
+    let log = assert_identical_one(
+        policy(),
+        6,
+        &[2, 2, 2],
+        &[1.0, 2.0, 0.5],
+        &[true, true, true],
+        &trace,
+    )
+    .decisions;
     // the two rejected tiles are re-dispatched as fresh Dispatch actions
     assert_eq!(log.iter().filter(|l| l.starts_with("Dispatch")).count(), 8);
     assert_eq!(log.last().unwrap(), "Complete");
@@ -266,7 +285,8 @@ fn duplicate_and_corrupt_handling_is_identical() {
         Event::ResultArrived { at: 0.015, tile: 0, worker: 1, ok: true },
         Event::ResultArrived { at: 0.016, tile: 1, worker: 1, ok: true },
     ];
-    let log = assert_identical(policy(), 2, &[1, 1], &[1.0, 1.0], &[true, true], &trace);
+    let log =
+        assert_identical_one(policy(), 2, &[1, 1], &[1.0, 1.0], &[true, true], &trace).decisions;
     assert_eq!(log.iter().filter(|l| l.starts_with("Accept")).count(), 2);
     assert_eq!(log.last().unwrap(), "Complete");
 }
@@ -280,7 +300,7 @@ fn after_send_and_wait_all_policies_are_identical() {
         Event::DeadlineFired { at: 0.035 },
         Event::ResultArrived { at: 0.040, tile: 0, worker: 0, ok: true }, // late
     ];
-    let log = assert_identical(p, 2, &[1, 1], &[1.0, 1.0], &[true, true], &trace);
+    let log = assert_identical_one(p, 2, &[1, 1], &[1.0, 1.0], &[true, true], &trace).decisions;
     assert!(log.iter().any(|l| l.starts_with("ZeroFill")));
 
     // WaitAll: a pre-hard-timeout fire is ignored; the hard timeout closes.
@@ -291,29 +311,9 @@ fn after_send_and_wait_all_policies_are_identical() {
         Event::DeadlineFired { at: 1.0 }, // ignored: WaitAll never arms
         Event::DeadlineFired { at: 2.0 }, // the hard timeout
     ];
-    let log = assert_identical(p, 2, &[1, 1], &[1.0, 1.0], &[true, true], &trace);
+    let log = assert_identical_one(p, 2, &[1, 1], &[1.0, 1.0], &[true, true], &trace).decisions;
     assert!(log.iter().any(|l| l.starts_with("ZeroFill")));
     assert_eq!(log.last().unwrap(), "Complete");
-}
-
-/// Replay an interleaved multi-image trace — `(image, event)` pairs, the
-/// shape the pipelined collector demultiplexes — through both drivers and
-/// assert the tagged decision sequences are byte-identical.
-fn assert_identical_multi(
-    policy: LifecyclePolicy,
-    d: usize,
-    allocs: &[Vec<u32>],
-    speeds: &[f64],
-    live: &[bool],
-    trace: &[(usize, Event)],
-) -> Vec<String> {
-    let rt = adcnn_runtime::central::replay_lifecycle_trace_multi(
-        policy, d, allocs, speeds, live, trace,
-    );
-    let sim = adcnn_netsim::replay_lifecycle_trace_multi(policy, d, allocs, speeds, live, trace);
-    assert_eq!(rt, sim, "runtime and simulator drivers disagree on a multi-image trace");
-    assert!(!rt.is_empty(), "a non-trivial multi-image trace must produce decisions");
-    rt
 }
 
 #[test]
@@ -338,8 +338,8 @@ fn interleaved_multi_image_trace_is_identical() {
         (1, Event::ResultArrived { at: 0.013, tile: 1, worker: 1, ok: true }),
         (0, Event::DeadlineFired { at: dl0 }),
     ];
-    let log =
-        assert_identical_multi(p, 2, &[vec![1, 1], vec![1, 1]], &[1.0, 1.0], &[true, true], &trace);
+    let log = assert_identical(p, 2, &[vec![1, 1], vec![1, 1]], &[1.0, 1.0], &[true, true], &trace)
+        .decisions;
     // Image 0 zero-fills its lost tile; image 1 never does.
     assert!(log.iter().any(|l| l.starts_with("[0] ZeroFill")), "{log:?}");
     assert!(!log.iter().any(|l| l.starts_with("[1] ZeroFill")), "{log:?}");
@@ -363,23 +363,15 @@ fn interleaved_multi_image_events_are_identical() {
         (1, Event::ResultArrived { at: 0.012, tile: 1, worker: 1, ok: true }),
         (0, Event::ResultArrived { at: 0.013, tile: 1, worker: 1, ok: true }),
     ];
-    let rt = adcnn_runtime::central::replay_lifecycle_events_multi(
+    let rt = assert_identical(
         policy(),
         2,
         &[vec![1, 1], vec![1, 1]],
         &[1.0, 1.0],
         &[true, true],
         &trace,
-    );
-    let sim = adcnn_netsim::replay_lifecycle_events_multi(
-        policy(),
-        2,
-        &[vec![1, 1], vec![1, 1]],
-        &[1.0, 1.0],
-        &[true, true],
-        &trace,
-    );
-    assert_eq!(rt, sim, "drivers emit different multi-image observability sequences");
+    )
+    .events;
     // Both images start, both finish, and image 1 finishes first (its last
     // result lands at 0.012, before image 0's at 0.013).
     assert_eq!(rt.iter().filter(|e| e.starts_with("ImageStart")).count(), 2, "{rt:?}");
@@ -398,7 +390,8 @@ fn storage_shortfall_and_abort_are_identical() {
         Event::ResultArrived { at: 0.010, tile: 0, worker: 0, ok: true },
         Event::Abort,
     ];
-    let log = assert_identical(policy(), 4, &[1, 1], &[1.0, 1.0], &[true, true], &trace);
+    let log =
+        assert_identical_one(policy(), 4, &[1, 1], &[1.0, 1.0], &[true, true], &trace).decisions;
     assert_eq!(log.iter().filter(|l| l.starts_with("Dispatch")).count(), 2);
     assert!(log.iter().any(|l| l.starts_with("ZeroFill")));
     assert_eq!(log.last().unwrap(), "Complete");
