@@ -48,6 +48,10 @@ echo "==> record GEMM baseline (results/BENCH_gemm.json)"
 # the criterion groups run.
 cargo bench -p adcnn-bench --bench micro >/dev/null
 cat results/BENCH_gemm.json
+# Beside the 256^3 trajectory the file must carry the served im2col shapes
+# and say which clock it read.
+grep -q '"shapes"' results/BENCH_gemm.json
+grep -q '"clock": "wall"' results/BENCH_gemm.json
 
 echo "==> record runtime baseline + pipeline depth sweep (results/BENCH_runtime.json)"
 # Figure 15's harness runs with attribution + the flight recorder tee'd in

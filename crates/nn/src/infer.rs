@@ -27,7 +27,7 @@ use adcnn_tensor::{ActBuf, Scratch, Tensor};
 /// the high-water mark of the shapes seen and then stay put.
 #[derive(Clone, Debug, Default)]
 pub struct InferScratch {
-    /// im2col / GEMM-pack arenas shared by every conv and linear layer.
+    /// GEMM-pack / padded-image arenas shared by every conv and linear layer.
     pub ts: Scratch,
     ping: ActBuf,
     pong: ActBuf,

@@ -1,4 +1,4 @@
-//! 2-D convolution via im2col + gemm, with a full backward pass.
+//! 2-D convolution as an im2col GEMM, with a full backward pass.
 //!
 //! FDSP (§3.2 of the paper) is *built on* the semantics of zero padding: a
 //! tile convolved with `pad = k/2` produces exactly the output the full image
@@ -6,12 +6,16 @@
 //! Getting the padding arithmetic right here is therefore load-bearing for
 //! the whole reproduction; the tests include an explicit naive reference.
 //!
-//! The forward path borrows its im2col and GEMM-pack buffers from a
-//! [`Scratch`] arena (a per-thread one for the plain [`conv2d`] API, the
-//! caller's own for [`conv2d_into`]), so steady-state inference re-runs the
-//! same shapes with zero heap allocation.
+//! The forward path never materialises the im2col matrix: the GEMM core asks
+//! for one `KC×NR` panel of it at a time and [`conv2d_image`] gathers the
+//! patches straight into the packed panel layout (one pass, image → L1). Its
+//! buffers — the zero-padded image, the GEMM pack arena — come from a
+//! [`Scratch`] (a per-thread one for the plain [`conv2d`] API, the caller's
+//! own for [`conv2d_into`]), so steady-state inference re-runs the same
+//! shapes with zero heap allocation. The backward pass keeps the explicit
+//! [`im2col`] matrix.
 
-use crate::gemm::{gemm_at, gemm_bt, gemm_packed, FusedAct};
+use crate::gemm::{gemm_at, gemm_bt, gemm_core, FusedAct, NR};
 use crate::scratch::{ActBuf, Scratch};
 use crate::tensor::Tensor;
 use std::cell::RefCell;
@@ -152,8 +156,25 @@ thread_local! {
     static CONV_TLS: RefCell<Scratch> = RefCell::new(Scratch::new());
 }
 
-/// One image forward: im2col into the arena's col buffer, then a packed GEMM
-/// with bias + activation fused into the last-k-block epilogue.
+/// Copy `img` (`[c, h, w]`) into `out` as `[c, h + 2·pad, w + 2·pad]` with a
+/// zero border, so a patch read never needs a bounds decision.
+fn pad_image(img: &[f32], c: usize, h: usize, w: usize, pad: usize, out: &mut Vec<f32>) {
+    let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+    out.clear();
+    out.resize(c * hp * wp, 0.0);
+    if img.is_empty() {
+        return;
+    }
+    for (plane, dst) in img.chunks_exact(h * w).zip(out.chunks_exact_mut(hp * wp)) {
+        for (row, drow) in plane.chunks_exact(w).zip(dst[pad * wp..].chunks_exact_mut(wp)) {
+            drow[pad..pad + w].copy_from_slice(row);
+        }
+    }
+}
+
+/// One image forward: the GEMM core pulls im2col panels straight out of the
+/// (zero-padded) image, with bias + activation fused into the last-k-block
+/// epilogue.
 #[allow(clippy::too_many_arguments)]
 fn conv2d_image(
     img: &[f32],
@@ -168,14 +189,53 @@ fn conv2d_image(
     scratch: &mut Scratch,
     dst: &mut [f32],
 ) {
-    let oh = p.out_dim(h);
     let ow = p.out_dim(w);
-    let kk = ic * p.kernel * p.kernel;
-    let (col, pack) = scratch.col_and_pack();
-    col.clear();
-    col.resize(kk * oh * ow, 0.0);
-    im2col(img, ic, h, w, p, col);
-    gemm_packed(oc, kk, oh * ow, weight.as_slice(), col, dst, 0.0, bias, act, pack);
+    let n = p.out_dim(h) * ow;
+    let ks = p.kernel;
+    let (hp, wp) = (h + 2 * p.pad, w + 2 * p.pad);
+    let Scratch { pack, pad } = scratch;
+    let src: &[f32] = if p.pad == 0 {
+        img
+    } else {
+        pad_image(img, ic, h, w, p.pad, pad);
+        pad
+    };
+
+    // im2col[(ci·ks + ki)·ks + kj, oi·ow + oj] = src[ci, oi·s + ki, oj·s + kj]
+    // = src[base(k) + off(j)]: a row term plus a column term, so a panel is
+    // one offset table and a walk over k. Groups of 8 lanes that are
+    // contiguous in `src` (stride 1, same output row) are one vector copy.
+    let fill = |k0: usize, j0: usize, panel: &mut [f32]| {
+        let nb = NR.min(n - j0);
+        let mut off = [0usize; NR];
+        for (l, o) in off.iter_mut().enumerate().take(nb) {
+            let j = j0 + l;
+            *o = (j / ow * wp + j % ow) * p.stride;
+        }
+        let contiguous: [bool; NR / 8] =
+            std::array::from_fn(|g| 8 * g + 8 <= nb && off[8 * g + 7] == off[8 * g] + 7);
+        let (mut ci, mut ki, mut kj) = (k0 / (ks * ks), k0 / ks % ks, k0 % ks);
+        for dst in panel.chunks_exact_mut(NR) {
+            let base = (ci * hp + ki) * wp + kj;
+            for (g, d) in dst.chunks_exact_mut(8).enumerate() {
+                if contiguous[g] {
+                    d.copy_from_slice(&src[base + off[8 * g]..][..8]);
+                } else {
+                    for (l, dv) in (8 * g..).zip(d) {
+                        *dv = if l < nb { src[base + off[l]] } else { 0.0 };
+                    }
+                }
+            }
+            kj += 1;
+            if kj == ks {
+                (kj, ki) = (0, ki + 1);
+                if ki == ks {
+                    (ki, ci) = (0, ci + 1);
+                }
+            }
+        }
+    };
+    gemm_core(oc, ic * ks * ks, n, weight.as_slice(), &fill, dst, 0.0, bias, act, pack);
 }
 
 /// Forward 2-D convolution.

@@ -1,33 +1,50 @@
 //! Blocked, packed, rayon-parallel single-precision matrix multiply.
 //!
-//! The convolution path (im2col) reduces to `C = A · B` where `A` is the
-//! filter matrix `[OC, IC·KH·KW]` and `B` is the unrolled input
-//! `[IC·KH·KW, OH·OW]`. The forward kernel packs `B` once per call into
-//! cache-friendly `KC×NR` panels and runs a register-tiled `MR×NR`
-//! microkernel with the accumulators in locals, so the hot loop streams one
-//! `A` panel and one `B` panel with no `C` traffic until write-back. An
-//! optional fused epilogue applies the conv bias and activation on the final
-//! k-block write-back, which lets the inference path skip separate
-//! bias/activation passes over the output map.
+//! The convolution path reduces to `C = A · B` where `A` is the filter
+//! matrix `[OC, IC·KH·KW]` and `B` is the unrolled input
+//! `[IC·KH·KW, OH·OW]`. The forward core never needs `B` as a matrix: it
+//! asks a *panel source* for one `KC×NR` k-major panel at a time — row-major
+//! rows for [`gemm`]/[`gemm_fused`], image patches for `conv2d` (one-pass
+//! im2col→panel) — and consumes the panel while it is still in L1.
 //!
-//! Blocking parameters (also documented in DESIGN.md §"Performance
-//! architecture"): `MR×NR = 4×8` register tile, `KC = 256` k-blocking, so a
-//! packed A panel (`4·256` f32) plus a packed B panel (`256·8` f32) stay
-//! resident in L1 while a k-block is processed. On x86-64 the microkernel
-//! dispatches at runtime to an AVX2+FMA variant (one YMM accumulator per
-//! output row) when the CPU supports it, since the build targets baseline
-//! SSE2; other architectures use the portable scalar tile.
+//! Loop nest (BLIS `jr`/`ir` order), per k-block of at most `KC` steps:
+//!
+//! ```text
+//! pack A once per call  -> MR-wide k-major panels        (streams from L2)
+//! for each NR-wide column panel j:                        (B panel: L1)
+//!     fill the KC×NR B panel from the source
+//!     for each MR-wide row panel i:
+//!         MR×NR register tile: acc = Σ_k a[i,k]·b[k,j]   (registers)
+//!         first k-block stores, later ones add, the last applies
+//!         bias + activation before the store
+//! ```
+//!
+//! Blocking parameters (also documented in DESIGN.md §9): `MR×NR = 6×16`
+//! register tile (12 YMM accumulators), `KC = 256`, so the B panel is 16 KB
+//! and one A panel 6 KB. On x86-64 the tile dispatches at runtime to the
+//! AVX2+FMA microkernel when the CPU has it (the build targets baseline
+//! SSE2); everything else runs the portable scalar tile.
+//!
+//! **Determinism.** Every output element is the same operation sequence —
+//! one multiply-add chain over `k` ascending from zero within a k-block,
+//! k-blocks combined in order, then `+ bias`, then the activation — whatever
+//! its position in the register tile, whether the tile is interior or an
+//! edge (edges run the same kernel on a zero-padded temp tile), whatever
+//! `m`/`n`, the thread count, or what the pack arena held before. So a
+//! sub-range of rows or columns multiplied alone reproduces the full
+//! product's bits (for `m ≥ 2`; `m == 1` is the fully-connected kernel
+//! [`gemm_row1`] with its own order).
 
 use crate::scratch::Scratch;
 use rayon::prelude::*;
 use std::cell::RefCell;
 
 /// Microkernel row count (output rows accumulated per register tile).
-pub const MR: usize = 4;
+pub const MR: usize = 6;
 /// Microkernel column count (output columns per register tile).
-pub const NR: usize = 8;
-/// Tile edge for the k-dimension blocking. Chosen so one packed `A` panel
-/// and one packed `B` panel fit comfortably in L1 for f32.
+pub const NR: usize = 16;
+/// Tile edge for the k-dimension blocking: one `KC×NR` B panel (16 KB) plus
+/// one `KC×MR` A panel (6 KB) sit in L1 while a tile is computed.
 pub const KC: usize = 256;
 
 /// Below this work threshold the parallel dispatch overhead outweighs the
@@ -43,13 +60,18 @@ pub enum FusedAct {
     /// `max(0, x)`.
     Relu,
     /// The paper's shifted clipped ReLU: `0` below `lo`, `x - lo` inside
-    /// `[lo, hi]`, saturating at `hi - lo` (mirrors
+    /// `[lo, hi]`, saturating at `hi - lo` (the values of
     /// [`crate::activ::ClippedRelu::apply`]).
     Clipped { lo: f32, hi: f32 },
 }
 
 impl FusedAct {
     /// Apply the activation to one element.
+    ///
+    /// Written as the select sequence the vector epilogue executes
+    /// (`maxps`, `minps`, `subps`: `max(a, b)` is `a > b ? a : b`), so the
+    /// two agree bit for bit, `-0.0` and NaN included: ReLU of `-0.0` and
+    /// anything clipped at `lo` are `+0.0`.
     #[inline(always)]
     pub fn apply(self, x: f32) -> f32 {
         match self {
@@ -62,20 +84,16 @@ impl FusedAct {
                 }
             }
             FusedAct::Clipped { lo, hi } => {
-                if x > hi {
-                    hi - lo
-                } else if x >= lo {
-                    x - lo
-                } else {
-                    0.0
-                }
+                let t = if x > lo { x } else { lo };
+                let t = if t < hi { t } else { hi };
+                t - lo
             }
         }
     }
 }
 
 thread_local! {
-    /// Per-thread pack buffer backing the scratch-less public [`gemm`]; the
+    /// Per-thread pack arena backing the scratch-less public [`gemm`]; the
     /// allocation-free path passes an explicit [`Scratch`] instead.
     static PACK_TLS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
@@ -89,12 +107,12 @@ pub fn current_threads() -> usize {
 /// `c[m×n] = a[m×k] · b[k×n] + beta · c`.
 ///
 /// All matrices are dense row-major slices. Panics if the slice lengths do
-/// not match the stated dimensions. Uses a per-thread pack buffer; steady
-/// state allocates nothing once the buffer has grown to the largest shape
-/// seen on the thread.
+/// not match the stated dimensions. Uses a per-thread pack arena; steady
+/// state allocates nothing once it has grown to the largest shape seen on
+/// the thread.
 pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32], beta: f32) {
     PACK_TLS.with(|p| {
-        gemm_packed(m, k, n, a, b, c, beta, None, FusedAct::Identity, &mut p.borrow_mut())
+        gemm_rowmajor(m, k, n, a, b, c, beta, None, FusedAct::Identity, &mut p.borrow_mut())
     });
 }
 
@@ -102,8 +120,8 @@ pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32], b
 /// `c = act(a·b + bias)`, row `i` of `c` offset by `bias[i]`.
 ///
 /// This is the inference hot-path entry: `beta` is fixed at 0, the pack
-/// buffer comes from the worker's [`Scratch`] arena, and bias + activation
-/// are applied in the last k-block write-back instead of a separate pass.
+/// arena comes from the worker's [`Scratch`], and bias + activation are
+/// applied in the last k-block write-back instead of a separate pass.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_fused(
     m: usize,
@@ -116,13 +134,23 @@ pub fn gemm_fused(
     act: FusedAct,
     scratch: &mut Scratch,
 ) {
-    gemm_packed(m, k, n, a, b, c, 0.0, bias, act, scratch.pack_buf());
+    gemm_rowmajor(m, k, n, a, b, c, 0.0, bias, act, &mut scratch.pack);
 }
 
-/// Shared implementation behind [`gemm`] and [`gemm_fused`]; `conv2d` calls
-/// it directly so the im2col and pack buffers can come from one [`Scratch`].
+/// `c *= beta`, with `beta == 0` overwriting (stale NaNs must not survive).
+fn scale(c: &mut [f32], beta: f32) {
+    if beta == 0.0 {
+        c.fill(0.0);
+    } else if beta != 1.0 {
+        for x in c.iter_mut() {
+            *x *= beta;
+        }
+    }
+}
+
+/// [`gemm`]/[`gemm_fused`] body: `b` is a row-major `[k, n]` matrix.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_packed(
+fn gemm_rowmajor(
     m: usize,
     k: usize,
     n: usize,
@@ -134,19 +162,75 @@ pub(crate) fn gemm_packed(
     act: FusedAct,
     pack: &mut Vec<f32>,
 ) {
-    assert_eq!(a.len(), m * k, "A dims mismatch");
     assert_eq!(b.len(), k * n, "B dims mismatch");
+    if m == 1 && k > 0 && n > 0 {
+        // Single-row (fully-connected) case: no point packing; split the N
+        // dimension across threads instead so large layers still parallelize.
+        assert_eq!(a.len(), k, "A dims mismatch");
+        assert_eq!(c.len(), n, "C dims mismatch");
+        let b0 = bias.map_or(0.0, |bs| {
+            assert_eq!(bs.len(), 1, "bias dims mismatch");
+            bs[0]
+        });
+        scale(c, beta);
+        if n * k >= PAR_FLOP_THRESHOLD && rayon::current_num_threads() > 1 {
+            let chunk = n.div_ceil(rayon::current_num_threads() * 4).max(NR);
+            c.par_chunks_mut(chunk)
+                .enumerate()
+                .for_each(|(ci, ccols)| gemm_row1(ci * chunk, k, n, a, b, ccols, b0, act));
+        } else {
+            gemm_row1(0, k, n, a, b, c, b0, act);
+        }
+        return;
+    }
+    // Whole NR-wide rows are one fixed-size copy; the ragged last panel is
+    // decided once per panel, not per k.
+    let fill = |k0: usize, j0: usize, panel: &mut [f32]| {
+        let rows = b[k0 * n + j0..].chunks(n);
+        if n - j0 >= NR {
+            for (dst, src) in panel.chunks_exact_mut(NR).zip(rows) {
+                dst.copy_from_slice(&src[..NR]);
+            }
+        } else {
+            let nb = n - j0;
+            for (dst, src) in panel.chunks_exact_mut(NR).zip(rows) {
+                dst[..nb].copy_from_slice(&src[..nb]);
+                dst[nb..].fill(0.0);
+            }
+        }
+    };
+    gemm_core(m, k, n, a, &fill, c, beta, bias, act, pack);
+}
+
+/// The forward GEMM core behind [`gemm`], [`gemm_fused`] and `conv2d`.
+///
+/// `fill_b(k0, j0, panel)` writes rows `k0..k0 + panel.len() / NR` of
+/// columns `j0..j0 + NR` of `B` into `panel` (k-major, `NR` floats per
+/// k-step, columns at or beyond `n` zero). It is called once per (k-block,
+/// column panel) and row-block task, and the panel is consumed from L1
+/// before the next one is filled, so `B` is never materialised.
+///
+/// `pack` is the grow-only arena: the packed `A` panels, then one B panel
+/// per row-block task.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_core<F>(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    fill_b: &F,
+    c: &mut [f32],
+    beta: f32,
+    bias: Option<&[f32]>,
+    act: FusedAct,
+    pack: &mut Vec<f32>,
+) where
+    F: Fn(usize, usize, &mut [f32]) + Sync,
+{
+    assert_eq!(a.len(), m * k, "A dims mismatch");
     assert_eq!(c.len(), m * n, "C dims mismatch");
     if let Some(bs) = bias {
         assert_eq!(bs.len(), m, "bias dims mismatch");
-    }
-
-    if beta == 0.0 {
-        c.fill(0.0);
-    } else if beta != 1.0 {
-        for x in c.iter_mut() {
-            *x *= beta;
-        }
     }
     if m == 0 || n == 0 {
         return;
@@ -154,6 +238,7 @@ pub(crate) fn gemm_packed(
     if k == 0 {
         // Degenerate reduction: the product is zero, but the epilogue still
         // owes bias + activation.
+        scale(c, beta);
         if bias.is_some() || act != FusedAct::Identity {
             for (i, crow) in c.chunks_mut(n).enumerate() {
                 let badd = bias.map_or(0.0, |bs| bs[i]);
@@ -164,62 +249,60 @@ pub(crate) fn gemm_packed(
         }
         return;
     }
-
-    let flops = m * n * k;
-    let parallel = flops >= PAR_FLOP_THRESHOLD && rayon::current_num_threads() > 1;
-
-    if m == 1 {
-        // Single-row (fully-connected) case: no point packing; split the N
-        // dimension across threads instead so large layers still parallelize.
-        let b0 = bias.map_or(0.0, |bs| bs[0]);
-        if parallel {
-            let chunk = n.div_ceil(rayon::current_num_threads() * 4).max(NR);
-            c.par_chunks_mut(chunk)
-                .enumerate()
-                .for_each(|(ci, ccols)| gemm_row1(ci * chunk, k, n, a, b, ccols, b0, act));
-        } else {
-            gemm_row1(0, k, n, a, b, c, b0, act);
-        }
-        return;
+    if beta != 0.0 {
+        scale(c, beta);
     }
 
-    pack_b(k, n, b, pack);
-    if parallel && m > MR {
-        c.par_chunks_mut(MR * n).enumerate().for_each(|(ib, cblock)| {
-            let i0 = ib * MR;
-            row_block(i0, MR.min(m - i0), k, n, a, pack, cblock, bias, act);
-        });
+    // Contiguous row blocks, each a multiple of MR rows, one per task.
+    let mp = m.div_ceil(MR);
+    let threads = rayon::current_num_threads();
+    let tasks = if m * n * k >= PAR_FLOP_THRESHOLD && threads > 1 { threads.min(mp) } else { 1 };
+    let rows = mp.div_ceil(tasks) * MR;
+
+    let a_len = k * mp * MR;
+    let kc = KC.min(k);
+    // Every element read below is written first (`pack_a`, `fill_b`), so the
+    // arena is only ever grown, never cleared.
+    pack.resize(a_len + tasks * kc * NR, 0.0);
+    let (a_pack, b_panels) = pack.split_at_mut(a_len);
+    pack_a(m, k, a, a_pack);
+    let a_pack = &*a_pack;
+
+    let nest = Nest { m, k, n, a_pack, first_stores: beta == 0.0, bias, act };
+    if tasks == 1 {
+        nest.run(0, c, b_panels, fill_b);
     } else {
-        for (ib, cblock) in c.chunks_mut(MR * n).enumerate() {
-            let i0 = ib * MR;
-            row_block(i0, MR.min(m - i0), k, n, a, pack, cblock, bias, act);
-        }
+        c.par_chunks_mut(rows * n)
+            .zip(b_panels.par_chunks_mut(kc * NR))
+            .enumerate()
+            .for_each(|(t, (cblock, b_panel))| nest.run(t * rows, cblock, b_panel, fill_b));
     }
 }
 
-/// Pack `b` (`[k, n]` row-major) into `KC`-row blocks of `NR`-column panels.
-///
-/// Block for rows `k0..k0+kb` starts at `k0 · np · NR`; within it, panel `p`
-/// (columns `p·NR..`) is `kb·NR` contiguous floats in k-major order, with
-/// tail columns zero-padded so the microkernel never branches on `n % NR`.
-fn pack_b(k: usize, n: usize, b: &[f32], pack: &mut Vec<f32>) {
-    let np = n.div_ceil(NR);
-    pack.clear();
-    pack.resize(k * np * NR, 0.0);
+/// Interleave `a` (`[m, k]` row-major) into `KC`-step blocks of `MR`-row
+/// panels: the block for steps `k0..k0+kb` starts at `k0 · mp · MR`; within
+/// it panel `p` (rows `p·MR..`) is `kb·MR` contiguous floats in k-major
+/// order, so the tile reads one `MR`-vector per k-step. Rows past `m` in the
+/// last panel are written as zeros, so no element keeps an earlier call's
+/// value.
+fn pack_a(m: usize, k: usize, a: &[f32], pack: &mut [f32]) {
+    static ZERO: [f32; KC] = [0.0; KC];
+    let mp = m.div_ceil(MR);
     let mut k0 = 0;
     while k0 < k {
         let kb = KC.min(k - k0);
-        let block = &mut pack[k0 * np * NR..(k0 + kb) * np * NR];
-        for (pj, panel) in block.chunks_exact_mut(kb * NR).enumerate() {
-            let j0 = pj * NR;
-            let jb = NR.min(n - j0);
-            for kk in 0..kb {
-                let src = &b[(k0 + kk) * n + j0..(k0 + kk) * n + j0 + jb];
-                panel[kk * NR..kk * NR + jb].copy_from_slice(src);
-                if jb < NR {
-                    // The buffer is reused across calls, so stale tail
-                    // values must be re-zeroed explicitly.
-                    panel[kk * NR + jb..(kk + 1) * NR].fill(0.0);
+        let block = &mut pack[k0 * mp * MR..(k0 + kb) * mp * MR];
+        for (p, panel) in block.chunks_exact_mut(kb * MR).enumerate() {
+            let rows: [&[f32]; MR] = std::array::from_fn(|r| {
+                if p * MR + r < m {
+                    &a[(p * MR + r) * k + k0..][..kb]
+                } else {
+                    &ZERO[..kb]
+                }
+            });
+            for (kk, dst) in panel.chunks_exact_mut(MR).enumerate() {
+                for (d, row) in dst.iter_mut().zip(&rows) {
+                    *d = row[kk];
                 }
             }
         }
@@ -227,98 +310,136 @@ fn pack_b(k: usize, n: usize, b: &[f32], pack: &mut Vec<f32>) {
     }
 }
 
-/// Compute `MR` output rows (`i0..i0+mb`) of the packed product into
-/// `cblock` (`mb` rows of stride `n`), applying bias + activation on the
-/// final k-block write-back.
-#[allow(clippy::too_many_arguments)]
-fn row_block(
-    i0: usize,
-    mb: usize,
+/// One call's loop nest, shared by every row-block task.
+struct Nest<'a> {
+    m: usize,
     k: usize,
     n: usize,
-    a: &[f32],
-    pack: &[f32],
-    cblock: &mut [f32],
-    bias: Option<&[f32]>,
+    a_pack: &'a [f32],
+    /// `beta == 0`: the first k-block overwrites `C` instead of adding.
+    first_stores: bool,
+    bias: Option<&'a [f32]>,
     act: FusedAct,
-) {
-    let np = n.div_ceil(NR);
-    let mut a_panel = [0.0f32; MR * KC];
-    let mut k0 = 0;
-    while k0 < k {
-        let kb = KC.min(k - k0);
-        let last = k0 + kb == k;
-        // Interleave the A rows (k-major, MR-wide) so the microkernel reads
-        // one contiguous MR-vector per k step; missing tail rows stay zero.
-        for kk in 0..kb {
-            for r in 0..MR {
-                a_panel[kk * MR + r] = if r < mb { a[(i0 + r) * k + k0 + kk] } else { 0.0 };
-            }
-        }
-        let block = &pack[k0 * np * NR..(k0 + kb) * np * NR];
-        for (pj, bpanel) in block.chunks_exact(kb * NR).enumerate() {
-            let j0 = pj * NR;
-            let jb = NR.min(n - j0);
-            let mut acc = [[0.0f32; NR]; MR];
-            microkernel_dispatch(&a_panel, bpanel, kb, &mut acc);
-            for (r, accr) in acc.iter().enumerate().take(mb) {
-                let crow = &mut cblock[r * n + j0..r * n + j0 + jb];
-                if last {
-                    let badd = bias.map_or(0.0, |bs| bs[i0 + r]);
-                    for (cv, &av) in crow.iter_mut().zip(accr.iter()) {
-                        *cv = act.apply(*cv + av + badd);
+}
+
+impl Nest<'_> {
+    /// Compute output rows `i0..i0 + cblock.len() / n` (`i0` a multiple of
+    /// `MR`) into `cblock`: per k-block, B panels outermost (each filled
+    /// once into `b_panel` and kept in L1), A panels innermost.
+    fn run<F: Fn(usize, usize, &mut [f32])>(
+        &self,
+        i0: usize,
+        cblock: &mut [f32],
+        b_panel: &mut [f32],
+        fill_b: &F,
+    ) {
+        let (n, mp) = (self.n, self.m.div_ceil(MR));
+        let rows = cblock.len() / n;
+        let mut k0 = 0;
+        while k0 < self.k {
+            let kb = KC.min(self.k - k0);
+            let accumulate = k0 > 0 || !self.first_stores;
+            let last = k0 + kb == self.k;
+            let a_block = &self.a_pack[(k0 * mp + i0 / MR * kb) * MR..];
+            let b_panel = &mut b_panel[..kb * NR];
+            for j0 in (0..n).step_by(NR) {
+                fill_b(k0, j0, b_panel);
+                let nb = NR.min(n - j0);
+                for (r0, a_panel) in (0..rows).step_by(MR).zip(a_block.chunks_exact(kb * MR)) {
+                    let mb = MR.min(rows - r0);
+                    let mut bias = [0.0f32; MR];
+                    if let (true, Some(bs)) = (last, self.bias) {
+                        bias[..mb].copy_from_slice(&bs[i0 + r0..][..mb]);
                     }
-                } else {
-                    for (cv, &av) in crow.iter_mut().zip(accr.iter()) {
-                        *cv += av;
+                    let fin = last.then_some((&bias, self.act));
+                    let ctile = &mut cblock[r0 * n + j0..];
+                    if mb == MR && nb == NR {
+                        tile(a_panel, b_panel, ctile, n, accumulate, fin);
+                    } else {
+                        // Edge: the same kernel on a zero-padded temp tile,
+                        // so edge elements get the interior's exact ops.
+                        let mut tmp = [0.0f32; MR * NR];
+                        if accumulate {
+                            for (trow, crow) in
+                                tmp.chunks_exact_mut(NR).zip(ctile.chunks(n)).take(mb)
+                            {
+                                trow[..nb].copy_from_slice(&crow[..nb]);
+                            }
+                        }
+                        tile(a_panel, b_panel, &mut tmp, NR, accumulate, fin);
+                        for (trow, crow) in tmp.chunks_exact(NR).zip(ctile.chunks_mut(n)).take(mb) {
+                            crow[..nb].copy_from_slice(&trow[..nb]);
+                        }
                     }
                 }
             }
+            k0 += kb;
         }
-        k0 += kb;
     }
 }
 
-/// Pick the widest microkernel the CPU supports. The crate builds against
-/// baseline x86-64 (SSE2 only), so AVX2+FMA has to be a *runtime* dispatch:
-/// probed once, then a predictable branch per panel.
+/// Bias (one per tile row) and activation applied on the last k-block.
+type Finish<'a> = Option<(&'a [f32; MR], FusedAct)>;
+
+/// One `MR×NR` register tile over one k-block: `acc = a_panel ⊗ b_panel`,
+/// then `c = acc` or `c += acc` (`accumulate`), then `c = act(c + bias)` if
+/// `fin`. `c` starts at the tile's first element, rows `ldc` apart. Picks
+/// the AVX2+FMA microkernel when the CPU has it: the crate builds against
+/// baseline x86-64 (SSE2 only), so this has to be a *runtime* dispatch —
+/// probed once, then a predictable branch per tile.
 #[inline]
-fn microkernel_dispatch(a_panel: &[f32], bpanel: &[f32], kb: usize, acc: &mut [[f32; NR]; MR]) {
+fn tile(
+    a_panel: &[f32],
+    b_panel: &[f32],
+    c: &mut [f32],
+    ldc: usize,
+    accumulate: bool,
+    fin: Finish,
+) {
     #[cfg(target_arch = "x86_64")]
     if x86::fma_available() {
-        // SAFETY: the feature probe passed; `a_panel` holds `kb` MR-wide
-        // k-steps and `bpanel` exactly `kb` NR-wide k-steps (panel layout
-        // established by `pack_b`/`row_block`).
-        unsafe { x86::microkernel_fma(a_panel, bpanel, kb, acc) };
-        return;
+        // SAFETY: the feature probe passed.
+        return unsafe { x86::microkernel(a_panel, b_panel, c, ldc, accumulate, fin) };
     }
-    let _ = kb;
-    microkernel(a_panel, bpanel, acc);
+    microkernel_portable(a_panel, b_panel, c, ldc, accumulate, fin);
 }
 
-/// The portable register tile: `acc[MR][NR] += a_panel ⊗ bpanel` over one
-/// k-block. `bpanel` (`kb` chunks of `NR`) drives the zip, `a_panel` is
-/// k-major `MR`-interleaved. Accumulators live in locals across the whole
-/// block.
-#[inline]
-fn microkernel(a_panel: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
-    for (arow, brow) in a_panel.chunks_exact(MR).zip(bpanel.chunks_exact(NR)) {
-        for (r, accr) in acc.iter_mut().enumerate() {
-            let ar = arow[r];
-            for (jj, av) in accr.iter_mut().enumerate() {
-                *av += ar * brow[jj];
+/// The portable register tile (non-x86 / no-FMA fallback), same contract as
+/// the x86 microkernel: accumulators live in locals across the k-block.
+fn microkernel_portable(
+    a_panel: &[f32],
+    b_panel: &[f32],
+    c: &mut [f32],
+    ldc: usize,
+    accumulate: bool,
+    fin: Finish,
+) {
+    let mut acc = [[0.0f32; NR]; MR];
+    for (arow, brow) in a_panel.chunks_exact(MR).zip(b_panel.chunks_exact(NR)) {
+        for (accr, &ar) in acc.iter_mut().zip(arow) {
+            for (av, &bv) in accr.iter_mut().zip(brow) {
+                *av += ar * bv;
             }
+        }
+    }
+    for (r, accr) in acc.iter().enumerate() {
+        for (cv, &av) in c[r * ldc..r * ldc + NR].iter_mut().zip(accr) {
+            let v = if accumulate { *cv + av } else { av };
+            *cv = fin.map_or(v, |(bias, act)| act.apply(v + bias[r]));
         }
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{MR, NR};
+    use super::{Finish, FusedAct, MR, NR};
     use std::arch::x86_64::*;
 
-    // The FMA kernel hardcodes 4 row accumulators of one YMM each.
-    const _: () = assert!(MR == 4 && NR == 8, "microkernel_fma assumes a 4x8 tile");
+    /// YMM vectors per tile row.
+    const NV: usize = NR / 8;
+    // The accumulators, one broadcast and the B row must fit the 16 YMM
+    // registers, or the tile spills.
+    const _: () = assert!(NV * 8 == NR && MR * NV + NV < 16, "tile exceeds the YMM file");
 
     /// One-time probe for the wide microkernel; an atomic load thereafter.
     pub fn fma_available() -> bool {
@@ -330,61 +451,58 @@ mod x86 {
         })
     }
 
-    /// AVX2+FMA register tile: `NR == 8` is exactly one YMM, so each output
-    /// row is a single vector accumulator. Two accumulator sets per row
-    /// (even/odd k-steps, summed at the end) keep 8 independent FMA chains
-    /// in flight, hiding the 4–5 cycle FMA latency a single set would
-    /// serialize on.
+    /// AVX2+FMA register tile: `MR × NV` YMM accumulators, each one FMA
+    /// chain over the k-block (`MR·NV = 12` independent chains cover the
+    /// FMA latency), held in registers from the first k-step to the store.
+    /// The epilogue is vector ops only; its `max`/`min`/`sub` sequence is
+    /// the one [`FusedAct::apply`] spells out.
     ///
     /// # Safety
-    /// Caller must have checked [`fma_available`], and `a_panel`/`bpanel`
-    /// must hold at least `kb` packed k-steps (`MR`- resp. `NR`-wide).
+    /// Caller must have checked [`fma_available`].
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn microkernel_fma(
+    pub unsafe fn microkernel(
         a_panel: &[f32],
-        bpanel: &[f32],
-        kb: usize,
-        acc: &mut [[f32; NR]; MR],
+        b_panel: &[f32],
+        c: &mut [f32],
+        ldc: usize,
+        accumulate: bool,
+        fin: Finish,
     ) {
-        debug_assert!(a_panel.len() >= kb * MR && bpanel.len() >= kb * NR);
-        let a = a_panel.as_ptr();
-        let b = bpanel.as_ptr();
-        let mut c0 = _mm256_loadu_ps(acc[0].as_ptr());
-        let mut c1 = _mm256_loadu_ps(acc[1].as_ptr());
-        let mut c2 = _mm256_loadu_ps(acc[2].as_ptr());
-        let mut c3 = _mm256_loadu_ps(acc[3].as_ptr());
-        let mut d0 = _mm256_setzero_ps();
-        let mut d1 = _mm256_setzero_ps();
-        let mut d2 = _mm256_setzero_ps();
-        let mut d3 = _mm256_setzero_ps();
-        for p in 0..kb / 2 {
-            let kk = 2 * p;
-            let bv0 = _mm256_loadu_ps(b.add(kk * NR));
-            let ap0 = a.add(kk * MR);
-            c0 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*ap0), bv0, c0);
-            c1 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*ap0.add(1)), bv0, c1);
-            c2 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*ap0.add(2)), bv0, c2);
-            c3 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*ap0.add(3)), bv0, c3);
-            let bv1 = _mm256_loadu_ps(b.add((kk + 1) * NR));
-            let ap1 = a.add((kk + 1) * MR);
-            d0 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*ap1), bv1, d0);
-            d1 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*ap1.add(1)), bv1, d1);
-            d2 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*ap1.add(2)), bv1, d2);
-            d3 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*ap1.add(3)), bv1, d3);
+        let kb = b_panel.len() / NR;
+        // Every pointer access below stays inside these three bounds.
+        assert!(a_panel.len() >= kb * MR && c.len() >= (MR - 1) * ldc + NR, "tile out of bounds");
+        let (mut a, mut b, c) = (a_panel.as_ptr(), b_panel.as_ptr(), c.as_mut_ptr());
+        let mut acc = [[_mm256_setzero_ps(); NV]; MR];
+        for _ in 0..kb {
+            let bv: [__m256; NV] = std::array::from_fn(|h| _mm256_loadu_ps(b.add(8 * h)));
+            for (r, accr) in acc.iter_mut().enumerate() {
+                let ar = _mm256_broadcast_ss(&*a.add(r));
+                for (av, &bh) in accr.iter_mut().zip(&bv) {
+                    *av = _mm256_fmadd_ps(ar, bh, *av);
+                }
+            }
+            a = a.add(MR);
+            b = b.add(NR);
         }
-        if kb % 2 == 1 {
-            let kk = kb - 1;
-            let bv = _mm256_loadu_ps(b.add(kk * NR));
-            let ap = a.add(kk * MR);
-            c0 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*ap), bv, c0);
-            c1 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*ap.add(1)), bv, c1);
-            c2 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*ap.add(2)), bv, c2);
-            c3 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*ap.add(3)), bv, c3);
+        for (r, accr) in acc.iter().enumerate() {
+            for (h, &av) in accr.iter().enumerate() {
+                let p = c.add(r * ldc + 8 * h);
+                let mut v = if accumulate { _mm256_add_ps(_mm256_loadu_ps(p), av) } else { av };
+                if let Some((bias, act)) = fin {
+                    v = _mm256_add_ps(v, _mm256_set1_ps(bias[r]));
+                    v = match act {
+                        FusedAct::Identity => v,
+                        FusedAct::Relu => _mm256_max_ps(v, _mm256_setzero_ps()),
+                        FusedAct::Clipped { lo, hi } => {
+                            let lo = _mm256_set1_ps(lo);
+                            let t = _mm256_min_ps(_mm256_max_ps(v, lo), _mm256_set1_ps(hi));
+                            _mm256_sub_ps(t, lo)
+                        }
+                    };
+                }
+                _mm256_storeu_ps(p, v);
+            }
         }
-        _mm256_storeu_ps(acc[0].as_mut_ptr(), _mm256_add_ps(c0, d0));
-        _mm256_storeu_ps(acc[1].as_mut_ptr(), _mm256_add_ps(c1, d1));
-        _mm256_storeu_ps(acc[2].as_mut_ptr(), _mm256_add_ps(c2, d2));
-        _mm256_storeu_ps(acc[3].as_mut_ptr(), _mm256_add_ps(c3, d3));
     }
 }
 
@@ -661,6 +779,89 @@ mod tests {
                 assert!((x - y).abs() < 1e-4, "{act:?}: {x} vs {y}");
             }
         }
+    }
+
+    /// Random packed panels for one full k-block, plus a C tile and bias.
+    #[cfg(target_arch = "x86_64")]
+    fn tile_inputs(rng: &mut StdRng) -> (Vec<f32>, Vec<f32>, Vec<f32>, [f32; MR]) {
+        let bias = std::array::from_fn(|_| rng.gen_range(-1.0..1.0));
+        (rand_vec(KC * MR, rng), rand_vec(KC * NR, rng), rand_vec(MR * NR, rng), bias)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn x86_tile_matches_portable_tile() {
+        if !x86::fma_available() {
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(10);
+        for act in [FusedAct::Identity, FusedAct::Relu, FusedAct::Clipped { lo: -0.5, hi: 2.0 }] {
+            for accumulate in [false, true] {
+                for with_fin in [false, true] {
+                    let (ap, bp, c0, bias) = tile_inputs(&mut rng);
+                    let fin = with_fin.then_some((&bias, act));
+                    let (mut fast, mut slow) = (c0.clone(), c0);
+                    tile(&ap, &bp, &mut fast, NR, accumulate, fin);
+                    microkernel_portable(&ap, &bp, &mut slow, NR, accumulate, fin);
+                    for (x, y) in fast.iter().zip(&slow) {
+                        let tol = 1e-4 * y.abs().max(1.0);
+                        assert!((x - y).abs() <= tol, "{act:?} acc={accumulate}: {x} vs {y}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The vector epilogue and [`FusedAct::apply`] agree bit for bit. A
+    /// product that underflows makes every accumulator `-0.0`, and
+    /// `-0.0 + bias == bias` exactly, so the bias row carries any value —
+    /// signed zeros, the clip bounds, infinities, NaN — to the activation.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn vector_epilogue_matches_apply_bit_for_bit() {
+        if !x86::fma_available() {
+            return;
+        }
+        let (lo, hi) = (0.0f32, 2.0f32);
+        let specials = [
+            -0.0,
+            0.0,
+            lo,
+            hi,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            1e-42,
+            -1e-42,
+            hi + f32::EPSILON,
+            1.0,
+            -1.0,
+            3.5,
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            0.3,
+        ];
+        let (ap, bp) = ([-1e-30f32; MR], [1e-30f32; NR]);
+        for act in [FusedAct::Identity, FusedAct::Relu, FusedAct::Clipped { lo, hi }] {
+            for vals in specials.chunks(MR) {
+                let mut bias = [0.0f32; MR];
+                bias[..vals.len()].copy_from_slice(vals);
+                let mut c = [7.0f32; MR * NR];
+                tile(&ap, &bp, &mut c, NR, false, Some((&bias, act)));
+                for (crow, &x) in c.chunks(NR).zip(&bias) {
+                    let want = act.apply(x);
+                    for got in crow {
+                        assert_eq!(got.to_bits(), want.to_bits(), "{act:?}({x}): {got} vs {want}");
+                    }
+                }
+            }
+        }
+        // What the contract promises of the zeros themselves.
+        assert_eq!(FusedAct::Relu.apply(-0.0).to_bits(), 0);
+        assert_eq!(FusedAct::Clipped { lo, hi }.apply(-0.0).to_bits(), 0);
+        assert_eq!(FusedAct::Clipped { lo: 0.5, hi }.apply(0.25).to_bits(), 0);
     }
 
     #[test]

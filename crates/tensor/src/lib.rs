@@ -9,7 +9,8 @@
 //! - [`Tensor`]: a row-major, heap-allocated N-d array of `f32`.
 //! - [`gemm`]: packed, register-tiled, rayon-parallel matrix multiply with
 //!   optional fused bias+activation epilogues.
-//! - [`conv`]: 2-D convolution (im2col + gemm) with full backward pass.
+//! - [`conv`]: 2-D convolution (im2col gemm, patches packed in one pass) with
+//!   full backward pass.
 //! - [`scratch`]: reusable arenas ([`scratch::Scratch`],
 //!   [`scratch::ActBuf`]) backing the allocation-free inference hot path.
 //! - [`pool`]: max/average pooling with backward.

@@ -1,12 +1,13 @@
 //! Reusable scratch memory for the inference hot path.
 //!
 //! The steady-state tile loop of a Conv node runs the same network shape on
-//! every tile, so every intermediate buffer it needs — the im2col matrix,
-//! the packed GEMM B-panels, the per-layer activation maps — has a fixed
-//! size after the first tile. [`Scratch`] and [`ActBuf`] own those buffers
-//! and hand out grow-only views, so after a warm-up pass the whole forward
-//! path performs zero heap allocation (see `tests/alloc_steady_state.rs` at
-//! the workspace root for the counting-allocator proof).
+//! every tile, so every intermediate buffer it needs — the packed GEMM
+//! panels, the zero-padded conv input, the per-layer activation maps — has a
+//! fixed size after the first tile. [`Scratch`] and [`ActBuf`] own those
+//! buffers and hand out grow-only views, so after a warm-up pass the whole
+//! forward path performs zero heap allocation (see
+//! `tests/alloc_steady_state.rs` at the workspace root for the
+//! counting-allocator proof).
 //!
 //! Ownership rules (also documented in DESIGN.md §"Performance
 //! architecture"):
@@ -21,13 +22,16 @@ use crate::tensor::Tensor;
 
 /// Arena of reusable buffers for convolution / GEMM internals.
 ///
-/// `col` holds the im2col matrix, `pack` holds the packed B panels of the
-/// blocked GEMM. They are separate fields (not a bump allocator) because
-/// `conv2d` needs both alive at once.
+/// `pack` holds the GEMM's packed operands — the `MR`-wide A panels of the
+/// current call, then one `KC×NR` B panel per row-block task — and `pad` the
+/// zero-padded copy of the image a padded convolution gathers its patches
+/// from. They are separate fields (not a bump allocator) because `conv2d`
+/// needs both alive at once. There is no im2col matrix: patches go straight
+/// into the B panel.
 #[derive(Clone, Debug, Default)]
 pub struct Scratch {
-    col: Vec<f32>,
-    pack: Vec<f32>,
+    pub(crate) pack: Vec<f32>,
+    pub(crate) pad: Vec<f32>,
 }
 
 impl Scratch {
@@ -36,20 +40,9 @@ impl Scratch {
         Scratch::default()
     }
 
-    /// Borrow the im2col and pack buffers simultaneously (distinct fields,
-    /// so the borrows are disjoint).
-    pub fn col_and_pack(&mut self) -> (&mut Vec<f32>, &mut Vec<f32>) {
-        (&mut self.col, &mut self.pack)
-    }
-
-    /// Borrow just the GEMM pack buffer.
-    pub fn pack_buf(&mut self) -> &mut Vec<f32> {
-        &mut self.pack
-    }
-
     /// Bytes currently held across all buffers (capacity, not length).
     pub fn capacity_bytes(&self) -> usize {
-        (self.col.capacity() + self.pack.capacity()) * std::mem::size_of::<f32>()
+        (self.pack.capacity() + self.pad.capacity()) * std::mem::size_of::<f32>()
     }
 }
 

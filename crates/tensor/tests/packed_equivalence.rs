@@ -3,8 +3,11 @@
 //! The packed GEMM and the scratch-arena conv path must agree with naive
 //! reference implementations across random shapes — including the awkward
 //! ones: single rows, panel-tail widths, stride 2, 1x1 kernels, and
-//! degenerate zero-sized outputs. Plain seeded-rand loops (not proptest) so
-//! the shapes exercised are identical on every run and every platform.
+//! degenerate zero-sized outputs — and with *themselves*, bit for bit,
+//! whatever the position of an element in the blocking: a sub-range of rows
+//! or columns, an FDSP tile of an image, either public entry, a reused
+//! arena. Plain seeded-rand loops (not proptest) so the shapes exercised are
+//! identical on every run and every platform.
 
 use adcnn_tensor::conv::{conv2d, conv2d_into, Conv2dParams};
 use adcnn_tensor::gemm::{gemm, gemm_fused, FusedAct};
@@ -136,8 +139,8 @@ fn conv_ref(x: &Tensor, w: &Tensor, bias: &[f32], p: Conv2dParams) -> Tensor {
 fn conv2d_matches_direct_reference_across_shapes() {
     let mut rng = StdRng::seed_from_u64(0xD0C);
     // (ic, oc, h, w, kernel, stride, pad) — includes stride 2, kernel 1,
-    // pad 0, and asymmetric spatial dims.
-    let cases = [
+    // pad 0, and asymmetric spatial dims ...
+    let mut cases = vec![
         (1usize, 1usize, 5usize, 5usize, 3usize, 1usize, 1usize),
         (3, 8, 8, 8, 3, 1, 1),
         (2, 4, 9, 7, 3, 2, 1),
@@ -145,6 +148,15 @@ fn conv2d_matches_direct_reference_across_shapes() {
         (2, 3, 11, 5, 5, 2, 2),
         (3, 2, 6, 6, 3, 1, 0),
     ];
+    // ... and every kernel/stride/pad combination on an 11x13 image, whose
+    // output counts (143, 42, 63, 20, ...) all leave a ragged last panel.
+    for kernel in [1, 3, 5] {
+        for stride in [1, 2] {
+            for pad in [0, 1, 2] {
+                cases.push((3, 7, 11, 13, kernel, stride, pad));
+            }
+        }
+    }
     for &(ic, oc, h, w, kernel, stride, pad) in &cases {
         let p = Conv2dParams { kernel, stride, pad };
         for n in [1usize, 2] {
@@ -225,4 +237,213 @@ fn degenerate_zero_output_shapes_are_consistent() {
     let mut c = vec![7.0f32; 6];
     gemm(2, 0, 3, &[], &[], &mut c, 0.0);
     assert_eq!(c, vec![0.0; 6]);
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Random values with signed zeros mixed in.
+fn rand_vec_with_zeros(rng: &mut StdRng, n: usize) -> Vec<f32> {
+    (0..n)
+        .map(|_| match rng.gen_range(0..16) {
+            0 => -0.0,
+            1 => 0.0,
+            _ => rng.gen_range(-2.0..2.0),
+        })
+        .collect()
+}
+
+const ACTS: [FusedAct; 3] =
+    [FusedAct::Identity, FusedAct::Relu, FusedAct::Clipped { lo: 0.0, hi: 1.5 }];
+
+#[test]
+fn gemm_sub_ranges_reproduce_the_full_product_bit_for_bit() {
+    // Every MR (6) / NR (16) / KC (256) remainder, then the five im2col
+    // shapes VGG16 blocks 1-2 serve. Row ranges hold at least two rows:
+    // m == 1 is the fully-connected kernel, which has its own order.
+    let shapes = [
+        (2usize, 1usize, 1usize),
+        (5, 27, 15),
+        (6, 256, 16),
+        (7, 257, 17),
+        (13, 513, 33),
+        (12, 300, 48),
+        (64, 27, 1024),
+        (64, 576, 1024),
+        (128, 576, 256),
+        (128, 1152, 256),
+        (128, 1152, 64),
+    ];
+    let mut rng = StdRng::seed_from_u64(0x5EED);
+    let mut scratch = Scratch::new();
+    for (si, &(m, k, n)) in shapes.iter().enumerate() {
+        let a = rand_vec_with_zeros(&mut rng, m * k);
+        let b = rand_vec_with_zeros(&mut rng, k * n);
+        let bias = rand_vec_with_zeros(&mut rng, m);
+        let act = ACTS[si % 3];
+        let mut full = vec![f32::NAN; m * n];
+        gemm_fused(m, k, n, &a, &b, &mut full, Some(&bias), act, &mut scratch);
+
+        for _ in 0..3 {
+            let r0 = rng.gen_range(0..m - 1);
+            let r1 = rng.gen_range(r0 + 2..m + 1);
+            let mut got = vec![f32::NAN; (r1 - r0) * n];
+            let (sub_a, sub_bias) = (&a[r0 * k..r1 * k], &bias[r0..r1]);
+            gemm_fused(r1 - r0, k, n, sub_a, &b, &mut got, Some(sub_bias), act, &mut scratch);
+            assert_eq!(
+                bits(&got),
+                bits(&full[r0 * n..r1 * n]),
+                "({m},{k},{n}) {act:?} rows {r0}..{r1}"
+            );
+
+            let c0 = rng.gen_range(0..n);
+            let c1 = rng.gen_range(c0 + 1..n + 1);
+            let nc = c1 - c0;
+            let sub_b: Vec<f32> = b.chunks(n).flat_map(|row| row[c0..c1].iter().copied()).collect();
+            let mut got = vec![f32::NAN; m * nc];
+            gemm_fused(m, k, nc, &a, &sub_b, &mut got, Some(&bias), act, &mut scratch);
+            let want: Vec<f32> =
+                full.chunks(n).flat_map(|row| row[c0..c1].iter().copied()).collect();
+            assert_eq!(bits(&got), bits(&want), "({m},{k},{n}) {act:?} cols {c0}..{c1}");
+        }
+
+        // The scratch-less entry runs the same core: identical bits.
+        if act == FusedAct::Identity {
+            let mut plain = vec![f32::NAN; m * n];
+            gemm(m, k, n, &a, &b, &mut plain, 0.0);
+            let mut unbiased = vec![f32::NAN; m * n];
+            gemm_fused(m, k, n, &a, &b, &mut unbiased, None, act, &mut scratch);
+            assert_eq!(bits(&plain), bits(&unbiased), "({m},{k},{n}) gemm vs gemm_fused");
+        }
+    }
+}
+
+#[test]
+fn fdsp_tile_conv_reproduces_the_full_image_bit_for_bit() {
+    // 32 input channels: K = 288 crosses a k-block boundary. A 2x2 FDSP
+    // grid of 12x12 tiles over a 24x24 image; a tile output whose 3x3
+    // receptive field stays inside the tile (or in the image's own zero
+    // border) sees the same patch as the full image, so must get the same
+    // bits although it sits in another column of another-sized GEMM.
+    let mut rng = StdRng::seed_from_u64(0xFD5B);
+    let (ic, oc, hw, t) = (32usize, 10usize, 24usize, 12usize);
+    let p = Conv2dParams::same(3);
+    let x = Tensor::randn([1, ic, hw, hw], 1.0, &mut rng);
+    let wt = Tensor::randn([oc, ic, 3, 3], 0.2, &mut rng);
+    let bias = rand_vec(&mut rng, oc);
+    let mut scratch = Scratch::new();
+    let (mut full, mut tile_out) = (ActBuf::new(), ActBuf::new());
+    for &act in &ACTS {
+        conv2d_into(x.as_slice(), (1, ic, hw, hw), &wt, &bias, p, act, &mut scratch, &mut full);
+        for (gr, gc) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+            let tile = x.crop_spatial((gr * t) as isize, (gc * t) as isize, t, t);
+            conv2d_into(
+                tile.as_slice(),
+                (1, ic, t, t),
+                &wt,
+                &bias,
+                p,
+                act,
+                &mut scratch,
+                &mut tile_out,
+            );
+            let mut checked = 0;
+            for o in 0..oc {
+                for i in 0..t {
+                    for j in 0..t {
+                        let (fi, fj) = (gr * t + i, gc * t + j);
+                        let inside = |local: usize, global: usize| {
+                            (local > 0 || global == 0) && (local + 1 < t || global + 1 == hw)
+                        };
+                        if !(inside(i, fi) && inside(j, fj)) {
+                            continue;
+                        }
+                        let got = tile_out.as_slice()[(o * t + i) * t + j];
+                        let want = full.as_slice()[(o * hw + fi) * hw + fj];
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{act:?} tile ({gr},{gc}) at {o},{i},{j}"
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+            assert_eq!(checked, oc * (t - 1) * (t - 1));
+        }
+    }
+}
+
+#[test]
+fn conv2d_and_conv2d_into_agree_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(0xB17);
+    let mut scratch = Scratch::new();
+    let mut out = ActBuf::new();
+    // (n, ic, oc, h, w, kernel, stride, pad)
+    for &(n, ic, oc, h, w, kernel, stride, pad) in &[
+        (2usize, 3usize, 5usize, 9usize, 7usize, 3usize, 1usize, 1usize),
+        (1, 30, 7, 6, 6, 3, 1, 1),
+        (2, 4, 1, 8, 8, 5, 2, 2),
+    ] {
+        let p = Conv2dParams { kernel, stride, pad };
+        let x = Tensor::randn([n, ic, h, w], 1.0, &mut rng);
+        let wt = Tensor::randn([oc, ic, kernel, kernel], 0.5, &mut rng);
+        let bias = rand_vec(&mut rng, oc);
+        let want = conv2d(&x, &wt, &bias, p);
+        let dims = (n, ic, h, w);
+        conv2d_into(x.as_slice(), dims, &wt, &bias, p, FusedAct::Identity, &mut scratch, &mut out);
+        assert_eq!(out.dims(), want.dims());
+        assert_eq!(
+            bits(out.as_slice()),
+            bits(want.as_slice()),
+            "{dims:?} k{kernel} s{stride} p{pad}"
+        );
+    }
+}
+
+#[test]
+fn a_scratch_used_on_a_larger_shape_returns_the_same_bits_as_a_fresh_one() {
+    let mut rng = StdRng::seed_from_u64(0xA7E);
+    let p = Conv2dParams::same(3);
+    let big = Tensor::randn([1, 40, 20, 20], 1.0, &mut rng);
+    let big_w = Tensor::randn([23, 40, 3, 3], 0.5, &mut rng);
+    // Small: ragged in every direction (M = 7, K = 45, N = 35) so stale
+    // padding rows, columns and k-steps of the big call would all show.
+    let small = Tensor::randn([1, 5, 5, 7], 1.0, &mut rng);
+    let small_w = Tensor::randn([7, 5, 3, 3], 0.5, &mut rng);
+    let bias = rand_vec(&mut rng, 7);
+    let run = |scratch: &mut Scratch| {
+        let mut out = ActBuf::new();
+        conv2d_into(
+            small.as_slice(),
+            (1, 5, 5, 7),
+            &small_w,
+            &bias,
+            p,
+            FusedAct::Relu,
+            scratch,
+            &mut out,
+        );
+        let (a, b) = (small_w.as_slice(), small.as_slice());
+        let mut c = vec![f32::NAN; 7 * 35];
+        gemm_fused(7, 5, 35, &a[..35], b, &mut c, Some(&bias), FusedAct::Relu, scratch);
+        (bits(out.as_slice()), bits(&c))
+    };
+
+    let fresh = run(&mut Scratch::new());
+    let mut used = Scratch::new();
+    let mut sink = ActBuf::new();
+    conv2d_into(
+        big.as_slice(),
+        (1, 40, 20, 20),
+        &big_w,
+        &[],
+        p,
+        FusedAct::Identity,
+        &mut used,
+        &mut sink,
+    );
+    assert!(used.capacity_bytes() > 0);
+    assert_eq!(run(&mut used), fresh);
 }

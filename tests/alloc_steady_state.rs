@@ -9,30 +9,42 @@
 //! measured separately and bounded.
 //!
 //! The network is sized so every internal GEMM stays under the parallel
-//! dispatch threshold — the loop runs on this thread only, so the counter
-//! observes exactly the hot path.
+//! dispatch threshold — the loop runs on this thread only — and the counter
+//! is per thread, so the tests of this file (which the default runner puts
+//! on parallel threads) cannot see each other's allocations.
 
 use adcnn::core::compress::{clip_and_compress_into, CompressScratch, Quantizer};
 use adcnn::core::wire::{make_result_from_parts, TileKey};
 use adcnn::nn::infer::InferScratch;
 use adcnn::nn::{Block, Layer, Network};
 use adcnn::tensor::activ::ClippedRelu;
-use adcnn::tensor::conv::Conv2dParams;
+use adcnn::tensor::conv::{conv2d_into, Conv2dParams};
+use adcnn::tensor::gemm::FusedAct;
 use adcnn::tensor::pool::Pool2dParams;
-use adcnn::tensor::Tensor;
+use adcnn::tensor::{ActBuf, Tensor};
 use rand::{rngs::StdRng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Counts every allocator hit (alloc + realloc; dealloc is free to the
-/// "zero allocation" claim but counted for completeness).
+/// "zero allocation" claim) made by the calling thread.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// `const`-initialised and without a destructor, so the allocator can
+    /// touch it at any point of a thread's life without allocating.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
+fn count() {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: defers to `System` for every operation; the counter is a plain
+// thread-local cell that neither allocates nor unwinds.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
@@ -41,7 +53,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -49,8 +61,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// Allocator hits of *this* thread so far.
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// A representative Conv-node prefix: conv→BN→ReLU→pool→conv→ReLU. Small
@@ -78,21 +91,40 @@ fn steady_state_tile_loop_is_allocation_free() {
     let cr = ClippedRelu::new(0.1, 1.1);
     let q = Quantizer::paper_default(cr);
 
+    // A deep, narrow conv through the same arena: K = 32·9 = 288 spans two
+    // k-blocks and M = 8 leaves a ragged last row panel, so the A-pack arena
+    // and the one-pass B panel are exercised past a single block (still
+    // 8·288·16 multiply-adds, under the parallel threshold).
+    let deep = Tensor::randn([1, 32, 4, 4], 0.5, &mut rng);
+    let deep_w = Tensor::randn([8, 32, 3, 3], 0.1, &mut rng);
+    let deep_b = [0.1f32; 8];
+    let mut deep_out = ActBuf::new();
+
     let mut scratch = InferScratch::new();
     let mut cs = CompressScratch::new();
+    let mut tile_loop = |iters: usize| {
+        for _ in 0..iters {
+            let out = net.forward_infer_with(&tile, &mut scratch);
+            let enc = clip_and_compress_into(out.as_slice(), cr, q, &mut cs);
+            assert!(!enc.is_empty());
+            conv2d_into(
+                deep.as_slice(),
+                (1, 32, 4, 4),
+                &deep_w,
+                &deep_b,
+                Conv2dParams::same(3),
+                FusedAct::Relu,
+                &mut scratch.ts,
+                &mut deep_out,
+            );
+            assert_eq!(deep_out.dims(), &[1, 8, 4, 4]);
+        }
+    };
 
     // Warm-up: grow every arena/buffer to its steady-state size.
-    for _ in 0..3 {
-        let out = net.forward_infer_with(&tile, &mut scratch);
-        let _ = clip_and_compress_into(out.as_slice(), cr, q, &mut cs);
-    }
-
+    tile_loop(3);
     let before = allocs();
-    for _ in 0..10 {
-        let out = net.forward_infer_with(&tile, &mut scratch);
-        let enc = clip_and_compress_into(out.as_slice(), cr, q, &mut cs);
-        assert!(!enc.is_empty());
-    }
+    tile_loop(10);
     let hot_path_allocs = allocs() - before;
     assert_eq!(
         hot_path_allocs, 0,
