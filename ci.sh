@@ -31,6 +31,11 @@ done
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (intra-doc links)"
+# A deleted type leaves its [`Name`] links behind in module docs and
+# nothing else notices; rustdoc does.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> quickstart smoke run"
 # The README's front-door example must actually run end to end (train →
 # retrain → distributed serve); QUICKSTART_SMOKE shrinks the budgets so

@@ -15,9 +15,8 @@ use adcnn_bench::{emit_raw_json, print_table, results_dir};
 use adcnn_core::fdsp::TileGrid;
 use adcnn_core::obs::json::{self, array, Obj};
 use adcnn_netsim::{
-    AllNodesPlacement, ArrivalSpec, ChurnAwarePlacement, ChurnPlan, FleetConfig, FleetSim,
-    GreedyPlacement, LabeledMetricsRegistry, PlacementPolicy, SimNode, SinkHandle, SloReport,
-    SloSpec, TenantSpec,
+    AllNodesPlacement, ArrivalSpec, ChurnPlan, FleetConfig, FleetSim, GreedyPlacement,
+    LabeledMetricsRegistry, PlacementPolicy, SimNode, SinkHandle, SloReport, SloSpec, TenantSpec,
 };
 use adcnn_nn::cost::DeviceProfile;
 use adcnn_nn::zoo;
@@ -595,17 +594,10 @@ fn main() {
     // Placement sweep: the same 64-node two-model churn scenario under
     // each placement policy — all_nodes is the PR-8 baseline (identity
     // placement), greedy packs for throughput against the shared-channel
-    // saturation model, churn_aware additionally prices in each node's
-    // availability over the churn horizon.
+    // saturation model.
     let psweep: Vec<PlacementPoint> = vec![
         placement_point("all_nodes", mt_each, mt_capacity, Arc::new(AllNodesPlacement)),
         placement_point("greedy", mt_each, mt_capacity, Arc::new(GreedyPlacement::default())),
-        placement_point(
-            "churn_aware",
-            mt_each,
-            mt_capacity,
-            Arc::new(ChurnAwarePlacement::default()),
-        ),
     ];
     let base = &psweep[0];
     print_table(

@@ -44,6 +44,10 @@ pub enum ConfigError {
     ZeroPipelineDepth,
     /// A zero-capacity intake queue rejects every submit.
     ZeroIntakeCap,
+    /// Per-image attribution tracks a bounded number of in-flight
+    /// images; a deeper pipeline would evict healthy images' state and
+    /// drop their reports.
+    AttributionDepthExceeded { depth: usize, max: usize },
     /// An open-loop arrival process needs a positive rate.
     NonPositiveArrivalRate(f64),
     /// A bursty arrival process needs positive mean dwell times in both
@@ -111,6 +115,12 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::ZeroIntakeCap => {
                 write!(f, "intake_cap must be >= 1")
+            }
+            ConfigError::AttributionDepthExceeded { depth, max } => {
+                write!(
+                    f,
+                    "attribution tracks at most {max} in-flight images (pipeline_depth {depth})"
+                )
             }
             ConfigError::NonPositiveArrivalRate(v) => {
                 write!(f, "arrival rate must be > 0 (got {v})")

@@ -28,13 +28,12 @@
 //!   driven by both the real runtime and the network simulator.
 //! - [`obs`] — structured observability: the zero-cost-when-disabled
 //!   [`obs::EventSink`] layer both drivers mirror lifecycle decisions
-//!   into, with metrics and Chrome-trace sinks built in.
+//!   into, with metrics and recording (Chrome-trace) sinks built in.
 //! - [`report`] — forensic observability on top of [`obs`]: per-image
-//!   critical-path attribution, a lock-free flight recorder with
+//!   critical-path attribution, a bounded flight recorder with
 //!   anomaly dumps, Prometheus exposition and live metrics reporting.
 //! - [`fleetobs`] — fleet-scope observability on top of [`obs`]:
-//!   tenant/node-labeled metrics shards, the live node-stats bus
-//!   placement consumes, and SLO burn-rate tracking.
+//!   tenant/node-labeled metrics shards and SLO burn-rate tracking.
 //! - [`config`] — typed validation ([`config::ConfigError`]) behind the
 //!   builder-based config surface of every crate in the workspace.
 
@@ -54,14 +53,10 @@ pub mod wire;
 pub use compress::{CompressScratch, Quantizer, RleCodec};
 pub use config::ConfigError;
 pub use fdsp::TileGrid;
-pub use fleetobs::{
-    FleetReporter, LabeledMetricsRegistry, LiveStatsSnapshot, LiveStatsView, NodeStatsSnapshot,
-    SloReport, SloSpec, SloTracker,
-};
+pub use fleetobs::{FleetReporter, LabeledMetricsRegistry, SloReport, SloSpec, SloTracker};
 pub use lifecycle::{LifecyclePolicy, TileLifecycle, TimerPolicy};
 pub use obs::{
-    ChromeTraceSink, EventSink, MetricsSink, MetricsSnapshot, NullSink, ObsEvent, SinkHandle,
-    TeeSink,
+    EventSink, MetricsSink, MetricsSnapshot, NullSink, ObsEvent, RecordingSink, SinkHandle, TeeSink,
 };
 pub use report::{
     AttributionAggregate, AttributionSink, FlightRecorderSink, ForensicReport, ImageReport,

@@ -36,7 +36,7 @@ use std::sync::{Arc, Mutex};
 
 /// Hand-rolled JSON formatting shared by every serde-free emitter in
 /// this crate — [`ObsEvent::args_json`], [`MetricsSnapshot::to_json`],
-/// [`ChromeTraceSink::to_json`], and the report types in
+/// [`RecordingSink::to_chrome_json`], and the report types in
 /// [`crate::report`]. One escape routine, one finite-float rule, one
 /// object builder, so the emitters cannot drift apart on the corner
 /// cases (quotes in strings, NaN durations).
@@ -1035,15 +1035,14 @@ impl MetricsSnapshot {
     }
 }
 
-/// Records events verbatim for inspection; Chrome-trace export turns the
-/// compute/compress/transfer spans into one track per worker, loadable
-/// in `chrome://tracing` or <https://ui.perfetto.dev>.
+/// Records every event verbatim, for inspection in tests and for
+/// Chrome-trace export ([`RecordingSink::to_chrome_json`]).
 #[derive(Debug, Default)]
-pub struct ChromeTraceSink {
+pub struct RecordingSink {
     events: Mutex<Vec<ObsEvent>>,
 }
 
-impl ChromeTraceSink {
+impl RecordingSink {
     /// A fresh, empty sink.
     pub fn new() -> Self {
         Self::default()
@@ -1051,7 +1050,12 @@ impl ChromeTraceSink {
 
     /// Copy of everything recorded so far.
     pub fn events(&self) -> Vec<ObsEvent> {
-        self.events.lock().expect("trace sink poisoned").clone()
+        self.events.lock().expect("recording sink poisoned").clone()
+    }
+
+    /// The recorded event-type sequence.
+    pub fn kinds(&self) -> Vec<&'static str> {
+        self.events().iter().map(|e| e.kind()).collect()
     }
 
     /// Render the recorded events as Chrome trace JSON (the
@@ -1061,10 +1065,11 @@ impl ChromeTraceSink {
     /// events on the Central track (tid 0), per-worker events on their
     /// worker's track. The JSON is written by hand (keys and numbers
     /// only, nothing needs escaping) so the sink carries no serializer
-    /// dependency.
-    pub fn to_json(&self) -> String {
+    /// dependency. Load the result in `chrome://tracing` or
+    /// <https://ui.perfetto.dev>.
+    pub fn to_chrome_json(&self) -> String {
         use json::Obj;
-        let events = self.events.lock().expect("trace sink poisoned");
+        let events = self.events.lock().expect("recording sink poisoned");
         let mut out: Vec<String> = Vec::with_capacity(events.len() + 8);
         let mut seen_workers: Vec<u32> = Vec::new();
         let thread_meta = |tid: u64, name: &str| {
@@ -1168,37 +1173,8 @@ impl ChromeTraceSink {
     }
 
     /// Write the Chrome trace JSON to `path`.
-    pub fn write_json(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-}
-
-impl EventSink for ChromeTraceSink {
-    fn emit(&self, ev: &ObsEvent) {
-        self.events.lock().expect("trace sink poisoned").push(*ev);
-    }
-}
-
-/// Test helper: records every event verbatim.
-#[derive(Debug, Default)]
-pub struct RecordingSink {
-    events: Mutex<Vec<ObsEvent>>,
-}
-
-impl RecordingSink {
-    /// A fresh, empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Copy of everything recorded so far.
-    pub fn events(&self) -> Vec<ObsEvent> {
-        self.events.lock().expect("recording sink poisoned").clone()
-    }
-
-    /// The recorded event-type sequence.
-    pub fn kinds(&self) -> Vec<&'static str> {
-        self.events().iter().map(|e| e.kind()).collect()
+    pub fn write_chrome_json(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
+        std::fs::write(path, self.to_chrome_json())
     }
 }
 
@@ -1418,7 +1394,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_is_valid_json_with_worker_tracks() {
-        let t = Arc::new(ChromeTraceSink::new());
+        let t = Arc::new(RecordingSink::new());
         let h = SinkHandle::new(t.clone());
         h.emit_with(|| ObsEvent::ImageStart { at: 0.0, image: 0, tiles: 2, placed: 2 });
         h.emit_with(|| ObsEvent::TileCompute {
@@ -1437,7 +1413,7 @@ mod tests {
             bytes: 120,
             ratio: 0.25,
         });
-        let json = t.to_json();
+        let json = t.to_chrome_json();
         assert_balanced_json(&json);
         assert!(json.starts_with(r#"{"traceEvents":["#));
         // spans are complete events on worker 1's track (tid 2), with

@@ -1,5 +1,5 @@
 //! Forensic observability on top of the event stream: per-image
-//! critical-path attribution, a lock-free flight recorder with anomaly
+//! critical-path attribution, a bounded flight recorder with anomaly
 //! dumps, and live metrics reporting.
 //!
 //! Everything here consumes the [`ObsEvent`] schema of [`crate::obs`]
@@ -15,11 +15,10 @@
 //!   (queue-wait / compute / compress / transfer / merge), maintained
 //!   incrementally under a mutex with bounded memory. Attach it when
 //!   you want `InferOutcome::report` populated.
-//! - [`FlightRecorderSink`] keeps the last N events in a fixed ring of
-//!   seqlock-stamped atomic slots — the steady-state emit path is a
-//!   `fetch_add` plus eight relaxed stores, no locks, no allocation.
-//!   Only an *anomaly* (zero-fill, worker death, deadline storm) takes
-//!   a mutex, snapshots the ring, and files a [`ForensicReport`].
+//! - [`FlightRecorderSink`] keeps the last N events in a bounded ring
+//!   under one mutex — a push and an eviction per event, no allocation
+//!   after construction. An *anomaly* (zero-fill, worker death,
+//!   deadline storm) filters the ring and files a [`ForensicReport`].
 //! - [`Reporter`] diffs successive [`MetricsSnapshot`]s into
 //!   throughput / p50 / p99 / zero-fill-rate lines for live logs;
 //!   [`MetricsSnapshot::to_prometheus`] renders the same snapshot in
@@ -28,7 +27,6 @@
 use crate::obs::{json, EventSink, HistogramSnapshot, MetricsSnapshot, ObsEvent};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 // ---------------------------------------------------------------------------
@@ -446,8 +444,8 @@ impl Default for AttributionSink {
 }
 
 impl AttributionSink {
-    /// In-flight images tracked before the oldest is evicted (far above
-    /// the drivers' pipeline depth).
+    /// In-flight images tracked before the oldest is evicted; the
+    /// runtime's config validation rejects a deeper pipeline.
     pub const MAX_INFLIGHT: usize = 64;
     /// Finished reports retained for per-image retrieval.
     pub const MAX_FINISHED: usize = 256;
@@ -564,211 +562,6 @@ impl EventSink for AttributionSink {
 // Flight recorder
 // ---------------------------------------------------------------------------
 
-/// Events are encoded into seven words: tag, time bits, image, packed
-/// tile|worker, and up to three payload words.
-const SLOT_WORDS: usize = 7;
-/// "No tile/worker" sentinel inside a packed word.
-const NONE32: u32 = u32::MAX;
-
-fn pack(lo: u32, hi: u32) -> u64 {
-    u64::from(lo) | (u64::from(hi) << 32)
-}
-
-fn unpack(w: u64) -> (u32, u32) {
-    (w as u32, (w >> 32) as u32)
-}
-
-/// Encode an event into the ring's fixed word format.
-fn encode(ev: &ObsEvent) -> [u64; SLOT_WORDS] {
-    let mut w = [0u64; SLOT_WORDS];
-    w[1] = ev.at().to_bits();
-    w[2] = ev.image();
-    match *ev {
-        ObsEvent::ImageStart { tiles, placed, .. } => {
-            w[0] = 0;
-            w[3] = pack(tiles, placed);
-        }
-        ObsEvent::ImageFinish { latency, zero_filled, redispatched, .. } => {
-            w[0] = 1;
-            w[4] = latency.to_bits();
-            w[3] = pack(zero_filled, redispatched);
-        }
-        ObsEvent::TileDispatch { tile, worker, .. } => {
-            w[0] = 2;
-            w[3] = pack(tile, worker);
-        }
-        ObsEvent::TileRedispatch { tile, worker, round, .. } => {
-            w[0] = 3;
-            w[3] = pack(tile, worker);
-            w[5] = u64::from(round);
-        }
-        ObsEvent::TileArrival { tile, worker, .. } => {
-            w[0] = 4;
-            w[3] = pack(tile, worker);
-        }
-        ObsEvent::TileDuplicate { tile, worker, .. } => {
-            w[0] = 5;
-            w[3] = pack(tile, worker);
-        }
-        ObsEvent::TileLate { tile, worker, .. } => {
-            w[0] = 6;
-            w[3] = pack(tile, worker);
-        }
-        ObsEvent::TileCorrupt { tile, worker, .. } => {
-            w[0] = 7;
-            w[3] = pack(tile, worker);
-        }
-        ObsEvent::TileZeroFill { tile, .. } => {
-            w[0] = 8;
-            w[3] = pack(tile, NONE32);
-        }
-        ObsEvent::DeadlineArmed { span, .. } => {
-            w[0] = 9;
-            w[4] = span.to_bits();
-        }
-        ObsEvent::DeadlineFired { .. } => {
-            w[0] = 10;
-        }
-        ObsEvent::WorkerDead { worker, .. } => {
-            w[0] = 11;
-            w[3] = pack(NONE32, worker);
-        }
-        ObsEvent::WorkerSuspect { worker, .. } => {
-            w[0] = 12;
-            w[3] = pack(NONE32, worker);
-        }
-        ObsEvent::WorkerCleared { worker, .. } => {
-            w[0] = 13;
-            w[3] = pack(NONE32, worker);
-        }
-        ObsEvent::RateUpdate { worker, rate, .. } => {
-            w[0] = 14;
-            w[3] = pack(NONE32, worker);
-            w[4] = rate.to_bits();
-        }
-        ObsEvent::TileCompute { tile, worker, dur, .. } => {
-            w[0] = 15;
-            w[3] = pack(tile, worker);
-            w[4] = dur.to_bits();
-        }
-        ObsEvent::TileCompress { tile, worker, dur, bytes, ratio, .. } => {
-            w[0] = 16;
-            w[3] = pack(tile, worker);
-            w[4] = dur.to_bits();
-            w[5] = bytes;
-            w[6] = ratio.to_bits();
-        }
-        ObsEvent::TileTransfer { tile, worker, dur, .. } => {
-            w[0] = 17;
-            w[3] = pack(tile, worker);
-            w[4] = dur.to_bits();
-        }
-        ObsEvent::ImageAdmitted { queue_wait, inflight, .. } => {
-            w[0] = 18;
-            w[3] = pack(NONE32, inflight);
-            w[4] = queue_wait.to_bits();
-        }
-        ObsEvent::ImageRetired { inflight, .. } => {
-            w[0] = 19;
-            w[3] = pack(NONE32, inflight);
-        }
-        ObsEvent::NodeUp { node, .. } => {
-            w[0] = 20;
-            w[3] = pack(NONE32, node);
-        }
-        ObsEvent::NodeDown { node, .. } => {
-            w[0] = 21;
-            w[3] = pack(NONE32, node);
-        }
-        ObsEvent::PlacementDecided { cause, node, tenants, live_nodes, seq, .. } => {
-            w[0] = 22;
-            w[3] = pack(cause, node);
-            w[4] = pack(tenants, live_nodes);
-            w[5] = seq;
-        }
-        ObsEvent::TenantAdmit { tenant, queue_wait, .. } => {
-            w[0] = 23;
-            w[3] = pack(tenant, NONE32);
-            w[4] = queue_wait.to_bits();
-        }
-        ObsEvent::TenantFinish { tenant, latency, zero_filled, tiles, .. } => {
-            w[0] = 24;
-            w[3] = pack(tenant, zero_filled);
-            w[4] = latency.to_bits();
-            w[5] = u64::from(tiles);
-        }
-    }
-    w
-}
-
-/// Decode a ring slot back into an event (`None` for an unknown tag,
-/// i.e. a torn or unwritten slot).
-fn decode(w: &[u64; SLOT_WORDS]) -> Option<ObsEvent> {
-    let at = f64::from_bits(w[1]);
-    let image = w[2];
-    let (lo, hi) = unpack(w[3]);
-    Some(match w[0] {
-        0 => ObsEvent::ImageStart { at, image, tiles: lo, placed: hi },
-        1 => ObsEvent::ImageFinish {
-            at,
-            image,
-            latency: f64::from_bits(w[4]),
-            zero_filled: lo,
-            redispatched: hi,
-        },
-        2 => ObsEvent::TileDispatch { at, image, tile: lo, worker: hi },
-        3 => ObsEvent::TileRedispatch { at, image, tile: lo, worker: hi, round: w[5] as u32 },
-        4 => ObsEvent::TileArrival { at, image, tile: lo, worker: hi },
-        5 => ObsEvent::TileDuplicate { at, image, tile: lo, worker: hi },
-        6 => ObsEvent::TileLate { at, image, tile: lo, worker: hi },
-        7 => ObsEvent::TileCorrupt { at, image, tile: lo, worker: hi },
-        8 => ObsEvent::TileZeroFill { at, image, tile: lo },
-        9 => ObsEvent::DeadlineArmed { at, image, span: f64::from_bits(w[4]) },
-        10 => ObsEvent::DeadlineFired { at, image },
-        11 => ObsEvent::WorkerDead { at, image, worker: hi },
-        12 => ObsEvent::WorkerSuspect { at, image, worker: hi },
-        13 => ObsEvent::WorkerCleared { at, image, worker: hi },
-        14 => ObsEvent::RateUpdate { at, image, worker: hi, rate: f64::from_bits(w[4]) },
-        15 => ObsEvent::TileCompute { at, image, tile: lo, worker: hi, dur: f64::from_bits(w[4]) },
-        16 => ObsEvent::TileCompress {
-            at,
-            image,
-            tile: lo,
-            worker: hi,
-            dur: f64::from_bits(w[4]),
-            bytes: w[5],
-            ratio: f64::from_bits(w[6]),
-        },
-        17 => ObsEvent::TileTransfer { at, image, tile: lo, worker: hi, dur: f64::from_bits(w[4]) },
-        18 => ObsEvent::ImageAdmitted { at, image, queue_wait: f64::from_bits(w[4]), inflight: hi },
-        19 => ObsEvent::ImageRetired { at, image, inflight: hi },
-        20 => ObsEvent::NodeUp { at, node: hi },
-        21 => ObsEvent::NodeDown { at, node: hi },
-        22 => {
-            let (tenants, live_nodes) = unpack(w[4]);
-            ObsEvent::PlacementDecided { at, cause: lo, node: hi, tenants, live_nodes, seq: w[5] }
-        }
-        23 => ObsEvent::TenantAdmit { at, image, tenant: lo, queue_wait: f64::from_bits(w[4]) },
-        24 => ObsEvent::TenantFinish {
-            at,
-            image,
-            tenant: lo,
-            latency: f64::from_bits(w[4]),
-            zero_filled: hi,
-            tiles: w[5] as u32,
-        },
-        _ => return None,
-    })
-}
-
-/// One seqlock-stamped ring slot: `seq == 0` never written, odd = write
-/// in progress, even = generation stamp of the last complete write.
-#[derive(Debug)]
-struct Slot {
-    seq: AtomicU64,
-    words: [AtomicU64; SLOT_WORDS],
-}
-
 /// What made the flight recorder snapshot a [`ForensicReport`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Anomaly {
@@ -850,35 +643,32 @@ impl ForensicReport {
     }
 }
 
-#[derive(Debug, Default)]
-struct Forensics {
+/// Everything the recorder holds, behind its one mutex.
+#[derive(Debug)]
+struct Recorder {
+    /// The last `capacity` events, oldest first.
+    ring: VecDeque<ObsEvent>,
     /// Per-image `DeadlineFired` counts (bounded, oldest evicted).
     fired: VecDeque<(u64, u32)>,
     reports: VecDeque<ForensicReport>,
 }
 
-/// A lock-free ring of the last N events plus anomaly snapshots.
+/// A bounded ring of the last N events plus anomaly snapshots.
 ///
-/// The steady-state `emit` path is one `fetch_add` to claim a slot and
-/// eight relaxed atomic stores — no locks, no allocation, safe to leave
-/// attached on the hot path. Readers validate the slot's seqlock stamp
-/// and discard torn slots. Two writers lapping each other onto the
-/// *same* slot (a full ring wrap during one write) can in principle
-/// produce a torn-but-even-stamped slot; decode rejects unknown tags
-/// and a garbled forensic event is tolerable telemetry loss, never UB —
-/// every access is a plain atomic.
+/// `emit` takes one mutex, pushes the event and evicts the oldest past
+/// the capacity — no allocation after construction, and the same cost
+/// class as [`AttributionSink`], which already locks per event on the
+/// same path. The ring stores [`ObsEvent`]s as they are, so what
+/// [`FlightRecorderSink::events`] returns is exactly what was emitted,
+/// in the order the mutex admitted it.
 ///
-/// Anomalies (zero-fill, worker death, a `DeadlineFired` storm past
-/// [`FlightRecorderSink::storm_threshold`]) take the forensics mutex,
-/// snapshot the ring, and file a [`ForensicReport`] — a cold path by
-/// definition.
+/// Anomalies (zero-fill, worker death, a `DeadlineFired` storm reaching
+/// [`FlightRecorderSink::STORM_THRESHOLD`]) filter the ring under the
+/// same lock and file a [`ForensicReport`] — a cold path by definition.
 #[derive(Debug)]
 pub struct FlightRecorderSink {
-    slots: Box<[Slot]>,
-    head: AtomicU64,
-    storm_threshold: u32,
-    window: usize,
-    forensics: Mutex<Forensics>,
+    capacity: usize,
+    inner: Mutex<Recorder>,
 }
 
 impl Default for FlightRecorderSink {
@@ -888,14 +678,15 @@ impl Default for FlightRecorderSink {
 }
 
 impl FlightRecorderSink {
-    /// Default ring capacity (events). At ~64 B/slot this is ~72 KiB —
+    /// Default ring capacity (events). At ~56 B/event this is ~56 KiB —
     /// deep enough to hold several images' full event history on a 4×4
     /// grid.
     pub const DEFAULT_CAPACITY: usize = 1024;
-    /// Default `DeadlineFired`-per-image storm threshold.
-    pub const DEFAULT_STORM_THRESHOLD: u32 = 8;
-    /// Default cap on events embedded per [`ForensicReport`].
-    pub const DEFAULT_WINDOW: usize = 128;
+    /// `DeadlineFired` count for one image that files an
+    /// [`Anomaly::DeadlineStorm`] report.
+    pub const STORM_THRESHOLD: u32 = 8;
+    /// Cap on events embedded per [`ForensicReport`].
+    pub const WINDOW: usize = 128;
     /// Retained forensic reports (oldest evicted).
     const MAX_REPORTS: usize = 64;
     /// Tracked per-image deadline counters.
@@ -903,87 +694,30 @@ impl FlightRecorderSink {
 
     /// A recorder holding the last `capacity` events.
     pub fn new(capacity: usize) -> Self {
-        let n = capacity.max(1);
+        let capacity = capacity.max(1);
         FlightRecorderSink {
-            slots: (0..n)
-                .map(|_| Slot {
-                    seq: AtomicU64::new(0),
-                    words: std::array::from_fn(|_| AtomicU64::new(0)),
-                })
-                .collect(),
-            head: AtomicU64::new(0),
-            storm_threshold: Self::DEFAULT_STORM_THRESHOLD,
-            window: Self::DEFAULT_WINDOW,
-            forensics: Mutex::new(Forensics::default()),
+            capacity,
+            inner: Mutex::new(Recorder {
+                ring: VecDeque::with_capacity(capacity),
+                fired: VecDeque::new(),
+                reports: VecDeque::new(),
+            }),
         }
     }
 
-    /// Set the per-image `DeadlineFired` count that files a
-    /// [`Anomaly::DeadlineStorm`] report.
-    pub fn with_storm_threshold(mut self, threshold: u32) -> Self {
-        self.storm_threshold = threshold.max(1);
-        self
-    }
-
-    /// The configured storm threshold.
-    pub fn storm_threshold(&self) -> u32 {
-        self.storm_threshold
-    }
-
-    /// Write one event into the ring (the lock-free path).
-    fn record(&self, ev: &ObsEvent) {
-        let idx = (self.head.fetch_add(1, Ordering::Relaxed) % self.slots.len() as u64) as usize;
-        let slot = &self.slots[idx];
-        let s0 = slot.seq.fetch_add(1, Ordering::Acquire); // odd: writing
-        let w = encode(ev);
-        for (dst, src) in slot.words.iter().zip(w) {
-            dst.store(src, Ordering::Relaxed);
-        }
-        slot.seq.store(s0.wrapping_add(2), Ordering::Release); // even: done
-    }
-
-    fn read_slot(&self, idx: usize) -> Option<ObsEvent> {
-        let slot = &self.slots[idx];
-        for _ in 0..4 {
-            let s1 = slot.seq.load(Ordering::Acquire);
-            if s1 == 0 || s1 & 1 == 1 {
-                return None; // never written / mid-write
-            }
-            let mut w = [0u64; SLOT_WORDS];
-            for (dst, src) in w.iter_mut().zip(slot.words.iter()) {
-                *dst = src.load(Ordering::Relaxed);
-            }
-            fence(Ordering::Acquire);
-            if slot.seq.load(Ordering::Relaxed) == s1 {
-                return decode(&w);
-            }
-        }
-        None // persistently contended slot: treat as lost
-    }
-
-    /// The surviving ring contents, oldest first. Concurrent writers
-    /// may overwrite slots while this runs; torn slots are skipped.
+    /// The surviving ring contents, oldest first.
     pub fn events(&self) -> Vec<ObsEvent> {
-        let head = self.head.load(Ordering::Acquire);
-        let n = self.slots.len() as u64;
-        let (first, count) = if head <= n { (0, head) } else { (head - n, n) };
-        let mut out = Vec::with_capacity(count as usize);
-        for i in first..first + count {
-            if let Some(ev) = self.read_slot((i % n) as usize) {
-                out.push(ev);
-            }
-        }
-        out
+        self.inner.lock().expect("flight recorder poisoned").ring.iter().copied().collect()
     }
 
     /// All forensic reports filed so far, oldest first.
     pub fn reports(&self) -> Vec<ForensicReport> {
-        self.forensics.lock().expect("flight recorder poisoned").reports.iter().cloned().collect()
+        self.inner.lock().expect("flight recorder poisoned").reports.iter().cloned().collect()
     }
 
     /// The report for a specific zero-filled tile, if still retained.
     pub fn report_for_tile(&self, image: u64, tile: u32) -> Option<ForensicReport> {
-        self.forensics
+        self.inner
             .lock()
             .expect("flight recorder poisoned")
             .reports
@@ -992,19 +726,40 @@ impl FlightRecorderSink {
             .find(|r| r.image == image && r.tile == Some(tile))
             .cloned()
     }
+}
 
-    /// Snapshot the ring and file a report (the cold anomaly path).
+impl Recorder {
+    /// Count one `DeadlineFired` for `image`; true exactly when the count
+    /// reaches the storm threshold (so a storm files once per image).
+    fn storm_crossed(&mut self, image: u64) -> bool {
+        let count = match self.fired.iter_mut().find(|(i, _)| *i == image) {
+            Some((_, c)) => {
+                *c += 1;
+                *c
+            }
+            None => {
+                self.fired.push_back((image, 1));
+                if self.fired.len() > FlightRecorderSink::MAX_FIRED {
+                    self.fired.pop_front();
+                }
+                1
+            }
+        };
+        count == FlightRecorderSink::STORM_THRESHOLD
+    }
+
+    /// Filter the ring and file a report (the cold anomaly path).
     fn file_report(
-        &self,
+        &mut self,
         trigger: Anomaly,
         at: f64,
         image: u64,
         tile: Option<u32>,
         worker: Option<u32>,
     ) {
-        let ring = self.events();
-        let mut events: Vec<ObsEvent> = ring
-            .into_iter()
+        let mut events: Vec<ObsEvent> = self
+            .ring
+            .iter()
             .filter(|ev| match trigger {
                 // Tile-scoped: the image's events, narrowed to the tile
                 // where the event is tile-specific.
@@ -1016,9 +771,10 @@ impl FlightRecorderSink {
                 Anomaly::WorkerDead => ev.image() == image || ev.worker() == worker,
                 Anomaly::DeadlineStorm => ev.image() == image,
             })
+            .copied()
             .collect();
-        if events.len() > self.window {
-            events.drain(..events.len() - self.window);
+        if events.len() > FlightRecorderSink::WINDOW {
+            events.drain(..events.len() - FlightRecorderSink::WINDOW);
         }
         // The owning worker: for a zero-fill, the last dispatch target
         // of the tile still visible in the window.
@@ -1051,10 +807,8 @@ impl FlightRecorderSink {
         });
         let fired_in_window =
             events.iter().filter(|ev| matches!(ev, ObsEvent::DeadlineFired { .. })).count() as u32;
-        let mut forensics = self.forensics.lock().expect("flight recorder poisoned");
-        let fired_counted =
-            forensics.fired.iter().find(|(i, _)| *i == image).map_or(0, |(_, c)| *c);
-        forensics.reports.push_back(ForensicReport {
+        let fired_counted = self.fired.iter().find(|(i, _)| *i == image).map_or(0, |(_, c)| *c);
+        self.reports.push_back(ForensicReport {
             trigger,
             at,
             image,
@@ -1066,43 +820,28 @@ impl FlightRecorderSink {
             deadlines_fired: fired_in_window.max(fired_counted),
             events,
         });
-        if forensics.reports.len() > Self::MAX_REPORTS {
-            forensics.reports.pop_front();
+        if self.reports.len() > FlightRecorderSink::MAX_REPORTS {
+            self.reports.pop_front();
         }
     }
 }
 
 impl EventSink for FlightRecorderSink {
     fn emit(&self, ev: &ObsEvent) {
-        self.record(ev);
+        let mut inner = self.inner.lock().expect("flight recorder poisoned");
+        if inner.ring.len() == self.capacity {
+            inner.ring.pop_front();
+        }
+        inner.ring.push_back(*ev);
         match *ev {
             ObsEvent::TileZeroFill { at, image, tile } => {
-                self.file_report(Anomaly::ZeroFill, at, image, Some(tile), None);
+                inner.file_report(Anomaly::ZeroFill, at, image, Some(tile), None);
             }
             ObsEvent::WorkerDead { at, image, worker } => {
-                self.file_report(Anomaly::WorkerDead, at, image, None, Some(worker));
+                inner.file_report(Anomaly::WorkerDead, at, image, None, Some(worker));
             }
-            ObsEvent::DeadlineFired { at, image } => {
-                let crossed = {
-                    let mut forensics = self.forensics.lock().expect("flight recorder poisoned");
-                    let count = match forensics.fired.iter_mut().find(|(i, _)| *i == image) {
-                        Some((_, c)) => {
-                            *c += 1;
-                            *c
-                        }
-                        None => {
-                            forensics.fired.push_back((image, 1));
-                            if forensics.fired.len() > Self::MAX_FIRED {
-                                forensics.fired.pop_front();
-                            }
-                            1
-                        }
-                    };
-                    count == self.storm_threshold // fire once per image
-                };
-                if crossed {
-                    self.file_report(Anomaly::DeadlineStorm, at, image, None, None);
-                }
+            ObsEvent::DeadlineFired { at, image } if inner.storm_crossed(image) => {
+                inner.file_report(Anomaly::DeadlineStorm, at, image, None, None);
             }
             _ => {}
         }
@@ -1144,20 +883,15 @@ impl MetricsSnapshot {
     /// boundaries, `+Inf`, `_sum`, `_count`) per histogram, all under
     /// the `adcnn_` namespace, with `# HELP`/`# TYPE` headers.
     pub fn to_prometheus(&self) -> String {
-        self.to_prometheus_labeled(&[])
+        self.render_prometheus(&[], true)
     }
 
     /// [`MetricsSnapshot::to_prometheus`] with every series carrying the
     /// given labels (values are escaped), e.g.
-    /// `adcnn_images_finished_total{tenant="vgg16"} 100`.
-    pub fn to_prometheus_labeled(&self, labels: &[(&str, &str)]) -> String {
-        self.render_prometheus(labels, true)
-    }
-
-    /// Labeled rendering with optional `# HELP`/`# TYPE` headers. The
-    /// exposition format wants headers once per metric name, so a
-    /// registry of shards renders its first shard with headers and the
-    /// labeled shards without.
+    /// `adcnn_images_finished_total{tenant="vgg16"} 100`, and optional
+    /// `# HELP`/`# TYPE` headers. The exposition format wants headers
+    /// once per metric name, so a registry of shards renders its first
+    /// shard with headers and the labeled shards without.
     pub fn render_prometheus(&self, labels: &[(&str, &str)], headers: bool) -> String {
         let mut out = String::with_capacity(4096);
         let pairs = prometheus_label_pairs(labels);
@@ -1505,69 +1239,6 @@ mod tests {
     }
 
     #[test]
-    fn recorder_encode_decode_roundtrips_every_variant() {
-        let evs = [
-            ObsEvent::ImageStart { at: 0.5, image: 1, tiles: 16, placed: 12 },
-            ObsEvent::ImageFinish {
-                at: 1.5,
-                image: 1,
-                latency: 1.0,
-                zero_filled: 4,
-                redispatched: 2,
-            },
-            ObsEvent::TileDispatch { at: 0.5, image: 1, tile: 3, worker: 2 },
-            ObsEvent::TileRedispatch { at: 0.7, image: 1, tile: 3, worker: 0, round: 2 },
-            ObsEvent::TileArrival { at: 0.9, image: 1, tile: 3, worker: 0 },
-            ObsEvent::TileDuplicate { at: 0.91, image: 1, tile: 3, worker: 2 },
-            ObsEvent::TileLate { at: 1.6, image: 1, tile: 5, worker: 2 },
-            ObsEvent::TileCorrupt { at: 0.8, image: 1, tile: 4, worker: 1 },
-            ObsEvent::TileZeroFill { at: 1.5, image: 1, tile: 5 },
-            ObsEvent::DeadlineArmed { at: 0.5, image: 1, span: 0.125 },
-            ObsEvent::DeadlineFired { at: 0.625, image: 1 },
-            ObsEvent::WorkerDead { at: 0.6, image: 1, worker: 2 },
-            ObsEvent::WorkerSuspect { at: 0.62, image: 1, worker: 3 },
-            ObsEvent::WorkerCleared { at: 0.64, image: 1, worker: 3 },
-            ObsEvent::RateUpdate { at: 1.5, image: 1, worker: 0, rate: 3.25 },
-            ObsEvent::TileCompute { at: 0.8, image: 1, tile: 3, worker: 0, dur: 0.25 },
-            ObsEvent::TileCompress {
-                at: 0.85,
-                image: 1,
-                tile: 3,
-                worker: 0,
-                dur: 0.05,
-                bytes: 777,
-                ratio: 0.125,
-            },
-            ObsEvent::TileTransfer { at: 0.9, image: 1, tile: 3, worker: 0, dur: 0.05 },
-            ObsEvent::ImageAdmitted { at: 0.4, image: 1, queue_wait: 0.025, inflight: 4 },
-            ObsEvent::ImageRetired { at: 1.5, image: 1, inflight: 3 },
-            ObsEvent::NodeUp { at: 2.0, node: 7 },
-            ObsEvent::NodeDown { at: 2.5, node: 7 },
-            ObsEvent::PlacementDecided {
-                at: 2.5,
-                cause: 2,
-                node: 7,
-                tenants: 2,
-                live_nodes: 5,
-                seq: 3,
-            },
-            ObsEvent::TenantAdmit { at: 0.4, image: 1, tenant: 1, queue_wait: 0.025 },
-            ObsEvent::TenantFinish {
-                at: 1.5,
-                image: 1,
-                tenant: 1,
-                latency: 1.1,
-                zero_filled: 4,
-                tiles: 16,
-            },
-        ];
-        for ev in evs {
-            assert_eq!(decode(&encode(&ev)), Some(ev));
-        }
-        assert_eq!(decode(&[99, 0, 0, 0, 0, 0, 0]), None);
-    }
-
-    #[test]
     fn recorder_ring_keeps_last_n_in_order() {
         let r = FlightRecorderSink::new(8);
         for i in 0..20u64 {
@@ -1615,10 +1286,10 @@ mod tests {
 
     #[test]
     fn worker_death_and_deadline_storm_file_reports() {
-        let r = Arc::new(FlightRecorderSink::new(128).with_storm_threshold(3));
+        let r = Arc::new(FlightRecorderSink::new(128));
         let h = SinkHandle::new(r.clone());
         h.emit_with(|| ObsEvent::WorkerDead { at: 0.5, image: 7, worker: 4 });
-        for i in 0..5 {
+        for i in 0..10 {
             h.emit_with(|| ObsEvent::DeadlineFired { at: 0.6 + 0.1 * i as f64, image: 7 });
         }
         let reports = r.reports();
@@ -1626,7 +1297,62 @@ mod tests {
         assert_eq!(reports[0].trigger, Anomaly::WorkerDead);
         assert_eq!(reports[0].worker, Some(4));
         assert_eq!(reports[1].trigger, Anomaly::DeadlineStorm);
-        assert_eq!(reports[1].deadlines_fired, 3);
+        assert_eq!(reports[1].deadlines_fired, FlightRecorderSink::STORM_THRESHOLD);
+    }
+
+    /// Four emitters race into a ring far smaller than what they emit.
+    /// Whatever order the mutex admits, the ring must hold whole events
+    /// only, each thread's survivors must be the tail of what it emitted
+    /// in order, and a forensic report filed afterwards must read the
+    /// owner out of that same ring.
+    #[test]
+    fn recorder_keeps_whole_events_in_order_under_concurrent_emitters() {
+        const THREADS: u32 = 4;
+        const PER_THREAD: u32 = 10_000;
+        const CAP: usize = 256;
+        let emitted = |t: u32, i: u32| ObsEvent::TileDispatch {
+            at: f64::from(i),
+            image: 7,
+            tile: t,
+            worker: 10 + t,
+        };
+        let r = FlightRecorderSink::new(CAP);
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (r, start) = (&r, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..PER_THREAD {
+                        r.emit(&emitted(t, i));
+                    }
+                });
+            }
+        });
+        // Zero-fill the tile of whichever thread emitted last, so its
+        // dispatches are certainly still in the ring.
+        let last_tile = r.events().last().and_then(|e| e.tile()).expect("ring is full");
+        r.emit(&ObsEvent::TileZeroFill { at: f64::from(PER_THREAD), image: 7, tile: last_tile });
+
+        let evs = r.events();
+        assert_eq!(evs.len(), CAP);
+        let (zero_fill, dispatches) = evs.split_last().expect("ring is full");
+        assert!(matches!(zero_fill, ObsEvent::TileZeroFill { tile, .. } if *tile == last_tile));
+        let mut next: [Option<u32>; THREADS as usize] = [None; THREADS as usize];
+        for ev in dispatches {
+            let (t, i) = (ev.tile().expect("dispatch"), ev.at() as u32);
+            assert_eq!(*ev, emitted(t, i), "retained event was never emitted");
+            let expect = next[t as usize].get_or_insert(i);
+            assert_eq!(i, *expect, "thread {t} out of emission order");
+            *expect += 1;
+        }
+        for (t, n) in next.iter().enumerate() {
+            assert!(n.is_none_or(|n| n == PER_THREAD), "thread {t} survivors are not its tail");
+        }
+
+        let rep = r.report_for_tile(7, last_tile).expect("zero-fill filed a report");
+        assert_eq!(rep.worker, Some(10 + last_tile));
+        assert!(rep.events.iter().all(|e| e.tile() == Some(last_tile)));
     }
 
     #[test]
@@ -1787,7 +1513,7 @@ mod tests {
             redispatched: 0,
         });
         let labels = [("tenant", "a\"b\\c\nd"), ("node", "3")];
-        let text = m.snapshot().to_prometheus_labeled(&labels);
+        let text = m.snapshot().render_prometheus(&labels, true);
         // backslash, quote, and newline are escaped in the value
         assert!(
             text.contains("adcnn_images_finished_total{tenant=\"a\\\"b\\\\c\\nd\",node=\"3\"} 1\n"),

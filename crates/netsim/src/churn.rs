@@ -57,7 +57,7 @@ impl ChurnPlan {
 
     /// Layer a diurnal speed curve: capacity swings between full speed at
     /// the peak and `trough` (in `(0, 1]`) at the valley over `period_s`,
-    /// as a raised cosine sampled at [`DIURNAL_STEPS`] points per period.
+    /// as a raised cosine sampled at `DIURNAL_STEPS` points per period.
     /// Each node gets a seeded random phase so the fleet's valleys do not
     /// all align (no thundering-herd artifact).
     pub fn diurnal(mut self, period_s: f64, trough: f64) -> Self {

@@ -1,8 +1,8 @@
 //! The ADCNN cluster simulation: one Central node, K Conv nodes, a shared
 //! half-duplex wireless channel (§6, Figures 8–9).
 //!
-//! The simulation reuses the real scheduler ([`StatsCollector`],
-//! [`TileAllocator`] from `adcnn-core`) and the calibrated cost model
+//! The simulation reuses the real scheduler (`StatsCollector`,
+//! `TileAllocator` from `adcnn-core`) and the calibrated cost model
 //! (`adcnn-nn::cost`), and reproduces the §6.1 workflow:
 //!
 //! 1. the Central node partitions each input into `grid` tiles and

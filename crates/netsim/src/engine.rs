@@ -221,55 +221,6 @@ impl SpeedSchedule {
         m
     }
 
-    /// Mean multiplier over `[from, to)` — the piecewise-constant
-    /// integral divided by the span. This is the *expected capacity* a
-    /// placement policy sees: diurnal valleys and dead periods both
-    /// discount it. Returns the instantaneous multiplier when the span is
-    /// empty or inverted.
-    pub fn mean_multiplier(&self, from: f64, to: f64) -> f64 {
-        if to <= from {
-            return self.multiplier_at(from);
-        }
-        let mut integral = 0.0;
-        let mut t = from;
-        let mut boundaries: Vec<f64> =
-            self.points.iter().map(|&(b, _)| b).filter(|&b| b > from && b < to).collect();
-        boundaries.push(to);
-        for b in boundaries {
-            integral += self.multiplier_at(t) * (b - t);
-            t = b;
-        }
-        integral / (to - from)
-    }
-
-    /// Fraction of `[from, to)` the node is alive (multiplier > 0) — the
-    /// availability a churn-anticipating placement policy reserves
-    /// headroom against. Returns 0/1 liveness at `from` when the span is
-    /// empty or inverted.
-    pub fn alive_fraction(&self, from: f64, to: f64) -> f64 {
-        if to <= from {
-            return if self.is_dead_at(from) { 0.0 } else { 1.0 };
-        }
-        let mut alive = 0.0;
-        let mut t = from;
-        let mut boundaries: Vec<f64> =
-            self.points.iter().map(|&(b, _)| b).filter(|&b| b > from && b < to).collect();
-        boundaries.push(to);
-        for b in boundaries {
-            if !self.is_dead_at(t) {
-                alive += b - t;
-            }
-            t = b;
-        }
-        alive / (to - from)
-    }
-
-    /// The last change-point time, if the schedule has any — the natural
-    /// horizon hint for capacity averaging.
-    pub fn last_change_time(&self) -> Option<f64> {
-        self.points.last().map(|&(t, _)| t)
-    }
-
     /// Finish time for `work` seconds of full-speed execution starting at
     /// `start`, honoring the multiplier schedule. Returns `f64::INFINITY`
     /// if the schedule drops to 0 before the work completes.

@@ -44,11 +44,11 @@ use crate::profiles::LinkParams;
 use crate::tenancy::{FairScheduler, TenantSpec};
 use adcnn_core::compress::wire_bits_estimate;
 use adcnn_core::config::ConfigError;
-use adcnn_core::fleetobs::{LiveStatsSnapshot, LiveStatsView, SloReport, SloTracker};
+use adcnn_core::fleetobs::{SloReport, SloTracker};
 use adcnn_core::lifecycle::{Action, Event, TileLifecycle, TimerPolicy};
 use adcnn_core::obs::{
-    EventSink, Histogram, HistogramSnapshot, ObsEvent, SinkHandle, PLACEMENT_INITIAL,
-    PLACEMENT_JOIN, PLACEMENT_LEAVE,
+    Histogram, HistogramSnapshot, ObsEvent, SinkHandle, PLACEMENT_INITIAL, PLACEMENT_JOIN,
+    PLACEMENT_LEAVE,
 };
 use adcnn_core::sched::{StatsCollector, TileAllocator};
 use adcnn_core::wire::HEADER_BITS;
@@ -334,9 +334,6 @@ pub struct FleetSummary {
     /// Every placement decision the run applied — inputs, cause, and
     /// chosen sets. Entry 0 is always [`FleetSummary::placement`].
     pub audit: PlacementAudit,
-    /// The live-stats bus at end of run: per-node EWMA rates, up/down
-    /// transition counts, and availability over the simulated horizon.
-    pub live_stats: LiveStatsSnapshot,
 }
 
 impl FleetSummary {
@@ -604,15 +601,7 @@ impl FleetSim {
         let cfg = &self.cfg;
         let k = cfg.nodes.len();
 
-        // --- fleet-scope observability ---------------------------------
-        // The live-stats bus folds the lifecycle stream's RateUpdates and
-        // the fleet stream's NodeUp/NodeDown into per-node snapshots.
-        // Both effective sinks tee into it; the user-installed sinks see
-        // their original event sequences unchanged (a tee delivers to the
-        // original sink first), so the golden traces stay byte-identical.
-        let live_view = Arc::new(LiveStatsView::new(k));
-        let sink = cfg.sink.tee(live_view.clone() as Arc<dyn EventSink>);
-        let fsink = cfg.fleet_sink.tee(live_view.clone() as Arc<dyn EventSink>);
+        let (sink, fsink) = (&cfg.sink, &cfg.fleet_sink);
         let mut slo_trackers: Vec<Option<SloTracker>> =
             cfg.tenants.iter().map(|t| t.slo.map(SloTracker::new)).collect();
 
@@ -636,7 +625,6 @@ impl FleetSim {
         // and the re-placement — that identity fast path is what keeps
         // the baseline byte-identical to the pre-placement engine.
         let placement_all = cfg.placement.places_all();
-        let initial_snap = live_view.snapshot(0.0);
         let mut placement_decision =
             cfg.placement.place(&PlacementInput::from_fleet(cfg, 0.0, &[]));
         let mut replacements: u64 = 0;
@@ -657,7 +645,6 @@ impl FleetSim {
             cause: PlacementCause::Initial,
             dead_nodes: Vec::new(),
             live_nodes: k,
-            observed_rates: initial_snap.nodes.iter().map(|n| n.rate).collect(),
             decision: placement_decision.clone(),
         });
         fsink.emit_with(|| ObsEvent::PlacementDecided {
@@ -814,7 +801,6 @@ impl FleetSim {
                     // the roster — no new events, no changed state, so
                     // the baseline trace stays byte-identical.
                     if roster_changed && !placement_all {
-                        let snap = live_view.snapshot(now);
                         placement_decision =
                             cfg.placement.place(&PlacementInput::from_fleet(cfg, now, &dead_list));
                         for (t, a) in placement_decision.assignments.iter().enumerate() {
@@ -833,7 +819,6 @@ impl FleetSim {
                             cause,
                             dead_nodes: dead_list.clone(),
                             live_nodes: k - dead_list.len(),
-                            observed_rates: snap.nodes.iter().map(|n| n.rate).collect(),
                             decision: placement_decision.clone(),
                         });
                         fsink.emit_with(|| ObsEvent::PlacementDecided {
@@ -1276,7 +1261,7 @@ impl FleetSim {
                         tiles: alloc_tiles,
                     });
                     if let Some(slo) = &mut slo_trackers[tenant] {
-                        slo.record(now, stats.latency_s, stats.dropped, alloc_tiles);
+                        slo.record(stats.latency_s, stats.dropped, alloc_tiles);
                     }
                     if retained.len() < cfg.retain_images {
                         retained.push((tenant, stats));
@@ -1319,7 +1304,7 @@ impl FleetSim {
                     redispatched_tiles: tr.redispatched,
                     duplicate_tiles: tr.duplicate,
                     last_done_s: tr.last_done,
-                    slo: slo_trackers[t].as_ref().map(|s| s.report(&spec.name, sim_end)),
+                    slo: slo_trackers[t].as_ref().map(|s| s.report(&spec.name)),
                 })
                 .collect(),
             completed: completed_total,
@@ -1335,7 +1320,6 @@ impl FleetSim {
             placement: initial_placement,
             replacements,
             audit,
-            live_stats: live_view.snapshot(sim_end),
         }
     }
 

@@ -30,8 +30,8 @@
 //!   Neurosurgeon and AOFL (Figures 11, 14).
 //! - [`power`] — the energy/memory model behind Figure 13's right panel.
 //! - [`placement`] — tenant-to-node placement policies over the fleet
-//!   (all-nodes baseline, greedy throughput bin-packing, churn-aware),
-//!   with a cost oracle built on the shared-channel saturation model.
+//!   (all-nodes baseline, greedy throughput bin-packing, pinned), with
+//!   a cost oracle built on the shared-channel saturation model.
 //! - [`planner`] — a deployment planner that jointly picks the partition
 //!   grid and split depth under an operator accuracy floor (the paper's
 //!   §7.2 closing suggestion, as an API).
@@ -49,9 +49,7 @@ pub mod schemes;
 pub mod tenancy;
 
 pub use adcnn_core::config::ConfigError;
-pub use adcnn_core::fleetobs::{
-    FleetReporter, LabeledMetricsRegistry, LiveStatsSnapshot, LiveStatsView, SloReport, SloSpec,
-};
+pub use adcnn_core::fleetobs::{FleetReporter, LabeledMetricsRegistry, SloReport, SloSpec};
 pub use adcnn_core::obs::SinkHandle;
 pub use adcnn_core::report::{AttributionSink, FlightRecorderSink, ImageReport};
 pub use arrivals::{ArrivalGen, ArrivalSpec};
@@ -62,9 +60,9 @@ pub use cluster::{
 };
 pub use fleet::{FleetConfig, FleetConfigBuilder, FleetSim, FleetSummary, TenantSummary};
 pub use placement::{
-    AllNodesPlacement, ChurnAwarePlacement, CostOracle, GreedyPlacement, PinnedPlacement,
-    PlacementAudit, PlacementAuditEntry, PlacementCause, PlacementDecision, PlacementInput,
-    PlacementPolicy, TenantAssignment,
+    AllNodesPlacement, CostOracle, GreedyPlacement, PinnedPlacement, PlacementAudit,
+    PlacementAuditEntry, PlacementCause, PlacementDecision, PlacementInput, PlacementPolicy,
+    TenantAssignment,
 };
 pub use planner::{plan_deployment, plan_placement, Candidate, Plan};
 pub use profiles::LinkParams;

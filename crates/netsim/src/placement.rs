@@ -15,7 +15,7 @@
 //!   [`SpeedSchedule`](crate::ThrottleSchedule) capacity and the shared
 //!   channel's saturation model (the `Σ rate·occupancy ≤ 1` budget the
 //!   bench observed empirically as the ~16.5 req/s knee);
-//! - the *mechanism* — masking admission, [`TileAllocator`]
+//! - the *mechanism* — masking admission, `TileAllocator`
 //!   (`adcnn_core::sched::TileAllocator`) inputs, and re-dispatch
 //!   candidates to the placed set, and re-placing on join/leave churn —
 //!   lives in the fleet driver (`fleet.rs`), which re-runs the policy
@@ -134,9 +134,6 @@ pub struct PlacementAuditEntry {
     pub dead_nodes: Vec<usize>,
     /// Live-roster size the policy saw.
     pub live_nodes: usize,
-    /// Observed per-node EWMA rates at decision time (`None` before the
-    /// first `RateUpdate` for a node), from the live-stats bus.
-    pub observed_rates: Vec<Option<f64>>,
     /// What the policy chose.
     pub decision: PlacementDecision,
 }
@@ -167,13 +164,6 @@ impl PlacementAudit {
                     };
                     o.raw("dead_nodes", json::array(e.dead_nodes.iter().map(|n| n.to_string())))
                         .u64("live_nodes", e.live_nodes as u64)
-                        .raw(
-                            "observed_rates",
-                            json::array(e.observed_rates.iter().map(|r| match r {
-                                Some(v) => json::num(*v),
-                                None => "null".to_string(),
-                            })),
-                        )
                         .raw("decision", e.decision.to_json())
                         .finish()
                 })),
@@ -183,17 +173,14 @@ impl PlacementAudit {
 }
 
 /// Everything a policy may consult, precomputed from a [`FleetConfig`]
-/// and the driver's current dead-set. Per-node capacities come from the
+/// and the driver's current dead-set. Per-node capacities are the
 /// composed [`SpeedSchedule`](crate::ThrottleSchedule)s (churn plans
-/// included), per-tenant costs from the same calibrated cost model the
-/// driver itself runs on.
+/// included) read at the decision time, per-tenant costs come from the
+/// same calibrated cost model the driver itself runs on.
 #[derive(Clone, Debug)]
 pub struct PlacementInput {
     /// Virtual time the decision is being made at.
     pub now: f64,
-    /// Capacity-averaging horizon: the last schedule change point across
-    /// the roster (≥ 1 s), i.e. the span churn is known over.
-    pub horizon_s: f64,
     /// Per-node views, index-aligned with the fleet roster.
     pub nodes: Vec<NodeView>,
     /// Per-tenant views, in tenant config order.
@@ -207,11 +194,6 @@ pub struct NodeView {
     pub live: bool,
     /// Speed multiplier in effect at `now` (0 while dead).
     pub multiplier_now: f64,
-    /// Mean multiplier over `[now, horizon]` — dead periods and diurnal
-    /// valleys both discount it.
-    pub mean_capacity: f64,
-    /// Fraction of `[now, horizon]` the node is alive.
-    pub availability: f64,
 }
 
 /// One tenant's demand and cost surface as a placement policy sees it.
@@ -240,12 +222,6 @@ impl PlacementInput {
     /// Build the input the driver hands to its policy: `dead` is the
     /// current dead-set (sorted node indices), `now` the decision time.
     pub fn from_fleet(cfg: &FleetConfig, now: f64, dead: &[usize]) -> Self {
-        let horizon_s = cfg
-            .nodes
-            .iter()
-            .filter_map(|n| n.throttle.last_change_time())
-            .fold(1.0f64, f64::max)
-            .max(now);
         let nodes = cfg
             .nodes
             .iter()
@@ -253,8 +229,6 @@ impl PlacementInput {
             .map(|(i, n)| NodeView {
                 live: dead.binary_search(&i).is_err(),
                 multiplier_now: n.throttle.multiplier_at(now),
-                mean_capacity: n.throttle.mean_multiplier(now, horizon_s),
-                availability: n.throttle.alive_fraction(now, horizon_s),
             })
             .collect();
         let tenants = cfg
@@ -299,7 +273,7 @@ impl PlacementInput {
                 }
             })
             .collect();
-        PlacementInput { now, horizon_s, nodes, tenants }
+        PlacementInput { now, nodes, tenants }
     }
 }
 
@@ -308,33 +282,18 @@ impl PlacementInput {
 /// allocation) combined with the shared channel's saturation budget.
 pub struct CostOracle<'a> {
     input: &'a PlacementInput,
-    /// Per-node capacity multiplier the oracle prices with (policies
-    /// choose instantaneous vs horizon-mean).
+    /// Per-node capacity multiplier the oracle prices with.
     capacity: Vec<f64>,
 }
 
 impl<'a> CostOracle<'a> {
-    /// An oracle pricing nodes at the given capacity multipliers
-    /// (index-aligned with the roster; 0 disables a node).
-    pub fn new(input: &'a PlacementInput, capacity: Vec<f64>) -> Self {
-        assert_eq!(capacity.len(), input.nodes.len());
-        CostOracle { input, capacity }
-    }
-
     /// Oracle pricing nodes at their *instantaneous* multiplier (dead
-    /// nodes are worthless): the myopic view the greedy policy uses.
+    /// nodes are worthless) — myopic, which is why the driver re-runs
+    /// placement on every join/leave event.
     pub fn instantaneous(input: &'a PlacementInput) -> Self {
         let capacity =
             input.nodes.iter().map(|n| if n.live { n.multiplier_now } else { 0.0 }).collect();
-        Self::new(input, capacity)
-    }
-
-    /// Oracle pricing nodes at their horizon-mean multiplier — churn
-    /// and diurnal valleys discount a node before they happen. The
-    /// churn-anticipating policy's view.
-    pub fn horizon_mean(input: &'a PlacementInput) -> Self {
-        let capacity = input.nodes.iter().map(|n| n.mean_capacity).collect();
-        Self::new(input, capacity)
+        CostOracle { input, capacity }
     }
 
     /// Compute-bound steady-state throughput of `tenant` on `nodes`,
@@ -482,113 +441,17 @@ impl PlacementPolicy for AllNodesPlacement {
 /// rather run `⌈d/m⌉` tiles per healthy node than spread onto it.
 const FLOOR_QUALITY_CUTOFF: f64 = 0.25;
 
-/// Shared greedy bin-packing skeleton: tenants in descending channel
-/// demand, each picking nodes best-score-first (preferring nodes no
-/// earlier tenant took) until the cost oracle says the target rate —
-/// inflated by `headroom` — is met AND the set is no smaller than the
-/// tenant's tile count (when enough comparable-quality nodes exist):
-/// an integer allocation puts `⌈d/m⌉` tiles on some node, so a set
-/// smaller than `d` serializes tile compute even at a met throughput
-/// target.
-fn greedy_place(
-    policy_name: &'static str,
-    input: &PlacementInput,
-    oracle: &CostOracle<'_>,
-    headroom: f64,
-    rank: impl Fn(usize, usize) -> f64,
-) -> PlacementDecision {
-    let k = input.nodes.len();
-    let nt = input.tenants.len();
-    // Heaviest channel demand first: the saturating resource is shared,
-    // so the tenant that loads it most chooses first.
-    let mut order: Vec<usize> = (0..nt).collect();
-    order.sort_by(|&a, &b| {
-        let da = oracle.target_rate(a) * input.tenants[a].channel_s_per_request;
-        let db = oracle.target_rate(b) * input.tenants[b].channel_s_per_request;
-        db.total_cmp(&da).then(a.cmp(&b))
-    });
-    let mut used = vec![0u32; k];
-    let mut nodes_per_tenant: Vec<Vec<usize>> = vec![Vec::new(); nt];
-    for &t in &order {
-        let target = oracle.target_rate(t) * (1.0 + headroom);
-        // Rank candidates: unused before shared, then the policy's node
-        // ranking, then index — fully deterministic.
-        let mut cand: Vec<usize> = (0..k).collect();
-        cand.sort_by(|&a, &b| {
-            (used[a] > 0)
-                .cmp(&(used[b] > 0))
-                .then(rank(t, b).total_cmp(&rank(t, a)))
-                .then(a.cmp(&b))
-        });
-        // One-node-per-tile latency floor, counting only candidates of
-        // comparable quality.
-        let best_rank = cand.iter().map(|&n| rank(t, n)).fold(0.0_f64, f64::max);
-        let floor = cand
-            .iter()
-            .filter(|&&n| rank(t, n) > best_rank * FLOOR_QUALITY_CUTOFF)
-            .count()
-            .min(input.tenants[t].tiles);
-        let mut picked: Vec<usize> = Vec::new();
-        let mut rate = 0.0;
-        for &n in &cand {
-            if rank(t, n) <= 0.0 {
-                continue;
-            }
-            if picked.len() < floor {
-                picked.push(n);
-                rate = oracle.compute_rate(t, &picked);
-                continue;
-            }
-            if rate >= target {
-                break;
-            }
-            picked.push(n);
-            let new_rate = oracle.compute_rate(t, &picked);
-            if new_rate <= rate && rate > 0.0 {
-                // The waterfill rejected this node (its weight-load
-                // alone exceeds the per-image waterline) — candidates
-                // are rank-sorted, so nothing later helps either.
-                picked.pop();
-                break;
-            }
-            rate = new_rate;
-        }
-        if picked.is_empty() {
-            // Nothing usable (e.g. every node dead right now): fall back
-            // to the full roster rather than wedging the tenant.
-            picked = (0..k).collect();
-        }
-        picked.sort_unstable();
-        for &n in &picked {
-            used[n] += 1;
-        }
-        nodes_per_tenant[t] = picked;
-    }
-    let compute: Vec<f64> = (0..nt).map(|t| oracle.compute_rate(t, &nodes_per_tenant[t])).collect();
-    let predicted = oracle.saturate(&compute);
-    PlacementDecision {
-        policy: policy_name.to_string(),
-        assignments: input
-            .tenants
-            .iter()
-            .zip(nodes_per_tenant)
-            .zip(predicted)
-            .map(|((tv, nodes), rps)| TenantAssignment {
-                tenant: tv.name.clone(),
-                nodes,
-                predicted_rps: rps,
-            })
-            .collect(),
-    }
-}
-
 /// Greedy throughput-maximizing bin-packer: prices nodes at their
-/// *current* multiplier, packs each tenant onto the fewest
-/// best-throughput nodes that meet its target rate (offered load, or
-/// its fair share of the channel knee) without dropping below one node
-/// per tile, preferring nodes no other tenant took so one node's churn
-/// hits one tenant. Myopic by design — the driver re-runs it on every
-/// join/leave event.
+/// *current* multiplier and takes tenants in descending channel demand,
+/// each picking nodes best-score-first (preferring nodes no earlier
+/// tenant took, so one node's churn hits one tenant) until the cost
+/// oracle says the target rate — offered load, or the tenant's fair
+/// share of the channel knee, inflated by `headroom` — is met AND the
+/// set is no smaller than the tenant's tile count (when enough
+/// comparable-quality nodes exist): an integer allocation puts `⌈d/m⌉`
+/// tiles on some node, so a set smaller than `d` serializes tile
+/// compute even at a met throughput target. Myopic by design — the
+/// driver re-runs it on every join/leave event.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GreedyPlacement {
     /// Extra fractional capacity packed beyond the target rate.
@@ -618,50 +481,90 @@ impl PlacementPolicy for GreedyPlacement {
 
     fn place(&self, input: &PlacementInput) -> PlacementDecision {
         let oracle = CostOracle::instantaneous(input);
-        greedy_place(self.name(), input, &oracle, self.headroom.max(0.0), |t, n| {
-            oracle.node_score(t, n)
-        })
-    }
-}
-
-/// Churn-anticipating greedy placement: prices nodes at their
-/// horizon-*mean* capacity (a node that will spend half the run dead or
-/// in a diurnal valley is worth half), ranks by availability-discounted
-/// score, and reserves extra headroom so the placed set still meets the
-/// target after the churn the [`ChurnPlan`](crate::ChurnPlan) already
-/// scheduled takes its bite.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ChurnAwarePlacement {
-    /// Extra fractional capacity reserved against scheduled churn.
-    pub headroom: f64,
-}
-
-impl Default for ChurnAwarePlacement {
-    fn default() -> Self {
-        ChurnAwarePlacement { headroom: 0.35 }
-    }
-}
-
-impl ChurnAwarePlacement {
-    /// Validated constructor: `headroom` must be finite and nonnegative.
-    pub fn with_headroom(headroom: f64) -> Result<Self, ConfigError> {
-        if !headroom.is_finite() || headroom < 0.0 {
-            return Err(ConfigError::NegativePlacementHeadroom(headroom));
+        let k = input.nodes.len();
+        let nt = input.tenants.len();
+        // Heaviest channel demand first: the saturating resource is shared,
+        // so the tenant that loads it most chooses first.
+        let mut order: Vec<usize> = (0..nt).collect();
+        order.sort_by(|&a, &b| {
+            let da = oracle.target_rate(a) * input.tenants[a].channel_s_per_request;
+            let db = oracle.target_rate(b) * input.tenants[b].channel_s_per_request;
+            db.total_cmp(&da).then(a.cmp(&b))
+        });
+        let mut used = vec![0u32; k];
+        let mut nodes_per_tenant: Vec<Vec<usize>> = vec![Vec::new(); nt];
+        for &t in &order {
+            let target = oracle.target_rate(t) * (1.0 + self.headroom.max(0.0));
+            // Rank candidates: unused before shared, then the oracle's node
+            // score, then index — fully deterministic.
+            let mut cand: Vec<usize> = (0..k).collect();
+            cand.sort_by(|&a, &b| {
+                (used[a] > 0)
+                    .cmp(&(used[b] > 0))
+                    .then(oracle.node_score(t, b).total_cmp(&oracle.node_score(t, a)))
+                    .then(a.cmp(&b))
+            });
+            // One-node-per-tile latency floor, counting only candidates of
+            // comparable quality.
+            let best_rank = cand.iter().map(|&n| oracle.node_score(t, n)).fold(0.0_f64, f64::max);
+            let floor = cand
+                .iter()
+                .filter(|&&n| oracle.node_score(t, n) > best_rank * FLOOR_QUALITY_CUTOFF)
+                .count()
+                .min(input.tenants[t].tiles);
+            let mut picked: Vec<usize> = Vec::new();
+            let mut rate = 0.0;
+            for &n in &cand {
+                if oracle.node_score(t, n) <= 0.0 {
+                    continue;
+                }
+                if picked.len() < floor {
+                    picked.push(n);
+                    rate = oracle.compute_rate(t, &picked);
+                    continue;
+                }
+                if rate >= target {
+                    break;
+                }
+                picked.push(n);
+                let new_rate = oracle.compute_rate(t, &picked);
+                if new_rate <= rate && rate > 0.0 {
+                    // The waterfill rejected this node (its weight-load
+                    // alone exceeds the per-image waterline) — candidates
+                    // are rank-sorted, so nothing later helps either.
+                    picked.pop();
+                    break;
+                }
+                rate = new_rate;
+            }
+            if picked.is_empty() {
+                // Nothing usable (e.g. every node dead right now): fall back
+                // to the full roster rather than wedging the tenant.
+                picked = (0..k).collect();
+            }
+            picked.sort_unstable();
+            for &n in &picked {
+                used[n] += 1;
+            }
+            nodes_per_tenant[t] = picked;
         }
-        Ok(ChurnAwarePlacement { headroom })
-    }
-}
-
-impl PlacementPolicy for ChurnAwarePlacement {
-    fn name(&self) -> &'static str {
-        "churn_aware"
-    }
-
-    fn place(&self, input: &PlacementInput) -> PlacementDecision {
-        let oracle = CostOracle::horizon_mean(input);
-        greedy_place(self.name(), input, &oracle, self.headroom.max(0.0), |t, n| {
-            input.nodes[n].availability * oracle.node_score(t, n)
-        })
+        let compute: Vec<f64> =
+            (0..nt).map(|t| oracle.compute_rate(t, &nodes_per_tenant[t])).collect();
+        let predicted = oracle.saturate(&compute);
+        PlacementDecision {
+            policy: self.name().to_string(),
+            assignments: input
+                .tenants
+                .iter()
+                .zip(nodes_per_tenant)
+                .zip(predicted)
+                .map(|((tv, nodes), rps)| TenantAssignment {
+                    tenant: tv.name.clone(),
+                    nodes,
+                    predicted_rps: rps,
+                })
+                .collect(),
+        }
     }
 }
 
@@ -737,7 +640,7 @@ impl PlacementPolicy for PinnedPlacement {
 mod tests {
     use super::*;
     use crate::arrivals::ArrivalSpec;
-    use crate::cluster::{SimNode, ThrottleSchedule};
+    use crate::cluster::SimNode;
     use crate::tenancy::TenantSpec;
     use adcnn_nn::zoo;
 
@@ -807,38 +710,6 @@ mod tests {
     }
 
     #[test]
-    fn churn_aware_avoids_low_availability_nodes() {
-        let k = 8;
-        let mut nodes: Vec<SimNode> = (0..k).map(|_| SimNode::pi()).collect();
-        // Nodes 0..4 will spend 90% of the horizon dead.
-        for node in nodes.iter_mut().take(4) {
-            node.throttle = ThrottleSchedule::from_points(vec![(10.0, 0.0), (910.0, 1.0)]);
-        }
-        nodes[7].throttle = ThrottleSchedule::from_points(vec![(1000.0, 1.0)]);
-        let mut tenant = TenantSpec::new(zoo::vgg16());
-        // Modest open-loop load a couple of healthy Pis can carry — an
-        // achievable target is what lets the packer stop early.
-        tenant.arrivals = ArrivalSpec::Poisson { rate_per_s: 0.1 };
-        let cfg = FleetConfig::new(nodes, vec![tenant]);
-        let input = PlacementInput::from_fleet(&cfg, 0.0, &[]);
-        let d = ChurnAwarePlacement::default().place(&input);
-        let picked = &d.assignments[0].nodes;
-        assert!(
-            picked.iter().all(|&n| n >= 4),
-            "churn-aware placed onto soon-dead nodes: {picked:?}"
-        );
-        // The myopic greedy view cannot tell the doomed nodes apart at
-        // t=0 (they are still at full speed), so index order wins and
-        // node 0 gets picked — exactly the mistake horizon pricing fixes.
-        let g = GreedyPlacement::default().place(&input);
-        assert!(
-            g.assignments[0].nodes.iter().any(|&n| n < 4),
-            "expected myopic greedy to fall for a soon-dead node: {:?}",
-            g.assignments[0].nodes
-        );
-    }
-
-    #[test]
     fn pinned_replays_a_decision() {
         let (_, input) = two_tenant_input(6);
         let d = GreedyPlacement::default().place(&input);
@@ -872,14 +743,9 @@ mod tests {
     #[test]
     fn headroom_constructors_validate() {
         assert_eq!(GreedyPlacement::with_headroom(0.2).unwrap().headroom, 0.2);
-        assert_eq!(ChurnAwarePlacement::with_headroom(0.0).unwrap().headroom, 0.0);
         for bad in [-0.1, f64::NAN, f64::INFINITY] {
             assert!(matches!(
                 GreedyPlacement::with_headroom(bad),
-                Err(ConfigError::NegativePlacementHeadroom(_))
-            ));
-            assert!(matches!(
-                ChurnAwarePlacement::with_headroom(bad),
                 Err(ConfigError::NegativePlacementHeadroom(_))
             ));
         }

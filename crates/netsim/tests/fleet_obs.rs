@@ -1,11 +1,11 @@
-//! Fleet observability plane: tenant/node-labeled metrics, the live
-//! node-stats bus, SLO burn-rate reports, and the placement audit trail.
+//! Fleet observability plane: tenant/node-labeled metrics, SLO burn-rate
+//! reports, the topology stream, and the placement audit trail.
 //! Differential style throughout — every derived surface is reconciled
 //! against an independent fold of the raw event streams or the churn
 //! plan itself.
 
 use adcnn_core::fdsp::TileGrid;
-use adcnn_core::fleetobs::{FleetReporter, LabeledMetricsRegistry, LiveStatsView, SloSpec};
+use adcnn_core::fleetobs::{FleetReporter, LabeledMetricsRegistry, SloSpec};
 use adcnn_core::obs::{json, ObsEvent, RecordingSink, SinkHandle};
 use adcnn_netsim::planner::plan_placement;
 use adcnn_netsim::{
@@ -67,49 +67,8 @@ fn per_tenant_streamed_quantiles_match_exact_within_one_bucket() {
     }
 }
 
-/// The live-stats bus must reconcile with the raw `RateUpdate` stream: an
-/// independent fold of the recorded lifecycle events — same EWMA, same
-/// order — lands on exactly the per-node rates `FleetSummary.live_stats`
-/// reports.
-#[test]
-fn live_stats_rates_reconcile_with_rate_update_stream() {
-    let rec = Arc::new(RecordingSink::new());
-    let nodes: Vec<SimNode> = (0..6).map(|_| SimNode::pi()).collect();
-    let mut cfg = two_tenant_config(nodes, 60);
-    cfg.sink = SinkHandle::new(rec.clone());
-    let fs = FleetSim::new(cfg).run();
-
-    let k = fs.live_stats.nodes.len();
-    assert_eq!(k, 6);
-    let mut rates: Vec<Option<f64>> = vec![None; k];
-    let mut counts = vec![0u64; k];
-    for ev in rec.events() {
-        if let ObsEvent::RateUpdate { worker, rate, .. } = ev {
-            let w = worker as usize;
-            counts[w] += 1;
-            rates[w] = Some(match rates[w] {
-                None => rate,
-                Some(old) => 0.8 * old + 0.2 * rate,
-            });
-        }
-    }
-    assert!(counts.iter().sum::<u64>() > 0, "run produced no rate observations at all");
-    for (n, node) in fs.live_stats.nodes.iter().enumerate() {
-        assert_eq!(node.rate_updates, counts[n], "node {n} observation count diverges");
-        match (node.rate, rates[n]) {
-            (Some(a), Some(b)) => {
-                assert!((a - b).abs() <= 1e-12 * b.abs().max(1.0), "node {n}: {a} vs {b}")
-            }
-            (a, b) => assert_eq!(a, b, "node {n} first-observation state diverges"),
-        }
-        assert!(node.live, "churn-free run must end with every node live");
-        assert!((node.availability - 1.0).abs() < 1e-12);
-    }
-}
-
 /// `NodeUp`/`NodeDown` on the fleet stream must be exactly the state
-/// transitions of the composed churn plan (`ChurnPlan::topology_events`),
-/// and the end-of-run snapshot's up/down counters must agree.
+/// transitions of the composed churn plan (`ChurnPlan::topology_events`).
 #[test]
 fn topology_stream_reconciles_with_the_churn_plan() {
     let horizon = 400.0;
@@ -150,15 +109,6 @@ fn topology_stream_reconciles_with_the_churn_plan() {
         .collect();
     assert_eq!(got, expect, "fleet topology stream diverges from the churn plan");
 
-    for (n, node) in fs.live_stats.nodes.iter().enumerate() {
-        let downs = expect.iter().filter(|&&(_, m, up)| m == n && !up).count() as u64;
-        let ups = expect.iter().filter(|&&(_, m, up)| m == n && up).count() as u64;
-        assert_eq!(node.downs, downs, "node {n} down-count diverges");
-        assert_eq!(node.ups, ups, "node {n} up-count diverges");
-        if downs > 0 {
-            assert!(node.availability < 1.0, "node {n} died yet shows full availability");
-        }
-    }
     assert_eq!(fs.completed, 150);
 }
 
@@ -186,7 +136,6 @@ fn placement_audit_records_every_decision_with_cause_and_inputs() {
         initial.decision,
         plan_placement(&cfg, &GreedyPlacement::with_headroom(1.3).unwrap())
     );
-    assert!(initial.observed_rates.iter().all(|r| r.is_none()), "no observations before t=0");
 
     assert!(fs.replacements > 0, "churny run never re-placed — vacuous test");
     for (i, e) in fs.audit.entries.iter().enumerate().skip(1) {
@@ -203,10 +152,8 @@ fn placement_audit_records_every_decision_with_cause_and_inputs() {
             PlacementCause::Initial => panic!("Initial after entry 0"),
         }
         assert_eq!(e.live_nodes, 8 - e.dead_nodes.len());
-        assert_eq!(e.observed_rates.len(), 8);
     }
     assert!(json::is_well_formed(&fs.audit.to_json()), "audit JSON must be well-formed");
-    assert!(json::is_well_formed(&fs.live_stats.to_json()));
 }
 
 /// End-to-end labeled surface: a fleet run with per-tenant SLOs produces
@@ -267,18 +214,26 @@ fn fleet_run_produces_labeled_metrics_reporter_lines_and_slo_reports() {
     }
 }
 
-/// An externally-owned `LiveStatsView` attached to the lifecycle sink
-/// sees the same stream the driver's internal bus sees: snapshots agree.
+/// Observation must not change the run: a fleet with both sinks null
+/// and the same fleet with recorders on both streams summarize
+/// identically, re-placement and churn included.
 #[test]
-fn external_live_view_matches_the_internal_bus() {
-    let view = Arc::new(LiveStatsView::new(6));
-    let nodes: Vec<SimNode> = (0..6).map(|_| SimNode::pi()).collect();
-    let mut cfg = two_tenant_config(nodes, 40);
-    cfg.sink = SinkHandle::new(view.clone());
-    let fs = FleetSim::new(cfg).run();
+fn attaching_sinks_leaves_the_summary_unchanged() {
+    let build = || {
+        let mut nodes: Vec<SimNode> = (0..8).map(|_| SimNode::pi()).collect();
+        ChurnPlan::builder(400.0, 9).join_leave(60.0, 15.0).build().unwrap().apply(&mut nodes);
+        let mut cfg = two_tenant_config(nodes, 60);
+        cfg.placement = Arc::new(GreedyPlacement::default());
+        cfg
+    };
+    let quiet = FleetSim::new(build()).run();
 
-    // The external view misses only the fleet-stream NodeUp/NodeDown
-    // (none here — churn-free), so rates and counts must match exactly.
-    let ours = view.snapshot(fs.sim_end_s);
-    assert_eq!(ours, fs.live_stats);
+    let (rec, frec) = (Arc::new(RecordingSink::new()), Arc::new(RecordingSink::new()));
+    let mut cfg = build();
+    cfg.sink = SinkHandle::new(rec.clone());
+    cfg.fleet_sink = SinkHandle::new(frec.clone());
+    let observed = FleetSim::new(cfg).run();
+
+    assert!(!rec.events().is_empty() && !frec.events().is_empty(), "recorders saw nothing");
+    assert_eq!(format!("{quiet:?}"), format!("{observed:?}"));
 }

@@ -147,6 +147,12 @@ impl RuntimeConfig {
         if self.intake_cap == 0 {
             return Err(ConfigError::ZeroIntakeCap);
         }
+        if self.attribution.is_some() && self.pipeline_depth > AttributionSink::MAX_INFLIGHT {
+            return Err(ConfigError::AttributionDepthExceeded {
+                depth: self.pipeline_depth,
+                max: AttributionSink::MAX_INFLIGHT,
+            });
+        }
         Ok(())
     }
 }
@@ -410,7 +416,7 @@ fn instant_at(epoch: Instant, secs: f64) -> Instant {
 /// The runtime driver's clock for [`adcnn_core::lifecycle::replay`]: every
 /// trace timestamp makes the journey it makes in production — abstract
 /// seconds → an `Instant` offset from an epoch → back to abstract seconds at
-/// the machine boundary — through the two functions the [`Collector`]
+/// the machine boundary — through the two functions the `Collector`
 /// itself calls (ns-grain, so millisecond trace timestamps survive the
 /// roundtrip bit-exactly).
 pub fn replay_clock() -> impl Fn(f64) -> f64 {
@@ -1217,6 +1223,24 @@ mod tests {
             RuntimeConfig::builder().slack(0.5).build().unwrap_err(),
             ConfigError::SlackBelowOne(0.5)
         );
+    }
+
+    #[test]
+    fn attribution_rejects_a_pipeline_deeper_than_its_inflight_window() {
+        let max = AttributionSink::MAX_INFLIGHT;
+        let with_attr = |depth| {
+            RuntimeConfig::builder()
+                .pipeline_depth(depth)
+                .attribution(Arc::new(AttributionSink::new()))
+                .build()
+        };
+        assert!(with_attr(max).is_ok());
+        assert_eq!(
+            with_attr(max + 1).unwrap_err(),
+            ConfigError::AttributionDepthExceeded { depth: max + 1, max }
+        );
+        // without attribution nothing evicts, so depth is unbounded
+        assert!(RuntimeConfig::builder().pipeline_depth(max + 1).build().is_ok());
     }
 
     #[test]

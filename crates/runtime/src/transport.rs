@@ -962,7 +962,7 @@ fn reader_loop(
 /// Connect to a Central node at `endpoint` and serve tiles until it sends
 /// `SHUTDOWN` or closes the connection. This is the whole Conv-node
 /// process: handshake, rebuild the prefix from the [`RemoteModelSpec`] in
-/// the `WELCOME`, then a `TASK` → [`process_tile`] → `RESULT` loop sharing
+/// the `WELCOME`, then a `TASK` → `process_tile` → `RESULT` loop sharing
 /// the in-process workers' exact compute path.
 pub fn run_worker(endpoint: &Endpoint) -> io::Result<()> {
     let conn = Conn::connect(endpoint)?;

@@ -7,13 +7,13 @@
 //! the whole reproduction; the tests include an explicit naive reference.
 //!
 //! The forward path never materialises the im2col matrix: the GEMM core asks
-//! for one `KC×NR` panel of it at a time and [`conv2d_image`] gathers the
+//! for one `KC×NR` panel of it at a time and `conv2d_image` gathers the
 //! patches straight into the packed panel layout (one pass, image → L1). Its
 //! buffers — the zero-padded image, the GEMM pack arena — come from a
 //! [`Scratch`] (a per-thread one for the plain [`conv2d`] API, the caller's
 //! own for [`conv2d_into`]), so steady-state inference re-runs the same
 //! shapes with zero heap allocation. The backward pass keeps the explicit
-//! [`im2col`] matrix.
+//! `im2col` matrix.
 
 use crate::gemm::{gemm_at, gemm_bt, gemm_core, FusedAct, NR};
 use crate::scratch::{ActBuf, Scratch};

@@ -33,7 +33,7 @@
 //! `m`/`n`, the thread count, or what the pack arena held before. So a
 //! sub-range of rows or columns multiplied alone reproduces the full
 //! product's bits (for `m ≥ 2`; `m == 1` is the fully-connected kernel
-//! [`gemm_row1`] with its own order).
+//! `gemm_row1` with its own order).
 
 use crate::scratch::Scratch;
 use rayon::prelude::*;

@@ -11,8 +11,8 @@
 use adcnn::core::fdsp::TileGrid;
 use adcnn::netsim::planner::{plan_deployment, plan_placement};
 use adcnn::netsim::{
-    AdcnnSimConfig, AllNodesPlacement, ArrivalSpec, ChurnAwarePlacement, FleetConfig,
-    GreedyPlacement, PlacementPolicy, SimNode, TenantSpec,
+    AdcnnSimConfig, AllNodesPlacement, ArrivalSpec, FleetConfig, GreedyPlacement, PlacementPolicy,
+    SimNode, TenantSpec,
 };
 use adcnn::nn::zoo;
 
@@ -100,8 +100,7 @@ fn main() {
         .expect("valid fleet");
 
     println!("\nplacement on a 24-node fleet (planned {name} + background resnet18):");
-    let policies: [&dyn PlacementPolicy; 3] =
-        [&AllNodesPlacement, &GreedyPlacement::default(), &ChurnAwarePlacement::default()];
+    let policies: [&dyn PlacementPolicy; 2] = [&AllNodesPlacement, &GreedyPlacement::default()];
     for policy in policies {
         let decision = plan_placement(&fleet, policy);
         println!("  {}:", decision.policy);

@@ -10,7 +10,7 @@
 //! ```
 
 use adcnn::core::fdsp::TileGrid;
-use adcnn::core::obs::{json, ChromeTraceSink, MetricsSink};
+use adcnn::core::obs::{json, MetricsSink, RecordingSink};
 use adcnn::core::report::{AttributionSink, FlightRecorderSink, Reporter};
 use adcnn::core::ClippedRelu;
 use adcnn::nn::layer::QuantizeSte;
@@ -49,7 +49,7 @@ fn main() {
     // of the whole run, live metrics counters/histograms, and the flight
     // recorder that files forensic dumps when the crash bites. Per-image
     // critical-path attribution rides the same stream via the config.
-    let trace = Arc::new(ChromeTraceSink::new());
+    let trace = Arc::new(RecordingSink::new());
     let metrics = Arc::new(MetricsSink::new());
     let recorder = Arc::new(FlightRecorderSink::new(2048));
     let attribution = Arc::new(AttributionSink::new());
@@ -114,7 +114,7 @@ fn main() {
     std::fs::create_dir_all("results").expect("create results dir");
 
     let trace_path = "results/heterogeneous_cluster_trace.json";
-    match trace.write_json(trace_path) {
+    match trace.write_chrome_json(trace_path) {
         Ok(()) => println!(
             "wrote {} trace events to {trace_path} (open in chrome://tracing or ui.perfetto.dev)",
             trace.events().len()

@@ -39,7 +39,7 @@ pub mod prelude {
     pub use adcnn_core::fdsp::TileGrid;
     pub use adcnn_core::lifecycle::{LifecyclePolicy, TimerPolicy};
     pub use adcnn_core::obs::{
-        ChromeTraceSink, EventSink, MetricsSink, MetricsSnapshot, NullSink, ObsEvent, SinkHandle,
+        EventSink, MetricsSink, MetricsSnapshot, NullSink, ObsEvent, RecordingSink, SinkHandle,
         TeeSink,
     };
     pub use adcnn_core::report::{
@@ -48,10 +48,10 @@ pub mod prelude {
     };
     pub use adcnn_netsim::cluster::{AdcnnSim, AdcnnSimConfig, AdcnnSimConfigBuilder, SimSummary};
     pub use adcnn_netsim::{
-        plan_deployment, plan_placement, AllNodesPlacement, ArrivalSpec, ChurnAwarePlacement,
-        ChurnPlan, ChurnPlanBuilder, FleetConfig, FleetConfigBuilder, FleetSim, FleetSummary,
-        GreedyPlacement, PinnedPlacement, PlacementDecision, PlacementInput, PlacementPolicy,
-        SimNode, TenantAssignment, TenantSpec, TenantSpecBuilder,
+        plan_deployment, plan_placement, AllNodesPlacement, ArrivalSpec, ChurnPlan,
+        ChurnPlanBuilder, FleetConfig, FleetConfigBuilder, FleetSim, FleetSummary, GreedyPlacement,
+        PinnedPlacement, PlacementDecision, PlacementInput, PlacementPolicy, SimNode,
+        TenantAssignment, TenantSpec, TenantSpecBuilder,
     };
     pub use adcnn_nn::zoo::{alexnet, resnet18, resnet34, vgg16, yolo, ModelSpec};
     pub use adcnn_retrain::PartitionedModel;
