@@ -1340,6 +1340,354 @@ mod tests {
         }
     }
 
+    /// Every variant, taken apart by hand: the accessors and the exact
+    /// `args_json` rendering are the schema every reader (recorder
+    /// filters, labeled routing, Chrome traces, forensic dumps) keys on.
+    #[test]
+    fn event_schema_is_pinned() {
+        type Row =
+            (ObsEvent, &'static str, f64, u64, Option<u32>, Option<u32>, Option<u32>, &'static str);
+        let none = u64::MAX;
+        let rows: [Row; 25] = [
+            (
+                ObsEvent::ImageStart { at: 0.5, image: 7, tiles: 4, placed: 3 },
+                "image_start",
+                0.5,
+                7,
+                None,
+                None,
+                None,
+                r#"{"image":7,"tiles":4,"placed":3}"#,
+            ),
+            (
+                ObsEvent::ImageFinish {
+                    at: 1.5,
+                    image: 7,
+                    latency: 0.25,
+                    zero_filled: 1,
+                    redispatched: 2,
+                },
+                "image_finish",
+                1.5,
+                7,
+                None,
+                None,
+                None,
+                r#"{"image":7,"latency":0.25,"zero_filled":1,"redispatched":2}"#,
+            ),
+            (
+                ObsEvent::TileDispatch { at: 0.125, image: 8, tile: 2, worker: 5 },
+                "tile_dispatch",
+                0.125,
+                8,
+                Some(2),
+                Some(5),
+                None,
+                r#"{"image":8,"tile":2,"worker":5}"#,
+            ),
+            (
+                ObsEvent::TileRedispatch { at: 0.75, image: 8, tile: 2, worker: 6, round: 1 },
+                "tile_redispatch",
+                0.75,
+                8,
+                Some(2),
+                Some(6),
+                None,
+                r#"{"image":8,"tile":2,"worker":6,"round":1}"#,
+            ),
+            (
+                ObsEvent::TileArrival { at: 0.875, image: 9, tile: 3, worker: 1 },
+                "tile_arrival",
+                0.875,
+                9,
+                Some(3),
+                Some(1),
+                None,
+                r#"{"image":9,"tile":3,"worker":1}"#,
+            ),
+            (
+                ObsEvent::TileDuplicate { at: 1.0, image: 9, tile: 3, worker: 2 },
+                "tile_duplicate",
+                1.0,
+                9,
+                Some(3),
+                Some(2),
+                None,
+                r#"{"image":9,"tile":3,"worker":2}"#,
+            ),
+            (
+                ObsEvent::TileLate { at: 1.25, image: 9, tile: 0, worker: 3 },
+                "tile_late",
+                1.25,
+                9,
+                Some(0),
+                Some(3),
+                None,
+                r#"{"image":9,"tile":0,"worker":3}"#,
+            ),
+            (
+                ObsEvent::TileCorrupt { at: 1.375, image: 10, tile: 1, worker: 0 },
+                "tile_corrupt",
+                1.375,
+                10,
+                Some(1),
+                Some(0),
+                None,
+                r#"{"image":10,"tile":1,"worker":0}"#,
+            ),
+            (
+                ObsEvent::TileZeroFill { at: 2.0, image: 10, tile: 15 },
+                "tile_zero_fill",
+                2.0,
+                10,
+                Some(15),
+                None,
+                None,
+                r#"{"image":10,"tile":15}"#,
+            ),
+            (
+                ObsEvent::DeadlineArmed { at: 2.5, image: 11, span: 0.03 },
+                "deadline_armed",
+                2.5,
+                11,
+                None,
+                None,
+                None,
+                r#"{"image":11,"span":0.03}"#,
+            ),
+            (
+                ObsEvent::DeadlineFired { at: 2.53, image: 11 },
+                "deadline_fired",
+                2.53,
+                11,
+                None,
+                None,
+                None,
+                r#"{"image":11}"#,
+            ),
+            (
+                ObsEvent::WorkerDead { at: 3.0, image: 12, worker: 4 },
+                "worker_dead",
+                3.0,
+                12,
+                None,
+                Some(4),
+                None,
+                r#"{"image":12,"worker":4}"#,
+            ),
+            (
+                ObsEvent::WorkerSuspect { at: 3.5, image: 12, worker: 5 },
+                "worker_suspect",
+                3.5,
+                12,
+                None,
+                Some(5),
+                None,
+                r#"{"image":12,"worker":5}"#,
+            ),
+            (
+                ObsEvent::WorkerCleared { at: 3.75, image: 12, worker: 5 },
+                "worker_cleared",
+                3.75,
+                12,
+                None,
+                Some(5),
+                None,
+                r#"{"image":12,"worker":5}"#,
+            ),
+            (
+                ObsEvent::RateUpdate { at: 4.0, image: 13, worker: 2, rate: 12.5 },
+                "rate_update",
+                4.0,
+                13,
+                None,
+                Some(2),
+                None,
+                r#"{"image":13,"worker":2,"rate":12.5}"#,
+            ),
+            (
+                ObsEvent::TileCompute { at: 4.5, image: 14, tile: 6, worker: 1, dur: 0.004 },
+                "tile_compute",
+                4.5,
+                14,
+                Some(6),
+                Some(1),
+                None,
+                r#"{"image":14,"tile":6,"worker":1,"dur":0.004}"#,
+            ),
+            (
+                ObsEvent::TileCompress {
+                    at: 4.625,
+                    image: 14,
+                    tile: 6,
+                    worker: 1,
+                    dur: 0.001,
+                    bytes: 120,
+                    ratio: 0.125,
+                },
+                "tile_compress",
+                4.625,
+                14,
+                Some(6),
+                Some(1),
+                None,
+                r#"{"image":14,"tile":6,"worker":1,"dur":0.001,"bytes":120,"ratio":0.125}"#,
+            ),
+            (
+                ObsEvent::TileTransfer { at: 4.75, image: 14, tile: 6, worker: 1, dur: 0.002 },
+                "tile_transfer",
+                4.75,
+                14,
+                Some(6),
+                Some(1),
+                None,
+                r#"{"image":14,"tile":6,"worker":1,"dur":0.002}"#,
+            ),
+            (
+                ObsEvent::ImageAdmitted { at: 5.0, image: 15, queue_wait: 0.05, inflight: 3 },
+                "image_admitted",
+                5.0,
+                15,
+                None,
+                None,
+                None,
+                r#"{"image":15,"queue_wait":0.05,"inflight":3}"#,
+            ),
+            (
+                ObsEvent::ImageRetired { at: 5.5, image: 15, inflight: 2 },
+                "image_retired",
+                5.5,
+                15,
+                None,
+                None,
+                None,
+                r#"{"image":15,"inflight":2}"#,
+            ),
+            (
+                ObsEvent::NodeUp { at: 6.0, node: 9 },
+                "node_up",
+                6.0,
+                none,
+                None,
+                Some(9),
+                None,
+                r#"{"node":9}"#,
+            ),
+            (
+                ObsEvent::NodeDown { at: 6.5, node: 9 },
+                "node_down",
+                6.5,
+                none,
+                None,
+                Some(9),
+                None,
+                r#"{"node":9}"#,
+            ),
+            (
+                ObsEvent::PlacementDecided {
+                    at: 7.0,
+                    cause: PLACEMENT_LEAVE,
+                    node: 3,
+                    tenants: 2,
+                    live_nodes: 5,
+                    seq: 41,
+                },
+                "placement_decided",
+                7.0,
+                none,
+                None,
+                None,
+                None,
+                r#"{"cause":2,"node":3,"tenants":2,"live_nodes":5,"seq":41}"#,
+            ),
+            (
+                ObsEvent::TenantAdmit { at: 7.5, image: 16, tenant: 1, queue_wait: 0.5 },
+                "tenant_admit",
+                7.5,
+                16,
+                None,
+                None,
+                Some(1),
+                r#"{"image":16,"tenant":1,"queue_wait":0.5}"#,
+            ),
+            (
+                ObsEvent::TenantFinish {
+                    at: 8.0,
+                    image: 16,
+                    tenant: 1,
+                    latency: 0.375,
+                    zero_filled: 1,
+                    tiles: 4,
+                },
+                "tenant_finish",
+                8.0,
+                16,
+                None,
+                None,
+                Some(1),
+                r#"{"image":16,"tenant":1,"latency":0.375,"zero_filled":1,"tiles":4}"#,
+            ),
+        ];
+        let mut kinds = std::collections::HashSet::new();
+        for (ev, kind, at, image, tile, worker, tenant, args) in rows {
+            assert!(kinds.insert(kind), "{kind} listed twice: a variant is missing");
+            assert_eq!(ev.kind(), kind);
+            assert_eq!(ev.at(), at, "{kind}");
+            assert_eq!(ev.image(), image, "{kind}");
+            assert_eq!(ev.tile(), tile, "{kind}");
+            assert_eq!(ev.worker(), worker, "{kind}");
+            assert_eq!(ev.tenant(), tenant, "{kind}");
+            assert_eq!(ev.args_json(), args, "{kind}");
+        }
+    }
+
+    /// `to_json` renders the schema in table order; downstream result
+    /// files and dashboards key on it.
+    #[test]
+    fn metrics_json_key_order_is_pinned() {
+        let json = MetricsSnapshot::default().to_json();
+        let keys: Vec<&str> = json
+            .split('"')
+            .skip(1)
+            .step_by(2)
+            .filter(|k| !matches!(*k, "buckets" | "count" | "sum"))
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "images_started",
+                "images_finished",
+                "tiles_dispatched",
+                "tiles_redispatched",
+                "tiles_arrived",
+                "tiles_duplicate",
+                "tiles_late",
+                "tiles_corrupt",
+                "tiles_zero_filled",
+                "deadlines_armed",
+                "deadlines_fired",
+                "workers_died",
+                "workers_suspected",
+                "workers_cleared",
+                "rate_updates",
+                "compressed_bytes",
+                "images_admitted",
+                "inflight_depth",
+                "nodes_up",
+                "nodes_down",
+                "placements_decided",
+                "compute_us",
+                "compress_us",
+                "transfer_us",
+                "image_latency_us",
+                "compressed_tile_bytes",
+                "queue_wait_us",
+            ]
+        );
+        // An empty histogram renders as an object with the three sub-keys.
+        assert!(json.ends_with(r#""queue_wait_us":{"buckets":[],"count":0,"sum":0}}"#), "{json}");
+    }
+
     #[test]
     fn quantiles_interpolate_within_log2_buckets() {
         let close = |a: Option<f64>, b: f64| {
