@@ -388,7 +388,7 @@ fn multi_tenant_cfg(
 fn multi_tenant(requests_each: usize, capacity: f64) -> TenantScenario {
     let mut cfg = multi_tenant_cfg(requests_each, capacity, Arc::new(AllNodesPlacement));
     // The headline scenario also drives the observability plane: per-
-    // tenant SLOs plus a labeled metrics registry on the fleet stream.
+    // tenant SLOs plus a labeled metrics registry on the event stream.
     cfg.tenants[0].slo = Some(SloSpec::new(2.5, 0.02));
     cfg.tenants[1].slo = Some(SloSpec::new(3.5, 0.02));
     let registry = Arc::new(LabeledMetricsRegistry::new(
@@ -396,7 +396,7 @@ fn multi_tenant(requests_each: usize, capacity: f64) -> TenantScenario {
         cfg.nodes.len(),
     ));
     let nodes_n = cfg.nodes.len() as u64;
-    cfg.fleet_sink = SinkHandle::new(registry.clone());
+    cfg.sink = SinkHandle::new(registry.clone());
     let wall = Instant::now();
     let fs = FleetSim::new(cfg).run();
     let wall_ms = wall.elapsed().as_secs_f64() * 1e3;

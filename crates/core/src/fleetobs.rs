@@ -9,19 +9,19 @@
 //! - [`LabeledMetricsRegistry`] — lock-free [`MetricsSink`] shards per
 //!   tenant and per node, fed by routing one event stream on the
 //!   [`ObsEvent::tenant`]/[`ObsEvent::worker`] tags, rendered as
-//!   labeled Prometheus series (`adcnn_images_finished_total{tenant="vgg16"}`)
-//!   and per-tenant [`Reporter`] lines.
+//!   labeled Prometheus series (`adcnn_images_finished_total{tenant="vgg16"}`);
+//!   a [`Reporter`](crate::report::Reporter) per tenant shard narrates
+//!   a run tenant by tenant.
 //! - [`SloSpec`]/[`SloTracker`]/[`SloReport`] — per-tenant objectives
 //!   (p99 latency target, zero-fill budget) with whole-run burn rates
 //!   in the SRE sense: burn 1.0 consumes exactly the error budget,
 //!   burn > 1.0 breaches it.
 //!
 //! Everything here is driver-fed: `TileLifecycle` emits nothing new,
-//! so golden decision traces are untouched by construction.
+//! and golden decision traces skip [`ObsEvent::is_fleet_scope`] events.
 
 use crate::config::ConfigError;
 use crate::obs::{json, EventSink, MetricsSink, ObsEvent};
-use crate::report::Reporter;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -39,10 +39,10 @@ use std::sync::Arc;
 ///   that node's shard *and* the global shard;
 /// - everything else folds into the global shard.
 ///
-/// Feeding the registry both a fleet's lifecycle stream and its
-/// fleet-scope stream therefore never double-counts: images land in
-/// the global shard via `ImageFinish` and in tenant shards via
-/// `TenantFinish`.
+/// A fleet's one stream carries each image twice — `ImageFinish` from
+/// the lifecycle and its tenant-tagged twin from the driver — and this
+/// routing counts it once per scope: in the global shard and in its
+/// tenant's.
 pub struct LabeledMetricsRegistry {
     global: Arc<MetricsSink>,
     tenants: Vec<(String, Arc<MetricsSink>)>,
@@ -73,9 +73,9 @@ impl LabeledMetricsRegistry {
         self.tenants.get(idx).map(|(_, s)| s)
     }
 
-    /// Tenant names in registration order.
-    pub fn tenant_names(&self) -> Vec<&str> {
-        self.tenants.iter().map(|(n, _)| n.as_str()).collect()
+    /// The tenant shards with their names, in registration order.
+    pub fn tenants(&self) -> impl Iterator<Item = (&str, &Arc<MetricsSink>)> {
+        self.tenants.iter().map(|(name, shard)| (name.as_str(), shard))
     }
 
     /// Node shard by index.
@@ -115,9 +115,9 @@ impl EventSink for LabeledMetricsRegistry {
     fn emit(&self, ev: &ObsEvent) {
         if let Some(t) = ev.tenant() {
             if let Some((_, shard)) = self.tenants.get(t as usize) {
-                shard.emit(ev);
-                return;
+                shard.fold_tenant(ev);
             }
+            return;
         }
         if let Some(w) = ev.worker() {
             if let Some(shard) = self.nodes.get(w as usize) {
@@ -125,36 +125,6 @@ impl EventSink for LabeledMetricsRegistry {
             }
         }
         self.global.emit(ev);
-    }
-}
-
-/// One [`Reporter`] per tenant shard: narrates a fleet run live as one
-/// labeled line per tenant per interval.
-#[derive(Debug, Default)]
-pub struct FleetReporter {
-    tenants: Vec<Reporter>,
-}
-
-impl FleetReporter {
-    /// A reporter per tenant shard of `registry`.
-    pub fn new(registry: &LabeledMetricsRegistry) -> Self {
-        FleetReporter { tenants: registry.tenants.iter().map(|_| Reporter::new()).collect() }
-    }
-
-    /// Diff every tenant shard against the previous sample and render
-    /// one `tenant=<name> | <reporter line>` string each.
-    pub fn sample_lines(
-        &mut self,
-        registry: &LabeledMetricsRegistry,
-        elapsed_s: f64,
-    ) -> Vec<String> {
-        self.tenants
-            .iter_mut()
-            .zip(&registry.tenants)
-            .map(|(rep, (name, sink))| {
-                format!("tenant={name} | {}", rep.sample(&sink.snapshot(), elapsed_s).line())
-            })
-            .collect()
     }
 }
 
@@ -294,6 +264,7 @@ impl SloReport {
 mod tests {
     use super::*;
     use crate::obs::SinkHandle;
+    use crate::report::Reporter;
 
     #[test]
     fn registry_routes_tenant_node_and_global_scopes() {
@@ -355,7 +326,7 @@ mod tests {
     #[test]
     fn reporter_lines_are_per_tenant() {
         let reg = LabeledMetricsRegistry::new(&["a", "b"], 1);
-        let mut rep = FleetReporter::new(&reg);
+        let mut reps: Vec<Reporter> = reg.tenants().map(|_| Reporter::new()).collect();
         reg.emit(&ObsEvent::TenantFinish {
             at: 1.0,
             image: 0,
@@ -364,7 +335,13 @@ mod tests {
             zero_filled: 0,
             tiles: 4,
         });
-        let lines = rep.sample_lines(&reg, 2.0);
+        let lines: Vec<String> = reps
+            .iter_mut()
+            .zip(reg.tenants())
+            .map(|(rep, (name, shard))| {
+                format!("tenant={name} | {}", rep.sample(&shard.snapshot(), 2.0).line())
+            })
+            .collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("tenant=a | "));
         assert!(lines[0].contains("0.5 img/s"), "{}", lines[0]);

@@ -53,10 +53,10 @@ pub mod wire;
 pub use compress::{CompressScratch, Quantizer, RleCodec};
 pub use config::ConfigError;
 pub use fdsp::TileGrid;
-pub use fleetobs::{FleetReporter, LabeledMetricsRegistry, SloReport, SloSpec, SloTracker};
+pub use fleetobs::{LabeledMetricsRegistry, SloReport, SloSpec, SloTracker};
 pub use lifecycle::{LifecyclePolicy, TileLifecycle, TimerPolicy};
 pub use obs::{
-    EventSink, MetricsSink, MetricsSnapshot, NullSink, ObsEvent, RecordingSink, SinkHandle, TeeSink,
+    EventSink, MetricsSink, MetricsSnapshot, ObsEvent, RecordingSink, SinkHandle, TeeSink,
 };
 pub use report::{
     AttributionAggregate, AttributionSink, FlightRecorderSink, ForensicReport, ImageReport,

@@ -24,7 +24,7 @@
 //!   [`MetricsSnapshot::to_prometheus`] renders the same snapshot in
 //!   Prometheus text exposition format.
 
-use crate::obs::{json, EventSink, HistogramSnapshot, MetricsSnapshot, ObsEvent};
+use crate::obs::{json, EventSink, HistogramSnapshot, MetricsSnapshot, ObsEvent, SeriesValue};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
@@ -47,8 +47,8 @@ pub enum Phase {
     /// Everything between compute/compress end and acceptance at
     /// Central — the residual, so per-tile phases sum exactly.
     Transfer,
-    /// Between the last accepted tile and image completion (suffix
-    /// assembly and zero-fill work).
+    /// Between the last tile's completion and the image's: the suffix
+    /// network on the Central node, once the driver has retired the image.
     Merge,
 }
 
@@ -132,15 +132,16 @@ pub struct ImageReport {
     pub image: u64,
     /// Lifecycle start on the driver's time axis.
     pub start_at: f64,
-    /// Completion time.
+    /// Completion time: when the driver retired the image (after the
+    /// suffix), or when the last tile landed if no driver retired it.
     pub finish_at: f64,
-    /// `ImageFinish.latency` — end-to-end tile-phase latency.
+    /// `ImageFinish.latency` extended to `finish_at`.
     pub latency_s: f64,
     /// Tiles zero-filled.
     pub zero_filled: u32,
     /// Recovery send attempts across the image.
     pub redispatched: u32,
-    /// Last accepted arrival → completion.
+    /// Last tile completion → `finish_at`.
     pub merge_s: f64,
     /// The tile whose completion (arrival or zero-fill) came last;
     /// `None` for a zero-tile image.
@@ -157,14 +158,6 @@ impl ImageReport {
     pub fn critical(&self) -> Option<&TileReport> {
         let id = self.critical_tile?;
         self.tiles.iter().find(|t| t.tile == id)
-    }
-
-    /// Critical tile's phase sum plus merge — the attributed span of
-    /// the image's latency (equals `latency_s` when the critical tile
-    /// went out in round 0; shorter if it was re-dispatched, since
-    /// attribution starts at the *last* dispatch).
-    pub fn critical_path_s(&self) -> f64 {
-        self.critical().map(|t| t.total_s()).unwrap_or(0.0) + self.merge_s
     }
 
     /// Serde-free JSON rendering via the shared [`json`] helpers.
@@ -230,14 +223,7 @@ impl AttributionAggregate {
         self.merge_s += r.merge_s;
         self.zero_filled += u64::from(r.zero_filled);
         self.redispatched += u64::from(r.redispatched);
-        let i = match r.dominant_phase {
-            Phase::QueueWait => 0,
-            Phase::Compute => 1,
-            Phase::Compress => 2,
-            Phase::Transfer => 3,
-            Phase::Merge => 4,
-        };
-        self.dominant[i] += 1;
+        self.dominant[r.dominant_phase as usize] += 1;
     }
 
     /// Mean end-to-end latency per image.
@@ -386,23 +372,7 @@ impl ImageState {
         // Merge: last tile completion (arrival or zero-fill) → image
         // completion.
         let merge_s = critical.map_or(0.0, |c| (at - c.done_at).max(0.0));
-        let dominant_phase = {
-            let (q, c, z, x) = critical
-                .map(|t| (t.queue_wait_s, t.compute_s, t.compress_s, t.transfer_s))
-                .unwrap_or((0.0, 0.0, 0.0, 0.0));
-            let mut best = (Phase::QueueWait, q);
-            for cand in [
-                (Phase::Compute, c),
-                (Phase::Compress, z),
-                (Phase::Transfer, x),
-                (Phase::Merge, merge_s),
-            ] {
-                if cand.1 > best.1 {
-                    best = cand;
-                }
-            }
-            best.0
-        };
+        let dominant_phase = dominant_phase(critical, merge_s);
         ImageReport {
             image: self.image,
             start_at: self.start_at,
@@ -416,6 +386,23 @@ impl ImageState {
             tiles,
         }
     }
+}
+
+/// Largest phase along the critical path: the critical tile's four
+/// phases plus merge (ties keep the earlier phase).
+fn dominant_phase(critical: Option<&TileReport>, merge_s: f64) -> Phase {
+    let (q, c, z, x) = critical.map_or((0.0, 0.0, 0.0, 0.0), |t| {
+        (t.queue_wait_s, t.compute_s, t.compress_s, t.transfer_s)
+    });
+    let mut best = (Phase::QueueWait, q);
+    for cand in
+        [(Phase::Compute, c), (Phase::Compress, z), (Phase::Transfer, x), (Phase::Merge, merge_s)]
+    {
+        if cand.1 > best.1 {
+            best = cand;
+        }
+    }
+    best.0
 }
 
 #[derive(Debug)]
@@ -513,6 +500,28 @@ impl EventSink for AttributionSink {
                 if inner.finished.len() > self.finished_cap {
                     inner.finished.pop_front();
                 }
+            }
+            // The lifecycle finishes an image when its last tile lands;
+            // the driver runs the suffix after that and retires the image
+            // before anyone reads the report. Extend the finished report
+            // to the retirement: the merge phase is that interval.
+            ObsEvent::ImageRetired { at, image, .. } => {
+                let AttrInner { finished, agg, .. } = &mut *inner;
+                let Some(r) = finished.iter_mut().rev().find(|r| r.image == image) else {
+                    return;
+                };
+                let Some(done_at) = r.critical().map(|c| c.done_at) else { return };
+                let merge_s = (at - done_at).max(0.0);
+                let grown = merge_s - r.merge_s;
+                let dominant = dominant_phase(r.critical(), merge_s);
+                agg.latency_s += grown;
+                agg.merge_s += grown;
+                agg.dominant[r.dominant_phase as usize] -= 1;
+                agg.dominant[dominant as usize] += 1;
+                r.finish_at = at;
+                r.latency_s += grown;
+                r.merge_s = merge_s;
+                r.dominant_phase = dominant;
             }
             ObsEvent::TileDispatch { at, image, tile, worker } => {
                 if let Some(s) = inner.inflight.iter_mut().find(|s| s.image == image) {
@@ -896,93 +905,48 @@ impl MetricsSnapshot {
         let mut out = String::with_capacity(4096);
         let pairs = prometheus_label_pairs(labels);
         let plain = if pairs.is_empty() { String::new() } else { format!("{{{pairs}}}") };
-        let mut counter = |name: &str, help: &str, v: u64| {
-            if headers {
-                out.push_str(&format!("# HELP adcnn_{name} {help}\n# TYPE adcnn_{name} counter\n"));
+        let le_pairs = |le: &str| {
+            if pairs.is_empty() {
+                format!("{{le=\"{le}\"}}")
+            } else {
+                format!("{{{pairs},le=\"{le}\"}}")
             }
-            out.push_str(&format!("adcnn_{name}{plain} {v}\n"));
         };
-        counter("images_started_total", "Images whose lifecycle began.", self.images_started);
-        counter("images_finished_total", "Images that completed.", self.images_finished);
-        counter("tiles_dispatched_total", "Round-0 tile send attempts.", self.tiles_dispatched);
-        counter(
-            "tiles_redispatched_total",
-            "Recovery tile send attempts.",
-            self.tiles_redispatched,
-        );
-        counter("tiles_arrived_total", "Accepted (fresh, decodable) results.", self.tiles_arrived);
-        counter("tiles_duplicate_total", "Discarded duplicate results.", self.tiles_duplicate);
-        counter("tiles_late_total", "Results after image completion.", self.tiles_late);
-        counter("tiles_corrupt_total", "Results that failed to decode.", self.tiles_corrupt);
-        counter("tiles_zero_filled_total", "Tiles zero-filled.", self.tiles_zero_filled);
-        counter("deadlines_armed_total", "Deadline timers armed.", self.deadlines_armed);
-        counter("deadlines_fired_total", "Live deadline firings.", self.deadlines_fired);
-        counter("workers_died_total", "Positively-observed worker deaths.", self.workers_died);
-        counter(
-            "workers_suspected_total",
-            "Silent-fault suspicions raised.",
-            self.workers_suspected,
-        );
-        counter("workers_cleared_total", "Suspicions cleared.", self.workers_cleared);
-        counter("rate_updates_total", "Algorithm 2 EWMA observations.", self.rate_updates);
-        counter(
-            "compressed_bytes_total",
-            "Compressed payload bytes shipped.",
-            self.compressed_bytes,
-        );
-        counter(
-            "images_admitted_total",
-            "Images admitted into the pipeline.",
-            self.images_admitted,
-        );
-        counter("nodes_up_total", "Node up-transitions observed.", self.nodes_up);
-        counter("nodes_down_total", "Node down-transitions observed.", self.nodes_down);
-        counter(
-            "placements_decided_total",
-            "Placement decisions produced.",
-            self.placements_decided,
-        );
-        if headers {
-            out.push_str(
-                "# HELP adcnn_inflight_depth Last observed concurrent-image count.\n# TYPE adcnn_inflight_depth gauge\n",
-            );
-        }
-        out.push_str(&format!("adcnn_inflight_depth{plain} {}\n", self.inflight_depth));
-        let mut histogram = |name: &str, help: &str, h: &HistogramSnapshot| {
-            if headers {
-                out.push_str(&format!(
-                    "# HELP adcnn_{name} {help}\n# TYPE adcnn_{name} histogram\n"
-                ));
-            }
-            let le_pairs = |le: &str| {
-                if pairs.is_empty() {
-                    format!("{{le=\"{le}\"}}")
-                } else {
-                    format!("{{{pairs},le=\"{le}\"}}")
+        let series = self.series();
+        // The exposition groups by type, whatever order the schema rows
+        // (and so the JSON keys) come in.
+        for kind in ["counter", "gauge", "histogram"] {
+            for s in series.iter().filter(|s| s.kind == kind) {
+                let name = s.name;
+                if headers {
+                    let help = s.help;
+                    out.push_str(&format!(
+                        "# HELP adcnn_{name} {help}\n# TYPE adcnn_{name} {kind}\n"
+                    ));
                 }
-            };
-            let mut cum = 0u64;
-            for (b, n) in h.buckets.iter().enumerate() {
-                cum += n;
-                // bucket b counts v < 2^b (v == 0 for b == 0), so the
-                // inclusive upper bound is 2^b - 1.
-                let le = if b == 0 { 0 } else { (1u64 << b) - 1 };
-                out.push_str(&format!("adcnn_{name}_bucket{} {cum}\n", le_pairs(&le.to_string())));
+                let h = match s.value {
+                    SeriesValue::Scalar(v) => {
+                        out.push_str(&format!("adcnn_{name}{plain} {v}\n"));
+                        continue;
+                    }
+                    SeriesValue::Histogram(h) => h,
+                };
+                let mut cum = 0u64;
+                for (b, n) in h.buckets.iter().enumerate() {
+                    cum += n;
+                    // bucket b counts v < 2^b (v == 0 for b == 0), so the
+                    // inclusive upper bound is 2^b - 1.
+                    let le = if b == 0 { 0 } else { (1u64 << b) - 1 };
+                    out.push_str(&format!(
+                        "adcnn_{name}_bucket{} {cum}\n",
+                        le_pairs(&le.to_string())
+                    ));
+                }
+                out.push_str(&format!("adcnn_{name}_bucket{} {}\n", le_pairs("+Inf"), h.count));
+                out.push_str(&format!("adcnn_{name}_sum{plain} {}\n", h.sum));
+                out.push_str(&format!("adcnn_{name}_count{plain} {}\n", h.count));
             }
-            out.push_str(&format!("adcnn_{name}_bucket{} {}\n", le_pairs("+Inf"), h.count));
-            out.push_str(&format!("adcnn_{name}_sum{plain} {}\n", h.sum));
-            out.push_str(&format!("adcnn_{name}_count{plain} {}\n", h.count));
-        };
-        histogram("compute_us", "Per-tile prefix compute time, us.", &self.compute_us);
-        histogram("compress_us", "Per-tile clip/quantize/RLE time, us.", &self.compress_us);
-        histogram("transfer_us", "Per-tile transfer time, us.", &self.transfer_us);
-        histogram("image_latency_us", "End-to-end image latency, us.", &self.image_latency_us);
-        histogram(
-            "compressed_tile_bytes",
-            "Per-tile compressed payload size, bytes.",
-            &self.compressed_tile_bytes,
-        );
-        histogram("queue_wait_us", "Intake-queue wait before admission, us.", &self.queue_wait_us);
+        }
         out
     }
 }

@@ -105,9 +105,9 @@ impl ChurnPlan {
 
     /// The plan's merged topology-event schedule over a roster of
     /// `nodes`: `(time, node, up)` transitions in time order (ties break
-    /// by node index). This is exactly the `NodeUp`/`NodeDown` stream a
-    /// fleet running this plan emits on its fleet-scope sink — the
-    /// observability tests reconcile the two.
+    /// by node index). These are exactly the `NodeUp`/`NodeDown` events a
+    /// fleet running this plan emits — the observability tests reconcile
+    /// the two.
     pub fn topology_events(&self, nodes: usize) -> Vec<(f64, usize, bool)> {
         let mut out: Vec<(f64, usize, bool)> = (0..nodes)
             .flat_map(|n| {

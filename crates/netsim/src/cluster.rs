@@ -130,8 +130,10 @@ pub struct AdcnnSimConfig {
     pub adaptive: bool,
     /// Structured-event sink the simulated driver mirrors lifecycle
     /// decisions and modeled compute/transfer spans into — the same
-    /// schema the real runtime emits. The default
-    /// ([`SinkHandle::null()`]) never even constructs events.
+    /// schema the real runtime emits — plus the one-tenant fleet's
+    /// [`is_fleet_scope`](adcnn_core::obs::ObsEvent::is_fleet_scope)
+    /// events. The default ([`SinkHandle::null()`]) never even
+    /// constructs events.
     pub sink: SinkHandle,
 }
 
@@ -424,7 +426,6 @@ impl AdcnnSim {
             seed: cfg.seed,
             retain_images: cfg.images,
             sink: cfg.sink.clone(),
-            fleet_sink: SinkHandle::null(),
             placement: std::sync::Arc::new(crate::placement::AllNodesPlacement),
         };
         let fs = FleetSim::new(fleet).run();
@@ -651,7 +652,7 @@ mod tests {
         cfg.pipeline_depth = 3;
         cfg.sink = SinkHandle::new(rec.clone());
         AdcnnSim::new(cfg).run();
-        let evs = rec.events();
+        let evs: Vec<ObsEvent> = rec.events().into_iter().filter(|e| !e.is_fleet_scope()).collect();
         let admitted: Vec<u32> = evs
             .iter()
             .filter_map(|e| match e {

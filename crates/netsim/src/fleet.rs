@@ -80,16 +80,13 @@ pub struct FleetConfig {
     /// bounded on million-request runs; the streaming aggregates in
     /// [`TenantSummary`] are always maintained.
     pub retain_images: usize,
-    /// Structured-event sink (decisions + modeled spans), the runtime's
-    /// schema. Default never constructs events.
-    pub sink: SinkHandle,
-    /// Fleet-scope event sink: `NodeUp`/`NodeDown` topology transitions,
-    /// `PlacementDecided`, and tenant-tagged `TenantAdmit`/`TenantFinish`
-    /// twins of the lifecycle stream's admission/retire events. Kept
-    /// separate from [`FleetConfig::sink`] so the per-image lifecycle
-    /// stream (and the golden traces pinned against it) is untouched.
+    /// Structured-event sink, the runtime's schema: the per-image
+    /// lifecycle (decisions + modeled spans) and, marked by
+    /// [`ObsEvent::is_fleet_scope`], `NodeUp`/`NodeDown` topology
+    /// transitions, `PlacementDecided` and the tenant-tagged
+    /// `TenantAdmit`/`TenantFinish` twins of admission and completion.
     /// Default never constructs events.
-    pub fleet_sink: SinkHandle,
+    pub sink: SinkHandle,
     /// Tenant-to-node placement policy, consulted at startup and after
     /// every join/leave churn event. The default [`AllNodesPlacement`]
     /// reproduces the pre-placement engine byte-for-byte.
@@ -110,7 +107,6 @@ impl FleetConfig {
             seed: 42,
             retain_images: 0,
             sink: SinkHandle::null(),
-            fleet_sink: SinkHandle::null(),
             placement: Arc::new(AllNodesPlacement),
         }
     }
@@ -193,13 +189,6 @@ impl FleetConfigBuilder {
     /// Install a structured-event sink.
     pub fn sink(mut self, sink: SinkHandle) -> Self {
         self.cfg.sink = sink;
-        self
-    }
-
-    /// Install a fleet-scope event sink (topology, placement, and
-    /// tenant-tagged admission/finish events).
-    pub fn fleet_sink(mut self, sink: SinkHandle) -> Self {
-        self.cfg.fleet_sink = sink;
         self
     }
 
@@ -601,7 +590,7 @@ impl FleetSim {
         let cfg = &self.cfg;
         let k = cfg.nodes.len();
 
-        let (sink, fsink) = (&cfg.sink, &cfg.fleet_sink);
+        let sink = &cfg.sink;
         let mut slo_trackers: Vec<Option<SloTracker>> =
             cfg.tenants.iter().map(|t| t.slo.map(SloTracker::new)).collect();
 
@@ -635,7 +624,7 @@ impl FleetSim {
         }
         let initial_placement = placement_decision.clone();
         // The audit trail records every decision the run applies, with
-        // the inputs the policy saw; the fleet stream carries a
+        // the inputs the policy saw; the event stream carries a
         // PlacementDecided event per entry.
         let mut audit = PlacementAudit::default();
         let mut placement_seq: u64 = 0;
@@ -647,7 +636,7 @@ impl FleetSim {
             live_nodes: k,
             decision: placement_decision.clone(),
         });
-        fsink.emit_with(|| ObsEvent::PlacementDecided {
+        sink.emit_with(|| ObsEvent::PlacementDecided {
             at: 0.0,
             cause: PLACEMENT_INITIAL,
             node: u32::MAX,
@@ -781,12 +770,12 @@ impl FleetSim {
                         if let Err(i) = dead_list.binary_search(&node) {
                             dead_list.insert(i, node);
                             roster_changed = true;
-                            fsink.emit_with(|| ObsEvent::NodeDown { at: now, node: node as u32 });
+                            sink.emit_with(|| ObsEvent::NodeDown { at: now, node: node as u32 });
                         }
                     } else if let Ok(i) = dead_list.binary_search(&node) {
                         dead_list.remove(i);
                         roster_changed = true;
-                        fsink.emit_with(|| ObsEvent::NodeUp { at: now, node: node as u32 });
+                        sink.emit_with(|| ObsEvent::NodeUp { at: now, node: node as u32 });
                         // A revived node re-enters every tenant's
                         // Algorithm 2 statistics through the fresh-join
                         // prior, exactly as the runtime treats a
@@ -821,7 +810,7 @@ impl FleetSim {
                             live_nodes: k - dead_list.len(),
                             decision: placement_decision.clone(),
                         });
-                        fsink.emit_with(|| ObsEvent::PlacementDecided {
+                        sink.emit_with(|| ObsEvent::PlacementDecided {
                             at: now,
                             cause: if dead { PLACEMENT_LEAVE } else { PLACEMENT_JOIN },
                             node: node as u32,
@@ -855,9 +844,9 @@ impl FleetSim {
                         queue_wait: now - arrival_s,
                         inflight: inflight_now as u32,
                     });
-                    // Tenant-tagged twin on the fleet stream, same
-                    // instant — the labeled-metrics registry keys on it.
-                    fsink.emit_with(|| ObsEvent::TenantAdmit {
+                    // Tenant-tagged twin, same instant — the
+                    // labeled-metrics registry keys on it.
+                    sink.emit_with(|| ObsEvent::TenantAdmit {
                         at: now,
                         image: img,
                         tenant: tenant as u32,
@@ -1249,10 +1238,10 @@ impl FleetSim {
                     tr.redispatched += stats.redispatched as u64;
                     tr.duplicate += stats.duplicate as u64;
                     tr.last_done = now;
-                    // Tenant-tagged twin on the fleet stream, plus the
-                    // burn-rate fold for tenants that declared an SLO.
+                    // Tenant-tagged twin, plus the burn-rate fold for
+                    // tenants that declared an SLO.
                     let alloc_tiles: u32 = stats.alloc.iter().sum();
-                    fsink.emit_with(|| ObsEvent::TenantFinish {
+                    sink.emit_with(|| ObsEvent::TenantFinish {
                         at: now,
                         image: img,
                         tenant: tenant as u32,

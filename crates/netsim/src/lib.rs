@@ -49,7 +49,7 @@ pub mod schemes;
 pub mod tenancy;
 
 pub use adcnn_core::config::ConfigError;
-pub use adcnn_core::fleetobs::{FleetReporter, LabeledMetricsRegistry, SloReport, SloSpec};
+pub use adcnn_core::fleetobs::{LabeledMetricsRegistry, SloReport, SloSpec};
 pub use adcnn_core::obs::SinkHandle;
 pub use adcnn_core::report::{AttributionSink, FlightRecorderSink, ImageReport};
 pub use arrivals::{ArrivalGen, ArrivalSpec};

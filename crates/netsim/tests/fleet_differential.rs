@@ -36,7 +36,7 @@ fn decision_trace(mut cfg: AdcnnSimConfig) -> String {
     cfg.sink = SinkHandle::new(rec.clone());
     let s = AdcnnSim::new(cfg).run();
     let mut out = String::new();
-    for e in rec.events() {
+    for e in rec.events().iter().filter(|e| !e.is_fleet_scope()) {
         out.push_str(&format!("{e:?}\n"));
     }
     out.push_str(&format!(
@@ -83,7 +83,7 @@ fn fleet_decision_trace(mut cfg: FleetConfig) -> String {
     cfg.sink = SinkHandle::new(rec.clone());
     let s = FleetSim::new(cfg).run();
     let mut out = String::new();
-    for e in rec.events() {
+    for e in rec.events().iter().filter(|e| !e.is_fleet_scope()) {
         out.push_str(&format!("{e:?}\n"));
     }
     out.push_str(&format!(

@@ -5,8 +5,9 @@
 //! plan itself.
 
 use adcnn_core::fdsp::TileGrid;
-use adcnn_core::fleetobs::{FleetReporter, LabeledMetricsRegistry, SloSpec};
-use adcnn_core::obs::{json, ObsEvent, RecordingSink, SinkHandle};
+use adcnn_core::fleetobs::{LabeledMetricsRegistry, SloSpec};
+use adcnn_core::obs::{json, MetricsSink, ObsEvent, RecordingSink, SinkHandle};
+use adcnn_core::report::Reporter;
 use adcnn_netsim::planner::plan_placement;
 use adcnn_netsim::{
     ArrivalSpec, ChurnPlan, FleetConfig, FleetSim, FleetSummary, GreedyPlacement, PlacementCause,
@@ -67,7 +68,7 @@ fn per_tenant_streamed_quantiles_match_exact_within_one_bucket() {
     }
 }
 
-/// `NodeUp`/`NodeDown` on the fleet stream must be exactly the state
+/// `NodeUp`/`NodeDown` on the event stream must be exactly the state
 /// transitions of the composed churn plan (`ChurnPlan::topology_events`).
 #[test]
 fn topology_stream_reconciles_with_the_churn_plan() {
@@ -76,12 +77,12 @@ fn topology_stream_reconciles_with_the_churn_plan() {
     let mut nodes: Vec<SimNode> = (0..8).map(|_| SimNode::pi()).collect();
     plan.apply(&mut nodes);
 
-    let frec = Arc::new(RecordingSink::new());
+    let rec = Arc::new(RecordingSink::new());
     let tenant =
         TenantSpec::builder(zoo::vgg16()).grid(TileGrid::new(2, 2)).requests(150).build().unwrap();
     let cfg = FleetConfig::builder(nodes)
         .tenant(tenant)
-        .fleet_sink(SinkHandle::new(frec.clone()))
+        .sink(SinkHandle::new(rec.clone()))
         .build()
         .unwrap();
     let fs = FleetSim::new(cfg).run();
@@ -98,9 +99,10 @@ fn topology_stream_reconciles_with_the_churn_plan() {
     }
     assert!(!expect.is_empty(), "plan produced no transitions — vacuous test");
 
-    let got: Vec<(f64, usize, bool)> = frec
+    let got: Vec<(f64, usize, bool)> = rec
         .events()
         .iter()
+        .filter(|ev| ev.is_fleet_scope())
         .filter_map(|ev| match *ev {
             ObsEvent::NodeUp { at, node } => Some((at, node as usize, true)),
             ObsEvent::NodeDown { at, node } => Some((at, node as usize, false)),
@@ -123,9 +125,24 @@ fn placement_audit_records_every_decision_with_cause_and_inputs() {
     let policy = GreedyPlacement::with_headroom(1.3).unwrap();
     let mut cfg = two_tenant_config(nodes, 80);
     cfg.placement = Arc::new(policy);
+    let rec = Arc::new(RecordingSink::new());
+    cfg.sink = SinkHandle::new(rec.clone());
     let fs = FleetSim::new(cfg.clone()).run();
 
     assert_eq!(fs.audit.entries.len() as u64, fs.replacements + 1);
+    // The stream carries one PlacementDecided per audit entry, in order.
+    let decided: Vec<(u64, f64, u32)> = rec
+        .events()
+        .iter()
+        .filter(|ev| ev.is_fleet_scope())
+        .filter_map(|ev| match *ev {
+            ObsEvent::PlacementDecided { seq, at, live_nodes, .. } => Some((seq, at, live_nodes)),
+            _ => None,
+        })
+        .collect();
+    let audited: Vec<(u64, f64, u32)> =
+        fs.audit.entries.iter().map(|e| (e.seq, e.at, e.live_nodes as u32)).collect();
+    assert_eq!(decided, audited, "event stream and audit trail diverge");
     let initial = &fs.audit.entries[0];
     assert_eq!(initial.seq, 0);
     assert_eq!(initial.cause, PlacementCause::Initial);
@@ -168,7 +185,7 @@ fn fleet_run_produces_labeled_metrics_reporter_lines_and_slo_reports() {
         cfg.nodes.len(),
     ));
     let mut cfg = cfg;
-    cfg.fleet_sink = SinkHandle::new(registry.clone());
+    cfg.sink = SinkHandle::new(registry.clone());
     let fs: FleetSummary = FleetSim::new(cfg).run();
 
     // Tenant shards fold the TenantAdmit/TenantFinish twins into the
@@ -192,8 +209,13 @@ fn fleet_run_produces_labeled_metrics_reporter_lines_and_slo_reports() {
     assert!(prom.contains(r#"node="0""#), "per-node shards must render too");
 
     // Per-tenant Reporter lines.
-    let mut reporter = FleetReporter::new(&registry);
-    let lines = reporter.sample_lines(&registry, fs.sim_end_s);
+    let lines: Vec<String> = registry
+        .tenants()
+        .map(|(name, shard)| {
+            let sample = Reporter::new().sample(&shard.snapshot(), fs.sim_end_s);
+            format!("tenant={name} | {}", sample.line())
+        })
+        .collect();
     assert_eq!(lines.len(), 2);
     assert!(lines[0].starts_with("tenant=vgg16-cam | "), "{}", lines[0]);
     assert!(lines[1].starts_with("tenant=resnet18-iot | "), "{}", lines[1]);
@@ -214,9 +236,9 @@ fn fleet_run_produces_labeled_metrics_reporter_lines_and_slo_reports() {
     }
 }
 
-/// Observation must not change the run: a fleet with both sinks null
-/// and the same fleet with recorders on both streams summarize
-/// identically, re-placement and churn included.
+/// Observation must not change the run: a fleet with a null sink and the
+/// same fleet with a recorder summarize identically, re-placement and
+/// churn included.
 #[test]
 fn attaching_sinks_leaves_the_summary_unchanged() {
     let build = || {
@@ -228,12 +250,59 @@ fn attaching_sinks_leaves_the_summary_unchanged() {
     };
     let quiet = FleetSim::new(build()).run();
 
-    let (rec, frec) = (Arc::new(RecordingSink::new()), Arc::new(RecordingSink::new()));
+    let rec = Arc::new(RecordingSink::new());
     let mut cfg = build();
     cfg.sink = SinkHandle::new(rec.clone());
-    cfg.fleet_sink = SinkHandle::new(frec.clone());
     let observed = FleetSim::new(cfg).run();
 
-    assert!(!rec.events().is_empty() && !frec.events().is_empty(), "recorders saw nothing");
+    let evs = rec.events();
+    assert!(
+        evs.iter().any(|e| e.is_fleet_scope()) && evs.iter().any(|e| !e.is_fleet_scope()),
+        "the recorder must see both scopes"
+    );
     assert_eq!(format!("{quiet:?}"), format!("{observed:?}"));
+}
+
+/// One stream, counted once: topology, placement, the tenant-tagged
+/// twins and the per-image lifecycle all arrive on `sink`, and neither a
+/// plain `MetricsSink` nor the labeled registry counts an image twice.
+#[test]
+fn one_stream_counts_every_image_once() {
+    let plan = ChurnPlan::builder(400.0, 9).join_leave(60.0, 15.0).build().unwrap();
+    let build = || {
+        let mut nodes: Vec<SimNode> = (0..8).map(|_| SimNode::pi()).collect();
+        plan.apply(&mut nodes);
+        let mut cfg = two_tenant_config(nodes, 60);
+        cfg.placement = Arc::new(GreedyPlacement::default());
+        cfg
+    };
+    let requests = 120;
+    let mut alive = [true; 8];
+    let mut departures = 0;
+    for (_, n, up) in plan.topology_events(8) {
+        departures += u64::from(alive[n] && !up);
+        alive[n] = up;
+    }
+    assert!(departures > 0, "plan produced no departures — vacuous test");
+
+    let metrics = Arc::new(MetricsSink::new());
+    let mut cfg = build();
+    cfg.sink = SinkHandle::new(metrics.clone());
+    assert_eq!(FleetSim::new(cfg).run().completed, requests);
+    let snap = metrics.snapshot();
+    assert_eq!(snap.images_admitted, requests);
+    assert_eq!(snap.images_finished, requests);
+    assert_eq!(snap.nodes_down, departures);
+
+    let mut cfg = build();
+    let registry = Arc::new(LabeledMetricsRegistry::new(
+        &cfg.tenants.iter().map(|t| t.name.as_str()).collect::<Vec<_>>(),
+        cfg.nodes.len(),
+    ));
+    cfg.sink = SinkHandle::new(registry.clone());
+    FleetSim::new(cfg).run();
+    let per_tenant: u64 =
+        (0..2).map(|t| registry.tenant(t).unwrap().snapshot().images_finished).sum();
+    assert_eq!(per_tenant, registry.global().snapshot().images_finished);
+    assert_eq!(per_tenant, requests);
 }

@@ -929,9 +929,13 @@ fn reader_loop(
         }
         let now = Instant::now();
         stats.record(Duration::from_nanos(compute_ns), Duration::from_nanos(compress_ns));
+        // Laid out as an in-process worker stamps them: compress ends at
+        // `at`, compute ends where compress began. (In seconds, not on the
+        // `Instant`: the nanosecond counts come off the wire.)
         let at = now.duration_since(epoch).as_secs_f64();
+        let compress_s = Duration::from_nanos(compress_ns).as_secs_f64();
         sink.emit_with(|| ObsEvent::TileCompute {
-            at,
+            at: (at - compress_s).max(0.0),
             image: res.key.image_id,
             tile: res.key.tile_id,
             worker: slot as u32,
@@ -944,7 +948,7 @@ fn reader_loop(
                 image: res.key.image_id,
                 tile: res.key.tile_id,
                 worker: slot as u32,
-                dur: Duration::from_nanos(compress_ns).as_secs_f64(),
+                dur: compress_s,
                 bytes: bits / 8,
                 ratio: bits as f64 / (res.payload.elems as f64 * 32.0),
             }

@@ -350,6 +350,46 @@ fn uds_loopback_smoke() {
     assert!(!path.exists(), "UDS socket file must be cleaned up");
 }
 
+/// A remote worker's spans carry the worker's own timings on RESULT
+/// frames; the reader must lay them out the way an in-process worker
+/// does — compute ends where compress begins, compress ends at the
+/// stamp — or the attribution books compress time as queue wait.
+#[test]
+fn remote_spans_are_stamped_like_in_process_spans() {
+    let listener = bind_loopback();
+    let worker = spawn_loopback_worker(listener.endpoint().clone());
+    let rec = std::sync::Arc::new(RecordingSink::new());
+    let cfg = RuntimeConfig::builder().sink(SinkHandle::new(rec.clone())).build().unwrap();
+    let mut rt =
+        AdcnnRuntime::launch_remote(spec(), 1, cfg, listener, Duration::from_secs(10)).unwrap();
+    let out = rt.infer(&rand_image(600));
+    assert_eq!(out.zero_filled, 0);
+    rt.shutdown();
+    worker.join().unwrap().unwrap();
+
+    let evs = rec.events();
+    let mut tiles = 0;
+    for ev in &evs {
+        let ObsEvent::TileCompress { at, image, tile, dur, .. } = *ev else { continue };
+        let compute_at = evs
+            .iter()
+            .find_map(|e| match *e {
+                ObsEvent::TileCompute { at, image: i, tile: t, .. } if (i, t) == (image, tile) => {
+                    Some(at)
+                }
+                _ => None,
+            })
+            .expect("every compress span has its compute span");
+        assert!(dur > 0.0, "tile {tile}: compression took no time");
+        assert!(
+            (compute_at + dur - at).abs() < 1e-9,
+            "tile {tile}: compute ends at {compute_at}, compress ({dur} s) ends at {at}"
+        );
+        tiles += 1;
+    }
+    assert_eq!(tiles, 4, "one compress span per tile of the 2x2 grid");
+}
+
 /// The join barrier fails loudly when workers never show up.
 #[test]
 fn launch_remote_times_out_without_workers() {

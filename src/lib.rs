@@ -39,8 +39,7 @@ pub mod prelude {
     pub use adcnn_core::fdsp::TileGrid;
     pub use adcnn_core::lifecycle::{LifecyclePolicy, TimerPolicy};
     pub use adcnn_core::obs::{
-        EventSink, MetricsSink, MetricsSnapshot, NullSink, ObsEvent, RecordingSink, SinkHandle,
-        TeeSink,
+        EventSink, MetricsSink, MetricsSnapshot, ObsEvent, RecordingSink, SinkHandle, TeeSink,
     };
     pub use adcnn_core::report::{
         AttributionAggregate, AttributionSink, FlightRecorderSink, ForensicReport, ImageReport,

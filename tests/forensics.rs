@@ -250,3 +250,61 @@ fn netsim_zero_fills_yield_forensics_and_consistent_attribution() {
         );
     }
 }
+
+/// The merge phase is the suffix interval: the lifecycle finishes an
+/// image when its last tile lands, the driver runs the suffix network
+/// after that and retires the image before the caller reads the report.
+#[test]
+fn runtime_merge_phase_covers_the_suffix() {
+    let attr = Arc::new(AttributionSink::new());
+    let cfg = RuntimeConfig::builder().attribution(attr.clone()).build().unwrap();
+    let mut rt = AdcnnRuntime::launch(
+        build_model(9, TileGrid::new(2, 2)),
+        &[WorkerOptions::default(); 2],
+        cfg,
+    );
+    let out = rt.infer(&rand_image(1));
+    rt.shutdown();
+
+    let report = out.report.expect("attribution was enabled");
+    assert!(report.merge_s > 0.0, "the suffix forward takes time: merge_s = {}", report.merge_s);
+    let wall = out.latency.as_secs_f64();
+    assert!(report.merge_s <= wall, "merge {} exceeds the image's latency {wall}", report.merge_s);
+    let agg = attr.aggregate();
+    assert!((agg.merge_s - report.merge_s).abs() < 1e-12, "the aggregate follows the amendment");
+    assert!((agg.latency_s - report.latency_s).abs() < 1e-12);
+}
+
+#[test]
+fn netsim_merge_phase_is_the_suffix_interval() {
+    for depth in [1, 3] {
+        let mut cfg = AdcnnSimConfig::paper_testbed(zoo::vgg16(), 4);
+        cfg.images = 6;
+        cfg.pipeline_depth = depth;
+        let attr = Arc::new(AttributionSink::new());
+        cfg.sink = SinkHandle::new(attr.clone());
+        let s = AdcnnSim::new(cfg).run();
+
+        let reports = attr.reports();
+        assert_eq!(reports.len(), 6);
+        for (report, img) in reports.iter().zip(&s.images) {
+            assert!(img.suffix_s > 0.0);
+            if depth == 1 {
+                // Nothing else is on the Central CPU: the suffix starts
+                // the instant the last tile lands.
+                assert!(
+                    (report.merge_s - img.suffix_s).abs() < 1e-9,
+                    "image {}: merge {} vs suffix {}",
+                    report.image,
+                    report.merge_s,
+                    img.suffix_s
+                );
+            } else {
+                // The suffix can queue behind another image's partition
+                // work on the Central CPU.
+                assert!(report.merge_s >= img.suffix_s - 1e-9, "image {}", report.image);
+                assert!(report.merge_s <= img.latency_s + 1e-9, "image {}", report.image);
+            }
+        }
+    }
+}

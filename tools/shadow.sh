@@ -1,0 +1,56 @@
+#!/usr/bin/env bash
+# Offline stand-in for tier-1: the sandbox has no crates.io registry, so the
+# root workspace does not build where the work is done. This copies the tree
+# to DEST (default /root/scratch/shadow), patches the copy's crates.io
+# dependencies to the stand-ins under its own perf-ledger/offline/ and to
+# tools/proptest-stub, drops crates/bench (criterion, serde_json and real
+# serde derives have no stand-in), and runs fmt, clippy, rustdoc and the
+# workspace tests there. Reads the repository; writes only under DEST.
+#
+#   tools/shadow.sh [DEST] [-- extra `cargo test` arguments]
+set -euo pipefail
+repo="$(cd "$(dirname "$0")/.." && pwd)"
+dest="/root/scratch/shadow"
+if [[ $# -gt 0 && "$1" != "--" ]]; then
+    dest="$1"
+    shift
+fi
+[[ "${1:-}" == "--" ]] && shift
+
+mkdir -p "$dest"
+dest="$(cd "$dest" && pwd)"
+case "$dest/" in "$repo"/*) echo "DEST must lie outside the repository" >&2; exit 2 ;; esac
+
+echo "==> copy $repo -> $dest"
+# No rsync in the container. The copy's build output survives reruns.
+find "$dest" -mindepth 1 -maxdepth 1 ! -name target -exec rm -rf {} +
+tar -C "$repo" --exclude=./target --exclude=./.git --exclude=./perf-ledger/target \
+    --exclude=./perf-ledger/out --exclude=./.bench_build -cf - . | tar -C "$dest" -xf -
+
+rm -rf "$dest/crates/bench"
+sed -i -e '/^criterion = /d' -e '/^serde_json = /d' \
+    -e "s|^proptest = .*|proptest = { path = \"$dest/tools/proptest-stub\" }|" "$dest/Cargo.toml"
+{
+    echo
+    echo "[patch.crates-io]"
+    for dep in rand rayon crossbeam parking_lot bytes serde serde_derive; do
+        echo "$dep = { path = \"$dest/perf-ledger/offline/$dep\" }"
+    done
+} >>"$dest/Cargo.toml"
+
+cd "$dest"
+export CARGO_TARGET_DIR="$dest/target"
+
+echo "==> cargo fmt --check"
+cargo fmt --check
+
+echo "==> cargo clippy -- -D warnings"
+cargo clippy --offline --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc (intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
+echo "==> cargo test --workspace"
+cargo test --offline --workspace --no-fail-fast "$@"
+
+echo "==> shadow OK"
