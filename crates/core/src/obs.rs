@@ -292,6 +292,8 @@ fn f(key: &'static str, v: f64) -> (&'static str, Num) {
 /// once per variant and every accessor reads.
 struct Parts {
     kind: &'static str,
+    /// See [`ObsEvent::is_fleet_scope`].
+    fleet: bool,
     at: f64,
     image: Option<u64>,
     tile: Option<u32>,
@@ -303,25 +305,37 @@ struct Parts {
 }
 
 impl Parts {
+    #[inline(always)]
     fn new<const N: usize>(kind: &'static str, at: f64, rest: [(&'static str, Num); N]) -> Self {
         assert!(N <= 5, "widen Parts::rest");
         let rest = std::array::from_fn(|i| rest.get(i).copied());
-        Parts { kind, at, image: None, tile: None, worker: None, node: None, tenant: None, rest }
+        let (image, tile, worker, node, tenant) = (None, None, None, None, None);
+        Parts { kind, fleet: false, at, image, tile, worker, node, tenant, rest }
     }
 }
 
 /// Generates `ObsEvent::parts`, the one match over the variants. A row is
-/// `Variant "kind" [ids] [payload];`. The ids are the fields among
+/// `Variant "kind" scope [ids] [payload];`. The scope is `per_image` or
+/// `fleet` ([`ObsEvent::is_fleet_scope`]). The ids are the fields among
 /// `image`, `tile`, `worker`, `node`, `tenant` that scope the event: the
 /// accessors of those names return them, and `args_json` renders them
 /// first, in that order. The payload is every other field but `at`,
 /// tagged `u` (integer) or `f` (float), in `args_json` order. A row that
-/// leaves a field out does not compile.
+/// leaves a field or the scope out does not compile.
+///
+/// `#[inline(always)]` is load-bearing: it lets an accessor that reads one
+/// field compile to a branch on the discriminant, and the labeled registry
+/// routes every event of a fleet's stream on `tenant()` and `worker()`
+/// (3 ns an event; 17 ns with plain `#[inline]`, which builds the struct).
 macro_rules! event_schema {
-    ($($variant:ident $kind:literal [$($id:ident),*] [$($ty:ident $field:ident),*];)*) => {
+    (@fleet per_image) => { false };
+    (@fleet fleet) => { true };
+    ($($variant:ident $kind:literal $scope:ident [$($id:ident),*] [$($ty:ident $field:ident),*];)*) => {
+        #[inline(always)]
         fn parts(&self) -> Parts {
             match *self {
                 $(ObsEvent::$variant { at, $($id,)* $($field,)* } => Parts {
+                    fleet: event_schema!(@fleet $scope),
                     $($id: Some($id),)*
                     ..Parts::new($kind, at, [$($ty(stringify!($field), $field)),*])
                 },)*
@@ -332,32 +346,32 @@ macro_rules! event_schema {
 
 impl ObsEvent {
     event_schema! {
-        ImageStart       "image_start"       [image]               [u tiles, u placed];
-        ImageFinish      "image_finish"      [image]               [f latency, u zero_filled, u redispatched];
-        TileDispatch     "tile_dispatch"     [image, tile, worker] [];
-        TileRedispatch   "tile_redispatch"   [image, tile, worker] [u round];
-        TileArrival      "tile_arrival"      [image, tile, worker] [];
-        TileDuplicate    "tile_duplicate"    [image, tile, worker] [];
-        TileLate         "tile_late"         [image, tile, worker] [];
-        TileCorrupt      "tile_corrupt"      [image, tile, worker] [];
-        TileZeroFill     "tile_zero_fill"    [image, tile]         [];
-        DeadlineArmed    "deadline_armed"    [image]               [f span];
-        DeadlineFired    "deadline_fired"    [image]               [];
-        WorkerDead       "worker_dead"       [image, worker]       [];
-        WorkerSuspect    "worker_suspect"    [image, worker]       [];
-        WorkerCleared    "worker_cleared"    [image, worker]       [];
-        RateUpdate       "rate_update"       [image, worker]       [f rate];
-        TileCompute      "tile_compute"      [image, tile, worker] [f dur];
-        TileCompress     "tile_compress"     [image, tile, worker] [f dur, u bytes, f ratio];
-        TileTransfer     "tile_transfer"     [image, tile, worker] [f dur];
-        ImageAdmitted    "image_admitted"    [image]               [f queue_wait, u inflight];
-        ImageRetired     "image_retired"     [image]               [u inflight];
-        NodeUp           "node_up"           [node]                [];
-        NodeDown         "node_down"         [node]                [];
+        ImageStart       "image_start"       per_image [image]               [u tiles, u placed];
+        ImageFinish      "image_finish"      per_image [image]               [f latency, u zero_filled, u redispatched];
+        TileDispatch     "tile_dispatch"     per_image [image, tile, worker] [];
+        TileRedispatch   "tile_redispatch"   per_image [image, tile, worker] [u round];
+        TileArrival      "tile_arrival"      per_image [image, tile, worker] [];
+        TileDuplicate    "tile_duplicate"    per_image [image, tile, worker] [];
+        TileLate         "tile_late"         per_image [image, tile, worker] [];
+        TileCorrupt      "tile_corrupt"      per_image [image, tile, worker] [];
+        TileZeroFill     "tile_zero_fill"    per_image [image, tile]         [];
+        DeadlineArmed    "deadline_armed"    per_image [image]               [f span];
+        DeadlineFired    "deadline_fired"    per_image [image]               [];
+        WorkerDead       "worker_dead"       per_image [image, worker]       [];
+        WorkerSuspect    "worker_suspect"    per_image [image, worker]       [];
+        WorkerCleared    "worker_cleared"    per_image [image, worker]       [];
+        RateUpdate       "rate_update"       per_image [image, worker]       [f rate];
+        TileCompute      "tile_compute"      per_image [image, tile, worker] [f dur];
+        TileCompress     "tile_compress"     per_image [image, tile, worker] [f dur, u bytes, f ratio];
+        TileTransfer     "tile_transfer"     per_image [image, tile, worker] [f dur];
+        ImageAdmitted    "image_admitted"    per_image [image]               [f queue_wait, u inflight];
+        ImageRetired     "image_retired"     per_image [image]               [u inflight];
+        NodeUp           "node_up"           fleet     [node]                [];
+        NodeDown         "node_down"         fleet     [node]                [];
         // `node` is the trigger here, not a scope: payload, after `cause`.
-        PlacementDecided "placement_decided" []                    [u cause, u node, u tenants, u live_nodes, u seq];
-        TenantAdmit      "tenant_admit"      [image, tenant]       [f queue_wait];
-        TenantFinish     "tenant_finish"     [image, tenant]       [f latency, u zero_filled, u tiles];
+        PlacementDecided "placement_decided" fleet     []                    [u cause, u node, u tenants, u live_nodes, u seq];
+        TenantAdmit      "tenant_admit"      fleet     [image, tenant]       [f queue_wait];
+        TenantFinish     "tenant_finish"     fleet     [image, tenant]       [f latency, u zero_filled, u tiles];
     }
 
     /// Stable event-type name (the cross-driver schema the differential
@@ -400,12 +414,14 @@ impl ObsEvent {
     }
 
     /// The worker (or, for topology events, the node) the event concerns.
+    #[inline]
     pub fn worker(&self) -> Option<u32> {
         let p = self.parts();
         p.worker.or(p.node)
     }
 
     /// The tenant the event is tagged with, for fleet-scope variants.
+    #[inline]
     pub fn tenant(&self) -> Option<u32> {
         self.parts().tenant
     }
@@ -419,15 +435,9 @@ impl ObsEvent {
     /// than one image's lifecycle: topology, placement and the
     /// tenant-tagged twins. Per-image decision traces (the goldens, the
     /// cross-driver differentials) skip these.
+    #[inline]
     pub fn is_fleet_scope(&self) -> bool {
-        matches!(
-            self,
-            ObsEvent::NodeUp { .. }
-                | ObsEvent::NodeDown { .. }
-                | ObsEvent::PlacementDecided { .. }
-                | ObsEvent::TenantAdmit { .. }
-                | ObsEvent::TenantFinish { .. }
-        )
+        self.parts().fleet
     }
 }
 

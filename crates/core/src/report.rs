@@ -319,10 +319,14 @@ impl ImageState {
                         transfer_s: transfer,
                     }
                 }
-                (None, Some(zf), dispatch) => {
+                // Never accepted: the window closes at the zero-fill, or at
+                // image completion for a tile abandoned mid-flight, and is
+                // all queue wait (zero-width if the tile was never placed).
+                (None, zero_fill_at, dispatch) => {
+                    let done_at = zero_fill_at.unwrap_or(at);
                     let (dispatch_at, worker) = match dispatch {
                         Some((d, w)) => (d, Some(w)),
-                        None => (zf, None), // never placed: zero-width window
+                        None => (done_at, None),
                     };
                     TileReport {
                         tile: *id,
@@ -330,29 +334,8 @@ impl ImageState {
                         rounds: t.rounds,
                         zero_filled: true,
                         dispatch_at,
-                        done_at: zf,
-                        queue_wait_s: (zf - dispatch_at).max(0.0),
-                        compute_s: 0.0,
-                        compress_s: 0.0,
-                        transfer_s: 0.0,
-                    }
-                }
-                // Dispatched but neither accepted nor zero-filled at
-                // finish (abandoned mid-flight): close the window at
-                // image completion.
-                (None, None, dispatch) => {
-                    let (dispatch_at, worker) = match dispatch {
-                        Some((d, w)) => (d, Some(w)),
-                        None => (at, None),
-                    };
-                    TileReport {
-                        tile: *id,
-                        worker,
-                        rounds: t.rounds,
-                        zero_filled: true,
-                        dispatch_at,
-                        done_at: at,
-                        queue_wait_s: (at - dispatch_at).max(0.0),
+                        done_at,
+                        queue_wait_s: (done_at - dispatch_at).max(0.0),
                         compute_s: 0.0,
                         compress_s: 0.0,
                         transfer_s: 0.0,
@@ -408,7 +391,8 @@ fn dominant_phase(critical: Option<&TileReport>, merge_s: f64) -> Phase {
 #[derive(Debug)]
 struct AttrInner {
     inflight: VecDeque<ImageState>,
-    finished: VecDeque<ImageReport>,
+    /// Each retained report with whether its `ImageRetired` was applied.
+    finished: VecDeque<(ImageReport, bool)>,
     agg: AttributionAggregate,
 }
 
@@ -458,16 +442,19 @@ impl AttributionSink {
     /// be retained.
     pub fn report_for(&self, image: u64) -> Option<ImageReport> {
         let inner = self.inner.lock().expect("attribution sink poisoned");
-        inner.finished.iter().rev().find(|r| r.image == image).cloned()
+        inner.finished.iter().rev().find(|(r, _)| r.image == image).map(|(r, _)| r.clone())
     }
 
     /// All retained reports, oldest first.
     pub fn reports(&self) -> Vec<ImageReport> {
         let inner = self.inner.lock().expect("attribution sink poisoned");
-        inner.finished.iter().cloned().collect()
+        inner.finished.iter().map(|(r, _)| r.clone()).collect()
     }
 
-    /// The whole-run roll-up.
+    /// The whole-run roll-up. Its merge (and the merge share of its
+    /// latency) covers the images whose `ImageRetired` found their report
+    /// still retained; with a retention smaller than the pipeline depth a
+    /// report can be evicted first, and that image's merge is not counted.
     pub fn aggregate(&self) -> AttributionAggregate {
         self.inner.lock().expect("attribution sink poisoned").agg.clone()
     }
@@ -496,7 +483,7 @@ impl EventSink for AttributionSink {
                 let state = inner.inflight.remove(pos).expect("position just found");
                 let report = state.finish(at, latency, zero_filled, redispatched);
                 inner.agg.fold(&report);
-                inner.finished.push_back(report);
+                inner.finished.push_back((report, false));
                 if inner.finished.len() > self.finished_cap {
                     inner.finished.pop_front();
                 }
@@ -504,12 +491,20 @@ impl EventSink for AttributionSink {
             // The lifecycle finishes an image when its last tile lands;
             // the driver runs the suffix after that and retires the image
             // before anyone reads the report. Extend the finished report
-            // to the retirement: the merge phase is that interval.
+            // to the retirement: the merge phase is that interval. Once
+            // per report, and never backwards in time: a sink reused
+            // across runs sees image ids restart, and the newest report
+            // under an id may be an earlier run's.
             ObsEvent::ImageRetired { at, image, .. } => {
                 let AttrInner { finished, agg, .. } = &mut *inner;
-                let Some(r) = finished.iter_mut().rev().find(|r| r.image == image) else {
+                let Some((r, retired)) = finished.iter_mut().rev().find(|(r, _)| r.image == image)
+                else {
                     return;
                 };
+                if *retired || at < r.finish_at {
+                    return;
+                }
+                *retired = true;
                 let Some(done_at) = r.critical().map(|c| c.done_at) else { return };
                 let merge_s = (at - done_at).max(0.0);
                 let grown = merge_s - r.merge_s;
@@ -1161,6 +1156,54 @@ mod tests {
                                                          // the zero-filled tile completed last → critical
         assert_eq!(r.critical_tile, Some(1));
         assert_eq!(r.dominant_phase, Phase::QueueWait);
+    }
+
+    #[test]
+    fn retirement_extends_a_report_once_and_never_an_older_runs() {
+        let a = Arc::new(AttributionSink::new());
+        let h = SinkHandle::new(a.clone());
+        let run = |t0: f64| {
+            h.emit_with(|| ObsEvent::ImageStart { at: t0, image: 0, tiles: 1, placed: 1 });
+            h.emit_with(|| ObsEvent::TileDispatch { at: t0, image: 0, tile: 0, worker: 0 });
+            h.emit_with(|| ObsEvent::TileArrival { at: t0 + 0.25, image: 0, tile: 0, worker: 0 });
+        };
+        run(1.0);
+        h.emit_with(|| ObsEvent::ImageFinish {
+            at: 1.25,
+            image: 0,
+            latency: 0.25,
+            zero_filled: 0,
+            redispatched: 0,
+        });
+        h.emit_with(|| ObsEvent::ImageRetired { at: 1.75, image: 0, inflight: 0 });
+        let first = a.report_for(0).expect("retained");
+        assert_eq!((first.merge_s, first.latency_s, first.finish_at), (0.5, 0.75, 1.75));
+        assert_eq!(first.dominant_phase, Phase::Merge);
+
+        // A second retirement of the same report changes nothing.
+        h.emit_with(|| ObsEvent::ImageRetired { at: 9.0, image: 0, inflight: 0 });
+        assert_eq!(a.report_for(0), Some(first.clone()));
+
+        // A later run reuses id 0 and loses its state before finishing:
+        // its retirement must not land on the first run's report.
+        run(20.0);
+        a.inner.lock().unwrap().inflight.clear();
+        h.emit_with(|| ObsEvent::ImageRetired { at: 21.0, image: 0, inflight: 0 });
+        assert_eq!(a.report_for(0), Some(first));
+        let agg = a.aggregate();
+        assert_eq!((agg.images, agg.merge_s, agg.latency_s), (1, 0.5, 0.75));
+
+        // Nor does a retirement stamped before the report's own finish.
+        run(30.0);
+        h.emit_with(|| ObsEvent::ImageFinish {
+            at: 30.25,
+            image: 0,
+            latency: 0.25,
+            zero_filled: 0,
+            redispatched: 0,
+        });
+        h.emit_with(|| ObsEvent::ImageRetired { at: 2.0, image: 0, inflight: 0 });
+        assert_eq!(a.report_for(0).expect("retained").merge_s, 0.0);
     }
 
     #[test]

@@ -306,3 +306,37 @@ fn one_stream_counts_every_image_once() {
     assert_eq!(per_tenant, registry.global().snapshot().images_finished);
     assert_eq!(per_tenant, requests);
 }
+
+/// The fleet-scope view alone — what the second handle used to carry — is
+/// a filter in front of the sink: the registry then sees topology,
+/// placement and the tenant twins but none of the tile stream, at the cost
+/// of one branch per event (DESIGN §18 has the wall-clock reading).
+#[test]
+fn a_scope_filter_feeds_a_sink_the_fleet_view_alone() {
+    struct FleetScopeOnly(Arc<LabeledMetricsRegistry>);
+    impl adcnn_core::obs::EventSink for FleetScopeOnly {
+        fn emit(&self, ev: &ObsEvent) {
+            if ev.is_fleet_scope() {
+                self.0.emit(ev);
+            }
+        }
+    }
+
+    let plan = ChurnPlan::builder(400.0, 9).join_leave(60.0, 15.0).build().unwrap();
+    let mut nodes: Vec<SimNode> = (0..8).map(|_| SimNode::pi()).collect();
+    plan.apply(&mut nodes);
+    let mut cfg = two_tenant_config(nodes, 60);
+    let registry = Arc::new(LabeledMetricsRegistry::new(
+        &cfg.tenants.iter().map(|t| t.name.as_str()).collect::<Vec<_>>(),
+        cfg.nodes.len(),
+    ));
+    cfg.sink = SinkHandle::of(FleetScopeOnly(registry.clone()));
+    let fs = FleetSim::new(cfg).run();
+
+    let global = registry.global().snapshot();
+    assert!(global.nodes_down > 0 && global.placements_decided > 0);
+    assert_eq!((global.images_finished, global.tiles_dispatched), (0, 0));
+    let per_tenant: u64 =
+        (0..2).map(|t| registry.tenant(t).unwrap().snapshot().images_finished).sum();
+    assert_eq!(per_tenant, fs.completed);
+}

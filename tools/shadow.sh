@@ -5,11 +5,13 @@
 # dependencies to the stand-ins under its own perf-ledger/offline/ and to
 # tools/proptest-stub, drops crates/bench (criterion, serde_json and real
 # serde derives have no stand-in), and runs fmt, clippy, rustdoc and the
-# workspace tests there. Reads the repository; writes only under DEST.
+# workspace tests there. Reads the repository; writes only under DEST, and
+# replaces what an earlier run left there: DEST must be new, empty or carry
+# the `.adcnn-shadow` marker this script drops.
 #
 #   tools/shadow.sh [DEST] [-- extra `cargo test` arguments]
 set -euo pipefail
-repo="$(cd "$(dirname "$0")/.." && pwd)"
+repo="$(cd "$(dirname "$0")/.." && pwd -P)"
 dest="/root/scratch/shadow"
 if [[ $# -gt 0 && "$1" != "--" ]]; then
     dest="$1"
@@ -17,13 +19,22 @@ if [[ $# -gt 0 && "$1" != "--" ]]; then
 fi
 [[ "${1:-}" == "--" ]] && shift
 
-mkdir -p "$dest"
-dest="$(cd "$dest" && pwd)"
+dest="$(realpath -m "$dest")"
 case "$dest/" in "$repo"/*) echo "DEST must lie outside the repository" >&2; exit 2 ;; esac
+if [[ "$dest" == / || "$repo/" == "$dest"/* ]]; then
+    echo "DEST must not contain the repository" >&2
+    exit 2
+fi
+mkdir -p "$dest"
+if [[ ! -e "$dest/.adcnn-shadow" && -n "$(ls -A "$dest")" ]]; then
+    echo "$dest is not empty and was not made by this script; refusing to replace it" >&2
+    exit 2
+fi
+touch "$dest/.adcnn-shadow"
 
 echo "==> copy $repo -> $dest"
 # No rsync in the container. The copy's build output survives reruns.
-find "$dest" -mindepth 1 -maxdepth 1 ! -name target -exec rm -rf {} +
+find "$dest" -mindepth 1 -maxdepth 1 ! -name target ! -name .adcnn-shadow -exec rm -rf {} +
 tar -C "$repo" --exclude=./target --exclude=./.git --exclude=./perf-ledger/target \
     --exclude=./perf-ledger/out --exclude=./.bench_build -cf - . | tar -C "$dest" -xf -
 
