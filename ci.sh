@@ -58,6 +58,12 @@ cat results/BENCH_gemm.json
 grep -q '"shapes"' results/BENCH_gemm.json
 grep -q '"clock": "wall"' results/BENCH_gemm.json
 
+echo "==> record the element-wise passes (results/BENCH_datapath.json)"
+# Pool, clip+quantize+RLE, decode, paste, tile extraction and the task codec
+# on the two served geometries, each beside the parent commit's reading.
+cargo run --release --example data_path
+grep -q '"clock": "wall"' results/BENCH_datapath.json
+
 echo "==> record runtime baseline + pipeline depth sweep (results/BENCH_runtime.json)"
 # Figure 15's harness runs with attribution + the flight recorder tee'd in
 # and flattens the adaptive run's MetricsSnapshot into the stable perf

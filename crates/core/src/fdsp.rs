@@ -70,27 +70,20 @@ impl TileGrid {
         (tile_id / self.cols, tile_id % self.cols)
     }
 
-    /// The tile rectangles covering an `h × w` map, row-major. When the map
-    /// does not divide evenly the remainder pixels are spread over the
-    /// leading tiles (sizes differ by at most one).
-    pub fn rects(&self, h: usize, w: usize) -> Vec<TileRect> {
+    /// The rectangle of tile `tile_id` (row-major) in an `h × w` map. When
+    /// the map does not divide evenly the remainder pixels are spread over
+    /// the leading tiles (sizes differ by at most one).
+    pub fn rect(&self, h: usize, w: usize, tile_id: usize) -> TileRect {
         assert!(h >= self.rows && w >= self.cols, "map {h}x{w} smaller than grid");
-        let mut rects = Vec::with_capacity(self.tiles());
-        let hb = split_points(h, self.rows);
-        let wb = split_points(w, self.cols);
-        for gr in 0..self.rows {
-            for gc in 0..self.cols {
-                rects.push(TileRect {
-                    grid_r: gr,
-                    grid_c: gc,
-                    r0: hb[gr],
-                    c0: wb[gc],
-                    h: hb[gr + 1] - hb[gr],
-                    w: wb[gc + 1] - wb[gc],
-                });
-            }
-        }
-        rects
+        let (grid_r, grid_c) = self.tile_pos(tile_id);
+        let (r0, r1) = (grid_r * h / self.rows, (grid_r + 1) * h / self.rows);
+        let (c0, c1) = (grid_c * w / self.cols, (grid_c + 1) * w / self.cols);
+        TileRect { grid_r, grid_c, r0, c0, h: r1 - r0, w: c1 - c0 }
+    }
+
+    /// The tile rectangles covering an `h × w` map, row-major.
+    pub fn rects(&self, h: usize, w: usize) -> Vec<TileRect> {
+        (0..self.tiles()).map(|t| self.rect(h, w, t)).collect()
     }
 
     /// True if an `h × w` map splits into equal-size tiles (required for
@@ -99,14 +92,17 @@ impl TileGrid {
         h.is_multiple_of(self.rows) && w.is_multiple_of(self.cols)
     }
 
+    /// Copy tile `tile_id` (row-major) out of a `[N, C, H, W]` tensor.
+    pub fn extract_tile(&self, x: &Tensor, tile_id: usize) -> Tensor {
+        let (_, _, h, w) = x.shape().nchw();
+        let r = self.rect(h, w, tile_id);
+        x.crop_spatial(r.r0 as isize, r.c0 as isize, r.h, r.w)
+    }
+
     /// Extract the tiles of a `[N, C, H, W]` tensor as separate tensors,
     /// row-major tile order.
     pub fn extract(&self, x: &Tensor) -> Vec<Tensor> {
-        let (_, _, h, w) = x.shape().nchw();
-        self.rects(h, w)
-            .iter()
-            .map(|r| x.crop_spatial(r.r0 as isize, r.c0 as isize, r.h, r.w))
-            .collect()
+        (0..self.tiles()).map(|t| self.extract_tile(x, t)).collect()
     }
 
     /// Stack the tiles of a `[N, C, H, W]` tensor into a single
@@ -184,15 +180,6 @@ impl std::fmt::Display for TileGrid {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}x{}", self.rows, self.cols)
     }
-}
-
-/// `parts + 1` split points dividing `len` as evenly as possible.
-fn split_points(len: usize, parts: usize) -> Vec<usize> {
-    let mut pts = Vec::with_capacity(parts + 1);
-    for i in 0..=parts {
-        pts.push(i * len / parts);
-    }
-    pts
 }
 
 #[cfg(test)]

@@ -87,9 +87,7 @@ impl TileTask {
         for &d in dims {
             buf.put_u32_le(d as u32);
         }
-        for &v in self.tile.as_slice() {
-            buf.put_f32_le(v);
-        }
+        put_f32s_le(buf, self.tile.as_slice());
     }
 
     /// Decode an [`encode_into`](Self::encode_into) body. `None` on any
@@ -139,15 +137,27 @@ impl TileResult {
     /// product is computed with checked arithmetic, capped at
     /// [`MAX_TILE_ELEMS`], and must match the declared element count. A
     /// hostile header therefore cannot trigger an unbounded allocation —
-    /// `decompress` is only reached once the output size is known sane.
+    /// the payload is only read once the output size is known sane.
     pub fn to_tensor(&self) -> Option<Tensor> {
-        let n = checked_numel(&self.shape)?;
-        if self.payload.elems != n {
-            return None;
-        }
-        let values = crate::compress::decompress(&self.payload)?;
-        debug_assert_eq!(values.len(), n);
+        let mut values = vec![0.0f32; self.checked_elems()?];
+        crate::compress::decompress_into(&self.payload, &mut values)?;
         Some(Tensor::from_vec(self.shape, values))
+    }
+
+    /// [`to_tensor`](Self::to_tensor) into a caller-owned buffer of exactly
+    /// the declared element count, with the same checks in the same order
+    /// and no allocation: the Central node's steady-state decode. `None`
+    /// leaves `out` unspecified, so decode into a buffer of your own and
+    /// paste from it only on success.
+    pub fn decode_into(&self, out: &mut [f32]) -> Option<()> {
+        self.checked_elems()?;
+        crate::compress::decompress_into(&self.payload, out)
+    }
+
+    /// The declared element count, if the shape product is sane (checked
+    /// arithmetic, at most [`MAX_TILE_ELEMS`]) and agrees with it.
+    fn checked_elems(&self) -> Option<usize> {
+        checked_numel(&self.shape).filter(|&n| n == self.payload.elems)
     }
 
     /// Append the explicit wire encoding: key, shape, element count,
@@ -203,12 +213,23 @@ impl TileResult {
     }
 }
 
+/// Append `values` as little-endian f32s, a block at a time: the conversion
+/// of a block is one vector copy on a little-endian machine, and the buffer
+/// grows by blocks instead of by elements.
+fn put_f32s_le(buf: &mut BytesMut, values: &[f32]) {
+    let mut block = [0u8; 1024];
+    for chunk in values.chunks(block.len() / 4) {
+        for (dst, v) in block.chunks_exact_mut(4).zip(chunk) {
+            dst.copy_from_slice(&v.to_le_bytes());
+        }
+        buf.put_slice(&block[..chunk.len() * 4]);
+    }
+}
+
 /// Serialize a tensor's raw f32 data (little endian) for transport.
 pub fn tensor_to_bytes(t: &Tensor) -> Bytes {
     let mut buf = BytesMut::with_capacity(t.numel() * 4);
-    for &v in t.as_slice() {
-        buf.put_f32_le(v);
-    }
+    put_f32s_le(&mut buf, t.as_slice());
     buf.freeze()
 }
 
@@ -221,10 +242,10 @@ pub fn tensor_from_bytes(shape: &[usize], data: &[u8]) -> Option<Tensor> {
     if data.len() != n.checked_mul(4)? {
         return None;
     }
-    let mut values = Vec::with_capacity(n);
-    for chunk in data.chunks_exact(4) {
-        values.push(f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]));
-    }
+    let values = data
+        .chunks_exact(4)
+        .map(|c| f32::from_le_bytes(c.try_into().expect("chunks_exact(4) yields 4 bytes")))
+        .collect();
     Some(Tensor::from_vec(shape, values))
 }
 

@@ -357,14 +357,14 @@ impl Shared {
     }
 }
 
-/// An admitted image: its input tiles (kept so missed tiles can be
-/// re-dispatched), its own lifecycle machine, and its partially assembled
-/// boundary map.
+/// An admitted image: the input itself (each dispatch crops its tile out
+/// of it, a re-dispatch crops again — one copy per tile sent, none held),
+/// its own lifecycle machine, and its partially assembled boundary map.
 struct InFlight {
     image_id: u64,
     queued_at: Instant,
     start: Instant,
-    tiles: Vec<Tensor>,
+    x: Tensor,
     lc: TileLifecycle,
     assembled: Tensor,
     wire_bits: u64,
@@ -400,6 +400,10 @@ struct Collector {
     boundary: (usize, usize, usize),
     /// Per-tile boundary dims `(C, h, w)`.
     tile_out: (usize, usize, usize),
+    /// Where every result is decoded, `[1, C, h, w]`: a payload that fails
+    /// half way has touched this and not the image's boundary map, and a
+    /// healthy one costs no allocation.
+    decoded: Tensor,
     intake_rx: Receiver<Submission>,
 }
 
@@ -449,13 +453,7 @@ impl Collector {
     /// transport refuses are fed back as [`Event::SendRejected`] (after
     /// [`Event::WorkerDied`] when the refusal revealed a disconnect), and
     /// the machine's follow-up actions join the worklist, until it drains.
-    fn drive(
-        &mut self,
-        lc: &mut TileLifecycle,
-        acts: Vec<Action>,
-        image_id: u64,
-        tiles: &[Tensor],
-    ) {
+    fn drive(&mut self, lc: &mut TileLifecycle, acts: Vec<Action>, image_id: u64, x: &Tensor) {
         let mut queue: std::collections::VecDeque<Action> = acts.into();
         while let Some(act) = queue.pop_front() {
             let (tile, to, original) = match act {
@@ -482,7 +480,7 @@ impl Collector {
             };
             let task = TileTask {
                 key: TileKey { image_id, tile_id: tile as u32 },
-                tile: tiles[tile].clone(),
+                tile: self.grid.extract_tile(x, tile),
             };
             match self.send_to(to, task) {
                 Ok(()) => {
@@ -502,13 +500,12 @@ impl Collector {
         }
     }
 
-    /// Input partition block for one admitted image: extract tiles,
-    /// allocate with Algorithm 3, start its lifecycle machine and push the
-    /// initial dispatch batch to the workers.
+    /// Input partition block for one admitted image: allocate with
+    /// Algorithm 3, start its lifecycle machine and push the initial
+    /// dispatch batch — each tile cropped as it is sent — to the workers.
     fn admit(&mut self, sub: Submission, inflight_now: usize) -> InFlight {
         let Submission { image_id, x, queued_at, reply } = sub;
         let d = self.grid.tiles();
-        let tiles = self.grid.extract(&x);
         let speeds = self.shared.stats.lock().speeds().to_vec();
         let live: Vec<bool> = self.shared.live.iter().map(|l| l.load(Ordering::Relaxed)).collect();
         let alloc = self.shared.allocator.lock().allocate(d, &speeds, &mut self.rng);
@@ -535,16 +532,16 @@ impl Collector {
             image_id,
             self.sink.clone(),
         );
-        self.drive(&mut lc, acts, image_id, &tiles);
+        self.drive(&mut lc, acts, image_id, &x);
         let at = secs_since(self.epoch, Instant::now());
         let acts = lc.handle(Event::SendComplete { at });
-        self.drive(&mut lc, acts, image_id, &tiles);
+        self.drive(&mut lc, acts, image_id, &x);
         let (bc, bh, bw) = self.boundary;
         InFlight {
             image_id,
             queued_at,
             start,
-            tiles,
+            x,
             lc,
             assembled: Tensor::zeros([1, bc, bh, bw]),
             wire_bits: 0,
@@ -555,31 +552,35 @@ impl Collector {
     /// Feed one of an image's results into its machine: account wire
     /// bits, decode, paste on [`Action::Accept`], run everything else.
     fn ingest(&mut self, inf: &mut InFlight, worker: usize, res: &TileResult, at: f64) {
-        let InFlight {
-            image_id, ref tiles, ref mut lc, ref mut assembled, ref mut wire_bits, ..
-        } = *inf;
+        let InFlight { image_id, ref x, ref mut lc, ref mut assembled, ref mut wire_bits, .. } =
+            *inf;
         let tile = res.key.tile_id as usize;
-        let mut decoded = None;
-        let ok = if lc.tile_open(tile) {
+        let (c, th, tw) = self.tile_out;
+        // A duplicate or late result is counted by the machine, not decoded.
+        let open = lc.tile_open(tile);
+        if open {
             *wire_bits += res.wire_bits();
-            decoded = res.to_tensor();
-            decoded.is_some()
-        } else {
-            true // duplicate or late: the machine counts it, nothing to decode
-        };
+        }
+        // A frame can decode cleanly and still not be this model's tile (a
+        // worker serving another model): only the expected shape may reach
+        // the paste. Anything else is a corrupt result — the tile stays open
+        // for re-dispatch.
+        let decoded = open
+            && res.shape == [1, c, th, tw]
+            && res.decode_into(self.decoded.as_mut_slice()).is_some();
+        let ok = decoded || !open;
         let acts = lc.handle(Event::ResultArrived { at, tile, worker, ok });
         let mut rest = Vec::with_capacity(acts.len());
         for act in acts {
             if let Action::Accept { tile: t, .. } = act {
-                let (_, th, tw) = self.tile_out;
-                let tensor = decoded.take().expect("Accept without a decoded payload");
+                assert!(decoded, "Accept without a decoded payload");
                 let (gr, gc) = self.grid.tile_pos(t);
-                assembled.paste_spatial(&tensor, gr * th, gc * tw);
+                assembled.paste_spatial(&self.decoded, gr * th, gc * tw);
             } else {
                 rest.push(act);
             }
         }
-        self.drive(lc, rest, image_id, tiles);
+        self.drive(lc, rest, image_id, x);
     }
 
     /// Layer computation block + handle resolution for one completed
@@ -631,14 +632,14 @@ impl Collector {
             }
         }
         for inf in inflight.iter_mut() {
-            let InFlight { image_id, ref tiles, ref mut lc, .. } = *inf;
+            let InFlight { image_id, ref x, ref mut lc, .. } = *inf;
             // WorkerDied and Abort are idempotent in the machine, so
             // feeding every image the full death list is safe.
             for w in 0..k {
                 lc.handle(Event::WorkerDied { worker: w });
             }
             let acts = lc.handle(Event::Abort);
-            self.drive(lc, acts, image_id, tiles);
+            self.drive(lc, acts, image_id, x);
         }
     }
 
@@ -715,9 +716,9 @@ impl Collector {
                 // `max` guards the f64↔Duration roundtrip: the machine
                 // must never see a fire time before its own deadline.
                 let at = secs_since(self.epoch, now).max(inf.lc.next_deadline());
-                let InFlight { image_id, ref tiles, ref mut lc, .. } = *inf;
+                let InFlight { image_id, ref x, ref mut lc, .. } = *inf;
                 let acts = lc.handle(Event::DeadlineFired { at });
-                self.drive(lc, acts, image_id, tiles);
+                self.drive(lc, acts, image_id, x);
                 continue;
             }
             match self.result_rx.recv_timeout(limit - now) {
@@ -885,6 +886,7 @@ impl AdcnnRuntime {
             epoch,
             boundary: sm.boundary,
             tile_out: sm.tile_out,
+            decoded: Tensor::zeros([1, sm.tile_out.0, sm.tile_out.1, sm.tile_out.2]),
             intake_rx,
         };
         let collector = std::thread::Builder::new()

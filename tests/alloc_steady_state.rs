@@ -230,3 +230,60 @@ fn wire_boundary_allocations_are_bounded() {
         "expected at most the Bytes payload copy per tile, got {per_tile} allocations/tile"
     );
 }
+
+/// The Central node's half of the statement: after one warm-up result, a
+/// healthy 4-tile image goes from wire payloads to the assembled boundary
+/// map — shape check, decode into the collector-owned buffer, row paste,
+/// the calls `Collector::ingest` makes — without touching the allocator.
+/// The same four results through `to_tensor` + `paste_spatial` cost at
+/// least two allocations each (the value vector and the shape).
+#[test]
+fn central_result_path_is_allocation_free() {
+    use adcnn::core::fdsp::TileGrid;
+
+    let mut rng = StdRng::seed_from_u64(45);
+    let grid = TileGrid::new(2, 2);
+    let cr = ClippedRelu::new(0.0, 2.0);
+    let q = Quantizer::paper_default(cr);
+    let (c, th, tw) = (16, 8, 8);
+    let boundary = Tensor::randn([1, c, 2 * th, 2 * tw], 1.0, &mut rng);
+    let mut cs = CompressScratch::new();
+    let results: Vec<_> = (0..grid.tiles())
+        .map(|t| {
+            let tile = grid.extract_tile(&boundary, t);
+            let enc = clip_and_compress_into(tile.as_slice(), cr, q, &mut cs);
+            let key = TileKey { image_id: 0, tile_id: t as u32 };
+            make_result_from_parts(key, [1, c, th, tw], tile.numel(), enc, q)
+        })
+        .collect();
+
+    let mut decoded = Tensor::zeros([1, c, th, tw]);
+    let mut assembled = Tensor::zeros([1, c, 2 * th, 2 * tw]);
+    let mut ingest = |t: usize| {
+        let res = &results[t];
+        assert_eq!(res.shape, [1, c, th, tw]);
+        res.decode_into(decoded.as_mut_slice()).expect("healthy payload");
+        let (gr, gc) = grid.tile_pos(t);
+        assembled.paste_spatial(&decoded, gr * th, gc * tw);
+    };
+    ingest(0); // warm-up
+    let before = allocs();
+    (0..4).for_each(&mut ingest);
+    let result_path_allocs = allocs() - before;
+    assert_eq!(
+        result_path_allocs, 0,
+        "decode-into-buffer + row paste must not allocate (got {result_path_allocs} allocations \
+         over 4 results)"
+    );
+
+    let mut reference = Tensor::zeros([1, c, 2 * th, 2 * tw]);
+    let before = allocs();
+    for (t, res) in results.iter().enumerate() {
+        let (gr, gc) = grid.tile_pos(t);
+        reference.paste_spatial(&res.to_tensor().expect("healthy payload"), gr * th, gc * tw);
+    }
+    let to_tensor_allocs = allocs() - before;
+    assert!(to_tensor_allocs >= 8, "to_tensor is expected to allocate: {to_tensor_allocs}");
+    let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&assembled), bits(&reference), "both paths assemble the same map");
+}
