@@ -6,11 +6,13 @@
 //! degenerate zero-sized outputs — and with *themselves*, bit for bit,
 //! whatever the position of an element in the blocking: a sub-range of rows
 //! or columns, an FDSP tile of an image, either public entry, a reused
-//! arena. Plain seeded-rand loops (not proptest) so the shapes exercised are
-//! identical on every run and every platform.
+//! arena. The two transposed products of the backward pass (`gemm_bt`,
+//! `gemm_at`) are held to the same naive reference and the same row
+//! sub-range rule. Plain seeded-rand loops (not proptest) so the shapes
+//! exercised are identical on every run and every platform.
 
 use adcnn_tensor::conv::{conv2d, conv2d_into, Conv2dParams};
-use adcnn_tensor::gemm::{gemm, gemm_fused, FusedAct};
+use adcnn_tensor::gemm::{gemm, gemm_at, gemm_bt, gemm_fused, FusedAct};
 use adcnn_tensor::{ActBuf, Scratch, Tensor};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -446,4 +448,109 @@ fn a_scratch_used_on_a_larger_shape_returns_the_same_bits_as_a_fresh_one() {
     );
     assert!(used.capacity_bytes() > 0);
     assert_eq!(run(&mut used), fresh);
+}
+
+/// `x` (`[rows, cols]` row-major) transposed to `[cols, rows]`.
+fn transposed(rows: usize, cols: usize, x: &[f32]) -> Vec<f32> {
+    let mut t = vec![0.0f32; x.len()];
+    for (i, row) in x.chunks(cols.max(1)).enumerate() {
+        for (j, &v) in row.iter().enumerate() {
+            t[j * rows + i] = v;
+        }
+    }
+    t
+}
+
+/// Check `gemm_bt` (`A·Bᵀ`, `B` stored `[n, k]`) and `gemm_at` (`Aᵀ·B`, `A`
+/// stored `[k, m]`) against [`gemm_ref`] on explicitly transposed operands.
+/// Under `beta == 0` the output starts as NaN, which must not survive.
+fn check_transposed_products(rng: &mut StdRng, (m, k, n): (usize, usize, usize), beta: f32) {
+    let a = rand_vec(rng, m * k);
+    let b = rand_vec(rng, k * n);
+    let c0 = rand_vec(rng, m * n);
+    let mut want = c0.clone();
+    gemm_ref(m, k, n, &a, &b, &mut want, beta);
+    let tol = if k > 256 { 1e-3 } else { 1e-4 };
+    let start = if beta == 0.0 { vec![f32::NAN; m * n] } else { c0 };
+
+    let mut got = start.clone();
+    gemm_bt(m, k, n, &a, &transposed(k, n, &b), &mut got, beta);
+    assert!(got.iter().all(|v| v.is_finite()), "gemm_bt ({m},{k},{n}) beta {beta}: NaN survived");
+    let err = max_rel_err(&got, &want);
+    assert!(err < tol, "gemm_bt ({m},{k},{n}) beta {beta}: rel err {err}");
+
+    let mut got = start;
+    gemm_at(m, k, n, &transposed(m, k, &a), &b, &mut got, beta);
+    assert!(got.iter().all(|v| v.is_finite()), "gemm_at ({m},{k},{n}) beta {beta}: NaN survived");
+    let err = max_rel_err(&got, &want);
+    assert!(err < tol, "gemm_at ({m},{k},{n}) beta {beta}: rel err {err}");
+}
+
+#[test]
+fn transposed_products_match_naive_across_blocking_remainders() {
+    // m, n off the 6 / 16 register tile (n < NR and m == 1 included), k on
+    // both sides of the 256-step block and empty.
+    let mut rng = StdRng::seed_from_u64(0x7A5);
+    let mut trial = 0;
+    for m in [1usize, 5, 7, 17, 33] {
+        for n in [1usize, 5, 7, 17, 33] {
+            for k in [0usize, 1, 255, 256, 257, 513] {
+                check_transposed_products(&mut rng, (m, k, n), [0.0f32, 1.0, -0.5][trial % 3]);
+                trial += 1;
+            }
+        }
+    }
+}
+
+/// The products `conv2d_backward` runs per image for `(oc, oh·ow, ic·k²)`:
+/// `dW = dY·colᵀ` is `gemm_bt(oc, oh·ow, ic·k²)`, `dcol = Wᵀ·dY` is
+/// `gemm_at(ic·k², oc, oh·ow)`.
+const CONV_BACKWARD_SHAPES: [(usize, usize, usize); 4] =
+    [(16, 256, 27), (32, 256, 144), (64, 1024, 576), (128, 256, 1152)];
+
+#[test]
+fn transposed_products_match_naive_on_the_backward_shapes() {
+    let mut rng = StdRng::seed_from_u64(0xBAC);
+    for &(oc, ohw, kk) in &CONV_BACKWARD_SHAPES {
+        check_transposed_products(&mut rng, (oc, ohw, kk), 0.0);
+        check_transposed_products(&mut rng, (kk, oc, ohw), 0.0);
+    }
+    // linear_backward on a batch of 32, D = 256, O = 6: dx = dy·wᵀ is
+    // gemm_bt(N, O, D), dw = xᵀ·dy is gemm_at(D, N, O).
+    check_transposed_products(&mut rng, (32, 6, 256), 0.0);
+    check_transposed_products(&mut rng, (256, 32, 6), 0.0);
+}
+
+#[test]
+fn transposed_products_reproduce_row_sub_ranges_bit_for_bit() {
+    let mut shapes = vec![(1usize, 9usize, 5usize), (5, 27, 15), (7, 257, 17), (13, 513, 33)];
+    for &(oc, ohw, kk) in &CONV_BACKWARD_SHAPES {
+        shapes.extend([(oc, ohw, kk), (kk, oc, ohw)]);
+    }
+    let mut rng = StdRng::seed_from_u64(0x50B);
+    for &(m, k, n) in &shapes {
+        let a = rand_vec_with_zeros(&mut rng, m * k);
+        let a_t = transposed(m, k, &a);
+        let b = rand_vec_with_zeros(&mut rng, k * n);
+        let b_t = transposed(k, n, &b);
+        let (mut full_bt, mut full_at) = (vec![f32::NAN; m * n], vec![f32::NAN; m * n]);
+        gemm_bt(m, k, n, &a, &b_t, &mut full_bt, 0.0);
+        gemm_at(m, k, n, &a_t, &b, &mut full_at, 0.0);
+
+        for _ in 0..3 {
+            let r0 = rng.gen_range(0..m);
+            let r1 = rng.gen_range(r0 + 1..m + 1);
+            let rows = r1 - r0;
+            let mut got = vec![f32::NAN; rows * n];
+            gemm_bt(rows, k, n, &a[r0 * k..r1 * k], &b_t, &mut got, 0.0);
+            assert_eq!(bits(&got), bits(&full_bt[r0 * n..r1 * n]), "bt ({m},{k},{n}) {r0}..{r1}");
+
+            // Rows r0..r1 of the product are columns r0..r1 of the stored Aᵀ.
+            let sub_at: Vec<f32> =
+                a_t.chunks(m).flat_map(|row| row[r0..r1].iter().copied()).collect();
+            let mut got = vec![f32::NAN; rows * n];
+            gemm_at(rows, k, n, &sub_at, &b, &mut got, 0.0);
+            assert_eq!(bits(&got), bits(&full_at[r0 * n..r1 * n]), "at ({m},{k},{n}) {r0}..{r1}");
+        }
+    }
 }
