@@ -64,6 +64,12 @@ echo "==> record the element-wise passes (results/BENCH_datapath.json)"
 cargo run --release --example data_path
 grep -q '"clock": "wall"' results/BENCH_datapath.json
 
+echo "==> record the training path (results/BENCH_train.json)"
+# The two backward products on four conv-backward shapes and two epochs of
+# ShapesCNN / small_resnet training, each beside the parent commit's reading.
+cargo run --release --example train_step
+grep -q '"clock": "wall"' results/BENCH_train.json
+
 echo "==> record runtime baseline + pipeline depth sweep (results/BENCH_runtime.json)"
 # Figure 15's harness runs with attribution + the flight recorder tee'd in
 # and flattens the adaptive run's MetricsSnapshot into the stable perf

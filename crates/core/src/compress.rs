@@ -17,13 +17,13 @@
 
 use adcnn_tensor::activ::ClippedRelu;
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Linear quantizer over `[0, range]` with `2^bits − 1` non-zero levels.
 ///
 /// Level 0 is reserved for exact zero so that the sparsity created by the
 /// clipped ReLU survives quantization and can be run-length encoded.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct Quantizer {
     /// Bit width; the paper uses 4.
     pub bits: u8,
@@ -433,7 +433,7 @@ pub fn sparsity_for_ratio(target_ratio: f64, bits: u8) -> f64 {
 }
 
 /// Compression statistics for a whole feature map, as reported in Table 2.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct CompressionStats {
     /// Raw size at 32-bit floats, bits.
     pub original_bits: u64,

@@ -1,16 +1,15 @@
 //! Typed configuration validation shared by every public config surface.
 //!
-//! The builders (`LifecyclePolicy::builder()` here,
-//! `RuntimeConfig::builder()` / `WorkerOptions::builder()` in
-//! `adcnn-runtime`, `AdcnnSimConfig::builder()` in `adcnn-netsim`)
-//! reject nonsense at construction time with a [`ConfigError`] instead
-//! of letting a zero timer or a sub-unity slack factor wedge a run.
-//! Config structs keep public fields and working `Default` impls —
-//! builders are the validated front door, not a lockout — and the
-//! drivers re-validate at launch so a hand-mutated config fails just as
-//! loudly.
+//! The builders (`RuntimeConfig::builder()` / `WorkerOptions::builder()`
+//! in `adcnn-runtime`, `AdcnnSimConfig::builder()` in `adcnn-netsim`) and
+//! [`LifecyclePolicy::validate`] here reject nonsense with a
+//! [`ConfigError`] instead of letting a zero timer or a sub-unity slack
+//! factor wedge a run. Config structs keep public fields and working
+//! `Default` impls — builders are the validated front door, not a lockout
+//! — and the drivers re-validate at launch so a hand-mutated config fails
+//! just as loudly.
 
-use crate::lifecycle::{LifecyclePolicy, TimerPolicy};
+use crate::lifecycle::LifecyclePolicy;
 
 /// A config value that cannot produce a meaningful run.
 #[derive(Clone, Debug, PartialEq)]
@@ -170,13 +169,9 @@ pub fn check_probability(field: &'static str, value: f64) -> Result<(), ConfigEr
 }
 
 impl LifecyclePolicy {
-    /// Start building a validated policy from the defaults.
-    pub fn builder() -> LifecyclePolicyBuilder {
-        LifecyclePolicyBuilder { policy: LifecyclePolicy::default() }
-    }
-
-    /// Check the invariants the builder enforces; drivers call this at
-    /// launch so hand-mutated configs fail just as loudly.
+    /// Check the policy's invariants; the config builders call this on
+    /// `build()` and the drivers again at launch, so a hand-mutated config
+    /// fails just as loudly.
     pub fn validate(&self) -> Result<(), ConfigError> {
         // NaN fails closed on every bound.
         if self.t_l.is_nan() || self.t_l <= 0.0 {
@@ -192,94 +187,32 @@ impl LifecyclePolicy {
     }
 }
 
-/// Builder for [`LifecyclePolicy`]; see [`LifecyclePolicy::builder`].
-#[derive(Clone, Debug)]
-pub struct LifecyclePolicyBuilder {
-    policy: LifecyclePolicy,
-}
-
-impl LifecyclePolicyBuilder {
-    /// Base timer T_L, in seconds.
-    pub fn t_l(mut self, seconds: f64) -> Self {
-        self.policy.t_l = seconds;
-        self
-    }
-
-    /// Deadline slack factor over the expected makespan.
-    pub fn slack(mut self, slack: f64) -> Self {
-        self.policy.slack = slack;
-        self
-    }
-
-    /// Speculative re-dispatch rounds before zero-filling (0 disables
-    /// recovery).
-    pub fn max_redispatch_rounds(mut self, rounds: u32) -> Self {
-        self.policy.max_redispatch_rounds = rounds;
-        self
-    }
-
-    /// Absolute per-image lifetime bound, in seconds.
-    pub fn hard_timeout(mut self, seconds: f64) -> Self {
-        self.policy.hard_timeout = seconds;
-        self
-    }
-
-    /// When the recovery timer arms.
-    pub fn timer(mut self, timer: TimerPolicy) -> Self {
-        self.policy.timer = timer;
-        self
-    }
-
-    /// Validate and produce the policy.
-    pub fn build(self) -> Result<LifecyclePolicy, ConfigError> {
-        self.policy.validate()?;
-        Ok(self.policy)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn builder_defaults_pass() {
-        let p = LifecyclePolicy::builder().build().unwrap();
-        assert_eq!(p, LifecyclePolicy::default());
+    fn default_policy_validates() {
+        assert_eq!(LifecyclePolicy::default().validate(), Ok(()));
     }
 
     #[test]
-    fn builder_rejects_nonsense() {
+    fn validate_rejects_nonsense() {
+        let d = LifecyclePolicy::default();
         assert_eq!(
-            LifecyclePolicy::builder().t_l(0.0).build(),
+            LifecyclePolicy { t_l: 0.0, ..d }.validate(),
             Err(ConfigError::NonPositiveTl(0.0))
         );
         assert_eq!(
-            LifecyclePolicy::builder().slack(0.9).build(),
+            LifecyclePolicy { slack: 0.9, ..d }.validate(),
             Err(ConfigError::SlackBelowOne(0.9))
         );
         assert_eq!(
-            LifecyclePolicy::builder().hard_timeout(-1.0).build(),
+            LifecyclePolicy { hard_timeout: -1.0, ..d }.validate(),
             Err(ConfigError::NonPositiveHardTimeout(-1.0))
         );
         // NaN fails closed
-        assert!(LifecyclePolicy::builder().t_l(f64::NAN).build().is_err());
-    }
-
-    #[test]
-    fn builder_sets_every_field() {
-        let p = LifecyclePolicy::builder()
-            .t_l(0.050)
-            .slack(1.5)
-            .max_redispatch_rounds(3)
-            .hard_timeout(9.0)
-            .timer(TimerPolicy::AfterSend)
-            .build()
-            .unwrap();
-        assert_eq!(p.t_l, 0.050);
-        assert_eq!(p.slack, 1.5);
-        assert_eq!(p.max_redispatch_rounds, 3);
-        assert_eq!(p.hard_timeout, 9.0);
-        assert_eq!(p.timer, TimerPolicy::AfterSend);
+        assert!(LifecyclePolicy { t_l: f64::NAN, ..d }.validate().is_err());
     }
 
     #[test]

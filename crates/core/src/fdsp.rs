@@ -13,10 +13,10 @@
 //! implement that round trip.
 
 use adcnn_tensor::Tensor;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A spatial partition grid (`rows × cols` tiles).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub struct TileGrid {
     /// Number of tile rows.
     pub rows: usize,
@@ -25,7 +25,7 @@ pub struct TileGrid {
 }
 
 /// One tile's position and spatial bounds within the full map.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct TileRect {
     /// Row index in the grid.
     pub grid_r: usize,

@@ -22,7 +22,7 @@
 
 use crate::config::ConfigError;
 use crate::obs::{json, EventSink, MetricsSink, ObsEvent};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -138,7 +138,7 @@ pub const LATENCY_ERROR_BUDGET: f64 = 0.01;
 
 /// A tenant's service-level objectives: a p99 latency target and a
 /// zero-fill (lost-tile) budget.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct SloSpec {
     /// 99th-percentile end-to-end latency target, seconds.
     pub p99_latency_s: f64,
@@ -221,7 +221,7 @@ impl SloTracker {
 
 /// A tenant's SLO standing: the whole-run burn rate of the latency
 /// objective plus the zero-fill budget's consumption.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct SloReport {
     /// Tenant name.
     pub tenant: String,

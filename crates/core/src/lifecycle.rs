@@ -36,7 +36,7 @@
 
 use crate::obs::{ObsEvent, RecordingSink, SinkHandle};
 use crate::report::AttributionSink;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// Comparison epsilon for abstract timestamps (well below both the
@@ -44,7 +44,7 @@ use std::sync::Arc;
 const EPS: f64 = 1e-9;
 
 /// When does the Central node stop waiting for intermediate results?
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum TimerPolicy {
     /// Paper text, literally: `T_L` after the image's tiles finished
     /// sending. Taken at face value this expires long before honest
@@ -63,7 +63,7 @@ pub enum TimerPolicy {
 /// The shared tile-lifecycle knobs — one home for the constants that were
 /// previously duplicated (and already drifting) between `RuntimeConfig`
 /// and `AdcnnSimConfig`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct LifecyclePolicy {
     /// Timeout grace `T_L` in seconds (the paper uses 30 ms): added on top
     /// of the extrapolated makespan before the deadline fires, and the

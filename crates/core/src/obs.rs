@@ -30,7 +30,7 @@
 //!    on. Span events (`TileCompute`, `TileCompress`, `TileTransfer`)
 //!    carry the span *end* in `at` and the length in `dur`.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -192,7 +192,7 @@ pub mod json {
 /// One structured observation. All variants are plain scalars (`Copy`),
 /// so emitting never allocates; multi-tile outcomes (zero-fill sets)
 /// emit one event per tile.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub enum ObsEvent {
     /// An image's tiles were allocated and its lifecycle began.
     /// `placed ≤ tiles` under storage caps.
@@ -574,7 +574,7 @@ impl Histogram {
 }
 
 /// Serializable copy of a [`Histogram`].
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct HistogramSnapshot {
     /// Log2 bucket counts (`buckets[b]` holds `2^(b-1) ≤ v < 2^b`).
     pub buckets: Vec<u64>,
@@ -663,11 +663,10 @@ pub(crate) enum SeriesValue<'a> {
 
 /// The metric schema, stated once. A row is
 /// `kind field, "exposition_name", "Help text.";`, optionally preceded by
-/// attributes for the snapshot field (`#[serde(default)]`, further doc
-/// lines). In row order it generates [`MetricsSink`]'s cells,
-/// [`MetricsSink::snapshot`], [`MetricsSnapshot`]'s fields (documented by
-/// the help text) and `MetricsSnapshot::series`; what an event adds to
-/// which cell is `MetricsSink::emit`, written by hand.
+/// further doc lines for the snapshot field. In row order it generates
+/// [`MetricsSink`]'s cells, [`MetricsSink::snapshot`], [`MetricsSnapshot`]'s
+/// fields (documented by the help text) and `MetricsSnapshot::series`; what
+/// an event adds to which cell is `MetricsSink::emit`, written by hand.
 macro_rules! metric_schema {
     (@cell histogram) => { Histogram };
     (@cell $scalar:ident) => { AtomicU64 };
@@ -699,7 +698,7 @@ macro_rules! metric_schema {
         /// the per-image outcome: `tiles_zero_filled == Σ zero_filled`,
         /// `tiles_redispatched == Σ redispatched` (absent transport bounces),
         /// `tiles_arrived == Σ (tiles − zero_filled)`.
-        #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+        #[derive(Clone, Debug, Default, PartialEq, Serialize)]
         pub struct MetricsSnapshot {
             $(#[doc = $help] $(#[$attr])* pub $field: metric_schema!(@plain $kind),)*
         }
@@ -739,12 +738,9 @@ metric_schema! {
     counter images_admitted, "images_admitted_total", "Images admitted into the pipeline.";
     gauge inflight_depth, "inflight_depth", "Last observed concurrent-image count.";
     /// Churn revivals in the simulator, transport (re)connects in the runtime.
-    #[serde(default)]
     counter nodes_up, "nodes_up_total", "Node up-transitions observed.";
     /// Churn departures in the simulator, detected disconnects in the runtime.
-    #[serde(default)]
     counter nodes_down, "nodes_down_total", "Node down-transitions observed.";
-    #[serde(default)]
     counter placements_decided, "placements_decided_total", "Placement decisions produced.";
     histogram compute_us, "compute_us", "Per-tile prefix compute time, us.";
     histogram compress_us, "compress_us", "Per-tile clip/quantize/RLE time, us.";

@@ -8,10 +8,10 @@
 
 use crate::fdsp::TileGrid;
 use adcnn_nn::zoo::ModelSpec;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The CNN partitioning strategies discussed in §3.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum Strategy {
     /// Whole images batched across nodes: helps throughput, not latency.
     Batch,
@@ -123,7 +123,7 @@ pub fn fused_tile_flops(m: &ModelSpec, start: usize, end: usize, grid: TileGrid)
 }
 
 /// One row of the strategy-comparison table (used by docs/benches).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct StrategyRow {
     /// Strategy compared.
     pub strategy: Strategy,

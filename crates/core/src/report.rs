@@ -25,7 +25,7 @@
 //!   Prometheus text exposition format.
 
 use crate::obs::{json, EventSink, HistogramSnapshot, MetricsSnapshot, ObsEvent, SeriesValue};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 
@@ -34,7 +34,7 @@ use std::sync::Mutex;
 // ---------------------------------------------------------------------------
 
 /// The lifecycle phase a tile (or image) spent the most time in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum Phase {
     /// Between dispatch and the start of prefix compute (includes the
     /// uplink send in the simulator, task-queue wait in the runtime).
@@ -69,7 +69,7 @@ impl Phase {
 /// tile the four phases sum exactly to `done_at - dispatch_at`; a
 /// zero-filled tile charges the whole open interval to queue-wait
 /// (it waited and never arrived).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct TileReport {
     /// Tile id.
     pub tile: u32,
@@ -126,7 +126,7 @@ impl TileReport {
 /// Where one image's latency went: per-tile phase breakdowns, the
 /// critical-path tile (the one whose completion gated the image), and
 /// the dominant phase along that path.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct ImageReport {
     /// Image id (the runtime's sequence number / the simulator's index).
     pub image: u64,
@@ -184,7 +184,7 @@ impl ImageReport {
 /// Whole-run roll-up of [`ImageReport`]s: critical-path phase sums (the
 /// Table 3 decomposition, measured online instead of with ad-hoc
 /// timers) and dominant-phase counts.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize)]
 pub struct AttributionAggregate {
     /// Images folded in.
     pub images: u64,
@@ -567,7 +567,7 @@ impl EventSink for AttributionSink {
 // ---------------------------------------------------------------------------
 
 /// What made the flight recorder snapshot a [`ForensicReport`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum Anomaly {
     /// A tile was zero-filled.
     ZeroFill,
@@ -592,7 +592,7 @@ impl Anomaly {
 /// carrying everything needed to explain it: the tile, the owning
 /// worker, re-dispatch rounds consumed, the deadline values in force,
 /// and the surviving events that touched the image/tile/worker.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct ForensicReport {
     /// What triggered the snapshot.
     pub trigger: Anomaly,
@@ -948,7 +948,7 @@ impl MetricsSnapshot {
 
 /// One interval's rates and latency quantiles, produced by
 /// [`Reporter::sample`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct ReporterSample {
     /// Interval length the rates are normalized over.
     pub elapsed_s: f64,

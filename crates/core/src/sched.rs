@@ -6,7 +6,7 @@
 //! inside the discrete-event simulator (`adcnn-netsim`).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Algorithm 2: per-node EWMA of how many intermediate results arrive
 /// within the time limit `T_L` for each input image.
@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// enforcing the time limit is the caller's job (the runtime counts only
 /// results that arrived before its timer fired), this struct just maintains
 /// the running statistics.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct StatsCollector {
     /// Decay parameter γ ∈ (0, 1].
     pub gamma: f64,
@@ -28,7 +28,6 @@ pub struct StatsCollector {
     /// the first positive observation *restarts* the estimate from that
     /// measured sample instead of blending it with the stale pre-failure
     /// history.
-    #[serde(default)]
     failed: Vec<bool>,
 }
 

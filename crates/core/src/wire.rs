@@ -7,7 +7,7 @@
 use crate::compress::{Compressed, Quantizer};
 use adcnn_tensor::Tensor;
 use bytes::{BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 // Little-endian cursor reads for the decode paths. Each returns `None` on
 // a truncated input instead of panicking — the decoders below never index
@@ -52,7 +52,7 @@ pub fn checked_numel(shape: &[usize]) -> Option<usize> {
 }
 
 /// Identifies one tile of one input image.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct TileKey {
     /// Input-image sequence number (`i_id`).
     pub image_id: u64,

@@ -57,7 +57,7 @@ use adcnn_core::fdsp::TileGrid;
 use adcnn_core::obs::{HistogramSnapshot, SinkHandle};
 use adcnn_nn::cost::DeviceProfile;
 use adcnn_nn::zoo::ModelSpec;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Re-export: the shared lifecycle knobs and timer interpretations, the
 /// same types `adcnn-runtime` consumes.
@@ -236,8 +236,9 @@ impl AdcnnSimConfigBuilder {
         self
     }
 
-    /// Replace the whole lifecycle policy (e.g. one validated by
-    /// [`LifecyclePolicy::builder`](adcnn_core::lifecycle::LifecyclePolicy::builder)).
+    /// Replace the whole lifecycle policy; `build()` runs
+    /// [`LifecyclePolicy::validate`](adcnn_core::lifecycle::LifecyclePolicy::validate)
+    /// on it.
     pub fn policy(mut self, policy: LifecyclePolicy) -> Self {
         self.cfg.policy = policy;
         self
@@ -299,7 +300,7 @@ impl AdcnnSimConfigBuilder {
 }
 
 /// Per-image measurements.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct ImageStats {
     /// End-to-end latency (partition start → final output), seconds.
     pub latency_s: f64,
@@ -327,7 +328,7 @@ pub struct ImageStats {
 }
 
 /// Whole-run summary.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct SimSummary {
     /// Per-image records, in completion order.
     pub images: Vec<ImageStats>,
@@ -350,7 +351,6 @@ pub struct SimSummary {
     /// the fleet engine's O(1)-memory aggregate, maintained even when
     /// per-image retention is disabled. Quantiles read from it are
     /// accurate to within one histogram bucket (a factor of 2).
-    #[serde(default)]
     pub latency_hist_us: HistogramSnapshot,
 }
 

@@ -38,11 +38,10 @@ use crate::cluster::{ImageStats, SimNode};
 use crate::engine::{EventQueue, FifoResource, SpeedSchedule, ThrottledCpu};
 use crate::placement::{
     AllNodesPlacement, PlacementAudit, PlacementAuditEntry, PlacementCause, PlacementDecision,
-    PlacementInput, PlacementPolicy,
+    PlacementInput, PlacementPolicy, TenantView,
 };
 use crate::profiles::LinkParams;
 use crate::tenancy::{FairScheduler, TenantSpec};
-use adcnn_core::compress::wire_bits_estimate;
 use adcnn_core::config::ConfigError;
 use adcnn_core::fleetobs::{SloReport, SloTracker};
 use adcnn_core::lifecycle::{Action, Event, TileLifecycle, TimerPolicy};
@@ -51,8 +50,7 @@ use adcnn_core::obs::{
     PLACEMENT_LEAVE,
 };
 use adcnn_core::sched::{StatsCollector, TileAllocator};
-use adcnn_core::wire::HEADER_BITS;
-use adcnn_nn::cost::{prefix_weight_load_s, suffix_time_s, tile_prefix_time_s, DeviceProfile};
+use adcnn_nn::cost::{suffix_time_s, DeviceProfile};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -442,8 +440,8 @@ struct TenantRt {
     // --- placement masks --------------------------------------------
     /// Nodes this tenant may use (all true under all-nodes policies).
     placed: Vec<bool>,
-    /// Fast path: the placed set is the full roster, so admission takes
-    /// exactly the pre-placement code path (what the goldens pin).
+    /// The placed set is the full roster: such a tenant is always
+    /// eligible for admission, as before placement existed.
     placed_all: bool,
     /// Placed nodes not currently dead — the scheduler-skip guard.
     placed_live: usize,
@@ -470,26 +468,18 @@ struct TenantRt {
 }
 
 impl TenantRt {
-    fn build(spec: &TenantSpec, nodes: &[SimNode], central: &DeviceProfile, seed: u64) -> Self {
-        let d = spec.grid.tiles();
-        let model = &spec.model;
-        let tile_in_bits = model.input_wire_bits() / d as u64 + HEADER_BITS;
+    /// `view` is this tenant's row of the run's [`PlacementInput`]: the
+    /// wire sizes and per-node costs are derived there, once.
+    fn build(
+        spec: &TenantSpec,
+        view: &TenantView,
+        nodes: &[SimNode],
+        central: &DeviceProfile,
+        seed: u64,
+    ) -> Self {
+        let (d, model) = (view.tiles, &spec.model);
+        let (tile_in_bits, tile_out_bits) = (view.tile_in_bits, view.tile_out_bits);
         let (oc, oh, ow) = model.block_inputs()[spec.prefix];
-        let tile_out_elems = ((oc * oh * ow) / d).max(1) as u64;
-        let tile_out_bits = match spec.compression {
-            Some(sparsity) => {
-                wire_bits_estimate(tile_out_elems, sparsity, spec.quant_bits) + HEADER_BITS
-            }
-            None => tile_out_elems * 32 + HEADER_BITS,
-        };
-        let tile_work: Vec<f64> = nodes
-            .iter()
-            .map(|n| {
-                tile_prefix_time_s(model, spec.prefix, (spec.grid.rows, spec.grid.cols), &n.profile)
-            })
-            .collect();
-        let weight_load: Vec<f64> =
-            nodes.iter().map(|n| prefix_weight_load_s(model, spec.prefix, &n.profile)).collect();
         let gather_bytes = (tile_out_bits * d as u64) / 8 + (oc * oh * ow) as u64 * 4;
         let suffix_work = suffix_time_s(model, spec.prefix, central)
             + gather_bytes as f64 / central.mem_bytes_per_sec;
@@ -497,10 +487,10 @@ impl TenantRt {
         TenantRt {
             d,
             tile_in_bits,
-            tile_out_elems,
+            tile_out_elems: view.tile_out_elems,
             tile_out_bits,
-            tile_work,
-            weight_load,
+            tile_work: view.tile_work_s.clone(),
+            weight_load: view.weight_load_s.clone(),
             suffix_work,
             partition_work,
             adaptive: spec.adaptive,
@@ -595,14 +585,17 @@ impl FleetSim {
             cfg.tenants.iter().map(|t| t.slo.map(SloTracker::new)).collect();
 
         // --- per-tenant runtime (precomputed cost surfaces) ------------
+        // Derived once; a re-placement refreshes only the node views.
+        let mut placement_input = PlacementInput::from_fleet(cfg, 0.0, &[]);
         let mut tenants_rt: Vec<TenantRt> = cfg
             .tenants
             .iter()
+            .zip(&placement_input.tenants)
             .enumerate()
-            .map(|(t, spec)| {
+            .map(|(t, (spec, view))| {
                 // Distinct, well-separated arrival stream per tenant.
                 let seed = cfg.seed ^ (t as u64 + 1).wrapping_mul(0x517C_C1B7_2722_0A95);
-                TenantRt::build(spec, &cfg.nodes, &cfg.central, seed)
+                TenantRt::build(spec, view, &cfg.nodes, &cfg.central, seed)
             })
             .collect();
         let mut sched =
@@ -610,12 +603,12 @@ impl FleetSim {
 
         // --- placement control plane -----------------------------------
         // The policy is consulted once at startup and again after every
-        // join/leave churn event. All-nodes policies skip both the masks
-        // and the re-placement — that identity fast path is what keeps
-        // the baseline byte-identical to the pre-placement engine.
+        // join/leave churn event. All-nodes policies skip the
+        // re-placement: their mask is the identity whatever the roster,
+        // which keeps the baseline byte-identical to the pre-placement
+        // engine.
         let placement_all = cfg.placement.places_all();
-        let mut placement_decision =
-            cfg.placement.place(&PlacementInput::from_fleet(cfg, 0.0, &[]));
+        let mut placement_decision = cfg.placement.place(&placement_input);
         let mut replacements: u64 = 0;
         if !placement_all {
             for (t, a) in placement_decision.assignments.iter().enumerate() {
@@ -790,8 +783,8 @@ impl FleetSim {
                     // the roster — no new events, no changed state, so
                     // the baseline trace stays byte-identical.
                     if roster_changed && !placement_all {
-                        placement_decision =
-                            cfg.placement.place(&PlacementInput::from_fleet(cfg, now, &dead_list));
+                        placement_input.refresh(cfg, now, &dead_list);
+                        placement_decision = cfg.placement.place(&placement_input);
                         for (t, a) in placement_decision.assignments.iter().enumerate() {
                             tenants_rt[t].apply_placement(&a.nodes, &dead_list);
                         }
@@ -853,66 +846,45 @@ impl FleetSim {
                         queue_wait: now - arrival_s,
                     });
                     let (_, part_done) = central_cpu.run(now, tenants_rt[tenant].partition_work);
-                    let x = {
-                        let tr = &tenants_rt[tenant];
-                        if tr.placed_all {
-                            // The exact pre-placement path (and its exact
-                            // RNG consumption) — the goldens pin this.
-                            if tr.adaptive {
-                                tr.allocator.allocate(tr.d, tr.stats.speeds(), &mut rng)
-                            } else {
-                                adcnn_core::sched::allocate_round_robin(tr.d, k)
-                            }
-                        } else if tr.adaptive {
-                            // Non-placed nodes are invisible: zero speed
-                            // here, zero storage cap in the allocator (so
-                            // even its any-node-with-capacity fallback
-                            // cannot reach outside the placed set).
-                            let mut speeds = tr.stats.speeds().to_vec();
-                            for (n, s) in speeds.iter_mut().enumerate() {
-                                if !tr.placed[n] {
-                                    *s = 0.0;
-                                }
-                            }
-                            tr.allocator.allocate(tr.d, &speeds, &mut rng)
-                        } else {
-                            // Round-robin over the placed subset only.
-                            let placed: Vec<usize> = (0..k).filter(|&n| tr.placed[n]).collect();
-                            let rr = adcnn_core::sched::allocate_round_robin(tr.d, placed.len());
-                            let mut x = vec![0u32; k];
-                            for (i, &n) in placed.iter().enumerate() {
-                                x[n] = rr[i];
-                            }
-                            x
-                        }
-                    };
-                    // The lifecycle's live-set: dead nodes are out for
-                    // everyone; a placed tenant additionally never sees
-                    // non-placed nodes, so re-dispatch recovery stays
-                    // inside its placed set.
+                    // One mask for the allocator and the lifecycle: dead
+                    // nodes are out for everyone; a placed tenant
+                    // additionally never sees non-placed nodes (zero speed
+                    // here, zero storage cap in the allocator, so even its
+                    // any-node-with-capacity fallback cannot reach them),
+                    // and re-dispatch recovery stays inside its placed set.
+                    // With every node placed this is the pre-placement
+                    // admission — same speeds, same storage caps, same RNG
+                    // draws — which the goldens pin.
+                    let tr = &tenants_rt[tenant];
                     let mut live = vec![true; k];
                     for &n in &dead_list {
                         live[n] = false;
                     }
-                    let speeds_for_lc: Vec<f64> = {
-                        let tr = &tenants_rt[tenant];
-                        let mut speeds = tr.stats.speeds().to_vec();
-                        if !tr.placed_all {
-                            for n in 0..k {
-                                if !tr.placed[n] {
-                                    live[n] = false;
-                                    speeds[n] = 0.0;
-                                }
-                            }
+                    let mut speeds = tr.stats.speeds().to_vec();
+                    for n in 0..k {
+                        if !tr.placed[n] {
+                            live[n] = false;
+                            speeds[n] = 0.0;
                         }
-                        speeds
+                    }
+                    let x = if tr.adaptive {
+                        tr.allocator.allocate(tr.d, &speeds, &mut rng)
+                    } else {
+                        // Round-robin over the placed subset only.
+                        let placed: Vec<usize> = (0..k).filter(|&n| tr.placed[n]).collect();
+                        let rr = adcnn_core::sched::allocate_round_robin(tr.d, placed.len());
+                        let mut x = vec![0u32; k];
+                        for (i, &n) in placed.iter().enumerate() {
+                            x[n] = rr[i];
+                        }
+                        x
                     };
                     let (lc, acts) = TileLifecycle::begin_observed(
                         cfg.tenants[tenant].policy,
                         now,
-                        tenants_rt[tenant].d,
+                        tr.d,
                         &x,
-                        &speeds_for_lc,
+                        &speeds,
                         &live,
                         img,
                         sink.clone(),

@@ -32,10 +32,10 @@ use adcnn_core::config::ConfigError;
 use adcnn_core::obs::json;
 use adcnn_core::wire::HEADER_BITS;
 use adcnn_nn::cost::{prefix_weight_load_s, tile_prefix_time_s};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One tenant's node assignment inside a [`PlacementDecision`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct TenantAssignment {
     /// Tenant display name (config order is preserved in the decision).
     pub tenant: String,
@@ -48,7 +48,7 @@ pub struct TenantAssignment {
 
 /// The shared output type of every placement source: the fleet driver
 /// applies it, the deployment planner prints it, benches record it.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct PlacementDecision {
     /// Name of the policy that produced the decision.
     pub policy: String,
@@ -85,7 +85,7 @@ impl PlacementDecision {
 }
 
 /// Why the fleet driver (re-)ran its placement policy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum PlacementCause {
     /// The run's initial decision, before any churn.
     Initial,
@@ -122,7 +122,7 @@ impl PlacementCause {
 
 /// One audited placement decision: when it was made, why, what the
 /// policy saw, and what it chose.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct PlacementAuditEntry {
     /// Decision number, starting at 0 for the initial decision.
     pub seq: u64,
@@ -141,7 +141,7 @@ pub struct PlacementAuditEntry {
 /// The fleet run's full placement audit trail, in decision order. Every
 /// decision the driver applied is here — the initial one matches
 /// `plan_placement` on the same config by construction.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize)]
 pub struct PlacementAudit {
     /// Entries in `seq` order.
     pub entries: Vec<PlacementAuditEntry>,
@@ -209,6 +209,12 @@ pub struct TenantView {
     /// MMPP long-run mean, a trace's mean rate); `None` for closed-loop
     /// tenants, which absorb whatever capacity they are given.
     pub offered_rps: Option<f64>,
+    /// Wire bits of one input tile, header included.
+    pub tile_in_bits: u64,
+    /// Elements of one tile's boundary map.
+    pub tile_out_elems: u64,
+    /// Wire bits of one tile's (compressed) result, header included.
+    pub tile_out_bits: u64,
     /// Shared-channel seconds one request occupies (all input tiles out
     /// plus all compressed results back) — the saturation model's unit.
     pub channel_s_per_request: f64,
@@ -221,16 +227,9 @@ pub struct TenantView {
 impl PlacementInput {
     /// Build the input the driver hands to its policy: `dead` is the
     /// current dead-set (sorted node indices), `now` the decision time.
+    /// The per-tenant surface derived here is also the one the fleet
+    /// driver runs on.
     pub fn from_fleet(cfg: &FleetConfig, now: f64, dead: &[usize]) -> Self {
-        let nodes = cfg
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| NodeView {
-                live: dead.binary_search(&i).is_err(),
-                multiplier_now: n.throttle.multiplier_at(now),
-            })
-            .collect();
         let tenants = cfg
             .tenants
             .iter()
@@ -252,6 +251,9 @@ impl PlacementInput {
                     weight: spec.weight,
                     tiles: d,
                     offered_rps: spec.arrivals.mean_rate_per_s(),
+                    tile_in_bits,
+                    tile_out_elems,
+                    tile_out_bits,
                     channel_s_per_request,
                     tile_work_s: cfg
                         .nodes
@@ -273,7 +275,24 @@ impl PlacementInput {
                 }
             })
             .collect();
-        PlacementInput { now, nodes, tenants }
+        let mut input = PlacementInput { now, nodes: Vec::new(), tenants };
+        input.refresh(cfg, now, dead);
+        input
+    }
+
+    /// Re-read what churn changes — the decision time and every node's
+    /// liveness and multiplier — keeping the per-tenant surface.
+    pub(crate) fn refresh(&mut self, cfg: &FleetConfig, now: f64, dead: &[usize]) {
+        self.now = now;
+        self.nodes = cfg
+            .nodes
+            .iter()
+            .enumerate()
+            .map(|(i, n)| NodeView {
+                live: dead.binary_search(&i).is_err(),
+                multiplier_now: n.throttle.multiplier_at(now),
+            })
+            .collect();
     }
 }
 
@@ -356,6 +375,33 @@ impl<'a> CostOracle<'a> {
         rates
     }
 
+    /// Price `nodes_per_tenant` (tenant config order) and wrap it as
+    /// `policy`'s decision: each tenant's compute-bound rate on its set,
+    /// then the shared-channel budget.
+    pub fn decide(&self, policy: &str, nodes_per_tenant: Vec<Vec<usize>>) -> PlacementDecision {
+        let compute: Vec<f64> = nodes_per_tenant
+            .iter()
+            .enumerate()
+            .map(|(t, nodes)| self.compute_rate(t, nodes))
+            .collect();
+        let predicted = self.saturate(&compute);
+        PlacementDecision {
+            policy: policy.to_string(),
+            assignments: self
+                .input
+                .tenants
+                .iter()
+                .zip(nodes_per_tenant)
+                .zip(predicted)
+                .map(|((tv, nodes), rps)| TenantAssignment {
+                    tenant: tv.name.clone(),
+                    nodes,
+                    predicted_rps: rps,
+                })
+                .collect(),
+        }
+    }
+
     /// A tenant's target rate: its offered load when known, otherwise
     /// its weighted fair share of the channel-bound fleet capacity
     /// (closed-loop tenants absorb whatever they are given, so the
@@ -397,9 +443,9 @@ pub trait PlacementPolicy: std::fmt::Debug + Send + Sync {
     }
 }
 
-/// The pre-placement baseline: every tenant may use every node. The
-/// fleet driver special-cases this (no masks, no re-placement), so runs
-/// are byte-identical to the PR-8 engine — the differential goldens pin
+/// The pre-placement baseline: every tenant may use every node. Its mask
+/// is the identity and the fleet driver never re-places it, so runs are
+/// byte-identical to the PR-8 engine — the differential goldens pin
 /// exactly that.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AllNodesPlacement;
@@ -411,23 +457,7 @@ impl PlacementPolicy for AllNodesPlacement {
 
     fn place(&self, input: &PlacementInput) -> PlacementDecision {
         let all: Vec<usize> = (0..input.nodes.len()).collect();
-        let oracle = CostOracle::instantaneous(input);
-        let compute: Vec<f64> =
-            (0..input.tenants.len()).map(|t| oracle.compute_rate(t, &all)).collect();
-        let predicted = oracle.saturate(&compute);
-        PlacementDecision {
-            policy: self.name().to_string(),
-            assignments: input
-                .tenants
-                .iter()
-                .zip(predicted)
-                .map(|(tv, rps)| TenantAssignment {
-                    tenant: tv.name.clone(),
-                    nodes: all.clone(),
-                    predicted_rps: rps,
-                })
-                .collect(),
-        }
+        CostOracle::instantaneous(input).decide(self.name(), vec![all; input.tenants.len()])
     }
 
     fn places_all(&self) -> bool {
@@ -548,23 +578,7 @@ impl PlacementPolicy for GreedyPlacement {
             }
             nodes_per_tenant[t] = picked;
         }
-        let compute: Vec<f64> =
-            (0..nt).map(|t| oracle.compute_rate(t, &nodes_per_tenant[t])).collect();
-        let predicted = oracle.saturate(&compute);
-        PlacementDecision {
-            policy: self.name().to_string(),
-            assignments: input
-                .tenants
-                .iter()
-                .zip(nodes_per_tenant)
-                .zip(predicted)
-                .map(|((tv, nodes), rps)| TenantAssignment {
-                    tenant: tv.name.clone(),
-                    nodes,
-                    predicted_rps: rps,
-                })
-                .collect(),
-        }
+        oracle.decide(self.name(), nodes_per_tenant)
     }
 }
 
@@ -599,7 +613,6 @@ impl PlacementPolicy for PinnedPlacement {
 
     fn place(&self, input: &PlacementInput) -> PlacementDecision {
         let k = input.nodes.len();
-        let oracle = CostOracle::instantaneous(input);
         let nodes_per_tenant: Vec<Vec<usize>> = (0..input.tenants.len())
             .map(|t| {
                 let mut nodes: Vec<usize> = self
@@ -615,24 +628,7 @@ impl PlacementPolicy for PinnedPlacement {
                 nodes
             })
             .collect();
-        let compute: Vec<f64> = (0..input.tenants.len())
-            .map(|t| oracle.compute_rate(t, &nodes_per_tenant[t]))
-            .collect();
-        let predicted = oracle.saturate(&compute);
-        PlacementDecision {
-            policy: self.name().to_string(),
-            assignments: input
-                .tenants
-                .iter()
-                .zip(nodes_per_tenant)
-                .zip(predicted)
-                .map(|((tv, nodes), rps)| TenantAssignment {
-                    tenant: tv.name.clone(),
-                    nodes,
-                    predicted_rps: rps,
-                })
-                .collect(),
-        }
+        CostOracle::instantaneous(input).decide(self.name(), nodes_per_tenant)
     }
 }
 

@@ -13,10 +13,10 @@ use crate::cluster::{AdcnnSim, AdcnnSimConfig};
 use crate::fleet::FleetConfig;
 use crate::placement::{PlacementDecision, PlacementInput, PlacementPolicy};
 use adcnn_core::fdsp::TileGrid;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One evaluated deployment candidate.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Candidate {
     /// Partition grid.
     pub grid: TileGrid,
@@ -31,7 +31,7 @@ pub struct Candidate {
 }
 
 /// Outcome of a planning sweep.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Plan {
     /// The chosen configuration (fastest feasible), if any was feasible.
     pub chosen: Option<Candidate>,
@@ -41,7 +41,6 @@ pub struct Plan {
     /// caller attached one via [`Plan::with_placement`]. This is the same
     /// [`PlacementDecision`] the fleet driver records in its summary, so
     /// a plan and the run it provisions are directly comparable.
-    #[serde(default)]
     pub placement: Option<PlacementDecision>,
 }
 

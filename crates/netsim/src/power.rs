@@ -12,10 +12,10 @@
 
 use adcnn_nn::cost::DeviceProfile;
 use adcnn_nn::zoo::ModelSpec;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Per-node energy over a simulated run.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct EnergyReport {
     /// Joules consumed while computing.
     pub active_j: f64,

@@ -7,10 +7,10 @@ use crate::profiles::LinkParams;
 use adcnn_core::partition::{fused_halo, fused_tile_flops, square_grid};
 use adcnn_nn::cost::{fc_time_s, model_time_s, prefix_time_s, suffix_time_s, DeviceProfile};
 use adcnn_nn::zoo::ModelSpec;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Latency result of a scheme evaluation.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct SchemeResult {
     /// Scheme name for reporting.
     pub scheme: String,

@@ -16,10 +16,10 @@
 //! paper's testbed obeyed.
 
 use crate::zoo::ModelSpec;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Compute characteristics of one device class.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct DeviceProfile {
     /// Display name.
     pub name: String,
@@ -177,7 +177,7 @@ pub fn tile_prefix_time_s(
 }
 
 /// One row of the Figure 3 per-layer profile.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct LayerProfileRow {
     /// Block name with the paper's `Lx` / `Lx(P)` convention.
     pub label: String,

@@ -17,10 +17,10 @@
 //! - CharCNN is the character-level CNN of Zhang et al. with unpadded 1-D
 //!   convolutions, modeled as `H = 1` maps.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Convolution geometry of one layer block.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct ConvSpec {
     /// Input channels.
     pub in_c: usize,
@@ -58,7 +58,7 @@ impl ConvSpec {
 }
 
 /// One layer block: conv → BN → activation → optional pooling (Figure 2(a)).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct LayerBlockSpec {
     /// Human-readable name, e.g. `"conv3_2"`.
     pub name: String,
@@ -75,7 +75,7 @@ pub struct LayerBlockSpec {
 pub type MapDims = (usize, usize, usize);
 
 /// A whole model: stacked layer blocks plus trailing FC layers.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct ModelSpec {
     /// Model name as used in the paper ("VGG16", "YOLO", …).
     pub name: String,
@@ -98,7 +98,6 @@ pub struct ModelSpec {
     /// the in-memory f32 tensor. Images travel as f32 maps (the paper's own
     /// §3.1 accounting); text travels as one byte per symbol and is one-hot
     /// expanded on the device, so CharCNN sets this.
-    #[serde(default)]
     pub wire_input_bits: Option<u64>,
 }
 

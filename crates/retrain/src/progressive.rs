@@ -13,7 +13,7 @@ use crate::trainer::{evaluate, train, TrainConfig};
 use adcnn_core::fdsp::TileGrid;
 use adcnn_nn::layer::QuantizeSte;
 use adcnn_nn::small::SmallModel;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Configuration of the progressive retraining run.
 #[derive(Clone, Copy, Debug)]
@@ -43,7 +43,7 @@ impl Default for RetrainConfig {
 }
 
 /// Per-stage accounting (one row of the paper's Table 1).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct StageReport {
     /// Stage name: `"FDSP"`, `"Clipped ReLU"`, `"Quantization"`.
     pub stage: String,
@@ -57,7 +57,7 @@ pub struct StageReport {
 }
 
 /// Full Algorithm 1 outcome.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct ProgressiveReport {
     /// Accuracy of the original (unpartitioned) model.
     pub original_accuracy: f64,

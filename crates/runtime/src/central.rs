@@ -166,8 +166,8 @@ pub struct RuntimeConfigBuilder {
 }
 
 impl RuntimeConfigBuilder {
-    /// Replace the whole lifecycle policy (e.g. one validated by
-    /// [`LifecyclePolicy::builder`]).
+    /// Replace the whole lifecycle policy; `build()` runs
+    /// [`LifecyclePolicy::validate`] on it.
     pub fn policy(mut self, policy: LifecyclePolicy) -> Self {
         self.cfg.policy = policy;
         self

@@ -13,10 +13,11 @@
 //! [`Scratch`] (a per-thread one for the plain [`conv2d`] API, the caller's
 //! own for [`conv2d_into`]), so steady-state inference re-runs the same
 //! shapes with zero heap allocation. The backward pass keeps the explicit
-//! `im2col` matrix.
+//! `im2col` matrix; its two products (`gemm_bt`, `gemm_at`) run on the same
+//! GEMM nest as the forward one.
 
 use crate::gemm::{gemm_at, gemm_bt, gemm_core, FusedAct, NR};
-use crate::scratch::{ActBuf, Scratch};
+use crate::scratch::{with_arena, ActBuf, Scratch};
 use crate::tensor::Tensor;
 use std::cell::RefCell;
 
@@ -264,20 +265,8 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &[f32], p: Conv2dParams) ->
     let b = if bias.is_empty() { None } else { Some(bias) };
     let body = |ni: usize, dst: &mut [f32]| {
         let img = &input.as_slice()[ni * in_stride..(ni + 1) * in_stride];
-        CONV_TLS.with(|s| {
-            conv2d_image(
-                img,
-                ic,
-                h,
-                w,
-                weight,
-                oc,
-                b,
-                p,
-                FusedAct::Identity,
-                &mut s.borrow_mut(),
-                dst,
-            )
+        with_arena(&CONV_TLS, |scratch| {
+            conv2d_image(img, ic, h, w, weight, oc, b, p, FusedAct::Identity, scratch, dst)
         });
     };
     if n > 1 {
@@ -517,6 +506,24 @@ mod tests {
             assert_eq!(out.dims(), want.dims());
             assert!(out.to_tensor().approx_eq(&want, 1e-5));
         }
+    }
+
+    /// A rayon worker can re-enter `conv2d` while its arena is borrowed
+    /// further up the stack (see `with_arena`); the nested call must run on
+    /// its own buffer and return the same bits.
+    #[test]
+    fn conv2d_under_a_held_arena_borrow_matches_the_plain_call() {
+        let mut rng = StdRng::seed_from_u64(14);
+        let p = Conv2dParams::same(3);
+        let x = Tensor::randn([1, 3, 8, 8], 1.0, &mut rng);
+        let wt = Tensor::randn([4, 3, 3, 3], 0.5, &mut rng);
+        let want = conv2d(&x, &wt, &[], p);
+        let got = CONV_TLS.with(|s| {
+            let _held = s.borrow_mut();
+            conv2d(&x, &wt, &[], p)
+        });
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

@@ -2,10 +2,19 @@
 //!
 //! The convolution path reduces to `C = A · B` where `A` is the filter
 //! matrix `[OC, IC·KH·KW]` and `B` is the unrolled input
-//! `[IC·KH·KW, OH·OW]`. The forward core never needs `B` as a matrix: it
-//! asks a *panel source* for one `KC×NR` k-major panel at a time — row-major
-//! rows for [`gemm`]/[`gemm_fused`], image patches for `conv2d` (one-pass
-//! im2col→panel) — and consumes the panel while it is still in L1.
+//! `[IC·KH·KW, OH·OW]`. The core never needs `B` as a matrix: it asks a
+//! *panel source* for one `KC×NR` k-major panel at a time — row-major rows
+//! for [`gemm`]/[`gemm_fused`]/[`gemm_at`], rows of the stored transpose for
+//! [`gemm_bt`], image patches for `conv2d` (one-pass im2col→panel) — and
+//! consumes the panel while it is still in L1.
+//!
+//! One loop nest serves all three products. The entries: [`gemm`] and
+//! [`gemm_fused`] (`A·B`; `m == 1` takes the fully-connected row kernel
+//! instead), `conv2d` through `gemm_core`, and the backward pass's
+//! [`gemm_bt`] (`A·Bᵀ`) and [`gemm_at`] (`Aᵀ·B`), which differ from [`gemm`]
+//! only in the panel source and in the layout `A` is packed from.
+//! [`gemm_unpacked`] is the seed's kernel, kept as the reference baseline
+//! for tests and benches.
 //!
 //! Loop nest (BLIS `jr`/`ir` order), per k-block of at most `KC` steps:
 //!
@@ -32,10 +41,10 @@
 //! edge (edges run the same kernel on a zero-padded temp tile), whatever
 //! `m`/`n`, the thread count, or what the pack arena held before. So a
 //! sub-range of rows or columns multiplied alone reproduces the full
-//! product's bits (for `m ≥ 2`; `m == 1` is the fully-connected kernel
-//! `gemm_row1` with its own order).
+//! product's bits (through [`gemm`]/[`gemm_fused`] for `m ≥ 2`: `m == 1` is
+//! the fully-connected kernel `gemm_row1` with its own order).
 
-use crate::scratch::Scratch;
+use crate::scratch::{with_arena, Scratch};
 use rayon::prelude::*;
 use std::cell::RefCell;
 
@@ -111,8 +120,8 @@ pub fn current_threads() -> usize {
 /// state allocates nothing once it has grown to the largest shape seen on
 /// the thread.
 pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32], beta: f32) {
-    PACK_TLS.with(|p| {
-        gemm_rowmajor(m, k, n, a, b, c, beta, None, FusedAct::Identity, &mut p.borrow_mut())
+    with_arena(&PACK_TLS, |pack| {
+        gemm_rowmajor(m, k, n, a, b, c, beta, None, FusedAct::Identity, pack)
     });
 }
 
@@ -183,9 +192,14 @@ fn gemm_rowmajor(
         }
         return;
     }
-    // Whole NR-wide rows are one fixed-size copy; the ragged last panel is
-    // decided once per panel, not per k.
-    let fill = |k0: usize, j0: usize, panel: &mut [f32]| {
+    gemm_core(m, k, n, a, &rowmajor_panels(b, n), c, beta, bias, act, pack);
+}
+
+/// Panel source for a row-major `[k, n]` `B`. Whole NR-wide rows are one
+/// fixed-size copy; the ragged last panel is decided once per panel, not
+/// per k.
+fn rowmajor_panels(b: &[f32], n: usize) -> impl Fn(usize, usize, &mut [f32]) + Sync + '_ {
+    move |k0, j0, panel| {
         let rows = b[k0 * n + j0..].chunks(n);
         if n - j0 >= NR {
             for (dst, src) in panel.chunks_exact_mut(NR).zip(rows) {
@@ -198,13 +212,28 @@ fn gemm_rowmajor(
                 dst[nb..].fill(0.0);
             }
         }
-    };
-    gemm_core(m, k, n, a, &fill, c, beta, bias, act, pack);
+    }
 }
 
-/// The forward GEMM core behind [`gemm`], [`gemm_fused`] and `conv2d`.
+/// The nest's `A` operand as the caller stores it.
+pub(crate) enum ASrc<'a> {
+    /// `[m, k]` row-major.
+    RowMajor(&'a [f32]),
+    /// `[k, m]` row-major, i.e. `Aᵀ` as stored.
+    KMajor(&'a [f32]),
+}
+
+impl<'a> From<&'a [f32]> for ASrc<'a> {
+    fn from(a: &'a [f32]) -> Self {
+        ASrc::RowMajor(a)
+    }
+}
+
+/// The one GEMM core: behind [`gemm`], [`gemm_fused`] and `conv2d` forward,
+/// [`gemm_bt`] and [`gemm_at`] backward.
 ///
-/// `fill_b(k0, j0, panel)` writes rows `k0..k0 + panel.len() / NR` of
+/// `a` is the `A` operand in either stored layout (a plain slice is
+/// `[m, k]` row-major). `fill_b(k0, j0, panel)` writes rows `k0..k0 + panel.len() / NR` of
 /// columns `j0..j0 + NR` of `B` into `panel` (k-major, `NR` floats per
 /// k-step, columns at or beyond `n` zero). It is called once per (k-block,
 /// column panel) and row-block task, and the panel is consumed from L1
@@ -213,11 +242,11 @@ fn gemm_rowmajor(
 /// `pack` is the grow-only arena: the packed `A` panels, then one B panel
 /// per row-block task.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_core<F>(
+pub(crate) fn gemm_core<'a, F>(
     m: usize,
     k: usize,
     n: usize,
-    a: &[f32],
+    a: impl Into<ASrc<'a>>,
     fill_b: &F,
     c: &mut [f32],
     beta: f32,
@@ -227,7 +256,9 @@ pub(crate) fn gemm_core<F>(
 ) where
     F: Fn(usize, usize, &mut [f32]) + Sync,
 {
-    assert_eq!(a.len(), m * k, "A dims mismatch");
+    let a = a.into();
+    let (ASrc::RowMajor(stored) | ASrc::KMajor(stored)) = a;
+    assert_eq!(stored.len(), m * k, "A dims mismatch");
     assert_eq!(c.len(), m * n, "C dims mismatch");
     if let Some(bs) = bias {
         assert_eq!(bs.len(), m, "bias dims mismatch");
@@ -265,7 +296,10 @@ pub(crate) fn gemm_core<F>(
     // arena is only ever grown, never cleared.
     pack.resize(a_len + tasks * kc * NR, 0.0);
     let (a_pack, b_panels) = pack.split_at_mut(a_len);
-    pack_a(m, k, a, a_pack);
+    match a {
+        ASrc::RowMajor(a) => pack_a(m, k, a, a_pack),
+        ASrc::KMajor(a_t) => pack_a_kmajor(m, k, a_t, a_pack),
+    }
     let a_pack = &*a_pack;
 
     let nest = Nest { m, k, n, a_pack, first_stores: beta == 0.0, bias, act };
@@ -307,6 +341,23 @@ fn pack_a(m: usize, k: usize, a: &[f32], pack: &mut [f32]) {
             }
         }
         k0 += kb;
+    }
+}
+
+/// [`pack_a`] for `a_t` (`[k, m]` row-major): a k-step's `MR` floats are
+/// already contiguous in row `k` of `a_t`, so the pack is a copy.
+fn pack_a_kmajor(m: usize, k: usize, a_t: &[f32], pack: &mut [f32]) {
+    let mp = m.div_ceil(MR);
+    for k0 in (0..k).step_by(KC) {
+        let kb = KC.min(k - k0);
+        let block = &mut pack[k0 * mp * MR..(k0 + kb) * mp * MR];
+        for (p, panel) in block.chunks_exact_mut(kb * MR).enumerate() {
+            let mb = MR.min(m - p * MR);
+            for (dst, row) in panel.chunks_exact_mut(MR).zip(a_t[k0 * m..].chunks_exact(m)) {
+                dst[..mb].copy_from_slice(&row[p * MR..][..mb]);
+                dst[mb..].fill(0.0);
+            }
+        }
     }
 }
 
@@ -550,13 +601,7 @@ pub fn gemm_unpacked(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut
     assert_eq!(b.len(), k * n, "B dims mismatch");
     assert_eq!(c.len(), m * n, "C dims mismatch");
 
-    if beta == 0.0 {
-        c.fill(0.0);
-    } else if beta != 1.0 {
-        for x in c.iter_mut() {
-            *x *= beta;
-        }
-    }
+    scale(c, beta);
     if m == 0 || n == 0 || k == 0 {
         return;
     }
@@ -594,96 +639,39 @@ fn unpacked_row(i: usize, k: usize, n: usize, a: &[f32], b: &[f32], crow: &mut [
     }
 }
 
-/// `c[m×n] = a^T[k×m]^T · b[k×n] + beta·c`, i.e. A is stored transposed
-/// (`a` is `[k, m]` row-major). Used by the convolution backward pass where
-/// the filter matrix must be applied transposed without materializing a copy.
+/// `c[m×n] = a_tᵀ · b[k×n] + beta·c` with `A` stored transposed (`a_t` is
+/// `[k, m]` row-major): the backward pass's `dcol = Wᵀ·dY` and `dW = Xᵀ·dY`.
+/// The same nest as [`gemm`]; only the `A` pack reads the other layout.
 pub fn gemm_at(m: usize, k: usize, n: usize, a_t: &[f32], b: &[f32], c: &mut [f32], beta: f32) {
-    assert_eq!(a_t.len(), k * m, "A^T dims mismatch");
     assert_eq!(b.len(), k * n, "B dims mismatch");
-    assert_eq!(c.len(), m * n, "C dims mismatch");
-
-    if beta == 0.0 {
-        c.fill(0.0);
-    } else if beta != 1.0 {
-        for x in c.iter_mut() {
-            *x *= beta;
-        }
-    }
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-
-    // Process sequentially in k (outer) so each B row is streamed once;
-    // parallelism over output rows would race, so split m instead.
-    let flops = m * n * k;
-    if flops >= PAR_FLOP_THRESHOLD && m > 1 {
-        c.par_chunks_mut(n).enumerate().for_each(|(i, crow)| {
-            for kk in 0..k {
-                let aik = a_t[kk * m + i];
-                if aik == 0.0 {
-                    continue;
-                }
-                let brow = &b[kk * n..kk * n + n];
-                for (cj, &bj) in crow.iter_mut().zip(brow) {
-                    *cj += aik * bj;
-                }
-            }
-        });
-    } else {
-        for (i, crow) in c.chunks_mut(n).enumerate() {
-            for kk in 0..k {
-                let aik = a_t[kk * m + i];
-                if aik == 0.0 {
-                    continue;
-                }
-                let brow = &b[kk * n..kk * n + n];
-                for (cj, &bj) in crow.iter_mut().zip(brow) {
-                    *cj += aik * bj;
-                }
-            }
-        }
-    }
+    let (a, fill) = (ASrc::KMajor(a_t), rowmajor_panels(b, n));
+    with_arena(&PACK_TLS, |pack| {
+        gemm_core(m, k, n, a, &fill, c, beta, None, FusedAct::Identity, pack)
+    });
 }
 
-/// `c[m×n] = a[m×k] · b^T[n×k]^T + beta·c`, i.e. B is stored transposed
-/// (`b_t` is `[n, k]` row-major). Used for weight gradients
-/// (`dW = dY · X^T`) where X naturally sits row-major as `[n, k]`.
+/// `c[m×n] = a[m×k] · b_tᵀ + beta·c` with `B` stored transposed (`b_t` is
+/// `[n, k]` row-major): the backward pass's `dW = dY·colᵀ` and `dX = dY·Wᵀ`.
+/// The same nest as [`gemm`] behind a transposing panel source.
 pub fn gemm_bt(m: usize, k: usize, n: usize, a: &[f32], b_t: &[f32], c: &mut [f32], beta: f32) {
-    assert_eq!(a.len(), m * k, "A dims mismatch");
     assert_eq!(b_t.len(), n * k, "B^T dims mismatch");
-    assert_eq!(c.len(), m * n, "C dims mismatch");
-
-    if beta == 0.0 {
-        c.fill(0.0);
-    } else if beta != 1.0 {
-        for x in c.iter_mut() {
-            *x *= beta;
-        }
-    }
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-
-    let flops = m * n * k;
-    let body = |i: usize, crow: &mut [f32]| {
-        let arow = &a[i * k..(i + 1) * k];
-        for (j, cij) in crow.iter_mut().enumerate() {
-            let brow = &b_t[j * k..(j + 1) * k];
-            // Dot product of two contiguous rows; autovectorizes well.
-            let mut acc = 0.0f32;
-            for (x, y) in arow.iter().zip(brow) {
-                acc += x * y;
+    // Column `jj` of the panel is row `j0 + jj` of `b_t` over the k-block,
+    // read contiguously; columns at or beyond `n` are zero.
+    let fill = |k0: usize, j0: usize, panel: &mut [f32]| {
+        let kb = panel.len() / NR;
+        let nb = NR.min(n - j0);
+        for (jj, src) in b_t[j0 * k..].chunks_exact(k).take(nb).enumerate() {
+            for (dst, &v) in panel.chunks_exact_mut(NR).zip(&src[k0..k0 + kb]) {
+                dst[jj] = v;
             }
-            *cij += acc;
+        }
+        if nb < NR {
+            panel.chunks_exact_mut(NR).for_each(|dst| dst[nb..].fill(0.0));
         }
     };
-    if flops >= PAR_FLOP_THRESHOLD && m > 1 {
-        c.par_chunks_mut(n).enumerate().for_each(|(i, crow)| body(i, crow));
-    } else {
-        for (i, crow) in c.chunks_mut(n).enumerate() {
-            body(i, crow);
-        }
-    }
+    with_arena(&PACK_TLS, |pack| {
+        gemm_core(m, k, n, a, &fill, c, beta, None, FusedAct::Identity, pack)
+    });
 }
 
 #[cfg(test)]
@@ -902,6 +890,26 @@ mod tests {
         let mut c = vec![10.0; 4];
         gemm(2, 2, 2, &a, &b, &mut c, 1.0);
         assert_eq!(c, vec![11.0, 12.0, 13.0, 14.0]);
+    }
+
+    /// A rayon worker can re-enter `gemm` while its pack arena is borrowed
+    /// further up the stack (see `with_arena`); the nested call must run on
+    /// its own buffer and return the same bits.
+    #[test]
+    fn gemm_under_a_held_arena_borrow_matches_the_plain_call() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let (m, k, n) = (7, 30, 19);
+        let a = rand_vec(m * k, &mut rng);
+        let b = rand_vec(k * n, &mut rng);
+        let mut want = vec![0.0; m * n];
+        gemm(m, k, n, &a, &b, &mut want, 0.0);
+        let mut got = vec![0.0; m * n];
+        PACK_TLS.with(|p| {
+            let _held = p.borrow_mut();
+            gemm(m, k, n, &a, &b, &mut got, 0.0);
+        });
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

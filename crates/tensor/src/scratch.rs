@@ -19,6 +19,23 @@
 //! - Buffers only ever grow; `clear()`/`resize()` keep capacity.
 
 use crate::tensor::Tensor;
+use std::cell::RefCell;
+use std::thread::LocalKey;
+
+/// Run `f` on this thread's arena — or on a fresh buffer when the thread
+/// already holds the arena further up its stack. That happens under rayon:
+/// a worker waiting on a job stolen from inside `f` runs other jobs of the
+/// enclosing parallel loop meanwhile (the next image of a batch), and those
+/// arrive here again. Rare, so the re-entrant call pays its own allocation.
+pub(crate) fn with_arena<T: Default, R>(
+    arena: &'static LocalKey<RefCell<T>>,
+    f: impl FnOnce(&mut T) -> R,
+) -> R {
+    arena.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut held) => f(&mut held),
+        Err(_) => f(&mut T::default()),
+    })
+}
 
 /// Arena of reusable buffers for convolution / GEMM internals.
 ///

@@ -5,9 +5,10 @@
 # dependencies to the stand-ins under its own perf-ledger/offline/ and to
 # tools/proptest-stub, drops crates/bench (criterion, serde_json and real
 # serde derives have no stand-in), and runs fmt, clippy, rustdoc, the
-# workspace tests and the `data_path` example there. Reads the repository;
-# writes only under DEST, and replaces what an earlier run left there: DEST
-# must be new, empty or carry the `.adcnn-shadow` marker this script drops.
+# workspace tests and the `data_path` and `train_step` examples there. Reads
+# the repository; writes only under DEST, and replaces what an earlier run
+# left there: DEST must be new, empty or carry the `.adcnn-shadow` marker
+# this script drops.
 #
 #   tools/shadow.sh [DEST] [-- extra `cargo test` arguments]
 set -euo pipefail
@@ -67,5 +68,9 @@ cargo test --offline --workspace --no-fail-fast "$@"
 echo "==> element-wise passes (examples/data_path.rs, writes under $dest/results)"
 cargo run --offline --release --example data_path
 grep -q '"clock": "wall"' "$dest/results/BENCH_datapath.json"
+
+echo "==> training path (examples/train_step.rs, writes under $dest/results)"
+cargo run --offline --release --example train_step
+grep -q '"clock": "wall"' "$dest/results/BENCH_train.json"
 
 echo "==> shadow OK"
