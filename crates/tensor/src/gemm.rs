@@ -655,9 +655,17 @@ pub fn gemm_at(m: usize, k: usize, n: usize, a_t: &[f32], b: &[f32], c: &mut [f3
 /// The same nest as [`gemm`] behind a transposing panel source.
 pub fn gemm_bt(m: usize, k: usize, n: usize, a: &[f32], b_t: &[f32], c: &mut [f32], beta: f32) {
     assert_eq!(b_t.len(), n * k, "B^T dims mismatch");
-    // Column `jj` of the panel is row `j0 + jj` of `b_t` over the k-block,
-    // read contiguously; columns at or beyond `n` are zero.
-    let fill = |k0: usize, j0: usize, panel: &mut [f32]| {
+    let fill = bt_panels(b_t, k, n);
+    with_arena(&PACK_TLS, |pack| {
+        gemm_core(m, k, n, a, &fill, c, beta, None, FusedAct::Identity, pack)
+    });
+}
+
+/// Panel source for a `B` stored transposed (`b_t` is `[n, k]` row-major):
+/// column `jj` of the panel is row `j0 + jj` of `b_t` over the k-block, read
+/// contiguously; columns at or beyond `n` are zero.
+fn bt_panels(b_t: &[f32], k: usize, n: usize) -> impl Fn(usize, usize, &mut [f32]) + Sync + '_ {
+    move |k0, j0, panel| {
         let kb = panel.len() / NR;
         let nb = NR.min(n - j0);
         for (jj, src) in b_t[j0 * k..].chunks_exact(k).take(nb).enumerate() {
@@ -668,10 +676,7 @@ pub fn gemm_bt(m: usize, k: usize, n: usize, a: &[f32], b_t: &[f32], c: &mut [f3
         if nb < NR {
             panel.chunks_exact_mut(NR).for_each(|dst| dst[nb..].fill(0.0));
         }
-    };
-    with_arena(&PACK_TLS, |pack| {
-        gemm_core(m, k, n, a, &fill, c, beta, None, FusedAct::Identity, pack)
-    });
+    }
 }
 
 #[cfg(test)]
@@ -769,31 +774,79 @@ mod tests {
         }
     }
 
-    /// Random packed panels for one full k-block, plus a C tile and bias.
+    /// A register tile's kernel behind slices: `(a_panel, b_panel, c, ldc,
+    /// accumulate, fin)`, `fin`'s bias one float per tile row.
     #[cfg(target_arch = "x86_64")]
-    fn tile_inputs(rng: &mut StdRng) -> (Vec<f32>, Vec<f32>, Vec<f32>, [f32; MR]) {
-        let bias = std::array::from_fn(|_| rng.gen_range(-1.0..1.0));
-        (rand_vec(KC * MR, rng), rand_vec(KC * NR, rng), rand_vec(MR * NR, rng), bias)
+    type TileFn = fn(&[f32], &[f32], &mut [f32], usize, bool, Option<(&[f32], FusedAct)>);
+    #[cfg(target_arch = "x86_64")]
+    type FillFn<'a> = &'a (dyn Fn(usize, usize, &mut [f32]) + Sync);
+    /// The whole nest at one tier, [`gemm_core`]'s arguments.
+    #[cfg(target_arch = "x86_64")]
+    #[rustfmt::skip]
+    type CoreFn = fn(usize, usize, usize, ASrc, FillFn, &mut [f32], f32, Option<&[f32]>, FusedAct, &mut Vec<f32>);
+
+    /// One FMA tier this CPU has, with `MR` erased so that the per-tier
+    /// tests are loops over [`x86_tiers`] instead of generic functions.
+    #[cfg(target_arch = "x86_64")]
+    struct TierUnderTest {
+        name: &'static str,
+        mr: usize,
+        kernel: TileFn,
+        /// The portable tile at the same `mr`.
+        portable: TileFn,
+        core: CoreFn,
+    }
+
+    /// The table the per-tier tests walk: every FMA tier of this CPU, the
+    /// narrowest first.
+    #[cfg(target_arch = "x86_64")]
+    fn x86_tiers() -> Vec<TierUnderTest> {
+        fn fin_of<'a>(fin: Option<(&'a [f32], FusedAct)>) -> Finish<'a> {
+            fin.map(|(bias, act)| (bias.try_into().expect("one bias per tile row"), act))
+        }
+        let mut tiers = Vec::new();
+        if x86::fma_available() {
+            tiers.push(TierUnderTest {
+                name: "avx2+fma",
+                mr: MR,
+                kernel: |a, b, c, ldc, acc, fin| tile(a, b, c, ldc, acc, fin_of(fin)),
+                portable: |a, b, c, ldc, acc, fin| {
+                    microkernel_portable(a, b, c, ldc, acc, fin_of(fin))
+                },
+                core: |m, k, n, a, fill, c, beta, bias, act, pack| {
+                    let fill = |k0: usize, j0: usize, panel: &mut [f32]| fill(k0, j0, panel);
+                    gemm_core(m, k, n, a, &fill, c, beta, bias, act, pack)
+                },
+            });
+        }
+        tiers
     }
 
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn x86_tile_matches_portable_tile() {
-        if !x86::fma_available() {
-            return;
-        }
         let mut rng = StdRng::seed_from_u64(10);
-        for act in [FusedAct::Identity, FusedAct::Relu, FusedAct::Clipped { lo: -0.5, hi: 2.0 }] {
-            for accumulate in [false, true] {
-                for with_fin in [false, true] {
-                    let (ap, bp, c0, bias) = tile_inputs(&mut rng);
-                    let fin = with_fin.then_some((&bias, act));
-                    let (mut fast, mut slow) = (c0.clone(), c0);
-                    tile(&ap, &bp, &mut fast, NR, accumulate, fin);
-                    microkernel_portable(&ap, &bp, &mut slow, NR, accumulate, fin);
-                    for (x, y) in fast.iter().zip(&slow) {
-                        let tol = 1e-4 * y.abs().max(1.0);
-                        assert!((x - y).abs() <= tol, "{act:?} acc={accumulate}: {x} vs {y}");
+        for t in x86_tiers() {
+            for act in [FusedAct::Identity, FusedAct::Relu, FusedAct::Clipped { lo: -0.5, hi: 2.0 }]
+            {
+                for accumulate in [false, true] {
+                    for with_fin in [false, true] {
+                        // Random packed panels for one full k-block.
+                        let (ap, bp) = (rand_vec(KC * t.mr, &mut rng), rand_vec(KC * NR, &mut rng));
+                        let bias = rand_vec(t.mr, &mut rng);
+                        let fin = with_fin.then_some((&bias[..], act));
+                        let mut fast = rand_vec(t.mr * NR, &mut rng);
+                        let mut slow = fast.clone();
+                        (t.kernel)(&ap, &bp, &mut fast, NR, accumulate, fin);
+                        (t.portable)(&ap, &bp, &mut slow, NR, accumulate, fin);
+                        for (x, y) in fast.iter().zip(&slow) {
+                            let tol = 1e-4 * y.abs().max(1.0);
+                            let tier = t.name;
+                            assert!(
+                                (x - y).abs() <= tol,
+                                "{tier} {act:?} acc={accumulate}: {x} vs {y}"
+                            );
+                        }
                     }
                 }
             }
@@ -807,9 +860,6 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn vector_epilogue_matches_apply_bit_for_bit() {
-        if !x86::fma_available() {
-            return;
-        }
         let (lo, hi) = (0.0f32, 2.0f32);
         let specials = [
             -0.0,
@@ -831,17 +881,24 @@ mod tests {
             f32::NAN,
             0.3,
         ];
-        let (ap, bp) = ([-1e-30f32; MR], [1e-30f32; NR]);
-        for act in [FusedAct::Identity, FusedAct::Relu, FusedAct::Clipped { lo, hi }] {
-            for vals in specials.chunks(MR) {
-                let mut bias = [0.0f32; MR];
-                bias[..vals.len()].copy_from_slice(vals);
-                let mut c = [7.0f32; MR * NR];
-                tile(&ap, &bp, &mut c, NR, false, Some((&bias, act)));
-                for (crow, &x) in c.chunks(NR).zip(&bias) {
-                    let want = act.apply(x);
-                    for got in crow {
-                        assert_eq!(got.to_bits(), want.to_bits(), "{act:?}({x}): {got} vs {want}");
+        for t in x86_tiers() {
+            let (ap, bp) = (vec![-1e-30f32; t.mr], [1e-30f32; NR]);
+            for act in [FusedAct::Identity, FusedAct::Relu, FusedAct::Clipped { lo, hi }] {
+                for vals in specials.chunks(t.mr) {
+                    let mut bias = vec![0.0f32; t.mr];
+                    bias[..vals.len()].copy_from_slice(vals);
+                    let mut c = vec![7.0f32; t.mr * NR];
+                    (t.kernel)(&ap, &bp, &mut c, NR, false, Some((&bias, act)));
+                    for (crow, &x) in c.chunks(NR).zip(&bias) {
+                        let want = act.apply(x);
+                        for got in crow {
+                            let tier = t.name;
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "{tier} {act:?}({x}): {got} vs {want}"
+                            );
+                        }
                     }
                 }
             }
@@ -850,6 +907,76 @@ mod tests {
         assert_eq!(FusedAct::Relu.apply(-0.0).to_bits(), 0);
         assert_eq!(FusedAct::Clipped { lo, hi }.apply(-0.0).to_bits(), 0);
         assert_eq!(FusedAct::Clipped { lo: 0.5, hi }.apply(0.25).to_bits(), 0);
+    }
+
+    /// Every FMA tier of this CPU serves the narrowest one's bits, on every
+    /// entry of the nest: both stored layouts of `A`, the row-major and the
+    /// transposing panel source, stored and accumulated first k-blocks, every
+    /// epilogue — over shapes that cross each tier's row-panel remainders,
+    /// the column-panel remainder and the k-block boundary, and on the nine
+    /// shapes of `results/BENCH_gemm.json`.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn tiers_agree_bit_for_bit() {
+        let tiers = x86_tiers();
+        let Some((narrow, wider)) = tiers.split_first().filter(|(_, w)| !w.is_empty()) else {
+            eprintln!("tiers_agree_bit_for_bit: skipped, fewer than two FMA tiers (no avx512f)");
+            return;
+        };
+        let mut shapes = vec![
+            (64, 27, 1024),
+            (64, 576, 1024),
+            (128, 576, 256),
+            (128, 1152, 256),
+            (128, 1152, 64),
+            (16, 27, 256),
+            (16, 144, 256),
+            (32, 144, 256),
+            (32, 288, 256),
+        ];
+        for m in [1, 5, 6, 7, 15, 16, 17, 33] {
+            for k in [0, 1, 27, 255, 256, 257, 513] {
+                shapes.extend([1, 15, 16, 17, 100].map(|n| (m, k, n)));
+            }
+        }
+        let acts = [FusedAct::Identity, FusedAct::Relu, FusedAct::Clipped { lo: -0.5, hi: 2.0 }];
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut pack = Vec::new();
+        for (m, k, n) in shapes {
+            // Random data has no layout: the same floats serve as `[m, k]`
+            // and `[k, m]`, as `[k, n]` and `[n, k]`.
+            let (a, b) = (rand_vec(m * k, &mut rng), rand_vec(k * n, &mut rng));
+            let (bias, c0) = (rand_vec(m, &mut rng), rand_vec(m * n, &mut rng));
+            let (rowmajor, transposed) = (rowmajor_panels(&b, n), bt_panels(&b, k, n));
+            let entries: [(&str, bool, FillFn); 3] = [
+                ("A·B", false, &rowmajor),
+                ("Aᵀ·B", true, &rowmajor),
+                ("A·Bᵀ", false, &transposed),
+            ];
+            for (entry, kmajor, fill) in entries {
+                for beta in [0.0, 1.0] {
+                    for act in acts {
+                        let mut run = |t: &TierUnderTest| {
+                            let a = if kmajor { ASrc::KMajor(&a) } else { ASrc::RowMajor(&a) };
+                            let mut c = c0.clone();
+                            (t.core)(m, k, n, a, fill, &mut c, beta, Some(&bias), act, &mut pack);
+                            c
+                        };
+                        let want = run(narrow);
+                        for t in wider {
+                            let got = run(t);
+                            let diff =
+                                want.iter().zip(&got).position(|(x, y)| x.to_bits() != y.to_bits());
+                            assert_eq!(
+                                diff, None,
+                                "{entry} ({m},{k},{n}) beta={beta} {act:?}: {} differs from {}",
+                                t.name, narrow.name
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -99,6 +99,12 @@ fn steady_state_tile_loop_is_allocation_free() {
     let deep_w = Tensor::randn([8, 32, 3, 3], 0.1, &mut rng);
     let deep_b = [0.1f32; 8];
     let mut deep_out = ActBuf::new();
+    // The same depth with M = 40: a ragged last row panel under the 6-row
+    // and the 16-row register tile alike (40·288·4 multiply-adds).
+    let wide = Tensor::randn([1, 32, 2, 2], 0.5, &mut rng);
+    let wide_w = Tensor::randn([40, 32, 3, 3], 0.1, &mut rng);
+    let wide_b = [0.1f32; 40];
+    let mut wide_out = ActBuf::new();
 
     let mut scratch = InferScratch::new();
     let mut cs = CompressScratch::new();
@@ -118,6 +124,17 @@ fn steady_state_tile_loop_is_allocation_free() {
                 &mut deep_out,
             );
             assert_eq!(deep_out.dims(), &[1, 8, 4, 4]);
+            conv2d_into(
+                wide.as_slice(),
+                (1, 32, 2, 2),
+                &wide_w,
+                &wide_b,
+                Conv2dParams::same(3),
+                FusedAct::Relu,
+                &mut scratch.ts,
+                &mut wide_out,
+            );
+            assert_eq!(wide_out.dims(), &[1, 40, 2, 2]);
         }
     };
 
