@@ -4,6 +4,8 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+tools/machine-facts.sh
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -49,14 +51,14 @@ echo "==> forensic observability smoke run (heterogeneous_cluster)"
 cargo run --release --example heterogeneous_cluster >/dev/null
 
 echo "==> record GEMM baseline (results/BENCH_gemm.json)"
-# The micro bench's custom main records the packed-vs-seed speedup before
-# the criterion groups run.
-cargo bench -p adcnn-bench --bench micro >/dev/null
-cat results/BENCH_gemm.json
-# Beside the 256^3 trajectory the file must carry the served im2col shapes
-# and say which clock it read.
+# The packed-vs-seed speedup, the register tile alone and `gemm_fused` on the
+# served im2col shapes, each beside the parent commit's reading.
+cargo run --release --example gemm_shapes
+# Beside the 256^3 trajectory the file must carry the served im2col shapes,
+# say which clock it read, and name the tier this machine dispatches to.
 grep -q '"shapes"' results/BENCH_gemm.json
 grep -q '"clock": "wall"' results/BENCH_gemm.json
+tools/machine-facts.sh results/BENCH_gemm.json
 
 echo "==> record the element-wise passes (results/BENCH_datapath.json)"
 # Pool, clip+quantize+RLE, decode, paste, tile extraction and the task codec

@@ -11,12 +11,11 @@ use adcnn_nn::infer::InferScratch;
 use adcnn_nn::{Block, Layer, Network};
 use adcnn_tensor::activ::ClippedRelu;
 use adcnn_tensor::conv::{conv2d, conv2d_into, Conv2dParams};
-use adcnn_tensor::gemm::{gemm, gemm_fused, gemm_unpacked, FusedAct};
+use adcnn_tensor::gemm::{gemm, gemm_unpacked, FusedAct};
 use adcnn_tensor::{ActBuf, Scratch, Tensor};
-use criterion::{criterion_group, BatchSize, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::hint::black_box;
-use std::time::Instant;
 
 fn bench_gemm(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
@@ -35,7 +34,7 @@ fn bench_gemm(c: &mut Criterion) {
             BatchSize::LargeInput,
         )
     });
-    // The baseline-vs-packed pair used for BENCH_gemm.json.
+    // The seed-vs-packed pair `examples/gemm_shapes.rs` records.
     let (m, k, n) = (256, 256, 256);
     let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-1.0..1.0)).collect();
     let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
@@ -171,132 +170,10 @@ fn bench_scheduler(c: &mut Criterion) {
     g.finish();
 }
 
-/// Best-of-N wall-clock seconds for one invocation of `f`.
-fn best_secs(mut f: impl FnMut(), reps: usize) -> f64 {
-    // Warm-up: populate thread-local pack buffers, fault in pages.
-    f();
-    f();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
-
-/// The im2col GEMMs `(M, K, N)` the served models run: VGG16 blocks 1-2 on a
-/// 32x32 FDSP tile plus the Central suffix conv, then ShapesCNN's four convs
-/// on 16x16 (the perf ledger's `detail.kernel_shapes`).
-const SERVED_SHAPES: [(usize, usize, usize); 9] = [
-    (64, 27, 1024),
-    (64, 576, 1024),
-    (128, 576, 256),
-    (128, 1152, 256),
-    (128, 1152, 64),
-    (16, 27, 256),
-    (16, 144, 256),
-    (32, 144, 256),
-    (32, 288, 256),
-];
-
-/// The SIMD tier the GEMM's runtime dispatch picks on this machine (the
-/// same two-way probe as `adcnn_tensor::gemm`).
-fn simd_tier() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
-        return "avx2+fma";
-    }
-    "scalar"
-}
-
-/// Record the packed-vs-seed GEMM speedup on 256x256x256 (the trajectory
-/// every PR since the first has extended) and `gemm_fused` throughput on the
-/// shapes actually served to `results/BENCH_gemm.json`. Wall-clock, best of
-/// 9. JSON is hand-formatted so the file is stable regardless of serializer.
-fn record_gemm_baseline() {
-    let (m, k, n) = (256usize, 256, 256);
-    let mut rng = StdRng::seed_from_u64(7);
-    let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-1.0..1.0)).collect();
-    let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-    let mut out = vec![0.0f32; m * n];
-    let flops = (2 * m * k * n) as f64;
-
-    let seed_s = best_secs(
-        || {
-            gemm_unpacked(m, k, n, &a, &b, &mut out, 0.0);
-            black_box(out[0]);
-        },
-        9,
-    );
-    let packed_s = best_secs(
-        || {
-            gemm(m, k, n, &a, &b, &mut out, 0.0);
-            black_box(out[0]);
-        },
-        9,
-    );
-    let speedup = seed_s / packed_s;
-
-    let mut scratch = Scratch::new();
-    let shapes: Vec<String> = SERVED_SHAPES
-        .iter()
-        .map(|&(m, k, n)| {
-            let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let bias = vec![0.1f32; m];
-            let mut out = vec![0.0f32; m * n];
-            let s = best_secs(
-                || {
-                    let bias = Some(&bias[..]);
-                    gemm_fused(m, k, n, &a, &b, &mut out, bias, FusedAct::Relu, &mut scratch);
-                    black_box(out[0]);
-                },
-                9,
-            );
-            let gflops = (2 * m * k * n) as f64 / s / 1e9;
-            format!(
-                "    {{\"m\": {m}, \"k\": {k}, \"n\": {n}, \"gemm_fused_gflops\": {gflops:.3}}}"
-            )
-        })
-        .collect();
-
-    let json = format!(
-        "{{\n  \"bench\": \"gemm_256x256x256\",\n  \"clock\": \"wall\",\n  \"simd\": \"{}\",\n  \
-         \"seed_kernel_s\": {seed_s:.6},\n  \
-         \"packed_kernel_s\": {packed_s:.6},\n  \"seed_gflops\": {:.3},\n  \
-         \"packed_gflops\": {:.3},\n  \"speedup\": {speedup:.3},\n  \
-         \"threads\": {},\n  \"shapes\": [\n{}\n  ]\n}}\n",
-        simd_tier(),
-        flops / seed_s / 1e9,
-        flops / packed_s / 1e9,
-        rayon_threads(),
-        shapes.join(",\n"),
-    );
-    let path = adcnn_bench::results_dir().join("BENCH_gemm.json");
-    std::fs::write(&path, json).expect("write BENCH_gemm.json");
-    println!(
-        "gemm 256x256x256: seed {:.2} GFLOP/s, packed {:.2} GFLOP/s, {speedup:.2}x [written {path:?}]",
-        flops / seed_s / 1e9,
-        flops / packed_s / 1e9,
-    );
-}
-
-fn rayon_threads() -> usize {
-    // The gemm dispatches through rayon; report the pool it actually used.
-    adcnn_tensor::gemm::current_threads()
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_gemm, bench_conv2d, bench_tile_pipeline, bench_compression, bench_fdsp, bench_scheduler
 }
 
-// Custom main (instead of `criterion_main!`): record the acceptance
-// baseline first, then run the criterion groups as usual.
-fn main() {
-    record_gemm_baseline();
-    benches();
-    Criterion::default().configure_from_args().final_summary();
-}
+criterion_main!(benches);

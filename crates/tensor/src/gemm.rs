@@ -28,11 +28,23 @@
 //!         bias + activation before the store
 //! ```
 //!
-//! Blocking parameters (also documented in DESIGN.md §9): `MR×NR = 6×16`
-//! register tile (12 YMM accumulators), `KC = 256`, so the B panel is 16 KB
-//! and one A panel 6 KB. On x86-64 the tile dispatches at runtime to the
-//! AVX2+FMA microkernel when the CPU has it (the build targets baseline
-//! SSE2); everything else runs the portable scalar tile.
+//! Blocking, per tier (also DESIGN.md §9). The nest above is one source,
+//! generic over the tile's row count `MR`; `gemm_core` probes the CPU once
+//! ([`simd_tier`]) and enters it at the tier's `MR` with the tier's kernel —
+//! the one dispatch point, per call, not per tile. `NR = 16` and `KC = 256`
+//! are the same for every tier, so a B panel is 16 KB whatever runs and no
+//! panel source knows the tier:
+//!
+//! ```text
+//! tier       MR×NR   accumulators        + B row, broadcast   A panel
+//! avx512f    16×16   16 ZMM (of 32)      1 ZMM, folded        16 KB
+//! avx2+fma    6×16   12 YMM (of 16)      2 YMM, 1 YMM          6 KB
+//! scalar      6×16   locals              -                     6 KB
+//! ```
+//!
+//! The build targets baseline x86-64 (SSE2), so both x86 kernels are
+//! `#[target_feature]` functions behind the runtime probe; everything else
+//! runs the portable tile.
 //!
 //! **Determinism.** Every output element is the same operation sequence —
 //! one multiply-add chain over `k` ascending from zero within a k-block,
@@ -42,19 +54,83 @@
 //! `m`/`n`, the thread count, or what the pack arena held before. So a
 //! sub-range of rows or columns multiplied alone reproduces the full
 //! product's bits (through [`gemm`]/[`gemm_fused`] for `m ≥ 2`: `m == 1` is
-//! the fully-connected kernel `gemm_row1` with its own order).
+//! the fully-connected kernel `gemm_row1` with its own order). The sequence
+//! does not mention the tile's shape either, and both x86 tiers fuse the
+//! multiply-add: **the AVX-512 and the AVX2 tier return the same bits** on
+//! every entry, so FMA-capable machines of different vector width are
+//! interchangeable workers. The portable tile rounds the product before the
+//! add and agrees with them to rounding only.
 
 use crate::scratch::{with_arena, Scratch};
 use rayon::prelude::*;
 use std::cell::RefCell;
+use std::sync::OnceLock;
 
-/// Microkernel row count (output rows accumulated per register tile).
-pub const MR: usize = 6;
-/// Microkernel column count (output columns per register tile).
+/// Microkernel column count (output columns per register tile), the same
+/// for every tier: a `KC×NR` panel row is one ZMM vector or two YMM.
 pub const NR: usize = 16;
 /// Tile edge for the k-dimension blocking: one `KC×NR` B panel (16 KB) plus
-/// one `KC×MR` A panel (6 KB) sit in L1 while a tile is computed.
+/// one `KC×MR` A panel (6 KB or 16 KB) sit in L1 while a tile is computed.
 pub const KC: usize = 256;
+
+/// `(a_panel, b_panel, c, ldc, accumulate, fin)`: one `MR×NR` register tile
+/// over one k-block, `acc = a_panel ⊗ b_panel`, then `c = acc` or `c += acc`
+/// (`accumulate`), then `c = act(c + bias)` if `fin`. `c` starts at the
+/// tile's first element, rows `ldc` apart. A kernel checks its slices
+/// itself; what makes the call unsafe is the CPU feature it was compiled for.
+type Kernel = unsafe fn(&[f32], &[f32], &mut [f32], usize, bool, Finish);
+
+/// Bias (one per tile row) and activation applied on the last k-block.
+type Finish<'a> = Option<(&'a [f32], FusedAct)>;
+
+/// A register tile this build has a kernel for. Only [`tier`] makes one
+/// outside tests, after probing `kernel`'s CPU feature.
+struct Tier {
+    name: &'static str,
+    /// Microkernel row count (output rows accumulated per register tile).
+    mr: usize,
+    kernel: Kernel,
+}
+
+/// The widest tile the CPU runs, probed once. The crate builds against
+/// baseline x86-64 (SSE2 only), so this has to be a *runtime* dispatch; it
+/// is one per [`gemm_core`] call.
+fn tier() -> &'static Tier {
+    static TIER: OnceLock<Tier> = OnceLock::new();
+    TIER.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            if has!("avx512f") {
+                return Tier { name: "avx512f", mr: 16, kernel: x86::microkernel512 };
+            }
+            if has!("avx2") && has!("fma") {
+                return Tier { name: "avx2+fma", mr: 6, kernel: x86::microkernel };
+            }
+        }
+        Tier { name: "scalar", mr: 6, kernel: microkernel_portable::<6> }
+    })
+}
+
+/// The SIMD tier every product of this module runs at on this machine:
+/// `"avx512f"`, `"avx2+fma"` or `"scalar"`.
+pub fn simd_tier() -> &'static str {
+    tier().name
+}
+
+/// Rows of that tier's register tile (columns are [`NR`]).
+pub fn tile_rows() -> usize {
+    tier().mr
+}
+
+/// One call of the machine's register tile outside the nest, for
+/// `examples/gemm_shapes.rs` to time: `c[tile_rows() × NR] = a_panel ⊗
+/// b_panel` over `b_panel.len() / NR` k-steps, panels k-major as the nest
+/// packs them.
+pub fn register_tile(a_panel: &[f32], b_panel: &[f32], c: &mut [f32]) {
+    // SAFETY: `tier()` probed the kernel's CPU feature.
+    unsafe { (tier().kernel)(a_panel, b_panel, c, NR, false, None) }
+}
 
 /// Below this work threshold the parallel dispatch overhead outweighs the
 /// speedup, so we stay single-threaded.
@@ -284,6 +360,32 @@ pub(crate) fn gemm_core<'a, F>(
         scale(c, beta);
     }
 
+    let (first_stores, t) = (beta == 0.0, tier());
+    match t.mr {
+        16 => gemm_nest::<16, F>(m, k, n, a, fill_b, c, first_stores, bias, act, pack, t.kernel),
+        6 => gemm_nest::<6, F>(m, k, n, a, fill_b, c, first_stores, bias, act, pack, t.kernel),
+        mr => unreachable!("no nest instantiated for a {mr}-row tile"),
+    }
+}
+
+/// [`gemm_core`] past its checks, instantiated at one tier's row count:
+/// `kernel` is an `MR`-row tile whose CPU feature the caller has probed, `k`
+/// is not zero and `c` is already scaled by `beta` (`first_stores`: by zero,
+/// so the first k-block overwrites it).
+#[allow(clippy::too_many_arguments)]
+fn gemm_nest<const MR: usize, F: Fn(usize, usize, &mut [f32]) + Sync>(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: ASrc,
+    fill_b: &F,
+    c: &mut [f32],
+    first_stores: bool,
+    bias: Option<&[f32]>,
+    act: FusedAct,
+    pack: &mut Vec<f32>,
+    kernel: Kernel,
+) {
     // Contiguous row blocks, each a multiple of MR rows, one per task.
     let mp = m.div_ceil(MR);
     let threads = rayon::current_num_threads();
@@ -297,12 +399,12 @@ pub(crate) fn gemm_core<'a, F>(
     pack.resize(a_len + tasks * kc * NR, 0.0);
     let (a_pack, b_panels) = pack.split_at_mut(a_len);
     match a {
-        ASrc::RowMajor(a) => pack_a(m, k, a, a_pack),
-        ASrc::KMajor(a_t) => pack_a_kmajor(m, k, a_t, a_pack),
+        ASrc::RowMajor(a) => pack_a::<MR>(m, k, a, a_pack),
+        ASrc::KMajor(a_t) => pack_a_kmajor::<MR>(m, k, a_t, a_pack),
     }
     let a_pack = &*a_pack;
 
-    let nest = Nest { m, k, n, a_pack, first_stores: beta == 0.0, bias, act };
+    let nest = Nest::<MR> { m, k, n, a_pack, first_stores, bias, act, kernel };
     if tasks == 1 {
         nest.run(0, c, b_panels, fill_b);
     } else {
@@ -319,7 +421,7 @@ pub(crate) fn gemm_core<'a, F>(
 /// order, so the tile reads one `MR`-vector per k-step. Rows past `m` in the
 /// last panel are written as zeros, so no element keeps an earlier call's
 /// value.
-fn pack_a(m: usize, k: usize, a: &[f32], pack: &mut [f32]) {
+fn pack_a<const MR: usize>(m: usize, k: usize, a: &[f32], pack: &mut [f32]) {
     static ZERO: [f32; KC] = [0.0; KC];
     let mp = m.div_ceil(MR);
     let mut k0 = 0;
@@ -346,7 +448,7 @@ fn pack_a(m: usize, k: usize, a: &[f32], pack: &mut [f32]) {
 
 /// [`pack_a`] for `a_t` (`[k, m]` row-major): a k-step's `MR` floats are
 /// already contiguous in row `k` of `a_t`, so the pack is a copy.
-fn pack_a_kmajor(m: usize, k: usize, a_t: &[f32], pack: &mut [f32]) {
+fn pack_a_kmajor<const MR: usize>(m: usize, k: usize, a_t: &[f32], pack: &mut [f32]) {
     let mp = m.div_ceil(MR);
     for k0 in (0..k).step_by(KC) {
         let kb = KC.min(k - k0);
@@ -362,7 +464,7 @@ fn pack_a_kmajor(m: usize, k: usize, a_t: &[f32], pack: &mut [f32]) {
 }
 
 /// One call's loop nest, shared by every row-block task.
-struct Nest<'a> {
+struct Nest<'a, const MR: usize> {
     m: usize,
     k: usize,
     n: usize,
@@ -371,9 +473,11 @@ struct Nest<'a> {
     first_stores: bool,
     bias: Option<&'a [f32]>,
     act: FusedAct,
+    /// An `MR`-row tile; [`gemm_nest`]'s caller probed its CPU feature.
+    kernel: Kernel,
 }
 
-impl Nest<'_> {
+impl<const MR: usize> Nest<'_, MR> {
     /// Compute output rows `i0..i0 + cblock.len() / n` (`i0` a multiple of
     /// `MR`) into `cblock`: per k-block, B panels outermost (each filled
     /// once into `b_panel` and kept in L1), A panels innermost.
@@ -402,14 +506,16 @@ impl Nest<'_> {
                     if let (true, Some(bs)) = (last, self.bias) {
                         bias[..mb].copy_from_slice(&bs[i0 + r0..][..mb]);
                     }
-                    let fin = last.then_some((&bias, self.act));
+                    let fin = last.then_some((&bias[..], self.act));
                     let ctile = &mut cblock[r0 * n + j0..];
+                    // SAFETY (both calls): `kernel`'s CPU feature was probed.
                     if mb == MR && nb == NR {
-                        tile(a_panel, b_panel, ctile, n, accumulate, fin);
+                        unsafe { (self.kernel)(a_panel, b_panel, ctile, n, accumulate, fin) };
                     } else {
                         // Edge: the same kernel on a zero-padded temp tile,
                         // so edge elements get the interior's exact ops.
-                        let mut tmp = [0.0f32; MR * NR];
+                        let mut tmp = [[0.0f32; NR]; MR];
+                        let tmp = tmp.as_flattened_mut();
                         if accumulate {
                             for (trow, crow) in
                                 tmp.chunks_exact_mut(NR).zip(ctile.chunks(n)).take(mb)
@@ -417,7 +523,7 @@ impl Nest<'_> {
                                 trow[..nb].copy_from_slice(&crow[..nb]);
                             }
                         }
-                        tile(a_panel, b_panel, &mut tmp, NR, accumulate, fin);
+                        unsafe { (self.kernel)(a_panel, b_panel, tmp, NR, accumulate, fin) };
                         for (trow, crow) in tmp.chunks_exact(NR).zip(ctile.chunks_mut(n)).take(mb) {
                             crow[..nb].copy_from_slice(&trow[..nb]);
                         }
@@ -429,35 +535,9 @@ impl Nest<'_> {
     }
 }
 
-/// Bias (one per tile row) and activation applied on the last k-block.
-type Finish<'a> = Option<(&'a [f32; MR], FusedAct)>;
-
-/// One `MR×NR` register tile over one k-block: `acc = a_panel ⊗ b_panel`,
-/// then `c = acc` or `c += acc` (`accumulate`), then `c = act(c + bias)` if
-/// `fin`. `c` starts at the tile's first element, rows `ldc` apart. Picks
-/// the AVX2+FMA microkernel when the CPU has it: the crate builds against
-/// baseline x86-64 (SSE2 only), so this has to be a *runtime* dispatch —
-/// probed once, then a predictable branch per tile.
-#[inline]
-fn tile(
-    a_panel: &[f32],
-    b_panel: &[f32],
-    c: &mut [f32],
-    ldc: usize,
-    accumulate: bool,
-    fin: Finish,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if x86::fma_available() {
-        // SAFETY: the feature probe passed.
-        return unsafe { x86::microkernel(a_panel, b_panel, c, ldc, accumulate, fin) };
-    }
-    microkernel_portable(a_panel, b_panel, c, ldc, accumulate, fin);
-}
-
-/// The portable register tile (non-x86 / no-FMA fallback), same contract as
-/// the x86 microkernel: accumulators live in locals across the k-block.
-fn microkernel_portable(
+/// The portable register tile (non-x86 / no-FMA fallback), a safe [`Kernel`]:
+/// accumulators live in locals across the k-block.
+fn microkernel_portable<const MR: usize>(
     a_panel: &[f32],
     b_panel: &[f32],
     c: &mut [f32],
@@ -483,24 +563,19 @@ fn microkernel_portable(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{Finish, FusedAct, MR, NR};
+    use super::{Finish, FusedAct, NR};
     use std::arch::x86_64::*;
 
+    /// Rows of the AVX2 tile.
+    const MR: usize = 6;
     /// YMM vectors per tile row.
     const NV: usize = NR / 8;
+    /// Rows of the AVX-512 tile, each one ZMM vector.
+    const MR512: usize = 16;
     // The accumulators, one broadcast and the B row must fit the 16 YMM
-    // registers, or the tile spills.
+    // (32 ZMM) registers, or the tile spills.
     const _: () = assert!(NV * 8 == NR && MR * NV + NV < 16, "tile exceeds the YMM file");
-
-    /// One-time probe for the wide microkernel; an atomic load thereafter.
-    pub fn fma_available() -> bool {
-        use std::sync::OnceLock;
-        static AVAILABLE: OnceLock<bool> = OnceLock::new();
-        *AVAILABLE.get_or_init(|| {
-            std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-        })
-    }
+    const _: () = assert!(NR == 16 && MR512 + 2 <= 32, "tile exceeds the ZMM file");
 
     /// AVX2+FMA register tile: `MR × NV` YMM accumulators, each one FMA
     /// chain over the k-block (`MR·NV = 12` independent chains cover the
@@ -509,7 +584,7 @@ mod x86 {
     /// the one [`FusedAct::apply`] spells out.
     ///
     /// # Safety
-    /// Caller must have checked [`fma_available`].
+    /// The CPU must have `avx2` and `fma`.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn microkernel(
         a_panel: &[f32],
@@ -555,6 +630,60 @@ mod x86 {
             }
         }
     }
+
+    /// AVX-512 register tile: [`microkernel`] with sixteen ZMM rows — per
+    /// k-step one load of the B row and sixteen broadcast-FMAs, sixteen
+    /// independent chains for two FMA ports of latency 4. Each element is
+    /// the same FMA chain and the same epilogue ops as in the AVX2 tile, so
+    /// the two agree bit for bit.
+    ///
+    /// # Safety
+    /// The CPU must have `avx512f`.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn microkernel512(
+        a_panel: &[f32],
+        b_panel: &[f32],
+        c: &mut [f32],
+        ldc: usize,
+        accumulate: bool,
+        fin: Finish,
+    ) {
+        const MR: usize = MR512;
+        let kb = b_panel.len() / NR;
+        // Every pointer access below stays inside these three bounds.
+        assert!(a_panel.len() >= kb * MR && c.len() >= (MR - 1) * ldc + NR, "tile out of bounds");
+        let (mut a, mut b, c) = (a_panel.as_ptr(), b_panel.as_ptr(), c.as_mut_ptr());
+        let mut acc = [_mm512_setzero_ps(); MR];
+        for _ in 0..kb {
+            let bv = _mm512_loadu_ps(b);
+            // A k-step is one new cache line of the A panel, which streams
+            // from L2: ask for it 16 steps early (+9 % on the VGG convs).
+            // A prefetch past the arena's end is a no-op, never a fault.
+            _mm_prefetch::<_MM_HINT_T0>(a.wrapping_add(16 * MR).cast());
+            for (r, av) in acc.iter_mut().enumerate() {
+                *av = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(r)), bv, *av);
+            }
+            a = a.add(MR);
+            b = b.add(NR);
+        }
+        for (r, &av) in acc.iter().enumerate() {
+            let p = c.add(r * ldc);
+            let mut v = if accumulate { _mm512_add_ps(_mm512_loadu_ps(p), av) } else { av };
+            if let Some((bias, act)) = fin {
+                v = _mm512_add_ps(v, _mm512_set1_ps(bias[r]));
+                v = match act {
+                    FusedAct::Identity => v,
+                    FusedAct::Relu => _mm512_max_ps(v, _mm512_setzero_ps()),
+                    FusedAct::Clipped { lo, hi } => {
+                        let lo = _mm512_set1_ps(lo);
+                        let t = _mm512_min_ps(_mm512_max_ps(v, lo), _mm512_set1_ps(hi));
+                        _mm512_sub_ps(t, lo)
+                    }
+                };
+            }
+            _mm512_storeu_ps(p, v);
+        }
+    }
 }
 
 /// `m == 1` kernel over the column span `j0..j0+ccols.len()`: k-blocked axpy
@@ -594,8 +723,8 @@ fn gemm_row1(
 }
 
 /// The seed's unpacked row kernel, kept as the benchmark baseline so
-/// `benches/micro.rs` can report the packed kernel's speedup against it
-/// (`BENCH_gemm.json`).
+/// `examples/gemm_shapes.rs` can report the packed kernel's speedup against
+/// it (`BENCH_gemm.json`).
 pub fn gemm_unpacked(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32], beta: f32) {
     assert_eq!(a.len(), m * k, "A dims mismatch");
     assert_eq!(b.len(), k * n, "B dims mismatch");
@@ -801,22 +930,39 @@ mod tests {
     /// narrowest first.
     #[cfg(target_arch = "x86_64")]
     fn x86_tiers() -> Vec<TierUnderTest> {
-        fn fin_of<'a>(fin: Option<(&'a [f32], FusedAct)>) -> Finish<'a> {
-            fin.map(|(bias, act)| (bias.try_into().expect("one bias per tile row"), act))
+        use std::arch::is_x86_feature_detected as has;
+        /// `gemm_core` after its preamble (`beta` is 0 or 1 here, and a zero
+        /// `k` leaves `c` alone), at `MR` rows.
+        macro_rules! core_at {
+            ($mr:literal, $kernel:expr) => {
+                |m, k, n, a, fill, c, beta, bias, act, pack| {
+                    let fill = |k0: usize, j0: usize, panel: &mut [f32]| fill(k0, j0, panel);
+                    gemm_nest::<$mr, _>(m, k, n, a, &fill, c, beta == 0.0, bias, act, pack, $kernel)
+                }
+            };
         }
         let mut tiers = Vec::new();
-        if x86::fma_available() {
+        if has!("avx2") && has!("fma") {
             tiers.push(TierUnderTest {
                 name: "avx2+fma",
-                mr: MR,
-                kernel: |a, b, c, ldc, acc, fin| tile(a, b, c, ldc, acc, fin_of(fin)),
-                portable: |a, b, c, ldc, acc, fin| {
-                    microkernel_portable(a, b, c, ldc, acc, fin_of(fin))
+                mr: 6,
+                // SAFETY (here and below): the probe just passed.
+                kernel: |a, b, c, ldc, acc, fin| unsafe {
+                    x86::microkernel(a, b, c, ldc, acc, fin)
                 },
-                core: |m, k, n, a, fill, c, beta, bias, act, pack| {
-                    let fill = |k0: usize, j0: usize, panel: &mut [f32]| fill(k0, j0, panel);
-                    gemm_core(m, k, n, a, &fill, c, beta, bias, act, pack)
+                portable: microkernel_portable::<6>,
+                core: core_at!(6, x86::microkernel),
+            });
+        }
+        if has!("avx512f") {
+            tiers.push(TierUnderTest {
+                name: "avx512f",
+                mr: 16,
+                kernel: |a, b, c, ldc, acc, fin| unsafe {
+                    x86::microkernel512(a, b, c, ldc, acc, fin)
                 },
+                portable: microkernel_portable::<16>,
+                core: core_at!(16, x86::microkernel512),
             });
         }
         tiers

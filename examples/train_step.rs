@@ -6,16 +6,16 @@
 //! (the tables below).
 //!
 //! A plain `main`, best of `REPS` wall-clock calls per kernel and of
-//! `TRAIN_RUNS` per training run, through public calls only — so the file
-//! compiles unchanged at the parent, which is how the parent columns were
-//! taken: `cargo run --release --example train_step` there, pinned to one
-//! CPU, the printed columns copied here.
+//! `TRAIN_RUNS` per training run, through public calls that all exist at the
+//! parent (the `"simd"` label's `simd_tier` apart), which is how the parent
+//! columns were taken: `cargo run --release --example train_step` there,
+//! pinned to one CPU, the printed columns copied here.
 
 use adcnn::nn::small::{shapes_cnn, small_resnet, SmallModel};
 use adcnn::retrain::data::{shapes, SHAPE_CLASSES};
 use adcnn::retrain::trainer::{train, TrainConfig};
 use adcnn::retrain::PartitionedModel;
-use adcnn::tensor::gemm::{current_threads, gemm_at, gemm_bt};
+use adcnn::tensor::gemm::{current_threads, gemm_at, gemm_bt, simd_tier};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::hint::black_box;
 use std::time::Instant;
@@ -62,16 +62,6 @@ fn best_secs(reps: usize, mut f: impl FnMut()) -> f64 {
         best = best.min(t.elapsed().as_secs_f64());
     }
     best
-}
-
-/// The SIMD tier the GEMM's runtime dispatch picks on this machine (the
-/// same two-way probe as `adcnn::tensor::gemm`).
-fn simd_tier() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
-        return "avx2+fma";
-    }
-    "scalar"
 }
 
 /// GFLOP/s of `dW` and `dcol` on one shape.

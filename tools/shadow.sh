@@ -5,10 +5,10 @@
 # dependencies to the stand-ins under its own perf-ledger/offline/ and to
 # tools/proptest-stub, drops crates/bench (criterion, serde_json and real
 # serde derives have no stand-in), and runs fmt, clippy, rustdoc, the
-# workspace tests and the `data_path` and `train_step` examples there. Reads
-# the repository; writes only under DEST, and replaces what an earlier run
-# left there: DEST must be new, empty or carry the `.adcnn-shadow` marker
-# this script drops.
+# workspace tests and the `data_path`, `train_step` and `gemm_shapes` examples
+# there. Reads the repository; writes only under DEST, and replaces what an
+# earlier run left there: DEST must be new, empty or carry the `.adcnn-shadow`
+# marker this script drops.
 #
 #   tools/shadow.sh [DEST] [-- extra `cargo test` arguments]
 set -euo pipefail
@@ -32,6 +32,8 @@ if [[ ! -e "$dest/.adcnn-shadow" && -n "$(ls -A "$dest")" ]]; then
     exit 2
 fi
 touch "$dest/.adcnn-shadow"
+
+"$repo/tools/machine-facts.sh"
 
 echo "==> copy $repo -> $dest"
 # No rsync in the container. The copy's build output survives reruns.
@@ -72,5 +74,10 @@ grep -q '"clock": "wall"' "$dest/results/BENCH_datapath.json"
 echo "==> training path (examples/train_step.rs, writes under $dest/results)"
 cargo run --offline --release --example train_step
 grep -q '"clock": "wall"' "$dest/results/BENCH_train.json"
+
+echo "==> packed GEMM (examples/gemm_shapes.rs, writes under $dest/results)"
+cargo run --offline --release --example gemm_shapes
+grep -q '"clock": "wall"' "$dest/results/BENCH_gemm.json"
+"$repo/tools/machine-facts.sh" "$dest/results/BENCH_gemm.json"
 
 echo "==> shadow OK"
