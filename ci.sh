@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Repo CI gate: build, tests, lints, then re-record the packed-GEMM
-# acceptance baseline (results/BENCH_gemm.json). Run from the repo root.
+# Repo CI gate: build, tests, lints, the smoke examples, then every artifact
+# under results/ that finishes in seconds is regenerated and the ones that are
+# a pure function of the source must come out as checked in. Runs in place:
+# the workspace builds without a registry (README "Building").
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -18,6 +20,8 @@ cargo build --release --workspace --all-targets --examples
 
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
+# A build that rewrites either lockfile has left the hermetic set.
+git diff --exit-code -- Cargo.lock perf-ledger/Cargo.lock
 
 echo "==> perf ledger: its own tests, then a smoke run of every workload"
 # The wall-clock benchmark later PRs are judged by (BENCHMARK.json) checks
@@ -72,16 +76,29 @@ echo "==> record the training path (results/BENCH_train.json)"
 cargo run --release --example train_step
 grep -q '"clock": "wall"' results/BENCH_train.json
 
-echo "==> record runtime baseline + pipeline depth sweep (results/BENCH_runtime.json)"
-# Figure 15's harness runs with attribution + the flight recorder tee'd in
-# and flattens the adaptive run's MetricsSnapshot into the stable perf
-# trajectory schema (flat fields = depth 1), then sweeps the admission
-# window over depths 1/2/4/8 on the serving cluster into `depth_sweep`.
-# The bench itself asserts depth-4 throughput >= 2.5x depth 1 at a flat
-# p99 and unchanged zero-fill rate, and fails if the emitted JSON is not
-# well formed per obs::json::is_well_formed.
-cargo bench -p adcnn-bench --bench fig15_dynamic_adaptation >/dev/null
+echo "==> the paper's figures and tables (results/{fig,table,ablations}*.json, BENCH_runtime.json)"
+# Every harness but fig10_accuracy (minutes of training; run it by hand).
+# Each writes through adcnn_bench::emit_json, which refuses a document that
+# fails obs::json::is_well_formed.
+# Figure 15's harness also flattens the adaptive run's MetricsSnapshot into
+# the stable perf trajectory schema of BENCH_runtime.json (flat fields =
+# depth 1) and sweeps the admission window over depths 1/2/4/8 on the
+# serving cluster into `depth_sweep`, asserting depth-4 throughput >= 2.5x
+# depth 1 at a flat p99 and unchanged zero-fill rate.
+virtual_time="fig3_layer_profile table2_compression fig11_latency_baselines table3_breakdown
+    fig12_pruning_bandwidth fig13_scalability fig14_comparison fig15_dynamic_adaptation ablations"
+for b in $virtual_time table1_retrain_epochs; do
+    cargo bench -q -p adcnn-bench --bench "$b" >/dev/null
+done
 grep -q '"depth_sweep"' results/BENCH_runtime.json
+# Simulated time and seeded streams only: these files are a function of the
+# source, so a checked-in copy that differs is stale and fails the build.
+# (table1 trains in real arithmetic, whose last bits follow the machine's
+# GEMM tier, so it is regenerated but not compared.)
+for b in $virtual_time; do
+    git diff --exit-code -- "results/$b.json"
+done
+git diff --exit-code -- results/BENCH_runtime.json
 
 echo "==> multi-process worker smoke run (real TCP, kill -9 recovery)"
 # The worker binary must build and a real multi-process cluster must
@@ -91,6 +108,7 @@ test -x target/release/adcnn-conv-worker
 MULTI_PROCESS_SMOKE=1 cargo run --release --example multi_process >/dev/null
 
 cat results/BENCH_runtime.json
+echo
 
 echo "==> fleet-scale smoke scenario + placement sweep (results/BENCH_netsim.json)"
 # Seeded fleet smoke: the size/load sweeps shrink, but the headline

@@ -10,6 +10,7 @@
 
 use adcnn_bench::{emit_json, print_table};
 use adcnn_core::fdsp::TileGrid;
+use adcnn_core::obs::json::{array, Obj};
 use adcnn_nn::small::{shapes_cnn, small_charcnn, small_fcn, small_resnet, SmallModel};
 use adcnn_retrain::data::{
     char_seqs, shapes, shapes_seg, CHAR_ALPHABET, CHAR_CLASSES, SHAPE_CLASSES,
@@ -18,21 +19,41 @@ use adcnn_retrain::progressive::{progressive_retrain, RetrainConfig};
 use adcnn_retrain::trainer::{evaluate_dense, train, train_dense, TrainConfig};
 use adcnn_retrain::{Dataset, PartitionedModel};
 use rand::{rngs::StdRng, SeedableRng};
-use serde::Serialize;
 
-#[derive(Serialize)]
-struct GridResult {
-    grid: String,
+/// One partition option of one model: its JSON object and its table row.
+fn grid_result(
+    grid: TileGrid,
     original: f64,
     retrained: f64,
-    drop: f64,
     epochs: usize,
+) -> (String, Vec<String>) {
+    let drop = original - retrained;
+    let json = Obj::new()
+        .str("grid", &grid.to_string())
+        .f64("original", original)
+        .f64("retrained", retrained)
+        .f64("drop", drop)
+        .u64("epochs", epochs as u64)
+        .finish();
+    let row = vec![
+        grid.to_string(),
+        format!("{original:.3}"),
+        format!("{retrained:.3}"),
+        format!("{drop:+.3}"),
+        epochs.to_string(),
+    ];
+    (json, row)
 }
 
-#[derive(Serialize)]
-struct ModelResult {
-    model: String,
-    grids: Vec<GridResult>,
+/// Print one model's panel and return its JSON object.
+fn model_result(model: &str, grids: Vec<(String, Vec<String>)>) -> String {
+    let (json, table): (Vec<_>, Vec<_>) = grids.into_iter().unzip();
+    print_table(
+        &format!("Figure 10 — {model} (paper: <1–1.3% drop at every partition)"),
+        &["partition", "original", "retrained", "drop", "extra epochs"],
+        &table,
+    );
+    Obj::new().str("model", model).raw("grids", array(json)).finish()
 }
 
 fn train_original(mut m: SmallModel, data: &Dataset, seed: u64) -> (SmallModel, f64) {
@@ -53,7 +74,7 @@ fn run_model(
     data: &Dataset,
     grids: &[TileGrid],
     seed: u64,
-) -> ModelResult {
+) -> String {
     let mut rng = StdRng::seed_from_u64(seed);
     let (original, base_acc) = train_original(build(&mut rng), data, seed);
     let mut grids_out = Vec::new();
@@ -67,15 +88,9 @@ fn run_model(
             ..Default::default()
         };
         let (_, report) = progressive_retrain(copy, data, grid, &cfg);
-        grids_out.push(GridResult {
-            grid: grid.to_string(),
-            original: base_acc,
-            retrained: report.final_accuracy,
-            drop: base_acc - report.final_accuracy,
-            epochs: report.total_epochs(),
-        });
+        grids_out.push(grid_result(grid, base_acc, report.final_accuracy, report.total_epochs()));
     }
-    ModelResult { model: name.to_string(), grids: grids_out }
+    model_result(name, grids_out)
 }
 
 fn main() {
@@ -141,35 +156,11 @@ fn main() {
             let rep = train_dense(&mut m, &seg, &tc);
             let (acc, iou) = evaluate_dense(&mut m, &seg);
             let _ = iou;
-            grids_out.push(GridResult {
-                grid: grid.to_string(),
-                original: base_acc,
-                retrained: acc,
-                drop: base_acc - acc,
-                epochs: rep.epochs_used,
-            });
+            grids_out.push(grid_result(grid, base_acc, acc, rep.epochs_used));
         }
         println!("\n(SmallFCN baseline: pixel acc {base_acc:.3}, mean IoU {base_iou:.3})");
-        results.push(ModelResult { model: "SmallFCN (dense, pixel acc)".into(), grids: grids_out });
+        results.push(model_result("SmallFCN (dense, pixel acc)", grids_out));
     }
 
-    for r in &results {
-        print_table(
-            &format!("Figure 10 — {} (paper: <1–1.3% drop at every partition)", r.model),
-            &["partition", "original", "retrained", "drop", "extra epochs"],
-            &r.grids
-                .iter()
-                .map(|g| {
-                    vec![
-                        g.grid.clone(),
-                        format!("{:.3}", g.original),
-                        format!("{:.3}", g.retrained),
-                        format!("{:+.3}", g.drop),
-                        g.epochs.to_string(),
-                    ]
-                })
-                .collect::<Vec<_>>(),
-        );
-    }
-    emit_json("fig10_accuracy", &results);
+    emit_json("fig10_accuracy", &array(results));
 }

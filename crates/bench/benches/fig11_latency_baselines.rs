@@ -8,27 +8,21 @@
 //! EXPERIMENTS.md.)
 
 use adcnn_bench::{emit_json, ms, print_table, times};
+use adcnn_core::obs::json::{array, Obj};
 use adcnn_netsim::schemes::{remote_cloud, single_device};
 use adcnn_netsim::{AdcnnSim, AdcnnSimConfig, LinkParams};
 use adcnn_nn::cost::DeviceProfile;
 use adcnn_nn::zoo;
-use serde::Serialize;
 
-#[derive(Serialize)]
-struct Row {
-    model: String,
-    adcnn_ms: f64,
-    adcnn_deep_ms: f64,
-    single_ms: f64,
-    cloud_ms: f64,
-    speedup_vs_single: f64,
-    speedup_vs_cloud: f64,
+fn geo_mean(xs: &[f64]) -> f64 {
+    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
 fn main() {
     let pi = DeviceProfile::raspberry_pi3();
     let v100 = DeviceProfile::cloud_v100();
-    let mut rows = Vec::new();
+    let (mut rows, mut table) = (Vec::new(), Vec::new());
+    let (mut vs_single, mut vs_cloud) = (Vec::new(), Vec::new());
     for m in zoo::all_models() {
         let mut cfg = AdcnnSimConfig::paper_testbed(m.clone(), 8);
         cfg.images = 40;
@@ -43,15 +37,28 @@ fn main() {
         let adcnn_deep = AdcnnSim::new(deep_cfg).run().steady_latency_s();
         let single = single_device(&m, &pi).latency_s;
         let cloud = remote_cloud(&m, &v100, LinkParams::cloud_uplink()).latency_s;
-        rows.push(Row {
-            model: m.name.clone(),
-            adcnn_ms: adcnn * 1e3,
-            adcnn_deep_ms: adcnn_deep * 1e3,
-            single_ms: single * 1e3,
-            cloud_ms: cloud * 1e3,
-            speedup_vs_single: single / adcnn,
-            speedup_vs_cloud: cloud / adcnn,
-        });
+        rows.push(
+            Obj::new()
+                .str("model", &m.name)
+                .f64("adcnn_ms", adcnn * 1e3)
+                .f64("adcnn_deep_ms", adcnn_deep * 1e3)
+                .f64("single_ms", single * 1e3)
+                .f64("cloud_ms", cloud * 1e3)
+                .f64("speedup_vs_single", single / adcnn)
+                .f64("speedup_vs_cloud", cloud / adcnn)
+                .finish(),
+        );
+        table.push(vec![
+            m.name.clone(),
+            ms(adcnn),
+            ms(adcnn_deep),
+            ms(single),
+            ms(cloud),
+            times(single / adcnn),
+            times(cloud / adcnn),
+        ]);
+        vs_single.push(single / adcnn);
+        vs_cloud.push(cloud / adcnn);
     }
 
     print_table(
@@ -65,28 +72,12 @@ fn main() {
             "vs single",
             "vs cloud",
         ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.model.clone(),
-                    ms(r.adcnn_ms / 1e3),
-                    ms(r.adcnn_deep_ms / 1e3),
-                    ms(r.single_ms / 1e3),
-                    ms(r.cloud_ms / 1e3),
-                    times(r.speedup_vs_single),
-                    times(r.speedup_vs_cloud),
-                ]
-            })
-            .collect::<Vec<_>>(),
+        &table,
     );
-    let gm = |f: fn(&Row) -> f64| {
-        (rows.iter().map(|r| f(r).ln()).sum::<f64>() / rows.len() as f64).exp()
-    };
     println!(
         "geo-mean speedups: {} vs single (paper 6.68x), {} vs cloud (paper 4.42x)",
-        times(gm(|r| r.speedup_vs_single)),
-        times(gm(|r| r.speedup_vs_cloud)),
+        times(geo_mean(&vs_single)),
+        times(geo_mean(&vs_cloud)),
     );
-    emit_json("fig11_latency_baselines", &rows);
+    emit_json("fig11_latency_baselines", &array(rows));
 }

@@ -2,19 +2,10 @@
 //! latency under the two measured transmission rates (87.72 and 12.66
 //! Mbps). The paper reports 10.73% / 31.2% average latency reductions.
 
-use adcnn_bench::{emit_json, print_table};
+use adcnn_bench::{emit_json, ms, print_table};
+use adcnn_core::obs::json::{array, Obj};
 use adcnn_netsim::{AdcnnSim, AdcnnSimConfig, LinkParams};
 use adcnn_nn::zoo;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Row {
-    model: String,
-    bandwidth_mbps: f64,
-    pruned_ms: f64,
-    raw_ms: f64,
-    reduction_pct: f64,
-}
 
 fn run(model: &adcnn_nn::zoo::ModelSpec, link: LinkParams, pruned: bool) -> f64 {
     let mut cfg = AdcnnSimConfig::paper_testbed(model.clone(), 8);
@@ -28,41 +19,47 @@ fn run(model: &adcnn_nn::zoo::ModelSpec, link: LinkParams, pruned: bool) -> f64 
 }
 
 fn main() {
-    let mut rows = Vec::new();
-    for m in zoo::all_models() {
-        for link in [LinkParams::wifi_fast(), LinkParams::wifi_slow()] {
-            let pruned = run(&m, link, true);
-            let raw = run(&m, link, false);
-            rows.push(Row {
-                model: m.name.clone(),
-                bandwidth_mbps: link.bandwidth_bps / 1e6,
-                pruned_ms: pruned * 1e3,
-                raw_ms: raw * 1e3,
-                reduction_pct: (raw - pruned) / raw * 100.0,
-            });
+    let links = [LinkParams::wifi_fast(), LinkParams::wifi_slow()];
+    let models = zoo::all_models();
+    let (mut rows, mut table) = (Vec::new(), Vec::new());
+    let mut reduction_sum = [0.0; 2];
+    for m in &models {
+        for (link, sum) in links.into_iter().zip(&mut reduction_sum) {
+            let mbps = link.bandwidth_bps / 1e6;
+            let pruned = run(m, link, true);
+            let raw = run(m, link, false);
+            let reduction_pct = (raw - pruned) / raw * 100.0;
+            *sum += reduction_pct;
+            rows.push(
+                Obj::new()
+                    .str("model", &m.name)
+                    .f64("bandwidth_mbps", mbps)
+                    .f64("pruned_ms", pruned * 1e3)
+                    .f64("raw_ms", raw * 1e3)
+                    .f64("reduction_pct", reduction_pct)
+                    .finish(),
+            );
+            table.push(vec![
+                m.name.clone(),
+                format!("{mbps:.2}"),
+                ms(pruned),
+                ms(raw),
+                format!("{reduction_pct:.1}%"),
+            ]);
         }
     }
 
     print_table(
         "Figure 12 — latency with vs without pruning (paper: −10.73% @87.72, −31.2% @12.66)",
         &["model", "link (Mbps)", "pruned (ms)", "raw (ms)", "reduction"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.model.clone(),
-                    format!("{:.2}", r.bandwidth_mbps),
-                    format!("{:.1}", r.pruned_ms),
-                    format!("{:.1}", r.raw_ms),
-                    format!("{:.1}%", r.reduction_pct),
-                ]
-            })
-            .collect::<Vec<_>>(),
+        &table,
     );
-    for bw in [87.72, 12.66] {
-        let sel: Vec<&Row> = rows.iter().filter(|r| (r.bandwidth_mbps - bw).abs() < 0.01).collect();
-        let mean = sel.iter().map(|r| r.reduction_pct).sum::<f64>() / sel.len() as f64;
-        println!("mean reduction @ {bw} Mbps: {mean:.1}%");
+    for (link, sum) in links.iter().zip(reduction_sum) {
+        println!(
+            "mean reduction @ {:.2} Mbps: {:.1}%",
+            link.bandwidth_bps / 1e6,
+            sum / models.len() as f64
+        );
     }
-    emit_json("fig12_pruning_bandwidth", &rows);
+    emit_json("fig12_pruning_bandwidth", &array(rows));
 }

@@ -3,25 +3,14 @@
 //! nodes. The paper reports 1.8×→6.2× speedup with diminishing returns,
 //! and falling per-node energy/memory.
 
-use adcnn_bench::{emit_json, print_table};
+use adcnn_bench::{emit_json, ms, print_table, times};
+use adcnn_core::obs::json::{array, Obj};
 use adcnn_netsim::power::{
     conv_node_memory_bytes, node_energy, single_device_energy_per_image, single_device_memory_bytes,
 };
 use adcnn_netsim::{AdcnnSim, AdcnnSimConfig};
 use adcnn_nn::cost::{model_time_s, DeviceProfile};
 use adcnn_nn::zoo;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Row {
-    nodes: usize,
-    latency_ms: f64,
-    deep_latency_ms: f64,
-    speedup: f64,
-    deep_speedup: f64,
-    energy_per_image_j: f64,
-    node_memory_mb: f64,
-}
 
 fn main() {
     let m = zoo::vgg16();
@@ -30,7 +19,7 @@ fn main() {
     let single_energy = single_device_energy_per_image(&pi, single_latency);
     let single_mem = single_device_memory_bytes(&m) as f64 / 1e6;
 
-    let mut rows = Vec::new();
+    let (mut rows, mut table) = (Vec::new(), Vec::new());
     for k in [2usize, 4, 6, 8] {
         let mut cfg = AdcnnSimConfig::paper_testbed(m.clone(), k);
         cfg.images = 30;
@@ -46,15 +35,26 @@ fn main() {
         // memory: tiles held per node in steady state
         let tiles_held = sim.images.last().unwrap().alloc[0];
         let mem = conv_node_memory_bytes(&m, m.separable_prefix, 64, tiles_held) as f64 / 1e6;
-        rows.push(Row {
-            nodes: k,
-            latency_ms: latency * 1e3,
-            deep_latency_ms: deep_latency * 1e3,
-            speedup: single_latency / latency,
-            deep_speedup: single_latency / deep_latency,
-            energy_per_image_j: e.per_image_j,
-            node_memory_mb: mem,
-        });
+        rows.push(
+            Obj::new()
+                .u64("nodes", k as u64)
+                .f64("latency_ms", latency * 1e3)
+                .f64("deep_latency_ms", deep_latency * 1e3)
+                .f64("speedup", single_latency / latency)
+                .f64("deep_speedup", single_latency / deep_latency)
+                .f64("energy_per_image_j", e.per_image_j)
+                .f64("node_memory_mb", mem)
+                .finish(),
+        );
+        table.push(vec![
+            k.to_string(),
+            ms(latency),
+            times(single_latency / latency),
+            ms(deep_latency),
+            times(single_latency / deep_latency),
+            format!("{:.2}", e.per_image_j),
+            format!("{mem:.1}"),
+        ]);
     }
 
     print_table(
@@ -73,24 +73,11 @@ fn main() {
             "energy/img (J)",
             "node mem (MB)",
         ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.nodes.to_string(),
-                    format!("{:.1}", r.latency_ms),
-                    format!("{:.2}x", r.speedup),
-                    format!("{:.1}", r.deep_latency_ms),
-                    format!("{:.2}x", r.deep_speedup),
-                    format!("{:.2}", r.energy_per_image_j),
-                    format!("{:.1}", r.node_memory_mb),
-                ]
-            })
-            .collect::<Vec<_>>(),
+        &table,
     );
     println!(
         "paper: speedup 1.8x -> 6.2x from 2 -> 8 nodes with diminishing growth; \
          per-node energy and memory decrease with cluster size"
     );
-    emit_json("fig13_scalability", &rows);
+    emit_json("fig13_scalability", &array(rows));
 }

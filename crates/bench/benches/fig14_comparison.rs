@@ -3,31 +3,17 @@
 //! (AOFL) on average, with Neurosurgeon dominated by its edge→cloud
 //! transfer (67% of its latency) and AOFL fusing most early layers.
 
-use adcnn_bench::{emit_json, print_table, times};
+use adcnn_bench::{emit_json, ms, print_table, times};
+use adcnn_core::obs::json::{array, Obj};
 use adcnn_netsim::schemes::{aofl, neurosurgeon};
 use adcnn_netsim::{AdcnnSim, AdcnnSimConfig, LinkParams};
 use adcnn_nn::cost::DeviceProfile;
 use adcnn_nn::zoo;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Row {
-    model: String,
-    adcnn_ms: f64,
-    adcnn_deep_ms: f64,
-    neurosurgeon_ms: f64,
-    neurosurgeon_detail: String,
-    neurosurgeon_transfer_frac: f64,
-    aofl_ms: f64,
-    aofl_detail: String,
-    vs_neurosurgeon: f64,
-    vs_aofl: f64,
-}
 
 fn main() {
     let pi = DeviceProfile::raspberry_pi3();
     let v100 = DeviceProfile::cloud_v100();
-    let mut rows = Vec::new();
+    let (mut rows, mut table, mut details) = (Vec::new(), Vec::new(), Vec::new());
     for m in [zoo::yolo(), zoo::vgg16(), zoo::resnet34()] {
         let mut cfg = AdcnnSimConfig::paper_testbed(m.clone(), 8);
         cfg.images = 30;
@@ -41,18 +27,37 @@ fn main() {
         let adcnn_deep = AdcnnSim::new(deep).run().steady_latency_s();
         let ns = neurosurgeon(&m, &pi, &v100, LinkParams::cloud_uplink());
         let ao = aofl(&m, 8, &pi, LinkParams::wifi_fast());
-        rows.push(Row {
-            model: m.name.clone(),
-            adcnn_ms: adcnn * 1e3,
-            adcnn_deep_ms: adcnn_deep * 1e3,
-            neurosurgeon_ms: ns.latency_s * 1e3,
-            neurosurgeon_transfer_frac: ns.transmission_s / ns.latency_s,
-            neurosurgeon_detail: ns.detail,
-            aofl_ms: ao.latency_s * 1e3,
-            aofl_detail: ao.detail,
-            vs_neurosurgeon: ns.latency_s / adcnn_deep,
-            vs_aofl: ao.latency_s / adcnn_deep,
-        });
+        let transfer_frac = ns.transmission_s / ns.latency_s;
+        rows.push(
+            Obj::new()
+                .str("model", &m.name)
+                .f64("adcnn_ms", adcnn * 1e3)
+                .f64("adcnn_deep_ms", adcnn_deep * 1e3)
+                .f64("neurosurgeon_ms", ns.latency_s * 1e3)
+                .str("neurosurgeon_detail", &ns.detail)
+                .f64("neurosurgeon_transfer_frac", transfer_frac)
+                .f64("aofl_ms", ao.latency_s * 1e3)
+                .str("aofl_detail", &ao.detail)
+                .f64("vs_neurosurgeon", ns.latency_s / adcnn_deep)
+                .f64("vs_aofl", ao.latency_s / adcnn_deep)
+                .finish(),
+        );
+        table.push(vec![
+            m.name.clone(),
+            ms(adcnn),
+            ms(adcnn_deep),
+            ms(ns.latency_s),
+            ms(ao.latency_s),
+            times(ns.latency_s / adcnn_deep),
+            times(ao.latency_s / adcnn_deep),
+        ]);
+        details.push(format!(
+            "{}: Neurosurgeon {} ({:.0}% of its latency is transfer; paper: 67%); AOFL {}",
+            m.name,
+            ns.detail,
+            transfer_frac * 100.0,
+            ao.detail
+        ));
     }
 
     print_table(
@@ -66,29 +71,10 @@ fn main() {
             "deep vs NS",
             "deep vs AOFL",
         ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.model.clone(),
-                    format!("{:.1}", r.adcnn_ms),
-                    format!("{:.1}", r.adcnn_deep_ms),
-                    format!("{:.1}", r.neurosurgeon_ms),
-                    format!("{:.1}", r.aofl_ms),
-                    times(r.vs_neurosurgeon),
-                    times(r.vs_aofl),
-                ]
-            })
-            .collect::<Vec<_>>(),
+        &table,
     );
-    for r in &rows {
-        println!(
-            "{}: Neurosurgeon {} ({:.0}% of its latency is transfer; paper: 67%); AOFL {}",
-            r.model,
-            r.neurosurgeon_detail,
-            r.neurosurgeon_transfer_frac * 100.0,
-            r.aofl_detail
-        );
+    for line in details {
+        println!("{line}");
     }
-    emit_json("fig14_comparison", &rows);
+    emit_json("fig14_comparison", &array(rows));
 }

@@ -5,38 +5,18 @@
 //! loss (paper: 241 → 392 → 351 ms; allocation 8/8/…/8 → 12/12/12/12 and
 //! 5/5/3/3).
 
-use adcnn_bench::{emit_json, print_table, results_dir};
+use adcnn_bench::{emit_json, print_table};
 use adcnn_core::fdsp::TileGrid;
-use adcnn_core::obs::{json, MetricsSink, MetricsSnapshot};
-use adcnn_core::report::{AttributionAggregate, AttributionSink, FlightRecorderSink, Reporter};
+use adcnn_core::obs::json::{array, num, Obj};
+use adcnn_core::obs::MetricsSink;
+use adcnn_core::report::{AttributionSink, FlightRecorderSink, Reporter};
 use adcnn_netsim::{AdcnnSim, AdcnnSimConfig, LinkParams, SinkHandle, ThrottleSchedule};
 use adcnn_nn::cost::DeviceProfile;
 use adcnn_nn::zoo;
-use serde::Serialize;
 use std::sync::Arc;
-
-/// The stable flat schema `results/BENCH_runtime.json` accumulates across
-/// PRs — the runtime perf trajectory, read straight off the adaptive
-/// run's [`MetricsSnapshot`]. Field names are load-bearing: downstream
-/// tooling diffs them release over release. The flat fields stay the
-/// depth-1 adaptive run (comparable back to the pre-pipeline baselines);
-/// `depth_sweep` records the admission-window scaling on the serving
-/// cluster.
-#[derive(Serialize)]
-struct RuntimeBench {
-    images: u64,
-    images_per_s: f64,
-    p50_latency_us: f64,
-    p99_latency_us: f64,
-    zero_fill_rate: f64,
-    redispatch_rate: f64,
-    compressed_bytes_per_tile: f64,
-    depth_sweep: Vec<DepthPoint>,
-}
 
 /// One depth of the pipeline sweep: a clean (fault-free) run of the
 /// serving cluster at a fixed admission window.
-#[derive(Serialize)]
 struct DepthPoint {
     depth: usize,
     images: u64,
@@ -44,6 +24,19 @@ struct DepthPoint {
     p50_latency_us: f64,
     p99_latency_us: f64,
     zero_fill_rate: f64,
+}
+
+impl DepthPoint {
+    fn to_json(&self) -> String {
+        Obj::new()
+            .u64("depth", self.depth as u64)
+            .u64("images", self.images)
+            .f64("images_per_s", self.images_per_s)
+            .f64("p50_latency_us", self.p50_latency_us)
+            .f64("p99_latency_us", self.p99_latency_us)
+            .f64("zero_fill_rate", self.zero_fill_rate)
+            .finish()
+    }
 }
 
 /// One clean serving-cluster run at admission window `depth`.
@@ -81,38 +74,14 @@ fn depth_point(depth: usize) -> DepthPoint {
     }
 }
 
-#[derive(Serialize)]
-struct Output {
-    throttle_at_image: usize,
-    latency_before_ms: f64,
-    latency_spike_ms: f64,
-    latency_recovered_ms: f64,
-    alloc_before: Vec<u32>,
-    alloc_after: Vec<u32>,
-    drops_during_transition: u32,
-    redispatched_during_transition: u32,
-    steady_drops_per_image_adaptive: f64,
-    steady_drops_per_image_static: f64,
-    steady_redispatched_per_image_adaptive: f64,
-    steady_redispatched_per_image_static: f64,
-    static_latency_ms: f64,
-    timeline: Vec<(usize, f64)>,
-    metrics: MetricsSnapshot,
-    attribution: AttributionAggregate,
-    forensic_dumps: usize,
-}
-
 fn main() {
     let m = zoo::vgg16();
     let images = 100usize;
     let throttle_img = 50usize;
 
     // First pass at full speed to find the wall-clock time of image 50.
-    let warm = AdcnnSimConfig::builder(m.clone(), 8)
-        .images(images)
-        .pipeline_depth(1)
-        .build()
-        .expect("valid sim config");
+    let warm =
+        AdcnnSimConfig { images, pipeline_depth: 1, ..AdcnnSimConfig::paper_testbed(m.clone(), 8) };
     let warm_run = AdcnnSim::new(warm.clone()).run();
     let t_half = warm_run.images[throttle_img].done_at;
 
@@ -275,44 +244,47 @@ fn main() {
         d4.zero_fill_rate
     );
 
+    // The stable flat schema `results/BENCH_runtime.json` accumulates across
+    // PRs — the runtime perf trajectory, read straight off the adaptive
+    // run's `MetricsSnapshot`. Field names are load-bearing: downstream
+    // tooling diffs them release over release. The flat fields stay the
+    // depth-1 adaptive run (comparable back to the pre-pipeline baselines);
+    // `depth_sweep` records the admission-window scaling on the serving
+    // cluster.
     emit_json(
         "BENCH_runtime",
-        &RuntimeBench {
-            images: live.images,
-            images_per_s: live.images_per_s,
-            p50_latency_us: live.p50_latency_us.unwrap_or(0.0),
-            p99_latency_us: live.p99_latency_us.unwrap_or(0.0),
-            zero_fill_rate: live.zero_fill_rate,
-            redispatch_rate: live.redispatch_rate,
-            compressed_bytes_per_tile: snap.compressed_tile_bytes.mean().unwrap_or(0.0),
-            depth_sweep: sweep,
-        },
+        &Obj::new()
+            .u64("images", live.images)
+            .f64("images_per_s", live.images_per_s)
+            .f64("p50_latency_us", live.p50_latency_us.unwrap_or(0.0))
+            .f64("p99_latency_us", live.p99_latency_us.unwrap_or(0.0))
+            .f64("zero_fill_rate", live.zero_fill_rate)
+            .f64("redispatch_rate", live.redispatch_rate)
+            .f64("compressed_bytes_per_tile", snap.compressed_tile_bytes.mean().unwrap_or(0.0))
+            .raw("depth_sweep", array(sweep.iter().map(DepthPoint::to_json)))
+            .finish(),
     );
-    // The emitted record is machine-read downstream: fail the bench (and
-    // ci.sh with it) if the JSON on disk is not well formed.
-    let written = std::fs::read_to_string(results_dir().join("BENCH_runtime.json"))
-        .expect("BENCH_runtime.json was just written");
-    assert!(json::is_well_formed(&written), "malformed BENCH_runtime.json:\n{written}");
+    let allocs = |a: &[u32]| array(a.iter().map(u32::to_string));
     emit_json(
         "fig15_dynamic_adaptation",
-        &Output {
-            throttle_at_image: throttle_img,
-            latency_before_ms: before,
-            latency_spike_ms: spike,
-            latency_recovered_ms: recovered,
-            alloc_before,
-            alloc_after,
-            drops_during_transition: drops,
-            redispatched_during_transition: redispatched,
-            steady_drops_per_image_adaptive: steady_adaptive,
-            steady_drops_per_image_static: steady_static,
-            steady_redispatched_per_image_adaptive: steady_re_adaptive,
-            steady_redispatched_per_image_static: steady_re_static,
-            static_latency_ms: static_lat,
-            timeline,
-            metrics: snap,
-            attribution: agg,
-            forensic_dumps: dumps.len(),
-        },
+        &Obj::new()
+            .u64("throttle_at_image", throttle_img as u64)
+            .f64("latency_before_ms", before)
+            .f64("latency_spike_ms", spike)
+            .f64("latency_recovered_ms", recovered)
+            .raw("alloc_before", allocs(&alloc_before))
+            .raw("alloc_after", allocs(&alloc_after))
+            .u64("drops_during_transition", drops.into())
+            .u64("redispatched_during_transition", redispatched.into())
+            .f64("steady_drops_per_image_adaptive", steady_adaptive)
+            .f64("steady_drops_per_image_static", steady_static)
+            .f64("steady_redispatched_per_image_adaptive", steady_re_adaptive)
+            .f64("steady_redispatched_per_image_static", steady_re_static)
+            .f64("static_latency_ms", static_lat)
+            .raw("timeline", array(timeline.iter().map(|&(i, l)| array([i.to_string(), num(l)]))))
+            .raw("metrics", snap.to_json())
+            .raw("attribution", agg.to_json())
+            .u64("forensic_dumps", dumps.len() as u64)
+            .finish(),
     );
 }

@@ -3,17 +3,15 @@
 //! plus a churn-on multi-tenant scenario and a bounded-memory
 //! million-request run. Emits `results/BENCH_netsim.json`.
 //!
-//! The document is built with `adcnn_core::obs::json` (not serde), so the
-//! emitted file is identical no matter which serde backs the workspace.
 //! The top-level `fleet` key is load-bearing: ci.sh greps for it.
 //!
 //! `FLEET_SMOKE=1` shrinks every scenario to a seconds-of-wall-time smoke
 //! (the ci.sh entry): the 64-node / 2-model / churn-on scenario still runs
 //! ~50k virtual requests.
 
-use adcnn_bench::{emit_raw_json, print_table, results_dir};
+use adcnn_bench::{emit_json, print_table};
 use adcnn_core::fdsp::TileGrid;
-use adcnn_core::obs::json::{self, array, Obj};
+use adcnn_core::obs::json::{array, Obj};
 use adcnn_netsim::{
     AllNodesPlacement, ArrivalSpec, ChurnPlan, FleetConfig, FleetSim, GreedyPlacement,
     LabeledMetricsRegistry, PlacementPolicy, SimNode, SinkHandle, SloReport, SloSpec, TenantSpec,
@@ -680,11 +678,5 @@ fn main() {
                 .finish(),
         )
         .finish();
-    // The emitted record is machine-read downstream: fail the bench (and
-    // ci.sh with it) if the JSON on disk is not well formed.
-    assert!(json::is_well_formed(&doc), "malformed fleet document:\n{doc}");
-    emit_raw_json("BENCH_netsim", &doc);
-    let written = std::fs::read_to_string(results_dir().join("BENCH_netsim.json"))
-        .expect("BENCH_netsim.json was just written");
-    assert!(json::is_well_formed(&written), "malformed BENCH_netsim.json:\n{written}");
+    emit_json("BENCH_netsim", &doc);
 }

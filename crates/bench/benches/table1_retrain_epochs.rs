@@ -8,24 +8,40 @@
 
 use adcnn_bench::{emit_json, print_table};
 use adcnn_core::fdsp::TileGrid;
+use adcnn_core::obs::json::{array, Obj};
 use adcnn_nn::small::{shapes_cnn, small_charcnn};
 use adcnn_retrain::data::{char_seqs, shapes, CHAR_ALPHABET, CHAR_CLASSES, SHAPE_CLASSES};
-use adcnn_retrain::progressive::{direct_retrain, progressive_retrain, RetrainConfig};
+use adcnn_retrain::progressive::{
+    direct_retrain, progressive_retrain, ProgressiveReport, RetrainConfig,
+};
 use adcnn_retrain::trainer::{train, TrainConfig};
 use adcnn_retrain::PartitionedModel;
 use rand::{rngs::StdRng, SeedableRng};
-use serde::Serialize;
 
-#[derive(Serialize)]
-struct Row {
-    model: String,
-    fdsp_epochs: usize,
-    crelu_epochs: usize,
-    quant_epochs: usize,
-    total: usize,
-    original_acc: f64,
-    progressive_acc: f64,
-    direct_acc: f64,
+/// One model's row: its JSON object and its table row.
+fn row(model: &str, prog: &ProgressiveReport, direct: &ProgressiveReport) -> (String, Vec<String>) {
+    let [fdsp, crelu, quant] = [0, 1, 2].map(|i| prog.stages[i].epochs);
+    let json = Obj::new()
+        .str("model", model)
+        .u64("fdsp_epochs", fdsp as u64)
+        .u64("crelu_epochs", crelu as u64)
+        .u64("quant_epochs", quant as u64)
+        .u64("total", prog.total_epochs() as u64)
+        .f64("original_acc", prog.original_accuracy)
+        .f64("progressive_acc", prog.final_accuracy)
+        .f64("direct_acc", direct.final_accuracy)
+        .finish();
+    let cells = vec![
+        model.to_string(),
+        fdsp.to_string(),
+        crelu.to_string(),
+        quant.to_string(),
+        prog.total_epochs().to_string(),
+        format!("{:.3}", prog.original_accuracy),
+        format!("{:.3}", prog.final_accuracy),
+        format!("{:.3}", direct.final_accuracy),
+    ];
+    (json, cells)
 }
 
 fn main() {
@@ -52,16 +68,7 @@ fn main() {
         let copy = adcnn_nn::small::SmallModel { net: original.net.clone(), ..original };
         let (_, prog) = progressive_retrain(copy, &data, grid, &cfg);
         let (_, direct) = direct_retrain(original, &data, grid, &cfg);
-        rows.push(Row {
-            model: "ShapesCNN 8x8".into(),
-            fdsp_epochs: prog.stages[0].epochs,
-            crelu_epochs: prog.stages[1].epochs,
-            quant_epochs: prog.stages[2].epochs,
-            total: prog.total_epochs(),
-            original_acc: prog.original_accuracy,
-            progressive_acc: prog.final_accuracy,
-            direct_acc: direct.final_accuracy,
-        });
+        rows.push(row("ShapesCNN 8x8", &prog, &direct));
     }
 
     // --- char model at 1x8 (CharCNN row of Table 1) -------------------
@@ -85,36 +92,14 @@ fn main() {
         let copy = adcnn_nn::small::SmallModel { net: original.net.clone(), ..original };
         let (_, prog) = progressive_retrain(copy, &data, grid, &cfg);
         let (_, direct) = direct_retrain(original, &data, grid, &cfg);
-        rows.push(Row {
-            model: "SmallCharCNN 1x8".into(),
-            fdsp_epochs: prog.stages[0].epochs,
-            crelu_epochs: prog.stages[1].epochs,
-            quant_epochs: prog.stages[2].epochs,
-            total: prog.total_epochs(),
-            original_acc: prog.original_accuracy,
-            progressive_acc: prog.final_accuracy,
-            direct_acc: direct.final_accuracy,
-        });
+        rows.push(row("SmallCharCNN 1x8", &prog, &direct));
     }
 
+    let (json, table): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
     print_table(
         "Table 1 — progressive retraining epochs per modification (paper: 5–13 total)",
         &["model", "FDSP", "ClippedReLU", "Quant", "total", "orig acc", "prog acc", "direct acc"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.model.clone(),
-                    r.fdsp_epochs.to_string(),
-                    r.crelu_epochs.to_string(),
-                    r.quant_epochs.to_string(),
-                    r.total.to_string(),
-                    format!("{:.3}", r.original_acc),
-                    format!("{:.3}", r.progressive_acc),
-                    format!("{:.3}", r.direct_acc),
-                ]
-            })
-            .collect::<Vec<_>>(),
+        &table,
     );
-    emit_json("table1_retrain_epochs", &rows);
+    emit_json("table1_retrain_epochs", &array(json));
 }

@@ -11,25 +11,16 @@
 
 use adcnn_bench::{emit_json, print_table};
 use adcnn_core::compress::{compress, wire_bits_estimate, Quantizer};
+use adcnn_core::obs::json::{array, Obj};
 use adcnn_core::ClippedRelu;
 use adcnn_netsim::profiles::{model_sparsity, table2_ratio};
 use adcnn_nn::zoo;
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Row {
-    model: String,
-    boundary_elems: u64,
-    sparsity: f64,
-    paper_ratio: f64,
-    analytic_ratio: f64,
-    real_codec_ratio: f64,
-}
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(2020);
-    let mut rows = Vec::new();
+    let (mut rows, mut table) = (Vec::new(), Vec::new());
+    let mut reduction_sum = 0.0;
     for m in zoo::all_models() {
         let (c, h, w) = m.block_inputs()[m.separable_prefix];
         let elems = (c * h * w) as u64;
@@ -45,34 +36,33 @@ fn main() {
         let compressed = compress(&acts, Quantizer::paper_default(cr));
         let real = compressed.ratio_vs_f32();
 
-        rows.push(Row {
-            model: m.name.clone(),
-            boundary_elems: elems,
-            sparsity,
-            paper_ratio: table2_ratio(&m.name),
-            analytic_ratio: analytic,
-            real_codec_ratio: real,
-        });
+        let paper = table2_ratio(&m.name);
+        reduction_sum += 1.0 / real;
+        rows.push(
+            Obj::new()
+                .str("model", &m.name)
+                .u64("boundary_elems", elems)
+                .f64("sparsity", sparsity)
+                .f64("paper_ratio", paper)
+                .f64("analytic_ratio", analytic)
+                .f64("real_codec_ratio", real)
+                .finish(),
+        );
+        table.push(vec![
+            m.name.clone(),
+            elems.to_string(),
+            format!("{sparsity:.3}"),
+            format!("{paper:.3}x"),
+            format!("{analytic:.3}x"),
+            format!("{real:.3}x"),
+        ]);
     }
 
     print_table(
         "Table 2 — Conv-node output size after pruning (fraction of raw f32)",
         &["model", "boundary elems", "sparsity", "paper", "analytic", "real codec"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.model.clone(),
-                    r.boundary_elems.to_string(),
-                    format!("{:.3}", r.sparsity),
-                    format!("{:.3}x", r.paper_ratio),
-                    format!("{:.3}x", r.analytic_ratio),
-                    format!("{:.3}x", r.real_codec_ratio),
-                ]
-            })
-            .collect::<Vec<_>>(),
+        &table,
     );
-    let mean: f64 = rows.iter().map(|r| 1.0 / r.real_codec_ratio).sum::<f64>() / rows.len() as f64;
-    println!("mean reduction: {mean:.1}x (paper: 33x on average)");
-    emit_json("table2_compression", &rows);
+    println!("mean reduction: {:.1}x (paper: 33x on average)", reduction_sum / rows.len() as f64);
+    emit_json("table2_compression", &array(rows));
 }

@@ -2,20 +2,11 @@
 //! of ADCNN, single-device and remote-cloud on VGG16.
 
 use adcnn_bench::{emit_json, ms, print_table};
+use adcnn_core::obs::json::{array, Obj};
 use adcnn_netsim::schemes::{remote_cloud, single_device};
 use adcnn_netsim::{AdcnnSim, AdcnnSimConfig, LinkParams};
 use adcnn_nn::cost::DeviceProfile;
 use adcnn_nn::zoo;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Row {
-    scheme: String,
-    transmission_ms: f64,
-    computation_ms: f64,
-    paper_transmission_ms: f64,
-    paper_computation_ms: f64,
-}
 
 fn main() {
     let m = zoo::vgg16();
@@ -26,28 +17,11 @@ fn main() {
     let single = single_device(&m, &DeviceProfile::raspberry_pi3());
     let cloud = remote_cloud(&m, &DeviceProfile::cloud_v100(), LinkParams::cloud_uplink());
 
-    let rows = vec![
-        Row {
-            scheme: "ADCNN".into(),
-            transmission_ms: sim.mean_transmission_s * 1e3,
-            computation_ms: sim.mean_computation_s * 1e3,
-            paper_transmission_ms: 37.14,
-            paper_computation_ms: 202.88,
-        },
-        Row {
-            scheme: "Single-device".into(),
-            transmission_ms: single.transmission_s * 1e3,
-            computation_ms: single.computation_s * 1e3,
-            paper_transmission_ms: 0.0,
-            paper_computation_ms: 1586.53,
-        },
-        Row {
-            scheme: "Remote-cloud".into(),
-            transmission_ms: cloud.transmission_s * 1e3,
-            computation_ms: cloud.computation_s * 1e3,
-            paper_transmission_ms: 502.21,
-            paper_computation_ms: 98.94,
-        },
+    // scheme, measured transmission / computation (s), the paper's (ms)
+    let rows = [
+        ("ADCNN", sim.mean_transmission_s, sim.mean_computation_s, 37.14, 202.88),
+        ("Single-device", single.transmission_s, single.computation_s, 0.0, 1586.53),
+        ("Remote-cloud", cloud.transmission_s, cloud.computation_s, 502.21, 98.94),
     ];
 
     print_table(
@@ -55,22 +29,26 @@ fn main() {
         &["scheme", "transmission (ms)", "computation (ms)", "paper trans", "paper comp"],
         &rows
             .iter()
-            .map(|r| {
-                vec![
-                    r.scheme.clone(),
-                    ms(r.transmission_ms / 1e3),
-                    ms(r.computation_ms / 1e3),
-                    ms(r.paper_transmission_ms / 1e3),
-                    ms(r.paper_computation_ms / 1e3),
-                ]
+            .map(|&(scheme, t, c, paper_t, paper_c)| {
+                vec![scheme.to_string(), ms(t), ms(c), ms(paper_t / 1e3), ms(paper_c / 1e3)]
             })
             .collect::<Vec<_>>(),
     );
     println!(
         "shape checks: ADCNN transmission < cloud transmission: {} | single compute is largest: {}",
-        rows[0].transmission_ms < rows[2].transmission_ms,
-        rows[1].computation_ms > rows[0].computation_ms
-            && rows[1].computation_ms > rows[2].computation_ms,
+        sim.mean_transmission_s < cloud.transmission_s,
+        single.computation_s > sim.mean_computation_s && single.computation_s > cloud.computation_s,
     );
-    emit_json("table3_breakdown", &rows);
+    emit_json(
+        "table3_breakdown",
+        &array(rows.iter().map(|&(scheme, t, c, paper_t, paper_c)| {
+            Obj::new()
+                .str("scheme", scheme)
+                .f64("transmission_ms", t * 1e3)
+                .f64("computation_ms", c * 1e3)
+                .f64("paper_transmission_ms", paper_t)
+                .f64("paper_computation_ms", paper_c)
+                .finish()
+        })),
+    );
 }

@@ -5,7 +5,7 @@
 //! series the paper reports and writes a machine-readable copy under
 //! `results/` (workspace root) for EXPERIMENTS.md provenance.
 
-use serde::Serialize;
+use adcnn_core::obs::json;
 use std::fmt::Display;
 use std::fs;
 use std::path::PathBuf;
@@ -39,7 +39,7 @@ pub fn print_table<H: Display, C: Display>(title: &str, headers: &[H], rows: &[V
 }
 
 /// Workspace-root `results/` directory (created on demand).
-pub fn results_dir() -> PathBuf {
+fn results_dir() -> PathBuf {
     // CARGO_MANIFEST_DIR = crates/bench; results live at the workspace root.
     let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     p.pop();
@@ -49,21 +49,16 @@ pub fn results_dir() -> PathBuf {
     p
 }
 
-/// Serialize an experiment's data to `results/<name>.json`.
-pub fn emit_json<T: Serialize>(name: &str, value: &T) {
-    let path = results_dir().join(format!("{name}.json"));
-    let json = serde_json::to_string_pretty(value).expect("serialize experiment");
-    fs::write(&path, json).expect("write experiment json");
-    println!("[written {path:?}]");
-}
-
-/// Write a pre-rendered JSON document to `results/<name>.json`.
+/// Write a document rendered with [`adcnn_core::obs::json`] to
+/// `results/<name>.json`.
 ///
-/// For harnesses that build their document with `adcnn_core::obs::json`
-/// instead of serde — same destination and logging as [`emit_json`].
-pub fn emit_raw_json(name: &str, json: &str) {
+/// The files are machine-read downstream, so a document that fails
+/// [`json::is_well_formed`] panics here (and fails `ci.sh`) instead of
+/// reaching the disk.
+pub fn emit_json(name: &str, doc: &str) {
+    assert!(json::is_well_formed(doc), "malformed {name}.json:\n{doc}");
     let path = results_dir().join(format!("{name}.json"));
-    fs::write(&path, json).expect("write experiment json");
+    fs::write(&path, doc).expect("write experiment json");
     println!("[written {path:?}]");
 }
 
@@ -84,6 +79,30 @@ mod tests {
     #[test]
     fn table_printing_does_not_panic() {
         print_table("t", &["a", "bb"], &[vec!["1".to_string(), "2".into()]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "ragged table row")]
+    fn a_ragged_row_is_refused() {
+        print_table("t", &["a", "bb"], &[vec!["1".to_string()]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "malformed")]
+    fn the_emitter_refuses_a_malformed_document() {
+        emit_json("emit_selftest_malformed", "{\"a\":[");
+    }
+
+    #[test]
+    fn the_emitter_round_trips_cells_that_need_escaping() {
+        let cell = "say \"hi\"\nbye";
+        let doc = json::array([json::Obj::new().str("cell", cell).u64("n", 1).finish()]);
+        emit_json("emit_selftest_roundtrip", &doc);
+        let path = results_dir().join("emit_selftest_roundtrip.json");
+        let written = fs::read_to_string(&path).expect("just written");
+        fs::remove_file(&path).expect("remove the selftest file");
+        assert_eq!(written, doc);
+        assert_eq!(written, r#"[{"cell":"say \"hi\"\nbye","n":1}]"#);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Typed configuration validation shared by every public config surface.
 //!
 //! The builders (`RuntimeConfig::builder()` / `WorkerOptions::builder()`
-//! in `adcnn-runtime`, `AdcnnSimConfig::builder()` in `adcnn-netsim`) and
+//! in `adcnn-runtime`), `AdcnnSimConfig::validate()` in `adcnn-netsim` and
 //! [`LifecyclePolicy::validate`] here reject nonsense with a
 //! [`ConfigError`] instead of letting a zero timer or a sub-unity slack
 //! factor wedge a run. Config structs keep public fields and working

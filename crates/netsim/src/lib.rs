@@ -55,8 +55,8 @@ pub use adcnn_core::report::{AttributionSink, FlightRecorderSink, ImageReport};
 pub use arrivals::{ArrivalGen, ArrivalSpec};
 pub use churn::{ChurnPlan, ChurnPlanBuilder};
 pub use cluster::{
-    AdcnnSim, AdcnnSimConfig, AdcnnSimConfigBuilder, ImageStats, LifecyclePolicy, SimNode,
-    SimSummary, ThrottleSchedule, TimerPolicy,
+    AdcnnSim, AdcnnSimConfig, ImageStats, LifecyclePolicy, SimNode, SimSummary, ThrottleSchedule,
+    TimerPolicy,
 };
 pub use fleet::{FleetConfig, FleetConfigBuilder, FleetSim, FleetSummary, TenantSummary};
 pub use placement::{

@@ -26,7 +26,7 @@ fn main() {
 
     let sep = model.separable_prefix;
     let blocks = model.blocks.len();
-    let cfg = AdcnnSimConfig::builder(model, 8).images(10).build().expect("valid sim config");
+    let cfg = AdcnnSimConfig { images: 10, ..AdcnnSimConfig::paper_testbed(model, 8) };
 
     // A Figure-10-shaped accuracy oracle: mild degradation per tile, a
     // steeper penalty for splitting past the separable region (where FDSP

@@ -37,12 +37,12 @@ fn main() {
     // the simulator emits the same observability schema as the real
     // runtime, so the same Reporter/Prometheus plumbing reads it.
     let metrics = Arc::new(MetricsSink::new());
-    let cfg = AdcnnSimConfig::builder(model.clone(), 8)
-        .images(30)
-        .pipeline_depth(1)
-        .sink(SinkHandle::new(metrics.clone()))
-        .build()
-        .expect("valid sim config");
+    let cfg = AdcnnSimConfig {
+        images: 30,
+        pipeline_depth: 1,
+        sink: SinkHandle::new(metrics.clone()),
+        ..AdcnnSimConfig::paper_testbed(model.clone(), 8)
+    };
     let run = AdcnnSim::new(cfg).run();
     println!("\nADCNN (8 Conv nodes, 87.72 Mbps WiFi):");
     println!("  latency        {:>8.1} ms", run.steady_latency_s() * 1e3);

@@ -8,7 +8,7 @@
 //!
 //! A plain `main`, best of `REPS` wall-clock calls each, through public calls
 //! only. The parent has no `simd_tier`, `tile_rows` or `register_tile`, so
-//! its column was taken by this file with those calls cut, in a shadow copy
+//! its column was taken by this file with those calls cut, in a scratch copy
 //! of the parent, pinned to one CPU, alternating with this build five times
 //! and keeping each shape's best; its tile is this file in a scratch copy
 //! whose probe skips `avx512f` (the parent's kernel, unchanged, behind the

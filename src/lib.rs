@@ -45,7 +45,7 @@ pub mod prelude {
         AttributionAggregate, AttributionSink, FlightRecorderSink, ForensicReport, ImageReport,
         Reporter, ReporterSample, TileReport,
     };
-    pub use adcnn_netsim::cluster::{AdcnnSim, AdcnnSimConfig, AdcnnSimConfigBuilder, SimSummary};
+    pub use adcnn_netsim::cluster::{AdcnnSim, AdcnnSimConfig, SimSummary};
     pub use adcnn_netsim::{
         plan_deployment, plan_placement, AllNodesPlacement, ArrivalSpec, ChurnPlan,
         ChurnPlanBuilder, FleetConfig, FleetConfigBuilder, FleetSim, FleetSummary, GreedyPlacement,

@@ -13,11 +13,7 @@ fn latency(cfg: AdcnnSimConfig) -> f64 {
 }
 
 fn base_cfg(model: adcnn::nn::zoo::ModelSpec, k: usize) -> AdcnnSimConfig {
-    AdcnnSimConfig::builder(model, k)
-        .images(20)
-        .pipeline_depth(1)
-        .build()
-        .expect("valid sim config")
+    AdcnnSimConfig { images: 20, pipeline_depth: 1, ..AdcnnSimConfig::paper_testbed(model, k) }
 }
 
 /// Figure 11: ADCNN beats the single-device scheme. At the paper's stated
