@@ -22,6 +22,13 @@ echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 # A build that rewrites either lockfile has left the hermetic set.
 git diff --exit-code -- Cargo.lock perf-ledger/Cargo.lock
+# The byte-pinned decision traces only move with the change that means to
+# move them: a stray UPDATE_FLEET_GOLDEN=1 run fails here.
+git diff --exit-code -- crates/netsim/tests/golden
+# netsim's non-test size (lines before each file's first #[cfg(test)]), the
+# number ROADMAP item 8 tracks.
+awk 'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 } !t { n++ }
+     END { print "netsim non-test lines: " n }' crates/netsim/src/*.rs
 
 echo "==> perf ledger: its own tests, then a smoke run of every workload"
 # The wall-clock benchmark later PRs are judged by (BENCHMARK.json) checks

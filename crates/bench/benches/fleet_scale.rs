@@ -267,17 +267,13 @@ fn size_point(nodes: usize, requests: usize) -> SizePoint {
     // 16×16 tiles so even the 256-node fleet has one tile per node; a
     // V100-class central keeps the suffix stage off the critical path so
     // the sweep measures the Conv fleet, not the aggregator.
-    let tenant = TenantSpec::builder(zoo::vgg16())
-        .requests(requests)
-        .grid(TileGrid::new(16, 16))
-        .build()
-        .expect("valid sweep tenant");
-    let cfg = FleetConfig::builder(pis(nodes))
-        .tenant(tenant)
-        .central(DeviceProfile::cloud_v100())
-        .pipeline_depth(4)
-        .build()
-        .expect("valid sweep fleet");
+    let tenant =
+        TenantSpec { requests, grid: TileGrid::new(16, 16), ..TenantSpec::new(zoo::vgg16()) };
+    let cfg = FleetConfig {
+        central: DeviceProfile::cloud_v100(),
+        pipeline_depth: 4,
+        ..FleetConfig::new(pis(nodes), vec![tenant])
+    };
     let wall = Instant::now();
     let fs = FleetSim::new(cfg).run();
     let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
@@ -296,18 +292,17 @@ fn size_point(nodes: usize, requests: usize) -> SizePoint {
 
 fn load_point(nodes: usize, requests: usize, capacity_rps: f64, load: f64) -> LoadPoint {
     let offered = capacity_rps * load;
-    let tenant = TenantSpec::builder(zoo::vgg16())
-        .requests(requests)
-        .grid(TileGrid::new(16, 16))
-        .arrivals(ArrivalSpec::poisson(offered).expect("positive offered load"))
-        .build()
-        .expect("valid load tenant");
-    let cfg = FleetConfig::builder(pis(nodes))
-        .tenant(tenant)
-        .central(DeviceProfile::cloud_v100())
-        .pipeline_depth(4)
-        .build()
-        .expect("valid load fleet");
+    let tenant = TenantSpec {
+        requests,
+        grid: TileGrid::new(16, 16),
+        arrivals: ArrivalSpec::Poisson { rate_per_s: offered },
+        ..TenantSpec::new(zoo::vgg16())
+    };
+    let cfg = FleetConfig {
+        central: DeviceProfile::cloud_v100(),
+        pipeline_depth: 4,
+        ..FleetConfig::new(pis(nodes), vec![tenant])
+    };
     let fs = FleetSim::new(cfg).run();
     assert_eq!(fs.completed as usize, requests);
     let t = &fs.tenants[0];
@@ -325,16 +320,9 @@ fn load_point(nodes: usize, requests: usize, capacity_rps: f64, load: f64) -> Lo
 /// Churn-free closed-loop capacity of a `nodes_n`-node fleet — the anchor
 /// the open-loop scenarios calibrate their offered load against.
 fn fleet_capacity(nodes_n: usize) -> f64 {
-    let cal = TenantSpec::builder(zoo::vgg16())
-        .grid(TileGrid::new(4, 4))
-        .requests(2_000)
-        .build()
-        .expect("valid calibration tenant");
-    let cfg = FleetConfig::builder(pis(nodes_n))
-        .tenant(cal)
-        .pipeline_depth(4)
-        .build()
-        .expect("valid calibration fleet");
+    let cal =
+        TenantSpec { grid: TileGrid::new(4, 4), requests: 2_000, ..TenantSpec::new(zoo::vgg16()) };
+    let cfg = FleetConfig { pipeline_depth: 4, ..FleetConfig::new(pis(nodes_n), vec![cal]) };
     FleetSim::new(cfg).run().throughput_rps()
 }
 
@@ -348,37 +336,32 @@ fn multi_tenant_cfg(
     placement: Arc<dyn PlacementPolicy>,
 ) -> FleetConfig {
     let nodes_n = 64;
-    let a = TenantSpec::builder(zoo::vgg16())
-        .grid(TileGrid::new(4, 4))
-        .weight(2.0)
-        .requests(requests_each)
-        .arrivals(ArrivalSpec::poisson(capacity * 0.6).expect("positive offered load"))
-        .build()
-        .expect("valid tenant a");
-    let b = TenantSpec::builder(zoo::resnet34())
-        .grid(TileGrid::new(4, 4))
-        .weight(1.0)
-        .requests(requests_each)
-        .arrivals(ArrivalSpec::poisson(capacity * 0.3).expect("positive offered load"))
-        .build()
-        .expect("valid tenant b");
+    let tenant = |model, weight, load: f64| TenantSpec {
+        grid: TileGrid::new(4, 4),
+        weight,
+        requests: requests_each,
+        arrivals: ArrivalSpec::Poisson { rate_per_s: capacity * load },
+        ..TenantSpec::new(model)
+    };
 
     let horizon = requests_each as f64 / (capacity * 0.3) * 1.5;
     let mut nodes = pis(nodes_n);
-    ChurnPlan::builder(horizon, 2024)
-        .join_leave(horizon / 8.0, horizon / 40.0)
-        .diurnal(horizon / 4.0, 0.5)
-        .build()
-        .expect("valid churn plan")
-        .apply(&mut nodes);
+    ChurnPlan {
+        join_leave: Some((horizon / 8.0, horizon / 40.0)),
+        diurnal: Some((horizon / 4.0, 0.5)),
+        ..ChurnPlan::new(horizon, 2024)
+    }
+    .apply(&mut nodes);
 
-    FleetConfig::builder(nodes)
-        .tenants(vec![a, b])
-        .pipeline_depth(4)
-        .seed(7)
-        .placement(placement)
-        .build()
-        .expect("valid multi-tenant fleet")
+    FleetConfig {
+        pipeline_depth: 4,
+        seed: 7,
+        placement,
+        ..FleetConfig::new(
+            nodes,
+            vec![tenant(zoo::vgg16(), 2.0, 0.6), tenant(zoo::resnet34(), 1.0, 0.3)],
+        )
+    }
 }
 
 /// The headline scenario (and ci.sh's smoke) under the default all-nodes
@@ -449,17 +432,10 @@ fn multi_tenant(requests_each: usize, capacity: f64) -> TenantScenario {
 }
 
 fn bounded_memory(requests: usize) -> MemoryRun {
-    let tenant = TenantSpec::builder(zoo::vgg16())
-        .grid(TileGrid::new(2, 2))
-        .requests(requests)
-        .build()
-        .expect("valid bulk tenant");
+    let tenant =
+        TenantSpec { grid: TileGrid::new(2, 2), requests, ..TenantSpec::new(zoo::vgg16()) };
     // retain_images defaults to 0: no per-image records at all.
-    let cfg = FleetConfig::builder(pis(4))
-        .tenant(tenant)
-        .pipeline_depth(4)
-        .build()
-        .expect("valid bulk fleet");
+    let cfg = FleetConfig { pipeline_depth: 4, ..FleetConfig::new(pis(4), vec![tenant]) };
     let wall = Instant::now();
     let fs = FleetSim::new(cfg).run();
     let wall_ms = wall.elapsed().as_secs_f64() * 1e3;

@@ -59,7 +59,7 @@ impl StatsCollector {
     /// there is no observation to fold in for the rest).
     pub fn record_node(&mut self, k: usize, n: f64) {
         assert!(n >= 0.0, "negative count");
-        if self.failed(k) {
+        if self.failed[k] {
             // A node that was positively observed dead: nothing short of a
             // fresh positive observation may move its estimate, and that
             // observation *restarts* the EWMA rather than blending — the
@@ -83,17 +83,7 @@ impl StatsCollector {
     /// it cannot resurrect the estimate.
     pub fn mark_failed(&mut self, k: usize) {
         self.s[k] = 0.0;
-        if self.failed.len() < self.s.len() {
-            // deserialized pre-flag snapshot: the vector defaults empty
-            self.failed.resize(self.s.len(), false);
-        }
         self.failed[k] = true;
-    }
-
-    /// True while node `k` is flagged failed (guards against a
-    /// deserialized pre-flag snapshot with an empty vector).
-    fn failed(&self, k: usize) -> bool {
-        self.failed.get(k).copied().unwrap_or(false)
     }
 
     /// A previously-failed node positively rejoined (transport reconnect):
@@ -105,7 +95,7 @@ impl StatsCollector {
     /// discarded and the estimate re-converges from measurements, exactly
     /// like a worker that just joined. No-op for nodes not flagged failed.
     pub fn rejoin(&mut self, k: usize) {
-        if self.failed(k) {
+        if self.failed[k] {
             self.s[k] = 1.0;
             self.failed[k] = false;
         }

@@ -2,10 +2,10 @@
 //!
 //! The fleet driver is open-loop: requests arrive on their own clock and
 //! queue for admission, instead of materializing the instant the admission
-//! window frees up (the historical closed-loop `AdcnnSim` source, still
-//! available as [`ArrivalSpec::ClosedLoop`]). Every process is seeded and
-//! fully deterministic: the same spec, budget, and seed produce the same
-//! arrival sequence on every run, which is what makes fleet experiments
+//! window frees up (that closed-loop source is [`ArrivalSpec::ClosedLoop`],
+//! what `AdcnnSim` runs on). Every process is seeded and fully
+//! deterministic: the same spec, budget, and seed produce the same arrival
+//! sequence on every run, which is what makes fleet experiments
 //! reproducible and the differential goldens stable.
 //!
 //! Arrival times are generated *lazily* — the driver asks for one arrival
@@ -20,9 +20,8 @@ use rand::{Rng, SeedableRng};
 #[derive(Clone, Debug)]
 pub enum ArrivalSpec {
     /// Closed-loop: a request is generated the moment the admission window
-    /// can take it. Queue wait is identically zero. This is the historical
-    /// `AdcnnSim` source — the behavior-preserving compatibility mode the
-    /// differential goldens pin.
+    /// can take it. Queue wait is identically zero. This is the source
+    /// `AdcnnSim` runs on, and the one the differential goldens pin.
     ClosedLoop,
     /// Open-loop Poisson arrivals: exponential inter-arrival gaps at
     /// `rate_per_s` requests/second.
@@ -54,40 +53,6 @@ pub enum ArrivalSpec {
 }
 
 impl ArrivalSpec {
-    /// The closed-loop compatibility mode (cannot fail — provided so the
-    /// validated constructors cover every variant).
-    pub fn closed_loop() -> Self {
-        ArrivalSpec::ClosedLoop
-    }
-
-    /// A validated open-loop Poisson process at `rate_per_s`.
-    pub fn poisson(rate_per_s: f64) -> Result<Self, ConfigError> {
-        let spec = ArrivalSpec::Poisson { rate_per_s };
-        spec.validate()?;
-        Ok(spec)
-    }
-
-    /// A validated two-state MMPP: `rate_lo` may be 0 (pure on/off),
-    /// `rate_hi` and both mean dwells must be positive.
-    pub fn mmpp(
-        rate_lo: f64,
-        rate_hi: f64,
-        mean_dwell_lo_s: f64,
-        mean_dwell_hi_s: f64,
-    ) -> Result<Self, ConfigError> {
-        let spec = ArrivalSpec::Mmpp { rate_lo, rate_hi, mean_dwell_lo_s, mean_dwell_hi_s };
-        spec.validate()?;
-        Ok(spec)
-    }
-
-    /// A validated trace replay: `times` must be nonnegative and
-    /// time-sorted.
-    pub fn trace(times: Vec<f64>) -> Result<Self, ConfigError> {
-        let spec = ArrivalSpec::Trace { times };
-        spec.validate()?;
-        Ok(spec)
-    }
-
     /// Long-run mean offered load, requests/second: the Poisson rate, the
     /// MMPP dwell-weighted average rate, a trace's span-mean. `None` for
     /// closed-loop tenants (their demand is whatever capacity allows) and
@@ -347,30 +312,35 @@ mod tests {
         }
         .validate()
         .is_err());
+        // A quiet state that emits nothing (pure on/off) is valid.
+        assert!(ArrivalSpec::Mmpp {
+            rate_lo: 0.0,
+            rate_hi: 10.0,
+            mean_dwell_lo_s: 1.0,
+            mean_dwell_hi_s: 1.0,
+        }
+        .validate()
+        .is_ok());
+        assert!(ArrivalSpec::Poisson { rate_per_s: 5.0 }.validate().is_ok());
         assert!(ArrivalSpec::ClosedLoop.validate().is_ok());
-    }
-
-    #[test]
-    fn validated_constructors_reject_what_validate_rejects() {
-        assert!(ArrivalSpec::poisson(5.0).is_ok());
-        assert!(ArrivalSpec::poisson(0.0).is_err());
-        assert!(ArrivalSpec::mmpp(0.0, 10.0, 1.0, 1.0).is_ok());
-        assert!(ArrivalSpec::mmpp(0.0, 10.0, 1.0, 0.0).is_err());
-        assert!(ArrivalSpec::trace(vec![0.0, 1.0]).is_ok());
-        assert!(ArrivalSpec::trace(vec![1.0, 0.5]).is_err());
-        assert!(ArrivalSpec::closed_loop().is_closed_loop());
     }
 
     #[test]
     fn mean_rate_matches_the_process() {
         assert_eq!(ArrivalSpec::ClosedLoop.mean_rate_per_s(), None);
-        assert_eq!(ArrivalSpec::poisson(4.0).unwrap().mean_rate_per_s(), Some(4.0));
+        assert_eq!(ArrivalSpec::Poisson { rate_per_s: 4.0 }.mean_rate_per_s(), Some(4.0));
         // Dwell-weighted: (1*3 + 9*1) / 4 = 3.0
-        let m = ArrivalSpec::mmpp(1.0, 9.0, 3.0, 1.0).unwrap().mean_rate_per_s().unwrap();
+        let mmpp = ArrivalSpec::Mmpp {
+            rate_lo: 1.0,
+            rate_hi: 9.0,
+            mean_dwell_lo_s: 3.0,
+            mean_dwell_hi_s: 1.0,
+        };
+        let m = mmpp.mean_rate_per_s().unwrap();
         assert!((m - 3.0).abs() < 1e-12, "{m}");
         // 3 arrivals over 2 s span -> 1 req/s
-        let t = ArrivalSpec::trace(vec![0.0, 1.0, 2.0]).unwrap().mean_rate_per_s().unwrap();
+        let t = ArrivalSpec::Trace { times: vec![0.0, 1.0, 2.0] }.mean_rate_per_s().unwrap();
         assert!((t - 1.0).abs() < 1e-12, "{t}");
-        assert_eq!(ArrivalSpec::trace(vec![1.0]).unwrap().mean_rate_per_s(), None);
+        assert_eq!(ArrivalSpec::Trace { times: vec![1.0] }.mean_rate_per_s(), None);
     }
 }

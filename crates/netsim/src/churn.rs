@@ -24,16 +24,28 @@ use adcnn_core::config::ConfigError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Seeded generator of per-node churn schedules. Build one with
-/// [`ChurnPlan::new`], add layers, then [`ChurnPlan::apply`] it to a
+/// Seeded generator of per-node churn schedules: a plain value. Start
+/// from [`ChurnPlan::new`] (no layers), set the layers in a struct
+/// literal — `ChurnPlan { join_leave: Some((60.0, 15.0)),
+/// ..ChurnPlan::new(400.0, 9) }` — then [`ChurnPlan::apply`] it to a
 /// roster (or ask for a single node's schedule with
 /// [`ChurnPlan::schedule_for`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct ChurnPlan {
-    horizon_s: f64,
-    seed: u64,
-    diurnal: Option<(f64, f64)>,
-    join_leave: Option<(f64, f64)>,
+    /// The plan covers `[0, horizon_s)` of virtual time.
+    pub horizon_s: f64,
+    /// With the node index, fully determines every schedule.
+    pub seed: u64,
+    /// `(period_s, trough)`: capacity swings between full speed at the
+    /// peak and `trough` (in `(0, 1]`) at the valley over `period_s`, as
+    /// a raised cosine sampled at `DIURNAL_STEPS` points per period. Each
+    /// node gets a seeded random phase so the fleet's valleys do not all
+    /// align (no thundering-herd artifact).
+    pub diurnal: Option<(f64, f64)>,
+    /// `(mean_up_s, mean_down_s)`: each node alternates between
+    /// exponentially distributed up and down periods; down means
+    /// multiplier 0, i.e. dead until it rejoins. Nodes start up.
+    pub join_leave: Option<(f64, f64)>,
 }
 
 /// Samples per diurnal period: the piecewise-constant approximation of
@@ -41,45 +53,43 @@ pub struct ChurnPlan {
 const DIURNAL_STEPS: usize = 24;
 
 impl ChurnPlan {
-    /// An empty plan covering `[0, horizon_s)` of virtual time. `seed`
-    /// (with the node index) fully determines every schedule.
+    /// A plan with no layers over `[0, horizon_s)`.
     pub fn new(horizon_s: f64, seed: u64) -> Self {
-        assert!(horizon_s > 0.0, "horizon must be positive");
         ChurnPlan { horizon_s, seed, diurnal: None, join_leave: None }
     }
 
-    /// Start building a validated plan over `[0, horizon_s)`; unlike the
-    /// asserting chained constructors, the builder reports nonsense as a
-    /// typed [`ConfigError`] at [`ChurnPlanBuilder::build`] time.
-    pub fn builder(horizon_s: f64, seed: u64) -> ChurnPlanBuilder {
-        ChurnPlanBuilder { horizon_s, seed, diurnal: None, join_leave: None }
-    }
-
-    /// Layer a diurnal speed curve: capacity swings between full speed at
-    /// the peak and `trough` (in `(0, 1]`) at the valley over `period_s`,
-    /// as a raised cosine sampled at `DIURNAL_STEPS` points per period.
-    /// Each node gets a seeded random phase so the fleet's valleys do not
-    /// all align (no thundering-herd artifact).
-    pub fn diurnal(mut self, period_s: f64, trough: f64) -> Self {
-        assert!(period_s > 0.0, "period must be positive");
-        assert!(trough > 0.0 && trough <= 1.0, "trough must be in (0, 1]");
-        self.diurnal = Some((period_s, trough));
-        self
-    }
-
-    /// Layer an exponential join/leave process: each node alternates
-    /// between up (mean `mean_up_s`) and down (mean `mean_down_s`)
-    /// periods; down means multiplier 0, i.e. dead until it rejoins.
-    /// Nodes start up.
-    pub fn join_leave(mut self, mean_up_s: f64, mean_down_s: f64) -> Self {
-        assert!(mean_up_s > 0.0 && mean_down_s > 0.0, "mean dwell times must be positive");
-        self.join_leave = Some((mean_up_s, mean_down_s));
-        self
+    /// Check the plan: a finite positive horizon, period and dwell times,
+    /// and a trough in `(0, 1]`. The generators below loop until the
+    /// horizon, so [`ChurnPlan::schedule_for`] refuses a plan that fails.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if !(self.horizon_s.is_finite() && self.horizon_s > 0.0) {
+            return Err(ConfigError::NonPositiveChurnHorizon(self.horizon_s));
+        }
+        if let Some((period, trough)) = self.diurnal {
+            if !(period.is_finite() && period > 0.0) {
+                return Err(ConfigError::NonPositiveDiurnalPeriod(period));
+            }
+            if !(trough > 0.0 && trough <= 1.0) {
+                return Err(ConfigError::DiurnalTroughOutOfRange(trough));
+            }
+        }
+        if let Some((up, down)) = self.join_leave {
+            for d in [up, down] {
+                if !(d.is_finite() && d > 0.0) {
+                    return Err(ConfigError::NonPositiveDwell(d));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// The churn schedule this plan assigns to node `node` — deterministic
-    /// in `(seed, node)`, independent of how many nodes exist.
+    /// in `(seed, node)`, independent of how many nodes exist. Panics if
+    /// [`ChurnPlan::validate`] rejects the plan.
     pub fn schedule_for(&self, node: usize) -> SpeedSchedule {
+        if let Err(e) = self.validate() {
+            panic!("invalid ChurnPlan: {e}");
+        }
         // Distinct, well-separated streams per node: splitmix-style odd
         // multiplier keeps node streams uncorrelated under the stub and
         // the real StdRng alike.
@@ -161,102 +171,58 @@ impl ChurnPlan {
     }
 }
 
-/// Builder for [`ChurnPlan`]; see [`ChurnPlan::builder`].
-#[derive(Clone, Debug)]
-pub struct ChurnPlanBuilder {
-    horizon_s: f64,
-    seed: u64,
-    diurnal: Option<(f64, f64)>,
-    join_leave: Option<(f64, f64)>,
-}
-
-impl ChurnPlanBuilder {
-    /// Layer a diurnal speed curve (see [`ChurnPlan::diurnal`]).
-    pub fn diurnal(mut self, period_s: f64, trough: f64) -> Self {
-        self.diurnal = Some((period_s, trough));
-        self
-    }
-
-    /// Layer an exponential join/leave process (see
-    /// [`ChurnPlan::join_leave`]).
-    pub fn join_leave(mut self, mean_up_s: f64, mean_down_s: f64) -> Self {
-        self.join_leave = Some((mean_up_s, mean_down_s));
-        self
-    }
-
-    /// Validate and produce the plan.
-    pub fn build(self) -> Result<ChurnPlan, ConfigError> {
-        if !(self.horizon_s.is_finite() && self.horizon_s > 0.0) {
-            return Err(ConfigError::NonPositiveChurnHorizon(self.horizon_s));
-        }
-        if let Some((period, trough)) = self.diurnal {
-            if !(period.is_finite() && period > 0.0) {
-                return Err(ConfigError::NonPositiveDiurnalPeriod(period));
-            }
-            if !(trough > 0.0 && trough <= 1.0) {
-                return Err(ConfigError::DiurnalTroughOutOfRange(trough));
-            }
-        }
-        if let Some((up, down)) = self.join_leave {
-            for d in [up, down] {
-                if !(d.is_finite() && d > 0.0) {
-                    return Err(ConfigError::NonPositiveDwell(d));
-                }
-            }
-        }
-        Ok(ChurnPlan {
-            horizon_s: self.horizon_s,
-            seed: self.seed,
-            diurnal: self.diurnal,
-            join_leave: self.join_leave,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn builder_matches_chained_constructors() {
-        let built = ChurnPlan::builder(1000.0, 42)
-            .diurnal(100.0, 0.3)
-            .join_leave(200.0, 20.0)
-            .build()
-            .unwrap();
-        let chained = ChurnPlan::new(1000.0, 42).diurnal(100.0, 0.3).join_leave(200.0, 20.0);
-        for n in 0..4 {
-            let (a, b) = (built.schedule_for(n), chained.schedule_for(n));
-            for &t in &[0.0, 17.0, 99.5, 512.0, 999.0] {
-                assert_eq!(a.multiplier_at(t), b.multiplier_at(t));
-            }
+    fn validate_rejects_nonsense_with_typed_errors() {
+        let base = ChurnPlan::new(10.0, 1);
+        let cases = [
+            (
+                ChurnPlan { horizon_s: 0.0, ..base.clone() },
+                ConfigError::NonPositiveChurnHorizon(0.0),
+            ),
+            (
+                ChurnPlan { diurnal: Some((-5.0, 0.5)), ..base.clone() },
+                ConfigError::NonPositiveDiurnalPeriod(-5.0),
+            ),
+            (
+                ChurnPlan { diurnal: Some((5.0, 1.5)), ..base.clone() },
+                ConfigError::DiurnalTroughOutOfRange(1.5),
+            ),
+            (
+                ChurnPlan { join_leave: Some((5.0, 0.0)), ..base.clone() },
+                ConfigError::NonPositiveDwell(0.0),
+            ),
+        ];
+        for (plan, want) in cases {
+            assert_eq!(plan.validate(), Err(want), "{plan:?}");
         }
+        let full = ChurnPlan { diurnal: Some((5.0, 0.5)), join_leave: Some((5.0, 1.0)), ..base };
+        assert_eq!(full.validate(), Ok(()));
     }
 
+    /// A NaN horizon never compares `>=` anything, so the join/leave
+    /// generator would never reach it: the literal must fail `validate()`
+    /// with a typed error, and the generators must refuse to run on it.
     #[test]
-    fn builder_rejects_nonsense_with_typed_errors() {
-        assert_eq!(
-            ChurnPlan::builder(0.0, 1).build(),
-            Err(ConfigError::NonPositiveChurnHorizon(0.0))
+    fn churn_plan_literal_with_nan_horizon_is_a_typed_error_not_a_panic() {
+        let plan = ChurnPlan { horizon_s: f64::NAN, seed: 1, diurnal: None, join_leave: None };
+        assert!(
+            matches!(plan.validate(), Err(ConfigError::NonPositiveChurnHorizon(h)) if h.is_nan())
         );
-        assert_eq!(
-            ChurnPlan::builder(10.0, 1).diurnal(-5.0, 0.5).build(),
-            Err(ConfigError::NonPositiveDiurnalPeriod(-5.0))
-        );
-        assert_eq!(
-            ChurnPlan::builder(10.0, 1).diurnal(5.0, 1.5).build(),
-            Err(ConfigError::DiurnalTroughOutOfRange(1.5))
-        );
-        assert_eq!(
-            ChurnPlan::builder(10.0, 1).join_leave(5.0, 0.0).build(),
-            Err(ConfigError::NonPositiveDwell(0.0))
-        );
-        assert!(ChurnPlan::builder(f64::NAN, 1).build().is_err());
+        let churny = ChurnPlan { join_leave: Some((5.0, 1.0)), ..plan };
+        assert!(std::panic::catch_unwind(|| churny.schedule_for(0)).is_err());
     }
 
     #[test]
     fn plan_is_deterministic_per_node() {
-        let p = ChurnPlan::new(1000.0, 42).diurnal(100.0, 0.3).join_leave(200.0, 20.0);
+        let p = ChurnPlan {
+            diurnal: Some((100.0, 0.3)),
+            join_leave: Some((200.0, 20.0)),
+            ..ChurnPlan::new(1000.0, 42)
+        };
         let a = p.schedule_for(3);
         let b = p.schedule_for(3);
         for &t in &[0.0, 17.0, 99.5, 512.0, 999.0] {
@@ -271,7 +237,7 @@ mod tests {
 
     #[test]
     fn diurnal_stays_within_trough_and_peak() {
-        let p = ChurnPlan::new(500.0, 7).diurnal(100.0, 0.25);
+        let p = ChurnPlan { diurnal: Some((100.0, 0.25)), ..ChurnPlan::new(500.0, 7) };
         let s = p.schedule_for(0);
         for i in 0..500 {
             let m = s.multiplier_at(i as f64);
@@ -290,7 +256,7 @@ mod tests {
 
     #[test]
     fn join_leave_produces_death_and_revival() {
-        let p = ChurnPlan::new(10_000.0, 11).join_leave(100.0, 30.0);
+        let p = ChurnPlan { join_leave: Some((100.0, 30.0)), ..ChurnPlan::new(10_000.0, 11) };
         // across a fleet, someone must die and someone must revive
         let mut deaths = 0;
         let mut revivals = 0;
@@ -310,7 +276,7 @@ mod tests {
 
     #[test]
     fn topology_events_merge_per_node_transitions_in_time_order() {
-        let p = ChurnPlan::new(10_000.0, 11).join_leave(100.0, 30.0);
+        let p = ChurnPlan { join_leave: Some((100.0, 30.0)), ..ChurnPlan::new(10_000.0, 11) };
         let evs = p.topology_events(8);
         assert!(!evs.is_empty(), "churny plan produced no topology events");
         for w in evs.windows(2) {
@@ -332,7 +298,7 @@ mod tests {
 
     #[test]
     fn apply_composes_with_existing_faults() {
-        let p = ChurnPlan::new(100.0, 5).diurnal(50.0, 0.5);
+        let p = ChurnPlan { diurnal: Some((50.0, 0.5)), ..ChurnPlan::new(100.0, 5) };
         let mut nodes = vec![SimNode::pi(), SimNode::pi()];
         // operator kills node 1 at t=10 — churn must not resurrect it
         nodes[1].throttle = SpeedSchedule::throttle_at(10.0, 0.0);

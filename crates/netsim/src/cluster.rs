@@ -25,9 +25,9 @@
 //! event timestamps directly (the machine's abstract seconds ARE
 //! simulated seconds), turns actions into modeled channel transfers and
 //! event pushes, and never cancels timers (the machine ignores stale
-//! ones). [`AdcnnSim`] is the single-model front door: a thin wrapper
-//! that runs a one-tenant, closed-loop, full-retention fleet and
-//! reshapes the result into the historical [`SimSummary`]. Because both
+//! ones). [`AdcnnSim`] is the single-model front door: it runs a
+//! one-tenant, closed-loop, full-retention fleet and reshapes the result
+//! into a [`SimSummary`] with per-image records. Because both
 //! drivers share one machine, a deployment plan validated in this
 //! simulator executes under the same decision logic on the real system.
 //! See DESIGN.md §11 for the policy/mechanism split and §16 for the
@@ -47,7 +47,6 @@
 //! Algorithm 2 statistics exactly as §6.3 describes. The literal reading
 //! remains available as [`TimerPolicy::AfterSend`] for comparison.
 
-use crate::arrivals::ArrivalSpec;
 use crate::engine::SpeedSchedule;
 use crate::fleet::{FleetConfig, FleetSim};
 use crate::profiles::LinkParams;
@@ -57,7 +56,6 @@ use adcnn_core::fdsp::TileGrid;
 use adcnn_core::obs::{HistogramSnapshot, SinkHandle};
 use adcnn_nn::cost::DeviceProfile;
 use adcnn_nn::zoo::ModelSpec;
-use serde::Serialize;
 
 /// Re-export: the shared lifecycle knobs and timer interpretations, the
 /// same types `adcnn-runtime` consumes.
@@ -193,7 +191,7 @@ impl AdcnnSimConfig {
 }
 
 /// Per-image measurements.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ImageStats {
     /// End-to-end latency (partition start → final output), seconds.
     pub latency_s: f64,
@@ -221,7 +219,7 @@ pub struct ImageStats {
 }
 
 /// Whole-run summary.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct SimSummary {
     /// Per-image records, in completion order.
     pub images: Vec<ImageStats>,
@@ -284,20 +282,13 @@ impl AdcnnSim {
         AdcnnSim { cfg }
     }
 
-    /// Execute the full run and return the summary.
-    ///
-    /// Since the fleet refactor this is a thin wrapper: the run executes
-    /// as a one-tenant, closed-loop, no-churn [`FleetSim`] with full
-    /// per-image retention, and the streaming fleet aggregates are
-    /// reshaped into the historical summary. The decision trace, every
-    /// timestamp, and every statistic are byte-identical to the
-    /// pre-refactor monolithic loop (pinned by the golden differential
-    /// tests in `tests/fleet_differential.rs`).
+    /// Execute the full run and return the summary: a one-tenant,
+    /// closed-loop, no-churn [`FleetSim`] with full per-image retention,
+    /// whose decision trace, timestamps and statistics
+    /// `tests/fleet_differential.rs` pins byte-for-byte.
     pub fn run(&self) -> SimSummary {
         let cfg = &self.cfg;
         let tenant = TenantSpec {
-            name: cfg.model.name.clone(),
-            model: cfg.model.clone(),
             grid: cfg.grid,
             prefix: cfg.prefix,
             policy: cfg.policy,
@@ -305,30 +296,24 @@ impl AdcnnSim {
             compression: cfg.compression,
             quant_bits: cfg.quant_bits,
             adaptive: cfg.adaptive,
-            weight: 1.0,
-            arrivals: ArrivalSpec::ClosedLoop,
             requests: cfg.images,
-            slo: None,
+            ..TenantSpec::new(cfg.model.clone())
         };
         let fleet = FleetConfig {
-            nodes: cfg.nodes.clone(),
             central: cfg.central.clone(),
             link: cfg.link,
-            tenants: vec![tenant],
             pipeline_depth: cfg.pipeline_depth,
             seed: cfg.seed,
             retain_images: cfg.images,
             sink: cfg.sink.clone(),
-            placement: std::sync::Arc::new(crate::placement::AllNodesPlacement),
+            ..FleetConfig::new(cfg.nodes.clone(), vec![tenant])
         };
         let fs = FleetSim::new(fleet).run();
-        let mut images: Vec<ImageStats> = fs.retained.into_iter().map(|(_, s)| s).collect();
-        // Completion order is already nondecreasing in done_at; the sort
-        // is kept for the documented contract (stable, so a no-op).
-        images.sort_by(|a, b| a.done_at.total_cmp(&b.done_at));
+        // Retained in completion order, i.e. nondecreasing `done_at`.
+        let images: Vec<ImageStats> = fs.retained.into_iter().map(|(_, s)| s).collect();
         let t = &fs.tenants[0];
         // The streaming sums were folded in completion order, so these
-        // divisions reproduce the historical post-run folds bit-for-bit.
+        // divisions equal a post-run fold over `images` bit-for-bit.
         let n = images.len() as f64;
         let total_time_s = images.last().map(|i| i.done_at).unwrap_or(0.0);
         SimSummary {

@@ -1,12 +1,18 @@
-//! The fleet driver: a multi-tenant, churn-aware, trace-driven
-//! generalization of the historical single-model `AdcnnSim` event loop.
+//! The fleet driver: the multi-tenant, churn-aware, trace-driven event
+//! loop every netsim run executes on.
 //!
 //! One [`FleetConfig`] holds one shared cluster — Conv nodes, the
 //! half-duplex channel, the Central node — and N [`TenantSpec`]s, each a
 //! model with its own FDSP partition, lifecycle policy, Algorithm 2
 //! statistics, compression parameters, and request stream
-//! ([`ArrivalSpec`]). A weighted-fair stride scheduler arbitrates the
-//! shared admission window between backlogged tenants.
+//! ([`ArrivalSpec`](crate::ArrivalSpec)). A weighted-fair stride scheduler
+//! arbitrates the shared admission window between backlogged tenants.
+//!
+//! Every config type of this crate is a plain value: public fields, one
+//! defaults constructor, one `validate()`. Write a scenario as a struct
+//! literal over the defaults —
+//! `FleetConfig { pipeline_depth: 4, ..FleetConfig::new(nodes, tenants) }`
+//! — and [`FleetSim::new`] validates it, once.
 //!
 //! ## Scale discipline
 //!
@@ -26,14 +32,12 @@
 //!
 //! Runs are bit-reproducible: one seeded RNG for allocation tie-breaks
 //! (consumed in admission order), per-tenant seeded arrival generators,
-//! and a deterministic event queue (time, then insertion order). A
-//! single-tenant, closed-loop, churn-free config reproduces the
-//! historical `AdcnnSim` run *byte-identically* — decisions, timestamps,
-//! and statistics — which `tests/fleet_differential.rs` pins against
-//! goldens recorded from the pre-refactor monolith. `AdcnnSim` itself is
-//! now a thin wrapper over this driver.
+//! and a deterministic event queue (time, then insertion order).
+//! [`AdcnnSim`](crate::AdcnnSim) is a one-tenant, closed-loop, churn-free
+//! run of this driver; `tests/fleet_differential.rs` pins its decisions,
+//! timestamps and statistics byte-for-byte against `tests/golden/`.
 
-use crate::arrivals::{ArrivalGen, ArrivalSpec};
+use crate::arrivals::ArrivalGen;
 use crate::cluster::{ImageStats, SimNode};
 use crate::engine::{EventQueue, FifoResource, SpeedSchedule, ThrottledCpu};
 use crate::placement::{
@@ -53,7 +57,6 @@ use adcnn_core::sched::{StatsCollector, TileAllocator};
 use adcnn_nn::cost::{suffix_time_s, DeviceProfile};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -86,8 +89,8 @@ pub struct FleetConfig {
     /// Default never constructs events.
     pub sink: SinkHandle,
     /// Tenant-to-node placement policy, consulted at startup and after
-    /// every join/leave churn event. The default [`AllNodesPlacement`]
-    /// reproduces the pre-placement engine byte-for-byte.
+    /// every join/leave churn event. The default [`AllNodesPlacement`] is
+    /// the identity mask and is never re-consulted.
     pub placement: Arc<dyn PlacementPolicy>,
 }
 
@@ -109,13 +112,8 @@ impl FleetConfig {
         }
     }
 
-    /// Start building a validated config from [`FleetConfig::new`]'s
-    /// testbed defaults (add tenants with [`FleetConfigBuilder::tenant`]).
-    pub fn builder(nodes: Vec<SimNode>) -> FleetConfigBuilder {
-        FleetConfigBuilder { cfg: FleetConfig::new(nodes, Vec::new()) }
-    }
-
-    /// Check the invariants the driver relies on.
+    /// Check the invariants the driver relies on, every tenant's
+    /// [`TenantSpec::validate`] included.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.nodes.is_empty() {
             return Err(ConfigError::NoWorkers);
@@ -133,80 +131,10 @@ impl FleetConfig {
     }
 }
 
-/// Builder for [`FleetConfig`]; see [`FleetConfig::builder`]. Setters
-/// are unchecked — [`FleetConfigBuilder::build`] runs the same
-/// [`FleetConfig::validate`] the driver re-runs at launch.
+/// Streaming per-tenant aggregates for one run — what a per-image
+/// [`ImageStats`] vector could answer about a tenant, at O(1) memory. The
+/// driver folds into this struct directly as images retire.
 #[derive(Clone, Debug)]
-pub struct FleetConfigBuilder {
-    cfg: FleetConfig,
-}
-
-impl FleetConfigBuilder {
-    /// Add one tenant (call repeatedly; order is tenant config order).
-    pub fn tenant(mut self, spec: TenantSpec) -> Self {
-        self.cfg.tenants.push(spec);
-        self
-    }
-
-    /// Replace the whole tenant list.
-    pub fn tenants(mut self, tenants: Vec<TenantSpec>) -> Self {
-        self.cfg.tenants = tenants;
-        self
-    }
-
-    /// The Central node's hardware.
-    pub fn central(mut self, central: DeviceProfile) -> Self {
-        self.cfg.central = central;
-        self
-    }
-
-    /// The shared wireless channel.
-    pub fn link(mut self, link: LinkParams) -> Self {
-        self.cfg.link = link;
-        self
-    }
-
-    /// Maximum images in flight at once, across all tenants.
-    pub fn pipeline_depth(mut self, depth: usize) -> Self {
-        self.cfg.pipeline_depth = depth;
-        self
-    }
-
-    /// RNG seed for allocation tie-breaks and (xored) arrivals.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Retain full [`ImageStats`] for at most this many completions.
-    pub fn retain_images(mut self, retain: usize) -> Self {
-        self.cfg.retain_images = retain;
-        self
-    }
-
-    /// Install a structured-event sink.
-    pub fn sink(mut self, sink: SinkHandle) -> Self {
-        self.cfg.sink = sink;
-        self
-    }
-
-    /// Install a tenant-to-node placement policy.
-    pub fn placement(mut self, policy: Arc<dyn PlacementPolicy>) -> Self {
-        self.cfg.placement = policy;
-        self
-    }
-
-    /// Validate and produce the config.
-    pub fn build(self) -> Result<FleetConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
-
-/// Streaming per-tenant aggregates for one run — everything the
-/// historical per-image `ImageStats` vector could answer about a tenant,
-/// at O(1) memory.
-#[derive(Clone, Debug, Serialize)]
 pub struct TenantSummary {
     /// Tenant display name.
     pub name: String,
@@ -230,8 +158,8 @@ pub struct TenantSummary {
     pub computation_sum_s: f64,
     /// Tiles allocated across all completed images.
     pub tiles_allocated: u64,
-    /// Tiles zero-filled after missing the timeout (historical
-    /// "dropped": allocated-but-never-arrived, abandoned excluded).
+    /// Tiles zero-filled after missing the timeout: allocated but never
+    /// arrived (tiles abandoned before dispatch are excluded).
     pub dropped_tiles: u64,
     /// Results that arrived after their image's suffix had started.
     pub late_tiles: u64,
@@ -284,7 +212,7 @@ impl TenantSummary {
 
 /// Whole-fleet summary: per-tenant streaming aggregates plus the shared
 /// cluster's utilization surface.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct FleetSummary {
     /// Per-tenant aggregates, in config order.
     pub tenants: Vec<TenantSummary>,
@@ -356,9 +284,8 @@ impl FleetSummary {
 enum Ev {
     /// A node's speed schedule crosses a death/revival boundary. Pushed
     /// at init with the lowest sequence numbers, so at equal timestamps
-    /// churn resolves before any workload event — matching the
-    /// `is_dead_at(now)` (`from <= t`) semantics of the schedule walk the
-    /// monolith used.
+    /// churn resolves before any workload event: a node is dead *at* its
+    /// death time (`SpeedSchedule::is_dead_at`'s `from <= t`).
     Churn {
         node: usize,
         dead: bool,
@@ -422,6 +349,78 @@ struct ImageState {
     suffix_s: f64,
 }
 
+/// The shared cluster's mutable state: the one event queue, the
+/// half-duplex channel, the Central and Conv CPUs, and the dead-set.
+struct Cluster<'a> {
+    link: &'a LinkParams,
+    queue: EventQueue<Ev>,
+    channel: FifoResource,
+    central_cpu: ThrottledCpu,
+    node_cpus: Vec<ThrottledCpu>,
+    /// Sorted indices of currently-dead nodes, maintained by churn events
+    /// so that timers touch O(dead) entries, not every node's schedule.
+    dead_list: Vec<usize>,
+}
+
+impl Cluster<'_> {
+    /// Apply the actions the lifecycle machine of image `img` returned
+    /// for an event at time `at` — the one place the driver turns
+    /// decisions into modeled transfers, timers, Algorithm 2 observations
+    /// and the Central-node suffix. `Accept` and `ZeroFill` carry no
+    /// payload in a simulation, and first-round `Dispatch`es are streamed
+    /// by `Ev::SendNext`.
+    fn apply(
+        &mut self,
+        acts: Vec<Action>,
+        at: f64,
+        img: u64,
+        st: &mut ImageState,
+        tr: &mut TenantRt,
+    ) {
+        // Chained pre-booking: each re-sent tile queues behind the
+        // previous one's channel slot, which may lie past `at` — hence
+        // `acquire_queued`, not `acquire` (events still pending at earlier
+        // times keep the monotone clock).
+        let mut resent_until: Option<f64> = None;
+        for act in acts {
+            match act {
+                Action::Redispatch { tile, to } => {
+                    let occ = self.link.occupancy_s(tr.tile_in_bits);
+                    let (_, send_end) =
+                        self.channel.acquire_queued(resent_until.unwrap_or(at), occ);
+                    st.send_busy += occ;
+                    resent_until = Some(send_end);
+                    self.queue.push(
+                        send_end + self.link.latency_s,
+                        Ev::TileArrive { img, node: to, tile, original: false },
+                    );
+                }
+                Action::ArmDeadline { span } => {
+                    // After a re-dispatch round (its `Redispatch`es precede
+                    // the re-arm) the clock starts when the re-sent tiles
+                    // clear the channel; the machine treats the later
+                    // firing as valid, never stale.
+                    let from = resent_until.map_or(at, |t| t + self.link.latency_s);
+                    self.queue.push(from + span, Ev::Timer { img });
+                }
+                // The machine already withholds observations for nodes it
+                // was told are dead; this guard covers deaths since.
+                Action::RecordRate { worker, rate }
+                    if self.dead_list.binary_search(&worker).is_err() =>
+                {
+                    tr.stats.record_node(worker, rate)
+                }
+                Action::Complete => {
+                    let (s, e) = self.central_cpu.run(at, tr.suffix_work);
+                    st.suffix_s = e - s;
+                    self.queue.push(e, Ev::SuffixDone { img });
+                }
+                _ => {}
+            }
+        }
+    }
+}
+
 /// Per-tenant runtime: precomputed cost surfaces, the tenant's own
 /// Algorithm 2 statistics and allocator, its arrival stream and backlog,
 /// and its streaming aggregates.
@@ -441,7 +440,7 @@ struct TenantRt {
     /// Nodes this tenant may use (all true under all-nodes policies).
     placed: Vec<bool>,
     /// The placed set is the full roster: such a tenant is always
-    /// eligible for admission, as before placement existed.
+    /// eligible for admission.
     placed_all: bool,
     /// Placed nodes not currently dead — the scheduler-skip guard.
     placed_live: usize,
@@ -450,21 +449,13 @@ struct TenantRt {
     arrivals: ArrivalGen,
     /// Open-loop requests that arrived but are not yet admitted.
     pending: VecDeque<f64>,
-    admitted: u64,
-    completed: u64,
     // --- streaming aggregates ---------------------------------------
+    /// Folded into as images retire; the two histogram snapshots and the
+    /// SLO report are filled in when the run ends.
+    sum: TenantSummary,
     lat_hist: Histogram,
     wait_hist: Histogram,
-    latency_sum: f64,
-    queue_wait_sum: f64,
-    transmission_sum: f64,
-    computation_sum: f64,
-    tiles_allocated: u64,
-    dropped: u64,
-    late: u64,
-    redispatched: u64,
-    duplicate: u64,
-    last_done: f64,
+    slo: Option<SloTracker>,
 }
 
 impl TenantRt {
@@ -505,20 +496,28 @@ impl TenantRt {
             base_storage: nodes.iter().map(|n| n.storage_bits).collect(),
             arrivals: ArrivalGen::new(spec.arrivals.clone(), spec.requests, seed),
             pending: VecDeque::new(),
-            admitted: 0,
-            completed: 0,
+            sum: TenantSummary {
+                name: spec.name.clone(),
+                weight: spec.weight,
+                requests: spec.requests as u64,
+                completed: 0,
+                latency_us: HistogramSnapshot::default(),
+                queue_wait_us: HistogramSnapshot::default(),
+                latency_sum_s: 0.0,
+                queue_wait_sum_s: 0.0,
+                transmission_sum_s: 0.0,
+                computation_sum_s: 0.0,
+                tiles_allocated: 0,
+                dropped_tiles: 0,
+                late_tiles: 0,
+                redispatched_tiles: 0,
+                duplicate_tiles: 0,
+                last_done_s: 0.0,
+                slo: None,
+            },
             lat_hist: Histogram::default(),
             wait_hist: Histogram::default(),
-            latency_sum: 0.0,
-            queue_wait_sum: 0.0,
-            transmission_sum: 0.0,
-            computation_sum: 0.0,
-            tiles_allocated: 0,
-            dropped: 0,
-            late: 0,
-            redispatched: 0,
-            duplicate: 0,
-            last_done: 0.0,
+            slo: spec.slo.map(SloTracker::new),
         }
     }
 
@@ -566,8 +565,8 @@ pub struct FleetSim {
 }
 
 impl FleetSim {
-    /// Wrap a configuration (re-validating it, so a hand-mutated struct
-    /// fails as loudly as a builder misuse).
+    /// Wrap a configuration; panics if [`FleetConfig::validate`] rejects
+    /// it (call that first where a typed error is wanted).
     pub fn new(cfg: FleetConfig) -> Self {
         if let Err(e) = cfg.validate() {
             panic!("invalid FleetConfig: {e}");
@@ -581,8 +580,6 @@ impl FleetSim {
         let k = cfg.nodes.len();
 
         let sink = &cfg.sink;
-        let mut slo_trackers: Vec<Option<SloTracker>> =
-            cfg.tenants.iter().map(|t| t.slo.map(SloTracker::new)).collect();
 
         // --- per-tenant runtime (precomputed cost surfaces) ------------
         // Derived once; a re-placement refreshes only the node views.
@@ -604,9 +601,7 @@ impl FleetSim {
         // --- placement control plane -----------------------------------
         // The policy is consulted once at startup and again after every
         // join/leave churn event. All-nodes policies skip the
-        // re-placement: their mask is the identity whatever the roster,
-        // which keeps the baseline byte-identical to the pre-placement
-        // engine.
+        // re-placement: their mask is the identity whatever the roster.
         let placement_all = cfg.placement.places_all();
         let mut placement_decision = cfg.placement.place(&placement_input);
         let mut replacements: u64 = 0;
@@ -653,35 +648,34 @@ impl FleetSim {
             .collect();
 
         // --- shared cluster state --------------------------------------
-        let mut queue: EventQueue<Ev> = EventQueue::new();
-        let mut channel = FifoResource::new();
-        let mut central_cpu = ThrottledCpu::new(SpeedSchedule::constant());
-        let mut node_cpus: Vec<ThrottledCpu> =
-            cfg.nodes.iter().map(|n| ThrottledCpu::new(n.throttle.clone())).collect();
+        let mut cl = Cluster {
+            link: &cfg.link,
+            queue: EventQueue::new(),
+            channel: FifoResource::new(),
+            central_cpu: ThrottledCpu::new(SpeedSchedule::constant()),
+            node_cpus: cfg.nodes.iter().map(|n| ThrottledCpu::new(n.throttle.clone())).collect(),
+            dead_list: Vec::new(),
+        };
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut img_states: HashMap<u64, ImageState> = HashMap::new();
         // (tenant, arrival time) of admissions whose Admit event is queued.
         let mut admit_meta: HashMap<u64, (usize, f64)> = HashMap::new();
         // (tenant, image) whose prefix weights each node last streamed in.
         let mut node_loaded: Vec<(usize, u64)> = vec![(usize::MAX, u64::MAX); k];
-        // Sorted indices of currently-dead nodes, maintained by churn
-        // events. Replaces the monolith's per-timer walk over every
-        // node's schedule: timers now touch O(dead) entries.
-        let mut dead_list: Vec<usize> = Vec::new();
 
         // Churn events first: at equal timestamps they must resolve
         // before any workload event (matching `is_dead_at`'s `from <= t`).
         for (n, node) in cfg.nodes.iter().enumerate() {
             for (t, dead) in node.throttle.dead_transitions() {
                 if t.is_finite() {
-                    queue.push(t, Ev::Churn { node: n, dead });
+                    cl.queue.push(t, Ev::Churn { node: n, dead });
                 }
             }
         }
         // Seed each open-loop tenant's first arrival.
         for (t, tr) in tenants_rt.iter_mut().enumerate() {
             if let Some(at) = tr.arrivals.next_arrival() {
-                queue.push(at, Ev::Arrive { tenant: t });
+                cl.queue.push(at, Ev::Arrive { tenant: t });
             }
         }
 
@@ -697,14 +691,14 @@ impl FleetSim {
         let mut inflight_now = 0usize;
         let mut peak_inflight = 0u32;
         macro_rules! try_admit {
-            ($queue:expr, $now:expr) => {{
+            ($now:expr) => {{
                 while admitted_total <= gate && admitted_total - completed_total < window {
                     // A placed tenant whose node-set is entirely dead is
                     // skipped instead of burning its pass quantum on a
                     // zero-fill round — unless no placed node will ever
                     // revive, in which case admitting (and degrading) is
                     // the only way to drain its budget. All-nodes tenants
-                    // keep the historical always-eligible behavior.
+                    // are always eligible.
                     let Some(t) = sched.pick(|t| {
                         let tr = &tenants_rt[t];
                         tr.has_ready()
@@ -723,13 +717,12 @@ impl FleetSim {
                     };
                     let img = admitted_total;
                     admit_meta.insert(img, (t, arrival));
-                    tr.admitted += 1;
                     admitted_total += 1;
-                    $queue.push($now, Ev::Admit { img });
+                    cl.queue.push($now, Ev::Admit { img });
                 }
             }};
         }
-        try_admit!(queue, 0.0);
+        try_admit!(0.0);
 
         // --- streaming whole-fleet aggregates --------------------------
         let global_lat_hist = Histogram::default();
@@ -738,9 +731,9 @@ impl FleetSim {
         let mut events_processed: u64 = 0;
         let mut peak_pending: u64 = 0;
 
-        while let Some((now, ev)) = queue.pop() {
+        while let Some((now, ev)) = cl.queue.pop() {
             events_processed += 1;
-            peak_pending = peak_pending.max(queue.len() as u64 + 1);
+            peak_pending = peak_pending.max(cl.queue.len() as u64 + 1);
             // Timers for completed images (hard-timeout fallbacks, stale
             // re-arms) are pure driver artifacts: they must neither reach
             // the machine nor stretch the simulated horizon.
@@ -760,13 +753,13 @@ impl FleetSim {
                 Ev::Churn { node, dead } => {
                     let mut roster_changed = false;
                     if dead {
-                        if let Err(i) = dead_list.binary_search(&node) {
-                            dead_list.insert(i, node);
+                        if let Err(i) = cl.dead_list.binary_search(&node) {
+                            cl.dead_list.insert(i, node);
                             roster_changed = true;
                             sink.emit_with(|| ObsEvent::NodeDown { at: now, node: node as u32 });
                         }
-                    } else if let Ok(i) = dead_list.binary_search(&node) {
-                        dead_list.remove(i);
+                    } else if let Ok(i) = cl.dead_list.binary_search(&node) {
+                        cl.dead_list.remove(i);
                         roster_changed = true;
                         sink.emit_with(|| ObsEvent::NodeUp { at: now, node: node as u32 });
                         // A revived node re-enters every tenant's
@@ -780,13 +773,12 @@ impl FleetSim {
                     // Re-placement: the policy sees the new roster and
                     // every tenant's masks follow. Skipped for all-nodes
                     // policies, whose decision is the identity whatever
-                    // the roster — no new events, no changed state, so
-                    // the baseline trace stays byte-identical.
+                    // the roster — no new events, no changed state.
                     if roster_changed && !placement_all {
-                        placement_input.refresh(cfg, now, &dead_list);
+                        placement_input.refresh(cfg, now, &cl.dead_list);
                         placement_decision = cfg.placement.place(&placement_input);
                         for (t, a) in placement_decision.assignments.iter().enumerate() {
-                            tenants_rt[t].apply_placement(&a.nodes, &dead_list);
+                            tenants_rt[t].apply_placement(&a.nodes, &cl.dead_list);
                         }
                         replacements += 1;
                         placement_seq += 1;
@@ -799,8 +791,8 @@ impl FleetSim {
                             seq: placement_seq,
                             at: now,
                             cause,
-                            dead_nodes: dead_list.clone(),
-                            live_nodes: k - dead_list.len(),
+                            dead_nodes: cl.dead_list.clone(),
+                            live_nodes: k - cl.dead_list.len(),
                             decision: placement_decision.clone(),
                         });
                         sink.emit_with(|| ObsEvent::PlacementDecided {
@@ -808,20 +800,20 @@ impl FleetSim {
                             cause: if dead { PLACEMENT_LEAVE } else { PLACEMENT_JOIN },
                             node: node as u32,
                             tenants: cfg.tenants.len() as u32,
-                            live_nodes: (k - dead_list.len()) as u32,
+                            live_nodes: (k - cl.dead_list.len()) as u32,
                             seq: placement_seq,
                         });
                         // A revival can make a skipped tenant eligible.
-                        try_admit!(queue, now);
+                        try_admit!(now);
                     }
                 }
                 Ev::Arrive { tenant } => {
                     let tr = &mut tenants_rt[tenant];
                     tr.pending.push_back(now);
                     if let Some(at) = tr.arrivals.next_arrival() {
-                        queue.push(at, Ev::Arrive { tenant });
+                        cl.queue.push(at, Ev::Arrive { tenant });
                     }
-                    try_admit!(queue, now);
+                    try_admit!(now);
                 }
                 Ev::Admit { img } => {
                     let (tenant, arrival_s) =
@@ -845,19 +837,17 @@ impl FleetSim {
                         tenant: tenant as u32,
                         queue_wait: now - arrival_s,
                     });
-                    let (_, part_done) = central_cpu.run(now, tenants_rt[tenant].partition_work);
+                    let (_, part_done) = cl.central_cpu.run(now, tenants_rt[tenant].partition_work);
                     // One mask for the allocator and the lifecycle: dead
                     // nodes are out for everyone; a placed tenant
                     // additionally never sees non-placed nodes (zero speed
                     // here, zero storage cap in the allocator, so even its
                     // any-node-with-capacity fallback cannot reach them),
                     // and re-dispatch recovery stays inside its placed set.
-                    // With every node placed this is the pre-placement
-                    // admission — same speeds, same storage caps, same RNG
-                    // draws — which the goldens pin.
+                    // With every node placed the mask is the identity.
                     let tr = &tenants_rt[tenant];
                     let mut live = vec![true; k];
-                    for &n in &dead_list {
+                    for &n in &cl.dead_list {
                         live[n] = false;
                     }
                     let mut speeds = tr.stats.speeds().to_vec();
@@ -897,7 +887,7 @@ impl FleetSim {
                         })
                         .collect();
                     let tiles_total = send_queue.len() as u32;
-                    let st = ImageState {
+                    let mut st = ImageState {
                         tenant,
                         arrival_s,
                         admitted_at: now,
@@ -913,38 +903,19 @@ impl FleetSim {
                         last_compute_end: 0.0,
                         suffix_s: 0.0,
                     };
-                    img_states.insert(img, st);
                     if tiles_total == 0 {
                         // Nothing allocatable (all nodes dead/out of
                         // storage): the machine completes on SendComplete,
                         // the suffix runs on zeros, and the pipeline must
                         // not stall waiting for arrivals.
-                        let st = img_states.get_mut(&img).expect("just inserted");
                         let acts = st.lc.handle(Event::SendComplete { at: part_done });
                         gate = gate.max(img + 1);
-                        try_admit!(queue, part_done);
-                        let suffix_work = tenants_rt[tenant].suffix_work;
-                        for act in acts {
-                            match act {
-                                Action::RecordRate { worker, rate }
-                                    if !cfg.nodes[worker].throttle.is_dead_at(part_done) =>
-                                {
-                                    tenants_rt[tenant].stats.record_node(worker, rate)
-                                }
-                                Action::Complete => Self::start_suffix(
-                                    img,
-                                    part_done,
-                                    &mut img_states,
-                                    &mut central_cpu,
-                                    suffix_work,
-                                    &mut queue,
-                                ),
-                                _ => {}
-                            }
-                        }
+                        try_admit!(part_done);
+                        cl.apply(acts, part_done, img, &mut st, &mut tenants_rt[tenant]);
                     } else {
-                        queue.push(part_done, Ev::SendNext { img });
+                        cl.queue.push(part_done, Ev::SendNext { img });
                     }
+                    img_states.insert(img, st);
                 }
                 Ev::SendNext { img } => {
                     let Some(st) = img_states.get_mut(&img) else { continue };
@@ -953,30 +924,27 @@ impl FleetSim {
                     }
                     let (tile, node) = st.send_queue[st.send_pos];
                     st.send_pos += 1;
-                    let occ = cfg.link.occupancy_s(tenants_rt[st.tenant].tile_in_bits);
-                    let (_, send_end) = channel.acquire(now, occ);
+                    let tr = &mut tenants_rt[st.tenant];
+                    let occ = cfg.link.occupancy_s(tr.tile_in_bits);
+                    let (_, send_end) = cl.channel.acquire(now, occ);
                     st.send_busy += occ;
                     st.sent_done = st.sent_done.max(send_end);
-                    queue.push(
+                    cl.queue.push(
                         send_end + cfg.link.latency_s,
                         Ev::TileArrive { img, node, tile, original: true },
                     );
                     if st.send_pos < st.send_queue.len() {
-                        queue.push(send_end, Ev::SendNext { img });
+                        cl.queue.push(send_end, Ev::SendNext { img });
                     } else {
                         // All tiles of this image are on the wire: tell the
                         // machine and arm whatever timers it asks for.
                         let acts = st.lc.handle(Event::SendComplete { at: send_end });
-                        for act in acts {
-                            if let Action::ArmDeadline { span } = act {
-                                queue.push(send_end + span, Ev::Timer { img });
-                            }
-                        }
+                        cl.apply(acts, send_end, img, st, tr);
                         if cfg.tenants[st.tenant].policy.timer == TimerPolicy::Deadline {
                             // Fallback in case no result ever arrives: the
                             // machine's hard timeout, as a real event. The
                             // machine ignores it when it lands stale.
-                            queue.push(st.lc.hard_deadline(), Ev::Timer { img });
+                            cl.queue.push(st.lc.hard_deadline(), Ev::Timer { img });
                         }
                     }
                 }
@@ -986,7 +954,7 @@ impl FleetSim {
                     // but still unblock the admission gate.
                     let Some(st) = img_states.get_mut(&img) else {
                         gate = gate.max(img + 1);
-                        try_admit!(queue, now);
+                        try_admit!(now);
                         continue;
                     };
                     if original {
@@ -1000,10 +968,10 @@ impl FleetSim {
                         node_loaded[node] = (st.tenant, img);
                         work += tr.weight_load[node];
                     }
-                    let (cs, ce) = node_cpus[node].run(now, work);
+                    let (cs, ce) = cl.node_cpus[node].run(now, work);
                     if ce.is_finite() {
                         st.first_compute_start = st.first_compute_start.min(cs);
-                        queue.push(ce, Ev::ComputeDone { img, node, tile });
+                        cl.queue.push(ce, Ev::ComputeDone { img, node, tile });
                         sink.emit_with(|| ObsEvent::TileCompute {
                             at: ce,
                             image: img,
@@ -1016,7 +984,7 @@ impl FleetSim {
                     // once this one's tiles are all on their nodes.
                     if original && all_arrived {
                         gate = gate.max(img + 1);
-                        try_admit!(queue, now);
+                        try_admit!(now);
                     }
                 }
                 Ev::ComputeDone { img, node, tile } => {
@@ -1040,9 +1008,10 @@ impl FleetSim {
                         ratio: tr.tile_out_bits as f64 / (tr.tile_out_elems as f64 * 32.0),
                     });
                     let occ = cfg.link.occupancy_s(tr.tile_out_bits);
-                    let (_, send_end) = channel.acquire(now, occ);
+                    let (_, send_end) = cl.channel.acquire(now, occ);
                     st.result_busy += occ;
-                    queue.push(send_end + cfg.link.latency_s, Ev::ResultArrive { img, node, tile });
+                    cl.queue
+                        .push(send_end + cfg.link.latency_s, Ev::ResultArrive { img, node, tile });
                     sink.emit_with(|| ObsEvent::TileTransfer {
                         at: send_end + cfg.link.latency_s,
                         image: img,
@@ -1056,45 +1025,16 @@ impl FleetSim {
                     // stragglers past the timeout: discard. Anything else —
                     // fresh, duplicate, late — is the machine's call.
                     let Some(st) = img_states.get_mut(&img) else { continue };
-                    let tenant = st.tenant;
                     let acts = st.lc.handle(Event::ResultArrived {
                         at: now,
                         tile,
                         worker: node,
                         ok: true,
                     });
-                    let mut complete = false;
-                    for act in acts {
-                        match act {
-                            // Accept carries no payload to paste in a
-                            // simulation; ZeroFill likewise models nothing.
-                            Action::ArmDeadline { span } => {
-                                queue.push(now + span, Ev::Timer { img })
-                            }
-                            Action::RecordRate { worker, rate }
-                                if dead_list.binary_search(&worker).is_err() =>
-                            {
-                                tenants_rt[tenant].stats.record_node(worker, rate)
-                            }
-                            Action::Complete => complete = true,
-                            _ => {}
-                        }
-                    }
-                    if complete {
-                        let suffix_work = tenants_rt[tenant].suffix_work;
-                        Self::start_suffix(
-                            img,
-                            now,
-                            &mut img_states,
-                            &mut central_cpu,
-                            suffix_work,
-                            &mut queue,
-                        );
-                    }
+                    cl.apply(acts, now, img, st, &mut tenants_rt[st.tenant]);
                 }
                 Ev::Timer { img } => {
                     let st = img_states.get_mut(&img).expect("checked at loop top");
-                    let tenant = st.tenant;
                     // Feed positively-observed deaths before judging the
                     // deadline — the sim's equivalent of the runtime's
                     // disconnect detection — so the machine never picks a
@@ -1103,68 +1043,15 @@ impl FleetSim {
                     // the lifecycle machine suppresses rate observations
                     // for dead nodes, so starvation must come from here,
                     // not from stale measurements. The dead-set is sorted,
-                    // so the feed order matches the monolith's 0..k walk.
-                    for &n in &dead_list {
+                    // so deaths are fed in node order.
+                    for &n in &cl.dead_list {
                         st.lc.handle(Event::WorkerDied { worker: n });
                         for tr in tenants_rt.iter_mut() {
                             tr.stats.mark_failed(n);
                         }
                     }
                     let acts = st.lc.handle(Event::DeadlineFired { at: now });
-                    let mut last_send_end = now;
-                    let mut redispatched_any = false;
-                    let mut arm_span = None;
-                    let mut complete = false;
-                    for act in acts {
-                        match act {
-                            Action::Redispatch { tile, to } => {
-                                let occ = cfg.link.occupancy_s(tenants_rt[tenant].tile_in_bits);
-                                // Chained pre-booking: each re-sent tile
-                                // queues behind the previous one's channel
-                                // slot, which may lie past `now` — hence
-                                // not `acquire` (events still pending at
-                                // earlier times keep the monotone clock).
-                                let (_, send_end) = channel.acquire_queued(last_send_end, occ);
-                                st.send_busy += occ;
-                                last_send_end = send_end;
-                                redispatched_any = true;
-                                queue.push(
-                                    send_end + cfg.link.latency_s,
-                                    Ev::TileArrive { img, node: to, tile, original: false },
-                                );
-                            }
-                            Action::ArmDeadline { span } => arm_span = Some(span),
-                            Action::RecordRate { worker, rate }
-                                if dead_list.binary_search(&worker).is_err() =>
-                            {
-                                tenants_rt[tenant].stats.record_node(worker, rate)
-                            }
-                            Action::Complete => complete = true,
-                            _ => {}
-                        }
-                    }
-                    if let Some(span) = arm_span {
-                        // After a re-dispatch round the clock starts when
-                        // the re-sent tiles clear the channel; the machine
-                        // treats the later firing as valid (never stale).
-                        let at = if redispatched_any {
-                            last_send_end + cfg.link.latency_s + span
-                        } else {
-                            now + span
-                        };
-                        queue.push(at, Ev::Timer { img });
-                    }
-                    if complete {
-                        let suffix_work = tenants_rt[tenant].suffix_work;
-                        Self::start_suffix(
-                            img,
-                            now,
-                            &mut img_states,
-                            &mut central_cpu,
-                            suffix_work,
-                            &mut queue,
-                        );
-                    }
+                    cl.apply(acts, now, img, st, &mut tenants_rt[st.tenant]);
                 }
                 Ev::SuffixDone { img } => {
                     let st = img_states.remove(&img).expect("suffix for unknown image");
@@ -1181,8 +1068,8 @@ impl FleetSim {
                         conv_compute_s: conv_compute,
                         suffix_s: st.suffix_s,
                         alloc: st.lc.alloc().to_vec(),
-                        // Allocated-but-never-arrived (the historical
-                        // definition): abandoned shortfall is excluded.
+                        // Allocated-but-never-arrived: abandoned
+                        // shortfall is excluded.
                         dropped: c.zero_filled - c.abandoned,
                         late: c.late,
                         redispatched: c.redispatched,
@@ -1192,27 +1079,28 @@ impl FleetSim {
                     let tenant = st.tenant;
                     let queue_wait = st.admitted_at - st.arrival_s;
                     let tr = &mut tenants_rt[tenant];
-                    tr.completed += 1;
                     completed_total += 1;
-                    // Streaming aggregates, folded in completion order so
-                    // the running sums reproduce the monolith's post-run
-                    // fold bit-for-bit.
+                    // Streaming aggregates, folded in completion order: the
+                    // running sums are exact, so a mean over them equals a
+                    // post-run fold over per-image records bit-for-bit.
                     tr.lat_hist.record((stats.latency_s * 1e6).round() as u64);
                     tr.wait_hist.record((queue_wait * 1e6).round() as u64);
                     global_lat_hist.record((stats.latency_s * 1e6).round() as u64);
-                    tr.latency_sum += stats.latency_s;
-                    tr.queue_wait_sum += queue_wait;
-                    tr.transmission_sum += stats.send_busy_s + stats.result_busy_s;
-                    tr.computation_sum += stats.conv_compute_s + stats.suffix_s;
-                    tr.tiles_allocated += stats.alloc.iter().map(|&x| x as u64).sum::<u64>();
-                    tr.dropped += stats.dropped as u64;
-                    tr.late += stats.late as u64;
-                    tr.redispatched += stats.redispatched as u64;
-                    tr.duplicate += stats.duplicate as u64;
-                    tr.last_done = now;
+                    let alloc_tiles: u32 = stats.alloc.iter().sum();
+                    let sum = &mut tr.sum;
+                    sum.completed += 1;
+                    sum.latency_sum_s += stats.latency_s;
+                    sum.queue_wait_sum_s += queue_wait;
+                    sum.transmission_sum_s += stats.send_busy_s + stats.result_busy_s;
+                    sum.computation_sum_s += stats.conv_compute_s + stats.suffix_s;
+                    sum.tiles_allocated += alloc_tiles as u64;
+                    sum.dropped_tiles += stats.dropped as u64;
+                    sum.late_tiles += stats.late as u64;
+                    sum.redispatched_tiles += stats.redispatched as u64;
+                    sum.duplicate_tiles += stats.duplicate as u64;
+                    sum.last_done_s = now;
                     // Tenant-tagged twin, plus the burn-rate fold for
                     // tenants that declared an SLO.
-                    let alloc_tiles: u32 = stats.alloc.iter().sum();
                     sink.emit_with(|| ObsEvent::TenantFinish {
                         at: now,
                         image: img,
@@ -1221,7 +1109,7 @@ impl FleetSim {
                         zero_filled: stats.dropped,
                         tiles: alloc_tiles,
                     });
-                    if let Some(slo) = &mut slo_trackers[tenant] {
+                    if let Some(slo) = &mut tr.slo {
                         slo.record(stats.latency_s, stats.dropped, alloc_tiles);
                     }
                     if retained.len() < cfg.retain_images {
@@ -1233,47 +1121,35 @@ impl FleetSim {
                         image: img,
                         inflight: inflight_now as u32,
                     });
-                    try_admit!(queue, now);
+                    try_admit!(now);
                 }
             }
         }
-        debug_assert!(queue.is_empty(), "drained loop left events behind");
+        debug_assert!(cl.queue.is_empty(), "drained loop left events behind");
 
         let expected: u64 = cfg.tenants.iter().map(|t| t.requests as u64).sum();
         assert_eq!(completed_total, expected, "not every request completed");
-        let total_time_s = tenants_rt.iter().map(|tr| tr.last_done).fold(0.0f64, f64::max);
+        let tenants: Vec<TenantSummary> = tenants_rt
+            .into_iter()
+            .map(|tr| TenantSummary {
+                latency_us: tr.lat_hist.snapshot(),
+                queue_wait_us: tr.wait_hist.snapshot(),
+                slo: tr.slo.map(|s| s.report(&tr.sum.name)),
+                ..tr.sum
+            })
+            .collect();
         FleetSummary {
-            tenants: cfg
-                .tenants
-                .iter()
-                .zip(&tenants_rt)
-                .enumerate()
-                .map(|(t, (spec, tr))| TenantSummary {
-                    name: spec.name.clone(),
-                    weight: spec.weight,
-                    requests: spec.requests as u64,
-                    completed: tr.completed,
-                    latency_us: tr.lat_hist.snapshot(),
-                    queue_wait_us: tr.wait_hist.snapshot(),
-                    latency_sum_s: tr.latency_sum,
-                    queue_wait_sum_s: tr.queue_wait_sum,
-                    transmission_sum_s: tr.transmission_sum,
-                    computation_sum_s: tr.computation_sum,
-                    tiles_allocated: tr.tiles_allocated,
-                    dropped_tiles: tr.dropped,
-                    late_tiles: tr.late,
-                    redispatched_tiles: tr.redispatched,
-                    duplicate_tiles: tr.duplicate,
-                    last_done_s: tr.last_done,
-                    slo: slo_trackers[t].as_ref().map(|s| s.report(&spec.name)),
-                })
-                .collect(),
+            total_time_s: tenants.iter().map(|t| t.last_done_s).fold(0.0f64, f64::max),
+            tenants,
             completed: completed_total,
             latency_us: global_lat_hist.snapshot(),
-            node_busy_s: node_cpus.iter().map(|c| c.busy_total()).collect(),
-            total_time_s,
+            node_busy_s: cl.node_cpus.iter().map(|c| c.busy_total()).collect(),
             sim_end_s: sim_end,
-            channel_utilization: if sim_end > 0.0 { channel.busy_total() / sim_end } else { 0.0 },
+            channel_utilization: if sim_end > 0.0 {
+                cl.channel.busy_total() / sim_end
+            } else {
+                0.0
+            },
             peak_inflight,
             peak_events_pending: peak_pending,
             events_processed,
@@ -1283,27 +1159,4 @@ impl FleetSim {
             audit,
         }
     }
-
-    /// Run the Central-node suffix for a completed image. The Algorithm 2
-    /// rate observations were already folded in via the machine's
-    /// [`Action::RecordRate`] actions.
-    fn start_suffix(
-        img: u64,
-        now: f64,
-        img_states: &mut HashMap<u64, ImageState>,
-        central_cpu: &mut ThrottledCpu,
-        suffix_work: f64,
-        queue: &mut EventQueue<Ev>,
-    ) {
-        let st = img_states.get_mut(&img).expect("suffix for unknown image");
-        let (s, e) = central_cpu.run(now, suffix_work);
-        st.suffix_s = e - s;
-        queue.push(e, Ev::SuffixDone { img });
-    }
-}
-
-/// Single-tenant compatibility helper: the [`ArrivalSpec`] for the
-/// historical closed-loop source.
-pub fn closed_loop() -> ArrivalSpec {
-    ArrivalSpec::ClosedLoop
 }

@@ -24,8 +24,8 @@
 //! - [`tenancy`] — per-model tenant specs and the weighted-fair
 //!   admission scheduler.
 //! - [`cluster`] — the single-model ADCNN cluster simulation (Figures
-//!   11–13, 15, Table 3); since the fleet refactor, [`AdcnnSim`] is a
-//!   thin wrapper over a one-tenant fleet with a byte-identical trace.
+//!   11–13, 15, Table 3): [`AdcnnSim`] is a one-tenant run of the fleet
+//!   driver.
 //! - [`schemes`] — the comparison schemes: single-device, remote-cloud,
 //!   Neurosurgeon and AOFL (Figures 11, 14).
 //! - [`power`] — the energy/memory model behind Figure 13's right panel.
@@ -53,12 +53,12 @@ pub use adcnn_core::fleetobs::{LabeledMetricsRegistry, SloReport, SloSpec};
 pub use adcnn_core::obs::SinkHandle;
 pub use adcnn_core::report::{AttributionSink, FlightRecorderSink, ImageReport};
 pub use arrivals::{ArrivalGen, ArrivalSpec};
-pub use churn::{ChurnPlan, ChurnPlanBuilder};
+pub use churn::ChurnPlan;
 pub use cluster::{
     AdcnnSim, AdcnnSimConfig, ImageStats, LifecyclePolicy, SimNode, SimSummary, ThrottleSchedule,
     TimerPolicy,
 };
-pub use fleet::{FleetConfig, FleetConfigBuilder, FleetSim, FleetSummary, TenantSummary};
+pub use fleet::{FleetConfig, FleetSim, FleetSummary, TenantSummary};
 pub use placement::{
     AllNodesPlacement, CostOracle, GreedyPlacement, PinnedPlacement, PlacementAudit,
     PlacementAuditEntry, PlacementCause, PlacementDecision, PlacementInput, PlacementPolicy,
@@ -66,4 +66,4 @@ pub use placement::{
 };
 pub use planner::{plan_deployment, plan_placement, Candidate, Plan};
 pub use profiles::LinkParams;
-pub use tenancy::{FairScheduler, TenantSpec, TenantSpecBuilder};
+pub use tenancy::{FairScheduler, TenantSpec};

@@ -21,10 +21,9 @@
 //!   lives in the fleet driver (`fleet.rs`), which re-runs the policy
 //!   whenever the live roster changes.
 //!
-//! The [`AllNodesPlacement`] baseline reproduces the pre-placement
-//! fleet byte-for-byte (pinned by the differential goldens): its
-//! decision is the identity mask, and the driver skips re-placement
-//! entirely for policies that declare [`PlacementPolicy::places_all`].
+//! The [`AllNodesPlacement`] baseline is the identity mask (pinned by the
+//! differential goldens), and the driver skips re-placement entirely for
+//! policies that declare [`PlacementPolicy::places_all`].
 
 use crate::fleet::FleetConfig;
 use adcnn_core::compress::wire_bits_estimate;
@@ -32,10 +31,9 @@ use adcnn_core::config::ConfigError;
 use adcnn_core::obs::json;
 use adcnn_core::wire::HEADER_BITS;
 use adcnn_nn::cost::{prefix_weight_load_s, tile_prefix_time_s};
-use serde::Serialize;
 
 /// One tenant's node assignment inside a [`PlacementDecision`].
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TenantAssignment {
     /// Tenant display name (config order is preserved in the decision).
     pub tenant: String,
@@ -48,7 +46,7 @@ pub struct TenantAssignment {
 
 /// The shared output type of every placement source: the fleet driver
 /// applies it, the deployment planner prints it, benches record it.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PlacementDecision {
     /// Name of the policy that produced the decision.
     pub policy: String,
@@ -57,14 +55,6 @@ pub struct PlacementDecision {
 }
 
 impl PlacementDecision {
-    /// Total distinct nodes used by any tenant.
-    pub fn nodes_used(&self) -> usize {
-        let mut used: Vec<usize> = self.assignments.iter().flat_map(|a| a.nodes.clone()).collect();
-        used.sort_unstable();
-        used.dedup();
-        used.len()
-    }
-
     /// Hand-rendered JSON via the shared [`json`] helpers (the sinks'
     /// no-serializer contract; also what the audit trail embeds).
     pub fn to_json(&self) -> String {
@@ -85,7 +75,7 @@ impl PlacementDecision {
 }
 
 /// Why the fleet driver (re-)ran its placement policy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PlacementCause {
     /// The run's initial decision, before any churn.
     Initial,
@@ -122,7 +112,7 @@ impl PlacementCause {
 
 /// One audited placement decision: when it was made, why, what the
 /// policy saw, and what it chose.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PlacementAuditEntry {
     /// Decision number, starting at 0 for the initial decision.
     pub seq: u64,
@@ -141,7 +131,7 @@ pub struct PlacementAuditEntry {
 /// The fleet run's full placement audit trail, in decision order. Every
 /// decision the driver applied is here — the initial one matches
 /// `plan_placement` on the same config by construction.
-#[derive(Clone, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct PlacementAudit {
     /// Entries in `seq` order.
     pub entries: Vec<PlacementAuditEntry>,
@@ -436,17 +426,15 @@ pub trait PlacementPolicy: std::fmt::Debug + Send + Sync {
     fn place(&self, input: &PlacementInput) -> PlacementDecision;
 
     /// `true` when the policy always assigns every node to every tenant
-    /// — lets the driver skip re-placement work entirely and keeps the
-    /// baseline byte-identical to the pre-placement fleet.
+    /// — lets the driver skip re-placement work entirely.
     fn places_all(&self) -> bool {
         false
     }
 }
 
-/// The pre-placement baseline: every tenant may use every node. Its mask
-/// is the identity and the fleet driver never re-places it, so runs are
-/// byte-identical to the PR-8 engine — the differential goldens pin
-/// exactly that.
+/// The baseline: every tenant may use every node. Its mask is the
+/// identity and the fleet driver never re-places it; the
+/// `fleet_allnodes_leave_wave` golden pins exactly that.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AllNodesPlacement;
 
@@ -643,13 +631,17 @@ mod tests {
     fn two_tenant_input(k: usize) -> (FleetConfig, PlacementInput) {
         use adcnn_core::fdsp::TileGrid;
         let nodes: Vec<SimNode> = (0..k).map(|_| SimNode::pi()).collect();
-        let mut a = TenantSpec::new(zoo::vgg16());
-        a.grid = TileGrid::new(2, 2);
-        a.weight = 2.0;
-        a.arrivals = ArrivalSpec::Poisson { rate_per_s: 0.5 };
-        let mut b = TenantSpec::new(zoo::resnet18());
-        b.grid = TileGrid::new(2, 2);
-        b.arrivals = ArrivalSpec::Poisson { rate_per_s: 0.3 };
+        let a = TenantSpec {
+            grid: TileGrid::new(2, 2),
+            weight: 2.0,
+            arrivals: ArrivalSpec::Poisson { rate_per_s: 0.5 },
+            ..TenantSpec::new(zoo::vgg16())
+        };
+        let b = TenantSpec {
+            grid: TileGrid::new(2, 2),
+            arrivals: ArrivalSpec::Poisson { rate_per_s: 0.3 },
+            ..TenantSpec::new(zoo::resnet18())
+        };
         let cfg = FleetConfig::new(nodes, vec![a, b]);
         let input = PlacementInput::from_fleet(&cfg, 0.0, &[]);
         (cfg, input)

@@ -13,10 +13,9 @@ use crate::cluster::{AdcnnSim, AdcnnSimConfig};
 use crate::fleet::FleetConfig;
 use crate::placement::{PlacementDecision, PlacementInput, PlacementPolicy};
 use adcnn_core::fdsp::TileGrid;
-use serde::Serialize;
 
 /// One evaluated deployment candidate.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Candidate {
     /// Partition grid.
     pub grid: TileGrid,
@@ -31,25 +30,12 @@ pub struct Candidate {
 }
 
 /// Outcome of a planning sweep.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Plan {
     /// The chosen configuration (fastest feasible), if any was feasible.
     pub chosen: Option<Candidate>,
     /// Every evaluated candidate, for reporting.
     pub candidates: Vec<Candidate>,
-    /// Tenant-to-node placement for the planned deployment, when the
-    /// caller attached one via [`Plan::with_placement`]. This is the same
-    /// [`PlacementDecision`] the fleet driver records in its summary, so
-    /// a plan and the run it provisions are directly comparable.
-    pub placement: Option<PlacementDecision>,
-}
-
-impl Plan {
-    /// Attach a placement decision (see [`plan_placement`]) to the plan.
-    pub fn with_placement(mut self, placement: PlacementDecision) -> Self {
-        self.placement = Some(placement);
-        self
-    }
 }
 
 /// Consult `policy` for `cfg`'s tenants at t = 0 with a full healthy
@@ -103,7 +89,7 @@ pub fn plan_deployment(
         .filter(|c| c.feasible)
         .min_by(|a, b| a.latency_s.total_cmp(&b.latency_s))
         .cloned();
-    Plan { chosen, candidates, placement: None }
+    Plan { chosen, candidates }
 }
 
 #[cfg(test)]
@@ -179,21 +165,23 @@ mod tests {
         use std::sync::Arc;
 
         let nodes: Vec<SimNode> = (0..6).map(|_| SimNode::pi()).collect();
-        let mk = |arrival_rate: f64, requests: usize| {
-            let mut a = TenantSpec::new(zoo::vgg16());
-            a.grid = TileGrid::new(2, 2);
-            a.requests = requests;
-            a.arrivals = crate::arrivals::ArrivalSpec::Poisson { rate_per_s: arrival_rate };
-            let mut b = TenantSpec::new(zoo::resnet18());
-            b.grid = TileGrid::new(2, 2);
-            b.requests = requests;
-            b.arrivals = crate::arrivals::ArrivalSpec::Poisson { rate_per_s: arrival_rate };
-            let mut cfg = FleetConfig::new(nodes.clone(), vec![a, b]);
-            cfg.placement = Arc::new(GreedyPlacement::default());
-            cfg
+        let mk = || {
+            let tenant = |model| TenantSpec {
+                grid: TileGrid::new(2, 2),
+                requests: 8,
+                arrivals: crate::arrivals::ArrivalSpec::Poisson { rate_per_s: 2.0 },
+                ..TenantSpec::new(model)
+            };
+            FleetConfig {
+                placement: Arc::new(GreedyPlacement::default()),
+                ..FleetConfig::new(
+                    nodes.clone(),
+                    vec![tenant(zoo::vgg16()), tenant(zoo::resnet18())],
+                )
+            }
         };
-        let planned = plan_placement(&mk(2.0, 8), &GreedyPlacement::default());
-        let ran = FleetSim::new(mk(2.0, 8)).run().placement;
+        let planned = plan_placement(&mk(), &GreedyPlacement::default());
+        let ran = FleetSim::new(mk()).run().placement;
         assert_eq!(planned, ran, "planner and driver disagree on the initial placement");
         assert_eq!(planned.policy, "greedy");
         assert_eq!(planned.assignments.len(), 2);

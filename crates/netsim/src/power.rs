@@ -12,10 +12,9 @@
 
 use adcnn_nn::cost::DeviceProfile;
 use adcnn_nn::zoo::ModelSpec;
-use serde::Serialize;
 
 /// Per-node energy over a simulated run.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct EnergyReport {
     /// Joules consumed while computing.
     pub active_j: f64,

@@ -2,10 +2,9 @@
 //! per-model compression sparsities.
 
 use adcnn_core::compress::sparsity_for_ratio;
-use serde::Serialize;
 
 /// A point-to-point (or shared-medium) link.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct LinkParams {
     /// Usable bandwidth, bits/second.
     pub bandwidth_bps: f64,

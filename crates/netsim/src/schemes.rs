@@ -7,10 +7,9 @@ use crate::profiles::LinkParams;
 use adcnn_core::partition::{fused_halo, fused_tile_flops, square_grid};
 use adcnn_nn::cost::{fc_time_s, model_time_s, prefix_time_s, suffix_time_s, DeviceProfile};
 use adcnn_nn::zoo::ModelSpec;
-use serde::Serialize;
 
 /// Latency result of a scheme evaluation.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct SchemeResult {
     /// Scheme name for reporting.
     pub scheme: String,

@@ -3,10 +3,11 @@
 //! statistics, and request stream — plus the weighted-fair admission
 //! scheduler that arbitrates the shared admission window between them.
 //!
-//! A [`TenantSpec`] is everything model-specific that the historical
-//! single-model `AdcnnSimConfig` carried, detached from the cluster:
-//! the fleet driver holds one cluster (nodes, channel, Central) and N
-//! tenants. Fairness is stride scheduling over configured weights: each
+//! A [`TenantSpec`] is everything model-specific, detached from the
+//! cluster: the fleet driver holds one cluster (nodes, channel, Central)
+//! and N tenants. Write one as a struct literal over the paper-testbed
+//! defaults — `TenantSpec { requests: 500, ..TenantSpec::new(model) }` —
+//! and [`FleetSim::new`](crate::FleetSim::new) validates it. Fairness is stride scheduling over configured weights: each
 //! admission charges the picked tenant `1/weight`, and the next admission
 //! goes to the backlogged tenant with the lowest cumulative charge —
 //! deterministic, O(tenants) per admission, and work-conserving (an idle
@@ -21,7 +22,9 @@ use adcnn_nn::zoo::ModelSpec;
 
 /// One model being served on the shared cluster: the architecture, its
 /// FDSP partition, its lifecycle policy, its request stream, and its
-/// fair-share weight.
+/// fair-share weight. [`TenantSpec::validate`] turns a bad grid, weight
+/// or arrival process into a typed [`ConfigError`] instead of a wedged
+/// run.
 #[derive(Clone, Debug)]
 pub struct TenantSpec {
     /// Display name (defaults to the model's name).
@@ -80,12 +83,6 @@ impl TenantSpec {
         }
     }
 
-    /// Start building a validated spec from [`TenantSpec::new`]'s
-    /// paper-testbed defaults for `model`.
-    pub fn builder(model: ModelSpec) -> TenantSpecBuilder {
-        TenantSpecBuilder { spec: TenantSpec::new(model) }
-    }
-
     /// Check the invariants the fleet driver relies on.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.policy.validate()?;
@@ -109,96 +106,6 @@ impl TenantSpec {
             slo.validate()?;
         }
         self.arrivals.validate()
-    }
-}
-
-/// Builder for [`TenantSpec`]; see [`TenantSpec::builder`]. Setters are
-/// unchecked — [`TenantSpecBuilder::build`] runs the same
-/// [`TenantSpec::validate`] the fleet driver re-runs at launch, so a
-/// bad grid, weight, or arrival process fails with a typed
-/// [`ConfigError`] instead of wedging a run.
-#[derive(Clone, Debug)]
-pub struct TenantSpecBuilder {
-    spec: TenantSpec,
-}
-
-impl TenantSpecBuilder {
-    /// Display name (defaults to the model's name).
-    pub fn name(mut self, name: impl Into<String>) -> Self {
-        self.spec.name = name.into();
-        self
-    }
-
-    /// FDSP grid.
-    pub fn grid(mut self, grid: TileGrid) -> Self {
-        self.spec.grid = grid;
-        self
-    }
-
-    /// Separable layer blocks executed on Conv nodes.
-    pub fn prefix(mut self, prefix: usize) -> Self {
-        self.spec.prefix = prefix;
-        self
-    }
-
-    /// Per-model tile-lifecycle policy.
-    pub fn policy(mut self, policy: LifecyclePolicy) -> Self {
-        self.spec.policy = policy;
-        self
-    }
-
-    /// Algorithm 2 decay γ for this tenant's statistics.
-    pub fn gamma(mut self, gamma: f64) -> Self {
-        self.spec.gamma = gamma;
-        self
-    }
-
-    /// Intermediate-result sparsity; `None` sends raw 32-bit floats.
-    pub fn compression(mut self, sparsity: Option<f64>) -> Self {
-        self.spec.compression = sparsity;
-        self
-    }
-
-    /// Quantizer bit width (one of {2, 4, 8}).
-    pub fn quant_bits(mut self, bits: u8) -> Self {
-        self.spec.quant_bits = bits;
-        self
-    }
-
-    /// Algorithms 2+3 (true) or a static equal split (false).
-    pub fn adaptive(mut self, adaptive: bool) -> Self {
-        self.spec.adaptive = adaptive;
-        self
-    }
-
-    /// Fair-share weight.
-    pub fn weight(mut self, weight: f64) -> Self {
-        self.spec.weight = weight;
-        self
-    }
-
-    /// The request-arrival process.
-    pub fn arrivals(mut self, arrivals: ArrivalSpec) -> Self {
-        self.spec.arrivals = arrivals;
-        self
-    }
-
-    /// Total virtual requests this tenant submits over the run.
-    pub fn requests(mut self, requests: usize) -> Self {
-        self.spec.requests = requests;
-        self
-    }
-
-    /// Service-level objectives to track for this tenant.
-    pub fn slo(mut self, slo: SloSpec) -> Self {
-        self.spec.slo = Some(slo);
-        self
-    }
-
-    /// Validate and produce the spec.
-    pub fn build(self) -> Result<TenantSpec, ConfigError> {
-        self.spec.validate()?;
-        Ok(self.spec)
     }
 }
 
@@ -255,63 +162,46 @@ mod tests {
     }
 
     #[test]
-    fn spec_rejects_bad_fields() {
-        let mut s = TenantSpec::new(zoo::vgg16());
-        s.weight = 0.0;
-        assert!(s.validate().is_err());
-        let mut s = TenantSpec::new(zoo::vgg16());
-        s.requests = 0;
-        assert!(s.validate().is_err());
-        let mut s = TenantSpec::new(zoo::vgg16());
-        s.arrivals = ArrivalSpec::Poisson { rate_per_s: -1.0 };
-        assert!(s.validate().is_err());
-    }
-
-    #[test]
-    fn builder_validates_and_sets_every_field() {
-        let spec = TenantSpec::builder(zoo::vgg16())
-            .name("web-tier")
-            .grid(TileGrid::new(2, 2))
-            .gamma(0.8)
-            .quant_bits(8)
-            .adaptive(false)
-            .weight(3.0)
-            .arrivals(ArrivalSpec::Poisson { rate_per_s: 2.0 })
-            .requests(42)
-            .build()
-            .unwrap();
-        assert_eq!(spec.name, "web-tier");
-        assert_eq!(spec.grid.tiles(), 4);
-        assert_eq!(spec.gamma, 0.8);
-        assert_eq!(spec.quant_bits, 8);
-        assert!(!spec.adaptive);
-        assert_eq!(spec.weight, 3.0);
-        assert_eq!(spec.requests, 42);
-
-        assert!(matches!(
-            TenantSpec::builder(zoo::vgg16()).weight(-1.0).build(),
-            Err(ConfigError::NonPositiveTenantWeight(_))
-        ));
-        assert!(matches!(
-            TenantSpec::builder(zoo::vgg16()).quant_bits(3).build(),
-            Err(ConfigError::UnsupportedQuantBits(3))
-        ));
-        assert!(matches!(
-            TenantSpec::builder(zoo::vgg16())
-                .arrivals(ArrivalSpec::Poisson { rate_per_s: 0.0 })
-                .build(),
-            Err(ConfigError::NonPositiveArrivalRate(_))
-        ));
-        assert!(matches!(
-            TenantSpec::builder(zoo::vgg16()).slo(SloSpec::new(-0.1, 0.05)).build(),
-            Err(ConfigError::NonPositiveSloTarget(_))
-        ));
-        assert!(matches!(
-            TenantSpec::builder(zoo::vgg16()).slo(SloSpec::new(0.5, 2.0)).build(),
-            Err(ConfigError::SloBudgetOutOfRange(_))
-        ));
-        let spec = TenantSpec::builder(zoo::vgg16()).slo(SloSpec::new(0.5, 0.05)).build().unwrap();
-        assert_eq!(spec.slo, Some(SloSpec::new(0.5, 0.05)));
+    fn validate_rejects_each_bad_field_with_its_typed_error() {
+        use ConfigError as E;
+        let base = || TenantSpec::new(zoo::vgg16());
+        let poisson = |rate_per_s| ArrivalSpec::Poisson { rate_per_s };
+        let blocks = base().model.blocks.len();
+        let cases = [
+            (TenantSpec { weight: -1.0, ..base() }, E::NonPositiveTenantWeight(-1.0)),
+            (TenantSpec { weight: 0.0, ..base() }, E::NonPositiveTenantWeight(0.0)),
+            (TenantSpec { quant_bits: 3, ..base() }, E::UnsupportedQuantBits(3)),
+            (TenantSpec { requests: 0, ..base() }, E::ZeroImages),
+            (TenantSpec { gamma: 0.0, ..base() }, E::GammaOutOfRange(0.0)),
+            (TenantSpec { prefix: 0, ..base() }, E::PrefixOutOfRange { prefix: 0, blocks }),
+            (TenantSpec { arrivals: poisson(0.0), ..base() }, E::NonPositiveArrivalRate(0.0)),
+            (TenantSpec { arrivals: poisson(-1.0), ..base() }, E::NonPositiveArrivalRate(-1.0)),
+            (
+                TenantSpec { slo: Some(SloSpec::new(-0.1, 0.05)), ..base() },
+                E::NonPositiveSloTarget(-0.1),
+            ),
+            (
+                TenantSpec { slo: Some(SloSpec::new(0.5, 2.0)), ..base() },
+                E::SloBudgetOutOfRange(2.0),
+            ),
+        ];
+        for (spec, want) in cases {
+            assert_eq!(spec.validate(), Err(want));
+        }
+        // Every field set at once, to values unlike the defaults: valid.
+        let spec = TenantSpec {
+            name: "web-tier".into(),
+            grid: TileGrid::new(2, 2),
+            gamma: 0.8,
+            quant_bits: 8,
+            adaptive: false,
+            weight: 3.0,
+            arrivals: poisson(2.0),
+            requests: 42,
+            slo: Some(SloSpec::new(0.5, 0.05)),
+            ..base()
+        };
+        assert_eq!(spec.validate(), Ok(()));
     }
 
     #[test]

@@ -162,26 +162,19 @@ fn leave_wave_config() -> FleetConfig {
     for n in [2, 3, 4] {
         nodes[n].throttle = ThrottleSchedule::from_points(vec![(8.0, 0.0), (16.0, 1.0)]);
     }
-    let a = TenantSpec::builder(zoo::vgg16())
-        .grid(TileGrid::new(2, 2))
-        .weight(2.0)
-        .requests(24)
-        .arrivals(ArrivalSpec::poisson(2.0).unwrap())
-        .build()
-        .unwrap();
-    let b = TenantSpec::builder(zoo::resnet18())
-        .grid(TileGrid::new(2, 2))
-        .requests(24)
-        .arrivals(ArrivalSpec::poisson(2.0).unwrap())
-        .build()
-        .unwrap();
-    FleetConfig::builder(nodes)
-        .tenants(vec![a, b])
-        .pipeline_depth(3)
-        .seed(2024)
-        .retain_images(48)
-        .build()
-        .unwrap()
+    let tenant = |model, weight| TenantSpec {
+        grid: TileGrid::new(2, 2),
+        weight,
+        requests: 24,
+        arrivals: ArrivalSpec::Poisson { rate_per_s: 2.0 },
+        ..TenantSpec::new(model)
+    };
+    FleetConfig {
+        pipeline_depth: 3,
+        seed: 2024,
+        retain_images: 48,
+        ..FleetConfig::new(nodes, vec![tenant(zoo::vgg16(), 2.0), tenant(zoo::resnet18(), 1.0)])
+    }
 }
 
 fn check_fleet_golden(name: &str, cfg: FleetConfig) {

@@ -5,8 +5,8 @@
 use adcnn_core::fdsp::TileGrid;
 use adcnn_netsim::cluster::{AdcnnSim, AdcnnSimConfig};
 use adcnn_netsim::{
-    ArrivalSpec, ChurnPlan, FleetConfig, FleetSim, PinnedPlacement, SimNode, TenantSpec,
-    ThrottleSchedule,
+    ArrivalSpec, ChurnPlan, ConfigError, FleetConfig, FleetSim, PinnedPlacement, SimNode,
+    TenantSpec, ThrottleSchedule,
 };
 use adcnn_nn::zoo;
 use std::sync::Arc;
@@ -46,21 +46,14 @@ fn streaming_quantiles_match_exact_within_one_bucket() {
 /// budget first and waits less in the admission queue.
 #[test]
 fn weighted_fair_sharing_favors_the_heavier_tenant() {
-    let heavy = TenantSpec::builder(zoo::vgg16())
-        .weight(2.0)
-        .requests(60)
-        .arrivals(ArrivalSpec::trace(vec![0.0; 60]).unwrap())
-        .build()
-        .unwrap();
-    let light = TenantSpec::builder(zoo::vgg16())
-        .weight(1.0)
-        .requests(60)
-        .arrivals(ArrivalSpec::trace(vec![0.0; 60]).unwrap())
-        .build()
-        .unwrap();
-
+    let backlogged = |weight| TenantSpec {
+        weight,
+        requests: 60,
+        arrivals: ArrivalSpec::Trace { times: vec![0.0; 60] },
+        ..TenantSpec::new(zoo::vgg16())
+    };
     let nodes: Vec<SimNode> = (0..8).map(|_| SimNode::pi()).collect();
-    let cfg = FleetConfig::builder(nodes).tenants(vec![heavy, light]).build().unwrap();
+    let cfg = FleetConfig::new(nodes, vec![backlogged(2.0), backlogged(1.0)]);
     let fs = FleetSim::new(cfg).run();
 
     let (h, l) = (&fs.tenants[0], &fs.tenants[1]);
@@ -86,19 +79,19 @@ fn weighted_fair_sharing_favors_the_heavier_tenant() {
 #[test]
 fn churning_fleet_completes_every_request() {
     let mut nodes: Vec<SimNode> = (0..16).map(|_| SimNode::pi()).collect();
-    ChurnPlan::builder(400.0, 9)
-        .join_leave(60.0, 15.0)
-        .diurnal(120.0, 0.4)
-        .build()
-        .unwrap()
-        .apply(&mut nodes);
+    ChurnPlan {
+        join_leave: Some((60.0, 15.0)),
+        diurnal: Some((120.0, 0.4)),
+        ..ChurnPlan::new(400.0, 9)
+    }
+    .apply(&mut nodes);
     assert!(
         nodes.iter().any(|n| !n.throttle.dead_transitions().is_empty()),
         "churn plan produced no deaths at all — test would be vacuous"
     );
 
-    let tenant = TenantSpec::builder(zoo::vgg16()).requests(200).build().unwrap();
-    let fs = FleetSim::new(FleetConfig::builder(nodes).tenant(tenant).build().unwrap()).run();
+    let tenant = TenantSpec { requests: 200, ..TenantSpec::new(zoo::vgg16()) };
+    let fs = FleetSim::new(FleetConfig::new(nodes, vec![tenant])).run();
 
     assert_eq!(fs.completed, 200);
     let t = &fs.tenants[0];
@@ -115,18 +108,22 @@ fn churning_fleet_completes_every_request() {
 #[test]
 fn open_loop_runs_are_deterministic() {
     let build = || {
-        let a = TenantSpec::builder(zoo::vgg16())
-            .requests(80)
-            .arrivals(ArrivalSpec::poisson(4.0).unwrap())
-            .build()
-            .unwrap();
-        let b = TenantSpec::builder(zoo::resnet18())
-            .requests(80)
-            .arrivals(ArrivalSpec::mmpp(0.5, 20.0, 5.0, 2.0).unwrap())
-            .build()
-            .unwrap();
-        let nodes: Vec<SimNode> = (0..8).map(|_| SimNode::pi()).collect();
-        FleetConfig::builder(nodes).tenants(vec![a, b]).build().unwrap()
+        let a = TenantSpec {
+            requests: 80,
+            arrivals: ArrivalSpec::Poisson { rate_per_s: 4.0 },
+            ..TenantSpec::new(zoo::vgg16())
+        };
+        let b = TenantSpec {
+            requests: 80,
+            arrivals: ArrivalSpec::Mmpp {
+                rate_lo: 0.5,
+                rate_hi: 20.0,
+                mean_dwell_lo_s: 5.0,
+                mean_dwell_hi_s: 2.0,
+            },
+            ..TenantSpec::new(zoo::resnet18())
+        };
+        FleetConfig::new((0..8).map(|_| SimNode::pi()).collect(), vec![a, b])
     };
     let x = FleetSim::new(build()).run();
     let y = FleetSim::new(build()).run();
@@ -159,21 +156,25 @@ fn scheduler_skips_fully_churned_out_tenant_until_revival() {
     for n in [2, 3] {
         nodes[n].throttle = ThrottleSchedule::from_points(vec![(0.5, 0.0), (40.0, 1.0)]);
     }
-    let a =
-        TenantSpec::builder(zoo::vgg16()).grid(TileGrid::new(2, 2)).requests(10).build().unwrap();
-    let b = TenantSpec::builder(zoo::resnet18())
-        .grid(TileGrid::new(2, 2))
-        .requests(3)
-        .arrivals(ArrivalSpec::trace(vec![2.0, 2.5, 3.0]).unwrap())
-        .build()
-        .unwrap();
-
-    let cfg = FleetConfig::builder(nodes)
-        .tenants(vec![a, b])
-        .placement(Arc::new(PinnedPlacement::new(vec![vec![0, 1], vec![2, 3]])))
-        .build()
-        .unwrap();
-    let fs = FleetSim::new(cfg).run();
+    // Tenant A closed-loop on {0, 1}, tenant B trace-driven on {2, 3}.
+    let pinned = |nodes, a_requests, b_arrivals: Vec<f64>| {
+        let a = TenantSpec {
+            grid: TileGrid::new(2, 2),
+            requests: a_requests,
+            ..TenantSpec::new(zoo::vgg16())
+        };
+        let b = TenantSpec {
+            grid: TileGrid::new(2, 2),
+            requests: b_arrivals.len(),
+            arrivals: ArrivalSpec::Trace { times: b_arrivals },
+            ..TenantSpec::new(zoo::resnet18())
+        };
+        FleetConfig {
+            placement: Arc::new(PinnedPlacement::new(vec![vec![0, 1], vec![2, 3]])),
+            ..FleetConfig::new(nodes, vec![a, b])
+        }
+    };
+    let fs = FleetSim::new(pinned(nodes, 10, vec![2.0, 2.5, 3.0])).run();
 
     let (ta, tb) = (&fs.tenants[0], &fs.tenants[1]);
     assert_eq!(ta.completed, 10, "pinned-alive tenant runs normally");
@@ -199,20 +200,7 @@ fn scheduler_skips_fully_churned_out_tenant_until_revival() {
     for n in [2, 3] {
         nodes[n].throttle = ThrottleSchedule::from_points(vec![(0.5, 0.0)]);
     }
-    let a =
-        TenantSpec::builder(zoo::vgg16()).grid(TileGrid::new(2, 2)).requests(6).build().unwrap();
-    let b = TenantSpec::builder(zoo::resnet18())
-        .grid(TileGrid::new(2, 2))
-        .requests(2)
-        .arrivals(ArrivalSpec::trace(vec![2.0, 2.5]).unwrap())
-        .build()
-        .unwrap();
-    let cfg = FleetConfig::builder(nodes)
-        .tenants(vec![a, b])
-        .placement(Arc::new(PinnedPlacement::new(vec![vec![0, 1], vec![2, 3]])))
-        .build()
-        .unwrap();
-    let fs = FleetSim::new(cfg).run();
+    let fs = FleetSim::new(pinned(nodes, 6, vec![2.0, 2.5])).run();
     assert_eq!(fs.completed, 8, "permanently-dead placement must degrade, not deadlock");
 }
 
@@ -223,13 +211,13 @@ fn scheduler_skips_fully_churned_out_tenant_until_revival() {
 #[test]
 fn retention_is_capped_and_queue_stays_bounded() {
     let mk = |retain: usize| {
-        let tenant = TenantSpec::builder(zoo::vgg16())
-            .grid(TileGrid::new(2, 2))
-            .requests(2_000)
-            .build()
-            .unwrap();
+        let tenant = TenantSpec {
+            grid: TileGrid::new(2, 2),
+            requests: 2_000,
+            ..TenantSpec::new(zoo::vgg16())
+        };
         let nodes: Vec<SimNode> = (0..4).map(|_| SimNode::pi()).collect();
-        FleetConfig::builder(nodes).tenant(tenant).retain_images(retain).build().unwrap()
+        FleetConfig { retain_images: retain, ..FleetConfig::new(nodes, vec![tenant]) }
     };
 
     let none = FleetSim::new(mk(0)).run();
@@ -248,4 +236,37 @@ fn retention_is_capped_and_queue_stays_bounded() {
         none.peak_events_pending
     );
     assert!(none.peak_inflight as usize <= 2, "default window is 2");
+}
+
+/// `FleetConfig::validate` is the one check a struct literal goes through:
+/// each fleet-level invariant, and any tenant's, comes back typed.
+#[test]
+fn fleet_validate_rejects_each_bad_field_with_its_typed_error() {
+    let pis = |k: usize| (0..k).map(|_| SimNode::pi()).collect::<Vec<_>>();
+    let vgg = || TenantSpec::new(zoo::vgg16());
+    let cases = [
+        (FleetConfig::new(pis(0), vec![vgg()]), ConfigError::NoWorkers),
+        (FleetConfig::new(pis(2), vec![]), ConfigError::NoTenants),
+        (
+            FleetConfig { pipeline_depth: 0, ..FleetConfig::new(pis(2), vec![vgg()]) },
+            ConfigError::ZeroPipelineDepth,
+        ),
+        (
+            FleetConfig::new(pis(2), vec![vgg(), TenantSpec { weight: 0.0, ..vgg() }]),
+            ConfigError::NonPositiveTenantWeight(0.0),
+        ),
+    ];
+    for (cfg, want) in cases {
+        assert_eq!(cfg.validate(), Err(want));
+    }
+    assert_eq!(FleetConfig::new(pis(2), vec![vgg()]).validate(), Ok(()));
+}
+
+/// Nothing stands between a struct literal and the driver but
+/// `FleetSim::new`, so that is where a bad tenant must stop.
+#[test]
+#[should_panic(expected = "invalid FleetConfig")]
+fn fleet_new_rejects_an_invalid_tenant_in_a_struct_literal() {
+    let tenant = TenantSpec { quant_bits: 3, ..TenantSpec::new(zoo::vgg16()) };
+    FleetSim::new(FleetConfig::new(vec![SimNode::pi()], vec![tenant]));
 }

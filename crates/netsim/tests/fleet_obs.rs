@@ -17,22 +17,27 @@ use adcnn_nn::zoo;
 use std::sync::Arc;
 
 fn two_tenant_config(nodes: Vec<SimNode>, requests: usize) -> FleetConfig {
-    let a = TenantSpec::builder(zoo::vgg16())
-        .name("vgg16-cam")
-        .grid(TileGrid::new(2, 2))
-        .requests(requests)
-        .slo(SloSpec::new(2.0, 0.05))
-        .build()
-        .unwrap();
-    let b = TenantSpec::builder(zoo::resnet18())
-        .name("resnet18-iot")
-        .grid(TileGrid::new(2, 2))
-        .requests(requests)
-        .arrivals(ArrivalSpec::poisson(2.0).unwrap())
-        .slo(SloSpec::new(1.5, 0.05))
-        .build()
-        .unwrap();
-    FleetConfig::builder(nodes).tenants(vec![a, b]).build().unwrap()
+    let a = TenantSpec {
+        name: "vgg16-cam".into(),
+        grid: TileGrid::new(2, 2),
+        requests,
+        slo: Some(SloSpec::new(2.0, 0.05)),
+        ..TenantSpec::new(zoo::vgg16())
+    };
+    let b = TenantSpec {
+        name: "resnet18-iot".into(),
+        grid: TileGrid::new(2, 2),
+        requests,
+        arrivals: ArrivalSpec::Poisson { rate_per_s: 2.0 },
+        slo: Some(SloSpec::new(1.5, 0.05)),
+        ..TenantSpec::new(zoo::resnet18())
+    };
+    FleetConfig::new(nodes, vec![a, b])
+}
+
+/// The churn every test here runs under: join/leave only, 400 s, seed 9.
+fn join_leave_plan() -> ChurnPlan {
+    ChurnPlan { join_leave: Some((60.0, 15.0)), ..ChurnPlan::new(400.0, 9) }
 }
 
 /// Per-tenant streamed p50/p99 must land within one log2 bucket (a factor
@@ -72,19 +77,15 @@ fn per_tenant_streamed_quantiles_match_exact_within_one_bucket() {
 /// transitions of the composed churn plan (`ChurnPlan::topology_events`).
 #[test]
 fn topology_stream_reconciles_with_the_churn_plan() {
-    let horizon = 400.0;
-    let plan = ChurnPlan::builder(horizon, 9).join_leave(60.0, 15.0).build().unwrap();
+    let plan = join_leave_plan();
     let mut nodes: Vec<SimNode> = (0..8).map(|_| SimNode::pi()).collect();
     plan.apply(&mut nodes);
 
     let rec = Arc::new(RecordingSink::new());
     let tenant =
-        TenantSpec::builder(zoo::vgg16()).grid(TileGrid::new(2, 2)).requests(150).build().unwrap();
-    let cfg = FleetConfig::builder(nodes)
-        .tenant(tenant)
-        .sink(SinkHandle::new(rec.clone()))
-        .build()
-        .unwrap();
+        TenantSpec { grid: TileGrid::new(2, 2), requests: 150, ..TenantSpec::new(zoo::vgg16()) };
+    let cfg =
+        FleetConfig { sink: SinkHandle::new(rec.clone()), ..FleetConfig::new(nodes, vec![tenant]) };
     let fs = FleetSim::new(cfg).run();
 
     // Expected stream: the plan's merged transitions, filtered to actual
@@ -121,7 +122,7 @@ fn topology_stream_reconciles_with_the_churn_plan() {
 #[test]
 fn placement_audit_records_every_decision_with_cause_and_inputs() {
     let mut nodes: Vec<SimNode> = (0..8).map(|_| SimNode::pi()).collect();
-    ChurnPlan::builder(400.0, 9).join_leave(60.0, 15.0).build().unwrap().apply(&mut nodes);
+    join_leave_plan().apply(&mut nodes);
     let policy = GreedyPlacement::with_headroom(1.3).unwrap();
     let mut cfg = two_tenant_config(nodes, 80);
     cfg.placement = Arc::new(policy);
@@ -243,7 +244,7 @@ fn fleet_run_produces_labeled_metrics_reporter_lines_and_slo_reports() {
 fn attaching_sinks_leaves_the_summary_unchanged() {
     let build = || {
         let mut nodes: Vec<SimNode> = (0..8).map(|_| SimNode::pi()).collect();
-        ChurnPlan::builder(400.0, 9).join_leave(60.0, 15.0).build().unwrap().apply(&mut nodes);
+        join_leave_plan().apply(&mut nodes);
         let mut cfg = two_tenant_config(nodes, 60);
         cfg.placement = Arc::new(GreedyPlacement::default());
         cfg
@@ -268,7 +269,7 @@ fn attaching_sinks_leaves_the_summary_unchanged() {
 /// plain `MetricsSink` nor the labeled registry counts an image twice.
 #[test]
 fn one_stream_counts_every_image_once() {
-    let plan = ChurnPlan::builder(400.0, 9).join_leave(60.0, 15.0).build().unwrap();
+    let plan = join_leave_plan();
     let build = || {
         let mut nodes: Vec<SimNode> = (0..8).map(|_| SimNode::pi()).collect();
         plan.apply(&mut nodes);
@@ -322,7 +323,7 @@ fn a_scope_filter_feeds_a_sink_the_fleet_view_alone() {
         }
     }
 
-    let plan = ChurnPlan::builder(400.0, 9).join_leave(60.0, 15.0).build().unwrap();
+    let plan = join_leave_plan();
     let mut nodes: Vec<SimNode> = (0..8).map(|_| SimNode::pi()).collect();
     plan.apply(&mut nodes);
     let mut cfg = two_tenant_config(nodes, 60);

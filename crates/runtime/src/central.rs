@@ -281,9 +281,6 @@ pub struct InferOutcome {
     pub redispatched: u32,
     /// Total compressed payload bits received (communication accounting).
     pub wire_bits: u64,
-    /// Cumulative per-worker compute/compress timings (since launch),
-    /// snapshotted when this image finished.
-    pub worker_stats: Vec<WorkerStatsSnapshot>,
     /// Per-image critical-path attribution, present when
     /// [`RuntimeConfig::attribution`] was set at launch.
     pub report: Option<ImageReport>,
@@ -383,7 +380,6 @@ struct Collector {
     infer_scratch: InferScratch,
     task_txs: Vec<Sender<WorkerMsg>>,
     result_rx: Receiver<(usize, TileResult)>,
-    worker_stats: Vec<Arc<WorkerStats>>,
     shared: Arc<Shared>,
     rng: StdRng,
     policy: LifecyclePolicy,
@@ -610,7 +606,6 @@ impl Collector {
             zero_filled: c.zero_filled,
             redispatched: c.redispatched,
             wire_bits,
-            worker_stats: self.worker_stats.iter().map(|s| s.snapshot()).collect(),
             report: self.attribution.as_ref().and_then(|a| a.report_for(image_id)),
         };
         // `bounded(1)` reply never blocks; a dropped handle just discards.
@@ -876,7 +871,6 @@ impl AdcnnRuntime {
             infer_scratch: InferScratch::new(),
             task_txs: task_txs.clone(),
             result_rx,
-            worker_stats: worker_stats.clone(),
             shared: shared.clone(),
             rng: StdRng::seed_from_u64(cfg.seed),
             policy: cfg.policy,
@@ -1452,18 +1446,18 @@ mod tests {
         let mut rt =
             AdcnnRuntime::launch(model, &[WorkerOptions::default(); 2], RuntimeConfig::default());
         let out = rt.infer(&rand_image(4));
-        assert_eq!(out.worker_stats.len(), 2);
+        let first = rt.worker_stats();
+        assert_eq!(first.len(), 2);
         if out.zero_filled == 0 && out.redispatched == 0 {
-            let total: u64 = out.worker_stats.iter().map(|s| s.tiles).sum();
+            let total: u64 = first.iter().map(|s| s.tiles).sum();
             assert_eq!(total, 4, "every received tile must be counted");
-            assert!(out.worker_stats.iter().any(|s| s.compute_ns > 0));
-            assert!(out.worker_stats.iter().any(|s| s.compress_ns > 0));
+            assert!(first.iter().any(|s| s.compute_ns > 0));
+            assert!(first.iter().any(|s| s.compress_ns > 0));
         }
-        let again = rt.infer(&rand_image(5));
-        let t1: u64 = out.worker_stats.iter().map(|s| s.tiles).sum();
-        let t2: u64 = again.worker_stats.iter().map(|s| s.tiles).sum();
+        rt.infer(&rand_image(5));
+        let t1: u64 = first.iter().map(|s| s.tiles).sum();
+        let t2: u64 = rt.worker_stats().iter().map(|s| s.tiles).sum();
         assert!(t2 > t1, "counters must accumulate across images");
-        assert_eq!(rt.worker_stats().len(), 2);
         rt.shutdown();
     }
 

@@ -83,21 +83,19 @@ fn main() {
     // The roster is wider than either tenant's tile count so the packers
     // have room to pick subsets (the one-node-per-tile latency floor
     // would otherwise force the full roster).
-    let planned = TenantSpec::builder(zoo::by_name(&name).unwrap())
-        .grid(chosen.grid)
-        .prefix(chosen.prefix)
-        .arrivals(ArrivalSpec::poisson(2.0).expect("positive rate"))
-        .build()
-        .expect("valid planned tenant");
-    let neighbor = TenantSpec::builder(zoo::resnet18())
-        .grid(TileGrid::new(2, 2))
-        .arrivals(ArrivalSpec::poisson(1.0).expect("positive rate"))
-        .build()
-        .expect("valid neighbor tenant");
-    let fleet = FleetConfig::builder((0..24).map(|_| SimNode::pi()).collect())
-        .tenants(vec![planned, neighbor])
-        .build()
-        .expect("valid fleet");
+    let planned = TenantSpec {
+        grid: chosen.grid,
+        prefix: chosen.prefix,
+        arrivals: ArrivalSpec::Poisson { rate_per_s: 2.0 },
+        ..TenantSpec::new(zoo::by_name(&name).unwrap())
+    };
+    let neighbor = TenantSpec {
+        grid: TileGrid::new(2, 2),
+        arrivals: ArrivalSpec::Poisson { rate_per_s: 1.0 },
+        ..TenantSpec::new(zoo::resnet18())
+    };
+    let fleet = FleetConfig::new((0..24).map(|_| SimNode::pi()).collect(), vec![planned, neighbor]);
+    fleet.validate().expect("valid fleet");
 
     println!("\nplacement on a 24-node fleet (planned {name} + background resnet18):");
     let policies: [&dyn PlacementPolicy; 2] = [&AllNodesPlacement, &GreedyPlacement::default()];

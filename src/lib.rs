@@ -47,10 +47,9 @@ pub mod prelude {
     };
     pub use adcnn_netsim::cluster::{AdcnnSim, AdcnnSimConfig, SimSummary};
     pub use adcnn_netsim::{
-        plan_deployment, plan_placement, AllNodesPlacement, ArrivalSpec, ChurnPlan,
-        ChurnPlanBuilder, FleetConfig, FleetConfigBuilder, FleetSim, FleetSummary, GreedyPlacement,
-        PinnedPlacement, PlacementDecision, PlacementInput, PlacementPolicy, SimNode,
-        TenantAssignment, TenantSpec, TenantSpecBuilder,
+        plan_deployment, plan_placement, AllNodesPlacement, ArrivalSpec, ChurnPlan, FleetConfig,
+        FleetSim, FleetSummary, GreedyPlacement, PinnedPlacement, PlacementDecision,
+        PlacementInput, PlacementPolicy, SimNode, TenantAssignment, TenantSpec,
     };
     pub use adcnn_nn::zoo::{alexnet, resnet18, resnet34, vgg16, yolo, ModelSpec};
     pub use adcnn_retrain::PartitionedModel;
