@@ -25,10 +25,21 @@ git diff --exit-code -- Cargo.lock perf-ledger/Cargo.lock
 # The byte-pinned decision traces only move with the change that means to
 # move them: a stray UPDATE_FLEET_GOLDEN=1 run fails here.
 git diff --exit-code -- crates/netsim/tests/golden
-# netsim's non-test size (lines before each file's first #[cfg(test)]), the
-# number ROADMAP item 8 tracks.
-awk 'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 } !t { n++ }
-     END { print "netsim non-test lines: " n }' crates/netsim/src/*.rs
+# Non-test sizes (lines before each file's first #[cfg(test)]): netsim, the
+# runtime, and netsim + central.rs, the number ROADMAP item 8 tracks.
+non_test() {
+    awk 'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 } !t { n++ } END { print n }' "$@"
+}
+echo "netsim non-test lines: $(non_test crates/netsim/src/*.rs)"
+echo "runtime non-test lines: $(non_test crates/runtime/src/{central,transport,worker}.rs)"
+echo "netsim + central.rs non-test lines: $(non_test crates/netsim/src/*.rs crates/runtime/src/central.rs)"
+# One way to set a config field: the runtime's builders exist for the perf
+# ledger alone, so a call anywhere else is a second route coming back.
+if git grep -n --untracked -e 'RuntimeConfig::builder(' -e 'WorkerOptions::builder(' \
+    -- '*.rs' ':!perf-ledger'; then
+    echo "a runtime config builder call outside perf-ledger/: write a struct literal" >&2
+    exit 1
+fi
 
 echo "==> perf ledger: its own tests, then a smoke run of every workload"
 # The wall-clock benchmark later PRs are judged by (BENCHMARK.json) checks

@@ -1,13 +1,13 @@
 //! Typed configuration validation shared by every public config surface.
 //!
-//! The builders (`RuntimeConfig::builder()` / `WorkerOptions::builder()`
-//! in `adcnn-runtime`), `AdcnnSimConfig::validate()` in `adcnn-netsim` and
+//! `RuntimeConfig::validate()` / `WorkerOptions::validate()` in
+//! `adcnn-runtime`, the netsim configs' `validate()` and
 //! [`LifecyclePolicy::validate`] here reject nonsense with a
 //! [`ConfigError`] instead of letting a zero timer or a sub-unity slack
-//! factor wedge a run. Config structs keep public fields and working
-//! `Default` impls — builders are the validated front door, not a lockout
-//! — and the drivers re-validate at launch so a hand-mutated config fails
-//! just as loudly.
+//! factor wedge a run. Config structs have public fields and working
+//! `Default` impls and are written as struct literals over those defaults;
+//! the drivers validate at launch, so a bad value fails before anything
+//! runs.
 
 use crate::lifecycle::LifecyclePolicy;
 

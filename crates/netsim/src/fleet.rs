@@ -41,8 +41,7 @@ use crate::arrivals::ArrivalGen;
 use crate::cluster::{ImageStats, SimNode};
 use crate::engine::{EventQueue, FifoResource, SpeedSchedule, ThrottledCpu};
 use crate::placement::{
-    AllNodesPlacement, PlacementAudit, PlacementAuditEntry, PlacementCause, PlacementDecision,
-    PlacementInput, PlacementPolicy, TenantView,
+    AllNodesPlacement, PlacementDecision, PlacementInput, PlacementPolicy, TenantView,
 };
 use crate::profiles::LinkParams;
 use crate::tenancy::{FairScheduler, TenantSpec};
@@ -246,9 +245,6 @@ pub struct FleetSummary {
     /// Times the policy was re-consulted after a join/leave churn event
     /// (always 0 for all-nodes policies, which skip re-placement).
     pub replacements: u64,
-    /// Every placement decision the run applied — inputs, cause, and
-    /// chosen sets. Entry 0 is always [`FleetSummary::placement`].
-    pub audit: PlacementAudit,
 }
 
 impl FleetSummary {
@@ -603,27 +599,15 @@ impl FleetSim {
         // join/leave churn event. All-nodes policies skip the
         // re-placement: their mask is the identity whatever the roster.
         let placement_all = cfg.placement.places_all();
-        let mut placement_decision = cfg.placement.place(&placement_input);
+        let initial_placement = cfg.placement.place(&placement_input);
         let mut replacements: u64 = 0;
         if !placement_all {
-            for (t, a) in placement_decision.assignments.iter().enumerate() {
+            for (t, a) in initial_placement.assignments.iter().enumerate() {
                 tenants_rt[t].apply_placement(&a.nodes, &[]);
             }
         }
-        let initial_placement = placement_decision.clone();
-        // The audit trail records every decision the run applies, with
-        // the inputs the policy saw; the event stream carries a
-        // PlacementDecided event per entry.
-        let mut audit = PlacementAudit::default();
-        let mut placement_seq: u64 = 0;
-        audit.entries.push(PlacementAuditEntry {
-            seq: 0,
-            at: 0.0,
-            cause: PlacementCause::Initial,
-            dead_nodes: Vec::new(),
-            live_nodes: k,
-            decision: placement_decision.clone(),
-        });
+        // Every decision the run applies is a PlacementDecided event,
+        // numbered from 0 for this initial one.
         sink.emit_with(|| ObsEvent::PlacementDecided {
             at: 0.0,
             cause: PLACEMENT_INITIAL,
@@ -776,32 +760,18 @@ impl FleetSim {
                     // the roster — no new events, no changed state.
                     if roster_changed && !placement_all {
                         placement_input.refresh(cfg, now, &cl.dead_list);
-                        placement_decision = cfg.placement.place(&placement_input);
-                        for (t, a) in placement_decision.assignments.iter().enumerate() {
+                        let decision = cfg.placement.place(&placement_input);
+                        for (t, a) in decision.assignments.iter().enumerate() {
                             tenants_rt[t].apply_placement(&a.nodes, &cl.dead_list);
                         }
                         replacements += 1;
-                        placement_seq += 1;
-                        let cause = if dead {
-                            PlacementCause::Leave { node }
-                        } else {
-                            PlacementCause::Join { node }
-                        };
-                        audit.entries.push(PlacementAuditEntry {
-                            seq: placement_seq,
-                            at: now,
-                            cause,
-                            dead_nodes: cl.dead_list.clone(),
-                            live_nodes: k - cl.dead_list.len(),
-                            decision: placement_decision.clone(),
-                        });
                         sink.emit_with(|| ObsEvent::PlacementDecided {
                             at: now,
                             cause: if dead { PLACEMENT_LEAVE } else { PLACEMENT_JOIN },
                             node: node as u32,
                             tenants: cfg.tenants.len() as u32,
                             live_nodes: (k - cl.dead_list.len()) as u32,
-                            seq: placement_seq,
+                            seq: replacements,
                         });
                         // A revival can make a skipped tenant eligible.
                         try_admit!(now);
@@ -1156,7 +1126,6 @@ impl FleetSim {
             retained,
             placement: initial_placement,
             replacements,
-            audit,
         }
     }
 }

@@ -60,9 +60,8 @@ pub use cluster::{
 };
 pub use fleet::{FleetConfig, FleetSim, FleetSummary, TenantSummary};
 pub use placement::{
-    AllNodesPlacement, CostOracle, GreedyPlacement, PinnedPlacement, PlacementAudit,
-    PlacementAuditEntry, PlacementCause, PlacementDecision, PlacementInput, PlacementPolicy,
-    TenantAssignment,
+    AllNodesPlacement, CostOracle, GreedyPlacement, PinnedPlacement, PlacementDecision,
+    PlacementInput, PlacementPolicy, TenantAssignment,
 };
 pub use planner::{plan_deployment, plan_placement, Candidate, Plan};
 pub use profiles::LinkParams;

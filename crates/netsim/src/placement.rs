@@ -56,7 +56,7 @@ pub struct PlacementDecision {
 
 impl PlacementDecision {
     /// Hand-rendered JSON via the shared [`json`] helpers (the sinks'
-    /// no-serializer contract; also what the audit trail embeds).
+    /// no-serializer contract).
     pub fn to_json(&self) -> String {
         json::Obj::new()
             .str("policy", &self.policy)
@@ -67,94 +67,6 @@ impl PlacementDecision {
                         .str("tenant", &a.tenant)
                         .raw("nodes", json::array(a.nodes.iter().map(|n| n.to_string())))
                         .f64("predicted_rps", a.predicted_rps)
-                        .finish()
-                })),
-            )
-            .finish()
-    }
-}
-
-/// Why the fleet driver (re-)ran its placement policy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PlacementCause {
-    /// The run's initial decision, before any churn.
-    Initial,
-    /// `node` rejoined the live roster.
-    Join {
-        /// The node that came back.
-        node: usize,
-    },
-    /// `node` left the live roster.
-    Leave {
-        /// The node that died.
-        node: usize,
-    },
-}
-
-impl PlacementCause {
-    /// Stable snake_case name (the JSON encoding).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            PlacementCause::Initial => "initial",
-            PlacementCause::Join { .. } => "join",
-            PlacementCause::Leave { .. } => "leave",
-        }
-    }
-
-    /// The triggering node, when there is one.
-    pub fn node(&self) -> Option<usize> {
-        match *self {
-            PlacementCause::Initial => None,
-            PlacementCause::Join { node } | PlacementCause::Leave { node } => Some(node),
-        }
-    }
-}
-
-/// One audited placement decision: when it was made, why, what the
-/// policy saw, and what it chose.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PlacementAuditEntry {
-    /// Decision number, starting at 0 for the initial decision.
-    pub seq: u64,
-    /// Virtual time of the decision.
-    pub at: f64,
-    /// What triggered it.
-    pub cause: PlacementCause,
-    /// Dead-set the policy saw (sorted node indices).
-    pub dead_nodes: Vec<usize>,
-    /// Live-roster size the policy saw.
-    pub live_nodes: usize,
-    /// What the policy chose.
-    pub decision: PlacementDecision,
-}
-
-/// The fleet run's full placement audit trail, in decision order. Every
-/// decision the driver applied is here — the initial one matches
-/// `plan_placement` on the same config by construction.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct PlacementAudit {
-    /// Entries in `seq` order.
-    pub entries: Vec<PlacementAuditEntry>,
-}
-
-impl PlacementAudit {
-    /// Hand-rendered JSON via the shared [`json`] helpers.
-    pub fn to_json(&self) -> String {
-        json::Obj::new()
-            .raw(
-                "entries",
-                json::array(self.entries.iter().map(|e| {
-                    let mut o = json::Obj::new()
-                        .u64("seq", e.seq)
-                        .f64("at", e.at)
-                        .str("cause", e.cause.as_str());
-                    o = match e.cause.node() {
-                        Some(n) => o.u64("node", n as u64),
-                        None => o.raw("node", "null"),
-                    };
-                    o.raw("dead_nodes", json::array(e.dead_nodes.iter().map(|n| n.to_string())))
-                        .u64("live_nodes", e.live_nodes as u64)
-                        .raw("decision", e.decision.to_json())
                         .finish()
                 })),
             )

@@ -1,17 +1,20 @@
 //! Fleet observability plane: tenant/node-labeled metrics, SLO burn-rate
-//! reports, the topology stream, and the placement audit trail.
+//! reports, the topology stream, and the placement decisions on it.
 //! Differential style throughout — every derived surface is reconciled
 //! against an independent fold of the raw event streams or the churn
 //! plan itself.
 
 use adcnn_core::fdsp::TileGrid;
 use adcnn_core::fleetobs::{LabeledMetricsRegistry, SloSpec};
-use adcnn_core::obs::{json, MetricsSink, ObsEvent, RecordingSink, SinkHandle};
+use adcnn_core::obs::{
+    json, MetricsSink, ObsEvent, RecordingSink, SinkHandle, PLACEMENT_INITIAL, PLACEMENT_JOIN,
+    PLACEMENT_LEAVE,
+};
 use adcnn_core::report::Reporter;
 use adcnn_netsim::planner::plan_placement;
 use adcnn_netsim::{
-    ArrivalSpec, ChurnPlan, FleetConfig, FleetSim, FleetSummary, GreedyPlacement, PlacementCause,
-    SimNode, TenantSpec,
+    ArrivalSpec, ChurnPlan, FleetConfig, FleetSim, FleetSummary, GreedyPlacement, SimNode,
+    TenantSpec,
 };
 use adcnn_nn::zoo;
 use std::sync::Arc;
@@ -115,12 +118,12 @@ fn topology_stream_reconciles_with_the_churn_plan() {
     assert_eq!(fs.completed, 150);
 }
 
-/// The audit trail: entry 0 is the `plan_placement` decision on the same
-/// config, one entry per re-placement follows with its cause and the
-/// dead-set the policy saw, and the whole trail serializes to
-/// well-formed JSON.
+/// The placement decisions on the event stream: decision 0 is the
+/// `plan_placement` decision on the same config, one decision per
+/// re-placement follows, each caused by the `NodeDown`/`NodeUp` just before
+/// it and seeing the live roster that topology stream implies.
 #[test]
-fn placement_audit_records_every_decision_with_cause_and_inputs() {
+fn placement_decisions_on_the_stream_carry_cause_and_inputs() {
     let mut nodes: Vec<SimNode> = (0..8).map(|_| SimNode::pi()).collect();
     join_leave_plan().apply(&mut nodes);
     let policy = GreedyPlacement::with_headroom(1.3).unwrap();
@@ -129,49 +132,43 @@ fn placement_audit_records_every_decision_with_cause_and_inputs() {
     let rec = Arc::new(RecordingSink::new());
     cfg.sink = SinkHandle::new(rec.clone());
     let fs = FleetSim::new(cfg.clone()).run();
-
-    assert_eq!(fs.audit.entries.len() as u64, fs.replacements + 1);
-    // The stream carries one PlacementDecided per audit entry, in order.
-    let decided: Vec<(u64, f64, u32)> = rec
-        .events()
-        .iter()
-        .filter(|ev| ev.is_fleet_scope())
-        .filter_map(|ev| match *ev {
-            ObsEvent::PlacementDecided { seq, at, live_nodes, .. } => Some((seq, at, live_nodes)),
-            _ => None,
-        })
-        .collect();
-    let audited: Vec<(u64, f64, u32)> =
-        fs.audit.entries.iter().map(|e| (e.seq, e.at, e.live_nodes as u32)).collect();
-    assert_eq!(decided, audited, "event stream and audit trail diverge");
-    let initial = &fs.audit.entries[0];
-    assert_eq!(initial.seq, 0);
-    assert_eq!(initial.cause, PlacementCause::Initial);
-    assert!(initial.dead_nodes.is_empty());
-    assert_eq!(initial.live_nodes, 8);
-    assert_eq!(initial.decision, fs.placement);
-    assert_eq!(
-        initial.decision,
-        plan_placement(&cfg, &GreedyPlacement::with_headroom(1.3).unwrap())
-    );
-
+    assert_eq!(fs.placement, plan_placement(&cfg, &GreedyPlacement::with_headroom(1.3).unwrap()));
     assert!(fs.replacements > 0, "churny run never re-placed — vacuous test");
-    for (i, e) in fs.audit.entries.iter().enumerate().skip(1) {
-        assert_eq!(e.seq as usize, i);
-        assert!(e.at > 0.0);
-        let n = e.cause.node().expect("re-placements are churn-caused");
-        match e.cause {
-            PlacementCause::Leave { .. } => {
-                assert!(e.dead_nodes.contains(&n), "leave cause must be in the dead-set")
+
+    // Replay the topology stream alongside the decisions it causes.
+    let mut dead = std::collections::BTreeSet::new();
+    let mut last_topo: Option<(u32, bool)> = None;
+    let mut decisions = 0u64;
+    for ev in rec.events().iter().filter(|ev| ev.is_fleet_scope()) {
+        match *ev {
+            ObsEvent::NodeDown { node, .. } => {
+                dead.insert(node);
+                last_topo = Some((node, false));
             }
-            PlacementCause::Join { .. } => {
-                assert!(!e.dead_nodes.contains(&n), "join cause must have left the dead-set")
+            ObsEvent::NodeUp { node, .. } => {
+                dead.remove(&node);
+                last_topo = Some((node, true));
             }
-            PlacementCause::Initial => panic!("Initial after entry 0"),
+            ObsEvent::PlacementDecided { seq, at, cause, node, live_nodes, .. } => {
+                assert_eq!(seq, decisions, "decisions out of order");
+                if seq == 0 {
+                    assert_eq!((cause, at, live_nodes), (PLACEMENT_INITIAL, 0.0, 8));
+                } else {
+                    assert!(at > 0.0);
+                    let up = match cause {
+                        PLACEMENT_JOIN => true,
+                        PLACEMENT_LEAVE => false,
+                        other => panic!("re-placement {seq} has cause {other}"),
+                    };
+                    assert_eq!(last_topo, Some((node, up)), "decision {seq} names the wrong node");
+                }
+                assert_eq!(live_nodes as usize, 8 - dead.len());
+                decisions += 1;
+            }
+            _ => {}
         }
-        assert_eq!(e.live_nodes, 8 - e.dead_nodes.len());
     }
-    assert!(json::is_well_formed(&fs.audit.to_json()), "audit JSON must be well-formed");
+    assert_eq!(decisions, fs.replacements + 1);
 }
 
 /// End-to-end labeled surface: a fleet run with per-tenant SLOs produces

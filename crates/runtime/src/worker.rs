@@ -50,13 +50,15 @@ pub struct WorkerOptions {
 }
 
 impl WorkerOptions {
-    /// Start building validated options from the defaults.
+    /// Start building validated options from the defaults. Only
+    /// `perf-ledger/` builds options this way; everything else writes
+    /// `WorkerOptions { .., ..Default::default() }`.
     pub fn builder() -> WorkerOptionsBuilder {
         WorkerOptionsBuilder { opts: WorkerOptions::default() }
     }
 
-    /// Check the invariants the builder enforces; `AdcnnRuntime::launch`
-    /// re-validates so a hand-mutated struct fails just as loudly.
+    /// Check the probabilities; `AdcnnRuntime::launch` runs this on every
+    /// worker's options, so a bad value fails before any thread starts.
     pub fn validate(&self) -> Result<(), ConfigError> {
         check_probability("drop_prob", self.drop_prob)?;
         check_probability("corrupt_prob", self.corrupt_prob)
@@ -70,49 +72,15 @@ pub struct WorkerOptionsBuilder {
 }
 
 impl WorkerOptionsBuilder {
-    /// Extra sleep per tile.
+    /// Extra sleep per tile. The ledger's (`perf-ledger/src/serve.rs`);
+    /// goes with the item-6 `benchmark` PR.
     pub fn artificial_delay(mut self, d: Duration) -> Self {
         self.opts.artificial_delay = d;
         self
     }
 
-    /// Stop responding after this many tiles.
-    pub fn fail_after_tiles(mut self, n: usize) -> Self {
-        self.opts.fail_after_tiles = Some(n);
-        self
-    }
-
-    /// Exit (disconnecting the task channel) instead of going silent.
-    pub fn disconnect_on_fail(mut self, yes: bool) -> Self {
-        self.opts.disconnect_on_fail = yes;
-        self
-    }
-
-    /// Per-tile probability that the result is silently lost.
-    pub fn drop_prob(mut self, p: f64) -> Self {
-        self.opts.drop_prob = p;
-        self
-    }
-
-    /// Extra uniform random delay in `[0, jitter]` per tile.
-    pub fn delay_jitter(mut self, jitter: Duration) -> Self {
-        self.opts.delay_jitter = jitter;
-        self
-    }
-
-    /// Per-tile probability that the payload fails to decode.
-    pub fn corrupt_prob(mut self, p: f64) -> Self {
-        self.opts.corrupt_prob = p;
-        self
-    }
-
-    /// Fault-injection RNG seed.
-    pub fn fault_seed(mut self, seed: u64) -> Self {
-        self.opts.fault_seed = seed;
-        self
-    }
-
-    /// Validate and produce the options.
+    /// Validate and produce the options. The ledger's; goes with the
+    /// item-6 `benchmark` PR.
     pub fn build(self) -> Result<WorkerOptions, ConfigError> {
         self.opts.validate()?;
         Ok(self.opts)
@@ -167,8 +135,8 @@ impl WorkerStats {
     }
 }
 
-/// Plain-value copy of [`WorkerStats`] surfaced in
-/// [`crate::central::InferOutcome`].
+/// Plain-value copy of [`WorkerStats`], one per worker from
+/// [`AdcnnRuntime::worker_stats`](crate::central::AdcnnRuntime::worker_stats).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkerStatsSnapshot {
     /// Tiles fully processed since launch.
@@ -177,18 +145,6 @@ pub struct WorkerStatsSnapshot {
     pub compute_ns: u64,
     /// Cumulative clip + quantize + RLE time, nanoseconds.
     pub compress_ns: u64,
-}
-
-impl WorkerStatsSnapshot {
-    /// Mean per-tile compute time, if any tiles were processed.
-    pub fn mean_compute(&self) -> Option<Duration> {
-        (self.tiles > 0).then(|| Duration::from_nanos(self.compute_ns / self.tiles))
-    }
-
-    /// Mean per-tile compression time, if any tiles were processed.
-    pub fn mean_compress(&self) -> Option<Duration> {
-        (self.tiles > 0).then(|| Duration::from_nanos(self.compress_ns / self.tiles))
-    }
 }
 
 /// Run one tile through the Conv-node pipeline: prefix forward in the
@@ -231,6 +187,42 @@ pub(crate) fn process_tile(
     let t2 = Instant::now();
     let result = make_result_from_parts(task.key, shape, elems, encoded, quantizer);
     (result, t1.duration_since(t0), t2.duration_since(t1))
+}
+
+/// Observe one processed tile, the same way whichever carrier brought it
+/// back: count it in `stats` and mirror its spans into `sink`. Compress
+/// ends at `done_s` (seconds since the runtime's epoch) and compute ends
+/// where compress began.
+pub(crate) fn observe_tile(
+    stats: &WorkerStats,
+    sink: &SinkHandle,
+    worker: usize,
+    done_s: f64,
+    compute: Duration,
+    compress: Duration,
+    res: &TileResult,
+) {
+    stats.record(compute, compress);
+    let compress_s = compress.as_secs_f64();
+    sink.emit_with(|| ObsEvent::TileCompute {
+        at: (done_s - compress_s).max(0.0),
+        image: res.key.image_id,
+        tile: res.key.tile_id,
+        worker: worker as u32,
+        dur: compute.as_secs_f64(),
+    });
+    sink.emit_with(|| {
+        let bits = res.wire_bits();
+        ObsEvent::TileCompress {
+            at: done_s,
+            image: res.key.image_id,
+            tile: res.key.tile_id,
+            worker: worker as u32,
+            dur: compress_s,
+            bytes: bits / 8,
+            ratio: bits as f64 / (res.payload.elems as f64 * 32.0),
+        }
+    });
 }
 
 /// Spawn a Conv-node worker thread.
@@ -289,28 +281,8 @@ pub(crate) fn spawn_worker(
                 }
                 let (mut result, compute, compress) =
                     process_tile(&prefix, compression, &task, &mut scratch, &mut cs);
-                let done = Instant::now();
-                stats.record(compute, compress);
-                sink.emit_with(|| ObsEvent::TileCompute {
-                    at: (done - compress).duration_since(epoch).as_secs_f64(),
-                    image: task.key.image_id,
-                    tile: task.key.tile_id,
-                    worker: worker_id as u32,
-                    dur: compute.as_secs_f64(),
-                });
-                sink.emit_with(|| {
-                    let bits = result.wire_bits();
-                    let elems = result.payload.elems;
-                    ObsEvent::TileCompress {
-                        at: done.duration_since(epoch).as_secs_f64(),
-                        image: task.key.image_id,
-                        tile: task.key.tile_id,
-                        worker: worker_id as u32,
-                        dur: compress.as_secs_f64(),
-                        bytes: bits / 8,
-                        ratio: bits as f64 / (elems as f64 * 32.0),
-                    }
-                });
+                let done_s = epoch.elapsed().as_secs_f64();
+                observe_tile(&stats, &sink, worker_id, done_s, compute, compress, &result);
                 processed += 1;
                 if opts.drop_prob > 0.0 && faults.gen_bool(opts.drop_prob) {
                     continue; // the result vanishes on the "wire"
@@ -377,7 +349,6 @@ mod tests {
         assert_eq!(t.dims(), &[1, 2, 4, 4]);
         let snap = stats.snapshot();
         assert_eq!(snap.tiles, 1);
-        assert!(snap.mean_compute().is_some());
 
         task_tx.send(WorkerMsg::Shutdown).unwrap();
         h.join().unwrap();
@@ -511,29 +482,29 @@ mod tests {
     }
 
     #[test]
-    fn options_builder_validates_probabilities() {
-        let opts = WorkerOptions::builder()
-            .artificial_delay(Duration::from_millis(5))
-            .fail_after_tiles(3)
-            .disconnect_on_fail(true)
-            .drop_prob(0.25)
-            .delay_jitter(Duration::from_millis(2))
-            .corrupt_prob(0.5)
-            .fault_seed(7)
-            .build()
-            .unwrap();
-        assert_eq!(opts.fail_after_tiles, Some(3));
-        assert!(opts.disconnect_on_fail);
-        assert_eq!(opts.drop_prob, 0.25);
+    fn options_validate_probabilities() {
+        let opts = WorkerOptions {
+            artificial_delay: Duration::from_millis(5),
+            fail_after_tiles: Some(3),
+            disconnect_on_fail: true,
+            drop_prob: 0.25,
+            delay_jitter: Duration::from_millis(2),
+            corrupt_prob: 0.5,
+            fault_seed: 7,
+        };
+        assert!(opts.validate().is_ok());
+        let with = |drop_prob, corrupt_prob| {
+            WorkerOptions { drop_prob, corrupt_prob, ..Default::default() }.validate()
+        };
         assert!(matches!(
-            WorkerOptions::builder().drop_prob(1.5).build(),
+            with(1.5, 0.0),
             Err(ConfigError::ProbabilityOutOfRange { field: "drop_prob", .. })
         ));
         assert!(matches!(
-            WorkerOptions::builder().corrupt_prob(-0.1).build(),
+            with(0.0, -0.1),
             Err(ConfigError::ProbabilityOutOfRange { field: "corrupt_prob", .. })
         ));
-        assert!(WorkerOptions::builder().drop_prob(f64::NAN).build().is_err());
+        assert!(with(f64::NAN, 0.0).is_err());
     }
 
     #[test]

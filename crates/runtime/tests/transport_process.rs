@@ -4,6 +4,7 @@
 //! recovered by the lifecycle manager.
 
 use adcnn_core::fdsp::TileGrid;
+use adcnn_core::lifecycle::LifecyclePolicy;
 use adcnn_core::obs::{ObsEvent, RecordingSink, SinkHandle};
 use adcnn_runtime::transport::{
     decode_welcome, encode_hello, read_frame, spawn_loopback_worker, write_frame, Endpoint,
@@ -106,11 +107,11 @@ fn kill_dash_nine_recovers_by_redispatch_then_rejoins() {
     // Record the structured stream too: the supervisor must narrate the
     // topology (NodeUp on join/rejoin, NodeDown on first death detection).
     let rec = std::sync::Arc::new(RecordingSink::new());
-    let cfg = RuntimeConfig::builder()
-        .hard_timeout(Duration::from_secs(5))
-        .sink(SinkHandle::new(rec.clone()))
-        .build()
-        .unwrap();
+    let cfg = RuntimeConfig {
+        policy: LifecyclePolicy { hard_timeout: 5.0, ..Default::default() },
+        sink: SinkHandle::new(rec.clone()),
+        ..Default::default()
+    };
     let mut rt =
         AdcnnRuntime::launch_remote(spec(), 2, cfg, listener, Duration::from_secs(10)).unwrap();
     let mut local = AdcnnRuntime::launch(
@@ -372,7 +373,7 @@ fn wrong_shape_results_are_corrupt_not_fatal() {
     });
 
     let rec = std::sync::Arc::new(RecordingSink::new());
-    let cfg = RuntimeConfig::builder().sink(SinkHandle::new(rec.clone())).build().unwrap();
+    let cfg = RuntimeConfig { sink: SinkHandle::new(rec.clone()), ..Default::default() };
     let mut rt =
         AdcnnRuntime::launch_remote(spec(), 2, cfg, listener, Duration::from_secs(10)).unwrap();
     let mut local = AdcnnRuntime::launch(
@@ -446,7 +447,7 @@ fn remote_spans_are_stamped_like_in_process_spans() {
     let listener = bind_loopback();
     let worker = spawn_loopback_worker(listener.endpoint().clone());
     let rec = std::sync::Arc::new(RecordingSink::new());
-    let cfg = RuntimeConfig::builder().sink(SinkHandle::new(rec.clone())).build().unwrap();
+    let cfg = RuntimeConfig { sink: SinkHandle::new(rec.clone()), ..Default::default() };
     let mut rt =
         AdcnnRuntime::launch_remote(spec(), 1, cfg, listener, Duration::from_secs(10)).unwrap();
     let out = rt.infer(&rand_image(600));

@@ -17,7 +17,7 @@ use adcnn::nn::layer::QuantizeSte;
 use adcnn::nn::small::shapes_cnn;
 use adcnn::retrain::data::{shapes, SHAPE_CLASSES};
 use adcnn::retrain::PartitionedModel;
-use adcnn::runtime::{AdcnnRuntime, RuntimeConfig, SinkHandle, WorkerOptions};
+use adcnn::runtime::{AdcnnRuntime, LifecyclePolicy, RuntimeConfig, SinkHandle, WorkerOptions};
 use adcnn::tensor::Tensor;
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
@@ -53,12 +53,12 @@ fn main() {
     let metrics = Arc::new(MetricsSink::new());
     let recorder = Arc::new(FlightRecorderSink::new(2048));
     let attribution = Arc::new(AttributionSink::new());
-    let cfg = RuntimeConfig::builder()
-        .t_l(Duration::from_millis(40))
-        .sink(SinkHandle::new(trace.clone()).tee(metrics.clone()).tee(recorder.clone()))
-        .attribution(attribution.clone())
-        .build()
-        .expect("valid runtime config");
+    let cfg = RuntimeConfig {
+        policy: LifecyclePolicy { t_l: 0.040, ..Default::default() },
+        sink: SinkHandle::new(trace.clone()).tee(metrics.clone()).tee(recorder.clone()),
+        attribution: Some(attribution.clone()),
+        ..Default::default()
+    };
     let mut rt = AdcnnRuntime::launch(model, &workers, cfg);
 
     let data = shapes(1, 24, 32, 9);

@@ -79,7 +79,7 @@ fn main() {
     //    suffix of image i overlaps the tile fan-out of image i+1 (the
     //    paper's Figure 9 pipelining).
     println!("[3/4] launching the ADCNN runtime with 4 Conv nodes (pipeline depth 2)…");
-    let cfg = RuntimeConfig::builder().pipeline_depth(2).build().expect("valid runtime config");
+    let cfg = RuntimeConfig { pipeline_depth: 2, ..Default::default() };
     let runtime = AdcnnRuntime::launch(retrained, &[WorkerOptions::default(); 4], cfg);
 
     // 4. Serve the test set across the cluster: submit every image up

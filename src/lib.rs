@@ -31,7 +31,8 @@ pub use adcnn_tensor as tensor;
 /// ```
 /// use adcnn::prelude::*;
 ///
-/// let cfg = RuntimeConfig::builder().gamma(0.5).build().unwrap();
+/// let cfg = RuntimeConfig { gamma: 0.5, ..Default::default() };
+/// cfg.validate().unwrap();
 /// assert_eq!(cfg.gamma, 0.5);
 /// ```
 pub mod prelude {

@@ -12,7 +12,7 @@ use adcnn::retrain::data::shapes;
 use adcnn::retrain::progressive::{progressive_retrain, RetrainConfig};
 use adcnn::retrain::trainer::{evaluate, train, TrainConfig};
 use adcnn::retrain::PartitionedModel;
-use adcnn::runtime::{AdcnnRuntime, RuntimeConfig, WorkerOptions};
+use adcnn::runtime::{AdcnnRuntime, LifecyclePolicy, RuntimeConfig, WorkerOptions};
 use adcnn::tensor::Tensor;
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -132,10 +132,10 @@ fn cluster_survives_worker_death_without_losing_tiles() {
         WorkerOptions { fail_after_tiles: Some(3), ..Default::default() },
         WorkerOptions { fail_after_tiles: Some(10), ..Default::default() },
     ];
-    let cfg = RuntimeConfig::builder()
-        .t_l(std::time::Duration::from_millis(50))
-        .build()
-        .expect("valid runtime config");
+    let cfg = RuntimeConfig {
+        policy: LifecyclePolicy { t_l: 0.050, ..Default::default() },
+        ..Default::default()
+    };
     let mut rt = AdcnnRuntime::launch(model, &opts, cfg.clone());
     let images: Vec<Tensor> =
         (0..8).map(|_| Tensor::randn([1, 3, 32, 32], 0.5, &mut rng)).collect();
@@ -179,15 +179,15 @@ fn metrics_snapshot_reconciles_with_infer_outcomes_under_faults() {
             .with_quant(QuantizeSte::new(4, cr.range()));
     let opts = [
         WorkerOptions::default(),
-        WorkerOptions::builder().fail_after_tiles(5).disconnect_on_fail(true).build().unwrap(),
-        WorkerOptions::builder().corrupt_prob(0.3).fault_seed(99).build().unwrap(),
+        WorkerOptions { fail_after_tiles: Some(5), disconnect_on_fail: true, ..Default::default() },
+        WorkerOptions { corrupt_prob: 0.3, fault_seed: 99, ..Default::default() },
     ];
     let metrics = Arc::new(MetricsSink::new());
-    let cfg = RuntimeConfig::builder()
-        .t_l(std::time::Duration::from_millis(40))
-        .sink(SinkHandle::new(metrics.clone()))
-        .build()
-        .unwrap();
+    let cfg = RuntimeConfig {
+        policy: LifecyclePolicy { t_l: 0.040, ..Default::default() },
+        sink: SinkHandle::new(metrics.clone()),
+        ..Default::default()
+    };
     let mut rt = AdcnnRuntime::launch(model, &opts, cfg);
     let mut rng = StdRng::seed_from_u64(18);
     let images: Vec<Tensor> =

@@ -17,11 +17,10 @@ use adcnn::nn::layer::QuantizeSte;
 use adcnn::nn::small::shapes_cnn;
 use adcnn::nn::zoo;
 use adcnn::retrain::PartitionedModel;
-use adcnn::runtime::{AdcnnRuntime, RuntimeConfig, WorkerOptions};
+use adcnn::runtime::{AdcnnRuntime, LifecyclePolicy, RuntimeConfig, WorkerOptions};
 use adcnn::tensor::Tensor;
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn build_model(seed: u64, grid: TileGrid) -> PartitionedModel {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -82,13 +81,12 @@ fn runtime_zero_fills_yield_forensics_and_consistent_attribution() {
     ];
     let recorder = Arc::new(FlightRecorderSink::new(1024));
     let attr = Arc::new(AttributionSink::new());
-    let cfg = RuntimeConfig::builder()
-        .t_l(Duration::from_millis(50))
-        .max_redispatch_rounds(0)
-        .sink(SinkHandle::new(recorder.clone()))
-        .attribution(attr.clone())
-        .build()
-        .unwrap();
+    let cfg = RuntimeConfig {
+        policy: LifecyclePolicy { t_l: 0.050, max_redispatch_rounds: 0, ..Default::default() },
+        sink: SinkHandle::new(recorder.clone()),
+        attribution: Some(attr.clone()),
+        ..Default::default()
+    };
     let mut rt = AdcnnRuntime::launch(model, &opts, cfg);
     let out = rt.infer(&rand_image(1));
     rt.shutdown();
@@ -128,15 +126,14 @@ fn runtime_deep_pipeline_attribution_reconciles_per_image() {
     ];
     let recorder = Arc::new(FlightRecorderSink::new(4096));
     let attr = Arc::new(AttributionSink::new());
-    let cfg = RuntimeConfig::builder()
-        .t_l(Duration::from_millis(50))
-        .max_redispatch_rounds(0)
-        .pipeline_depth(4)
-        .intake_cap(8)
-        .sink(SinkHandle::new(recorder.clone()))
-        .attribution(attr.clone())
-        .build()
-        .unwrap();
+    let cfg = RuntimeConfig {
+        policy: LifecyclePolicy { t_l: 0.050, max_redispatch_rounds: 0, ..Default::default() },
+        pipeline_depth: 4,
+        intake_cap: 8,
+        sink: SinkHandle::new(recorder.clone()),
+        attribution: Some(attr.clone()),
+        ..Default::default()
+    };
     let rt = AdcnnRuntime::launch(model, &opts, cfg);
     let handles: Vec<_> = (0..6).map(|i| rt.submit(&rand_image(i + 1))).collect();
     // Wait in reverse submission order: completion resolution must not
@@ -257,7 +254,7 @@ fn netsim_zero_fills_yield_forensics_and_consistent_attribution() {
 #[test]
 fn runtime_merge_phase_covers_the_suffix() {
     let attr = Arc::new(AttributionSink::new());
-    let cfg = RuntimeConfig::builder().attribution(attr.clone()).build().unwrap();
+    let cfg = RuntimeConfig { attribution: Some(attr.clone()), ..Default::default() };
     let mut rt = AdcnnRuntime::launch(
         build_model(9, TileGrid::new(2, 2)),
         &[WorkerOptions::default(); 2],

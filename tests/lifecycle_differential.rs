@@ -1,28 +1,26 @@
 //! Differential test for the sans-IO tile lifecycle: replay identical
 //! event traces through `adcnn_core::lifecycle::replay` — the one replay
 //! loop — under each driver's contribution to it: the simulator's clock
-//! (identity), the runtime's (`replay_clock()`, the `Instant` roundtrip the
-//! collector itself performs), and the runtime's clock fed by events that
-//! crossed a real loopback-TCP socket. The decision sequences —
+//! (identity) and the runtime's (`replay_clock()`, the `Instant` roundtrip
+//! the collector itself performs). The decision sequences —
 //! dispatch/re-dispatch targets, zero-fill sets, rate-update attribution,
 //! completion — the emitted `ObsEvent`s and the attribution reports must be
 //! identical. This is the contract that makes a deployment plan validated
-//! in `adcnn-netsim` trustworthy on `adcnn-runtime`: every side drives the
-//! same `adcnn_core::lifecycle::TileLifecycle`, and no side's clock or
-//! carrier plumbing may perturb a single decision.
+//! in `adcnn-netsim` trustworthy on `adcnn-runtime`: both sides drive the
+//! same `adcnn_core::lifecycle::TileLifecycle`, and neither side's clock
+//! may perturb a single decision.
 //!
 //! Trace timestamps are millisecond-grain so the runtime's
 //! `f64 → Duration → f64` roundtrip is bit-exact.
 
 use adcnn_core::lifecycle::{replay, Event, LifecyclePolicy, TimerPolicy};
 use adcnn_runtime::central::replay_clock;
-use adcnn_runtime::transport::carry_events_loopback;
 
 fn policy() -> LifecyclePolicy {
     LifecyclePolicy { t_l: 0.030, ..Default::default() }
 }
 
-/// What the three drivers agreed on, rendered the way the assertions read
+/// What the two drivers agreed on, rendered the way the assertions read
 /// it: Debug-formatted decision lines (prefixed `[i] ` with the owning
 /// image index when more than one image is in flight), Debug-formatted
 /// `ObsEvent`s, and image 0's `ImageReport` as canonical JSON.
@@ -33,13 +31,9 @@ struct Agreed {
 }
 
 /// Replay an interleaved `(image, event)` trace — the shape the pipelined
-/// collector demultiplexes; one image is the one-alloc case — under all
-/// three drivers and assert the whole outcome (decisions, `ObsEvent`
+/// collector demultiplexes; one image is the one-alloc case — under both
+/// drivers and assert the whole outcome (decisions, `ObsEvent`
 /// schema/ordering/fields, per-image critical-path reports) is identical.
-/// The loopback leg serializes the trace as length-prefixed `EVENT`
-/// frames, decodes it on the far side and `Instant`-roundtrips it exactly
-/// like live transport results: a socket in the event path may not
-/// perturb a single decision.
 fn assert_identical(
     policy: LifecyclePolicy,
     d: usize,
@@ -51,11 +45,6 @@ fn assert_identical(
     let sim = replay(policy, d, allocs, speeds, live, trace, |at| at);
     let rt = replay(policy, d, allocs, speeds, live, trace, replay_clock());
     assert_eq!(rt, sim, "runtime and simulator drivers disagree");
-    let (images, events): (Vec<usize>, Vec<Event>) = trace.iter().copied().unzip();
-    let carried: Vec<(usize, Event)> =
-        images.into_iter().zip(carry_events_loopback(&events)).collect();
-    let tcp = replay(policy, d, allocs, speeds, live, &carried, replay_clock());
-    assert_eq!(rt, tcp, "a loopback-TCP event transport perturbed the replay");
     assert!(!rt.decisions.is_empty(), "a non-trivial trace must produce decisions");
     assert!(!rt.events.is_empty(), "a non-trivial trace must emit events");
     let report = rt.reports[0].clone();
