@@ -26,13 +26,24 @@ git diff --exit-code -- Cargo.lock perf-ledger/Cargo.lock
 # move them: a stray UPDATE_FLEET_GOLDEN=1 run fails here.
 git diff --exit-code -- crates/netsim/tests/golden
 # Non-test sizes (lines before each file's first #[cfg(test)]): netsim, the
-# runtime, and netsim + central.rs, the number ROADMAP item 8 tracks.
+# runtime, netsim + central.rs (the number ROADMAP item 8 tracked), and core +
+# netsim + runtime, which a move of code into adcnn-core cannot shrink.
 non_test() {
     awk 'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 } !t { n++ } END { print n }' "$@"
 }
 echo "netsim non-test lines: $(non_test crates/netsim/src/*.rs)"
 echo "runtime non-test lines: $(non_test crates/runtime/src/{central,transport,worker}.rs)"
 echo "netsim + central.rs non-test lines: $(non_test crates/netsim/src/*.rs crates/runtime/src/central.rs)"
+echo "core + netsim + runtime non-test lines: $(non_test crates/{core,netsim,runtime}/src/*.rs crates/runtime/src/bin/*.rs)"
+# The serving core is said once: allocation, the Algorithm 2 statistics and
+# the start of an image's lifecycle belong to adcnn-core's multi-image
+# machine (pipeline.rs), which both drivers hold; a driver calling them
+# itself is a second copy coming back.
+if git grep -n --untracked -F -e 'record_node(' -e '.allocate(' -e 'allocate_round_robin(' \
+    -e 'begin_observed(' -e 'StatsCollector::new(' -- crates/netsim/src crates/runtime/src; then
+    echo "a driver calls the scheduler or the lifecycle directly: go through Pipeline" >&2
+    exit 1
+fi
 # One way to set a config field: the runtime's builders exist for the perf
 # ledger alone, so a call anywhere else is a second route coming back.
 if git grep -n --untracked -e 'RuntimeConfig::builder(' -e 'WorkerOptions::builder(' \

@@ -25,7 +25,10 @@
 //!   (greedy min-makespan tile allocation with storage constraints).
 //! - [`lifecycle`] — the clock-agnostic, sans-IO tile-lifecycle state
 //!   machine (§6.3 timeout/zero-fill policy plus speculative re-dispatch)
-//!   driven by both the real runtime and the network simulator.
+//!   for one image.
+//! - [`pipeline`] — the multi-image machine above it (the statistics
+//!   collection block of Figure 8): admission, Algorithms 2 and 3, worker
+//!   liveness; driven by both the real runtime and the network simulator.
 //! - [`obs`] — structured observability: the zero-cost-when-disabled
 //!   [`obs::EventSink`] layer both drivers mirror lifecycle decisions
 //!   into, with metrics and recording (Chrome-trace) sinks built in.
@@ -46,6 +49,7 @@ pub mod halo;
 pub mod lifecycle;
 pub mod obs;
 pub mod partition;
+pub mod pipeline;
 pub mod report;
 pub mod sched;
 pub mod wire;
@@ -58,6 +62,7 @@ pub use lifecycle::{LifecyclePolicy, TileLifecycle, TimerPolicy};
 pub use obs::{
     EventSink, MetricsSink, MetricsSnapshot, ObsEvent, RecordingSink, SinkHandle, TeeSink,
 };
+pub use pipeline::{Pipeline, Split};
 pub use report::{
     AttributionAggregate, AttributionSink, FlightRecorderSink, ForensicReport, ImageReport,
     Reporter, ReporterSample, TileReport,

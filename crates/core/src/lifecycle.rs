@@ -29,7 +29,9 @@
 //!   never touches a channel, a thread, or an event queue.
 //!
 //! One [`TileLifecycle`] instance covers one image from dispatch to
-//! completion. Shared knobs live in [`LifecyclePolicy`] — including the
+//! completion; both drivers reach it through the multi-image machine,
+//! [`crate::pipeline::Pipeline`], which begins one per admitted image and
+//! feeds it that image's events. Shared knobs live in [`LifecyclePolicy`] — including the
 //! deadline slack factor that both old copies hard-coded as `1.25`.
 //! [`replay`] drives the machine from a recorded trace under a
 //! caller-supplied clock: the cross-driver differential test's one loop.
@@ -282,7 +284,7 @@ impl TileLifecycle {
     /// structured [`ObsEvent`] (constructed only when the sink is
     /// enabled).
     #[allow(clippy::too_many_arguments)]
-    pub fn begin_observed(
+    pub(crate) fn begin_observed(
         policy: LifecyclePolicy,
         at: f64,
         d: usize,
@@ -443,6 +445,12 @@ impl TileLifecycle {
     /// cap).
     pub fn hard_deadline(&self) -> f64 {
         self.start + self.policy.hard_timeout
+    }
+
+    /// Every original tile the transport accepted has been delivered
+    /// ([`Event::TileDelivered`]).
+    pub fn all_delivered(&self) -> bool {
+        self.delivered == self.sent
     }
 
     /// Per-image bookkeeping (valid any time; final once complete).

@@ -40,11 +40,6 @@ impl StatsCollector {
         StatsCollector { gamma, s: vec![1.0; k], failed: vec![false; k] }
     }
 
-    /// Number of Conv nodes tracked.
-    pub fn nodes(&self) -> usize {
-        self.s.len()
-    }
-
     /// Record one finished input image: `counts[k]` is the number of
     /// intermediate results received from node `k` within `T_L`.
     pub fn record_image(&mut self, counts: &[u32]) {

@@ -4,7 +4,11 @@
 //! - every tile ends in exactly one terminal state (accepted once, or
 //!   zero-filled/abandoned — never both, never neither),
 //! - re-dispatch rounds never exceed `max_redispatch_rounds`,
-//! - no action is emitted after image completion.
+//! - no action is emitted after image completion;
+//!
+//! and the multi-image machine above it keeps every image and its liveness
+//! promises under the same kind of interleavings — the thread-free seed of
+//! a schedule explorer.
 //!
 //! The event stream is decoded from flat integer/float/bool vectors (not
 //! composite strategies) so the test runs against any proptest-compatible
@@ -13,7 +17,12 @@
 use adcnn_core::lifecycle::{
     Action, Event, LifecycleCounters, LifecyclePolicy, TileLifecycle, TimerPolicy,
 };
+use adcnn_core::obs::SinkHandle;
+use adcnn_core::pipeline::{Pipeline, Split};
+use adcnn_core::sched::TileAllocator;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Decode one raw sample into an event. `kind` selects the variant; `at`
 /// is scaled into a plausible window per variant; `idx` picks tiles and
@@ -152,5 +161,127 @@ proptest! {
             prop_assert!(lc.handle(ev).is_empty(), "action after completion: {ev:?}");
         }
         prop_assert!(lc.counters().rounds <= policy.max_redispatch_rounds);
+    }
+}
+
+/// One image's decisions as the multi-image property sees them.
+#[derive(Default)]
+struct Image {
+    /// Last send target per tile.
+    held: Vec<usize>,
+    complete: usize,
+}
+
+/// Record `acts` for `image`, checking the liveness invariants on the way:
+/// no send goes to a down worker while any worker is live.
+fn record(pipe: &Pipeline<()>, images: &mut [Image], image: usize, acts: &[Action]) {
+    let any_live = pipe.live().contains(&true);
+    for a in acts {
+        match *a {
+            Action::Dispatch { tile, to } | Action::Redispatch { tile, to } => {
+                assert!(
+                    !any_live || pipe.live()[to],
+                    "image {image}: {a:?} targets down worker {to}"
+                );
+                images[image].held[tile] = to;
+            }
+            Action::Complete => images[image].complete += 1,
+            _ => {}
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The multi-image machine with N >= 4 images in flight under random
+    /// interleavings of results, deadlines, admissions, and workers going
+    /// down and coming back up:
+    ///
+    /// - every submitted image completes exactly once;
+    /// - a down worker's speed is 0 and nothing is sent to it, re-dispatch
+    ///   included, while some worker is live — `submit` included, so it gets
+    ///   no tile while a live node has room;
+    /// - a worker that comes back up restarts at speed 1.0.
+    #[test]
+    fn pipeline_invariants_hold_for_arbitrary_interleavings(
+        k in 2usize..5,
+        d in 1usize..9,
+        in_flight in 4usize..7,
+        rounds in 0u32..3,
+        seed in 0u64..1000,
+        kinds in proptest::collection::vec(0usize..6, 80..81),
+        idxs in proptest::collection::vec(0usize..64, 80..81),
+        oks in proptest::collection::vec(any::<bool>(), 80..81),
+    ) {
+        let policy = LifecyclePolicy { max_redispatch_rounds: rounds, ..Default::default() };
+        let allocator = TileAllocator::unbounded(k);
+        let mut pipe: Pipeline<()> =
+            Pipeline::new(policy, d, 0.9, Split::Adaptive, allocator, true, SinkHandle::null());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut images: Vec<Image> = Vec::new();
+        let mut now = 0.0;
+        let mut submit = |pipe: &mut Pipeline<()>, images: &mut Vec<Image>, now: f64| {
+            let image = images.len();
+            images.push(Image { held: vec![usize::MAX; d], complete: 0 });
+            let acts = pipe.submit(image as u64, now, (), &mut rng);
+            record(pipe, images, image, &acts);
+            for a in acts {
+                if let Action::Dispatch { tile, .. } = a {
+                    pipe.handle(image as u64, Event::TileDelivered { tile });
+                }
+            }
+            let acts = pipe.handle(image as u64, Event::SendComplete { at: now });
+            record(pipe, images, image, &acts);
+        };
+        for _ in 0..in_flight {
+            submit(&mut pipe, &mut images, now);
+        }
+        for i in 0..kinds.len() {
+            now += 0.001;
+            let (idx, image) = (idxs[i], idxs[i] % images.len());
+            match kinds[i] {
+                0 | 1 => {
+                    let tile = idx / images.len() % d;
+                    let worker = images[image].held[tile];
+                    if worker < k {
+                        let ev = Event::ResultArrived { at: now, tile, worker, ok: oks[i] };
+                        let acts = pipe.handle(image as u64, ev);
+                        record(&pipe, &mut images, image, &acts);
+                    }
+                }
+                2 => {
+                    if let Some(f) = pipe.get(image as u64) {
+                        now = now.max(f.lifecycle().next_deadline());
+                        let acts = pipe.handle(image as u64, Event::DeadlineFired { at: now });
+                        record(&pipe, &mut images, image, &acts);
+                    }
+                }
+                3 => {
+                    pipe.worker_down(idx % k);
+                }
+                4 => {
+                    if pipe.worker_up(idx % k) {
+                        prop_assert_eq!(pipe.speeds()[idx % k], 1.0);
+                    }
+                }
+                _ => submit(&mut pipe, &mut images, now),
+            }
+            for w in 0..k {
+                prop_assert!(pipe.live()[w] || pipe.speeds()[w] == 0.0, "down worker {} has speed", w);
+            }
+        }
+        // Close every image out at its hard deadline, then retire it.
+        for image in 0..images.len() as u64 {
+            let f = pipe.get(image).expect("no image is retired before the end");
+            let at = f.lifecycle().hard_deadline();
+            let acts = pipe.handle(image, Event::DeadlineFired { at });
+            record(&pipe, &mut images, image as usize, &acts);
+            prop_assert!(pipe.retire(image).is_some_and(|(_, lc)| lc.is_complete()));
+        }
+        for (i, img) in images.iter().enumerate() {
+            prop_assert_eq!(img.complete, 1, "image {} completed {} times", i, img.complete);
+        }
+        prop_assert!(pipe.is_empty());
     }
 }

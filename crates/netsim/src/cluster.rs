@@ -1,9 +1,10 @@
 //! The ADCNN cluster simulation: one Central node, K Conv nodes, a shared
 //! half-duplex wireless channel (§6, Figures 8–9).
 //!
-//! The simulation reuses the real scheduler (`StatsCollector`,
-//! `TileAllocator` from `adcnn-core`) and the calibrated cost model
-//! (`adcnn-nn::cost`), and reproduces the §6.1 workflow:
+//! The simulation reuses the real Central-node machine
+//! ([`adcnn_core::pipeline::Pipeline`]: Algorithms 2 and 3, worker liveness)
+//! and the calibrated cost model (`adcnn-nn::cost`), and reproduces the
+//! §6.1 workflow:
 //!
 //! 1. the Central node partitions each input into `grid` tiles and
 //!    allocates them with Algorithm 3 using the current Algorithm 2 stats;
@@ -17,15 +18,15 @@
 //!    once, mirroring the runtime's admission queue (depth 1 disables
 //!    the overlap).
 //!
-//! All tile-lifecycle *decisions* — deadlines, re-dispatch, zero-fill,
-//! the Algorithm 2 measurement cutoff — come from the shared sans-IO
-//! state machine, [`adcnn_core::lifecycle::TileLifecycle`], the exact
-//! code the real runtime (`adcnn-runtime`) drives. The simulated-time
-//! *driver* lives in [`crate::fleet`]: it feeds the machine its own
-//! event timestamps directly (the machine's abstract seconds ARE
-//! simulated seconds), turns actions into modeled channel transfers and
-//! event pushes, and never cancels timers (the machine ignores stale
-//! ones). [`AdcnnSim`] is the single-model front door: it runs a
+//! All *decisions* — allocation, deadlines, re-dispatch, zero-fill, the
+//! Algorithm 2 statistics and their measurement cutoff — come from that
+//! shared sans-IO machine and the [`adcnn_core::lifecycle::TileLifecycle`]
+//! it begins per image, the exact code the real runtime (`adcnn-runtime`)
+//! drives. The simulated-time *driver* lives in [`crate::fleet`]: it feeds
+//! the machine its own event timestamps directly (the machine's abstract
+//! seconds ARE simulated seconds), turns actions into modeled channel
+//! transfers and event pushes, and never cancels timers (the machine
+//! ignores stale ones). [`AdcnnSim`] is the single-model front door: it runs a
 //! one-tenant, closed-loop, full-retention fleet and reshapes the result
 //! into a [`SimSummary`] with per-image records. Because both
 //! drivers share one machine, a deployment plan validated in this
@@ -163,30 +164,35 @@ impl AdcnnSimConfig {
         }
     }
 
-    /// Check the config's invariants; [`AdcnnSim::new`] runs the same
-    /// check and panics on an `Err`.
+    /// Check the config's invariants: those of the fleet it runs as.
+    /// [`AdcnnSim::new`] runs the same check and panics on an `Err`.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        self.policy.validate()?;
-        if self.nodes.is_empty() {
-            return Err(ConfigError::NoWorkers);
+        self.fleet().validate()
+    }
+
+    /// The run as a fleet: one tenant, closed-loop, no churn, every image
+    /// retained.
+    fn fleet(&self) -> FleetConfig {
+        let tenant = TenantSpec {
+            grid: self.grid,
+            prefix: self.prefix,
+            policy: self.policy,
+            gamma: self.gamma,
+            compression: self.compression,
+            quant_bits: self.quant_bits,
+            adaptive: self.adaptive,
+            requests: self.images,
+            ..TenantSpec::new(self.model.clone())
+        };
+        FleetConfig {
+            central: self.central.clone(),
+            link: self.link,
+            pipeline_depth: self.pipeline_depth,
+            seed: self.seed,
+            retain_images: self.images,
+            sink: self.sink.clone(),
+            ..FleetConfig::new(self.nodes.clone(), vec![tenant])
         }
-        if !(self.gamma > 0.0 && self.gamma <= 1.0) {
-            return Err(ConfigError::GammaOutOfRange(self.gamma));
-        }
-        if !matches!(self.quant_bits, 2 | 4 | 8) {
-            return Err(ConfigError::UnsupportedQuantBits(self.quant_bits as u32));
-        }
-        if self.images == 0 {
-            return Err(ConfigError::ZeroImages);
-        }
-        if self.pipeline_depth == 0 {
-            return Err(ConfigError::ZeroPipelineDepth);
-        }
-        let blocks = self.model.blocks.len();
-        if self.prefix == 0 || self.prefix > blocks {
-            return Err(ConfigError::PrefixOutOfRange { prefix: self.prefix, blocks });
-        }
-        Ok(())
     }
 }
 
@@ -287,28 +293,7 @@ impl AdcnnSim {
     /// whose decision trace, timestamps and statistics
     /// `tests/fleet_differential.rs` pins byte-for-byte.
     pub fn run(&self) -> SimSummary {
-        let cfg = &self.cfg;
-        let tenant = TenantSpec {
-            grid: cfg.grid,
-            prefix: cfg.prefix,
-            policy: cfg.policy,
-            gamma: cfg.gamma,
-            compression: cfg.compression,
-            quant_bits: cfg.quant_bits,
-            adaptive: cfg.adaptive,
-            requests: cfg.images,
-            ..TenantSpec::new(cfg.model.clone())
-        };
-        let fleet = FleetConfig {
-            central: cfg.central.clone(),
-            link: cfg.link,
-            pipeline_depth: cfg.pipeline_depth,
-            seed: cfg.seed,
-            retain_images: cfg.images,
-            sink: cfg.sink.clone(),
-            ..FleetConfig::new(cfg.nodes.clone(), vec![tenant])
-        };
-        let fs = FleetSim::new(fleet).run();
+        let fs = FleetSim::new(self.cfg.fleet()).run();
         // Retained in completion order, i.e. nondecreasing `done_at`.
         let images: Vec<ImageStats> = fs.retained.into_iter().map(|(_, s)| s).collect();
         let t = &fs.tenants[0];

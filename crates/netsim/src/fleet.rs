@@ -18,8 +18,9 @@
 //!
 //! The loop is O(events · log events) with state indexed by id:
 //!
-//! - in-flight images live in a `HashMap` keyed by the global admission
-//!   id (never scanned, only probed);
+//! - each tenant's in-flight images live in its own
+//!   `adcnn_core::pipeline::Pipeline` — at most the admission window of
+//!   them — and every event names its tenant;
 //! - node deaths are maintained as a sorted dead-set fed by *churn
 //!   events* precomputed from each node's speed schedule, so timers touch
 //!   O(dead) nodes instead of re-walking every schedule;
@@ -47,16 +48,17 @@ use crate::profiles::LinkParams;
 use crate::tenancy::{FairScheduler, TenantSpec};
 use adcnn_core::config::ConfigError;
 use adcnn_core::fleetobs::{SloReport, SloTracker};
-use adcnn_core::lifecycle::{Action, Event, TileLifecycle, TimerPolicy};
+use adcnn_core::lifecycle::{Action, Event, TimerPolicy};
 use adcnn_core::obs::{
     Histogram, HistogramSnapshot, ObsEvent, SinkHandle, PLACEMENT_INITIAL, PLACEMENT_JOIN,
     PLACEMENT_LEAVE,
 };
-use adcnn_core::sched::{StatsCollector, TileAllocator};
+use adcnn_core::pipeline::{Pipeline, Split};
+use adcnn_core::sched::TileAllocator;
 use adcnn_nn::cost::{suffix_time_s, DeviceProfile};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Full configuration of one fleet run: one cluster, N tenants.
@@ -133,7 +135,7 @@ impl FleetConfig {
 /// Streaming per-tenant aggregates for one run — what a per-image
 /// [`ImageStats`] vector could answer about a tenant, at O(1) memory. The
 /// driver folds into this struct directly as images retire.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct TenantSummary {
     /// Tenant display name.
     pub name: String,
@@ -275,8 +277,15 @@ impl FleetSummary {
     }
 }
 
-/// Fleet events. `img` is the global admission id (admission order across
-/// all tenants), the same id the observability stream carries.
+/// One admitted image: its tenant, and its global admission id (admission
+/// order across all tenants), the id the observability stream carries.
+#[derive(Clone, Copy)]
+struct Img {
+    tenant: usize,
+    id: u64,
+}
+
+/// Fleet events.
 enum Ev {
     /// A node's speed schedule crosses a death/revival boundary. Pushed
     /// at init with the lowest sequence numbers, so at equal timestamps
@@ -290,57 +299,55 @@ enum Ev {
     Arrive {
         tenant: usize,
     },
+    /// The scheduler picked a request that arrived at `arrival`.
     Admit {
-        img: u64,
+        img: Img,
+        arrival: f64,
     },
     /// Stream the next pending input tile of `img` onto the channel.
     /// Tiles go out one at a time so result transfers interleave fairly
     /// with the next image's tile distribution.
     SendNext {
-        img: u64,
+        img: Img,
     },
     TileArrive {
-        img: u64,
+        img: Img,
         node: usize,
         tile: usize,
         original: bool,
     },
     ComputeDone {
-        img: u64,
+        img: Img,
         node: usize,
         tile: usize,
     },
     ResultArrive {
-        img: u64,
+        img: Img,
         node: usize,
         tile: usize,
     },
     /// A timer the driver armed. The lifecycle machine decides whether it
     /// is live or stale — the driver never cancels timers.
     Timer {
-        img: u64,
+        img: Img,
     },
     SuffixDone {
-        img: u64,
+        img: Img,
     },
 }
 
-/// Driver-side bookkeeping for one in-flight image. Everything that is a
-/// *decision* lives in `lc`; this tracks the modeled transport and the
-/// measurement surface.
+/// Driver-side bookkeeping for one in-flight image, the payload its
+/// tenant's machine carries. Every *decision* is the machine's; this tracks
+/// the modeled transport and the measurement surface.
+#[derive(Default)]
 struct ImageState {
-    tenant: usize,
     arrival_s: f64,
     admitted_at: f64,
-    lc: TileLifecycle,
-    tiles_total: u32,
-    tiles_arrived: u32,
-    send_queue: Vec<(usize, usize)>,
-    send_pos: usize,
-    sent_done: f64,
+    /// Original tiles not yet streamed onto the channel.
+    send_queue: VecDeque<(usize, usize)>,
     send_busy: f64,
     result_busy: f64,
-    first_compute_start: f64,
+    first_compute_start: Option<f64>,
     last_compute_end: f64,
     suffix_s: f64,
 }
@@ -359,20 +366,13 @@ struct Cluster<'a> {
 }
 
 impl Cluster<'_> {
-    /// Apply the actions the lifecycle machine of image `img` returned
-    /// for an event at time `at` — the one place the driver turns
-    /// decisions into modeled transfers, timers, Algorithm 2 observations
-    /// and the Central-node suffix. `Accept` and `ZeroFill` carry no
-    /// payload in a simulation, and first-round `Dispatch`es are streamed
-    /// by `Ev::SendNext`.
-    fn apply(
-        &mut self,
-        acts: Vec<Action>,
-        at: f64,
-        img: u64,
-        st: &mut ImageState,
-        tr: &mut TenantRt,
-    ) {
+    /// Apply the actions `img`'s tenant machine returned for an event at
+    /// time `at` — the one place the driver turns decisions into modeled
+    /// transfers, timers and the Central-node suffix. `Accept` and
+    /// `ZeroFill` carry no payload in a simulation, and first-round
+    /// `Dispatch`es are streamed by `Ev::SendNext`.
+    fn apply(&mut self, acts: Vec<Action>, at: f64, img: Img, tr: &mut TenantRt) {
+        let Some(st) = tr.pipe.get_mut(img.id).map(|f| &mut f.payload) else { return };
         // Chained pre-booking: each re-sent tile queues behind the
         // previous one's channel slot, which may lie past `at` — hence
         // `acquire_queued`, not `acquire` (events still pending at earlier
@@ -399,13 +399,6 @@ impl Cluster<'_> {
                     let from = resent_until.map_or(at, |t| t + self.link.latency_s);
                     self.queue.push(from + span, Ev::Timer { img });
                 }
-                // The machine already withholds observations for nodes it
-                // was told are dead; this guard covers deaths since.
-                Action::RecordRate { worker, rate }
-                    if self.dead_list.binary_search(&worker).is_err() =>
-                {
-                    tr.stats.record_node(worker, rate)
-                }
                 Action::Complete => {
                     let (s, e) = self.central_cpu.run(at, tr.suffix_work);
                     st.suffix_s = e - s;
@@ -418,10 +411,9 @@ impl Cluster<'_> {
 }
 
 /// Per-tenant runtime: precomputed cost surfaces, the tenant's own
-/// Algorithm 2 statistics and allocator, its arrival stream and backlog,
-/// and its streaming aggregates.
+/// machine (its in-flight images, Algorithm 2 statistics and allocator),
+/// its arrival stream and backlog, and its streaming aggregates.
 struct TenantRt {
-    d: usize,
     tile_in_bits: u64,
     tile_out_elems: u64,
     tile_out_bits: u64,
@@ -429,9 +421,7 @@ struct TenantRt {
     weight_load: Vec<f64>,
     suffix_work: f64,
     partition_work: f64,
-    adaptive: bool,
-    stats: StatsCollector,
-    allocator: TileAllocator,
+    pipe: Pipeline<ImageState>,
     // --- placement masks --------------------------------------------
     /// Nodes this tenant may use (all true under all-nodes policies).
     placed: Vec<bool>,
@@ -440,8 +430,6 @@ struct TenantRt {
     placed_all: bool,
     /// Placed nodes not currently dead — the scheduler-skip guard.
     placed_live: usize,
-    /// Unmasked storage caps, restored on re-placement.
-    base_storage: Vec<u64>,
     arrivals: ArrivalGen,
     /// Open-loop requests that arrived but are not yet admitted.
     pending: VecDeque<f64>,
@@ -463,6 +451,7 @@ impl TenantRt {
         nodes: &[SimNode],
         central: &DeviceProfile,
         seed: u64,
+        sink: &SinkHandle,
     ) -> Self {
         let (d, model) = (view.tiles, &spec.model);
         let (tile_in_bits, tile_out_bits) = (view.tile_in_bits, view.tile_out_bits);
@@ -471,8 +460,10 @@ impl TenantRt {
         let suffix_work = suffix_time_s(model, spec.prefix, central)
             + gather_bytes as f64 / central.mem_bytes_per_sec;
         let partition_work = model.input_bits() as f64 / 8.0 / central.mem_bytes_per_sec;
+        let split = if spec.adaptive { Split::Adaptive } else { Split::RoundRobin };
+        let storage = nodes.iter().map(|n| n.storage_bits).collect();
+        let allocator = TileAllocator::with_storage(tile_in_bits.max(1), storage);
         TenantRt {
-            d,
             tile_in_bits,
             tile_out_elems: view.tile_out_elems,
             tile_out_bits,
@@ -480,36 +471,17 @@ impl TenantRt {
             weight_load: view.weight_load_s.clone(),
             suffix_work,
             partition_work,
-            adaptive: spec.adaptive,
-            stats: StatsCollector::new(nodes.len(), spec.gamma),
-            allocator: TileAllocator::with_storage(
-                tile_in_bits.max(1),
-                nodes.iter().map(|n| n.storage_bits).collect(),
-            ),
+            pipe: Pipeline::new(spec.policy, d, spec.gamma, split, allocator, true, sink.clone()),
             placed: vec![true; nodes.len()],
             placed_all: true,
             placed_live: nodes.len(),
-            base_storage: nodes.iter().map(|n| n.storage_bits).collect(),
             arrivals: ArrivalGen::new(spec.arrivals.clone(), spec.requests, seed),
             pending: VecDeque::new(),
             sum: TenantSummary {
                 name: spec.name.clone(),
                 weight: spec.weight,
                 requests: spec.requests as u64,
-                completed: 0,
-                latency_us: HistogramSnapshot::default(),
-                queue_wait_us: HistogramSnapshot::default(),
-                latency_sum_s: 0.0,
-                queue_wait_sum_s: 0.0,
-                transmission_sum_s: 0.0,
-                computation_sum_s: 0.0,
-                tiles_allocated: 0,
-                dropped_tiles: 0,
-                late_tiles: 0,
-                redispatched_tiles: 0,
-                duplicate_tiles: 0,
-                last_done_s: 0.0,
-                slo: None,
+                ..Default::default()
             },
             lat_hist: Histogram::default(),
             wait_hist: Histogram::default(),
@@ -526,11 +498,11 @@ impl TenantRt {
         }
     }
 
-    /// Restrict this tenant to `nodes`: admission speeds, allocator
-    /// storage caps, and lifecycle live-sets all follow. `placed_live`
-    /// counts placed nodes not currently dead (the scheduler-skip
-    /// guard's input).
-    fn apply_placement(&mut self, nodes: &[usize], dead_list: &[usize]) {
+    /// Restrict this tenant to `nodes` of the fleet's `roster`: its
+    /// machine's allocation and lifecycle routing follow. `placed_live`
+    /// counts placed nodes not currently dead (the scheduler-skip guard's
+    /// input).
+    fn apply_placement(&mut self, nodes: &[usize], dead_list: &[usize], roster: &[SimNode]) {
         let k = self.placed.len();
         self.placed_all = nodes.len() == k;
         for p in self.placed.iter_mut() {
@@ -539,19 +511,27 @@ impl TenantRt {
         for &n in nodes {
             self.placed[n] = true;
         }
-        for n in 0..k {
-            // Zero storage makes a non-placed node invisible to the
-            // allocator — including its any-node-with-capacity fallback.
-            self.allocator.storage_bits[n] = if self.placed[n] { self.base_storage[n] } else { 0 };
-        }
+        // Zero storage hides a non-placed node from the machine — from
+        // allocation, its any-node-with-capacity fallback and re-dispatch.
+        let storage = (0..k).map(|n| if self.placed[n] { roster[n].storage_bits } else { 0 });
+        self.pipe.set_allocator(TileAllocator::with_storage(
+            self.tile_in_bits.max(1),
+            storage.collect(),
+        ));
         self.placed_live =
             (0..k).filter(|&n| self.placed[n] && dead_list.binary_search(&n).is_err()).count();
     }
 
-    /// Some placed node returns to life after `now` — i.e. skipping this
-    /// tenant's admission is a wait, not a deadlock.
-    fn revives_after(&self, node_revivals: &[Vec<f64>], now: f64) -> bool {
-        self.placed.iter().enumerate().any(|(n, &p)| p && node_revivals[n].iter().any(|&t| t > now))
+    /// Some placed node of the fleet's `roster` returns to life after `now`
+    /// — i.e. skipping this tenant's admission is a wait, not a deadlock.
+    fn revives_after(&self, roster: &[SimNode], now: f64) -> bool {
+        let revives = |node: &SimNode| {
+            node.throttle
+                .dead_transitions()
+                .iter()
+                .any(|&(t, dead)| !dead && t.is_finite() && t > now)
+        };
+        self.placed.iter().zip(roster).any(|(&p, node)| p && revives(node))
     }
 }
 
@@ -588,7 +568,7 @@ impl FleetSim {
             .map(|(t, (spec, view))| {
                 // Distinct, well-separated arrival stream per tenant.
                 let seed = cfg.seed ^ (t as u64 + 1).wrapping_mul(0x517C_C1B7_2722_0A95);
-                TenantRt::build(spec, view, &cfg.nodes, &cfg.central, seed)
+                TenantRt::build(spec, view, &cfg.nodes, &cfg.central, seed, sink)
             })
             .collect();
         let mut sched =
@@ -603,7 +583,7 @@ impl FleetSim {
         let mut replacements: u64 = 0;
         if !placement_all {
             for (t, a) in initial_placement.assignments.iter().enumerate() {
-                tenants_rt[t].apply_placement(&a.nodes, &[]);
+                tenants_rt[t].apply_placement(&a.nodes, &[], &cfg.nodes);
             }
         }
         // Every decision the run applies is a PlacementDecided event,
@@ -616,20 +596,6 @@ impl FleetSim {
             live_nodes: k as u32,
             seq: 0,
         });
-        // When each node returns to life, per node — the scheduler-skip
-        // guard must know whether a fully-dead placed set can recover.
-        let node_revivals: Vec<Vec<f64>> = cfg
-            .nodes
-            .iter()
-            .map(|n| {
-                n.throttle
-                    .dead_transitions()
-                    .into_iter()
-                    .filter(|&(t, dead)| !dead && t.is_finite())
-                    .map(|(t, _)| t)
-                    .collect()
-            })
-            .collect();
 
         // --- shared cluster state --------------------------------------
         let mut cl = Cluster {
@@ -640,10 +606,9 @@ impl FleetSim {
             node_cpus: cfg.nodes.iter().map(|n| ThrottledCpu::new(n.throttle.clone())).collect(),
             dead_list: Vec::new(),
         };
+        // One generator for every tenant's tie-breaks, drawn in admission
+        // order.
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut img_states: HashMap<u64, ImageState> = HashMap::new();
-        // (tenant, arrival time) of admissions whose Admit event is queued.
-        let mut admit_meta: HashMap<u64, (usize, f64)> = HashMap::new();
         // (tenant, image) whose prefix weights each node last streamed in.
         let mut node_loaded: Vec<(usize, u64)> = vec![(usize::MAX, u64::MAX); k];
 
@@ -688,7 +653,7 @@ impl FleetSim {
                         tr.has_ready()
                             && (tr.placed_all
                                 || tr.placed_live > 0
-                                || !tr.revives_after(&node_revivals, $now))
+                                || !tr.revives_after(&cfg.nodes, $now))
                     }) else {
                         break;
                     };
@@ -699,10 +664,9 @@ impl FleetSim {
                     } else {
                         tr.pending.pop_front().expect("eligible tenant has a backlog")
                     };
-                    let img = admitted_total;
-                    admit_meta.insert(img, (t, arrival));
+                    let img = Img { tenant: t, id: admitted_total };
                     admitted_total += 1;
-                    cl.queue.push($now, Ev::Admit { img });
+                    cl.queue.push($now, Ev::Admit { img, arrival });
                 }
             }};
         }
@@ -722,10 +686,9 @@ impl FleetSim {
             // re-arms) are pure driver artifacts: they must neither reach
             // the machine nor stretch the simulated horizon.
             if let Ev::Timer { img } = ev {
-                match img_states.get(&img) {
-                    None => continue,
-                    Some(st) if st.lc.is_complete() => continue,
-                    _ => {}
+                let f = tenants_rt[img.tenant].pipe.get(img.id);
+                if f.is_none_or(|f| f.lifecycle().is_complete()) {
+                    continue;
                 }
             }
             // Churn transitions are config bookkeeping, not workload:
@@ -741,6 +704,12 @@ impl FleetSim {
                             cl.dead_list.insert(i, node);
                             roster_changed = true;
                             sink.emit_with(|| ObsEvent::NodeDown { at: now, node: node as u32 });
+                            // No new image routes to the node from here, but
+                            // the statistics learn of the death only when a
+                            // deadline reveals it (the `Ev::Timer` arm).
+                            for tr in tenants_rt.iter_mut() {
+                                tr.pipe.set_reachable(node, false);
+                            }
                         }
                     } else if let Ok(i) = cl.dead_list.binary_search(&node) {
                         cl.dead_list.remove(i);
@@ -751,7 +720,8 @@ impl FleetSim {
                         // prior, exactly as the runtime treats a
                         // reconnecting worker.
                         for tr in tenants_rt.iter_mut() {
-                            tr.stats.rejoin(node);
+                            tr.pipe.set_reachable(node, true);
+                            tr.pipe.worker_up(node);
                         }
                     }
                     // Re-placement: the policy sees the new roster and
@@ -762,7 +732,7 @@ impl FleetSim {
                         placement_input.refresh(cfg, now, &cl.dead_list);
                         let decision = cfg.placement.place(&placement_input);
                         for (t, a) in decision.assignments.iter().enumerate() {
-                            tenants_rt[t].apply_placement(&a.nodes, &cl.dead_list);
+                            tenants_rt[t].apply_placement(&a.nodes, &cl.dead_list, &cfg.nodes);
                         }
                         replacements += 1;
                         sink.emit_with(|| ObsEvent::PlacementDecided {
@@ -785,9 +755,7 @@ impl FleetSim {
                     }
                     try_admit!(now);
                 }
-                Ev::Admit { img } => {
-                    let (tenant, arrival_s) =
-                        admit_meta.remove(&img).expect("admission without metadata");
+                Ev::Admit { img, arrival } => {
                     inflight_now += 1;
                     peak_inflight = peak_inflight.max(inflight_now as u32);
                     // Driver-emitted (never by the lifecycle), before the
@@ -795,156 +763,102 @@ impl FleetSim {
                     // runtime's collector uses.
                     sink.emit_with(|| ObsEvent::ImageAdmitted {
                         at: now,
-                        image: img,
-                        queue_wait: now - arrival_s,
+                        image: img.id,
+                        queue_wait: now - arrival,
                         inflight: inflight_now as u32,
                     });
                     // Tenant-tagged twin, same instant — the
                     // labeled-metrics registry keys on it.
                     sink.emit_with(|| ObsEvent::TenantAdmit {
                         at: now,
-                        image: img,
-                        tenant: tenant as u32,
-                        queue_wait: now - arrival_s,
+                        image: img.id,
+                        tenant: img.tenant as u32,
+                        queue_wait: now - arrival,
                     });
-                    let (_, part_done) = cl.central_cpu.run(now, tenants_rt[tenant].partition_work);
-                    // One mask for the allocator and the lifecycle: dead
-                    // nodes are out for everyone; a placed tenant
-                    // additionally never sees non-placed nodes (zero speed
-                    // here, zero storage cap in the allocator, so even its
-                    // any-node-with-capacity fallback cannot reach them),
-                    // and re-dispatch recovery stays inside its placed set.
-                    // With every node placed the mask is the identity.
-                    let tr = &tenants_rt[tenant];
-                    let mut live = vec![true; k];
-                    for &n in &cl.dead_list {
-                        live[n] = false;
-                    }
-                    let mut speeds = tr.stats.speeds().to_vec();
-                    for n in 0..k {
-                        if !tr.placed[n] {
-                            live[n] = false;
-                            speeds[n] = 0.0;
-                        }
-                    }
-                    let x = if tr.adaptive {
-                        tr.allocator.allocate(tr.d, &speeds, &mut rng)
-                    } else {
-                        // Round-robin over the placed subset only.
-                        let placed: Vec<usize> = (0..k).filter(|&n| tr.placed[n]).collect();
-                        let rr = adcnn_core::sched::allocate_round_robin(tr.d, placed.len());
-                        let mut x = vec![0u32; k];
-                        for (i, &n) in placed.iter().enumerate() {
-                            x[n] = rr[i];
-                        }
-                        x
-                    };
-                    let (lc, acts) = TileLifecycle::begin_observed(
-                        cfg.tenants[tenant].policy,
-                        now,
-                        tr.d,
-                        &x,
-                        &speeds,
-                        &live,
-                        img,
-                        sink.clone(),
-                    );
-                    let send_queue: Vec<(usize, usize)> = acts
+                    let tr = &mut tenants_rt[img.tenant];
+                    let (_, part_done) = cl.central_cpu.run(now, tr.partition_work);
+                    let st =
+                        ImageState { arrival_s: arrival, admitted_at: now, ..Default::default() };
+                    let acts = tr.pipe.submit(img.id, now, st, &mut rng);
+                    let send_queue: VecDeque<(usize, usize)> = acts
                         .iter()
                         .filter_map(|a| match a {
                             Action::Dispatch { tile, to } => Some((*tile, *to)),
                             _ => None,
                         })
                         .collect();
-                    let tiles_total = send_queue.len() as u32;
-                    let mut st = ImageState {
-                        tenant,
-                        arrival_s,
-                        admitted_at: now,
-                        lc,
-                        tiles_total,
-                        tiles_arrived: 0,
-                        send_queue,
-                        send_pos: 0,
-                        sent_done: part_done,
-                        send_busy: 0.0,
-                        result_busy: 0.0,
-                        first_compute_start: f64::INFINITY,
-                        last_compute_end: 0.0,
-                        suffix_s: 0.0,
-                    };
-                    if tiles_total == 0 {
+                    if send_queue.is_empty() {
                         // Nothing allocatable (all nodes dead/out of
                         // storage): the machine completes on SendComplete,
                         // the suffix runs on zeros, and the pipeline must
                         // not stall waiting for arrivals.
-                        let acts = st.lc.handle(Event::SendComplete { at: part_done });
-                        gate = gate.max(img + 1);
+                        let acts = tr.pipe.handle(img.id, Event::SendComplete { at: part_done });
+                        gate = gate.max(img.id + 1);
                         try_admit!(part_done);
-                        cl.apply(acts, part_done, img, &mut st, &mut tenants_rt[tenant]);
+                        cl.apply(acts, part_done, img, &mut tenants_rt[img.tenant]);
                     } else {
+                        tr.pipe.get_mut(img.id).expect("just submitted").payload.send_queue =
+                            send_queue;
                         cl.queue.push(part_done, Ev::SendNext { img });
                     }
-                    img_states.insert(img, st);
                 }
                 Ev::SendNext { img } => {
-                    let Some(st) = img_states.get_mut(&img) else { continue };
-                    if st.send_pos >= st.send_queue.len() {
+                    let tr = &mut tenants_rt[img.tenant];
+                    let Some(st) = tr.pipe.get_mut(img.id).map(|f| &mut f.payload) else {
                         continue;
-                    }
-                    let (tile, node) = st.send_queue[st.send_pos];
-                    st.send_pos += 1;
-                    let tr = &mut tenants_rt[st.tenant];
+                    };
+                    let Some((tile, node)) = st.send_queue.pop_front() else { continue };
                     let occ = cfg.link.occupancy_s(tr.tile_in_bits);
                     let (_, send_end) = cl.channel.acquire(now, occ);
                     st.send_busy += occ;
-                    st.sent_done = st.sent_done.max(send_end);
                     cl.queue.push(
                         send_end + cfg.link.latency_s,
                         Ev::TileArrive { img, node, tile, original: true },
                     );
-                    if st.send_pos < st.send_queue.len() {
+                    if !st.send_queue.is_empty() {
                         cl.queue.push(send_end, Ev::SendNext { img });
                     } else {
                         // All tiles of this image are on the wire: tell the
                         // machine and arm whatever timers it asks for.
-                        let acts = st.lc.handle(Event::SendComplete { at: send_end });
-                        cl.apply(acts, send_end, img, st, tr);
-                        if cfg.tenants[st.tenant].policy.timer == TimerPolicy::Deadline {
+                        let acts = tr.pipe.handle(img.id, Event::SendComplete { at: send_end });
+                        cl.apply(acts, send_end, img, tr);
+                        if cfg.tenants[img.tenant].policy.timer == TimerPolicy::Deadline {
                             // Fallback in case no result ever arrives: the
                             // machine's hard timeout, as a real event. The
                             // machine ignores it when it lands stale.
-                            cl.queue.push(st.lc.hard_deadline(), Ev::Timer { img });
+                            let f = tr.pipe.get(img.id).expect("retired only at SuffixDone");
+                            cl.queue.push(f.lifecycle().hard_deadline(), Ev::Timer { img });
                         }
                     }
                 }
                 Ev::TileArrive { img, node, tile, original } => {
+                    let tr = &mut tenants_rt[img.tenant];
+                    if original {
+                        tr.pipe.handle(img.id, Event::TileDelivered { tile });
+                    }
                     // The image may already have completed via the timeout
                     // (its suffix ran on the partial set); drop stragglers
                     // but still unblock the admission gate.
-                    let Some(st) = img_states.get_mut(&img) else {
-                        gate = gate.max(img + 1);
+                    let Some(f) = tr.pipe.get_mut(img.id) else {
+                        gate = gate.max(img.id + 1);
                         try_admit!(now);
                         continue;
                     };
-                    if original {
-                        st.tiles_arrived += 1;
-                        st.lc.handle(Event::TileDelivered { tile });
-                    }
-                    let all_arrived = st.tiles_arrived == st.tiles_total;
-                    let tr = &tenants_rt[st.tenant];
+                    let all_arrived = f.lifecycle().all_delivered();
+                    let st = &mut f.payload;
                     let mut work = tr.tile_work[node];
-                    if node_loaded[node] != (st.tenant, img) {
-                        node_loaded[node] = (st.tenant, img);
+                    if node_loaded[node] != (img.tenant, img.id) {
+                        node_loaded[node] = (img.tenant, img.id);
                         work += tr.weight_load[node];
                     }
                     let (cs, ce) = cl.node_cpus[node].run(now, work);
                     if ce.is_finite() {
-                        st.first_compute_start = st.first_compute_start.min(cs);
+                        st.first_compute_start =
+                            Some(st.first_compute_start.map_or(cs, |f| f.min(cs)));
                         cl.queue.push(ce, Ev::ComputeDone { img, node, tile });
                         sink.emit_with(|| ObsEvent::TileCompute {
                             at: ce,
-                            image: img,
+                            image: img.id,
                             tile: tile as u32,
                             worker: node as u32,
                             dur: ce - cs,
@@ -953,7 +867,7 @@ impl FleetSim {
                     // Figure 9 pipelining: the next image becomes eligible
                     // once this one's tiles are all on their nodes.
                     if original && all_arrived {
-                        gate = gate.max(img + 1);
+                        gate = gate.max(img.id + 1);
                         try_admit!(now);
                     }
                 }
@@ -961,16 +875,18 @@ impl FleetSim {
                     // The image may already be finished (its suffix ran on
                     // zero-filled inputs); the node still sends the result,
                     // which will be discarded on arrival.
-                    let Some(st) = img_states.get_mut(&img) else { continue };
+                    let tr = &mut tenants_rt[img.tenant];
+                    let Some(st) = tr.pipe.get_mut(img.id).map(|f| &mut f.payload) else {
+                        continue;
+                    };
                     st.last_compute_end = st.last_compute_end.max(now);
-                    let tr = &tenants_rt[st.tenant];
                     // The §4 pipeline is modeled analytically (its time is
                     // folded into the compute span), but the byte count is
                     // real modeled data: emit it so byte-accounting sinks
                     // see the same schema the runtime's workers emit.
                     sink.emit_with(|| ObsEvent::TileCompress {
                         at: now,
-                        image: img,
+                        image: img.id,
                         tile: tile as u32,
                         worker: node as u32,
                         dur: 0.0,
@@ -984,60 +900,50 @@ impl FleetSim {
                         .push(send_end + cfg.link.latency_s, Ev::ResultArrive { img, node, tile });
                     sink.emit_with(|| ObsEvent::TileTransfer {
                         at: send_end + cfg.link.latency_s,
-                        image: img,
+                        image: img.id,
                         tile: tile as u32,
                         worker: node as u32,
                         dur: occ,
                     });
                 }
                 Ev::ResultArrive { img, node, tile } => {
-                    // Results for an image whose record is already gone are
-                    // stragglers past the timeout: discard. Anything else —
-                    // fresh, duplicate, late — is the machine's call.
-                    let Some(st) = img_states.get_mut(&img) else { continue };
-                    let acts = st.lc.handle(Event::ResultArrived {
-                        at: now,
-                        tile,
-                        worker: node,
-                        ok: true,
-                    });
-                    cl.apply(acts, now, img, st, &mut tenants_rt[st.tenant]);
+                    // Fresh, duplicate, late: the machine's call. A result
+                    // for an image already retired is a straggler past the
+                    // timeout, and the machine ignores it.
+                    let tr = &mut tenants_rt[img.tenant];
+                    let ev = Event::ResultArrived { at: now, tile, worker: node, ok: true };
+                    let acts = tr.pipe.handle(img.id, ev);
+                    cl.apply(acts, now, img, tr);
                 }
                 Ev::Timer { img } => {
-                    let st = img_states.get_mut(&img).expect("checked at loop top");
-                    // Feed positively-observed deaths before judging the
-                    // deadline — the sim's equivalent of the runtime's
-                    // disconnect detection — so the machine never picks a
-                    // dead node as a re-dispatch target. The statistics are
-                    // told too (the runtime's `mark_failed` on disconnect):
-                    // the lifecycle machine suppresses rate observations
-                    // for dead nodes, so starvation must come from here,
-                    // not from stale measurements. The dead-set is sorted,
-                    // so deaths are fed in node order.
+                    // The simulator's death detection: when a deadline
+                    // fires, every tenant's statistics learn of every dead
+                    // node (the runtime's `worker_down` on a disconnect),
+                    // and the machine tells this image's lifecycle, in node
+                    // order, before the deadline is judged — so no dead
+                    // node is picked as a re-dispatch target.
                     for &n in &cl.dead_list {
-                        st.lc.handle(Event::WorkerDied { worker: n });
                         for tr in tenants_rt.iter_mut() {
-                            tr.stats.mark_failed(n);
+                            tr.pipe.worker_down(n);
                         }
                     }
-                    let acts = st.lc.handle(Event::DeadlineFired { at: now });
-                    cl.apply(acts, now, img, st, &mut tenants_rt[st.tenant]);
+                    let tr = &mut tenants_rt[img.tenant];
+                    let acts = tr.pipe.handle(img.id, Event::DeadlineFired { at: now });
+                    cl.apply(acts, now, img, tr);
                 }
                 Ev::SuffixDone { img } => {
-                    let st = img_states.remove(&img).expect("suffix for unknown image");
-                    let c = st.lc.counters();
-                    let conv_compute = if st.first_compute_start.is_finite() {
-                        (st.last_compute_end - st.first_compute_start).max(0.0)
-                    } else {
-                        0.0
-                    };
+                    let tr = &mut tenants_rt[img.tenant];
+                    let (st, lc) = tr.pipe.retire(img.id).expect("suffix for unknown image");
+                    let c = lc.counters();
+                    let conv_compute =
+                        st.first_compute_start.map_or(0.0, |f| (st.last_compute_end - f).max(0.0));
                     let stats = ImageStats {
                         latency_s: now - st.admitted_at,
                         send_busy_s: st.send_busy,
                         result_busy_s: st.result_busy,
                         conv_compute_s: conv_compute,
                         suffix_s: st.suffix_s,
-                        alloc: st.lc.alloc().to_vec(),
+                        alloc: lc.alloc().to_vec(),
                         // Allocated-but-never-arrived: abandoned
                         // shortfall is excluded.
                         dropped: c.zero_filled - c.abandoned,
@@ -1046,9 +952,8 @@ impl FleetSim {
                         duplicate: c.duplicate,
                         done_at: now,
                     };
-                    let tenant = st.tenant;
+                    let tenant = img.tenant;
                     let queue_wait = st.admitted_at - st.arrival_s;
-                    let tr = &mut tenants_rt[tenant];
                     completed_total += 1;
                     // Streaming aggregates, folded in completion order: the
                     // running sums are exact, so a mean over them equals a
@@ -1073,7 +978,7 @@ impl FleetSim {
                     // tenants that declared an SLO.
                     sink.emit_with(|| ObsEvent::TenantFinish {
                         at: now,
-                        image: img,
+                        image: img.id,
                         tenant: tenant as u32,
                         latency: stats.latency_s,
                         zero_filled: stats.dropped,
@@ -1088,7 +993,7 @@ impl FleetSim {
                     inflight_now -= 1;
                     sink.emit_with(|| ObsEvent::ImageRetired {
                         at: now,
-                        image: img,
+                        image: img.id,
                         inflight: inflight_now as u32,
                     });
                     try_admit!(now);

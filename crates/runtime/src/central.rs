@@ -2,42 +2,44 @@
 //! collection block, and layer computation block, driving real worker
 //! threads behind a pipelined admission queue.
 //!
-//! All tile-lifecycle *decisions* — the expected-makespan deadline,
-//! speculative re-dispatch rounds, zero-fill, duplicate handling and the
-//! Algorithm 2 measurement cutoff — live in the shared sans-IO state
-//! machine, [`adcnn_core::lifecycle::TileLifecycle`]. This module is the
-//! wall-clock *driver*: it maps `Instant`s onto the machine's abstract
-//! seconds (via a per-runtime epoch), crossbeam channel sends onto
-//! [`Dispatch`](adcnn_core::lifecycle::Action::Dispatch)/
-//! [`Redispatch`](adcnn_core::lifecycle::Action::Redispatch) actions, and
-//! `recv_timeout` onto the machine's `next_deadline()`. The network
-//! simulator (`adcnn-netsim`) drives the *same* machine from simulated
-//! timestamps, so simulated and real scheduling decisions cannot drift.
-//! See DESIGN.md §11 for the policy/mechanism split, §10 for the
+//! Every *decision* — Algorithm 3 allocation, the expected-makespan
+//! deadline, speculative re-dispatch rounds, zero-fill, duplicate handling,
+//! the Algorithm 2 statistics and worker liveness — lives in the shared
+//! sans-IO machine [`adcnn_core::pipeline::Pipeline`], one
+//! [`TileLifecycle`](adcnn_core::lifecycle::TileLifecycle) per image. This
+//! module is the wall-clock *driver*: it maps `Instant`s onto the machine's
+//! abstract seconds (via a per-runtime epoch), channel sends onto
+//! [`Dispatch`](Action::Dispatch)/[`Redispatch`](Action::Redispatch)
+//! actions, and `recv_timeout` onto the machine's `next_deadline()`. The
+//! network simulator (`adcnn-netsim`) drives the *same* machine from
+//! simulated timestamps, so simulated and real scheduling decisions cannot
+//! drift. See DESIGN.md §11 for the policy/mechanism split, §10 for the
 //! lifecycle policy itself, and §14 for the pipeline architecture.
 //!
 //! # Pipeline
 //!
-//! Caller threads [`submit`](AdcnnRuntime::submit) images into a bounded
-//! intake queue ([`RuntimeConfig::intake_cap`]; a full queue blocks the
-//! submitter — backpressure, not an unbounded buffer) and receive an
-//! [`InferHandle`] per image. A single collector thread admits up to
-//! [`RuntimeConfig::pipeline_depth`] images in flight at once — each
-//! owning its own [`TileLifecycle`] instance — demultiplexes the shared
-//! worker result channel by image id to the owning lifecycle, and
-//! resolves each handle with its own image's [`InferOutcome`] the moment
-//! that image completes, regardless of submission order (out-of-order
-//! completion). [`infer`](AdcnnRuntime::infer) and
+//! One collector thread holds the machine and blocks on one inbound
+//! channel. Caller threads [`submit`](AdcnnRuntime::submit) images into it
+//! — at most [`RuntimeConfig::intake_cap`] waiting, beyond which `submit`
+//! blocks (backpressure, not an unbounded buffer) — and receive an
+//! [`InferHandle`] per image; workers send their results and report when
+//! they go down or come up. The collector admits up to
+//! [`RuntimeConfig::pipeline_depth`] images at once, routes each result to
+//! its image by id, and resolves each handle with its own image's
+//! [`InferOutcome`] the moment that image completes, regardless of
+//! submission order (out-of-order completion).
+//! [`infer`](AdcnnRuntime::infer) and
 //! [`infer_stream`](AdcnnRuntime::infer_stream) are thin wrappers over
 //! `submit`/`wait`: the pipeline is the only lifecycle driver in the
 //! runtime.
 //!
-//! Worker death is detected eagerly — a failed send on a worker's
-//! (bounded) task queue marks it dead in the Algorithm 2 statistics and
-//! feeds [`WorkerDied`](adcnn_core::lifecycle::Event::WorkerDied)/
-//! [`SendRejected`](adcnn_core::lifecycle::Event::SendRejected) back into
-//! the machine, which reroutes the tile immediately — so a crashed node
-//! costs one deadline, not an accuracy loss.
+//! A worker is down from the moment its carrier reports it (an in-process
+//! worker thread that exits, a remote slot whose connection drops) or a
+//! send finds its queue disconnected: its Algorithm 2 estimate drops to
+//! zero, no send goes to it, a refused tile is rerouted at once, and each
+//! in-flight image learns of the death before its next deadline picks
+//! re-dispatch targets — so a crashed node costs one deadline, not an
+//! accuracy loss.
 
 use crate::transport::{prefix_and_compression, RemoteCluster, RemoteModelSpec, WorkerListener};
 use crate::worker::{
@@ -45,23 +47,23 @@ use crate::worker::{
 };
 use adcnn_core::config::ConfigError;
 use adcnn_core::fdsp::TileGrid;
-use adcnn_core::lifecycle::{Action, Event, LifecyclePolicy, TileLifecycle};
+use adcnn_core::lifecycle::{Action, Event, LifecyclePolicy};
 use adcnn_core::obs::{ObsEvent, SinkHandle};
+use adcnn_core::pipeline::{Pipeline, Split};
 use adcnn_core::report::{AttributionSink, ImageReport};
-use adcnn_core::sched::{StatsCollector, TileAllocator};
+use adcnn_core::sched::TileAllocator;
 use adcnn_core::wire::{TileKey, TileResult, TileTask};
 use adcnn_nn::infer::InferScratch;
 use adcnn_nn::Network;
 use adcnn_retrain::PartitionedModel;
 use adcnn_tensor::Tensor;
-use crossbeam::channel::{
-    bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError,
-};
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -84,7 +86,7 @@ pub struct RuntimeConfig {
     /// and the tiles are rerouted to live workers.
     pub task_queue_cap: usize,
     /// Maximum images in flight at once, each with its own
-    /// [`TileLifecycle`]. The default of 1 is the paper's
+    /// [`TileLifecycle`](adcnn_core::lifecycle::TileLifecycle). The default of 1 is the paper's
     /// dispatch-merge-dispatch loop (and keeps re-dispatch recovery as
     /// strong as the serial runtime: no concurrent image drains a faulty
     /// worker between an image's dispatch and its recovery rounds); 2
@@ -233,9 +235,9 @@ pub struct InferOutcome {
     pub report: Option<ImageReport>,
 }
 
-/// One image waiting in the admission queue: the input plus the reply
-/// channel its [`InferHandle`] waits on.
-struct Submission {
+/// One submitted image: the input plus the reply channel its
+/// [`InferHandle`] waits on.
+pub(crate) struct Submission {
     image_id: u64,
     x: Tensor,
     queued_at: Instant,
@@ -266,113 +268,96 @@ impl InferHandle {
     }
 }
 
-/// State shared between submitter threads, accessor methods, the
-/// collector thread and (remote) the slot supervisors. It is the one owner
-/// of worker liveness: every carrier reports a worker up or down through
-/// [`worker_up`](Self::worker_up)/[`worker_down`](Self::worker_down).
-pub(crate) struct Shared {
-    /// Algorithm 2 statistics (EWMA speeds). The collector updates them
-    /// per result; accessors snapshot them.
-    stats: Mutex<StatsCollector>,
-    /// Algorithm 3 allocator; replaceable at runtime via
-    /// [`AdcnnRuntime::set_allocator`].
-    allocator: Mutex<TileAllocator>,
-    /// Workers that are up. Cleared on the first detected death; a dead
-    /// worker is never sent to again until it rejoins.
-    live: Vec<AtomicBool>,
+/// Everything the collector thread reacts to, on its one inbound channel.
+pub(crate) enum Inbound {
+    /// A caller's image, counted in [`Shared::queued`] until admitted.
+    Submit(Submission),
+    /// A worker's result for one tile.
+    Result(usize, TileResult),
+    /// A worker (re)joined: its carrier is up.
+    Up(usize),
+    /// A worker is gone: its thread exited or its connection dropped.
+    Down(usize),
+    /// [`AdcnnRuntime::set_allocator`]'s replacement allocator.
+    Allocator(TileAllocator),
+    /// Runtime shutdown: finish every submitted image, then exit.
+    Close,
+}
+
+/// State shared between submitter threads, the accessors and the collector
+/// thread: the two gauges, and a copy of the machine's speeds and live set
+/// for [`AdcnnRuntime::speeds`] and [`AdcnnRuntime::live_workers`].
+struct Shared {
     /// Images currently admitted (gauge mirrored by
     /// [`ObsEvent::ImageAdmitted`]/[`ObsEvent::ImageRetired`]).
     inflight: AtomicUsize,
-    /// Submissions sitting in the admission queue.
-    queued: AtomicUsize,
-    /// The effective event sink: the user sink tee'd with the attribution
-    /// fold when one is configured.
-    pub(crate) sink: SinkHandle,
-    /// Origin of the machine's abstract time axis: every `Instant` is
-    /// expressed as seconds since this epoch before it reaches the
-    /// lifecycle machine or the sink.
-    pub(crate) epoch: Instant,
+    /// Submissions not yet admitted. A submitter waits on `admitted` while
+    /// `intake_cap` of them are; each admission counts one out.
+    queued: std::sync::Mutex<usize>,
+    admitted: Condvar,
+    /// The machine's Algorithm 2 estimates and live set, copied by the
+    /// collector whenever either changes.
+    mirror: Mutex<(Vec<f64>, Vec<bool>)>,
 }
 
 impl Shared {
-    /// Fresh state for `k` workers, every slot initially `live` or not
-    /// (in-process threads exist from the start; a remote slot is dead
-    /// until a worker joins it, so nothing may be allocated or dispatched
-    /// to an empty slot).
-    fn new(k: usize, gamma: f64, live: bool, sink: SinkHandle, epoch: Instant) -> Arc<Shared> {
-        Arc::new(Shared {
-            stats: Mutex::new(StatsCollector::new(k, gamma)),
-            allocator: Mutex::new(TileAllocator::unbounded(k)),
-            live: (0..k).map(|_| AtomicBool::new(live)).collect(),
-            inflight: AtomicUsize::new(0),
-            queued: AtomicUsize::new(0),
-            sink,
-            epoch,
-        })
-    }
-
-    /// Worker `w` is gone: speed 0 in the Algorithm 2 statistics, so the
-    /// very next allocation assigns it nothing. The first detection wins
-    /// and later ones are no-ops, so the topology stream sees exactly one
-    /// `NodeDown` per spell whichever carrier noticed.
-    pub(crate) fn worker_down(&self, w: usize) {
-        if self.live[w].swap(false, Ordering::Relaxed) {
-            self.stats.lock().mark_failed(w);
-            self.sink.emit_with(|| ObsEvent::NodeDown {
-                at: secs_since(self.epoch, Instant::now()),
-                node: w as u32,
-            });
+    /// Count one submission in, waiting while `cap` are already queued —
+    /// or, without `wait`, refusing (`false`).
+    fn enqueue(&self, cap: usize, wait: bool) -> bool {
+        let mut queued = self.queued.lock().unwrap_or_else(PoisonError::into_inner);
+        while *queued >= cap {
+            if !wait {
+                return false;
+            }
+            queued = self.admitted.wait(queued).unwrap_or_else(PoisonError::into_inner);
         }
+        *queued += 1;
+        true
     }
 
-    /// Worker `w` (re)joined: a fresh join. The EWMA goes back to the
-    /// fresh-join prior *before* the slot becomes allocatable, so the first
-    /// allocation after a rejoin treats the worker as new — never resumes
-    /// the dead incarnation's statistics.
-    pub(crate) fn worker_up(&self, w: usize) {
-        self.stats.lock().rejoin(w);
-        self.live[w].store(true, Ordering::Relaxed);
-        self.sink.emit_with(|| ObsEvent::NodeUp {
-            at: secs_since(self.epoch, Instant::now()),
-            node: w as u32,
-        });
+    /// Count one submission out (admitted) and wake a waiting submitter.
+    fn dequeue(&self) {
+        *self.queued.lock().unwrap_or_else(PoisonError::into_inner) -= 1;
+        self.admitted.notify_one();
     }
 }
 
-/// An admitted image: the input itself (each dispatch crops its tile out
-/// of it, a re-dispatch crops again — one copy per tile sent, none held),
-/// its own lifecycle machine, and its partially assembled boundary map.
-struct InFlight {
-    image_id: u64,
-    queued_at: Instant,
+/// The collector's per-image state, the payload the machine carries for
+/// it: the submission (each dispatch crops its tile out of the input, a
+/// re-dispatch crops again — one copy per tile sent, none held), when it
+/// was admitted, and its partially assembled boundary map.
+struct Image {
+    sub: Submission,
     start: Instant,
-    x: Tensor,
-    lc: TileLifecycle,
     assembled: Tensor,
     wire_bits: u64,
-    reply: Sender<InferOutcome>,
 }
 
 /// The collector thread: the single lifecycle driver in the runtime. It
-/// admits images from the intake queue (up to `depth` at once),
-/// demultiplexes worker results by image id, turns the earliest
-/// `next_deadline()` across all in-flight images into a `recv_timeout`
-/// budget, and resolves each image's reply channel on completion.
+/// holds the machine by value, admits images (up to `depth` at once), hands
+/// every inbound result and liveness report to it, turns its
+/// `next_deadline()` into a `recv_timeout` budget, and resolves each
+/// image's reply channel on completion.
 struct Collector {
+    pipeline: Pipeline<Image>,
     grid: TileGrid,
     suffix: Network,
     /// Reusable buffers for the suffix-network forward.
     infer_scratch: InferScratch,
     task_txs: Vec<Sender<WorkerMsg>>,
-    result_rx: Receiver<(usize, TileResult)>,
+    inbound: Receiver<Inbound>,
     shared: Arc<Shared>,
     rng: StdRng,
-    policy: LifecyclePolicy,
     depth: usize,
     attribution: Option<Arc<AttributionSink>>,
-    /// `shared.epoch`, which the run loop reads for every result and
-    /// timer. Read through `shared` instead, the ledger's hub workloads
-    /// lost 3–5 % images/s (29 of 30 pairs), so the loop keeps a copy.
+    /// The effective event sink: the user sink tee'd with the attribution
+    /// fold when one is configured.
+    sink: SinkHandle,
+    /// Origin of the machine's abstract time axis: every `Instant` is
+    /// expressed as seconds since this epoch before it reaches the machine
+    /// or the sink. The run loop reads it for every result and timer, so
+    /// it is the collector's own (behind an `Arc` the ledger's hub
+    /// workloads lost 3–5 % images/s, 29 of 30 pairs).
     epoch: Instant,
     /// Assembled boundary map dims `(C, H, W)`.
     boundary: (usize, usize, usize),
@@ -382,7 +367,9 @@ struct Collector {
     /// half way has touched this and not the image's boundary map, and a
     /// healthy one costs no allocation.
     decoded: Tensor,
-    intake_rx: Receiver<Submission>,
+    /// A remote slot can rejoin; an in-process worker thread that exited
+    /// never comes back, so once all of them are down nothing can arrive.
+    rejoinable: bool,
 }
 
 /// `Instant` → the machine's abstract seconds since `epoch`.
@@ -407,307 +394,302 @@ pub fn replay_clock() -> impl Fn(f64) -> f64 {
 }
 
 impl Collector {
-    /// Try to hand one tile to `node`'s bounded queue. On failure the task
-    /// is returned for rerouting; a disconnected channel additionally takes
-    /// the worker down.
-    fn send_to(&mut self, node: usize, task: TileTask) -> Result<(), TileTask> {
-        if !self.shared.live[node].load(Ordering::Relaxed) {
-            return Err(task);
-        }
-        match self.task_txs[node].try_send(WorkerMsg::Tile(task)) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(WorkerMsg::Tile(t))) => Err(t),
-            Err(TrySendError::Disconnected(WorkerMsg::Tile(t))) => {
-                self.shared.worker_down(node);
-                Err(t)
-            }
-            Err(_) => unreachable!("only Tile messages are routed through send_to"),
+    /// A collector for the workers behind `task_txs`, all up from the start
+    /// (in-process threads) or all down until they join (`remote` slots).
+    fn new(
+        sm: SplitModel,
+        cfg: &RuntimeConfig,
+        sink: SinkHandle,
+        epoch: Instant,
+        inbound: Receiver<Inbound>,
+        task_txs: Vec<Sender<WorkerMsg>>,
+        remote: bool,
+    ) -> Self {
+        let k = task_txs.len();
+        let allocator = TileAllocator::unbounded(k);
+        let pipeline = Pipeline::new(
+            cfg.policy,
+            sm.grid.tiles(),
+            cfg.gamma,
+            Split::Adaptive,
+            allocator,
+            !remote,
+            sink.clone(),
+        );
+        let shared = Arc::new(Shared {
+            inflight: AtomicUsize::new(0),
+            queued: std::sync::Mutex::new(0),
+            admitted: Condvar::new(),
+            mirror: Mutex::new((pipeline.speeds().to_vec(), pipeline.live().to_vec())),
+        });
+        Collector {
+            pipeline,
+            grid: sm.grid,
+            suffix: sm.suffix,
+            infer_scratch: InferScratch::new(),
+            task_txs,
+            inbound,
+            shared,
+            rng: StdRng::seed_from_u64(cfg.seed),
+            depth: cfg.pipeline_depth,
+            attribution: cfg.attribution.clone(),
+            sink,
+            epoch,
+            boundary: sm.boundary,
+            tile_out: sm.tile_out,
+            decoded: Tensor::zeros([1, sm.tile_out.0, sm.tile_out.1, sm.tile_out.2]),
+            rejoinable: remote,
         }
     }
 
-    /// Execute machine actions against the real transport. Sends that the
-    /// transport refuses are fed back as [`Event::SendRejected`] (after
-    /// [`Event::WorkerDied`] when the refusal revealed a disconnect), and
-    /// the machine's follow-up actions join the worklist, until it drains.
-    fn drive(&mut self, lc: &mut TileLifecycle, acts: Vec<Action>, image_id: u64, x: &Tensor) {
-        let mut queue: std::collections::VecDeque<Action> = acts.into();
+    /// Worker `w`'s carrier went up or down. The machine decides whether
+    /// that is news; only news is narrated on the topology stream (one
+    /// `NodeDown` per spell, whichever carrier noticed first) and copied
+    /// for the accessors.
+    fn set_live(&mut self, w: usize, up: bool) {
+        let changed = if up { self.pipeline.worker_up(w) } else { self.pipeline.worker_down(w) };
+        if changed {
+            let (at, node) = (secs_since(self.epoch, Instant::now()), w as u32);
+            self.sink.emit_with(|| {
+                if up {
+                    ObsEvent::NodeUp { at, node }
+                } else {
+                    ObsEvent::NodeDown { at, node }
+                }
+            });
+            self.publish();
+        }
+    }
+
+    /// Copy the machine's speeds and live set for the accessors. They move
+    /// only when a worker goes up or down and when an image completes.
+    fn publish(&self) {
+        *self.shared.mirror.lock() =
+            (self.pipeline.speeds().to_vec(), self.pipeline.live().to_vec());
+    }
+
+    /// The join barrier of [`AdcnnRuntime::launch_remote`]: apply the
+    /// slots' reports until every slot is up, or return how many are when
+    /// `deadline` passes.
+    fn join(&mut self, deadline: Instant) -> Result<(), usize> {
+        while self.pipeline.live().contains(&false) {
+            match self.inbound.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+                Ok(Inbound::Up(w)) => self.set_live(w, true),
+                Ok(Inbound::Down(w)) => self.set_live(w, false),
+                Ok(_) => {}
+                Err(_) => return Err(self.pipeline.live().iter().filter(|&&l| l).count()),
+            }
+        }
+        Ok(())
+    }
+
+    /// Try to hand one tile to `node`'s bounded queue; `false` when it is
+    /// refused. A disconnected queue takes the worker down on the spot.
+    fn send_to(&mut self, node: usize, task: TileTask) -> bool {
+        if !self.pipeline.live()[node] {
+            return false;
+        }
+        match self.task_txs[node].try_send(WorkerMsg::Tile(task)) {
+            Ok(()) => true,
+            Err(TrySendError::Full(_)) => false,
+            Err(TrySendError::Disconnected(_)) => {
+                self.set_live(node, false);
+                false
+            }
+        }
+    }
+
+    /// Execute `image`'s actions against the real transport. Sends the
+    /// transport refuses go back as [`Event::SendRejected`], and the
+    /// machine's follow-up actions join the worklist until it drains. An
+    /// [`Action::Accept`] pastes the tile [`ingest`](Self::ingest) just
+    /// decoded; [`Action::Complete`] retires the image. Timers come from
+    /// `next_deadline()` in the run loop, and zero-fill needs no work (the
+    /// boundary map starts zeroed).
+    fn drive(&mut self, image: u64, acts: Vec<Action>) {
+        let mut queue: VecDeque<Action> = acts.into();
+        let mut complete = false;
         while let Some(act) = queue.pop_front() {
             let (tile, to, original) = match act {
                 Action::Dispatch { tile, to } => (tile, to, true),
                 Action::Redispatch { tile, to } => (tile, to, false),
-                Action::RecordRate { worker, rate } => {
-                    // The machine only observes deaths it was told about;
-                    // the driver may have marked the worker failed (e.g. on
-                    // a disconnect discovered for another image) after this
-                    // measurement window opened. A stale observation would
-                    // resurrect a starved node's EWMA.
-                    if self.shared.live[worker].load(Ordering::Relaxed) {
-                        self.shared.stats.lock().record_node(worker, rate);
-                    }
+                Action::Accept { tile, .. } => {
+                    let ((gr, gc), (_, th, tw)) = (self.grid.tile_pos(tile), self.tile_out);
+                    let img = &mut self.pipeline.get_mut(image).expect("image in flight").payload;
+                    img.assembled.paste_spatial(&self.decoded, gr * th, gc * tw);
                     continue;
                 }
-                // Timers are derived from `next_deadline()` in the run
-                // loop; zero-fill needs no work (the boundary map starts
-                // zeroed); Accept is pasted where the result was decoded.
-                Action::ArmDeadline { .. }
-                | Action::ZeroFill { .. }
-                | Action::Complete
-                | Action::Accept { .. } => continue,
-            };
-            let task = TileTask {
-                key: TileKey { image_id, tile_id: tile as u32 },
-                tile: self.grid.extract_tile(x, tile),
-            };
-            match self.send_to(to, task) {
-                Ok(()) => {
-                    if original {
-                        // A queue handoff is "delivered" for the runtime:
-                        // there is no modeled transit.
-                        lc.handle(Event::TileDelivered { tile });
-                    }
+                Action::Complete => {
+                    complete = true;
+                    continue;
                 }
-                Err(_) => {
-                    if !self.shared.live[to].load(Ordering::Relaxed) {
-                        lc.handle(Event::WorkerDied { worker: to });
-                    }
-                    queue.extend(lc.handle(Event::SendRejected { tile, worker: to }));
-                }
-            }
+                _ => continue,
+            };
+            let x = &self.pipeline.get(image).expect("image in flight").payload.sub.x;
+            let key = TileKey { image_id: image, tile_id: tile as u32 };
+            let task = TileTask { key, tile: self.grid.extract_tile(x, tile) };
+            let ev = if !self.send_to(to, task) {
+                Event::SendRejected { tile, worker: to }
+            } else if original {
+                // A queue handoff is "delivered" for the runtime: there is
+                // no modeled transit.
+                Event::TileDelivered { tile }
+            } else {
+                continue;
+            };
+            queue.extend(self.pipeline.handle(image, ev));
+        }
+        if complete {
+            self.finish(image);
         }
     }
 
-    /// Input partition block for one admitted image: allocate with
-    /// Algorithm 3, start its lifecycle machine and push the initial
-    /// dispatch batch — each tile cropped as it is sent — to the workers.
-    fn admit(&mut self, sub: Submission, inflight_now: usize) -> InFlight {
-        let Submission { image_id, x, queued_at, reply } = sub;
-        let d = self.grid.tiles();
-        let speeds = self.shared.stats.lock().speeds().to_vec();
-        let live: Vec<bool> = self.shared.live.iter().map(|l| l.load(Ordering::Relaxed)).collect();
-        let alloc = self.shared.allocator.lock().allocate(d, &speeds, &mut self.rng);
-        let start = Instant::now();
-        let queue_wait = start.duration_since(queued_at).as_secs_f64();
-        let depth_now = inflight_now + 1;
+    /// Input partition block for one admitted image: the machine allocates
+    /// it with Algorithm 3 and begins its lifecycle, and the initial
+    /// dispatch batch — each tile cropped as it is sent — goes to the
+    /// workers.
+    fn admit(&mut self, sub: Submission) {
+        self.shared.dequeue();
+        let (image_id, start) = (sub.image_id, Instant::now());
+        let queue_wait = start.duration_since(sub.queued_at).as_secs_f64();
+        let depth_now = self.pipeline.len() + 1;
         self.shared.inflight.store(depth_now, Ordering::Relaxed);
         // Driver-emitted (never by the lifecycle), before the machine's
         // own ImageStart: admission is a pipeline fact, not a decision.
         let at = secs_since(self.epoch, start);
-        self.shared.sink.emit_with(|| ObsEvent::ImageAdmitted {
+        self.sink.emit_with(|| ObsEvent::ImageAdmitted {
             at,
             image: image_id,
             queue_wait,
             inflight: depth_now as u32,
         });
-        let (mut lc, acts) = TileLifecycle::begin_observed(
-            self.policy,
-            at,
-            d,
-            &alloc,
-            &speeds,
-            &live,
-            image_id,
-            self.shared.sink.clone(),
-        );
-        self.drive(&mut lc, acts, image_id, &x);
-        let at = secs_since(self.epoch, Instant::now());
-        let acts = lc.handle(Event::SendComplete { at });
-        self.drive(&mut lc, acts, image_id, &x);
         let (bc, bh, bw) = self.boundary;
-        InFlight {
-            image_id,
-            queued_at,
-            start,
-            x,
-            lc,
-            assembled: Tensor::zeros([1, bc, bh, bw]),
-            wire_bits: 0,
-            reply,
-        }
+        let img = Image { sub, start, assembled: Tensor::zeros([1, bc, bh, bw]), wire_bits: 0 };
+        let acts = self.pipeline.submit(image_id, at, img, &mut self.rng);
+        self.drive(image_id, acts);
+        let at = secs_since(self.epoch, Instant::now());
+        let acts = self.pipeline.handle(image_id, Event::SendComplete { at });
+        self.drive(image_id, acts);
     }
 
-    /// Feed one of an image's results into its machine: account wire
-    /// bits, decode, paste on [`Action::Accept`], run everything else.
-    fn ingest(&mut self, inf: &mut InFlight, worker: usize, res: &TileResult, at: f64) {
-        let InFlight { image_id, ref x, ref mut lc, ref mut assembled, ref mut wire_bits, .. } =
-            *inf;
-        let tile = res.key.tile_id as usize;
-        let (c, th, tw) = self.tile_out;
+    /// Feed one result to its image's machine: account wire bits, decode
+    /// it into `decoded` (the [`Action::Accept`] pastes it), run the rest.
+    fn ingest(&mut self, worker: usize, res: TileResult) {
+        let at = secs_since(self.epoch, Instant::now());
+        let (image, tile) = (res.key.image_id, res.key.tile_id as usize);
+        // A miss is a straggler from an already-retired image (every
+        // result answers a tile this collector dispatched): discard.
+        let Some(f) = self.pipeline.get_mut(image) else { return };
         // A duplicate or late result is counted by the machine, not decoded.
-        let open = lc.tile_open(tile);
+        let open = f.lifecycle().tile_open(tile);
         if open {
-            *wire_bits += res.wire_bits();
+            f.payload.wire_bits += res.wire_bits();
         }
         // A frame can decode cleanly and still not be this model's tile (a
         // worker serving another model): only the expected shape may reach
         // the paste. Anything else is a corrupt result — the tile stays open
         // for re-dispatch.
-        let decoded = open
-            && res.shape == [1, c, th, tw]
-            && res.decode_into(self.decoded.as_mut_slice()).is_some();
-        let ok = decoded || !open;
-        let acts = lc.handle(Event::ResultArrived { at, tile, worker, ok });
-        let mut rest = Vec::with_capacity(acts.len());
-        for act in acts {
-            if let Action::Accept { tile: t, .. } = act {
-                assert!(decoded, "Accept without a decoded payload");
-                let (gr, gc) = self.grid.tile_pos(t);
-                assembled.paste_spatial(&self.decoded, gr * th, gc * tw);
-            } else {
-                rest.push(act);
-            }
-        }
-        self.drive(lc, rest, image_id, x);
+        let (c, th, tw) = self.tile_out;
+        let ok = !open
+            || (res.shape == [1, c, th, tw]
+                && res.decode_into(self.decoded.as_mut_slice()).is_some());
+        let acts = self.pipeline.handle(image, Event::ResultArrived { at, tile, worker, ok });
+        self.drive(image, acts);
     }
 
     /// Layer computation block + handle resolution for one completed
-    /// image: run the suffix network and deliver the outcome.
-    fn finish(&mut self, inf: InFlight, remaining: usize) {
-        let InFlight { image_id, queued_at, start, lc, assembled, wire_bits, reply, .. } = inf;
+    /// image: retire it from the machine, run the suffix network and
+    /// deliver the outcome.
+    fn finish(&mut self, image: u64) {
+        let (img, lc) = self.pipeline.retire(image).expect("completed image in flight");
         let n_suffix = self.suffix.len();
         let output = self
             .suffix
-            .forward_infer_range_with(&assembled, 0..n_suffix, &mut self.infer_scratch)
+            .forward_infer_range_with(&img.assembled, 0..n_suffix, &mut self.infer_scratch)
             .to_tensor();
+        let remaining = self.pipeline.len();
         self.shared.inflight.store(remaining, Ordering::Relaxed);
         let at = secs_since(self.epoch, Instant::now());
-        self.shared.sink.emit_with(|| ObsEvent::ImageRetired {
-            at,
-            image: image_id,
-            inflight: remaining as u32,
-        });
+        self.sink.emit_with(|| ObsEvent::ImageRetired { at, image, inflight: remaining as u32 });
         let c = lc.counters();
         let outcome = InferOutcome {
             output,
-            image: image_id,
-            queued: start.duration_since(queued_at),
-            latency: start.elapsed(),
+            image,
+            queued: img.start.duration_since(img.sub.queued_at),
+            latency: img.start.elapsed(),
             alloc: lc.alloc().to_vec(),
             received: c.received.clone(),
             zero_filled: c.zero_filled,
             redispatched: c.redispatched,
-            wire_bits,
-            report: self.attribution.as_ref().and_then(|a| a.report_for(image_id)),
+            wire_bits: img.wire_bits,
+            report: self.attribution.as_ref().and_then(|a| a.report_for(image)),
         };
+        // The accessors see this image's Algorithm 2 update before its
+        // handle resolves.
+        self.publish();
         // `bounded(1)` reply never blocks; a dropped handle just discards.
-        let _ = reply.send(outcome);
+        let _ = img.sub.reply.send(outcome);
     }
 
-    /// Every worker thread has exited: nothing will ever arrive again.
-    /// Mark the whole cluster dead and abort every in-flight image (the
-    /// machine zero-fills what is still open); the sweep in the run loop
-    /// retires them.
-    fn abort_all(&mut self, inflight: &mut [InFlight]) {
-        let k = self.shared.live.len();
-        for w in 0..k {
-            self.shared.worker_down(w);
-        }
-        for inf in inflight.iter_mut() {
-            let InFlight { image_id, ref x, ref mut lc, .. } = *inf;
-            // WorkerDied and Abort are idempotent in the machine, so
-            // feeding every image the full death list is safe.
-            for w in 0..k {
-                lc.handle(Event::WorkerDied { worker: w });
-            }
-            let acts = lc.handle(Event::Abort);
-            self.drive(lc, acts, image_id, x);
+    /// Every in-process worker is down: nothing will ever arrive again, so
+    /// abort every in-flight image (the machine zero-fills what is still
+    /// open, and each one retires as it completes).
+    fn abort_all(&mut self) {
+        while let Some((image, _)) = self.pipeline.next_deadline() {
+            let acts = self.pipeline.handle(image, Event::Abort);
+            self.drive(image, acts);
         }
     }
 
-    /// The collector loop. Exits when the intake channel disconnects
-    /// (runtime shutdown) *and* every admitted image has been retired, so
-    /// shutdown never strands a handle.
+    /// Tell every worker to stop (a remote slot forwards it to its
+    /// process).
+    fn stop_workers(&self) {
+        for tx in &self.task_txs {
+            let _ = tx.send(WorkerMsg::Shutdown);
+        }
+    }
+
+    /// The collector loop. Exits once the runtime has closed the intake
+    /// *and* every submitted image has been retired, so shutdown never
+    /// strands a handle — and stops the workers on its way out.
     fn run(mut self) {
-        let mut inflight: Vec<InFlight> = Vec::new();
-        let mut intake_open = true;
+        let mut waiting: VecDeque<Submission> = VecDeque::new();
+        let mut open = true;
         loop {
-            // Admission: fill up to `depth`. Block only when idle —
-            // otherwise in-flight deadlines must keep being serviced.
-            while intake_open && inflight.len() < self.depth {
-                if inflight.is_empty() {
-                    match self.intake_rx.recv() {
-                        Ok(sub) => {
-                            self.shared.queued.fetch_sub(1, Ordering::Relaxed);
-                            let inf = self.admit(sub, inflight.len());
-                            inflight.push(inf);
-                        }
-                        Err(_) => {
-                            intake_open = false;
-                            break;
-                        }
-                    }
-                } else {
-                    match self.intake_rx.try_recv() {
-                        Ok(sub) => {
-                            self.shared.queued.fetch_sub(1, Ordering::Relaxed);
-                            let inf = self.admit(sub, inflight.len());
-                            inflight.push(inf);
-                        }
-                        Err(TryRecvError::Empty) => break,
-                        Err(TryRecvError::Disconnected) => {
-                            intake_open = false;
-                            break;
-                        }
-                    }
-                }
+            while self.pipeline.len() < self.depth {
+                let Some(sub) = waiting.pop_front() else { break };
+                self.admit(sub);
             }
-
-            // Retire every completed image (admission can complete an
-            // image synchronously when all its sends fail, and ingest /
-            // deadline handling below completes them asynchronously).
-            let mut i = 0;
-            while i < inflight.len() {
-                if inflight[i].lc.is_complete() {
-                    let done = inflight.swap_remove(i);
-                    self.finish(done, inflight.len());
-                } else {
-                    i += 1;
-                }
+            if !open && self.pipeline.is_empty() {
+                return self.stop_workers();
             }
-
-            if inflight.is_empty() {
-                if !intake_open {
-                    return;
-                }
-                continue;
-            }
-
-            // The machines own the deadline arithmetic; the driver only
-            // turns the *earliest* `next_deadline()` across all in-flight
-            // images into a `recv_timeout` budget.
-            let (idx, limit) = inflight
-                .iter()
-                .enumerate()
-                .map(|(i, f)| (i, instant_at(self.epoch, f.lc.next_deadline())))
-                .min_by_key(|e| e.1)
-                .expect("inflight is non-empty");
+            // The machine owns the deadline arithmetic; the driver only
+            // turns the earliest `next_deadline()` into a `recv_timeout`
+            // budget, and blocks outright when nothing is in flight.
             let now = Instant::now();
-            if now >= limit {
-                let inf = &mut inflight[idx];
-                // `max` guards the f64↔Duration roundtrip: the machine
-                // must never see a fire time before its own deadline.
-                let at = secs_since(self.epoch, now).max(inf.lc.next_deadline());
-                let InFlight { image_id, ref x, ref mut lc, .. } = *inf;
-                let acts = lc.handle(Event::DeadlineFired { at });
-                self.drive(lc, acts, image_id, x);
-                continue;
+            let msg = match self.pipeline.next_deadline() {
+                Some((image, dl)) if now >= instant_at(self.epoch, dl) => {
+                    // `max` guards the f64↔Duration roundtrip: the machine
+                    // must never see a fire time before its own deadline.
+                    let at = secs_since(self.epoch, now).max(dl);
+                    let acts = self.pipeline.handle(image, Event::DeadlineFired { at });
+                    self.drive(image, acts);
+                    Err(RecvTimeoutError::Timeout)
+                }
+                Some((_, dl)) => self.inbound.recv_timeout(instant_at(self.epoch, dl) - now),
+                None => self.inbound.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            };
+            match msg {
+                Ok(Inbound::Submit(sub)) => waiting.push_back(sub),
+                Ok(Inbound::Result(worker, res)) => self.ingest(worker, res),
+                Ok(Inbound::Up(w)) => self.set_live(w, true),
+                Ok(Inbound::Down(w)) => self.set_live(w, false),
+                Ok(Inbound::Allocator(a)) => self.pipeline.set_allocator(a),
+                Ok(Inbound::Close) | Err(RecvTimeoutError::Disconnected) => open = false,
+                Err(RecvTimeoutError::Timeout) => {}
             }
-            match self.result_rx.recv_timeout(limit - now) {
-                Ok((worker, res)) => {
-                    let when = Instant::now();
-                    // Demultiplex by image id to the owning lifecycle. A
-                    // miss is a straggler from an already-retired image
-                    // (every result originates from a tile this collector
-                    // dispatched): discard.
-                    if let Some(pos) = inflight.iter().position(|f| f.image_id == res.key.image_id)
-                    {
-                        let at = secs_since(self.epoch, when);
-                        self.ingest(&mut inflight[pos], worker, &res, at);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => continue, // deadline handling above
-                Err(RecvTimeoutError::Disconnected) => {
-                    self.abort_all(&mut inflight);
-                }
+            if !self.rejoinable && !self.pipeline.live().contains(&true) {
+                self.abort_all();
             }
         }
     }
@@ -756,10 +738,11 @@ fn effective_sink(cfg: &RuntimeConfig) -> SinkHandle {
 /// The live system: the pipeline front-end plus its worker threads (or
 /// remote-worker supervisors) and the collector thread.
 pub struct AdcnnRuntime {
-    /// `Some` until shutdown; dropping it is the collector's stop signal.
-    intake_tx: Option<Sender<Submission>>,
+    /// The collector's inbound channel, for submissions and control.
+    inbound: Sender<Inbound>,
+    /// `Some` until shutdown.
     collector: Option<JoinHandle<()>>,
-    task_txs: Vec<Sender<WorkerMsg>>,
+    intake_cap: usize,
     handles: Vec<JoinHandle<()>>,
     worker_stats: Vec<Arc<WorkerStats>>,
     shared: Arc<Shared>,
@@ -796,7 +779,7 @@ impl AdcnnRuntime {
         // it, and a span must never predate the axis.
         let epoch = Instant::now();
         let sink = effective_sink(&cfg);
-        let (result_tx, result_rx) = unbounded();
+        let (inbound_tx, inbound_rx) = unbounded();
         let mut task_txs = Vec::with_capacity(k);
         let mut handles = Vec::with_capacity(k);
         let mut worker_stats = Vec::with_capacity(k);
@@ -811,7 +794,7 @@ impl AdcnnRuntime {
                 sm.compression,
                 *opts,
                 rx,
-                result_tx.clone(),
+                inbound_tx.clone(),
                 stats.clone(),
                 sink.clone(),
                 epoch,
@@ -819,50 +802,30 @@ impl AdcnnRuntime {
             task_txs.push(tx);
             worker_stats.push(stats);
         }
-        let shared = Shared::new(k, cfg.gamma, true, sink, epoch);
-        Self::start(sm, cfg, shared, result_rx, task_txs, handles, worker_stats, None)
+        let collector = Collector::new(sm, &cfg, sink, epoch, inbound_rx, task_txs, false);
+        Self::start(collector, cfg.intake_cap, inbound_tx, handles, worker_stats, None)
     }
 
     /// The tail both launch paths share once their workers are up: the
-    /// intake queue, the [`Collector`] on its own thread, and the runtime
-    /// handle that owns them all.
-    #[allow(clippy::too_many_arguments)]
+    /// [`Collector`] on its own thread, and the runtime handle that owns
+    /// them all.
     fn start(
-        sm: SplitModel,
-        cfg: RuntimeConfig,
-        shared: Arc<Shared>,
-        result_rx: Receiver<(usize, TileResult)>,
-        task_txs: Vec<Sender<WorkerMsg>>,
+        collector: Collector,
+        intake_cap: usize,
+        inbound: Sender<Inbound>,
         handles: Vec<JoinHandle<()>>,
         worker_stats: Vec<Arc<WorkerStats>>,
         transport: Option<RemoteCluster>,
     ) -> Self {
-        let (intake_tx, intake_rx) = bounded(cfg.intake_cap);
-        let collector = Collector {
-            grid: sm.grid,
-            suffix: sm.suffix,
-            infer_scratch: InferScratch::new(),
-            task_txs: task_txs.clone(),
-            result_rx,
-            shared: shared.clone(),
-            rng: StdRng::seed_from_u64(cfg.seed),
-            policy: cfg.policy,
-            depth: cfg.pipeline_depth,
-            attribution: cfg.attribution,
-            epoch: shared.epoch,
-            boundary: sm.boundary,
-            tile_out: sm.tile_out,
-            decoded: Tensor::zeros([1, sm.tile_out.0, sm.tile_out.1, sm.tile_out.2]),
-            intake_rx,
-        };
+        let shared = collector.shared.clone();
         let collector = std::thread::Builder::new()
             .name("adcnn-collector".into())
             .spawn(move || collector.run())
             .expect("failed to spawn collector thread");
         AdcnnRuntime {
-            intake_tx: Some(intake_tx),
+            inbound,
             collector: Some(collector),
-            task_txs,
+            intake_cap,
             handles,
             worker_stats,
             shared,
@@ -899,57 +862,53 @@ impl AdcnnRuntime {
         let model = spec.build();
         let sm = split_model(&model);
         let k = workers;
-        let (result_tx, result_rx) = unbounded();
+        let (epoch, sink) = (Instant::now(), effective_sink(&cfg));
+        let (inbound_tx, inbound_rx) = unbounded();
         let worker_stats: Vec<Arc<WorkerStats>> =
             (0..k).map(|_| Arc::new(WorkerStats::default())).collect();
-        let shared = Shared::new(k, cfg.gamma, false, effective_sink(&cfg), Instant::now());
         let (cluster, task_txs, handles) = RemoteCluster::start(
             listener,
             spec,
             cfg.task_queue_cap,
-            result_tx,
+            inbound_tx.clone(),
             worker_stats.clone(),
-            shared.clone(),
+            sink.clone(),
+            epoch,
         )?;
+        let mut collector = Collector::new(sm, &cfg, sink, epoch, inbound_rx, task_txs, true);
         // Join barrier: every slot must be up before the runtime exists,
         // so callers never race their first submit against the handshake.
-        let deadline = Instant::now() + join_timeout;
-        while shared.live.iter().any(|l| !l.load(Ordering::Relaxed)) {
-            if Instant::now() >= deadline {
-                let joined = shared.live.iter().filter(|l| l.load(Ordering::Relaxed)).count();
-                for tx in &task_txs {
-                    let _ = tx.send(WorkerMsg::Shutdown);
-                }
-                for h in handles {
-                    let _ = h.join();
-                }
-                drop(cluster); // stops and joins the acceptor
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    format!("only {joined}/{k} workers joined within {join_timeout:?}"),
-                ));
+        if let Err(joined) = collector.join(Instant::now() + join_timeout) {
+            collector.stop_workers();
+            for h in handles {
+                let _ = h.join();
             }
-            std::thread::sleep(Duration::from_millis(5));
+            drop(cluster); // stops and joins the acceptor
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::TimedOut,
+                format!("only {joined}/{k} workers joined within {join_timeout:?}"),
+            ));
         }
-        Ok(Self::start(sm, cfg, shared, result_rx, task_txs, handles, worker_stats, Some(cluster)))
+        let cap = cfg.intake_cap;
+        Ok(Self::start(collector, cap, inbound_tx, handles, worker_stats, Some(cluster)))
     }
 
     /// Number of workers.
     pub fn workers(&self) -> usize {
-        self.task_txs.len()
+        self.worker_stats.len()
     }
 
     /// Snapshot of the Algorithm 2 speed estimates. Owned because the
     /// collector thread updates them concurrently.
     pub fn speeds(&self) -> Vec<f64> {
-        self.shared.stats.lock().speeds().to_vec()
+        self.shared.mirror.lock().0.clone()
     }
 
     /// Which workers still have a connected task channel (supervision
     /// view). A `false` entry is a positively-detected death, not merely a
     /// slow node.
     pub fn live_workers(&self) -> Vec<bool> {
-        self.shared.live.iter().map(|l| l.load(Ordering::Relaxed)).collect()
+        self.shared.mirror.lock().1.clone()
     }
 
     /// Replace the tile allocator (e.g. with per-worker storage caps, the
@@ -962,7 +921,7 @@ impl AdcnnRuntime {
             self.workers(),
             "allocator node count must match the worker count"
         );
-        *self.shared.allocator.lock() = allocator;
+        let _ = self.inbound.send(Inbound::Allocator(allocator));
     }
 
     /// Snapshot the per-worker tile/compute/compress counters.
@@ -977,7 +936,7 @@ impl AdcnnRuntime {
 
     /// Submissions waiting in the admission queue (0 ..= `intake_cap`).
     pub fn queued(&self) -> usize {
-        self.shared.queued.load(Ordering::Relaxed)
+        *self.shared.queued.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Submit one image `[1, C, H, W]` to the pipeline, blocking while the
@@ -985,35 +944,27 @@ impl AdcnnRuntime {
     /// handle resolves when *this* image completes, independent of other
     /// submissions.
     pub fn submit(&self, x: &Tensor) -> InferHandle {
-        let image_id = self.next_image.fetch_add(1, Ordering::Relaxed);
-        let (reply_tx, reply_rx) = bounded(1);
-        let sub = Submission { image_id, x: x.clone(), queued_at: Instant::now(), reply: reply_tx };
-        // Count before the send: the collector decrements as it pops, and
-        // the gauge must never observe a pop before its push.
-        self.shared.queued.fetch_add(1, Ordering::Relaxed);
-        self.intake_tx
-            .as_ref()
-            .expect("runtime already shut down")
-            .send(sub)
-            .expect("collector thread exited");
-        InferHandle { image_id, rx: reply_rx }
+        self.queue_image(x, true).expect("a blocking submit is always queued")
     }
 
     /// Non-blocking [`submit`](Self::submit): `None` when the admission
     /// queue is at `intake_cap`.
     pub fn try_submit(&self, x: &Tensor) -> Option<InferHandle> {
-        let image_id = self.next_image.fetch_add(1, Ordering::Relaxed);
-        let (reply_tx, reply_rx) = bounded(1);
-        let sub = Submission { image_id, x: x.clone(), queued_at: Instant::now(), reply: reply_tx };
-        self.shared.queued.fetch_add(1, Ordering::Relaxed);
-        match self.intake_tx.as_ref().expect("runtime already shut down").try_send(sub) {
-            Ok(()) => Some(InferHandle { image_id, rx: reply_rx }),
-            Err(TrySendError::Full(_)) => {
-                self.shared.queued.fetch_sub(1, Ordering::Relaxed);
-                None
-            }
-            Err(TrySendError::Disconnected(_)) => panic!("collector thread exited"),
+        self.queue_image(x, false)
+    }
+
+    /// Count one submission into the admission queue — waiting for room,
+    /// or refusing without `wait` — and send it to the collector.
+    fn queue_image(&self, x: &Tensor, wait: bool) -> Option<InferHandle> {
+        let (image_id, queued_at) =
+            (self.next_image.fetch_add(1, Ordering::Relaxed), Instant::now());
+        if !self.shared.enqueue(self.intake_cap, wait) {
+            return None;
         }
+        let (reply, rx) = bounded(1);
+        let sub = Submission { image_id, x: x.clone(), queued_at, reply };
+        self.inbound.send(Inbound::Submit(sub)).expect("collector thread exited");
+        Some(InferHandle { image_id, rx })
     }
 
     /// Run one image `[1, C, H, W]` through the distributed pipeline.
@@ -1032,14 +983,12 @@ impl AdcnnRuntime {
     }
 
     /// Idempotent teardown: stop intake, drain the collector (every
-    /// outstanding handle resolves), then stop and join the workers.
+    /// outstanding handle resolves, then it stops the workers), and join
+    /// the workers.
     fn close(&mut self) {
-        drop(self.intake_tx.take());
         if let Some(h) = self.collector.take() {
+            let _ = self.inbound.send(Inbound::Close);
             let _ = h.join();
-        }
-        for tx in &self.task_txs {
-            let _ = tx.send(WorkerMsg::Shutdown);
         }
         // In-process: joins the worker threads. Remote: joins the slot
         // supervisors, which forward the shutdown to their connected

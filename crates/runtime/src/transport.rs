@@ -2,10 +2,10 @@
 //!
 //! Everything below the Central node's `Sender`/`Receiver` seams. The
 //! collector in [`crate::central`] still hands [`WorkerMsg`]s to per-worker
-//! bounded channels and drains one shared result channel; this module
-//! bridges those channels to length-prefixed frames over TCP or Unix-domain
+//! bounded channels and drains its one inbound channel; this module bridges
+//! those channels to length-prefixed frames over TCP or Unix-domain
 //! sockets, so dispatch, deadlines, re-dispatch and zero-fill are untouched
-//! — the lifecycle machine cannot tell a thread from a process. See
+//! — the collector's machine cannot tell a thread from a process. See
 //! DESIGN.md §15.
 //!
 //! # Framing
@@ -34,21 +34,23 @@
 //! *persistently* — across disconnects — so the Central node's channel
 //! seam never breaks. While a slot is down its supervisor discards stale
 //! tiles (the lifecycle already re-dispatched or zero-filled them: a tile
-//! must never be computed twice from one queue handoff). On disconnect the
-//! supervisor calls the runtime's one liveness owner, `Shared::worker_down`
-//! (speed 0, exactly as for a disconnected in-process channel); a
-//! reconnect is a *fresh join* through `Shared::worker_up`, which restores
-//! the EWMA to the fresh-join prior via
-//! [`StatsCollector::rejoin`](adcnn_core::sched::StatsCollector::rejoin).
+//! must never be computed twice from one queue handoff). A handshake
+//! reports the slot up and a disconnect reports it down, as messages on
+//! the collector's inbound channel — the same `Down` an in-process worker
+//! thread sends when it exits. The collector's machine owns liveness: a
+//! down slot's speed is 0, and a reconnect is a *fresh join* that restarts
+//! the EWMA at the fresh-join prior
+//! ([`Pipeline::worker_up`](adcnn_core::pipeline::Pipeline::worker_up)).
 //! A connection generation counter guards the demux: a reader whose
 //! generation has been superseded stops forwarding, so a result from a
 //! dead connection can neither double-count a tile nor resurrect the dead
 //! worker's statistics.
 
-use crate::central::Shared;
+use crate::central::Inbound;
 use crate::worker::{observe_tile, process_tile, Compression, WorkerMsg, WorkerStats};
 use adcnn_core::compress::{CompressScratch, Quantizer};
 use adcnn_core::fdsp::TileGrid;
+use adcnn_core::obs::SinkHandle;
 use adcnn_core::wire::{TileResult, TileTask};
 use adcnn_core::ClippedRelu;
 use adcnn_nn::infer::InferScratch;
@@ -70,7 +72,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Frame magic in `HELLO` ("ADCN").
 pub const MAGIC: u32 = 0x4144_434E;
@@ -588,15 +590,17 @@ pub(crate) type ClusterSeams = (RemoteCluster, Vec<Sender<WorkerMsg>>, Vec<JoinH
 
 impl RemoteCluster {
     /// Bind the channel seams and start the acceptor and one supervisor per
-    /// entry of `worker_stats`. The supervisors report each slot's
-    /// connection state to `shared`, the runtime's one liveness owner.
+    /// entry of `worker_stats`. The supervisors send each slot's results and
+    /// its ups and downs to the collector's `inbound` channel; readers mirror
+    /// each tile's spans into `sink`, stamped against `epoch`.
     pub(crate) fn start(
         listener: WorkerListener,
         spec: RemoteModelSpec,
         task_queue_cap: usize,
-        result_tx: Sender<(usize, TileResult)>,
+        inbound: Sender<Inbound>,
         worker_stats: Vec<Arc<WorkerStats>>,
-        shared: Arc<Shared>,
+        sink: SinkHandle,
+        epoch: Instant,
     ) -> io::Result<ClusterSeams> {
         let workers = worker_stats.len();
         listener.set_nonblocking(true)?;
@@ -612,14 +616,13 @@ impl RemoteCluster {
             let claimed = Arc::new(AtomicBool::new(false));
             slots.push(Slot { conn_tx, claimed: claimed.clone() });
             task_txs.push(task_tx);
-            let result_tx = result_tx.clone();
-            let shared = shared.clone();
+            let (inbound, sink) = (inbound.clone(), sink.clone());
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("conv-slot-{slot_id}"))
                     .spawn(move || {
                         supervise_slot(
-                            slot_id, spec, conn_rx, task_rx, result_tx, stats, shared, claimed,
+                            slot_id, spec, conn_rx, task_rx, inbound, stats, sink, epoch, claimed,
                         )
                     })
                     .expect("failed to spawn slot supervisor"),
@@ -697,7 +700,7 @@ fn admit_connection(mut conn: Conn, slots: &[Slot]) {
 
 /// One worker slot's supervisor: owns the task `Receiver` persistently,
 /// bridges it to whatever connection currently backs the slot, and reports
-/// the slot up or down to `shared`. Exits only on [`WorkerMsg::Shutdown`]
+/// the slot up or down on `inbound`. Exits only on [`WorkerMsg::Shutdown`]
 /// or when the runtime drops its channel seams.
 #[allow(clippy::too_many_arguments)]
 fn supervise_slot(
@@ -705,9 +708,10 @@ fn supervise_slot(
     spec: RemoteModelSpec,
     conn_rx: Receiver<Conn>,
     task_rx: Receiver<WorkerMsg>,
-    result_tx: Sender<(usize, TileResult)>,
+    inbound: Sender<Inbound>,
     stats: Arc<WorkerStats>,
-    shared: Arc<Shared>,
+    sink: SinkHandle,
+    epoch: Instant,
     claimed: Arc<AtomicBool>,
 ) {
     // Connection generation: readers capture the value at spawn and stop
@@ -750,9 +754,7 @@ fn supervise_slot(
         let reader = {
             let generation = generation.clone();
             let dead = dead.clone();
-            let result_tx = result_tx.clone();
-            let stats = stats.clone();
-            let shared = shared.clone();
+            let (inbound, stats, sink) = (inbound.clone(), stats.clone(), sink.clone());
             std::thread::Builder::new()
                 .name(format!("conv-slot-{slot}-rx"))
                 .spawn(move || {
@@ -762,14 +764,15 @@ fn supervise_slot(
                         my_gen,
                         generation,
                         dead,
-                        result_tx,
+                        inbound,
                         stats,
-                        &shared,
+                        &sink,
+                        epoch,
                     )
                 })
                 .expect("failed to spawn slot reader")
         };
-        shared.worker_up(slot);
+        let _ = inbound.send(Inbound::Up(slot));
 
         // --- up: writer loop. The 20ms timeout bounds how long a silent
         // disconnect (reader EOF with no traffic) goes unnoticed.
@@ -808,11 +811,11 @@ fn supervise_slot(
         if shutting_down {
             return;
         }
-        shared.worker_down(slot);
+        let _ = inbound.send(Inbound::Down(slot));
     }
 }
 
-/// Drain `RESULT` frames from one connection into the shared result
+/// Drain `RESULT` frames from one connection into the collector's inbound
 /// channel, observing each tile (stats and compute/compress spans) at
 /// arrival time. Exits on EOF, error, a protocol violation, or generation
 /// supersession; flags `dead` so the supervisor's writer loop notices.
@@ -823,9 +826,10 @@ fn reader_loop(
     my_gen: u64,
     generation: Arc<AtomicU64>,
     dead: Arc<AtomicBool>,
-    result_tx: Sender<(usize, TileResult)>,
+    inbound: Sender<Inbound>,
     stats: Arc<WorkerStats>,
-    shared: &Shared,
+    sink: &SinkHandle,
+    epoch: Instant,
 ) {
     // Anything else out of read_frame — clean EOF, mid-frame truncation,
     // socket error, or a frame this direction never carries — ends the
@@ -839,14 +843,14 @@ fn reader_loop(
         }
         observe_tile(
             &stats,
-            &shared.sink,
+            sink,
             slot,
-            shared.epoch.elapsed().as_secs_f64(),
+            epoch.elapsed().as_secs_f64(),
             Duration::from_nanos(compute_ns),
             Duration::from_nanos(compress_ns),
             &res,
         );
-        if result_tx.send((slot, res)).is_err() {
+        if inbound.send(Inbound::Result(slot, res)).is_err() {
             break; // runtime gone
         }
     }

@@ -5,6 +5,7 @@
 //! nodes", §6.1). It processes [`TileTask`]s as they arrive, applies the
 //! clipped-ReLU + quantize + RLE pipeline, and sends [`TileResult`]s back.
 
+use crate::central::Inbound;
 use adcnn_core::compress::{clip_and_compress_into, compress_into, CompressScratch, Quantizer};
 use adcnn_core::config::{check_probability, ConfigError};
 use adcnn_core::obs::{ObsEvent, SinkHandle};
@@ -31,9 +32,9 @@ pub struct WorkerOptions {
     pub artificial_delay: Duration,
     /// Stop responding after this many tiles (simulates a node crash).
     pub fail_after_tiles: Option<usize>,
-    /// If true, `fail_after_tiles` makes the thread *exit* — its task
-    /// channel disconnects, which the Central node detects eagerly on the
-    /// next send — instead of silently swallowing work.
+    /// If true, `fail_after_tiles` makes the thread *exit* — it reports
+    /// itself down to the Central node as it goes, and its task channel
+    /// disconnects — instead of silently swallowing work.
     pub disconnect_on_fail: bool,
     /// Per-tile probability that the finished result is silently lost
     /// (lossy wireless link / crashed send).
@@ -228,9 +229,11 @@ pub(crate) fn observe_tile(
 /// Spawn a Conv-node worker thread.
 ///
 /// `prefix` is the worker's clone of the separable blocks; results go to
-/// `results` tagged with `worker_id`. The thread owns one [`InferScratch`]
-/// and one [`CompressScratch`], so its steady-state tile loop performs zero
-/// heap allocation up to the final per-result payload copy. Per-tile
+/// the collector's `inbound` channel tagged with `worker_id`, and so does
+/// the worker's own exit on an injected crash. The thread owns one
+/// [`InferScratch`] and one [`CompressScratch`], so its steady-state tile
+/// loop performs zero heap allocation up to the final per-result payload
+/// copy. Per-tile
 /// compute/compress spans are mirrored into `sink` with timestamps
 /// relative to `epoch` — the same time axis the Central node's lifecycle
 /// events use.
@@ -241,7 +244,7 @@ pub(crate) fn spawn_worker(
     compression: Option<Compression>,
     opts: WorkerOptions,
     tasks: Receiver<WorkerMsg>,
-    results: Sender<(usize, TileResult)>,
+    inbound: Sender<Inbound>,
     stats: Arc<WorkerStats>,
     sink: SinkHandle,
     epoch: Instant,
@@ -263,9 +266,10 @@ pub(crate) fn spawn_worker(
                 if let Some(limit) = opts.fail_after_tiles {
                     if processed >= limit {
                         if opts.disconnect_on_fail {
-                            // Hard crash: exiting drops `tasks`, so the
-                            // Central node's next send fails fast and marks
-                            // this worker dead.
+                            // Hard crash: say so on the way out (exiting
+                            // also drops `tasks`, so a send that races
+                            // this report fails fast).
+                            let _ = inbound.send(Inbound::Down(worker_id));
                             break;
                         }
                         // Crashed node: swallow work silently (the Central
@@ -293,7 +297,7 @@ pub(crate) fn spawn_worker(
                     let half = result.payload.payload.len() / 2;
                     result.payload.payload = result.payload.payload.slice(0..half);
                 }
-                if results.send((worker_id, result)).is_err() {
+                if inbound.send(Inbound::Result(worker_id, result)).is_err() {
                     break; // central gone
                 }
             }
@@ -310,6 +314,15 @@ mod tests {
     use adcnn_tensor::Tensor;
     use crossbeam::channel::unbounded;
     use rand::{rngs::StdRng, SeedableRng};
+
+    /// The next message on a worker's outbound channel, which must be a
+    /// result.
+    fn result(rx: &Receiver<Inbound>) -> (usize, TileResult) {
+        match rx.recv_timeout(Duration::from_secs(5)) {
+            Ok(Inbound::Result(w, res)) => (w, res),
+            _ => panic!("expected a result"),
+        }
+    }
 
     fn tiny_prefix(seed: u64) -> Network {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -342,7 +355,7 @@ mod tests {
         task_tx
             .send(WorkerMsg::Tile(TileTask { key: TileKey { image_id: 9, tile_id: 2 }, tile }))
             .unwrap();
-        let (wid, res) = res_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        let (wid, res) = result(&res_rx);
         assert_eq!(wid, 3);
         assert_eq!(res.key, TileKey { image_id: 9, tile_id: 2 });
         let t = res.to_tensor().unwrap();
@@ -475,7 +488,7 @@ mod tests {
                 tile: Tensor::full([1, 1, 4, 4], 0.5),
             }))
             .unwrap();
-        let (_, res) = res_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        let (_, res) = result(&res_rx);
         assert!(res.to_tensor().is_none(), "truncated payload must fail to decode");
         task_tx.send(WorkerMsg::Shutdown).unwrap();
         h.join().unwrap();
@@ -531,7 +544,7 @@ mod tests {
                 tile: Tensor::full([1, 1, 4, 4], 0.5),
             }))
             .unwrap();
-        let _ = res_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        let _ = result(&res_rx);
         task_tx.send(WorkerMsg::Shutdown).unwrap();
         h.join().unwrap();
         let events = rec.events();

@@ -312,6 +312,44 @@ fn in_process_disconnect_emits_one_node_down() {
 }
 
 #[test]
+fn idle_runtime_sees_in_process_exit() {
+    // A worker thread that crashes reports its own exit: with nothing
+    // submitted, the idle collector still takes it down — speed 0, one
+    // NodeDown — instead of waiting for a send to find its queue gone.
+    let grid = TileGrid::new(4, 4);
+    let model = build_model(19, grid);
+    let opts = [
+        WorkerOptions::default(),
+        WorkerOptions { fail_after_tiles: Some(2), disconnect_on_fail: true, ..Default::default() },
+    ];
+    let rec = Arc::new(RecordingSink::new());
+    let cfg = RuntimeConfig { sink: SinkHandle::new(rec.clone()), ..cfg_t_l(50) };
+    let mut rt = AdcnnRuntime::launch(model, &opts, cfg);
+    // Serve until worker 1 has taken its third tile, on which it exits.
+    let mut s = 0;
+    while rt.worker_stats()[1].tiles < 2 {
+        let out = rt.infer(&rand_image(400 + s));
+        assert_eq!(out.zero_filled, 0, "image {s} lost tiles");
+        s += 1;
+    }
+    let deadline = std::time::Instant::now() + Duration::from_secs(1);
+    while rt.live_workers()[1] || rt.speeds()[1] != 0.0 {
+        assert!(std::time::Instant::now() < deadline, "idle runtime never saw worker 1 exit");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    rt.shutdown();
+    let downs: Vec<u32> = rec
+        .events()
+        .iter()
+        .filter_map(|ev| match *ev {
+            ObsEvent::NodeDown { node, .. } => Some(node),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(downs, vec![1], "exactly one NodeDown, for the worker that exited");
+}
+
+#[test]
 fn corrupt_payloads_are_recovered_by_redispatch() {
     // Every payload from worker 1 fails to decode; the tiles must be
     // re-dispatched to worker 0 and the image completed cleanly.

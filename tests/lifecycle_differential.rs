@@ -10,11 +10,23 @@
 //! same `adcnn_core::lifecycle::TileLifecycle`, and neither side's clock
 //! may perturb a single decision.
 //!
+//! The multi-image cases at the end drive the machine above the lifecycle,
+//! `adcnn_core::pipeline::Pipeline` — allocation, the Algorithm 2
+//! statistics, worker liveness — the same way under both clocks.
+//!
 //! Trace timestamps are millisecond-grain so the runtime's
 //! `f64 → Duration → f64` roundtrip is bit-exact.
 
-use adcnn_core::lifecycle::{replay, Event, LifecyclePolicy, TimerPolicy};
+use adcnn_core::lifecycle::{replay, Action, Event, LifecyclePolicy, TimerPolicy};
+use adcnn_core::obs::{ObsEvent, RecordingSink, SinkHandle};
+use adcnn_core::pipeline::{Pipeline, Split};
+use adcnn_core::report::AttributionSink;
+use adcnn_core::sched::TileAllocator;
 use adcnn_runtime::central::replay_clock;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 fn policy() -> LifecyclePolicy {
     LifecyclePolicy { t_l: 0.030, ..Default::default() }
@@ -384,4 +396,194 @@ fn storage_shortfall_and_abort_are_identical() {
     assert_eq!(log.iter().filter(|l| l.starts_with("Dispatch")).count(), 2);
     assert!(log.iter().any(|l| l.starts_with("ZeroFill")));
     assert_eq!(log.last().unwrap(), "Complete");
+}
+
+/// One step of a scripted run of the multi-image machine, in trace seconds.
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    /// Admit `image`: its dispatches are handed off at once, as the
+    /// runtime's collector does, and sending completes at `at`.
+    Submit {
+        image: u64,
+        at: f64,
+    },
+    /// Every tile of `image` that `worker` holds comes back at `at`.
+    Deliver {
+        image: u64,
+        worker: usize,
+        at: f64,
+    },
+    /// `image`'s armed deadline fires.
+    Deadline {
+        image: u64,
+    },
+    /// The driver knows `worker` is gone before the Central can tell (the
+    /// simulator's scheduled deaths).
+    Unreachable(usize),
+    Down(usize),
+    Up(usize),
+    Retire {
+        image: u64,
+    },
+}
+
+/// Drive a [`Pipeline`] over two workers and four tiles per image through
+/// `script`, with every trace timestamp passed through `clock`, and return
+/// what came out: the image-tagged decisions with the estimates and live set
+/// after every step, the `ObsEvent`s, and each image's report.
+fn run_machine(
+    policy: LifecyclePolicy,
+    script: &[Step],
+    clock: impl Fn(f64) -> f64,
+) -> (Vec<String>, Vec<ObsEvent>, Vec<Option<String>>) {
+    let rec = Arc::new(RecordingSink::new());
+    let attr = Arc::new(AttributionSink::new());
+    let sink = SinkHandle::new(rec.clone()).tee(attr.clone());
+    let mut pipe: Pipeline<()> =
+        Pipeline::new(policy, 4, 0.9, Split::Adaptive, TileAllocator::unbounded(2), true, sink);
+    let mut rng = StdRng::seed_from_u64(11);
+    // Which worker holds each open (image, tile) — the last send's target.
+    let mut held: BTreeMap<(u64, usize), usize> = BTreeMap::new();
+    let mut log = Vec::new();
+    let mut images = Vec::new();
+    for &step in script {
+        let mut events: Vec<(u64, Event)> = Vec::new();
+        let mut decided: Vec<(u64, Action)> = Vec::new();
+        match step {
+            Step::Submit { image, at } => {
+                images.push(image);
+                for a in pipe.submit(image, clock(at), (), &mut rng) {
+                    if let Action::Dispatch { tile, .. } = a {
+                        events.push((image, Event::TileDelivered { tile }));
+                    }
+                    decided.push((image, a));
+                }
+                events.push((image, Event::SendComplete { at: clock(at) }));
+            }
+            Step::Deliver { image, worker, at } => {
+                let tiles: Vec<usize> = held
+                    .iter()
+                    .filter(|&(&(i, _), &w)| i == image && w == worker)
+                    .map(|(&(_, t), _)| t)
+                    .collect();
+                for tile in tiles {
+                    events.push((
+                        image,
+                        Event::ResultArrived { at: clock(at), tile, worker, ok: true },
+                    ));
+                }
+            }
+            Step::Deadline { image } => {
+                let at = pipe.get(image).expect("deadline of an image in flight");
+                events.push((image, Event::DeadlineFired { at: at.lifecycle().next_deadline() }));
+            }
+            Step::Unreachable(w) => pipe.set_reachable(w, false),
+            Step::Down(w) => log.push(format!("down {w}: {}", pipe.worker_down(w))),
+            Step::Up(w) => log.push(format!("up {w}: {}", pipe.worker_up(w))),
+            Step::Retire { image } => {
+                let (_, lc) = pipe.retire(image).expect("retire an image in flight");
+                log.push(format!("retired {image}: {:?} alloc {:?}", lc.counters(), lc.alloc()));
+            }
+        }
+        for (image, ev) in events {
+            decided.extend(pipe.handle(image, ev).into_iter().map(|a| (image, a)));
+        }
+        for (image, a) in decided {
+            match a {
+                Action::Dispatch { tile, to } | Action::Redispatch { tile, to } => {
+                    held.insert((image, tile), to);
+                }
+                Action::Accept { tile, .. } => {
+                    held.remove(&(image, tile));
+                }
+                _ => {}
+            }
+            log.push(format!("[{image}] {a:?}"));
+        }
+        log.push(format!("speeds {:?} live {:?}", pipe.speeds(), pipe.live()));
+    }
+    let reports = images.iter().map(|&i| attr.report_for(i).map(|r| r.to_json())).collect();
+    (log, rec.events(), reports)
+}
+
+/// [`run_machine`] under the simulator's clock and the runtime's, asserting
+/// the two runs agree on every decision, event and report.
+fn assert_machine_identical(policy: LifecyclePolicy, script: &[Step]) -> Vec<String> {
+    let (sim_log, sim_events, sim_reports) = run_machine(policy, script, |at| at);
+    let (rt_log, rt_events, rt_reports) = run_machine(policy, script, replay_clock());
+    assert_eq!(rt_log, sim_log, "runtime and simulator clocks disagree on decisions");
+    assert_eq!(rt_events, sim_events, "runtime and simulator clocks disagree on events");
+    assert_eq!(rt_reports, sim_reports, "runtime and simulator clocks disagree on reports");
+    for r in rt_reports.iter().flatten() {
+        assert!(adcnn_core::obs::json::is_well_formed(r), "malformed report JSON: {r}");
+    }
+    rt_log
+}
+
+#[test]
+fn multi_image_machine_through_a_death_and_rejoin_is_identical() {
+    // Two images in flight when worker 1 dies; each learns of the death at
+    // its own deadline and recovers on worker 0, a third image is admitted
+    // while worker 1 is down, and after the rejoin a fourth gets tiles on
+    // it again.
+    let p = LifecyclePolicy { max_redispatch_rounds: 1, ..policy() };
+    let script = [
+        Step::Submit { image: 0, at: 0.000 },
+        Step::Submit { image: 1, at: 0.002 },
+        Step::Deliver { image: 0, worker: 0, at: 0.010 },
+        Step::Deliver { image: 1, worker: 0, at: 0.012 },
+        Step::Down(1),
+        Step::Deadline { image: 0 },
+        Step::Deliver { image: 0, worker: 0, at: 0.060 },
+        Step::Submit { image: 2, at: 0.061 },
+        Step::Deadline { image: 1 },
+        Step::Up(1),
+        Step::Deliver { image: 1, worker: 0, at: 0.100 },
+        Step::Deliver { image: 2, worker: 0, at: 0.125 },
+        Step::Submit { image: 3, at: 0.130 },
+        Step::Deliver { image: 3, worker: 1, at: 0.140 },
+        Step::Deliver { image: 3, worker: 0, at: 0.141 },
+        Step::Retire { image: 0 },
+        Step::Retire { image: 1 },
+        Step::Retire { image: 2 },
+        Step::Retire { image: 3 },
+    ];
+    let log = assert_machine_identical(p, &script);
+    let has = |s: &str| log.iter().any(|l| l.contains(s));
+    // Both pre-death images re-dispatch worker 1's tiles to worker 0, and
+    // nothing is ever sent to worker 1 while it is down.
+    assert!(has("[0] Redispatch { tile: 1, to: 0 }") && has("[1] Redispatch { tile: 3, to: 0 }"));
+    assert!(!has("[2] Dispatch { tile: 1, to: 1 }"), "{log:?}");
+    assert!(has("retired 2: ") && log.iter().any(|l| l.contains("alloc [4, 0]")), "{log:?}");
+    assert!(has("up 1: true") && has("[3] Dispatch { tile: 1, to: 1 }"), "{log:?}");
+    assert_eq!(log.iter().filter(|l| l.ends_with("Complete")).count(), 4, "{log:?}");
+    assert!(!has("ZeroFill"), "every tile is recovered: {log:?}");
+}
+
+#[test]
+fn multi_image_machine_with_an_unreachable_node_is_identical() {
+    // The simulator's order of knowledge: worker 1 is unreachable before
+    // any deadline reveals it, so a new image still allocates to it (its
+    // estimate stands) but no lifecycle routes there; the first deadline
+    // takes it down.
+    let p = LifecyclePolicy { max_redispatch_rounds: 1, ..policy() };
+    let script = [
+        Step::Submit { image: 0, at: 0.000 },
+        Step::Unreachable(1),
+        Step::Submit { image: 1, at: 0.004 },
+        Step::Deliver { image: 0, worker: 0, at: 0.010 },
+        Step::Deliver { image: 1, worker: 0, at: 0.014 },
+        Step::Down(1),
+        Step::Deadline { image: 0 },
+        Step::Deadline { image: 1 },
+        Step::Deliver { image: 0, worker: 0, at: 0.070 },
+        Step::Deliver { image: 1, worker: 0, at: 0.071 },
+        Step::Retire { image: 0 },
+        Step::Retire { image: 1 },
+    ];
+    let log = assert_machine_identical(p, &script);
+    let has = |s: &str| log.iter().any(|l| l.contains(s));
+    assert!(has("[1] Dispatch { tile: 1, to: 1 }"), "the estimate still allocates: {log:?}");
+    assert!(has("[1] Redispatch { tile: 1, to: 0 }"), "{log:?}");
+    assert_eq!(log.iter().filter(|l| l.ends_with("Complete")).count(), 2, "{log:?}");
 }
