@@ -28,11 +28,15 @@ git diff --exit-code -- crates/netsim/tests/golden
 # Non-test sizes (lines before each file's first #[cfg(test)]): netsim, the
 # runtime, netsim + central.rs (the number ROADMAP item 8 tracked), and core +
 # netsim + runtime, which a move of code into adcnn-core cannot shrink.
+non_test_src() {
+    awk 'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 } !t' "$@"
+}
 non_test() {
-    awk 'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 } !t { n++ } END { print n }' "$@"
+    non_test_src "$@" | wc -l
 }
 echo "netsim non-test lines: $(non_test crates/netsim/src/*.rs)"
-echo "runtime non-test lines: $(non_test crates/runtime/src/{central,transport,worker}.rs)"
+echo "runtime non-test lines: $(non_test crates/runtime/src/{central,transport,worker}.rs)" \
+    "(transport.rs: $(non_test crates/runtime/src/transport.rs))"
 echo "netsim + central.rs non-test lines: $(non_test crates/netsim/src/*.rs crates/runtime/src/central.rs)"
 echo "core + netsim + runtime non-test lines: $(non_test crates/{core,netsim,runtime}/src/*.rs crates/runtime/src/bin/*.rs)"
 # The serving core is said once: allocation, the Algorithm 2 statistics and
@@ -42,6 +46,15 @@ echo "core + netsim + runtime non-test lines: $(non_test crates/{core,netsim,run
 if git grep -n --untracked -F -e 'record_node(' -e '.allocate(' -e 'allocate_round_robin(' \
     -e 'begin_observed(' -e 'StatsCollector::new(' -- crates/netsim/src crates/runtime/src; then
     echo "a driver calls the scheduler or the lifecycle directly: go through Pipeline" >&2
+    exit 1
+fi
+# The transport waits by blocking, never by polling: a supervisor in one
+# recv(), the acceptor in accept(). Only Conn::connect_retry, the deployment
+# backoff for a worker process racing the listener, may sleep.
+if non_test_src crates/runtime/src/transport.rs \
+    | awk '/fn connect_retry\(/ { skip = 1 } !skip { print FNR ": " $0 } skip && /^    }$/ { skip = 0 }' \
+    | grep -F -e 'sleep(' -e 'recv_timeout(' -e 'set_nonblocking('; then
+    echo "transport.rs polls: block on the channel or in accept() instead" >&2
     exit 1
 fi
 # One way to set a config field: the runtime's builders exist for the perf

@@ -874,7 +874,7 @@ impl AdcnnRuntime {
             worker_stats.clone(),
             sink.clone(),
             epoch,
-        )?;
+        );
         let mut collector = Collector::new(sm, &cfg, sink, epoch, inbound_rx, task_txs, true);
         // Join barrier: every slot must be up before the runtime exists,
         // so callers never race their first submit against the handshake.

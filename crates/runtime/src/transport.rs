@@ -30,16 +30,22 @@
 //!
 //! # Supervision
 //!
-//! One supervisor thread per worker slot owns that slot's task `Receiver`
+//! One supervisor thread per worker slot owns that slot's channel
 //! *persistently* — across disconnects — so the Central node's channel
-//! seam never breaks. While a slot is down its supervisor discards stale
-//! tiles (the lifecycle already re-dispatched or zero-filled them: a tile
-//! must never be computed twice from one queue handoff). A handshake
-//! reports the slot up and a disconnect reports it down, as messages on
-//! the collector's inbound channel — the same `Down` an in-process worker
-//! thread sends when it exits. The collector's machine owns liveness: a
-//! down slot's speed is 0, and a reconnect is a *fresh join* that restarts
-//! the EWMA at the fresh-join prior
+//! seam never breaks. Nothing in this module polls: the supervisor waits
+//! in one blocking `recv()` on that channel, which carries the collector's
+//! [`WorkerMsg::Tile`]s and [`WorkerMsg::Shutdown`], the acceptor's
+//! [`WorkerMsg::Conn`] and the connection reader's exit,
+//! [`WorkerMsg::ReaderGone`] — so a disconnect is seen the moment the
+//! reader hits EOF. The acceptor blocks in `accept()` and is woken for stop
+//! by one self-connect. While a slot is down its supervisor drops stale
+//! tiles as they arrive (the lifecycle already re-dispatched or zero-filled
+//! them: a tile must never be computed twice from one queue handoff). A
+//! handshake reports the slot up and a disconnect reports it down, as
+//! messages on the collector's inbound channel — the same `Down` an
+//! in-process worker thread sends when it exits. The collector's machine
+//! owns liveness: a down slot's speed is 0, and a reconnect is a *fresh
+//! join* that restarts the EWMA at the fresh-join prior
 //! ([`Pipeline::worker_up`](adcnn_core::pipeline::Pipeline::worker_up)).
 //! A connection generation counter guards the demux: a reader whose
 //! generation has been superseded stops forwarding, so a result from a
@@ -59,7 +65,7 @@ use adcnn_nn::small::shapes_cnn;
 use adcnn_nn::Network;
 use adcnn_retrain::PartitionedModel;
 use bytes::BytesMut;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
+use crossbeam::channel::{bounded, Receiver, SendError, Sender};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
@@ -145,12 +151,13 @@ pub fn write_frame<W: Write>(w: &mut W, tag: u8, body: &[u8]) -> io::Result<()> 
 /// a frame is an error. A declared length of zero (no tag byte) or above
 /// [`MAX_FRAME_BYTES`] is rejected before any allocation.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<(u8, Vec<u8>)>> {
-    let mut len_buf = [0u8; 4];
+    // `[len][tag]`, read together so the body lands in its own buffer.
+    let mut head = [0u8; 5];
     // Hand-rolled first read so a clean close at a frame boundary is
     // distinguishable from a mid-frame truncation.
     let mut got = 0;
-    while got < 4 {
-        match r.read(&mut len_buf[got..]) {
+    while got < head.len() {
+        match r.read(&mut head[got..]) {
             Ok(0) if got == 0 => return Ok(None),
             Ok(0) => {
                 return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "EOF inside frame header"))
@@ -160,18 +167,16 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<(u8, Vec<u8>)>> {
             Err(e) => return Err(e),
         }
     }
-    let len = u32::from_le_bytes(len_buf) as usize;
+    let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
     if len == 0 || len > MAX_FRAME_BYTES {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("frame length {len} out of bounds"),
         ));
     }
-    let mut frame = vec![0u8; len];
-    r.read_exact(&mut frame)?;
-    let tag = frame[0];
-    frame.remove(0);
-    Ok(Some((tag, frame)))
+    let mut body = vec![0u8; len - 1];
+    r.read_exact(&mut body)?;
+    Ok(Some((head[4], body)))
 }
 
 /// Encode the `HELLO` body.
@@ -410,35 +415,16 @@ impl WorkerListener {
         &self.endpoint
     }
 
-    fn set_nonblocking(&self, yes: bool) -> io::Result<()> {
+    /// Block until a worker connects.
+    fn accept(&self) -> io::Result<Conn> {
         match &self.inner {
-            ListenerInner::Tcp(l) => l.set_nonblocking(yes),
+            ListenerInner::Tcp(l) => {
+                let (s, _) = l.accept()?;
+                s.set_nodelay(true)?;
+                Ok(Conn::Tcp(s))
+            }
             #[cfg(unix)]
-            ListenerInner::Uds(l, _) => l.set_nonblocking(yes),
-        }
-    }
-
-    /// Non-blocking accept: `Ok(None)` when nothing is pending.
-    fn accept(&self) -> io::Result<Option<Conn>> {
-        match &self.inner {
-            ListenerInner::Tcp(l) => match l.accept() {
-                Ok((s, _)) => {
-                    s.set_nonblocking(false)?;
-                    s.set_nodelay(true)?;
-                    Ok(Some(Conn::Tcp(s)))
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-                Err(e) => Err(e),
-            },
-            #[cfg(unix)]
-            ListenerInner::Uds(l, _) => match l.accept() {
-                Ok((s, _)) => {
-                    s.set_nonblocking(false)?;
-                    Ok(Some(Conn::Uds(s)))
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-                Err(e) => Err(e),
-            },
+            ListenerInner::Uds(l, _) => Ok(Conn::Uds(l.accept()?.0)),
         }
     }
 }
@@ -563,15 +549,31 @@ pub(crate) fn prefix_and_compression(model: &PartitionedModel) -> (Network, Opti
 // ---------------------------------------------------------------------------
 // Central side: acceptor + per-slot supervisors
 
-struct Slot {
-    conn_tx: Sender<Conn>,
+/// What one worker slot's supervisor, its connection's reader and the
+/// acceptor share.
+struct SlotCtx {
+    slot: usize,
+    spec: RemoteModelSpec,
+    /// The slot's one channel: the collector's tiles and shutdown, the
+    /// acceptor's connections and the reader's exit all arrive here, so the
+    /// supervisor waits in a single `recv()`.
+    tx: Sender<WorkerMsg>,
     /// Set by the acceptor in the same step that hands this slot a
     /// connection; cleared by the slot's supervisor once that connection is
     /// gone (handshake failure or disconnect). A flag the supervisor raised
     /// only after its handshake would leave a window in which the acceptor
-    /// queues a second connection behind the first in this slot, where
-    /// nobody reads it, while another slot stays empty.
-    claimed: Arc<AtomicBool>,
+    /// queues a second connection behind the first in this slot while
+    /// another slot stays empty.
+    claimed: AtomicBool,
+    /// Connection generation: a reader captures the value at spawn and
+    /// stops forwarding the moment it moves on, so a superseded
+    /// connection's results can never reach the demux (no double-counting,
+    /// no EWMA resurrection for a worker the lifecycle already buried).
+    generation: AtomicU64,
+    inbound: Sender<Inbound>,
+    stats: Arc<WorkerStats>,
+    sink: SinkHandle,
+    epoch: Instant,
 }
 
 /// The Central node's transport half: the acceptor thread plus one
@@ -580,6 +582,9 @@ struct Slot {
 /// forwarding it to a connected worker process.
 pub(crate) struct RemoteCluster {
     stop: Arc<AtomicBool>,
+    /// Where the acceptor listens; [`stop`](Self::stop) dials it once to
+    /// wake the blocking `accept()`.
+    endpoint: Endpoint,
     acceptor: Option<JoinHandle<()>>,
 }
 
@@ -589,10 +594,10 @@ pub(crate) struct RemoteCluster {
 pub(crate) type ClusterSeams = (RemoteCluster, Vec<Sender<WorkerMsg>>, Vec<JoinHandle<()>>);
 
 impl RemoteCluster {
-    /// Bind the channel seams and start the acceptor and one supervisor per
-    /// entry of `worker_stats`. The supervisors send each slot's results and
-    /// its ups and downs to the collector's `inbound` channel; readers mirror
-    /// each tile's spans into `sink`, stamped against `epoch`.
+    /// Start the acceptor and one supervisor per entry of `worker_stats`.
+    /// The supervisors send each slot's results and its ups and downs to
+    /// the collector's `inbound` channel; readers mirror each tile's spans
+    /// into `sink`, stamped against `epoch`.
     pub(crate) fn start(
         listener: WorkerListener,
         spec: RemoteModelSpec,
@@ -601,33 +606,34 @@ impl RemoteCluster {
         worker_stats: Vec<Arc<WorkerStats>>,
         sink: SinkHandle,
         epoch: Instant,
-    ) -> io::Result<ClusterSeams> {
-        let workers = worker_stats.len();
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut slots = Vec::with_capacity(workers);
-        let mut task_txs = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for (slot_id, stats) in worker_stats.into_iter().enumerate() {
-            // Capacity 1: at most one accepted connection can wait for a
-            // slot's supervisor, so a reconnect storm cannot queue up.
-            let (conn_tx, conn_rx) = bounded::<Conn>(1);
-            let (task_tx, task_rx) = bounded(task_queue_cap);
-            let claimed = Arc::new(AtomicBool::new(false));
-            slots.push(Slot { conn_tx, claimed: claimed.clone() });
-            task_txs.push(task_tx);
-            let (inbound, sink) = (inbound.clone(), sink.clone());
+    ) -> ClusterSeams {
+        let mut slots = Vec::with_capacity(worker_stats.len());
+        let mut task_txs = Vec::with_capacity(worker_stats.len());
+        let mut handles = Vec::with_capacity(worker_stats.len());
+        for (slot, stats) in worker_stats.into_iter().enumerate() {
+            let (tx, rx) = bounded(task_queue_cap);
+            task_txs.push(tx.clone());
+            let ctx = Arc::new(SlotCtx {
+                slot,
+                spec,
+                tx,
+                claimed: AtomicBool::new(false),
+                generation: AtomicU64::new(0),
+                inbound: inbound.clone(),
+                stats,
+                sink: sink.clone(),
+                epoch,
+            });
+            slots.push(ctx.clone());
             handles.push(
                 std::thread::Builder::new()
-                    .name(format!("conv-slot-{slot_id}"))
-                    .spawn(move || {
-                        supervise_slot(
-                            slot_id, spec, conn_rx, task_rx, inbound, stats, sink, epoch, claimed,
-                        )
-                    })
+                    .name(format!("conv-slot-{slot}"))
+                    .spawn(move || supervise_slot(&ctx, rx))
                     .expect("failed to spawn slot supervisor"),
             );
         }
+        let stop = Arc::new(AtomicBool::new(false));
+        let endpoint = listener.endpoint().clone();
         let acceptor = {
             let stop = stop.clone();
             std::thread::Builder::new()
@@ -635,14 +641,17 @@ impl RemoteCluster {
                 .spawn(move || acceptor_loop(listener, slots, stop))
                 .expect("failed to spawn acceptor thread")
         };
-        Ok((RemoteCluster { stop, acceptor: Some(acceptor) }, task_txs, handles))
+        (RemoteCluster { stop, endpoint, acceptor: Some(acceptor) }, task_txs, handles)
     }
 
     /// Stop accepting connections and join the acceptor (supervisors are
     /// joined by the runtime through their handles).
     pub(crate) fn stop(&mut self) {
+        let Some(h) = self.acceptor.take() else { return };
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.acceptor.take() {
+        // Wake the blocking accept(); the acceptor sees the flag and exits.
+        // A dial that fails leaves nothing to wake it: detach, never hang.
+        if Conn::connect(&self.endpoint).is_ok() {
             let _ = h.join();
         }
     }
@@ -654,20 +663,21 @@ impl Drop for RemoteCluster {
     }
 }
 
-fn acceptor_loop(listener: WorkerListener, slots: Vec<Slot>, stop: Arc<AtomicBool>) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok(Some(conn)) => admit_connection(conn, &slots),
-            Ok(None) => std::thread::sleep(Duration::from_millis(10)),
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+fn acceptor_loop(listener: WorkerListener, slots: Vec<Arc<SlotCtx>>, stop: Arc<AtomicBool>) {
+    loop {
+        let conn = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            return; // `listener` drops here: UDS socket file removed
+        }
+        if let Ok(conn) = conn {
+            admit_connection(conn, &slots);
         }
     }
-    // `listener` drops here: UDS socket file removed.
 }
 
 /// Validate a new connection's `HELLO` and hand it to a free slot; refuse
 /// (with a best-effort `SHUTDOWN`) when every slot is occupied.
-fn admit_connection(mut conn: Conn, slots: &[Slot]) {
+fn admit_connection(mut conn: Conn, slots: &[Arc<SlotCtx>]) {
     // Bound the handshake: a connection that never sends HELLO must not
     // wedge the acceptor.
     if conn.set_read_timeout(Some(Duration::from_secs(1))).is_err() {
@@ -680,17 +690,20 @@ fn admit_connection(mut conn: Conn, slots: &[Slot]) {
     if !ok || conn.set_read_timeout(None).is_err() {
         return; // drop: not a worker speaking our protocol
     }
-    let mut conn = conn;
     for slot in slots {
         // Claim the slot and hand the connection over as one step: a slot
-        // stays skipped from here until its supervisor releases it.
+        // stays skipped from here until its supervisor releases it. An
+        // unclaimed slot's supervisor is down, so it is receiving: the send
+        // waits at most for the stale tiles queued ahead of it, and fails
+        // only once the supervisor has exited.
         if slot.claimed.compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst).is_err() {
             continue;
         }
-        match slot.conn_tx.try_send(conn) {
+        match slot.tx.send(WorkerMsg::Conn(conn)) {
             Ok(()) => return,
-            Err(TrySendError::Full(c)) | Err(TrySendError::Disconnected(c)) => {
+            Err(SendError(msg)) => {
                 slot.claimed.store(false, Ordering::SeqCst);
+                let WorkerMsg::Conn(c) = msg else { unreachable!("sent a Conn") };
                 conn = c;
             }
         }
@@ -698,139 +711,98 @@ fn admit_connection(mut conn: Conn, slots: &[Slot]) {
     let _ = write_frame(&mut conn, TAG_SHUTDOWN, &[]);
 }
 
-/// One worker slot's supervisor: owns the task `Receiver` persistently,
-/// bridges it to whatever connection currently backs the slot, and reports
-/// the slot up or down on `inbound`. Exits only on [`WorkerMsg::Shutdown`]
-/// or when the runtime drops its channel seams.
-#[allow(clippy::too_many_arguments)]
-fn supervise_slot(
-    slot: usize,
-    spec: RemoteModelSpec,
-    conn_rx: Receiver<Conn>,
-    task_rx: Receiver<WorkerMsg>,
-    inbound: Sender<Inbound>,
-    stats: Arc<WorkerStats>,
-    sink: SinkHandle,
-    epoch: Instant,
-    claimed: Arc<AtomicBool>,
-) {
-    // Connection generation: readers capture the value at spawn and stop
-    // forwarding the moment it moves on, so a superseded connection's
-    // results can never reach the demux (no double-counting, no EWMA
-    // resurrection for a worker the lifecycle already buried).
-    let generation = Arc::new(AtomicU64::new(0));
+/// One worker slot's supervisor: owns the slot's channel for the runtime's
+/// life and waits on it in one blocking `recv()`, bridging its tiles to
+/// whatever connection currently backs the slot and reporting the slot up
+/// or down on `inbound`. Exits on [`WorkerMsg::Shutdown`].
+fn supervise_slot(ctx: &Arc<SlotCtx>, rx: Receiver<WorkerMsg>) {
     loop {
-        // --- down: wait for a connection, discarding stale tiles. The
-        // lifecycle already recovered them (send_to refuses dead workers;
-        // anything still queued predates the death) — a tile handed to a
-        // dead slot must never be computed on reconnect.
+        // --- down: wait for a connection, dropping stale tiles as they
+        // arrive. The lifecycle already recovered them (send_to refuses
+        // dead workers; anything still queued predates the death) — a tile
+        // handed to a dead slot must never be computed on reconnect.
         let mut conn = loop {
-            match conn_rx.recv_timeout(Duration::from_millis(20)) {
-                Ok(c) => break c,
-                Err(RecvTimeoutError::Timeout) => loop {
-                    match task_rx.try_recv() {
-                        Ok(WorkerMsg::Tile(_)) => continue,
-                        Ok(WorkerMsg::Shutdown) => return,
-                        Err(_) => break,
-                    }
-                },
-                Err(RecvTimeoutError::Disconnected) => return,
+            match rx.recv() {
+                Ok(WorkerMsg::Conn(c)) => break c,
+                Ok(WorkerMsg::Shutdown) | Err(_) => return,
+                Ok(_) => {}
             }
         };
-        let my_gen = generation.fetch_add(1, Ordering::SeqCst) + 1;
-        // A failed handshake releases the acceptor's claim on the slot.
-        if write_frame(&mut conn, TAG_WELCOME, &encode_welcome(slot as u32, &spec)).is_err() {
-            claimed.store(false, Ordering::SeqCst);
-            continue;
-        }
-        let reader_conn = match conn.try_clone() {
-            Ok(c) => c,
-            Err(_) => {
-                claimed.store(false, Ordering::SeqCst);
-                continue;
-            }
-        };
-        let dead = Arc::new(AtomicBool::new(false));
+        let my_gen = ctx.generation.fetch_add(1, Ordering::SeqCst) + 1;
+        let welcome = encode_welcome(ctx.slot as u32, &ctx.spec);
+        let reader_conn =
+            match write_frame(&mut conn, TAG_WELCOME, &welcome).and_then(|()| conn.try_clone()) {
+                Ok(c) => c,
+                Err(_) => {
+                    // A failed handshake releases the acceptor's claim.
+                    ctx.claimed.store(false, Ordering::SeqCst);
+                    continue;
+                }
+            };
         let reader = {
-            let generation = generation.clone();
-            let dead = dead.clone();
-            let (inbound, stats, sink) = (inbound.clone(), stats.clone(), sink.clone());
+            let ctx = ctx.clone();
             std::thread::Builder::new()
-                .name(format!("conv-slot-{slot}-rx"))
-                .spawn(move || {
-                    reader_loop(
-                        reader_conn,
-                        slot,
-                        my_gen,
-                        generation,
-                        dead,
-                        inbound,
-                        stats,
-                        &sink,
-                        epoch,
-                    )
-                })
+                .name(format!("conv-slot-{}-rx", ctx.slot))
+                .spawn(move || reader_loop(&ctx, reader_conn, my_gen))
                 .expect("failed to spawn slot reader")
         };
-        let _ = inbound.send(Inbound::Up(slot));
+        let _ = ctx.inbound.send(Inbound::Up(ctx.slot));
 
-        // --- up: writer loop. The 20ms timeout bounds how long a silent
-        // disconnect (reader EOF with no traffic) goes unnoticed.
-        let mut shutting_down = false;
-        loop {
-            if dead.load(Ordering::SeqCst) {
-                break;
-            }
-            match task_rx.recv_timeout(Duration::from_millis(20)) {
-                Ok(WorkerMsg::Tile(task)) => {
+        // --- up: forward tiles until the reader reports its connection
+        // gone, a write fails, or the runtime shuts down.
+        let (mut shutting_down, mut reader_gone) = (false, false);
+        while let Ok(msg) = rx.recv() {
+            match msg {
+                WorkerMsg::Tile(task) => {
                     let mut buf = BytesMut::new();
                     task.encode_into(&mut buf);
                     if write_frame(&mut conn, TAG_TASK, &buf).is_err() {
                         break;
                     }
                 }
-                Ok(WorkerMsg::Shutdown) => {
+                WorkerMsg::Shutdown => {
                     let _ = write_frame(&mut conn, TAG_SHUTDOWN, &[]);
                     shutting_down = true;
                     break;
                 }
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => {
-                    shutting_down = true;
+                WorkerMsg::ReaderGone(g) if g == my_gen => {
+                    reader_gone = true;
                     break;
                 }
+                // No second connection while the slot is claimed.
+                _ => {}
             }
         }
 
         // --- teardown: supersede the reader *first* (so nothing more is
-        // forwarded), then unblock and join it.
-        generation.fetch_add(1, Ordering::SeqCst);
+        // forwarded) and unblock it, then receive until it says goodbye
+        // before joining it: its `ReaderGone` may be waiting for room in
+        // this very channel. Tiles arriving meanwhile are stale.
+        ctx.generation.fetch_add(1, Ordering::SeqCst);
         let _ = conn.shutdown();
+        while !reader_gone {
+            match rx.recv() {
+                Ok(WorkerMsg::ReaderGone(g)) => reader_gone = g == my_gen,
+                Ok(WorkerMsg::Shutdown) => shutting_down = true,
+                Ok(_) => {}
+                Err(_) => reader_gone = true,
+            }
+        }
         let _ = reader.join();
-        claimed.store(false, Ordering::SeqCst);
+        ctx.claimed.store(false, Ordering::SeqCst);
         if shutting_down {
             return;
         }
-        let _ = inbound.send(Inbound::Down(slot));
+        let _ = ctx.inbound.send(Inbound::Down(ctx.slot));
     }
 }
 
 /// Drain `RESULT` frames from one connection into the collector's inbound
 /// channel, observing each tile (stats and compute/compress spans) at
 /// arrival time. Exits on EOF, error, a protocol violation, or generation
-/// supersession; flags `dead` so the supervisor's writer loop notices.
-#[allow(clippy::too_many_arguments)]
-fn reader_loop(
-    mut conn: Conn,
-    slot: usize,
-    my_gen: u64,
-    generation: Arc<AtomicU64>,
-    dead: Arc<AtomicBool>,
-    inbound: Sender<Inbound>,
-    stats: Arc<WorkerStats>,
-    sink: &SinkHandle,
-    epoch: Instant,
-) {
+/// supersession, and then sends its supervisor exactly one
+/// [`WorkerMsg::ReaderGone`].
+fn reader_loop(ctx: &SlotCtx, mut conn: Conn, my_gen: u64) {
     // Anything else out of read_frame — clean EOF, mid-frame truncation,
     // socket error, or a frame this direction never carries — ends the
     // connection.
@@ -838,23 +810,27 @@ fn reader_loop(
         let Some((compute_ns, compress_ns, res)) = decode_result_body(&body) else {
             break; // structurally unreadable: protocol violation
         };
-        if generation.load(Ordering::SeqCst) != my_gen {
+        if ctx.generation.load(Ordering::SeqCst) != my_gen {
             break; // superseded: this connection's results no longer count
         }
         observe_tile(
-            &stats,
-            sink,
-            slot,
-            epoch.elapsed().as_secs_f64(),
+            &ctx.stats,
+            &ctx.sink,
+            ctx.slot,
+            ctx.epoch.elapsed().as_secs_f64(),
             Duration::from_nanos(compute_ns),
             Duration::from_nanos(compress_ns),
             &res,
         );
-        if inbound.send(Inbound::Result(slot, res)).is_err() {
+        if ctx.inbound.send(Inbound::Result(ctx.slot, res)).is_err() {
             break; // runtime gone
         }
     }
-    dead.store(true, Ordering::SeqCst);
+    // A peer that broke protocol may still be connected and not reading:
+    // close the socket so the supervisor's next write fails instead of
+    // blocking.
+    let _ = conn.shutdown();
+    let _ = ctx.tx.send(WorkerMsg::ReaderGone(my_gen));
 }
 
 // ---------------------------------------------------------------------------
@@ -910,11 +886,13 @@ fn run_worker_on(mut conn: Conn) -> io::Result<()> {
 }
 
 /// Run a worker on a thread inside this process, over a *real* socket —
-/// loopback transport with in-process lifetimes (tests and benches).
+/// loopback transport with in-process lifetimes (tests and benches). It
+/// dials once: bind the listener first, and the kernel's backlog holds the
+/// connection until the acceptor takes it.
 pub fn spawn_loopback_worker(endpoint: Endpoint) -> JoinHandle<io::Result<()>> {
     std::thread::Builder::new()
         .name("loopback-conv-worker".into())
-        .spawn(move || run_worker_retry(&endpoint, 100, Duration::from_millis(20)))
+        .spawn(move || run_worker(&endpoint))
         .expect("failed to spawn loopback worker thread")
 }
 

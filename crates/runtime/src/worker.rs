@@ -6,6 +6,7 @@
 //! clipped-ReLU + quantize + RLE pipeline, and sends [`TileResult`]s back.
 
 use crate::central::Inbound;
+use crate::transport::Conn;
 use adcnn_core::compress::{clip_and_compress_into, compress_into, CompressScratch, Quantizer};
 use adcnn_core::config::{check_probability, ConfigError};
 use adcnn_core::obs::{ObsEvent, SinkHandle};
@@ -88,12 +89,18 @@ impl WorkerOptionsBuilder {
     }
 }
 
-/// Control messages from the Central node.
+/// Control messages from the Central node. The last two only ever reach a
+/// remote slot's supervisor, whose one channel they share with the tiles
+/// (see [`crate::transport`], "Supervision").
 pub enum WorkerMsg {
     /// A tile to process.
     Tile(TileTask),
     /// Terminate the worker.
     Shutdown,
+    /// The acceptor hands the slot a connection that sent a valid `HELLO`.
+    Conn(Conn),
+    /// The reader of the slot's connection with this generation exited.
+    ReaderGone(u64),
 }
 
 /// One worker's compression configuration (applied at the boundary).
@@ -259,10 +266,7 @@ pub(crate) fn spawn_worker(
                 opts.fault_seed ^ (worker_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             );
             while let Ok(msg) = tasks.recv() {
-                let task = match msg {
-                    WorkerMsg::Tile(t) => t,
-                    WorkerMsg::Shutdown => break,
-                };
+                let WorkerMsg::Tile(task) = msg else { break };
                 if let Some(limit) = opts.fail_after_tiles {
                     if processed >= limit {
                         if opts.disconnect_on_fail {

@@ -500,10 +500,16 @@ fn launch_remote_times_out_without_workers() {
 /// into slot 0 and slot 1 never came up (about one launch in 130 on one
 /// CPU). Every launch must now seat both workers well inside a 2 s
 /// barrier.
+///
+/// Each launch → infer → shutdown → join cycle is also timed: nothing on
+/// that path may wait on a poll period, so the median cycle stays under
+/// 5 ms (an acceptor that slept 10 ms between `accept` attempts could not).
 #[test]
 fn back_to_back_joins_never_strand_the_barrier() {
     let x = rand_image(600);
+    let mut cycles = Vec::with_capacity(300);
     for cycle in 0..300 {
+        let t0 = Instant::now();
         let listener = bind_loopback();
         let endpoint = listener.endpoint().clone();
         let workers: Vec<_> = (0..2).map(|_| spawn_loopback_worker(endpoint.clone())).collect();
@@ -520,5 +526,55 @@ fn back_to_back_joins_never_strand_the_barrier() {
         for w in workers {
             w.join().unwrap().unwrap();
         }
+        cycles.push(t0.elapsed());
     }
+    let median = median(cycles);
+    assert!(median < Duration::from_millis(5), "median launch-to-join cycle {median:?}");
+}
+
+fn median(mut xs: Vec<Duration>) -> Duration {
+    xs.sort();
+    xs[xs.len() / 2]
+}
+
+/// A worker's disconnect is seen as soon as its reader hits EOF, not on a
+/// supervisor's poll tick: a raw-socket worker joins, closes its socket,
+/// and the slot must read down within 2 ms (median of 10 rejoins).
+#[test]
+fn reader_eof_marks_the_slot_down_without_a_poll() {
+    let listener = bind_loopback();
+    let Endpoint::Tcp(addr) = listener.endpoint().clone() else { unreachable!("tcp listener") };
+    let join = || {
+        let mut conn = TcpStream::connect(addr.as_str()).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        write_frame(&mut conn, TAG_HELLO, &encode_hello(0)).unwrap();
+        conn
+    };
+    // The first HELLO goes out before launch: the barrier waits for it.
+    let mut first = Some(join());
+    let rt = AdcnnRuntime::launch_remote(
+        spec(),
+        1,
+        RuntimeConfig::default(),
+        listener,
+        Duration::from_secs(10),
+    )
+    .unwrap();
+    let mut latencies = Vec::with_capacity(10);
+    for _ in 0..10 {
+        let mut conn = first.take().unwrap_or_else(join);
+        let (tag, _) = read_frame(&mut conn).unwrap().expect("welcome");
+        assert_eq!(tag, TAG_WELCOME);
+        wait_for_live(&rt, &[true], Duration::from_secs(5));
+        let t0 = Instant::now();
+        drop(conn);
+        while rt.live_workers()[0] {
+            assert!(t0.elapsed() < Duration::from_secs(5), "disconnect never detected");
+            std::thread::yield_now();
+        }
+        latencies.push(t0.elapsed());
+    }
+    let median = median(latencies);
+    assert!(median < Duration::from_millis(2), "median EOF-to-down latency {median:?}");
+    rt.shutdown();
 }
