@@ -97,12 +97,15 @@ echo "==> forensic observability smoke run (heterogeneous_cluster)"
 cargo run --release --example heterogeneous_cluster >/dev/null
 
 echo "==> record GEMM baseline (results/BENCH_gemm.json)"
-# The packed-vs-seed speedup, the register tile alone and `gemm_fused` on the
-# served im2col shapes, each beside the parent commit's reading.
+# The packed-vs-seed speedup, the register tile alone, `gemm_fused` on the
+# served im2col shapes and `conv2d_into` on the served convolutions, each
+# beside the parent commit's reading.
 cargo run --release --example gemm_shapes
-# Beside the 256^3 trajectory the file must carry the served im2col shapes,
-# say which clock it read, and name the tier this machine dispatches to.
+# Beside the 256^3 trajectory the file must carry the served im2col shapes
+# and convolutions, say which clock it read, and name the tier this machine
+# dispatches to.
 grep -q '"shapes"' results/BENCH_gemm.json
+grep -q '"convs"' results/BENCH_gemm.json
 grep -q '"clock": "wall"' results/BENCH_gemm.json
 tools/machine-facts.sh results/BENCH_gemm.json
 

@@ -9,15 +9,20 @@
 //! The training path ([`Network::forward`] / [`Network::forward_range`]) is
 //! untouched: it needs per-layer contexts and owns its tensors.
 //!
-//! A small peephole pass fuses `Conv2d → Relu`, `Conv2d → ClippedRelu`,
-//! `Linear → Relu`, and `Linear → ClippedRelu` pairs into the GEMM epilogue
-//! ([`FusedAct`]), so the activation costs no extra pass over the output.
+//! A small peephole pass fuses `Conv2d → [BatchNorm] → [Relu | ClippedRelu]`
+//! and `Linear → [Relu | ClippedRelu]` into one GEMM call: the BatchNorm's
+//! folded per-channel `(a, b)` and the activation ([`FusedAct`]) ride the
+//! epilogue, so they cost no extra pass over the output. The fused and the
+//! layer-by-layer forms return the same bits: the epilogue applies the
+//! affine as BatchNorm's own multiply then add, and a standalone
+//! activation pass is [`FusedAct::apply`], the epilogue's scalar form.
 
 use crate::layer::Layer;
 use crate::network::{Block, Network};
-use adcnn_tensor::conv::conv2d_into;
+use adcnn_tensor::conv::{conv2d_affine_into, conv2d_into};
 use adcnn_tensor::gemm::FusedAct;
 use adcnn_tensor::linear::linear_into;
+use adcnn_tensor::norm::BatchNorm;
 use adcnn_tensor::pool::{avgpool2d_into, global_avgpool_into, maxpool2d_into};
 use adcnn_tensor::{ActBuf, Scratch, Tensor};
 
@@ -33,6 +38,28 @@ pub struct InferScratch {
     pong: ActBuf,
     res_in: ActBuf,
     res_tmp: ActBuf,
+    bn: BnCoeffs,
+}
+
+/// The folded `(a, b)` of the BatchNorm a conv's epilogue applies.
+#[derive(Clone, Debug, Default)]
+struct BnCoeffs {
+    scale: Vec<f32>,
+    shift: Vec<f32>,
+}
+
+impl BnCoeffs {
+    /// `bn`'s per-channel coefficients, in buffers that only grow.
+    fn of(&mut self, bn: &BatchNorm) -> (&[f32], &[f32]) {
+        self.scale.clear();
+        self.shift.clear();
+        for ci in 0..bn.channels() {
+            let (a, b) = bn.fold(ci);
+            self.scale.push(a);
+            self.shift.push(b);
+        }
+        (&self.scale, &self.shift)
+    }
 }
 
 impl InferScratch {
@@ -43,15 +70,16 @@ impl InferScratch {
 
     /// Bytes currently held by the activation buffers and arenas.
     pub fn capacity_bytes(&self) -> usize {
-        self.ts.capacity_bytes()
-            + (self.ping.numel() + self.pong.numel() + self.res_in.numel() + self.res_tmp.numel())
-                * std::mem::size_of::<f32>()
+        let acts =
+            self.ping.numel() + self.pong.numel() + self.res_in.numel() + self.res_tmp.numel();
+        let coeffs = self.bn.scale.capacity() + self.bn.shift.capacity();
+        self.ts.capacity_bytes() + (acts + coeffs) * std::mem::size_of::<f32>()
     }
 }
 
-/// If `next` is a fusable activation, return its [`FusedAct`] form.
-fn fusable(next: Option<&Layer>) -> Option<FusedAct> {
-    match next {
+/// If `layer` is an activation the epilogue can apply, its [`FusedAct`].
+fn activation(layer: Option<&Layer>) -> Option<FusedAct> {
+    match layer {
         Some(Layer::Relu) => Some(FusedAct::Relu),
         Some(Layer::ClippedRelu(cr)) => Some(FusedAct::Clipped { lo: cr.lo, hi: cr.hi }),
         _ => None,
@@ -60,21 +88,32 @@ fn fusable(next: Option<&Layer>) -> Option<FusedAct> {
 
 /// Run `layers` in inference mode. Input is in `a` on entry; output is in
 /// `a` on exit. `b` is the ping-pong partner.
-fn forward_layers_infer(layers: &[Layer], a: &mut ActBuf, b: &mut ActBuf, ts: &mut Scratch) {
+fn forward_layers_infer(
+    layers: &[Layer],
+    a: &mut ActBuf,
+    b: &mut ActBuf,
+    ts: &mut Scratch,
+    coeffs: &mut BnCoeffs,
+) {
     let mut i = 0;
     while i < layers.len() {
         let mut consumed = 1;
         match &layers[i] {
             Layer::Conv2d { w, b: bias, p } => {
-                let act = match fusable(layers.get(i + 1)) {
-                    Some(f) => {
-                        consumed = 2;
-                        f
-                    }
-                    None => FusedAct::Identity,
+                let bn = match layers.get(i + 1) {
+                    Some(Layer::BatchNorm { bn, .. }) => Some(bn),
+                    _ => None,
                 };
-                let dims = a.nchw();
-                conv2d_into(a.as_slice(), dims, &w.value, bias.value.as_slice(), *p, act, ts, b);
+                consumed += bn.is_some() as usize;
+                let act = activation(layers.get(i + consumed));
+                consumed += act.is_some() as usize;
+                let (x, dims) = (a.as_slice(), a.nchw());
+                let (w, bias, act) =
+                    (&w.value, bias.value.as_slice(), act.unwrap_or(FusedAct::Identity));
+                match bn {
+                    Some(bn) => conv2d_affine_into(x, dims, w, bias, coeffs.of(bn), *p, act, ts, b),
+                    None => conv2d_into(x, dims, w, bias, *p, act, ts, b),
+                }
                 std::mem::swap(a, b);
             }
             Layer::BatchNorm { bn, .. } => {
@@ -82,15 +121,10 @@ fn forward_layers_infer(layers: &[Layer], a: &mut ActBuf, b: &mut ActBuf, ts: &m
                 bn.forward_infer_into(a.as_slice(), dims, b);
                 std::mem::swap(a, b);
             }
-            Layer::Relu => {
+            layer @ (Layer::Relu | Layer::ClippedRelu(_)) => {
+                let act = activation(Some(layer)).expect("an activation layer");
                 for v in a.as_mut_slice() {
-                    *v = v.max(0.0);
-                }
-            }
-            Layer::ClippedRelu(cr) => {
-                let cr = *cr;
-                for v in a.as_mut_slice() {
-                    *v = cr.apply(*v);
+                    *v = act.apply(*v);
                 }
             }
             Layer::Quantize(q) => {
@@ -120,15 +154,11 @@ fn forward_layers_infer(layers: &[Layer], a: &mut ActBuf, b: &mut ActBuf, ts: &m
                 a.set_dims(&[n, rest]);
             }
             Layer::Linear { w, b: bias } => {
-                let act = match fusable(layers.get(i + 1)) {
-                    Some(f) => {
-                        consumed = 2;
-                        f
-                    }
-                    None => FusedAct::Identity,
-                };
+                let act = activation(layers.get(i + 1));
+                consumed += act.is_some() as usize;
                 assert_eq!(a.dims().len(), 2, "linear expects rank-2 input");
                 let (n, d) = (a.dims()[0], a.dims()[1]);
+                let act = act.unwrap_or(FusedAct::Identity);
                 linear_into(a.as_slice(), n, d, &w.value, bias.value.as_slice(), act, ts, b);
                 std::mem::swap(a, b);
             }
@@ -160,13 +190,14 @@ impl Network {
         for block in &self.blocks[range] {
             match block {
                 Block::Seq(layers) => {
-                    forward_layers_infer(layers, &mut s.ping, &mut s.pong, &mut s.ts);
+                    forward_layers_infer(layers, &mut s.ping, &mut s.pong, &mut s.ts, &mut s.bn);
                 }
                 Block::Residual { body, shortcut } => {
                     s.res_in.copy_from(&s.ping);
-                    forward_layers_infer(body, &mut s.ping, &mut s.pong, &mut s.ts);
+                    forward_layers_infer(body, &mut s.ping, &mut s.pong, &mut s.ts, &mut s.bn);
                     if !shortcut.is_empty() {
-                        forward_layers_infer(shortcut, &mut s.res_in, &mut s.res_tmp, &mut s.ts);
+                        let (x, tmp) = (&mut s.res_in, &mut s.res_tmp);
+                        forward_layers_infer(shortcut, x, tmp, &mut s.ts, &mut s.bn);
                     }
                     s.ping.add_assign(&s.res_in);
                 }
@@ -286,6 +317,100 @@ mod tests {
         let out = net.forward_infer_range_with(&mid, 1..2, &mut s).to_tensor();
         let (want_out, _) = net.forward_range(&want_mid, 1..2, false);
         assert!(out.approx_eq(&want_out, 1e-5));
+    }
+
+    /// `forward_infer_with` with no peephole: every layer run on its own.
+    fn layer_by_layer(net: &Network, x: &Tensor) -> Tensor {
+        fn each(
+            layers: &[Layer],
+            a: &mut ActBuf,
+            b: &mut ActBuf,
+            s: &mut Scratch,
+            c: &mut BnCoeffs,
+        ) {
+            for l in layers {
+                forward_layers_infer(std::slice::from_ref(l), a, b, s, c);
+            }
+        }
+        let mut s = InferScratch::new();
+        s.ping.copy_from_tensor(x);
+        for block in &net.blocks {
+            match block {
+                Block::Seq(layers) => each(layers, &mut s.ping, &mut s.pong, &mut s.ts, &mut s.bn),
+                Block::Residual { body, shortcut } => {
+                    s.res_in.copy_from(&s.ping);
+                    each(body, &mut s.ping, &mut s.pong, &mut s.ts, &mut s.bn);
+                    each(shortcut, &mut s.res_in, &mut s.res_tmp, &mut s.ts, &mut s.bn);
+                    s.ping.add_assign(&s.res_in);
+                }
+            }
+        }
+        s.ping.to_tensor()
+    }
+
+    /// Give every BatchNorm of `net` random statistics, so its `(a, b)` are
+    /// neither 1 nor 0 and a wrong fold shows.
+    fn perturb_batch_norms(net: &mut Network, rng: &mut StdRng) {
+        use rand::Rng;
+        for block in &mut net.blocks {
+            let layers: Vec<&mut Layer> = match block {
+                Block::Seq(layers) => layers.iter_mut().collect(),
+                Block::Residual { body, shortcut } => body.iter_mut().chain(shortcut).collect(),
+            };
+            for layer in layers {
+                if let Layer::BatchNorm { bn, .. } = layer {
+                    for ci in 0..bn.channels() {
+                        bn.gamma[ci] = rng.gen_range(-1.5..1.5);
+                        bn.beta[ci] = rng.gen_range(-0.5..0.5);
+                        bn.running_mean[ci] = rng.gen_range(-0.5..0.5);
+                        bn.running_var[ci] = rng.gen_range(0.1..2.0);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The peephole (`Conv2d → BatchNorm → ReLU` as one conv with the folded
+    /// affine in its epilogue, a standalone activation as
+    /// [`FusedAct::apply`]) returns the layer-by-layer bits on the three
+    /// small models with BatchNorm, on a served 16×16 tile and a 32×32
+    /// image (both read in place) and a 12×12 tile (panels).
+    #[test]
+    fn peephole_matches_layer_by_layer_bit_for_bit() {
+        use crate::small::{shapes_cnn, small_fcn, small_resnet};
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut models =
+            [shapes_cnn(6, &mut rng), small_resnet(6, &mut rng), small_fcn(6, &mut rng)];
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for m in &mut models {
+            perturb_batch_norms(&mut m.net, &mut rng);
+            let prefix = Network::new(m.net.blocks[..m.separable_prefix].to_vec());
+            let mut s = InferScratch::new();
+            for (net, hw) in [(&prefix, 16), (&prefix, 12), (&m.net, 32)] {
+                let x = Tensor::randn([1, 3, hw, hw], 1.0, &mut rng);
+                let fused = net.forward_infer_with(&x, &mut s).to_tensor();
+                assert_eq!(bits(&fused), bits(&layer_by_layer(net, &x)), "{} on {hw}x{hw}", m.name);
+            }
+        }
+    }
+
+    /// A standalone activation is the epilogue's scalar form, signed zeros
+    /// and NaN included, so moving it into a GEMM epilogue changes no bit.
+    #[test]
+    fn standalone_activations_are_the_epilogue_form() {
+        let cr = ClippedRelu::new(0.0, 1.5);
+        let specials = [-0.0f32, 0.0, -1e-42, 1e-42, -1.0, 0.75, 1.5, 9.0, f32::NAN, f32::INFINITY];
+        let x = Tensor::from_vec([1, 1, 1, specials.len()], specials.to_vec());
+        for (layer, act) in [
+            (Layer::Relu, FusedAct::Relu),
+            (Layer::ClippedRelu(cr), FusedAct::Clipped { lo: 0.0, hi: 1.5 }),
+        ] {
+            let net = Network::new(vec![Block::Seq(vec![layer])]);
+            let got = net.forward_infer_with(&x, &mut InferScratch::new()).to_tensor();
+            for (g, &v) in got.as_slice().iter().zip(&specials) {
+                assert_eq!(g.to_bits(), act.apply(v).to_bits(), "{act:?}({v})");
+            }
+        }
     }
 
     #[test]

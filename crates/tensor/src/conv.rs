@@ -6,17 +6,23 @@
 //! Getting the padding arithmetic right here is therefore load-bearing for
 //! the whole reproduction; the tests include an explicit naive reference.
 //!
-//! The forward path never materialises the im2col matrix: the GEMM core asks
-//! for one `KC×NR` panel of it at a time and `conv2d_image` gathers the
-//! patches straight into the packed panel layout (one pass, image → L1). Its
-//! buffers — the zero-padded image, the GEMM pack arena — come from a
+//! The forward path never materialises the im2col matrix. Row `k` of it,
+//! over `NR` adjacent outputs of one output row, is `NR` contiguous floats
+//! of the zero-padded image at stride 1, so there the register tile reads
+//! B where it lies (`base + off[k]`); otherwise the GEMM core asks for one
+//! `KC×NR` panel at a time and `conv2d_image` gathers the patches straight
+//! into the packed panel layout (one pass, image → L1). Both feed the tile
+//! the same floats, so they return the same bits. The buffers — the
+//! zero-padded image, the GEMM pack arena — come from a
 //! [`Scratch`] (a per-thread one for the plain [`conv2d`] API, the caller's
 //! own for [`conv2d_into`]), so steady-state inference re-runs the same
 //! shapes with zero heap allocation. The backward pass keeps the explicit
 //! `im2col` matrix; its two products (`gemm_bt`, `gemm_at`) run on the same
 //! GEMM nest as the forward one.
 
-use crate::gemm::{gemm_at, gemm_bt, gemm_core, FusedAct, NR};
+use crate::gemm::{
+    gemm_at, gemm_bt, gemm_core, tier, BRows, BSource, Epilogue, FusedAct, Panel, Tier, KC, NR,
+};
 use crate::scratch::{with_arena, ActBuf, Scratch};
 use crate::tensor::Tensor;
 use std::cell::RefCell;
@@ -173,60 +179,38 @@ fn pad_image(img: &[f32], c: usize, h: usize, w: usize, pad: usize, out: &mut Ve
     }
 }
 
-/// One image forward: the GEMM core pulls im2col panels straight out of the
-/// (zero-padded) image, with bias + activation fused into the last-k-block
-/// epilogue.
-#[allow(clippy::too_many_arguments)]
-fn conv2d_image(
-    img: &[f32],
-    ic: usize,
-    h: usize,
-    w: usize,
-    weight: &Tensor,
-    oc: usize,
-    bias: Option<&[f32]>,
+/// The im2col matrix of one (zero-padded) image as the GEMM nest reads it:
+/// `B[(ci·ks + ki)·ks + kj, oi·ow + oj] = src[ci, oi·s + ki, oj·s + kj] =
+/// src[off(k) + col(j)]`, a row term `off(k) = (ci·hp + ki)·wp + kj` plus a
+/// column term `col(j) = (j / ow · wp + j % ow)·s` — no bounds decisions.
+#[derive(Clone, Copy)]
+struct Im2col<'a> {
+    src: &'a [f32],
     p: Conv2dParams,
-    act: FusedAct,
-    scratch: &mut Scratch,
-    dst: &mut [f32],
-) {
-    let ow = p.out_dim(w);
-    let n = p.out_dim(h) * ow;
-    let ks = p.kernel;
-    let (hp, wp) = (h + 2 * p.pad, w + 2 * p.pad);
-    let Scratch { pack, pad } = scratch;
-    let src: &[f32] = if p.pad == 0 {
-        img
-    } else {
-        pad_image(img, ic, h, w, p.pad, pad);
-        pad
-    };
+    /// Padded input height and width.
+    hp: usize,
+    wp: usize,
+    /// Output width, and output pixels (`B`'s columns).
+    ow: usize,
+    n: usize,
+}
 
-    // im2col[(ci·ks + ki)·ks + kj, oi·ow + oj] = src[ci, oi·s + ki, oj·s + kj]
-    // = src[base(k) + off(j)]: a row term plus a column term, so a panel is
-    // one offset table and a walk over k. Groups of 8 lanes that are
-    // contiguous in `src` (stride 1, same output row) are one vector copy.
-    let fill = |k0: usize, j0: usize, panel: &mut [f32]| {
-        let nb = NR.min(n - j0);
-        let mut off = [0usize; NR];
-        for (l, o) in off.iter_mut().enumerate().take(nb) {
-            let j = j0 + l;
-            *o = (j / ow * wp + j % ow) * p.stride;
-        }
-        let contiguous: [bool; NR / 8] =
-            std::array::from_fn(|g| 8 * g + 8 <= nb && off[8 * g + 7] == off[8 * g] + 7);
+/// `off(k)` of one k-block's rows, worked out once per k-block: on the
+/// stack, since a block has at most `KC` rows.
+struct RowOffsets {
+    off: [usize; KC],
+    kb: usize,
+    /// The largest of `off[..kb]`.
+    max: usize,
+}
+
+impl Im2col<'_> {
+    fn row_offsets(&self, k0: usize, kb: usize) -> RowOffsets {
+        let ks = self.p.kernel;
         let (mut ci, mut ki, mut kj) = (k0 / (ks * ks), k0 / ks % ks, k0 % ks);
-        for dst in panel.chunks_exact_mut(NR) {
-            let base = (ci * hp + ki) * wp + kj;
-            for (g, d) in dst.chunks_exact_mut(8).enumerate() {
-                if contiguous[g] {
-                    d.copy_from_slice(&src[base + off[8 * g]..][..8]);
-                } else {
-                    for (l, dv) in (8 * g..).zip(d) {
-                        *dv = if l < nb { src[base + off[l]] } else { 0.0 };
-                    }
-                }
-            }
+        let mut off = [0usize; KC];
+        for o in &mut off[..kb] {
+            *o = (ci * self.hp + ki) * self.wp + kj;
             kj += 1;
             if kj == ks {
                 (kj, ki) = (0, ki + 1);
@@ -235,8 +219,158 @@ fn conv2d_image(
                 }
             }
         }
+        let max = off[..kb].iter().copied().max().unwrap_or(0);
+        RowOffsets { off, kb, max }
+    }
+}
+
+/// [`Im2col`] gathered into filled panels, for any stride and width.
+struct Gather<'a>(Im2col<'a>);
+
+impl BSource for Gather<'_> {
+    type Block = RowOffsets;
+    type Rows<'p>
+        = Panel<'p>
+    where
+        Self: 'p;
+
+    fn block(&self, k0: usize, kb: usize) -> RowOffsets {
+        self.0.row_offsets(k0, kb)
+    }
+
+    fn rows<'p>(&'p self, block: &'p RowOffsets, j0: usize, panel: &'p mut [f32]) -> Panel<'p> {
+        let Im2col { src, p, wp, ow, n, .. } = self.0;
+        let nb = NR.min(n - j0);
+        let mut col = [0usize; NR];
+        for (l, o) in col.iter_mut().enumerate().take(nb) {
+            let j = j0 + l;
+            *o = (j / ow * wp + j % ow) * p.stride;
+        }
+        // Groups of 8 lanes that are contiguous in `src` (stride 1, same
+        // output row) are one vector copy.
+        let contiguous: [bool; NR / 8] =
+            std::array::from_fn(|g| 8 * g + 8 <= nb && col[8 * g + 7] == col[8 * g] + 7);
+        for (dst, &base) in panel.chunks_exact_mut(NR).zip(&block.off[..block.kb]) {
+            for (g, d) in dst.chunks_exact_mut(8).enumerate() {
+                if contiguous[g] {
+                    d.copy_from_slice(&src[base + col[8 * g]..][..8]);
+                } else {
+                    for (l, dv) in (8 * g..).zip(d) {
+                        *dv = if l < nb { src[base + col[l]] } else { 0.0 };
+                    }
+                }
+            }
+        }
+        Panel(panel)
+    }
+}
+
+/// [`Im2col`] read where it lies. At stride 1 with an output width that is
+/// a multiple of [`NR`], the `NR` columns of a panel are one output row's
+/// `NR` neighbours, so row `k` of the panel is the `NR` contiguous floats
+/// at `base(j0) + off(k)` — no copy.
+struct InPlace<'a>(Im2col<'a>);
+
+impl<'a> InPlace<'a> {
+    fn new(b: Im2col<'a>) -> Self {
+        assert!(
+            b.p.stride == 1 && b.ow.is_multiple_of(NR),
+            "an NR-lane group must be NR neighbours of one output row"
+        );
+        InPlace(b)
+    }
+}
+
+impl BSource for InPlace<'_> {
+    type Block = RowOffsets;
+    type Rows<'p>
+        = ImageRows<'p>
+    where
+        Self: 'p;
+
+    fn block(&self, k0: usize, kb: usize) -> RowOffsets {
+        self.0.row_offsets(k0, kb)
+    }
+
+    fn rows<'p>(&'p self, block: &'p RowOffsets, j0: usize, _: &'p mut [f32]) -> ImageRows<'p> {
+        let Im2col { src, wp, ow, .. } = self.0;
+        let src = &src[j0 / ow * wp + j0 % ow..];
+        // What `ImageRows`' `BRows` contract rests on: every row of the
+        // block ends inside `src`.
+        assert!(block.max + NR <= src.len(), "in-place rows out of bounds");
+        ImageRows { src, off: &block.off[..block.kb] }
+    }
+}
+
+/// One block of [`InPlace`] rows: row `kk` is the `NR` floats at
+/// `src[off[kk]..]`.
+#[derive(Clone, Copy)]
+struct ImageRows<'a> {
+    src: &'a [f32],
+    off: &'a [usize],
+}
+
+// SAFETY: `InPlace::rows` asserted `off[kk] + NR <= src.len()` for every
+// `kk` (through the block's largest offset).
+unsafe impl BRows for ImageRows<'_> {
+    fn kb(self) -> usize {
+        self.off.len()
+    }
+
+    fn row(self, kk: usize) -> *const f32 {
+        self.src.as_ptr().wrapping_add(self.off[kk])
+    }
+}
+
+/// One image forward at the machine's tier, reading B in place whenever the
+/// geometry allows it: on every served shape and both x86 tiers that beats
+/// filling panels, even where a panel would be reused by 8 (AVX-512) or 22
+/// (AVX2) row panels (DESIGN.md §9).
+fn conv2d_image(
+    img: &[f32],
+    dims: (usize, usize, usize),
+    weight: &Tensor,
+    epi: Epilogue,
+    p: Conv2dParams,
+    scratch: &mut Scratch,
+    dst: &mut [f32],
+) {
+    let in_place = p.stride == 1 && p.out_dim(dims.2).is_multiple_of(NR);
+    conv2d_image_at(tier(), in_place, img, dims, weight, epi, p, scratch, dst);
+}
+
+/// One image forward on tier `t`: the GEMM core reads the im2col matrix
+/// straight out of the (zero-padded) image — `in_place`, or gathered one
+/// `KC×NR` panel at a time — with the epilogue fused into the last k-block.
+/// Both ways feed the tile the same floats, so they return the same bits.
+#[allow(clippy::too_many_arguments)]
+fn conv2d_image_at(
+    t: &Tier,
+    in_place: bool,
+    img: &[f32],
+    (ic, h, w): (usize, usize, usize),
+    weight: &Tensor,
+    epi: Epilogue,
+    p: Conv2dParams,
+    scratch: &mut Scratch,
+    dst: &mut [f32],
+) {
+    let (oc, ow) = (weight.dims()[0], p.out_dim(w));
+    let (hp, wp) = (h + 2 * p.pad, w + 2 * p.pad);
+    let Scratch { pack, pad } = scratch;
+    let src: &[f32] = if p.pad == 0 {
+        img
+    } else {
+        pad_image(img, ic, h, w, p.pad, pad);
+        pad
     };
-    gemm_core(oc, ic * ks * ks, n, weight.as_slice(), &fill, dst, 0.0, bias, act, pack);
+    let b = Im2col { src, p, hp, wp, ow, n: p.out_dim(h) * ow };
+    let (k, a) = (ic * p.kernel * p.kernel, weight.as_slice());
+    if in_place {
+        gemm_core(t, oc, k, b.n, a, &InPlace::new(b), dst, 0.0, epi, pack);
+    } else {
+        gemm_core(t, oc, k, b.n, a, &Gather(b), dst, 0.0, epi, pack);
+    }
 }
 
 /// Forward 2-D convolution.
@@ -262,11 +396,11 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &[f32], p: Conv2dParams) ->
     // and the batched forward dominates training time.
     let in_stride = ic * h * w;
     let out_stride = oc * oh * ow;
-    let b = if bias.is_empty() { None } else { Some(bias) };
+    let epi = Epilogue::new((!bias.is_empty()).then_some(bias), FusedAct::Identity);
     let body = |ni: usize, dst: &mut [f32]| {
         let img = &input.as_slice()[ni * in_stride..(ni + 1) * in_stride];
         with_arena(&CONV_TLS, |scratch| {
-            conv2d_image(img, ic, h, w, weight, oc, b, p, FusedAct::Identity, scratch, dst)
+            conv2d_image(img, (ic, h, w), weight, epi, p, scratch, dst)
         });
     };
     if n > 1 {
@@ -292,9 +426,47 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &[f32], p: Conv2dParams) ->
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_into(
     input: &[f32],
+    dims: (usize, usize, usize, usize),
+    weight: &Tensor,
+    bias: &[f32],
+    p: Conv2dParams,
+    act: FusedAct,
+    scratch: &mut Scratch,
+    out: &mut ActBuf,
+) {
+    conv_into(input, dims, weight, bias, None, p, act, scratch, out);
+}
+
+/// [`conv2d_into`] with a per-output-channel affine between the bias and
+/// the activation: channel `c` is `act((conv + bias[c])·scale[c] +
+/// shift[c])`, a multiply then an add. That is an inference BatchNorm's
+/// folded `a·x + b` ([`crate::norm::BatchNorm::fold`]) computed the way
+/// [`crate::norm::BatchNorm::forward_infer_into`] computes it, so a
+/// `conv → BatchNorm → activation` run through here returns the three
+/// layers' bits in one pass over the output instead of three.
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_affine_into(
+    input: &[f32],
+    dims: (usize, usize, usize, usize),
+    weight: &Tensor,
+    bias: &[f32],
+    (scale, shift): (&[f32], &[f32]),
+    p: Conv2dParams,
+    act: FusedAct,
+    scratch: &mut Scratch,
+    out: &mut ActBuf,
+) {
+    conv_into(input, dims, weight, bias, Some((scale, shift)), p, act, scratch, out);
+}
+
+/// [`conv2d_into`] and [`conv2d_affine_into`]'s body.
+#[allow(clippy::too_many_arguments)]
+fn conv_into(
+    input: &[f32],
     (n, ic, h, w): (usize, usize, usize, usize),
     weight: &Tensor,
     bias: &[f32],
+    affine: Option<(&[f32], &[f32])>,
     p: Conv2dParams,
     act: FusedAct,
     scratch: &mut Scratch,
@@ -306,17 +478,20 @@ pub fn conv2d_into(
     assert_eq!(kh, p.kernel, "weight kernel height mismatch");
     assert_eq!(kw, p.kernel, "weight kernel width mismatch");
     assert!(bias.is_empty() || bias.len() == oc, "bias length mismatch");
+    if let Some((scale, shift)) = affine {
+        assert!(scale.len() == oc && shift.len() == oc, "affine length mismatch");
+    }
 
     let oh = p.out_dim(h);
     let ow = p.out_dim(w);
     out.reshape(&[n, oc, oh, ow]);
     let in_stride = ic * h * w;
     let out_stride = oc * oh * ow;
-    let b = if bias.is_empty() { None } else { Some(bias) };
+    let epi = Epilogue { bias: (!bias.is_empty()).then_some(bias), affine, act };
     for ni in 0..n {
         let img = &input[ni * in_stride..(ni + 1) * in_stride];
         let dst = &mut out.as_mut_slice()[ni * out_stride..(ni + 1) * out_stride];
-        conv2d_image(img, ic, h, w, weight, oc, b, p, act, scratch, dst);
+        conv2d_image(img, (ic, h, w), weight, epi, p, scratch, dst);
     }
 }
 
@@ -538,6 +713,74 @@ mod tests {
         let mut out = ActBuf::new();
         conv2d_into(x.as_slice(), (1, 3, 7, 7), &wt, &b, p, FusedAct::Relu, &mut scratch, &mut out);
         assert!(out.to_tensor().approx_eq(&want, 1e-5));
+    }
+
+    /// In-place rows and filled panels feed the tile the same floats, so on
+    /// every FMA tier of this CPU both return the same bits — and every tier
+    /// the narrowest one's — over M across each tier's row panels, output
+    /// widths on and off `NR`, K on both sides of `KC`, pad 0/1, stride 1/2,
+    /// every activation after the bias, with and without the BatchNorm
+    /// affine. (Shapes off stride 1 or off `NR` have only the panel path.)
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn in_place_rows_match_panel_rows_on_every_tier() {
+        let tiers = crate::gemm::x86_tiers();
+        let acts = [FusedAct::Identity, FusedAct::Relu, FusedAct::Clipped { lo: -0.5, hi: 1.0 }];
+        let mut rng = StdRng::seed_from_u64(0x1A);
+        let mut scratch = Scratch::new();
+        let mut in_place_cases = 0;
+        for m in [1, 6, 15, 16, 17, 32, 33, 64] {
+            for ow in [8, 16, 17, 32] {
+                for ic in [3, 16, 32, 64] {
+                    for (pad, stride) in [(0, 1), (1, 1), (0, 2), (1, 2)] {
+                        let p = Conv2dParams { kernel: 3, stride, pad };
+                        // Two output rows, so column panels cross rows.
+                        let (h, w) = (stride + 3 - 2 * pad, (ow - 1) * stride + 3 - 2 * pad);
+                        let x = Tensor::randn([ic, h, w], 1.0, &mut rng);
+                        let wt = Tensor::randn([m, ic, 3, 3], 0.3, &mut rng);
+                        let [bias, scale, shift] =
+                            [0; 3].map(|_| Tensor::randn([m], 1.0, &mut rng).as_slice().to_vec());
+                        let eligible = stride == 1 && ow.is_multiple_of(NR);
+                        in_place_cases += eligible as usize;
+                        for act in acts {
+                            for affine in [None, Some((&scale[..], &shift[..]))] {
+                                let epi = Epilogue { bias: Some(&bias), affine, act };
+                                let mut run = |t: &Tier, in_place: bool| {
+                                    let mut y = vec![f32::NAN; m * 2 * ow];
+                                    let (img, dims) = (x.as_slice(), (ic, h, w));
+                                    conv2d_image_at(
+                                        t,
+                                        in_place,
+                                        img,
+                                        dims,
+                                        &wt,
+                                        epi,
+                                        p,
+                                        &mut scratch,
+                                        &mut y,
+                                    );
+                                    y.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                                };
+                                let want = run(&tiers[0], false);
+                                for t in &tiers {
+                                    let case = format!(
+                                        "{} m={m} ow={ow} ic={ic} pad={pad} s={stride} {act:?} \
+                                         affine={}",
+                                        t.name,
+                                        affine.is_some()
+                                    );
+                                    assert_eq!(run(t, false), want, "panel: {case}");
+                                    if eligible {
+                                        assert_eq!(run(t, true), want, "in place: {case}");
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(in_place_cases, 8 * 2 * 4 * 2);
     }
 
     #[test]

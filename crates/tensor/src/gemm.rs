@@ -25,15 +25,23 @@
 //!     for each MR-wide row panel i:
 //!         MR×NR register tile: acc = Σ_k a[i,k]·b[k,j]   (registers)
 //!         first k-block stores, later ones add, the last applies
-//!         bias + activation before the store
+//!         bias (+ a per-row affine) + activation before the store
 //! ```
 //!
+//! A source may also skip the fill: the tile is generic over how it finds
+//! B's row `k` (`BRows`), and a stride-1 convolution whose output rows
+//! hold whole column panels hands it the zero-padded image itself, row `k`
+//! at `base + off[k]` (`conv2d_image`). A filled panel is reused once per
+//! row panel, so when `m` spans one or two of them the copy costs about
+//! what the FMAs do; reading in place removes it. Same pack, same blocking,
+//! same tile source, same epilogue: the two ways return the same bits.
+//!
 //! Blocking, per tier (also DESIGN.md §9). The nest above is one source,
-//! generic over the tile's row count `MR`; `gemm_core` probes the CPU once
-//! ([`simd_tier`]) and enters it at the tier's `MR` with the tier's kernel —
-//! the one dispatch point, per call, not per tile. `NR = 16` and `KC = 256`
-//! are the same for every tier, so a B panel is 16 KB whatever runs and no
-//! panel source knows the tier:
+//! generic over the tile's row count `MR`; the CPU is probed once
+//! ([`simd_tier`]) and `gemm_core` enters the nest at that tier's `MR` with
+//! its kernel — the one dispatch point, per call, not per tile. `NR = 16`
+//! and `KC = 256` are the same for every tier, so a B panel is 16 KB
+//! whatever runs and no panel source knows the tier:
 //!
 //! ```text
 //! tier       MR×NR   accumulators        + B row, broadcast   A panel
@@ -48,9 +56,11 @@
 //!
 //! **Determinism.** Every output element is the same operation sequence —
 //! one multiply-add chain over `k` ascending from zero within a k-block,
-//! k-blocks combined in order, then `+ bias`, then the activation — whatever
+//! k-blocks combined in order, then `+ bias`, then (if asked) `· scale` and
+//! `+ shift` as a separate multiply and add, then the activation — whatever
 //! its position in the register tile, whether the tile is interior or an
-//! edge (edges run the same kernel on a zero-padded temp tile), whatever
+//! edge (edges run the same kernel on a zero-padded temp tile), whether B's
+//! rows came from a panel or in place, whatever
 //! `m`/`n`, the thread count, or what the pack arena held before. So a
 //! sub-range of rows or columns multiplied alone reproduces the full
 //! product's bits (through [`gemm`]/[`gemm_fused`] for `m ≥ 2`: `m == 1` is
@@ -73,43 +83,214 @@ pub const NR: usize = 16;
 /// one `KC×MR` A panel (6 KB or 16 KB) sit in L1 while a tile is computed.
 pub const KC: usize = 256;
 
-/// `(a_panel, b_panel, c, ldc, accumulate, fin)`: one `MR×NR` register tile
-/// over one k-block, `acc = a_panel ⊗ b_panel`, then `c = acc` or `c += acc`
-/// (`accumulate`), then `c = act(c + bias)` if `fin`. `c` starts at the
-/// tile's first element, rows `ldc` apart. A kernel checks its slices
-/// itself; what makes the call unsafe is the CPU feature it was compiled for.
-type Kernel = unsafe fn(&[f32], &[f32], &mut [f32], usize, bool, Finish);
+/// How a register tile finds row `kk` of its k-block of `B`: `NR` floats
+/// starting at `row(kk)`. Every kernel is generic over it, so a tier has one
+/// kernel source and each way of addressing B its own monomorphised copy,
+/// with no per-k branch.
+///
+/// # Safety
+/// For every `kk < self.kb()`, `self.row(kk)` points at `NR` readable `f32`s
+/// that outlive `self`: the kernels read them without a check.
+pub(crate) unsafe trait BRows: Copy {
+    /// k-steps in the block.
+    fn kb(self) -> usize;
+    /// The first float of row `kk`.
+    fn row(self, kk: usize) -> *const f32;
+}
 
-/// Bias (one per tile row) and activation applied on the last k-block.
-type Finish<'a> = Option<(&'a [f32], FusedAct)>;
+/// A filled k-major panel: row `kk` is the `NR` floats at `kk·NR`.
+#[derive(Clone, Copy)]
+pub(crate) struct Panel<'a>(pub(crate) &'a [f32]);
+
+// SAFETY: for `kk < len / NR`, row `kk` ends at `(kk + 1)·NR ≤ len`.
+unsafe impl BRows for Panel<'_> {
+    fn kb(self) -> usize {
+        self.0.len() / NR
+    }
+
+    fn row(self, kk: usize) -> *const f32 {
+        self.0.as_ptr().wrapping_add(kk * NR)
+    }
+}
+
+/// The nest's `B` operand, handed out one k-block, then one column panel
+/// of that block, at a time.
+pub(crate) trait BSource: Sync {
+    /// What the source works out once per k-block and row-block task.
+    type Block;
+    /// What the tile reads the rows through.
+    type Rows<'p>: BRows
+    where
+        Self: 'p;
+
+    /// Rows `k0..k0 + kb` of `B`.
+    fn block(&self, k0: usize, kb: usize) -> Self::Block;
+
+    /// Columns `j0..j0 + NR` of `block` (columns at or beyond `n` read as
+    /// zero). `panel` is the calling task's `kb×NR` buffer: a source fills
+    /// it and returns it as a [`Panel`], or leaves it and points at `B`
+    /// where `B` already lies.
+    fn rows<'p>(
+        &'p self,
+        block: &'p Self::Block,
+        j0: usize,
+        panel: &'p mut [f32],
+    ) -> Self::Rows<'p>;
+}
+
+/// A panel source: `fill(k0, j0, panel)` writes rows `k0..k0 + panel.len()
+/// / NR` k-major, `NR` floats per k-step.
+impl<F: Fn(usize, usize, &mut [f32]) + Sync + ?Sized> BSource for F {
+    type Block = usize;
+    type Rows<'p>
+        = Panel<'p>
+    where
+        Self: 'p;
+
+    fn block(&self, k0: usize, _kb: usize) -> usize {
+        k0
+    }
+
+    fn rows<'p>(&'p self, &k0: &'p usize, j0: usize, panel: &'p mut [f32]) -> Panel<'p> {
+        self(k0, j0, panel);
+        Panel(panel)
+    }
+}
+
+/// What the last k-block applies to the accumulator before its store:
+/// `act((acc + bias)·scale + shift)`, row `i` of the product taking entry
+/// `i` of each slice. A missing bias adds `0.0`; `affine` is `(scale,
+/// shift)`, a multiply then an add (never fused), which is an inference
+/// BatchNorm's folded `a·x + b` exactly.
+#[derive(Clone, Copy)]
+pub(crate) struct Epilogue<'a> {
+    pub(crate) bias: Option<&'a [f32]>,
+    pub(crate) affine: Option<(&'a [f32], &'a [f32])>,
+    pub(crate) act: FusedAct,
+}
+
+impl<'a> Epilogue<'a> {
+    /// Bias and activation only.
+    pub(crate) fn new(bias: Option<&'a [f32]>, act: FusedAct) -> Self {
+        Epilogue { bias, affine: None, act }
+    }
+
+    /// The epilogue of row `i` on one element, in the vector tiles' order.
+    #[inline(always)]
+    fn apply(&self, i: usize, x: f32) -> f32 {
+        let x = x + self.bias.map_or(0.0, |b| b[i]);
+        let x = match self.affine {
+            Some((scale, shift)) => x * scale[i] + shift[i],
+            None => x,
+        };
+        self.act.apply(x)
+    }
+}
+
+/// The epilogue a tile applies on the last k-block, its slices one entry
+/// per tile row (the bias always present), or `None` before that block.
+type Finish<'a> = Option<Epilogue<'a>>;
+
+/// A register tile: over one k-block (`b.kb()` steps) `acc = a_panel ⊗ b`,
+/// then `c = acc` or `c += acc` (`accumulate`), then the epilogue if `fin`.
+/// `c` starts at the tile's first element, rows `ldc` apart. A kernel
+/// checks `a_panel` and `c` itself; `b` is checked by its [`BRows`] type.
+trait Tile<const MR: usize> {
+    /// # Safety
+    /// The CPU has the target features the tile was compiled for.
+    unsafe fn tile<R: BRows>(
+        a_panel: &[f32],
+        b: R,
+        c: &mut [f32],
+        ldc: usize,
+        accumulate: bool,
+        fin: Finish,
+    );
+}
+
+/// The instruction set a [`Tier`]'s tile is compiled for.
+#[derive(Clone, Copy, Debug)]
+enum Isa {
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    Portable,
+}
 
 /// A register tile this build has a kernel for. Only [`tier`] makes one
-/// outside tests, after probing `kernel`'s CPU feature.
-struct Tier {
-    name: &'static str,
+/// outside tests, after probing its CPU feature.
+pub(crate) struct Tier {
+    pub(crate) name: &'static str,
     /// Microkernel row count (output rows accumulated per register tile).
     mr: usize,
-    kernel: Kernel,
+    isa: Isa,
 }
+
+/// The tiers this build has tiles for.
+#[cfg(target_arch = "x86_64")]
+const AVX512: Tier = Tier { name: "avx512f", mr: 16, isa: Isa::Avx512 };
+#[cfg(target_arch = "x86_64")]
+const AVX2: Tier = Tier { name: "avx2+fma", mr: 6, isa: Isa::Avx2 };
+const PORTABLE: Tier = Tier { name: "scalar", mr: 6, isa: Isa::Portable };
 
 /// The widest tile the CPU runs, probed once. The crate builds against
 /// baseline x86-64 (SSE2 only), so this has to be a *runtime* dispatch; it
 /// is one per [`gemm_core`] call.
-fn tier() -> &'static Tier {
+pub(crate) fn tier() -> &'static Tier {
     static TIER: OnceLock<Tier> = OnceLock::new();
     TIER.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
         {
             use std::arch::is_x86_feature_detected as has;
             if has!("avx512f") {
-                return Tier { name: "avx512f", mr: 16, kernel: x86::microkernel512 };
+                return AVX512;
             }
             if has!("avx2") && has!("fma") {
-                return Tier { name: "avx2+fma", mr: 6, kernel: x86::microkernel };
+                return AVX2;
             }
         }
-        Tier { name: "scalar", mr: 6, kernel: microkernel_portable::<6> }
+        PORTABLE
     })
+}
+
+/// Every FMA tier this CPU runs, the narrowest first: the table the
+/// per-tier tests walk, so that they are loops instead of generic functions.
+#[cfg(all(test, target_arch = "x86_64"))]
+pub(crate) fn x86_tiers() -> Vec<Tier> {
+    use std::arch::is_x86_feature_detected as has;
+    let mut tiers = Vec::new();
+    if has!("avx2") && has!("fma") {
+        tiers.push(AVX2);
+    }
+    if has!("avx512f") {
+        tiers.push(AVX512);
+    }
+    tiers
+}
+
+impl Tier {
+    /// This tier's register tile.
+    ///
+    /// # Safety
+    /// As [`Tile::tile`]; [`tier`] probed the feature.
+    unsafe fn tile<R: BRows>(
+        &self,
+        a_panel: &[f32],
+        b: R,
+        c: &mut [f32],
+        ldc: usize,
+        accumulate: bool,
+        fin: Finish,
+    ) {
+        match self.isa {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => x86::Avx512::tile(a_panel, b, c, ldc, accumulate, fin),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => x86::Avx2::tile(a_panel, b, c, ldc, accumulate, fin),
+            Isa::Portable => <Portable as Tile<6>>::tile(a_panel, b, c, ldc, accumulate, fin),
+        }
+    }
 }
 
 /// The SIMD tier every product of this module runs at on this machine:
@@ -129,7 +310,7 @@ pub fn tile_rows() -> usize {
 /// packs them.
 pub fn register_tile(a_panel: &[f32], b_panel: &[f32], c: &mut [f32]) {
     // SAFETY: `tier()` probed the kernel's CPU feature.
-    unsafe { (tier().kernel)(a_panel, b_panel, c, NR, false, None) }
+    unsafe { tier().tile(a_panel, Panel(b_panel), c, NR, false, None) }
 }
 
 /// Below this work threshold the parallel dispatch overhead outweighs the
@@ -268,7 +449,8 @@ fn gemm_rowmajor(
         }
         return;
     }
-    gemm_core(m, k, n, a, &rowmajor_panels(b, n), c, beta, bias, act, pack);
+    let (fill, epi) = (rowmajor_panels(b, n), Epilogue::new(bias, act));
+    gemm_core(tier(), m, k, n, a, &fill, c, beta, epi, pack);
 }
 
 /// Panel source for a row-major `[k, n]` `B`. Whole NR-wide rows are one
@@ -306,51 +488,51 @@ impl<'a> From<&'a [f32]> for ASrc<'a> {
 }
 
 /// The one GEMM core: behind [`gemm`], [`gemm_fused`] and `conv2d` forward,
-/// [`gemm_bt`] and [`gemm_at`] backward.
+/// [`gemm_bt`] and [`gemm_at`] backward, on tier `t` — the machine's
+/// [`tier`], or one a test's probe vouches the CPU runs.
 ///
 /// `a` is the `A` operand in either stored layout (a plain slice is
-/// `[m, k]` row-major). `fill_b(k0, j0, panel)` writes rows `k0..k0 + panel.len() / NR` of
-/// columns `j0..j0 + NR` of `B` into `panel` (k-major, `NR` floats per
-/// k-step, columns at or beyond `n` zero). It is called once per (k-block,
-/// column panel) and row-block task, and the panel is consumed from L1
-/// before the next one is filled, so `B` is never materialised.
+/// `[m, k]` row-major). `b` hands out `B` one k-block, then one column
+/// panel of it, at a time ([`BSource`]), per row-block task; a filled panel
+/// is consumed from L1 before the next one is filled, so `B` is never
+/// materialised.
 ///
 /// `pack` is the grow-only arena: the packed `A` panels, then one B panel
 /// per row-block task.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_core<'a, F>(
+pub(crate) fn gemm_core<'a, S: BSource + ?Sized>(
+    t: &Tier,
     m: usize,
     k: usize,
     n: usize,
     a: impl Into<ASrc<'a>>,
-    fill_b: &F,
+    b: &S,
     c: &mut [f32],
     beta: f32,
-    bias: Option<&[f32]>,
-    act: FusedAct,
+    epi: Epilogue,
     pack: &mut Vec<f32>,
-) where
-    F: Fn(usize, usize, &mut [f32]) + Sync,
-{
+) {
     let a = a.into();
     let (ASrc::RowMajor(stored) | ASrc::KMajor(stored)) = a;
     assert_eq!(stored.len(), m * k, "A dims mismatch");
     assert_eq!(c.len(), m * n, "C dims mismatch");
-    if let Some(bs) = bias {
+    if let Some(bs) = epi.bias {
         assert_eq!(bs.len(), m, "bias dims mismatch");
+    }
+    if let Some((scale, shift)) = epi.affine {
+        assert!(scale.len() == m && shift.len() == m, "affine dims mismatch");
     }
     if m == 0 || n == 0 {
         return;
     }
     if k == 0 {
         // Degenerate reduction: the product is zero, but the epilogue still
-        // owes bias + activation.
+        // owes bias, affine and activation.
         scale(c, beta);
-        if bias.is_some() || act != FusedAct::Identity {
+        if epi.bias.is_some() || epi.affine.is_some() || epi.act != FusedAct::Identity {
             for (i, crow) in c.chunks_mut(n).enumerate() {
-                let badd = bias.map_or(0.0, |bs| bs[i]);
                 for cv in crow.iter_mut() {
-                    *cv = act.apply(*cv + badd);
+                    *cv = epi.apply(i, *cv);
                 }
             }
         }
@@ -360,31 +542,31 @@ pub(crate) fn gemm_core<'a, F>(
         scale(c, beta);
     }
 
-    let (first_stores, t) = (beta == 0.0, tier());
-    match t.mr {
-        16 => gemm_nest::<16, F>(m, k, n, a, fill_b, c, first_stores, bias, act, pack, t.kernel),
-        6 => gemm_nest::<6, F>(m, k, n, a, fill_b, c, first_stores, bias, act, pack, t.kernel),
-        mr => unreachable!("no nest instantiated for a {mr}-row tile"),
+    let first_stores = beta == 0.0;
+    match t.isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => gemm_nest::<16, x86::Avx512, S>(m, k, n, a, b, c, first_stores, epi, pack),
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => gemm_nest::<6, x86::Avx2, S>(m, k, n, a, b, c, first_stores, epi, pack),
+        Isa::Portable => gemm_nest::<6, Portable, S>(m, k, n, a, b, c, first_stores, epi, pack),
     }
 }
 
-/// [`gemm_core`] past its checks, instantiated at one tier's row count:
-/// `kernel` is an `MR`-row tile whose CPU feature the caller has probed, `k`
-/// is not zero and `c` is already scaled by `beta` (`first_stores`: by zero,
-/// so the first k-block overwrites it).
+/// [`gemm_core`] past its checks, instantiated at one tier's tile `T` of
+/// `MR` rows, whose CPU feature the caller has probed: `k` is not zero and
+/// `c` is already scaled by `beta` (`first_stores`: by zero, so the first
+/// k-block overwrites it).
 #[allow(clippy::too_many_arguments)]
-fn gemm_nest<const MR: usize, F: Fn(usize, usize, &mut [f32]) + Sync>(
+fn gemm_nest<const MR: usize, T: Tile<MR>, S: BSource + ?Sized>(
     m: usize,
     k: usize,
     n: usize,
     a: ASrc,
-    fill_b: &F,
+    b: &S,
     c: &mut [f32],
     first_stores: bool,
-    bias: Option<&[f32]>,
-    act: FusedAct,
+    epi: Epilogue,
     pack: &mut Vec<f32>,
-    kernel: Kernel,
 ) {
     // Contiguous row blocks, each a multiple of MR rows, one per task.
     let mp = m.div_ceil(MR);
@@ -394,8 +576,8 @@ fn gemm_nest<const MR: usize, F: Fn(usize, usize, &mut [f32]) + Sync>(
 
     let a_len = k * mp * MR;
     let kc = KC.min(k);
-    // Every element read below is written first (`pack_a`, `fill_b`), so the
-    // arena is only ever grown, never cleared.
+    // Every element read below is written first (`pack_a`, a panel
+    // source), so the arena is only ever grown, never cleared.
     pack.resize(a_len + tasks * kc * NR, 0.0);
     let (a_pack, b_panels) = pack.split_at_mut(a_len);
     match a {
@@ -404,14 +586,14 @@ fn gemm_nest<const MR: usize, F: Fn(usize, usize, &mut [f32]) + Sync>(
     }
     let a_pack = &*a_pack;
 
-    let nest = Nest::<MR> { m, k, n, a_pack, first_stores, bias, act, kernel };
+    let nest = Nest::<MR> { m, k, n, a_pack, first_stores, epi };
     if tasks == 1 {
-        nest.run(0, c, b_panels, fill_b);
+        nest.run::<T, S>(0, c, b_panels, b);
     } else {
         c.par_chunks_mut(rows * n)
             .zip(b_panels.par_chunks_mut(kc * NR))
             .enumerate()
-            .for_each(|(t, (cblock, b_panel))| nest.run(t * rows, cblock, b_panel, fill_b));
+            .for_each(|(t, (cblock, b_panel))| nest.run::<T, S>(t * rows, cblock, b_panel, b));
     }
 }
 
@@ -471,22 +653,21 @@ struct Nest<'a, const MR: usize> {
     a_pack: &'a [f32],
     /// `beta == 0`: the first k-block overwrites `C` instead of adding.
     first_stores: bool,
-    bias: Option<&'a [f32]>,
-    act: FusedAct,
-    /// An `MR`-row tile; [`gemm_nest`]'s caller probed its CPU feature.
-    kernel: Kernel,
+    epi: Epilogue<'a>,
 }
 
 impl<const MR: usize> Nest<'_, MR> {
     /// Compute output rows `i0..i0 + cblock.len() / n` (`i0` a multiple of
-    /// `MR`) into `cblock`: per k-block, B panels outermost (each filled
-    /// once into `b_panel` and kept in L1), A panels innermost.
-    fn run<F: Fn(usize, usize, &mut [f32])>(
+    /// `MR`) into `cblock` with tile `T`, whose CPU feature [`gemm_nest`]'s
+    /// caller probed: per k-block, B's column panels outermost (each filled
+    /// once into `b_panel` and kept in L1, or read in place), A panels
+    /// innermost.
+    fn run<T: Tile<MR>, S: BSource + ?Sized>(
         &self,
         i0: usize,
         cblock: &mut [f32],
         b_panel: &mut [f32],
-        fill_b: &F,
+        b: &S,
     ) {
         let (n, mp) = (self.n, self.m.div_ceil(MR));
         let rows = cblock.len() / n;
@@ -496,21 +677,36 @@ impl<const MR: usize> Nest<'_, MR> {
             let accumulate = k0 > 0 || !self.first_stores;
             let last = k0 + kb == self.k;
             let a_block = &self.a_pack[(k0 * mp + i0 / MR * kb) * MR..];
-            let b_panel = &mut b_panel[..kb * NR];
+            let b_block = b.block(k0, kb);
             for j0 in (0..n).step_by(NR) {
-                fill_b(k0, j0, b_panel);
+                let b_rows = b.rows(&b_block, j0, &mut b_panel[..kb * NR]);
                 let nb = NR.min(n - j0);
                 for (r0, a_panel) in (0..rows).step_by(MR).zip(a_block.chunks_exact(kb * MR)) {
                     let mb = MR.min(rows - r0);
-                    let mut bias = [0.0f32; MR];
-                    if let (true, Some(bs)) = (last, self.bias) {
-                        bias[..mb].copy_from_slice(&bs[i0 + r0..][..mb]);
-                    }
-                    let fin = last.then_some((&bias[..], self.act));
+                    // The epilogue's rows of this tile; rows past `mb` are
+                    // computed into the temp tile and dropped.
+                    let (mut bias, mut scale, mut shift) =
+                        ([0.0f32; MR], [0.0f32; MR], [0.0f32; MR]);
+                    let fin = if last {
+                        let rows_of = |v: &[f32], dst: &mut [f32; MR]| {
+                            dst[..mb].copy_from_slice(&v[i0 + r0..][..mb])
+                        };
+                        if let Some(bs) = self.epi.bias {
+                            rows_of(bs, &mut bias);
+                        }
+                        if let Some((sc, sh)) = self.epi.affine {
+                            rows_of(sc, &mut scale);
+                            rows_of(sh, &mut shift);
+                        }
+                        let affine = self.epi.affine.map(|_| (&scale[..], &shift[..]));
+                        Some(Epilogue { bias: Some(&bias[..]), affine, act: self.epi.act })
+                    } else {
+                        None
+                    };
                     let ctile = &mut cblock[r0 * n + j0..];
-                    // SAFETY (both calls): `kernel`'s CPU feature was probed.
+                    // SAFETY (both calls): `T`'s CPU feature was probed.
                     if mb == MR && nb == NR {
-                        unsafe { (self.kernel)(a_panel, b_panel, ctile, n, accumulate, fin) };
+                        unsafe { T::tile(a_panel, b_rows, ctile, n, accumulate, fin) };
                     } else {
                         // Edge: the same kernel on a zero-padded temp tile,
                         // so edge elements get the interior's exact ops.
@@ -523,7 +719,7 @@ impl<const MR: usize> Nest<'_, MR> {
                                 trow[..nb].copy_from_slice(&crow[..nb]);
                             }
                         }
-                        unsafe { (self.kernel)(a_panel, b_panel, tmp, NR, accumulate, fin) };
+                        unsafe { T::tile(a_panel, b_rows, tmp, NR, accumulate, fin) };
                         for (trow, crow) in tmp.chunks_exact(NR).zip(ctile.chunks_mut(n)).take(mb) {
                             crow[..nb].copy_from_slice(&trow[..nb]);
                         }
@@ -535,35 +731,41 @@ impl<const MR: usize> Nest<'_, MR> {
     }
 }
 
-/// The portable register tile (non-x86 / no-FMA fallback), a safe [`Kernel`]:
-/// accumulators live in locals across the k-block.
-fn microkernel_portable<const MR: usize>(
-    a_panel: &[f32],
-    b_panel: &[f32],
-    c: &mut [f32],
-    ldc: usize,
-    accumulate: bool,
-    fin: Finish,
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for (arow, brow) in a_panel.chunks_exact(MR).zip(b_panel.chunks_exact(NR)) {
-        for (accr, &ar) in acc.iter_mut().zip(arow) {
-            for (av, &bv) in accr.iter_mut().zip(brow) {
-                *av += ar * bv;
+/// The portable register tile (non-x86 / no-FMA fallback): accumulators
+/// live in locals across the k-block.
+struct Portable;
+
+impl<const MR: usize> Tile<MR> for Portable {
+    unsafe fn tile<R: BRows>(
+        a_panel: &[f32],
+        b: R,
+        c: &mut [f32],
+        ldc: usize,
+        accumulate: bool,
+        fin: Finish,
+    ) {
+        let mut acc = [[0.0f32; NR]; MR];
+        for (kk, arow) in a_panel.chunks_exact(MR).take(b.kb()).enumerate() {
+            // SAFETY: `kk < b.kb()`, so the row is `NR` readable floats.
+            let brow = unsafe { std::slice::from_raw_parts(b.row(kk), NR) };
+            for (accr, &ar) in acc.iter_mut().zip(arow) {
+                for (av, &bv) in accr.iter_mut().zip(brow) {
+                    *av += ar * bv;
+                }
             }
         }
-    }
-    for (r, accr) in acc.iter().enumerate() {
-        for (cv, &av) in c[r * ldc..r * ldc + NR].iter_mut().zip(accr) {
-            let v = if accumulate { *cv + av } else { av };
-            *cv = fin.map_or(v, |(bias, act)| act.apply(v + bias[r]));
+        for (r, accr) in acc.iter().enumerate() {
+            for (cv, &av) in c[r * ldc..r * ldc + NR].iter_mut().zip(accr) {
+                let v = if accumulate { *cv + av } else { av };
+                *cv = fin.map_or(v, |f| f.apply(r, v));
+            }
         }
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{Finish, FusedAct, NR};
+    use super::{BRows, Finish, FusedAct, Tile, NR};
     use std::arch::x86_64::*;
 
     /// Rows of the AVX2 tile.
@@ -577,6 +779,37 @@ mod x86 {
     const _: () = assert!(NV * 8 == NR && MR * NV + NV < 16, "tile exceeds the YMM file");
     const _: () = assert!(NR == 16 && MR512 + 2 <= 32, "tile exceeds the ZMM file");
 
+    /// The AVX2+FMA tile, [`microkernel`].
+    pub struct Avx2;
+    /// The AVX-512 tile, [`microkernel512`].
+    pub struct Avx512;
+
+    impl Tile<MR> for Avx2 {
+        unsafe fn tile<R: BRows>(
+            a_panel: &[f32],
+            b: R,
+            c: &mut [f32],
+            ldc: usize,
+            accumulate: bool,
+            fin: Finish,
+        ) {
+            microkernel(a_panel, b, c, ldc, accumulate, fin)
+        }
+    }
+
+    impl Tile<MR512> for Avx512 {
+        unsafe fn tile<R: BRows>(
+            a_panel: &[f32],
+            b: R,
+            c: &mut [f32],
+            ldc: usize,
+            accumulate: bool,
+            fin: Finish,
+        ) {
+            microkernel512(a_panel, b, c, ldc, accumulate, fin)
+        }
+    }
+
     /// AVX2+FMA register tile: `MR × NV` YMM accumulators, each one FMA
     /// chain over the k-block (`MR·NV = 12` independent chains cover the
     /// FMA latency), held in registers from the first k-step to the store.
@@ -586,21 +819,22 @@ mod x86 {
     /// # Safety
     /// The CPU must have `avx2` and `fma`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn microkernel(
+    unsafe fn microkernel<R: BRows>(
         a_panel: &[f32],
-        b_panel: &[f32],
+        b: R,
         c: &mut [f32],
         ldc: usize,
         accumulate: bool,
         fin: Finish,
     ) {
-        let kb = b_panel.len() / NR;
-        // Every pointer access below stays inside these three bounds.
+        let kb = b.kb();
+        // Every pointer access below stays inside these bounds and `b`'s.
         assert!(a_panel.len() >= kb * MR && c.len() >= (MR - 1) * ldc + NR, "tile out of bounds");
-        let (mut a, mut b, c) = (a_panel.as_ptr(), b_panel.as_ptr(), c.as_mut_ptr());
+        let (mut a, c) = (a_panel.as_ptr(), c.as_mut_ptr());
         let mut acc = [[_mm256_setzero_ps(); NV]; MR];
-        for _ in 0..kb {
-            let bv: [__m256; NV] = std::array::from_fn(|h| _mm256_loadu_ps(b.add(8 * h)));
+        for kk in 0..kb {
+            let brow = b.row(kk);
+            let bv: [__m256; NV] = std::array::from_fn(|h| _mm256_loadu_ps(brow.add(8 * h)));
             for (r, accr) in acc.iter_mut().enumerate() {
                 let ar = _mm256_broadcast_ss(&*a.add(r));
                 for (av, &bh) in accr.iter_mut().zip(&bv) {
@@ -608,15 +842,18 @@ mod x86 {
                 }
             }
             a = a.add(MR);
-            b = b.add(NR);
         }
         for (r, accr) in acc.iter().enumerate() {
             for (h, &av) in accr.iter().enumerate() {
                 let p = c.add(r * ldc + 8 * h);
                 let mut v = if accumulate { _mm256_add_ps(_mm256_loadu_ps(p), av) } else { av };
-                if let Some((bias, act)) = fin {
-                    v = _mm256_add_ps(v, _mm256_set1_ps(bias[r]));
-                    v = match act {
+                if let Some(f) = fin {
+                    v = _mm256_add_ps(v, _mm256_set1_ps(f.bias.map_or(0.0, |bs| bs[r])));
+                    if let Some((scale, shift)) = f.affine {
+                        v = _mm256_mul_ps(v, _mm256_set1_ps(scale[r]));
+                        v = _mm256_add_ps(v, _mm256_set1_ps(shift[r]));
+                    }
+                    v = match f.act {
                         FusedAct::Identity => v,
                         FusedAct::Relu => _mm256_max_ps(v, _mm256_setzero_ps()),
                         FusedAct::Clipped { lo, hi } => {
@@ -640,22 +877,22 @@ mod x86 {
     /// # Safety
     /// The CPU must have `avx512f`.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn microkernel512(
+    unsafe fn microkernel512<R: BRows>(
         a_panel: &[f32],
-        b_panel: &[f32],
+        b: R,
         c: &mut [f32],
         ldc: usize,
         accumulate: bool,
         fin: Finish,
     ) {
         const MR: usize = MR512;
-        let kb = b_panel.len() / NR;
-        // Every pointer access below stays inside these three bounds.
+        let kb = b.kb();
+        // Every pointer access below stays inside these bounds and `b`'s.
         assert!(a_panel.len() >= kb * MR && c.len() >= (MR - 1) * ldc + NR, "tile out of bounds");
-        let (mut a, mut b, c) = (a_panel.as_ptr(), b_panel.as_ptr(), c.as_mut_ptr());
+        let (mut a, c) = (a_panel.as_ptr(), c.as_mut_ptr());
         let mut acc = [_mm512_setzero_ps(); MR];
-        for _ in 0..kb {
-            let bv = _mm512_loadu_ps(b);
+        for kk in 0..kb {
+            let bv = _mm512_loadu_ps(b.row(kk));
             // A k-step is one new cache line of the A panel, which streams
             // from L2: ask for it 16 steps early (+9 % on the VGG convs).
             // A prefetch past the arena's end is a no-op, never a fault.
@@ -664,14 +901,17 @@ mod x86 {
                 *av = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(r)), bv, *av);
             }
             a = a.add(MR);
-            b = b.add(NR);
         }
         for (r, &av) in acc.iter().enumerate() {
             let p = c.add(r * ldc);
             let mut v = if accumulate { _mm512_add_ps(_mm512_loadu_ps(p), av) } else { av };
-            if let Some((bias, act)) = fin {
-                v = _mm512_add_ps(v, _mm512_set1_ps(bias[r]));
-                v = match act {
+            if let Some(f) = fin {
+                v = _mm512_add_ps(v, _mm512_set1_ps(f.bias.map_or(0.0, |bs| bs[r])));
+                if let Some((scale, shift)) = f.affine {
+                    v = _mm512_mul_ps(v, _mm512_set1_ps(scale[r]));
+                    v = _mm512_add_ps(v, _mm512_set1_ps(shift[r]));
+                }
+                v = match f.act {
                     FusedAct::Identity => v,
                     FusedAct::Relu => _mm512_max_ps(v, _mm512_setzero_ps()),
                     FusedAct::Clipped { lo, hi } => {
@@ -774,9 +1014,8 @@ fn unpacked_row(i: usize, k: usize, n: usize, a: &[f32], b: &[f32], crow: &mut [
 pub fn gemm_at(m: usize, k: usize, n: usize, a_t: &[f32], b: &[f32], c: &mut [f32], beta: f32) {
     assert_eq!(b.len(), k * n, "B dims mismatch");
     let (a, fill) = (ASrc::KMajor(a_t), rowmajor_panels(b, n));
-    with_arena(&PACK_TLS, |pack| {
-        gemm_core(m, k, n, a, &fill, c, beta, None, FusedAct::Identity, pack)
-    });
+    let epi = Epilogue::new(None, FusedAct::Identity);
+    with_arena(&PACK_TLS, |pack| gemm_core(tier(), m, k, n, a, &fill, c, beta, epi, pack));
 }
 
 /// `c[m×n] = a[m×k] · b_tᵀ + beta·c` with `B` stored transposed (`b_t` is
@@ -784,10 +1023,8 @@ pub fn gemm_at(m: usize, k: usize, n: usize, a_t: &[f32], b: &[f32], c: &mut [f3
 /// The same nest as [`gemm`] behind a transposing panel source.
 pub fn gemm_bt(m: usize, k: usize, n: usize, a: &[f32], b_t: &[f32], c: &mut [f32], beta: f32) {
     assert_eq!(b_t.len(), n * k, "B^T dims mismatch");
-    let fill = bt_panels(b_t, k, n);
-    with_arena(&PACK_TLS, |pack| {
-        gemm_core(m, k, n, a, &fill, c, beta, None, FusedAct::Identity, pack)
-    });
+    let (fill, epi) = (bt_panels(b_t, k, n), Epilogue::new(None, FusedAct::Identity));
+    with_arena(&PACK_TLS, |pack| gemm_core(tier(), m, k, n, a, &fill, c, beta, epi, pack));
 }
 
 /// Panel source for a `B` stored transposed (`b_t` is `[n, k]` row-major):
@@ -903,69 +1140,20 @@ mod tests {
         }
     }
 
-    /// A register tile's kernel behind slices: `(a_panel, b_panel, c, ldc,
-    /// accumulate, fin)`, `fin`'s bias one float per tile row.
-    #[cfg(target_arch = "x86_64")]
-    type TileFn = fn(&[f32], &[f32], &mut [f32], usize, bool, Option<(&[f32], FusedAct)>);
     #[cfg(target_arch = "x86_64")]
     type FillFn<'a> = &'a (dyn Fn(usize, usize, &mut [f32]) + Sync);
-    /// The whole nest at one tier, [`gemm_core`]'s arguments.
-    #[cfg(target_arch = "x86_64")]
-    #[rustfmt::skip]
-    type CoreFn = fn(usize, usize, usize, ASrc, FillFn, &mut [f32], f32, Option<&[f32]>, FusedAct, &mut Vec<f32>);
 
-    /// One FMA tier this CPU has, with `MR` erased so that the per-tier
-    /// tests are loops over [`x86_tiers`] instead of generic functions.
+    /// The portable tile at `mr` rows, the x86 tiles' reference.
     #[cfg(target_arch = "x86_64")]
-    struct TierUnderTest {
-        name: &'static str,
-        mr: usize,
-        kernel: TileFn,
-        /// The portable tile at the same `mr`.
-        portable: TileFn,
-        core: CoreFn,
-    }
-
-    /// The table the per-tier tests walk: every FMA tier of this CPU, the
-    /// narrowest first.
-    #[cfg(target_arch = "x86_64")]
-    fn x86_tiers() -> Vec<TierUnderTest> {
-        use std::arch::is_x86_feature_detected as has;
-        /// `gemm_core` after its preamble (`beta` is 0 or 1 here, and a zero
-        /// `k` leaves `c` alone), at `MR` rows.
-        macro_rules! core_at {
-            ($mr:literal, $kernel:expr) => {
-                |m, k, n, a, fill, c, beta, bias, act, pack| {
-                    let fill = |k0: usize, j0: usize, panel: &mut [f32]| fill(k0, j0, panel);
-                    gemm_nest::<$mr, _>(m, k, n, a, &fill, c, beta == 0.0, bias, act, pack, $kernel)
-                }
-            };
+    fn portable_tile(mr: usize, a: &[f32], b: &[f32], c: &mut [f32], acc: bool, fin: Finish) {
+        // SAFETY: the portable tile needs no CPU feature.
+        unsafe {
+            match mr {
+                6 => <Portable as Tile<6>>::tile(a, Panel(b), c, NR, acc, fin),
+                16 => <Portable as Tile<16>>::tile(a, Panel(b), c, NR, acc, fin),
+                _ => unreachable!("no portable tile at {mr} rows"),
+            }
         }
-        let mut tiers = Vec::new();
-        if has!("avx2") && has!("fma") {
-            tiers.push(TierUnderTest {
-                name: "avx2+fma",
-                mr: 6,
-                // SAFETY (here and below): the probe just passed.
-                kernel: |a, b, c, ldc, acc, fin| unsafe {
-                    x86::microkernel(a, b, c, ldc, acc, fin)
-                },
-                portable: microkernel_portable::<6>,
-                core: core_at!(6, x86::microkernel),
-            });
-        }
-        if has!("avx512f") {
-            tiers.push(TierUnderTest {
-                name: "avx512f",
-                mr: 16,
-                kernel: |a, b, c, ldc, acc, fin| unsafe {
-                    x86::microkernel512(a, b, c, ldc, acc, fin)
-                },
-                portable: microkernel_portable::<16>,
-                core: core_at!(16, x86::microkernel512),
-            });
-        }
-        tiers
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -976,21 +1164,24 @@ mod tests {
             for act in [FusedAct::Identity, FusedAct::Relu, FusedAct::Clipped { lo: -0.5, hi: 2.0 }]
             {
                 for accumulate in [false, true] {
-                    for with_fin in [false, true] {
+                    for (with_fin, with_affine) in [(false, false), (true, false), (true, true)] {
                         // Random packed panels for one full k-block.
                         let (ap, bp) = (rand_vec(KC * t.mr, &mut rng), rand_vec(KC * NR, &mut rng));
                         let bias = rand_vec(t.mr, &mut rng);
-                        let fin = with_fin.then_some((&bias[..], act));
+                        let (scale, shift) = (rand_vec(t.mr, &mut rng), rand_vec(t.mr, &mut rng));
+                        let affine = with_affine.then_some((&scale[..], &shift[..]));
+                        let fin = with_fin.then_some(Epilogue { bias: Some(&bias), affine, act });
                         let mut fast = rand_vec(t.mr * NR, &mut rng);
                         let mut slow = fast.clone();
-                        (t.kernel)(&ap, &bp, &mut fast, NR, accumulate, fin);
-                        (t.portable)(&ap, &bp, &mut slow, NR, accumulate, fin);
+                        // SAFETY: `x86_tiers` probed the tier.
+                        unsafe { t.tile(&ap, Panel(&bp), &mut fast, NR, accumulate, fin) };
+                        portable_tile(t.mr, &ap, &bp, &mut slow, accumulate, fin);
                         for (x, y) in fast.iter().zip(&slow) {
                             let tol = 1e-4 * y.abs().max(1.0);
                             let tier = t.name;
                             assert!(
                                 (x - y).abs() <= tol,
-                                "{tier} {act:?} acc={accumulate}: {x} vs {y}"
+                                "{tier} {act:?} acc={accumulate} affine={with_affine}: {x} vs {y}"
                             );
                         }
                     }
@@ -999,10 +1190,11 @@ mod tests {
         }
     }
 
-    /// The vector epilogue and [`FusedAct::apply`] agree bit for bit. A
-    /// product that underflows makes every accumulator `-0.0`, and
-    /// `-0.0 + bias == bias` exactly, so the bias row carries any value —
-    /// signed zeros, the clip bounds, infinities, NaN — to the activation.
+    /// The vector epilogue and [`Epilogue::apply`] (so [`FusedAct::apply`])
+    /// agree bit for bit. A product that underflows makes every accumulator
+    /// `-0.0`, and `-0.0 + bias == bias` exactly, so the bias row carries any
+    /// value — signed zeros, the clip bounds, infinities, NaN — to the
+    /// affine and the activation.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn vector_epilogue_matches_apply_bit_for_bit() {
@@ -1018,6 +1210,7 @@ mod tests {
             -1e-42,
             hi + f32::EPSILON,
             1.0,
+            1.0 + f32::EPSILON,
             -1.0,
             3.5,
             f32::MAX,
@@ -1027,23 +1220,36 @@ mod tests {
             f32::NAN,
             0.3,
         ];
+        // Affines that keep, flip and scale the specials, and one whose
+        // multiply-add rounds differently fused: `(1 + ε)(1 − ε) − 1` is 0
+        // as a multiply then an add, `−ε²` as one FMA.
+        let affines =
+            [(1.0f32, 0.0f32), (-1.0, -0.0), (0.5, 1.0), (3.0, -2.0), (1.0 - f32::EPSILON, -1.0)];
         for t in x86_tiers() {
             let (ap, bp) = (vec![-1e-30f32; t.mr], [1e-30f32; NR]);
             for act in [FusedAct::Identity, FusedAct::Relu, FusedAct::Clipped { lo, hi }] {
-                for vals in specials.chunks(t.mr) {
-                    let mut bias = vec![0.0f32; t.mr];
-                    bias[..vals.len()].copy_from_slice(vals);
-                    let mut c = vec![7.0f32; t.mr * NR];
-                    (t.kernel)(&ap, &bp, &mut c, NR, false, Some((&bias, act)));
-                    for (crow, &x) in c.chunks(NR).zip(&bias) {
-                        let want = act.apply(x);
-                        for got in crow {
-                            let tier = t.name;
-                            assert_eq!(
-                                got.to_bits(),
-                                want.to_bits(),
-                                "{tier} {act:?}({x}): {got} vs {want}"
-                            );
+                for affine in [None].into_iter().chain(affines.map(Some)) {
+                    let (scale, shift) =
+                        affine.map_or((vec![], vec![]), |(a, b)| (vec![a; t.mr], vec![b; t.mr]));
+                    let affine = affine.map(|_| (&scale[..], &shift[..]));
+                    for vals in specials.chunks(t.mr) {
+                        let mut bias = vec![0.0f32; t.mr];
+                        bias[..vals.len()].copy_from_slice(vals);
+                        let epi = Epilogue { bias: Some(&bias), affine, act };
+                        let mut c = vec![7.0f32; t.mr * NR];
+                        // SAFETY: `x86_tiers` probed the tier.
+                        unsafe { t.tile(&ap, Panel(&bp), &mut c, NR, false, Some(epi)) };
+                        for (r, crow) in c.chunks(NR).enumerate() {
+                            let want = epi.apply(r, -0.0);
+                            for got in crow {
+                                let (tier, x, ab) =
+                                    (t.name, bias[r], affine.map(|(a, b)| (a[r], b[r])));
+                                assert_eq!(
+                                    got.to_bits(),
+                                    want.to_bits(),
+                                    "{tier} {act:?} affine {ab:?} ({x}): {got} vs {want}"
+                                );
+                            }
                         }
                     }
                 }
@@ -1053,6 +1259,11 @@ mod tests {
         assert_eq!(FusedAct::Relu.apply(-0.0).to_bits(), 0);
         assert_eq!(FusedAct::Clipped { lo, hi }.apply(-0.0).to_bits(), 0);
         assert_eq!(FusedAct::Clipped { lo: 0.5, hi }.apply(0.25).to_bits(), 0);
+        // The affine is a multiply then an add, never one rounding.
+        let (x, a, b) = (1.0f32 + f32::EPSILON, 1.0f32 - f32::EPSILON, -1.0f32);
+        let epi = Epilogue { bias: None, affine: Some((&[a], &[b])), act: FusedAct::Identity };
+        assert_eq!(epi.apply(0, x).to_bits(), (x * a + b).to_bits());
+        assert_ne!(epi.apply(0, x).to_bits(), x.mul_add(a, b).to_bits());
     }
 
     /// Every FMA tier of this CPU serves the narrowest one's bits, on every
@@ -1085,7 +1296,13 @@ mod tests {
                 shapes.extend([1, 15, 16, 17, 100].map(|n| (m, k, n)));
             }
         }
-        let acts = [FusedAct::Identity, FusedAct::Relu, FusedAct::Clipped { lo: -0.5, hi: 2.0 }];
+        // Each activation, and ReLU after the affine.
+        let epilogues = [
+            (FusedAct::Identity, false),
+            (FusedAct::Relu, false),
+            (FusedAct::Clipped { lo: -0.5, hi: 2.0 }, false),
+            (FusedAct::Relu, true),
+        ];
         let mut rng = StdRng::seed_from_u64(21);
         let mut pack = Vec::new();
         for (m, k, n) in shapes {
@@ -1093,6 +1310,7 @@ mod tests {
             // and `[k, m]`, as `[k, n]` and `[n, k]`.
             let (a, b) = (rand_vec(m * k, &mut rng), rand_vec(k * n, &mut rng));
             let (bias, c0) = (rand_vec(m, &mut rng), rand_vec(m * n, &mut rng));
+            let (scale, shift) = (rand_vec(m, &mut rng), rand_vec(m, &mut rng));
             let (rowmajor, transposed) = (rowmajor_panels(&b, n), bt_panels(&b, k, n));
             let entries: [(&str, bool, FillFn); 3] = [
                 ("A·B", false, &rowmajor),
@@ -1101,11 +1319,13 @@ mod tests {
             ];
             for (entry, kmajor, fill) in entries {
                 for beta in [0.0, 1.0] {
-                    for act in acts {
-                        let mut run = |t: &TierUnderTest| {
+                    for (act, with_affine) in epilogues {
+                        let affine = with_affine.then_some((&scale[..], &shift[..]));
+                        let epi = Epilogue { bias: Some(&bias), affine, act };
+                        let mut run = |t: &Tier| {
                             let a = if kmajor { ASrc::KMajor(&a) } else { ASrc::RowMajor(&a) };
                             let mut c = c0.clone();
-                            (t.core)(m, k, n, a, fill, &mut c, beta, Some(&bias), act, &mut pack);
+                            gemm_core(t, m, k, n, a, fill, &mut c, beta, epi, &mut pack);
                             c
                         };
                         let want = run(narrow);
@@ -1115,7 +1335,8 @@ mod tests {
                                 want.iter().zip(&got).position(|(x, y)| x.to_bits() != y.to_bits());
                             assert_eq!(
                                 diff, None,
-                                "{entry} ({m},{k},{n}) beta={beta} {act:?}: {} differs from {}",
+                                "{entry} ({m},{k},{n}) beta={beta} {act:?} affine={with_affine}: \
+                                 {} differs from {}",
                                 t.name, narrow.name
                             );
                         }

@@ -114,27 +114,15 @@ impl BatchNorm {
 
     /// Inference-mode forward: the folded affine `y = a·x + b` from the paper.
     pub fn forward_infer(&self, x: &Tensor) -> Tensor {
-        let (a, b) = self.fold();
-        let (n, c, h, w) = x.shape().nchw();
-        assert_eq!(c, self.channels(), "channel mismatch");
-        let mut y = Tensor::zeros(x.dims());
-        let xs = x.as_slice();
-        let ys = y.as_mut_slice();
-        for ni in 0..n {
-            for ci in 0..c {
-                let base = (ni * c + ci) * h * w;
-                for i in base..base + h * w {
-                    ys[i] = a[ci] * xs[i] + b[ci];
-                }
-            }
-        }
-        y
+        let mut y = crate::scratch::ActBuf::new();
+        self.forward_infer_into(x.as_slice(), x.shape().nchw(), &mut y);
+        y.to_tensor()
     }
 
-    /// Allocation-free inference forward: same folded affine as
-    /// [`BatchNorm::forward_infer`], but reads a flat `[n, c, h, w]` slice,
-    /// reuses `out`'s storage, and computes the per-channel `(a, b)`
-    /// coefficients inline instead of materializing the fold vectors.
+    /// Allocation-free inference forward: [`BatchNorm::forward_infer`] on a
+    /// flat `[n, c, h, w]` slice, reusing `out`'s storage. Each element is
+    /// `a·x + b`, a multiply then an add, with `(a, b)` from
+    /// [`BatchNorm::fold`].
     pub fn forward_infer_into(
         &self,
         x: &[f32],
@@ -147,9 +135,7 @@ impl BatchNorm {
         let ys = out.as_mut_slice();
         for ni in 0..n {
             for ci in 0..c {
-                let inv_std = 1.0 / (self.running_var[ci] + self.eps).sqrt();
-                let a = self.gamma[ci] * inv_std;
-                let b = self.beta[ci] - self.running_mean[ci] * a;
+                let (a, b) = self.fold(ci);
                 let base = (ni * c + ci) * h * w;
                 for i in base..base + h * w {
                     ys[i] = a * x[i] + b;
@@ -158,18 +144,14 @@ impl BatchNorm {
         }
     }
 
-    /// Per-channel folded coefficients `(a, b)` with `a = γ/σ`,
-    /// `b = β − μγ/σ` (the paper's §2.1 inference identity).
-    pub fn fold(&self) -> (Vec<f32>, Vec<f32>) {
-        let c = self.channels();
-        let mut a = vec![0.0f32; c];
-        let mut b = vec![0.0f32; c];
-        for ci in 0..c {
-            let inv_std = 1.0 / (self.running_var[ci] + self.eps).sqrt();
-            a[ci] = self.gamma[ci] * inv_std;
-            b[ci] = self.beta[ci] - self.running_mean[ci] * a[ci];
-        }
-        (a, b)
+    /// Channel `ci`'s folded coefficients `(a, b)` with `a = γ/σ`,
+    /// `b = β − μγ/σ` (the paper's §2.1 inference identity): the one place
+    /// they are computed, for the BatchNorm pass and for a conv epilogue
+    /// that folds it in (`conv2d_affine_into`).
+    pub fn fold(&self, ci: usize) -> (f32, f32) {
+        let inv_std = 1.0 / (self.running_var[ci] + self.eps).sqrt();
+        let a = self.gamma[ci] * inv_std;
+        (a, self.beta[ci] - self.running_mean[ci] * a)
     }
 
     /// Backward pass: returns `(dx, dgamma, dbeta)` given upstream `dy`.

@@ -44,7 +44,7 @@ pub(crate) fn with_arena<T: Default, R>(
 /// zero-padded copy of the image a padded convolution gathers its patches
 /// from. They are separate fields (not a bump allocator) because `conv2d`
 /// needs both alive at once. There is no im2col matrix: patches go straight
-/// into the B panel.
+/// into the B panel, or the tile reads them where they lie.
 #[derive(Clone, Debug, Default)]
 pub struct Scratch {
     pub(crate) pack: Vec<f32>,

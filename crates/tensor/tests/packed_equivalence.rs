@@ -8,10 +8,13 @@
 //! or columns, an FDSP tile of an image, either public entry, a reused
 //! arena. The two transposed products of the backward pass (`gemm_bt`,
 //! `gemm_at`) are held to the same naive reference and the same row
-//! sub-range rule. Plain seeded-rand loops (not proptest) so the shapes
-//! exercised are identical on every run and every platform.
+//! sub-range rule. A convolution that reads its input in place (stride 1,
+//! output rows of whole 16-lane groups) must return the bits of the panel
+//! path, with or without a BatchNorm affine in its epilogue. Plain
+//! seeded-rand loops (not proptest) so the shapes exercised are identical
+//! on every run and every platform.
 
-use adcnn_tensor::conv::{conv2d, conv2d_into, Conv2dParams};
+use adcnn_tensor::conv::{conv2d, conv2d_affine_into, conv2d_into, Conv2dParams};
 use adcnn_tensor::gemm::{gemm, gemm_at, gemm_bt, gemm_fused, FusedAct};
 use adcnn_tensor::{ActBuf, Scratch, Tensor};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -551,6 +554,100 @@ fn transposed_products_reproduce_row_sub_ranges_bit_for_bit() {
             let mut got = vec![f32::NAN; rows * n];
             gemm_at(rows, k, n, &sub_at, &b, &mut got, 0.0);
             assert_eq!(bits(&got), bits(&full_at[r0 * n..r1 * n]), "at ({m},{k},{n}) {r0}..{r1}");
+        }
+    }
+}
+
+/// The im2col matrix `[ic·k², oh·ow]` of one `[ic, h, w]` image, written out.
+fn im2col_ref(x: &[f32], (ic, h, w): (usize, usize, usize), p: Conv2dParams) -> Vec<f32> {
+    let (oh, ow, ks) = (p.out_dim(h), p.out_dim(w), p.kernel);
+    let mut col = Vec::with_capacity(ic * ks * ks * oh * ow);
+    for c in 0..ic {
+        for ki in 0..ks {
+            for kj in 0..ks {
+                for oi in 0..oh {
+                    for oj in 0..ow {
+                        let si = (oi * p.stride + ki) as isize - p.pad as isize;
+                        let sj = (oj * p.stride + kj) as isize - p.pad as isize;
+                        let inside = (0..h as isize).contains(&si) && (0..w as isize).contains(&sj);
+                        col.push(if inside {
+                            x[(c * h + si as usize) * w + sj as usize]
+                        } else {
+                            0.0
+                        });
+                    }
+                }
+            }
+        }
+    }
+    col
+}
+
+#[test]
+fn conv_in_place_rows_match_the_layer_by_layer_panel_path_bit_for_bit() {
+    // The reference is the three layers one by one: `gemm_fused` with the
+    // bias over the written-out im2col matrix (the panel path), then the
+    // BatchNorm affine as its own multiply and add, then the activation.
+    // Stride 1 with 16 or 32 output columns reads the image in place; the
+    // other shapes fill panels. `m == 1` goes through `gemm_fused` as two
+    // equal rows, since its one-row kernel has its own order.
+    let mut rng = StdRng::seed_from_u64(0x1B);
+    let mut scratch = Scratch::new();
+    let mut out = ActBuf::new();
+    for m in [1, 6, 15, 16, 17, 32, 33, 64] {
+        for ow in [8, 16, 17, 32] {
+            for ic in [3, 16, 32, 64] {
+                for (pad, stride) in [(0, 1), (1, 1), (0, 2), (1, 2)] {
+                    let p = Conv2dParams { kernel: 3, stride, pad };
+                    let (h, w) = (stride + 3 - 2 * pad, (ow - 1) * stride + 3 - 2 * pad);
+                    let (k, n) = (ic * 9, 2 * ow);
+                    let x = rand_vec_with_zeros(&mut rng, ic * h * w);
+                    let wt = Tensor::from_vec([m, ic, 3, 3], rand_vec(&mut rng, m * k));
+                    let bias = rand_vec_with_zeros(&mut rng, m);
+                    let (scale, shift) = (rand_vec(&mut rng, m), rand_vec_with_zeros(&mut rng, m));
+                    let col = im2col_ref(&x, (ic, h, w), p);
+                    let rows = m.max(2);
+                    let a: Vec<f32> =
+                        wt.as_slice().iter().cycle().take(rows * k).copied().collect();
+                    let bias2: Vec<f32> = bias.iter().cycle().take(rows).copied().collect();
+                    let mut conv = vec![0.0f32; rows * n];
+                    let id = FusedAct::Identity;
+                    gemm_fused(rows, k, n, &a, &col, &mut conv, Some(&bias2), id, &mut scratch);
+                    for act in ACTS {
+                        for with_bn in [false, true] {
+                            let mut want = conv[..m * n].to_vec();
+                            for (c, row) in want.chunks_mut(n).enumerate() {
+                                for v in row {
+                                    let bn = if with_bn { scale[c] * *v + shift[c] } else { *v };
+                                    *v = act.apply(bn);
+                                }
+                            }
+                            let dims = (1, ic, h, w);
+                            if with_bn {
+                                let bn = (&scale[..], &shift[..]);
+                                conv2d_affine_into(
+                                    &x,
+                                    dims,
+                                    &wt,
+                                    &bias,
+                                    bn,
+                                    p,
+                                    act,
+                                    &mut scratch,
+                                    &mut out,
+                                );
+                            } else {
+                                conv2d_into(&x, dims, &wt, &bias, p, act, &mut scratch, &mut out);
+                            }
+                            assert_eq!(
+                                bits(out.as_slice()),
+                                bits(&want),
+                                "m={m} ow={ow} ic={ic} pad={pad} s={stride} {act:?} bn={with_bn}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 }

@@ -1,10 +1,12 @@
 //! The packed GEMM, timed on the shapes it serves: `gemm_fused` on the nine
-//! im2col products of the two ledger models, the register tile alone on
-//! L1-resident panels (so the nest's share of the gap to the tile is a
-//! number), and the 256³ packed-vs-seed pair every PR since the first has
-//! extended. Writes `results/BENCH_gemm.json` with this build's `gflops`
-//! beside `parent_gflops`, the reading at the parent commit (the table
-//! below).
+//! im2col products of the two ledger models, `conv2d_into` on the nine
+//! convolutions behind them (the im2col gather, or the in-place read, on top
+//! of the same nest), the register tile alone on L1-resident panels (so the
+//! nest's share of the gap to the tile is a number), and the 256³
+//! packed-vs-seed pair every PR since the first has extended. Writes
+//! `results/BENCH_gemm.json` with this build's `gflops` beside
+//! `parent_gflops` and its conv `us` beside `parent_us`, the readings at the
+//! parent commits named in the tables below.
 //!
 //! A plain `main`, best of `REPS` wall-clock calls each, through public calls
 //! only. The parent has no `simd_tier`, `tile_rows` or `register_tile`, so
@@ -14,11 +16,12 @@
 //! whose probe skips `avx512f` (the parent's kernel, unchanged, behind the
 //! 6-row instantiation).
 
+use adcnn::tensor::conv::{conv2d_into, Conv2dParams};
 use adcnn::tensor::gemm::{
     current_threads, gemm, gemm_fused, gemm_unpacked, register_tile, simd_tier, tile_rows,
     FusedAct, KC, NR,
 };
-use adcnn::tensor::Scratch;
+use adcnn::tensor::{ActBuf, Scratch, Tensor};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::hint::black_box;
 use std::time::Instant;
@@ -45,6 +48,15 @@ const SERVED_SHAPES: [((usize, usize, usize), f64); 9] = [
     ((32, 144, 256), 68.23),
     ((32, 288, 256), 67.58),
 ];
+
+/// The commit `PARENT_CONV_US` was read at.
+const CONV_PARENT: &str = "206394d";
+/// `conv2d_into` µs at [`CONV_PARENT`], one per [`SERVED_SHAPES`] entry: the
+/// 3×3 "same" stride-1 convolution whose im2col GEMM that shape is (`oc =
+/// m`, `ic = k / 9`, a square `n`-pixel image), bias and fused ReLU, taken
+/// by this file in a clone of that commit, pinned to one CPU, alternating
+/// with this build four times and keeping each shape's best.
+const PARENT_CONV_US: [f64; 9] = [36.80, 513.07, 245.53, 496.55, 163.64, 3.27, 14.68, 21.64, 46.73];
 
 /// Best-of-`reps` wall-clock seconds for one invocation of `f`.
 fn best_secs(reps: usize, mut f: impl FnMut()) -> f64 {
@@ -131,6 +143,31 @@ fn main() {
         ));
     }
 
+    println!("{:<24} {:>10} {:>9} {:>7}", "conv (oc, ic, hw)", "parent_us", "us", "x");
+    let mut out = ActBuf::new();
+    let mut conv_rows = Vec::new();
+    for (((m, k, n), _), parent) in SERVED_SHAPES.into_iter().zip(PARENT_CONV_US) {
+        let (oc, ic, hw) = (m, k / 9, n.isqrt());
+        let x = rand_vec(ic * hw * hw);
+        let w = Tensor::from_vec([oc, ic, 3, 3], rand_vec(oc * k));
+        let bias = vec![0.1f32; oc];
+        let s = best_secs(REPS, || {
+            let (dims, p) = ((1, ic, hw, hw), Conv2dParams::same(3));
+            conv2d_into(black_box(&x), dims, &w, &bias, p, FusedAct::Relu, &mut scratch, &mut out);
+            black_box(out.as_slice());
+        });
+        let us = s * 1e6;
+        println!(
+            "{:<24} {parent:>10.2} {us:>9.2} {:>7.2}",
+            format!("({oc}, {ic}, {hw})"),
+            parent / us
+        );
+        conv_rows.push(format!(
+            "    {{\"oc\": {oc}, \"ic\": {ic}, \"hw\": {hw}, \"parent_us\": {parent:.2}, \
+             \"us\": {us:.2}}}"
+        ));
+    }
+
     let json = format!(
         "{{\n  \"bench\": \"gemm_256x256x256\",\n  \"clock\": \"wall\",\n  \"simd\": \"{}\",\n  \
          \"nproc\": {nproc},\n  \"threads\": {},\n  \"stat\": \"best\",\n  \
@@ -138,12 +175,14 @@ fn main() {
          \"packed_kernel_s\": {packed_s:.6},\n  \"seed_gflops\": {:.3},\n  \
          \"packed_gflops\": {:.3},\n  \"speedup\": {speedup:.3},\n  \"tile\": {{\"mr\": {mr}, \
          \"nr\": {NR}, \"kb\": {KC}, \"parent_tile_gflops\": {PARENT_TILE_GFLOPS:.2}, \
-         \"tile_gflops\": {tile_gflops:.2}}},\n  \"shapes\": [\n{}\n  ]\n}}\n",
+         \"tile_gflops\": {tile_gflops:.2}}},\n  \"shapes\": [\n{}\n  ],\n  \
+         \"conv_parent\": \"{CONV_PARENT}\",\n  \"convs\": [\n{}\n  ]\n}}\n",
         simd_tier(),
         current_threads(),
         flops / seed_s / 1e9,
         flops / packed_s / 1e9,
         shape_rows.join(",\n"),
+        conv_rows.join(",\n"),
     );
     assert!(adcnn::core::obs::json::is_well_formed(&json), "BENCH_gemm.json is malformed");
     std::fs::create_dir_all("results").expect("create results dir");
