@@ -8,9 +8,10 @@
 //! sans-IO machine [`adcnn_core::pipeline::Pipeline`], one
 //! [`TileLifecycle`](adcnn_core::lifecycle::TileLifecycle) per image. This
 //! module is the wall-clock *driver*: it maps `Instant`s onto the machine's
-//! abstract seconds (via a per-runtime epoch), channel sends onto
-//! [`Dispatch`](Action::Dispatch)/[`Redispatch`](Action::Redispatch)
-//! actions, and `recv_timeout` onto the machine's `next_deadline()`. The
+//! abstract seconds (via a per-runtime epoch), one channel send per worker
+//! and dispatch round onto [`Dispatch`](Action::Dispatch)/
+//! [`Redispatch`](Action::Redispatch) actions, and `recv_timeout` onto the
+//! machine's `next_deadline()`. The
 //! network simulator (`adcnn-netsim`) drives the *same* machine from
 //! simulated timestamps, so simulated and real scheduling decisions cannot
 //! drift. See DESIGN.md §11 for the policy/mechanism split, §10 for the
@@ -81,9 +82,11 @@ pub struct RuntimeConfig {
     pub gamma: f64,
     /// Tile-allocation tie-break seed.
     pub seed: u64,
-    /// Depth of each worker's bounded task queue. A dead or wedged worker
-    /// can hold at most this many tiles hostage; further sends fail fast
-    /// and the tiles are rerouted to live workers.
+    /// Depth of each worker's bounded task queue, in dispatch rounds (one
+    /// message carries all of one image's tiles for that worker in one
+    /// dispatch step). A dead or wedged worker can hold at most this many
+    /// rounds hostage; further sends fail fast and every tile of a refused
+    /// round is rerouted to live workers.
     pub task_queue_cap: usize,
     /// Maximum images in flight at once, each with its own
     /// [`TileLifecycle`](adcnn_core::lifecycle::TileLifecycle). The default of 1 is the paper's
@@ -272,8 +275,9 @@ impl InferHandle {
 pub(crate) enum Inbound {
     /// A caller's image, counted in [`Shared::queued`] until admitted.
     Submit(Submission),
-    /// A worker's result for one tile.
-    Result(usize, TileResult),
+    /// A worker's reply: its results for the tiles it had in hand, in the
+    /// order it computed them.
+    Results(usize, Vec<TileResult>),
     /// A worker (re)joined: its carrier is up.
     Up(usize),
     /// A worker is gone: its thread exited or its connection dropped.
@@ -370,6 +374,9 @@ struct Collector {
     /// A remote slot can rejoin; an in-process worker thread that exited
     /// never comes back, so once all of them are down nothing can arrive.
     rejoinable: bool,
+    /// Each worker's round while [`drive`](Self::drive) collects it (kept
+    /// here so that a drive with nothing to send allocates nothing).
+    rounds: Vec<Vec<TileTask>>,
 }
 
 /// `Instant` → the machine's abstract seconds since `epoch`.
@@ -439,6 +446,7 @@ impl Collector {
             tile_out: sm.tile_out,
             decoded: Tensor::zeros([1, sm.tile_out.0, sm.tile_out.1, sm.tile_out.2]),
             rejoinable: remote,
+            rounds: vec![Vec::new(); k],
         }
     }
 
@@ -483,13 +491,14 @@ impl Collector {
         Ok(())
     }
 
-    /// Try to hand one tile to `node`'s bounded queue; `false` when it is
-    /// refused. A disconnected queue takes the worker down on the spot.
-    fn send_to(&mut self, node: usize, task: TileTask) -> bool {
+    /// Try to hand `node` one round of tiles as one message on its bounded
+    /// queue; `false` when the round is refused. A disconnected queue takes
+    /// the worker down on the spot.
+    fn send_round(&mut self, node: usize, round: Vec<TileTask>) -> bool {
         if !self.pipeline.live()[node] {
             return false;
         }
-        match self.task_txs[node].try_send(WorkerMsg::Tile(task)) {
+        match self.task_txs[node].try_send(WorkerMsg::Tiles(round)) {
             Ok(()) => true,
             Err(TrySendError::Full(_)) => false,
             Err(TrySendError::Disconnected(_)) => {
@@ -499,45 +508,72 @@ impl Collector {
         }
     }
 
-    /// Execute `image`'s actions against the real transport. Sends the
-    /// transport refuses go back as [`Event::SendRejected`], and the
-    /// machine's follow-up actions join the worklist until it drains. An
-    /// [`Action::Accept`] pastes the tile [`ingest`](Self::ingest) just
-    /// decoded; [`Action::Complete`] retires the image. Timers come from
-    /// `next_deadline()` in the run loop, and zero-fill needs no work (the
-    /// boundary map starts zeroed).
+    /// Execute `image`'s actions against the real transport. Each worker's
+    /// [`Dispatch`](Action::Dispatch)/[`Redispatch`](Action::Redispatch)
+    /// tiles — each cropped as it is queued — form one round, and once the
+    /// actions drain every round goes out as one message, starting from a
+    /// worker that rotates with the image. A delivered
+    /// round's original tiles come back as [`Event::TileDelivered`] and a
+    /// refused round's tiles each as [`Event::SendRejected`], in dispatch
+    /// order; the machine's follow-up actions (the reroutes) form the next
+    /// rounds, until nothing is left to send. An [`Action::Accept`] pastes
+    /// the tile [`ingest`](Self::ingest) just decoded; [`Action::Complete`]
+    /// retires the image. Timers come from `next_deadline()` in the run
+    /// loop, and zero-fill needs no work (the boundary map starts zeroed).
     fn drive(&mut self, image: u64, acts: Vec<Action>) {
         let mut queue: VecDeque<Action> = acts.into();
+        // `(worker, tile, original)` of every queued tile, in dispatch order.
+        let mut sent: Vec<(usize, usize, bool)> = Vec::new();
         let mut complete = false;
-        while let Some(act) = queue.pop_front() {
-            let (tile, to, original) = match act {
-                Action::Dispatch { tile, to } => (tile, to, true),
-                Action::Redispatch { tile, to } => (tile, to, false),
-                Action::Accept { tile, .. } => {
-                    let ((gr, gc), (_, th, tw)) = (self.grid.tile_pos(tile), self.tile_out);
-                    let img = &mut self.pipeline.get_mut(image).expect("image in flight").payload;
-                    img.assembled.paste_spatial(&self.decoded, gr * th, gc * tw);
-                    continue;
-                }
-                Action::Complete => {
-                    complete = true;
-                    continue;
-                }
-                _ => continue,
-            };
-            let x = &self.pipeline.get(image).expect("image in flight").payload.sub.x;
-            let key = TileKey { image_id: image, tile_id: tile as u32 };
-            let task = TileTask { key, tile: self.grid.extract_tile(x, tile) };
-            let ev = if !self.send_to(to, task) {
-                Event::SendRejected { tile, worker: to }
-            } else if original {
+        loop {
+            while let Some(act) = queue.pop_front() {
+                let (tile, to, original) = match act {
+                    Action::Dispatch { tile, to } => (tile, to, true),
+                    Action::Redispatch { tile, to } => (tile, to, false),
+                    Action::Accept { tile, .. } => {
+                        let ((gr, gc), (_, th, tw)) = (self.grid.tile_pos(tile), self.tile_out);
+                        let img =
+                            &mut self.pipeline.get_mut(image).expect("image in flight").payload;
+                        img.assembled.paste_spatial(&self.decoded, gr * th, gc * tw);
+                        continue;
+                    }
+                    Action::Complete => {
+                        complete = true;
+                        continue;
+                    }
+                    _ => continue,
+                };
+                let x = &self.pipeline.get(image).expect("image in flight").payload.sub.x;
+                let key = TileKey { image_id: image, tile_id: tile as u32 };
+                self.rounds[to].push(TileTask { key, tile: self.grid.extract_tile(x, tile) });
+                sent.push((to, tile, original));
+            }
+            if sent.is_empty() {
+                break;
+            }
+            // The first round goes to a worker that rotates with the image:
+            // workers that share a CPU compute in the order they are woken,
+            // and Algorithm 2 would read a fixed send order as speed (on the
+            // perf ledger's one-CPU hub at depth 1, worker 1's allocation
+            // share fell from ≈ 0.47 to ≈ 0.05 with worker 0 always first).
+            let k = self.rounds.len();
+            let mut accepted = vec![true; k];
+            for w in (0..k).map(|i| (image as usize + i) % k) {
+                let round = std::mem::take(&mut self.rounds[w]);
+                accepted[w] = round.is_empty() || self.send_round(w, round);
+            }
+            for (to, tile, original) in sent.drain(..) {
                 // A queue handoff is "delivered" for the runtime: there is
                 // no modeled transit.
-                Event::TileDelivered { tile }
-            } else {
-                continue;
-            };
-            queue.extend(self.pipeline.handle(image, ev));
+                let ev = if !accepted[to] {
+                    Event::SendRejected { tile, worker: to }
+                } else if original {
+                    Event::TileDelivered { tile }
+                } else {
+                    continue;
+                };
+                queue.extend(self.pipeline.handle(image, ev));
+            }
         }
         if complete {
             self.finish(image);
@@ -546,8 +582,7 @@ impl Collector {
 
     /// Input partition block for one admitted image: the machine allocates
     /// it with Algorithm 3 and begins its lifecycle, and the initial
-    /// dispatch batch — each tile cropped as it is sent — goes to the
-    /// workers.
+    /// dispatch goes to the workers, one round each.
     fn admit(&mut self, sub: Submission) {
         self.shared.dequeue();
         let (image_id, start) = (sub.image_id, Instant::now());
@@ -574,6 +609,7 @@ impl Collector {
 
     /// Feed one result to its image's machine: account wire bits, decode
     /// it into `decoded` (the [`Action::Accept`] pastes it), run the rest.
+    /// A worker's reply is ingested one result at a time, in its order.
     fn ingest(&mut self, worker: usize, res: TileResult) {
         let at = secs_since(self.epoch, Instant::now());
         let (image, tile) = (res.key.image_id, res.key.tile_id as usize);
@@ -681,7 +717,11 @@ impl Collector {
             };
             match msg {
                 Ok(Inbound::Submit(sub)) => waiting.push_back(sub),
-                Ok(Inbound::Result(worker, res)) => self.ingest(worker, res),
+                Ok(Inbound::Results(worker, results)) => {
+                    for res in results {
+                        self.ingest(worker, res);
+                    }
+                }
                 Ok(Inbound::Up(w)) => self.set_live(w, true),
                 Ok(Inbound::Down(w)) => self.set_live(w, false),
                 Ok(Inbound::Allocator(a)) => self.pipeline.set_allocator(a),

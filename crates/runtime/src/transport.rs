@@ -34,13 +34,14 @@
 //! *persistently* — across disconnects — so the Central node's channel
 //! seam never breaks. Nothing in this module polls: the supervisor waits
 //! in one blocking `recv()` on that channel, which carries the collector's
-//! [`WorkerMsg::Tile`]s and [`WorkerMsg::Shutdown`], the acceptor's
+//! [`WorkerMsg::Tiles`] rounds and [`WorkerMsg::Shutdown`], the acceptor's
 //! [`WorkerMsg::Conn`] and the connection reader's exit,
 //! [`WorkerMsg::ReaderGone`] — so a disconnect is seen the moment the
 //! reader hits EOF. The acceptor blocks in `accept()` and is woken for stop
 //! by one self-connect. While a slot is down its supervisor drops stale
-//! tiles as they arrive (the lifecycle already re-dispatched or zero-filled
-//! them: a tile must never be computed twice from one queue handoff). A
+//! rounds as they arrive (the lifecycle already re-dispatched or
+//! zero-filled their tiles: a tile must never be computed twice from one
+//! queue handoff). A
 //! handshake reports the slot up and a disconnect reports it down, as
 //! messages on the collector's inbound channel — the same `Down` an
 //! in-process worker thread sends when it exits. The collector's machine
@@ -51,6 +52,19 @@
 //! generation has been superseded stops forwarding, so a result from a
 //! dead connection can neither double-count a tile nor resurrect the dead
 //! worker's statistics.
+//!
+//! # Rounds
+//!
+//! The collector hands a slot one [`WorkerMsg::Tiles`] round per dispatch
+//! step, and the supervisor writes it as that many ordinary `TASK` frames
+//! in one `write_all`. Both directions read through a [`BufReader`]: the
+//! worker computes every task frame already whole in its buffer and
+//! answers them with one write of `RESULT` frames, and the reader forwards
+//! every result frame already whole in its buffer as one
+//! `Inbound::Results`. Nothing waits for a frame that is not yet whole,
+//! so on a slow link a reply leaves as soon as the buffered work is done.
+//! Frames, tags and the protocol version are those of a frame-per-message
+//! peer, which still interoperates.
 
 use crate::central::Inbound;
 use crate::worker::{observe_tile, process_tile, Compression, WorkerMsg, WorkerStats};
@@ -69,7 +83,7 @@ use crossbeam::channel::{bounded, Receiver, SendError, Sender};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -131,21 +145,48 @@ fn rd_f32(b: &mut &[u8]) -> Option<f32> {
 // ---------------------------------------------------------------------------
 // Framing
 
-/// Write one `[len][tag][body]` frame and flush it.
-pub fn write_frame<W: Write>(w: &mut W, tag: u8, body: &[u8]) -> io::Result<()> {
-    let len = 1 + body.len();
+/// Append one `[len][tag][body]` frame to `buf`, its body written in place
+/// by `body`. A frame over [`MAX_FRAME_BYTES`] is an error, and `buf` is then
+/// not worth sending.
+fn push_frame(buf: &mut BytesMut, tag: u8, body: impl FnOnce(&mut BytesMut)) -> io::Result<()> {
+    let start = buf.len();
+    buf.extend_from_slice(&[0, 0, 0, 0, tag]);
+    body(buf);
+    let len = buf.len() - start - 4;
     if len > MAX_FRAME_BYTES {
         return Err(io::Error::new(io::ErrorKind::InvalidInput, "frame exceeds MAX_FRAME_BYTES"));
     }
+    buf[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    Ok(())
+}
+
+/// Write one `[len][tag][body]` frame and flush it.
+pub fn write_frame<W: Write>(w: &mut W, tag: u8, body: &[u8]) -> io::Result<()> {
     // One buffered write per frame: small frames must not straddle
     // segments, and the flush keeps latency off the Nagle path.
-    let mut buf = Vec::with_capacity(4 + len);
-    buf.extend_from_slice(&(len as u32).to_le_bytes());
-    buf.push(tag);
-    buf.extend_from_slice(body);
-    w.write_all(&buf)?;
+    let mut buf = BytesMut::with_capacity(5 + body.len());
+    push_frame(&mut buf, tag, |b| b.extend_from_slice(body))?;
+    write_frames(w, &buf)
+}
+
+/// Write `frames`, one or more whole frames, in one `write_all`, and flush.
+fn write_frames<W: Write>(w: &mut W, frames: &[u8]) -> io::Result<()> {
+    w.write_all(frames)?;
     w.flush()
 }
+
+/// Whether `buf` starts with a whole frame — a length word and that many
+/// bytes — so that [`read_frame`] on a reader holding `buf` cannot block.
+fn frame_buffered(buf: &[u8]) -> bool {
+    match buf.split_first_chunk::<4>() {
+        Some((len, body)) => body.len() >= u32::from_le_bytes(*len) as usize,
+        None => false,
+    }
+}
+
+/// Each side's read buffer: a whole round of the hub's ≈ 3 KB task frames
+/// fits with room to spare.
+const READ_BUF_BYTES: usize = 1 << 16;
 
 /// Read one frame. `Ok(None)` is a clean EOF *between* frames; EOF inside
 /// a frame is an error. A declared length of zero (no tag byte) or above
@@ -215,10 +256,15 @@ pub fn decode_welcome(mut b: &[u8]) -> Option<(u32, RemoteModelSpec)> {
 /// result itself in the canonical wire layout.
 pub fn encode_result_body(res: &TileResult, compute_ns: u64, compress_ns: u64) -> BytesMut {
     let mut buf = BytesMut::new();
+    put_result_body(&mut buf, res, compute_ns, compress_ns);
+    buf
+}
+
+/// Append [`encode_result_body`]'s bytes to `buf`.
+fn put_result_body(buf: &mut BytesMut, res: &TileResult, compute_ns: u64, compress_ns: u64) {
     buf.extend_from_slice(&compute_ns.to_le_bytes());
     buf.extend_from_slice(&compress_ns.to_le_bytes());
-    res.encode_into(&mut buf);
-    buf
+    res.encode_into(buf);
 }
 
 /// Decode a `RESULT` body; `None` on a structurally unreadable frame (a
@@ -750,15 +796,20 @@ fn supervise_slot(ctx: &Arc<SlotCtx>, rx: Receiver<WorkerMsg>) {
         };
         let _ = ctx.inbound.send(Inbound::Up(ctx.slot));
 
-        // --- up: forward tiles until the reader reports its connection
-        // gone, a write fails, or the runtime shuts down.
+        // --- up: forward rounds until the reader reports its connection
+        // gone, a write fails, or the runtime shuts down. A round is its
+        // tiles' `TASK` frames, encoded into one reused buffer and written
+        // at once.
         let (mut shutting_down, mut reader_gone) = (false, false);
+        let mut frames = BytesMut::new();
         while let Ok(msg) = rx.recv() {
             match msg {
-                WorkerMsg::Tile(task) => {
-                    let mut buf = BytesMut::new();
-                    task.encode_into(&mut buf);
-                    if write_frame(&mut conn, TAG_TASK, &buf).is_err() {
+                WorkerMsg::Tiles(round) => {
+                    frames.clear();
+                    let encoded = round.iter().try_for_each(|task| {
+                        push_frame(&mut frames, TAG_TASK, |b| task.encode_into(b))
+                    });
+                    if encoded.and_then(|()| write_frames(&mut conn, &frames)).is_err() {
                         break;
                     }
                 }
@@ -801,37 +852,53 @@ fn supervise_slot(ctx: &Arc<SlotCtx>, rx: Receiver<WorkerMsg>) {
 
 /// Drain `RESULT` frames from one connection into the collector's inbound
 /// channel, observing each tile (stats and compute/compress spans) at
-/// arrival time. Exits on EOF, error, a protocol violation, or generation
-/// supersession, and then sends its supervisor exactly one
-/// [`WorkerMsg::ReaderGone`].
-fn reader_loop(ctx: &SlotCtx, mut conn: Conn, my_gen: u64) {
-    // Anything else out of read_frame — clean EOF, mid-frame truncation,
-    // socket error, or a frame this direction never carries — ends the
-    // connection.
-    while let Ok(Some((TAG_RESULT, body))) = read_frame(&mut conn) {
-        let Some((compute_ns, compress_ns, res)) = decode_result_body(&body) else {
-            break; // structurally unreadable: protocol violation
+/// arrival time. The frames already whole in the read buffer travel
+/// together as one [`Inbound::Results`]; the reader never waits for more to
+/// fill a reply. Exits on EOF, error, a protocol violation, or generation
+/// supersession — after forwarding the results read before it — and then
+/// sends its supervisor exactly one [`WorkerMsg::ReaderGone`].
+fn reader_loop(ctx: &SlotCtx, conn: Conn, my_gen: u64) {
+    let mut conn = BufReader::with_capacity(READ_BUF_BYTES, conn);
+    loop {
+        let mut results = Vec::new();
+        let open = loop {
+            // Anything else out of read_frame — clean EOF, mid-frame
+            // truncation, socket error, or a frame this direction never
+            // carries — ends the connection, and so do a structurally
+            // unreadable body and a superseded generation (this connection's
+            // results no longer count).
+            let Ok(Some((TAG_RESULT, body))) = read_frame(&mut conn) else { break false };
+            let Some((compute_ns, compress_ns, res)) = decode_result_body(&body) else {
+                break false;
+            };
+            if ctx.generation.load(Ordering::SeqCst) != my_gen {
+                break false;
+            }
+            observe_tile(
+                &ctx.stats,
+                &ctx.sink,
+                ctx.slot,
+                ctx.epoch.elapsed().as_secs_f64(),
+                Duration::from_nanos(compute_ns),
+                Duration::from_nanos(compress_ns),
+                &res,
+            );
+            results.push(res);
+            if !frame_buffered(conn.buffer()) {
+                break true;
+            }
         };
-        if ctx.generation.load(Ordering::SeqCst) != my_gen {
-            break; // superseded: this connection's results no longer count
-        }
-        observe_tile(
-            &ctx.stats,
-            &ctx.sink,
-            ctx.slot,
-            ctx.epoch.elapsed().as_secs_f64(),
-            Duration::from_nanos(compute_ns),
-            Duration::from_nanos(compress_ns),
-            &res,
-        );
-        if ctx.inbound.send(Inbound::Result(ctx.slot, res)).is_err() {
+        if !results.is_empty() && ctx.inbound.send(Inbound::Results(ctx.slot, results)).is_err() {
             break; // runtime gone
+        }
+        if !open {
+            break;
         }
     }
     // A peer that broke protocol may still be connected and not reading:
     // close the socket so the supervisor's next write fails instead of
     // blocking.
-    let _ = conn.shutdown();
+    let _ = conn.get_ref().shutdown();
     let _ = ctx.tx.send(WorkerMsg::ReaderGone(my_gen));
 }
 
@@ -842,7 +909,8 @@ fn reader_loop(ctx: &SlotCtx, mut conn: Conn, my_gen: u64) {
 /// `SHUTDOWN` or closes the connection. This is the whole Conv-node
 /// process: handshake, rebuild the prefix from the [`RemoteModelSpec`] in
 /// the `WELCOME`, then a `TASK` → `process_tile` → `RESULT` loop sharing
-/// the in-process workers' exact compute path.
+/// the in-process workers' exact compute path, one reply per batch of
+/// buffered tasks (module docs, "Rounds").
 pub fn run_worker(endpoint: &Endpoint) -> io::Result<()> {
     let conn = Conn::connect(endpoint)?;
     run_worker_on(conn)
@@ -870,19 +938,35 @@ fn run_worker_on(mut conn: Conn) -> io::Result<()> {
     let (prefix, compression) = prefix_and_compression(spec.build());
     let mut scratch = InferScratch::new();
     let mut cs = CompressScratch::new();
+    // Buffered from here on: the handshake was read frame by frame, so no
+    // byte of it can be stranded in the buffer.
+    let mut conn = BufReader::with_capacity(READ_BUF_BYTES, conn);
+    let mut replies = BytesMut::new();
     loop {
-        match read_frame(&mut conn)? {
-            None | Some((TAG_SHUTDOWN, _)) => return Ok(()),
-            Some((TAG_TASK, body)) => {
-                let task = TileTask::decode(&body).ok_or_else(|| bad("unreadable TASK"))?;
-                let (res, compute, compress) =
-                    process_tile(&prefix, compression, &task, &mut scratch, &mut cs);
-                let out =
-                    encode_result_body(&res, compute.as_nanos() as u64, compress.as_nanos() as u64);
-                write_frame(&mut conn, TAG_RESULT, &out)?;
+        // Compute every task frame already whole in the buffer, then answer
+        // them with one write: the reply never waits for a frame still on
+        // its way.
+        replies.clear();
+        loop {
+            match read_frame(&mut conn)? {
+                None | Some((TAG_SHUTDOWN, _)) => return Ok(()),
+                Some((TAG_TASK, body)) => {
+                    let task = TileTask::decode(&body).ok_or_else(|| bad("unreadable TASK"))?;
+                    let (res, compute, compress) =
+                        process_tile(&prefix, compression, &task, &mut scratch, &mut cs);
+                    let (compute, compress) =
+                        (compute.as_nanos() as u64, compress.as_nanos() as u64);
+                    push_frame(&mut replies, TAG_RESULT, |b| {
+                        put_result_body(b, &res, compute, compress)
+                    })?;
+                }
+                Some(_) => return Err(bad("unexpected frame tag")),
             }
-            Some(_) => return Err(bad("unexpected frame tag")),
+            if !frame_buffered(conn.buffer()) {
+                break;
+            }
         }
+        write_frames(conn.get_mut(), &replies)?;
     }
 }
 
@@ -1010,5 +1094,141 @@ mod tests {
         assert_eq!(back.key, key);
         assert_eq!(back.to_tensor().unwrap().as_slice(), res.to_tensor().unwrap().as_slice());
         assert!(decode_result_body(&body[..10]).is_none(), "truncated timing header");
+    }
+
+    /// A reader that hands out 1–7 bytes per `read` and counts its calls.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        rng: StdRng,
+        reads: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            use rand::Rng;
+            self.reads += 1;
+            let n = self.rng.gen_range(1..8usize).min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    /// A round as the supervisor writes it: task frames of two sizes, then
+    /// an empty frame, all in one buffer. Returns the bytes and each
+    /// frame's end.
+    fn a_round() -> (BytesMut, Vec<usize>) {
+        let mut round = BytesMut::new();
+        let mut ends = Vec::new();
+        for (t, side) in [(0u32, 4usize), (1, 2), (2, 4)] {
+            let task = TileTask {
+                key: TileKey { image_id: 6, tile_id: t },
+                tile: Tensor::full([1, 3, side, side], 0.25 * t as f32),
+            };
+            push_frame(&mut round, TAG_TASK, |b| task.encode_into(b)).unwrap();
+            ends.push(round.len());
+        }
+        push_frame(&mut round, TAG_SHUTDOWN, |_| {}).unwrap();
+        ends.push(round.len());
+        (round, ends)
+    }
+
+    #[test]
+    fn buffered_reads_of_a_trickled_round_match_the_unbuffered_path() {
+        let (round, _) = a_round();
+        let mut plain = &round[..];
+        let mut want = Vec::new();
+        while let Some(frame) = read_frame(&mut plain).unwrap() {
+            want.push(frame);
+        }
+        assert_eq!(want.len(), 4);
+        for (seed, cap) in [(1, 5), (2, 64), (3, READ_BUF_BYTES)] {
+            let inner = Trickle { data: &round, rng: StdRng::seed_from_u64(seed), reads: 0 };
+            let mut rd = BufReader::with_capacity(cap, inner);
+            let mut got = Vec::new();
+            loop {
+                // A frame reported whole is read without touching the socket.
+                let (whole, before) = (frame_buffered(rd.buffer()), rd.get_ref().reads);
+                let Some(frame) = read_frame(&mut rd).unwrap() else { break };
+                if whole {
+                    assert_eq!(rd.get_ref().reads, before, "a whole buffered frame read again");
+                }
+                got.push(frame);
+            }
+            assert_eq!(got, want, "capacity {cap}");
+        }
+    }
+
+    #[test]
+    fn a_frame_is_buffered_only_once_its_body_is() {
+        let (round, ends) = a_round();
+        let mut start = 0;
+        for &end in &ends {
+            for cut in start..end {
+                assert!(!frame_buffered(&round[start..cut]), "short body at {cut} of {end}");
+            }
+            assert!(frame_buffered(&round[start..end]));
+            assert!(frame_buffered(&round[start..]), "with more frames behind it");
+            start = end;
+        }
+        // A zero length word is whole: read_frame rejects it at once.
+        assert!(frame_buffered(&0u32.to_le_bytes()));
+        assert!(!frame_buffered(&[0, 0, 0]));
+    }
+
+    #[test]
+    fn a_round_cut_off_mid_body_takes_the_slot_down() {
+        use crate::central::{AdcnnRuntime, RuntimeConfig};
+        let listener = WorkerListener::bind(&Endpoint::Tcp("127.0.0.1:0".into())).unwrap();
+        let endpoint = listener.endpoint().clone();
+        let honest = spawn_loopback_worker(endpoint.clone());
+        // A worker that answers its first task with a round of two result
+        // frames, the second cut off halfway through its body, then dies.
+        let cut = std::thread::spawn(move || {
+            let mut conn = Conn::connect(&endpoint).unwrap();
+            write_frame(&mut conn, TAG_HELLO, &encode_hello(0)).unwrap();
+            let Ok(Some((TAG_WELCOME, body))) = read_frame(&mut conn) else { panic!("welcome") };
+            let (slot, _) = decode_welcome(&body).unwrap();
+            let Ok(Some((TAG_TASK, body))) = read_frame(&mut conn) else { panic!("a task") };
+            let task = TileTask::decode(&body).unwrap();
+            let q = Quantizer::new(4, 2.0);
+            let zeros = adcnn_core::compress::compress(&[0.0; 4], q);
+            let res = adcnn_core::wire::make_result_from_parts(
+                task.key,
+                [1, 1, 2, 2],
+                4,
+                &zeros.payload,
+                q,
+            );
+            let mut reply = BytesMut::new();
+            push_frame(&mut reply, TAG_RESULT, |b| put_result_body(b, &res, 1, 1)).unwrap();
+            let whole = reply.len();
+            push_frame(&mut reply, TAG_RESULT, |b| put_result_body(b, &res, 1, 1)).unwrap();
+            conn.write_all(&reply[..whole + (reply.len() - whole) / 2]).unwrap();
+            slot as usize
+        });
+        let spec = RemoteModelSpec::paper_default(6, 42, TileGrid::new(2, 2));
+        let mut rt = AdcnnRuntime::launch_remote(
+            spec,
+            2,
+            RuntimeConfig::default(),
+            listener,
+            Duration::from_secs(10),
+        )
+        .unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        let out = rt.infer(&Tensor::randn([1, 3, 32, 32], 0.5, &mut rng));
+        let slot = cut.join().unwrap();
+        assert_eq!(out.zero_filled, 0, "the honest worker recovers every tile");
+        assert_eq!(out.received[slot], 0, "a cut-off round delivers no tile");
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while rt.live_workers()[slot] {
+            assert!(Instant::now() < deadline, "the cut-off slot never went down");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let out = rt.infer(&Tensor::randn([1, 3, 32, 32], 0.5, &mut rng));
+        assert_eq!((out.zero_filled, out.alloc[slot]), (0, 0), "served on without it");
+        rt.shutdown();
+        honest.join().unwrap().unwrap();
     }
 }

@@ -2,8 +2,10 @@
 //!
 //! Each worker owns a clone of the separable-prefix network (the paper
 //! stores "the filter weights for the separable layer blocks … in the Conv
-//! nodes", §6.1). It processes [`TileTask`]s as they arrive, applies the
-//! clipped-ReLU + quantize + RLE pipeline, and sends [`TileResult`]s back.
+//! nodes", §6.1). Tiles arrive in rounds, one message per dispatch round:
+//! the worker runs each [`TileTask`] of a round through the clipped-ReLU +
+//! quantize + RLE pipeline and answers the round with one message of
+//! [`TileResult`]s.
 
 use crate::central::Inbound;
 use crate::transport::Conn;
@@ -93,8 +95,10 @@ impl WorkerOptionsBuilder {
 /// remote slot's supervisor, whose one channel they share with the tiles
 /// (see [`crate::transport`], "Supervision").
 pub enum WorkerMsg {
-    /// A tile to process.
-    Tile(TileTask),
+    /// One dispatch round: the tiles the Central node sends this worker in
+    /// one step, in dispatch order. They are answered with one
+    /// `Inbound::Results`.
+    Tiles(Vec<TileTask>),
     /// Terminate the worker.
     Shutdown,
     /// The acceptor hands the slot a connection that sent a valid `HELLO`.
@@ -235,12 +239,15 @@ pub(crate) fn observe_tile(
 
 /// Spawn a Conv-node worker thread.
 ///
-/// `prefix` is the worker's clone of the separable blocks; results go to
-/// the collector's `inbound` channel tagged with `worker_id`, and so does
-/// the worker's own exit on an injected crash. The thread owns one
+/// `prefix` is the worker's clone of the separable blocks. Each
+/// [`WorkerMsg::Tiles`] round is computed tile by tile — the fault options
+/// and [`observe_tile`] apply per tile — and answered with one
+/// [`Inbound::Results`] on the collector's `inbound` channel, tagged with
+/// `worker_id`; an injected crash reports the worker's exit there instead,
+/// and the replies of the round it dies in are never sent, as a process
+/// dying before its write would lose them. The thread owns one
 /// [`InferScratch`] and one [`CompressScratch`], so its steady-state tile
-/// loop performs zero heap allocation up to the final per-result payload
-/// copy. Per-tile
+/// loop allocates only the per-result payload copy and the reply. Per-tile
 /// compute/compress spans are mirrored into `sink` with timestamps
 /// relative to `epoch` — the same time axis the Central node's lifecycle
 /// events use.
@@ -265,43 +272,49 @@ pub(crate) fn spawn_worker(
             let mut faults = StdRng::seed_from_u64(
                 opts.fault_seed ^ (worker_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             );
-            while let Ok(msg) = tasks.recv() {
-                let WorkerMsg::Tile(task) = msg else { break };
-                if let Some(limit) = opts.fail_after_tiles {
-                    if processed >= limit {
-                        if opts.disconnect_on_fail {
-                            // Hard crash: say so on the way out (exiting
-                            // also drops `tasks`, so a send that races
-                            // this report fails fast).
-                            let _ = inbound.send(Inbound::Down(worker_id));
-                            break;
+            while let Ok(WorkerMsg::Tiles(round)) = tasks.recv() {
+                let mut replies = Vec::with_capacity(round.len());
+                for task in &round {
+                    if let Some(limit) = opts.fail_after_tiles {
+                        if processed >= limit {
+                            if opts.disconnect_on_fail {
+                                // Hard crash: say so on the way out (exiting
+                                // also drops `tasks`, so a send that races
+                                // this report fails fast).
+                                let _ = inbound.send(Inbound::Down(worker_id));
+                                return;
+                            }
+                            // Crashed node: swallow work silently (the
+                            // Central node's timeout + statistics handle it).
+                            continue;
                         }
-                        // Crashed node: swallow work silently (the Central
-                        // node's timeout + statistics handle it).
-                        continue;
                     }
+                    if !opts.artificial_delay.is_zero() {
+                        std::thread::sleep(opts.artificial_delay);
+                    }
+                    if !opts.delay_jitter.is_zero() {
+                        std::thread::sleep(opts.delay_jitter.mul_f64(faults.gen::<f64>()));
+                    }
+                    let (mut result, compute, compress) =
+                        process_tile(&prefix, compression, task, &mut scratch, &mut cs);
+                    let done_s = epoch.elapsed().as_secs_f64();
+                    observe_tile(&stats, &sink, worker_id, done_s, compute, compress, &result);
+                    processed += 1;
+                    if opts.drop_prob > 0.0 && faults.gen_bool(opts.drop_prob) {
+                        continue; // the result vanishes on the "wire"
+                    }
+                    if opts.corrupt_prob > 0.0 && faults.gen_bool(opts.corrupt_prob) {
+                        // Truncate the payload: it arrives but fails to
+                        // decode, so the Central node must treat the tile as
+                        // missing.
+                        let half = result.payload.payload.len() / 2;
+                        result.payload.payload = result.payload.payload.slice(0..half);
+                    }
+                    replies.push(result);
                 }
-                if !opts.artificial_delay.is_zero() {
-                    std::thread::sleep(opts.artificial_delay);
-                }
-                if !opts.delay_jitter.is_zero() {
-                    std::thread::sleep(opts.delay_jitter.mul_f64(faults.gen::<f64>()));
-                }
-                let (mut result, compute, compress) =
-                    process_tile(&prefix, compression, &task, &mut scratch, &mut cs);
-                let done_s = epoch.elapsed().as_secs_f64();
-                observe_tile(&stats, &sink, worker_id, done_s, compute, compress, &result);
-                processed += 1;
-                if opts.drop_prob > 0.0 && faults.gen_bool(opts.drop_prob) {
-                    continue; // the result vanishes on the "wire"
-                }
-                if opts.corrupt_prob > 0.0 && faults.gen_bool(opts.corrupt_prob) {
-                    // Truncate the payload: it arrives but fails to decode,
-                    // so the Central node must treat the tile as missing.
-                    let half = result.payload.payload.len() / 2;
-                    result.payload.payload = result.payload.payload.slice(0..half);
-                }
-                if inbound.send(Inbound::Result(worker_id, result)).is_err() {
+                if !replies.is_empty()
+                    && inbound.send(Inbound::Results(worker_id, replies)).is_err()
+                {
                     break; // central gone
                 }
             }
@@ -320,12 +333,17 @@ mod tests {
     use rand::{rngs::StdRng, SeedableRng};
 
     /// The next message on a worker's outbound channel, which must be a
-    /// result.
+    /// reply of one result.
     fn result(rx: &Receiver<Inbound>) -> (usize, TileResult) {
         match rx.recv_timeout(Duration::from_secs(5)) {
-            Ok(Inbound::Result(w, res)) => (w, res),
-            _ => panic!("expected a result"),
+            Ok(Inbound::Results(w, mut res)) if res.len() == 1 => (w, res.remove(0)),
+            _ => panic!("expected a reply of one result"),
         }
+    }
+
+    /// A round of one tile.
+    fn one(image_id: u64, tile_id: u32, tile: Tensor) -> WorkerMsg {
+        WorkerMsg::Tiles(vec![TileTask { key: TileKey { image_id, tile_id }, tile }])
     }
 
     fn tiny_prefix(seed: u64) -> Network {
@@ -356,9 +374,7 @@ mod tests {
         );
 
         let tile = Tensor::full([1, 1, 4, 4], 0.5);
-        task_tx
-            .send(WorkerMsg::Tile(TileTask { key: TileKey { image_id: 9, tile_id: 2 }, tile }))
-            .unwrap();
+        task_tx.send(one(9, 2, tile)).unwrap();
         let (wid, res) = result(&res_rx);
         assert_eq!(wid, 3);
         assert_eq!(res.key, TileKey { image_id: 9, tile_id: 2 });
@@ -369,6 +385,63 @@ mod tests {
 
         task_tx.send(WorkerMsg::Shutdown).unwrap();
         h.join().unwrap();
+    }
+
+    #[test]
+    fn a_round_is_answered_once_in_dispatch_order_and_a_crash_loses_its_replies() {
+        let spawn = |opts, task_rx, res_tx| {
+            let stats = Arc::new(WorkerStats::default());
+            let h = spawn_worker(
+                1,
+                tiny_prefix(7),
+                None,
+                opts,
+                task_rx,
+                res_tx,
+                stats.clone(),
+                SinkHandle::null(),
+                Instant::now(),
+            );
+            (h, stats)
+        };
+        let round = |tiles: &[u32]| {
+            let task = |t| TileTask {
+                key: TileKey { image_id: 5, tile_id: t },
+                tile: Tensor::full([1, 1, 4, 4], 0.1 * t as f32),
+            };
+            WorkerMsg::Tiles(tiles.iter().map(|&t| task(t)).collect())
+        };
+
+        let (task_tx, task_rx) = unbounded();
+        let (res_tx, res_rx) = unbounded();
+        let (h, stats) = spawn(WorkerOptions::default(), task_rx, res_tx);
+        task_tx.send(round(&[3, 0, 2])).unwrap();
+        match res_rx.recv_timeout(Duration::from_secs(5)) {
+            Ok(Inbound::Results(1, res)) => {
+                let ids: Vec<u32> = res.iter().map(|r| r.key.tile_id).collect();
+                assert_eq!(ids, [3, 0, 2], "one reply, in dispatch order");
+            }
+            _ => panic!("expected one reply for the round"),
+        }
+        assert_eq!(stats.snapshot().tiles, 3, "every tile of the round is counted");
+        task_tx.send(WorkerMsg::Shutdown).unwrap();
+        h.join().unwrap();
+
+        // A worker that dies on the third tile of a round sends its exit,
+        // never the two results it computed first.
+        let (task_tx, task_rx) = unbounded();
+        let (res_tx, res_rx) = unbounded();
+        let opts = WorkerOptions {
+            fail_after_tiles: Some(2),
+            disconnect_on_fail: true,
+            ..Default::default()
+        };
+        let (h, stats) = spawn(opts, task_rx, res_tx);
+        task_tx.send(round(&[0, 1, 2, 3])).unwrap();
+        h.join().unwrap();
+        assert!(matches!(res_rx.try_recv(), Ok(Inbound::Down(1))), "the exit is reported");
+        assert!(res_rx.try_recv().is_err(), "the round's replies died with the worker");
+        assert_eq!(stats.snapshot().tiles, 2);
     }
 
     #[test]
@@ -390,12 +463,7 @@ mod tests {
         );
 
         for i in 0..3u32 {
-            task_tx
-                .send(WorkerMsg::Tile(TileTask {
-                    key: TileKey { image_id: 0, tile_id: i },
-                    tile: Tensor::full([1, 1, 4, 4], 0.1),
-                }))
-                .unwrap();
+            task_tx.send(one(0, i, Tensor::full([1, 1, 4, 4], 0.1))).unwrap();
         }
         // exactly one reply, then silence
         assert!(res_rx.recv_timeout(Duration::from_secs(5)).is_ok());
@@ -425,12 +493,7 @@ mod tests {
             Instant::now(),
         );
         for i in 0..2u32 {
-            task_tx
-                .send(WorkerMsg::Tile(TileTask {
-                    key: TileKey { image_id: 0, tile_id: i },
-                    tile: Tensor::full([1, 1, 4, 4], 0.1),
-                }))
-                .unwrap();
+            task_tx.send(one(0, i, Tensor::full([1, 1, 4, 4], 0.1))).unwrap();
         }
         assert!(res_rx.recv_timeout(Duration::from_secs(5)).is_ok());
         h.join().unwrap(); // the thread exited on tile 2 …
@@ -455,12 +518,7 @@ mod tests {
             Instant::now(),
         );
         for i in 0..3u32 {
-            task_tx
-                .send(WorkerMsg::Tile(TileTask {
-                    key: TileKey { image_id: 0, tile_id: i },
-                    tile: Tensor::full([1, 1, 4, 4], 0.2),
-                }))
-                .unwrap();
+            task_tx.send(one(0, i, Tensor::full([1, 1, 4, 4], 0.2))).unwrap();
         }
         assert!(res_rx.recv_timeout(Duration::from_millis(500)).is_err());
         assert_eq!(stats.snapshot().tiles, 3, "dropped results still burned compute");
@@ -486,12 +544,7 @@ mod tests {
             SinkHandle::null(),
             Instant::now(),
         );
-        task_tx
-            .send(WorkerMsg::Tile(TileTask {
-                key: TileKey { image_id: 0, tile_id: 0 },
-                tile: Tensor::full([1, 1, 4, 4], 0.5),
-            }))
-            .unwrap();
+        task_tx.send(one(0, 0, Tensor::full([1, 1, 4, 4], 0.5))).unwrap();
         let (_, res) = result(&res_rx);
         assert!(res.to_tensor().is_none(), "truncated payload must fail to decode");
         task_tx.send(WorkerMsg::Shutdown).unwrap();
@@ -542,12 +595,7 @@ mod tests {
             SinkHandle::new(rec.clone()),
             epoch,
         );
-        task_tx
-            .send(WorkerMsg::Tile(TileTask {
-                key: TileKey { image_id: 4, tile_id: 1 },
-                tile: Tensor::full([1, 1, 4, 4], 0.5),
-            }))
-            .unwrap();
+        task_tx.send(one(4, 1, Tensor::full([1, 1, 4, 4], 0.5))).unwrap();
         let _ = result(&res_rx);
         task_tx.send(WorkerMsg::Shutdown).unwrap();
         h.join().unwrap();
@@ -586,12 +634,7 @@ mod tests {
             Instant::now(),
         );
         drop(res_rx);
-        task_tx
-            .send(WorkerMsg::Tile(TileTask {
-                key: TileKey { image_id: 0, tile_id: 0 },
-                tile: Tensor::zeros([1, 1, 4, 4]),
-            }))
-            .unwrap();
+        task_tx.send(one(0, 0, Tensor::zeros([1, 1, 4, 4]))).unwrap();
         drop(task_tx);
         h.join().unwrap();
     }

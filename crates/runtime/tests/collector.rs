@@ -374,6 +374,68 @@ fn corrupt_payloads_are_recovered_by_redispatch() {
 }
 
 #[test]
+fn a_refused_round_reroutes_every_tile_in_the_same_drive() {
+    // Each worker gets one message per dispatch round, so a one-message
+    // queue holds one image's tiles for that worker. Storage caps give every
+    // image to worker 0 ([4, 0]); worker 1 takes only reroutes. Worker 0
+    // sleeps through image 0's round while image 1's waits in its queue, so
+    // image 2's round finds the queue full and is refused whole: one
+    // `SendRejected` per tile, each rerouted to worker 1 before `drive`
+    // returns — no deadline re-dispatches anything.
+    let grid = TileGrid::new(2, 2);
+    let local = build_model(43, grid);
+    let opts = [
+        WorkerOptions { artificial_delay: Duration::from_millis(60), ..Default::default() },
+        WorkerOptions::default(),
+    ];
+    let rec = Arc::new(RecordingSink::new());
+    let cfg = RuntimeConfig {
+        task_queue_cap: 1,
+        pipeline_depth: 3,
+        sink: SinkHandle::new(rec.clone()),
+        ..Default::default()
+    };
+    let mut rt = AdcnnRuntime::launch(build_model(43, grid), &opts, cfg);
+    // Two bits a tile: worker 1's one bit holds no tile, but it is placed,
+    // so the lifecycle may reroute to it.
+    rt.set_allocator(TileAllocator::with_storage(2, vec![8, 1]));
+    let images = rand_images(3, 8);
+    let first = rt.submit(&images[0]);
+    // Worker 0 takes image 0's round off its queue (its 4 × 60 ms sleep
+    // starts), so the queue is empty for image 1 and full for image 2.
+    std::thread::sleep(Duration::from_millis(30));
+    let rest: Vec<InferHandle> = images[1..].iter().map(|x| rt.submit(x)).collect();
+    let got: Vec<_> = std::iter::once(first).chain(rest).map(InferHandle::wait).collect();
+    let stats = rt.worker_stats();
+    rt.shutdown();
+    for (g, x) in got.iter().zip(&images) {
+        assert_eq!(g.zero_filled, 0, "image {} lost tiles: {:?}", g.image, g.received);
+        assert_eq!(g.redispatched, 0, "image {}: no deadline re-dispatch", g.image);
+        assert_eq!(g.alloc, [4, 0]);
+        assert_eq!(bits(&g.output), bits(&local.infer(x)), "image {} diverges", g.image);
+    }
+    // A round of four tiles is four tiles, wherever it went.
+    let received: Vec<&[u32]> = got.iter().map(|g| g.received.as_slice()).collect();
+    assert_eq!(received, [[4, 0], [4, 0], [0, 4]], "image 2's round was not refused");
+    assert_eq!((stats[0].tiles, stats[1].tiles), (8, 4));
+    // Each tile of image 2 was dispatched to worker 0, then rerouted to
+    // worker 1: one reroute per tile.
+    let dispatches: Vec<(u32, u32)> = rec
+        .events()
+        .iter()
+        .filter_map(|ev| match *ev {
+            ObsEvent::TileDispatch { image: 2, tile, worker, .. } => Some((tile, worker)),
+            _ => None,
+        })
+        .collect();
+    let mut want: Vec<(u32, u32)> = (0..4).map(|t| (t, 0)).chain((0..4).map(|t| (t, 1))).collect();
+    let mut seen = dispatches.clone();
+    seen.sort();
+    want.sort();
+    assert_eq!(seen, want, "image 2's dispatches: {dispatches:?}");
+}
+
+#[test]
 fn storage_capped_dispatch_completes_without_hanging() {
     // Regression: a storage-capped allocator returning Σ alloc < d made
     // the seed's round-robin assignment loop spin forever. The
