@@ -46,13 +46,16 @@ echo "==> perf ledger: its own tests, then a smoke run of every workload"
 # check before the PR is sent, not after. The last stdout line of a run is
 # its result document: it must say `"correct":true` (every output and the
 # served wire bits match the reference) as well as `"failed":0` — a run
-# whose wire bits differ prints the first false and the second true.
+# whose wire bits differ prints the first false and the second true. Each
+# line is echoed too, so every CI log carries the end-to-end metrics
+# (peak_rss_mb, setup_s, ...) of every workload.
 cargo test --offline --manifest-path perf-ledger/Cargo.toml
 for w in small_inproc_d4 small_inproc_d1 vgg_inproc_d2 small_tcp_d4; do
     line=$(cargo run --release --offline --quiet --manifest-path perf-ledger/Cargo.toml -- \
         --workload "$w" --smoke | tail -n 1)
-    grep -q '"correct":true' <<<"$line" || { echo "$w: $line"; exit 1; }
-    grep -q '"failed":0' <<<"$line" || { echo "$w: $line"; exit 1; }
+    echo "$w: $line"
+    grep -q '"correct":true' <<<"$line" || exit 1
+    grep -q '"failed":0' <<<"$line" || exit 1
 done
 
 echo "==> cargo clippy -- -D warnings"

@@ -217,31 +217,13 @@ pub fn train_dense(
 
 /// Held-out `(pixel accuracy, mean IoU)` of a dense model — the two FCN
 /// metrics the paper's Figure 10 reports, on the served forward
-/// ([`PartitionedModel::infer`]).
+/// ([`PartitionedModel::infer`]). Both pool over the whole test set: every
+/// pixel counts once, and mIoU sums each class's intersections and unions
+/// over all images before dividing.
 pub fn evaluate_dense(model: &PartitionedModel, data: &crate::data::SegDataset) -> (f64, f64) {
     use adcnn_tensor::loss::{mean_iou, pixel_accuracy};
-    let n = data.test_len();
-    let dims = data.test_x.dims().to_vec();
-    let stride: usize = dims[1..].iter().product();
-    let hw = dims[2] * dims[3];
-    let mut acc = 0.0;
-    let mut iou = 0.0;
-    let mut batches = 0usize;
-    let idx: Vec<usize> = (0..n).collect();
-    for chunk in idx.chunks(32) {
-        let mut xs = Vec::with_capacity(chunk.len() * stride);
-        let mut ys = Vec::with_capacity(chunk.len() * hw);
-        for &i in chunk {
-            xs.extend_from_slice(&data.test_x.as_slice()[i * stride..(i + 1) * stride]);
-            ys.extend_from_slice(&data.test_y[i * hw..(i + 1) * hw]);
-        }
-        let bx = adcnn_tensor::Tensor::from_vec([chunk.len(), dims[1], dims[2], dims[3]], xs);
-        let logits = model.infer(&bx);
-        acc += pixel_accuracy(&logits, &ys);
-        iou += mean_iou(&logits, &ys);
-        batches += 1;
-    }
-    (acc / batches.max(1) as f64, iou / batches.max(1) as f64)
+    let logits = model.infer(&data.test_x);
+    (pixel_accuracy(&logits, &data.test_y), mean_iou(&logits, &data.test_y))
 }
 
 #[cfg(test)]
@@ -277,6 +259,20 @@ mod dense_tests {
         let (acc, iou) = evaluate_dense(&model, &data);
         assert!(acc > 0.8, "pixel acc {acc}");
         assert!(iou > 0.15, "mean IoU {iou}");
+    }
+
+    /// Both metrics pool over the whole held-out set, so every image weighs
+    /// the same whatever the set's size (40 is no multiple of a batch), and
+    /// mIoU divides pooled intersections by pooled unions.
+    #[test]
+    fn dense_metrics_pool_over_the_whole_test_set() {
+        use adcnn_tensor::loss::{mean_iou, pixel_accuracy};
+        let data = shapes_seg(0, 40, 16, 85);
+        let mut rng = StdRng::seed_from_u64(85);
+        let model = PartitionedModel::unpartitioned(small_fcn_16(data.classes, &mut rng));
+        let logits = model.infer(&data.test_x);
+        let want = (pixel_accuracy(&logits, &data.test_y), mean_iou(&logits, &data.test_y));
+        assert_eq!(evaluate_dense(&model, &data), want);
     }
 
     /// 16×16 variant of the small FCN for fast tests.

@@ -737,10 +737,12 @@ impl Collector {
 
 /// Model geometry and pipeline pieces shared by the in-process and remote
 /// launch paths: the Conv-side prefix (with its boundary compression) and
-/// the Central-side suffix, plus the probed boundary-map dimensions.
+/// the Central-side suffix, plus the probed boundary-map dimensions. The
+/// prefix is read-only once split, so every in-process Conv node shares
+/// this one copy.
 struct SplitModel {
     grid: TileGrid,
-    prefix: Network,
+    prefix: Arc<Network>,
     suffix: Network,
     compression: Option<Compression>,
     tile_out: (usize, usize, usize),
@@ -760,7 +762,7 @@ fn split_model(mut model: PartitionedModel) -> SplitModel {
     let &[_, oc, oh, ow] = out.dims() else { panic!("the prefix emits [1, C, H, W] tiles") };
     let tile_out = (oc, oh, ow);
     let boundary = (oc, oh * grid.rows, ow * grid.cols);
-    SplitModel { grid, prefix, suffix, compression, tile_out, boundary }
+    SplitModel { grid, prefix: Arc::new(prefix), suffix, compression, tile_out, boundary }
 }
 
 /// Attribution rides the same event stream as any user sink: tee it in
@@ -792,9 +794,11 @@ pub struct AdcnnRuntime {
 }
 
 impl AdcnnRuntime {
-    /// Split a (retrained) [`PartitionedModel`] into Conv-node prefixes and
-    /// the Central suffix, launch one worker thread per entry of
-    /// `worker_opts`, and start the collector thread.
+    /// Split a (retrained) [`PartitionedModel`] into the Conv-node prefix
+    /// and the Central suffix, launch one worker thread per entry of
+    /// `worker_opts`, and start the collector thread. The prefix is held
+    /// once: every worker thread reads the same `Arc<Network>`, and only
+    /// its scratch is its own.
     pub fn launch(
         model: PartitionedModel,
         worker_opts: &[WorkerOptions],
@@ -828,7 +832,7 @@ impl AdcnnRuntime {
             let stats = Arc::new(WorkerStats::default());
             handles.push(spawn_worker(
                 i,
-                sm.prefix.clone(),
+                Arc::clone(&sm.prefix),
                 sm.compression,
                 *opts,
                 rx,

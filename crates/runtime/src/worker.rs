@@ -1,8 +1,9 @@
 //! Conv-node worker threads.
 //!
-//! Each worker owns a clone of the separable-prefix network (the paper
-//! stores "the filter weights for the separable layer blocks … in the Conv
-//! nodes", §6.1). Tiles arrive in rounds, one message per dispatch round:
+//! Each worker reads the separable-prefix network (the paper stores "the
+//! filter weights for the separable layer blocks … in the Conv nodes",
+//! §6.1): in-process workers share one read-only copy, a worker process
+//! builds its own. Tiles arrive in rounds, one message per dispatch round:
 //! the worker runs each [`TileTask`] of a round through the clipped-ReLU +
 //! quantize + RLE pipeline and answers the round with one message of
 //! [`TileResult`]s.
@@ -239,7 +240,8 @@ pub(crate) fn observe_tile(
 
 /// Spawn a Conv-node worker thread.
 ///
-/// `prefix` is the worker's clone of the separable blocks. Each
+/// `prefix` is the separable blocks, shared read-only with every other
+/// in-process worker (the weights are held once per process). Each
 /// [`WorkerMsg::Tiles`] round is computed tile by tile — the fault options
 /// and [`observe_tile`] apply per tile — and answered with one
 /// [`Inbound::Results`] on the collector's `inbound` channel, tagged with
@@ -254,7 +256,7 @@ pub(crate) fn observe_tile(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn spawn_worker(
     worker_id: usize,
-    prefix: Network,
+    prefix: Arc<Network>,
     compression: Option<Compression>,
     opts: WorkerOptions,
     tasks: Receiver<WorkerMsg>,
@@ -363,7 +365,7 @@ mod tests {
         let stats = Arc::new(WorkerStats::default());
         let h = spawn_worker(
             3,
-            tiny_prefix(1),
+            Arc::new(tiny_prefix(1)),
             Some(comp),
             WorkerOptions::default(),
             task_rx,
@@ -393,7 +395,7 @@ mod tests {
             let stats = Arc::new(WorkerStats::default());
             let h = spawn_worker(
                 1,
-                tiny_prefix(7),
+                Arc::new(tiny_prefix(7)),
                 None,
                 opts,
                 task_rx,
@@ -452,7 +454,7 @@ mod tests {
         let stats = Arc::new(WorkerStats::default());
         let h = spawn_worker(
             0,
-            tiny_prefix(2),
+            Arc::new(tiny_prefix(2)),
             None,
             opts,
             task_rx,
@@ -483,7 +485,7 @@ mod tests {
         };
         let h = spawn_worker(
             0,
-            tiny_prefix(4),
+            Arc::new(tiny_prefix(4)),
             None,
             opts,
             task_rx,
@@ -508,7 +510,7 @@ mod tests {
         let stats = Arc::new(WorkerStats::default());
         let h = spawn_worker(
             0,
-            tiny_prefix(5),
+            Arc::new(tiny_prefix(5)),
             None,
             opts,
             task_rx,
@@ -535,7 +537,7 @@ mod tests {
         let opts = WorkerOptions { corrupt_prob: 1.0, ..Default::default() };
         let h = spawn_worker(
             0,
-            tiny_prefix(6),
+            Arc::new(tiny_prefix(6)),
             Some(comp),
             opts,
             task_rx,
@@ -586,7 +588,7 @@ mod tests {
         let epoch = Instant::now();
         let h = spawn_worker(
             2,
-            tiny_prefix(8),
+            Arc::new(tiny_prefix(8)),
             None,
             WorkerOptions::default(),
             task_rx,
@@ -624,7 +626,7 @@ mod tests {
         let (res_tx, res_rx) = unbounded();
         let h = spawn_worker(
             0,
-            tiny_prefix(3),
+            Arc::new(tiny_prefix(3)),
             None,
             WorkerOptions::default(),
             task_rx,

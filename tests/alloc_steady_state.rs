@@ -12,6 +12,10 @@
 //! dispatch threshold — the loop runs on this thread only — and the counter
 //! is per thread, so the tests of this file (which the default runner puts
 //! on parallel threads) cannot see each other's allocations.
+//!
+//! The same counter also sums bytes, which proves the footprint side of the
+//! runtime: an in-process launch holds one copy of the prefix's weights,
+//! however many Conv-node threads read it.
 
 use adcnn::core::compress::{clip_and_compress_into, CompressScratch, Quantizer};
 use adcnn::core::wire::{make_result_from_parts, TileKey};
@@ -27,24 +31,28 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 /// Counts every allocator hit (alloc + realloc; dealloc is free to the
-/// "zero allocation" claim) made by the calling thread.
+/// "zero allocation" claim) made by the calling thread, and the bytes each
+/// hit asks for (a realloc counts its whole new size).
 struct CountingAlloc;
 
 thread_local! {
     /// `const`-initialised and without a destructor, so the allocator can
     /// touch it at any point of a thread's life without allocating.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes requested by this thread's hits, under the same rules.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count() {
+fn count(size: usize) {
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + size as u64));
 }
 
-// SAFETY: defers to `System` for every operation; the counter is a plain
-// thread-local cell that neither allocates nor unwinds.
+// SAFETY: defers to `System` for every operation; the counters are plain
+// thread-local cells that neither allocate nor unwind.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -53,7 +61,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -64,6 +72,11 @@ static COUNTER: CountingAlloc = CountingAlloc;
 /// Allocator hits of *this* thread so far.
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+/// Bytes *this* thread has asked the allocator for so far.
+fn bytes() -> u64 {
+    BYTES.with(Cell::get)
 }
 
 /// A representative Conv-node prefix: conv→BN→ReLU→pool→conv→ReLU. Small
@@ -303,4 +316,63 @@ fn central_result_path_is_allocation_free() {
     assert!(to_tensor_allocs >= 8, "to_tensor is expected to allocate: {to_tensor_allocs}");
     let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&assembled), bits(&reference), "both paths assemble the same map");
+}
+
+/// A launch holds one prefix, whatever K: every in-process Conv node reads
+/// the same read-only weights, so launching four workers instead of one
+/// costs the calling thread channels and thread handles, not another copy
+/// of the prefix (a per-worker clone would cost its value, gradient and
+/// momentum buffers: three times the weights per extra worker).
+#[test]
+fn launch_holds_one_prefix_whatever_k() {
+    use adcnn::core::fdsp::TileGrid;
+    use adcnn::retrain::PartitionedModel;
+    use adcnn::runtime::{AdcnnRuntime, RuntimeConfig, WorkerOptions};
+
+    // Two 64→64 3×3 convs: 288 KiB of weights in the prefix.
+    let model = || {
+        let mut rng = StdRng::seed_from_u64(46);
+        let net = Network::new(vec![
+            Block::Seq(vec![
+                Layer::conv2d(64, 64, 3, Conv2dParams::same(3), &mut rng),
+                Layer::Relu,
+            ]),
+            Block::Seq(vec![
+                Layer::conv2d(64, 64, 3, Conv2dParams::same(3), &mut rng),
+                Layer::Relu,
+            ]),
+            Block::Seq(vec![Layer::GlobalAvgPool]),
+        ]);
+        PartitionedModel {
+            net,
+            prefix: 2,
+            grid: TileGrid::new(2, 2),
+            boundary_crelu: None,
+            boundary_quant: None,
+            input: (64, 8, 8),
+            classes: 64,
+        }
+    };
+    let prefix_value_bytes = {
+        let mut m = model();
+        m.net.blocks.truncate(m.prefix);
+        m.net.param_count() * std::mem::size_of::<f32>()
+    };
+    assert!(prefix_value_bytes >= 256 << 10, "prefix weights: {prefix_value_bytes} B");
+
+    let launch_bytes = |k: usize| {
+        let m = model();
+        let before = bytes();
+        let rt =
+            AdcnnRuntime::launch(m, &vec![WorkerOptions::default(); k], RuntimeConfig::default());
+        let spent = bytes() - before;
+        rt.shutdown();
+        spent
+    };
+    let (one, four) = (launch_bytes(1), launch_bytes(4));
+    assert!(
+        four.saturating_sub(one) < prefix_value_bytes as u64,
+        "launching 4 workers allocated {four} B on the calling thread, 1 worker {one} B: the \
+         difference must stay under one copy of the prefix ({prefix_value_bytes} B)"
+    );
 }
