@@ -84,10 +84,11 @@ echo "==> record GEMM baseline (results/BENCH_gemm.json)"
 # beside the parent commit's reading.
 cargo run --release --example gemm_shapes
 # Beside the 256^3 trajectory the file must carry the served im2col shapes
-# and convolutions, say which clock it read, and name the tier this machine
-# dispatches to.
+# and convolutions (each with the scratch a fresh arena holds after it), say
+# which clock it read, and name the tier this machine dispatches to.
 grep -q '"shapes"' results/BENCH_gemm.json
 grep -q '"convs"' results/BENCH_gemm.json
+grep -q '"scratch_kib"' results/BENCH_gemm.json
 grep -q '"clock": "wall"' results/BENCH_gemm.json
 tools/machine-facts.sh results/BENCH_gemm.json
 

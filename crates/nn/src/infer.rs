@@ -73,12 +73,13 @@ impl InferScratch {
         InferScratch::default()
     }
 
-    /// Bytes currently held by the activation buffers and arenas.
+    /// Bytes currently held by the activation buffers and arenas (capacity,
+    /// not the current shapes' length).
     pub fn capacity_bytes(&self) -> usize {
         let acts =
-            self.ping.numel() + self.pong.numel() + self.res_in.numel() + self.res_tmp.numel();
+            [&self.ping, &self.pong, &self.res_in, &self.res_tmp].map(ActBuf::capacity_bytes);
         let coeffs = self.bn.scale.capacity() + self.bn.shift.capacity();
-        self.ts.capacity_bytes() + (acts + coeffs) * std::mem::size_of::<f32>()
+        self.ts.capacity_bytes() + acts.iter().sum::<usize>() + coeffs * std::mem::size_of::<f32>()
     }
 }
 
@@ -91,15 +92,17 @@ fn activation(layer: Option<&Layer>) -> Option<FusedAct> {
     }
 }
 
-/// Run `layers` in inference mode. Input is in `a` on entry; output is in
-/// `a` on exit. `b` is the ping-pong partner.
-fn forward_layers_infer(
+/// Run `layers` in inference mode on the input in `a`, `b` its ping-pong
+/// partner; returns `(output, partner)`. The two trade roles by reference,
+/// never by content, so each buffer sees the same shapes on every call and
+/// holds its full size after the first.
+fn forward_layers_infer<'b>(
     layers: &[Layer],
-    a: &mut ActBuf,
-    b: &mut ActBuf,
+    mut a: &'b mut ActBuf,
+    mut b: &'b mut ActBuf,
     ts: &mut Scratch,
     coeffs: &mut BnCoeffs,
-) {
+) -> (&'b mut ActBuf, &'b mut ActBuf) {
     let mut i = 0;
     while i < layers.len() {
         let mut consumed = 1;
@@ -119,12 +122,12 @@ fn forward_layers_infer(
                     Some(bn) => conv2d_affine_into(x, dims, w, bias, coeffs.of(bn), *p, act, ts, b),
                     None => conv2d_into(x, dims, w, bias, *p, act, ts, b),
                 }
-                std::mem::swap(a, b);
+                std::mem::swap(&mut a, &mut b);
             }
             Layer::BatchNorm { bn, .. } => {
                 let dims = a.nchw();
                 bn.forward_infer_into(a.as_slice(), dims, b);
-                std::mem::swap(a, b);
+                std::mem::swap(&mut a, &mut b);
             }
             layer @ (Layer::Relu | Layer::ClippedRelu(_)) => {
                 let act = activation(Some(layer)).expect("an activation layer");
@@ -135,17 +138,17 @@ fn forward_layers_infer(
             Layer::MaxPool(p) => {
                 let dims = a.nchw();
                 maxpool2d_into(a.as_slice(), dims, *p, b);
-                std::mem::swap(a, b);
+                std::mem::swap(&mut a, &mut b);
             }
             Layer::AvgPool(p) => {
                 let dims = a.nchw();
                 avgpool2d_into(a.as_slice(), dims, *p, b);
-                std::mem::swap(a, b);
+                std::mem::swap(&mut a, &mut b);
             }
             Layer::GlobalAvgPool => {
                 let dims = a.nchw();
                 global_avgpool_into(a.as_slice(), dims, b);
-                std::mem::swap(a, b);
+                std::mem::swap(&mut a, &mut b);
             }
             Layer::Flatten => {
                 let n = a.dims()[0];
@@ -159,7 +162,7 @@ fn forward_layers_infer(
                 let (n, d) = (a.dims()[0], a.dims()[1]);
                 let act = act.unwrap_or(FusedAct::Identity);
                 linear_into(a.as_slice(), n, d, &w.value, bias.value.as_slice(), act, ts, b);
-                std::mem::swap(a, b);
+                std::mem::swap(&mut a, &mut b);
             }
             Layer::Tanh => {
                 for v in a.as_mut_slice() {
@@ -169,6 +172,7 @@ fn forward_layers_infer(
         }
         i += consumed;
     }
+    (a, b)
 }
 
 impl Network {
@@ -184,24 +188,21 @@ impl Network {
         range: std::ops::Range<usize>,
         s: &'s mut InferScratch,
     ) -> &'s ActBuf {
-        s.ping.copy_from_tensor(x);
+        let InferScratch { ts, ping, pong, res_in, res_tmp, bn } = s;
+        ping.copy_from_tensor(x);
+        let (mut a, mut b) = (ping, pong);
         for block in &self.blocks[range] {
             match block {
-                Block::Seq(layers) => {
-                    forward_layers_infer(layers, &mut s.ping, &mut s.pong, &mut s.ts, &mut s.bn);
-                }
+                Block::Seq(layers) => (a, b) = forward_layers_infer(layers, a, b, ts, bn),
                 Block::Residual { body, shortcut } => {
-                    s.res_in.copy_from(&s.ping);
-                    forward_layers_infer(body, &mut s.ping, &mut s.pong, &mut s.ts, &mut s.bn);
-                    if !shortcut.is_empty() {
-                        let (x, tmp) = (&mut s.res_in, &mut s.res_tmp);
-                        forward_layers_infer(shortcut, x, tmp, &mut s.ts, &mut s.bn);
-                    }
-                    s.ping.add_assign(&s.res_in);
+                    res_in.copy_from(a);
+                    (a, b) = forward_layers_infer(body, a, b, ts, bn);
+                    let (short, _) = forward_layers_infer(shortcut, res_in, res_tmp, ts, bn);
+                    a.add_assign(short);
                 }
             }
         }
-        &s.ping
+        a
     }
 
     /// Whole-network allocation-free inference (see
@@ -324,31 +325,33 @@ mod tests {
 
     /// `forward_infer_with` with no peephole: every layer run on its own.
     fn layer_by_layer(net: &Network, x: &Tensor) -> Tensor {
-        fn each(
+        fn each<'b>(
             layers: &[Layer],
-            a: &mut ActBuf,
-            b: &mut ActBuf,
+            mut a: &'b mut ActBuf,
+            mut b: &'b mut ActBuf,
             s: &mut Scratch,
             c: &mut BnCoeffs,
-        ) {
+        ) -> (&'b mut ActBuf, &'b mut ActBuf) {
             for l in layers {
-                forward_layers_infer(std::slice::from_ref(l), a, b, s, c);
+                (a, b) = forward_layers_infer(std::slice::from_ref(l), a, b, s, c);
             }
+            (a, b)
         }
-        let mut s = InferScratch::new();
-        s.ping.copy_from_tensor(x);
+        let InferScratch { ts, ping, pong, res_in, res_tmp, bn } = &mut InferScratch::new();
+        ping.copy_from_tensor(x);
+        let (mut a, mut b) = (ping, pong);
         for block in &net.blocks {
             match block {
-                Block::Seq(layers) => each(layers, &mut s.ping, &mut s.pong, &mut s.ts, &mut s.bn),
+                Block::Seq(layers) => (a, b) = each(layers, a, b, ts, bn),
                 Block::Residual { body, shortcut } => {
-                    s.res_in.copy_from(&s.ping);
-                    each(body, &mut s.ping, &mut s.pong, &mut s.ts, &mut s.bn);
-                    each(shortcut, &mut s.res_in, &mut s.res_tmp, &mut s.ts, &mut s.bn);
-                    s.ping.add_assign(&s.res_in);
+                    res_in.copy_from(a);
+                    (a, b) = each(body, a, b, ts, bn);
+                    let (short, _) = each(shortcut, res_in, res_tmp, ts, bn);
+                    a.add_assign(short);
                 }
             }
         }
-        s.ping.to_tensor()
+        a.to_tensor()
     }
 
     /// Give every BatchNorm of `net` random statistics, so its `(a, b)` are
@@ -429,5 +432,21 @@ mod tests {
         let cap = s.capacity_bytes();
         net.forward_infer_with(&x, &mut s);
         assert_eq!(s.capacity_bytes(), cap, "steady-state call must not grow buffers");
+    }
+
+    /// The figure counts what the buffers hold, not the last shape's length:
+    /// a smaller input through the same scratch leaves it where it was.
+    #[test]
+    fn capacity_bytes_does_not_fall_on_a_smaller_input() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let net = Network::new(vec![Block::Seq(vec![
+            Layer::conv2d(3, 8, 3, Conv2dParams::same(3), &mut rng),
+            Layer::Relu,
+        ])]);
+        let mut s = InferScratch::new();
+        net.forward_infer_with(&Tensor::randn([1, 3, 32, 32], 1.0, &mut rng), &mut s);
+        let cap = s.capacity_bytes();
+        net.forward_infer_with(&Tensor::randn([1, 3, 8, 8], 1.0, &mut rng), &mut s);
+        assert!(s.capacity_bytes() >= cap, "{} < {cap}", s.capacity_bytes());
     }
 }

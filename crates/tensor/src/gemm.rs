@@ -16,10 +16,11 @@
 //! [`gemm_unpacked`] is the seed's kernel, kept as the reference baseline
 //! for tests and benches.
 //!
-//! Loop nest (BLIS `jr`/`ir` order), per k-block of at most `KC` steps:
+//! Loop nest (BLIS `jr`/`ir` order), per row-block task and k-block of at
+//! most `KC` steps:
 //!
 //! ```text
-//! pack A once per call  -> MR-wide k-major panels        (streams from L2)
+//! pack the task's rows of this k-block of A -> MR-wide k-major panels (L2)
 //! for each NR-wide column panel j:                        (B panel: L1)
 //!     fill the KC×NR B panel from the source
 //!     for each MR-wide row panel i:
@@ -80,7 +81,9 @@ use std::sync::OnceLock;
 /// for every tier: a `KC×NR` panel row is one ZMM vector or two YMM.
 pub const NR: usize = 16;
 /// Tile edge for the k-dimension blocking: one `KC×NR` B panel (16 KB) plus
-/// one `KC×MR` A panel (6 KB or 16 KB) sit in L1 while a tile is computed.
+/// one `KC×MR` A panel (6 KB or 16 KB) sit in L1 while a tile is computed,
+/// and the pack arena holds one k-block of `A`: `⌈m/MR⌉·MR·KC + tasks·KC·NR`
+/// floats.
 pub const KC: usize = 256;
 
 /// How a register tile finds row `kk` of its k-block of `B`: `NR` floats
@@ -497,8 +500,9 @@ impl<'a> From<&'a [f32]> for ASrc<'a> {
 /// is consumed from L1 before the next one is filled, so `B` is never
 /// materialised.
 ///
-/// `pack` is the grow-only arena: the packed `A` panels, then one B panel
-/// per row-block task.
+/// `pack` is the grow-only arena, per row-block task one k-block of its
+/// packed `A` panels then one B panel: at most `⌈m/MR⌉·MR·KC + tasks·KC·NR`
+/// floats. Products big enough to split run one task per thread.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_core<'a, S: BSource + ?Sized>(
     t: &Tier,
@@ -512,7 +516,26 @@ pub(crate) fn gemm_core<'a, S: BSource + ?Sized>(
     epi: Epilogue,
     pack: &mut Vec<f32>,
 ) {
-    let a = a.into();
+    let (threads, mp) = (rayon::current_num_threads(), m.div_ceil(t.mr));
+    let tasks = if m * n * k >= PAR_FLOP_THRESHOLD && threads > 1 { threads.min(mp) } else { 1 };
+    gemm_tasks(t, tasks, m, k, n, a.into(), b, c, beta, epi, pack);
+}
+
+/// [`gemm_core`] split into `tasks` (at least one) contiguous row blocks.
+#[allow(clippy::too_many_arguments)]
+fn gemm_tasks<S: BSource + ?Sized>(
+    t: &Tier,
+    tasks: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: ASrc,
+    b: &S,
+    c: &mut [f32],
+    beta: f32,
+    epi: Epilogue,
+    pack: &mut Vec<f32>,
+) {
     let (ASrc::RowMajor(stored) | ASrc::KMajor(stored)) = a;
     assert_eq!(stored.len(), m * k, "A dims mismatch");
     assert_eq!(c.len(), m * n, "C dims mismatch");
@@ -542,141 +565,118 @@ pub(crate) fn gemm_core<'a, S: BSource + ?Sized>(
         scale(c, beta);
     }
 
-    let first_stores = beta == 0.0;
+    let nest = Nest { m, k, n, a, first_stores: beta == 0.0, epi };
     match t.isa {
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => gemm_nest::<16, x86::Avx512, S>(m, k, n, a, b, c, first_stores, epi, pack),
+        Isa::Avx512 => gemm_nest::<16, x86::Avx512, S>(&nest, tasks, b, c, pack),
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => gemm_nest::<6, x86::Avx2, S>(m, k, n, a, b, c, first_stores, epi, pack),
-        Isa::Portable => gemm_nest::<6, Portable, S>(m, k, n, a, b, c, first_stores, epi, pack),
+        Isa::Avx2 => gemm_nest::<6, x86::Avx2, S>(&nest, tasks, b, c, pack),
+        Isa::Portable => gemm_nest::<6, Portable, S>(&nest, tasks, b, c, pack),
     }
 }
 
-/// [`gemm_core`] past its checks, instantiated at one tier's tile `T` of
-/// `MR` rows, whose CPU feature the caller has probed: `k` is not zero and
-/// `c` is already scaled by `beta` (`first_stores`: by zero, so the first
-/// k-block overwrites it).
-#[allow(clippy::too_many_arguments)]
+/// `nest` past [`gemm_tasks`]' checks, at one tier's `MR`-row tile `T`
+/// (its CPU feature probed): `k > 0`, and `c` is already scaled by `beta`.
 fn gemm_nest<const MR: usize, T: Tile<MR>, S: BSource + ?Sized>(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: ASrc,
+    nest: &Nest,
+    tasks: usize,
     b: &S,
     c: &mut [f32],
-    first_stores: bool,
-    epi: Epilogue,
     pack: &mut Vec<f32>,
 ) {
-    // Contiguous row blocks, each a multiple of MR rows, one per task.
-    let mp = m.div_ceil(MR);
-    let threads = rayon::current_num_threads();
-    let tasks = if m * n * k >= PAR_FLOP_THRESHOLD && threads > 1 { threads.min(mp) } else { 1 };
+    // Contiguous row blocks, each a multiple of MR rows, one per task (the
+    // last may be short, and `tasks` past the row panels get none). A task's
+    // arena is one k-block of its rows' A panels, then its B panel.
+    let (m, n, kc, mp) = (nest.m, nest.n, KC.min(nest.k), nest.m.div_ceil(MR));
     let rows = mp.div_ceil(tasks) * MR;
-
-    let a_len = k * mp * MR;
-    let kc = KC.min(k);
+    let tasks = m.div_ceil(rows);
     // Every element read below is written first (`pack_a`, a panel
     // source), so the arena is only ever grown, never cleared.
-    pack.resize(a_len + tasks * kc * NR, 0.0);
-    let (a_pack, b_panels) = pack.split_at_mut(a_len);
-    match a {
-        ASrc::RowMajor(a) => pack_a::<MR>(m, k, a, a_pack),
-        ASrc::KMajor(a_t) => pack_a_kmajor::<MR>(m, k, a_t, a_pack),
-    }
-    let a_pack = &*a_pack;
-
-    let nest = Nest::<MR> { m, k, n, a_pack, first_stores, epi };
+    pack.resize(mp * MR * kc + tasks * kc * NR, 0.0);
     if tasks == 1 {
-        nest.run::<T, S>(0, c, b_panels, b);
+        nest.run::<MR, T, S>(0, c, pack, b);
     } else {
         c.par_chunks_mut(rows * n)
-            .zip(b_panels.par_chunks_mut(kc * NR))
+            .zip(pack.par_chunks_mut((rows + NR) * kc))
             .enumerate()
-            .for_each(|(t, (cblock, b_panel))| nest.run::<T, S>(t * rows, cblock, b_panel, b));
-    }
-}
-
-/// Interleave `a` (`[m, k]` row-major) into `KC`-step blocks of `MR`-row
-/// panels: the block for steps `k0..k0+kb` starts at `k0 · mp · MR`; within
-/// it panel `p` (rows `p·MR..`) is `kb·MR` contiguous floats in k-major
-/// order, so the tile reads one `MR`-vector per k-step. Rows past `m` in the
-/// last panel are written as zeros, so no element keeps an earlier call's
-/// value.
-fn pack_a<const MR: usize>(m: usize, k: usize, a: &[f32], pack: &mut [f32]) {
-    static ZERO: [f32; KC] = [0.0; KC];
-    let mp = m.div_ceil(MR);
-    let mut k0 = 0;
-    while k0 < k {
-        let kb = KC.min(k - k0);
-        let block = &mut pack[k0 * mp * MR..(k0 + kb) * mp * MR];
-        for (p, panel) in block.chunks_exact_mut(kb * MR).enumerate() {
-            let rows: [&[f32]; MR] = std::array::from_fn(|r| {
-                if p * MR + r < m {
-                    &a[(p * MR + r) * k + k0..][..kb]
-                } else {
-                    &ZERO[..kb]
-                }
-            });
-            for (kk, dst) in panel.chunks_exact_mut(MR).enumerate() {
-                for (d, row) in dst.iter_mut().zip(&rows) {
-                    *d = row[kk];
-                }
-            }
-        }
-        k0 += kb;
-    }
-}
-
-/// [`pack_a`] for `a_t` (`[k, m]` row-major): a k-step's `MR` floats are
-/// already contiguous in row `k` of `a_t`, so the pack is a copy.
-fn pack_a_kmajor<const MR: usize>(m: usize, k: usize, a_t: &[f32], pack: &mut [f32]) {
-    let mp = m.div_ceil(MR);
-    for k0 in (0..k).step_by(KC) {
-        let kb = KC.min(k - k0);
-        let block = &mut pack[k0 * mp * MR..(k0 + kb) * mp * MR];
-        for (p, panel) in block.chunks_exact_mut(kb * MR).enumerate() {
-            let mb = MR.min(m - p * MR);
-            for (dst, row) in panel.chunks_exact_mut(MR).zip(a_t[k0 * m..].chunks_exact(m)) {
-                dst[..mb].copy_from_slice(&row[p * MR..][..mb]);
-                dst[mb..].fill(0.0);
-            }
-        }
+            .for_each(|(t, (cblock, arena))| nest.run::<MR, T, S>(t * rows, cblock, arena, b));
     }
 }
 
 /// One call's loop nest, shared by every row-block task.
-struct Nest<'a, const MR: usize> {
+struct Nest<'a> {
     m: usize,
     k: usize,
     n: usize,
-    a_pack: &'a [f32],
+    a: ASrc<'a>,
     /// `beta == 0`: the first k-block overwrites `C` instead of adding.
     first_stores: bool,
     epi: Epilogue<'a>,
 }
 
-impl<const MR: usize> Nest<'_, MR> {
+impl Nest<'_> {
+    /// Interleave rows `i0..` of `A`, k-steps `k0..k0 + kb`, into `dst`'s
+    /// `MR`-row panels: panel `p` (rows `i0 + p·MR..`) is `kb·MR`
+    /// contiguous floats in k-major order, so the tile reads one
+    /// `MR`-vector per k-step. Rows past `m` in the last panel are written
+    /// as zeros, so no element keeps an earlier call's value.
+    fn pack_a<const MR: usize>(&self, i0: usize, k0: usize, kb: usize, dst: &mut [f32]) {
+        static ZERO: [f32; KC] = [0.0; KC];
+        let (m, k) = (self.m, self.k);
+        for (r0, panel) in (i0..).step_by(MR).zip(dst.chunks_exact_mut(kb * MR)) {
+            let mb = MR.min(m - r0);
+            match self.a {
+                ASrc::RowMajor(a) => {
+                    let rows: [&[f32]; MR] = std::array::from_fn(|r| {
+                        if r < mb {
+                            &a[(r0 + r) * k + k0..][..kb]
+                        } else {
+                            &ZERO[..kb]
+                        }
+                    });
+                    for (kk, dst) in panel.chunks_exact_mut(MR).enumerate() {
+                        for (d, row) in dst.iter_mut().zip(&rows) {
+                            *d = row[kk];
+                        }
+                    }
+                }
+                // A k-step's `MR` floats are already contiguous in row `k`
+                // of `Aᵀ`, so the pack is a copy.
+                ASrc::KMajor(a_t) => {
+                    let rows = a_t[k0 * m..].chunks_exact(m);
+                    for (dst, row) in panel.chunks_exact_mut(MR).zip(rows) {
+                        dst[..mb].copy_from_slice(&row[r0..][..mb]);
+                        dst[mb..].fill(0.0);
+                    }
+                }
+            }
+        }
+    }
+
     /// Compute output rows `i0..i0 + cblock.len() / n` (`i0` a multiple of
     /// `MR`) into `cblock` with tile `T`, whose CPU feature [`gemm_nest`]'s
-    /// caller probed: per k-block, B's column panels outermost (each filled
-    /// once into `b_panel` and kept in L1, or read in place), A panels
-    /// innermost.
-    fn run<T: Tile<MR>, S: BSource + ?Sized>(
+    /// caller probed: per k-block, pack the block's A panels of these rows
+    /// into the front of `arena`, then B's column panels outermost (each
+    /// filled once into the rest of `arena` and kept in L1, or read in
+    /// place), A panels innermost.
+    fn run<const MR: usize, T: Tile<MR>, S: BSource + ?Sized>(
         &self,
         i0: usize,
         cblock: &mut [f32],
-        b_panel: &mut [f32],
+        arena: &mut [f32],
         b: &S,
     ) {
-        let (n, mp) = (self.n, self.m.div_ceil(MR));
+        let n = self.n;
         let rows = cblock.len() / n;
+        let padded = rows.div_ceil(MR) * MR;
+        let (a_pack, b_panel) = arena.split_at_mut(padded * KC.min(self.k));
         let mut k0 = 0;
         while k0 < self.k {
             let kb = KC.min(self.k - k0);
             let accumulate = k0 > 0 || !self.first_stores;
             let last = k0 + kb == self.k;
-            let a_block = &self.a_pack[(k0 * mp + i0 / MR * kb) * MR..];
+            let a_block = &mut a_pack[..padded * kb];
+            self.pack_a::<MR>(i0, k0, kb, a_block);
             let b_block = b.block(k0, kb);
             for j0 in (0..n).step_by(NR) {
                 let b_rows = b.rows(&b_block, j0, &mut b_panel[..kb * NR]);
@@ -1344,6 +1344,76 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Split into 2 or 3 row-block tasks, each packing its own rows of `A`
+    /// into its own slice of the arena, the product keeps the one-task bits
+    /// on every tier, for both stored layouts of `A` and across row-panel
+    /// and k-block remainders. The build's `rayon` may report one thread, so
+    /// the split is asked for directly.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn row_block_tasks_pack_their_own_rows() {
+        let mut rng = StdRng::seed_from_u64(22);
+        let n = 37;
+        for t in x86_tiers() {
+            for m in [17, 40, 128] {
+                for k in [27, 300, 777] {
+                    let (a, b) = (rand_vec(m * k, &mut rng), rand_vec(k * n, &mut rng));
+                    let (bias, c0) = (rand_vec(m, &mut rng), rand_vec(m * n, &mut rng));
+                    let fill = rowmajor_panels(&b, n);
+                    for (kmajor, beta) in [(false, 0.0), (true, 0.0), (false, 1.0), (true, 1.0)] {
+                        let epi = Epilogue::new(Some(&bias), FusedAct::Relu);
+                        // A stale arena: every element read must be written first.
+                        let mut pack = vec![f32::NAN; 1 << 16];
+                        let mut run = |tasks| {
+                            let a = if kmajor { ASrc::KMajor(&a) } else { ASrc::RowMajor(&a) };
+                            let mut c = c0.clone();
+                            gemm_tasks(&t, tasks, m, k, n, a, &fill, &mut c, beta, epi, &mut pack);
+                            c.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                        };
+                        let want = run(1);
+                        for tasks in [2, 3] {
+                            assert!(
+                                run(tasks) == want,
+                                "{} ({m},{k},{n}) kmajor={kmajor} beta={beta}: {tasks} tasks \
+                                 differ from one",
+                                t.name
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The pack arena holds one k-block of `A`'s panels, not all of `A`:
+    /// after a fresh call it is at most `⌈m/MR⌉·MR·KC + KC·NR` floats (one
+    /// task), on VGG's deepest served conv and on a `gemm_fused` four
+    /// k-blocks deep with a ragged last row panel.
+    #[test]
+    fn pack_arena_is_one_k_block_deep() {
+        use crate::conv::{conv2d_into, Conv2dParams};
+        use crate::scratch::ActBuf;
+        use crate::tensor::Tensor;
+        let mut rng = StdRng::seed_from_u64(23);
+        let bound = |m: usize| m.div_ceil(tile_rows()) * tile_rows() * KC + KC * NR;
+
+        let (oc, ic, hw) = (128, 128, 16);
+        let x = rand_vec(ic * hw * hw, &mut rng);
+        let w = Tensor::from_vec([oc, ic, 3, 3], rand_vec(oc * ic * 9, &mut rng));
+        let (mut scratch, mut out) = (Scratch::new(), ActBuf::new());
+        let (dims, p) = ((1, ic, hw, hw), Conv2dParams::same(3));
+        conv2d_into(&x, dims, &w, &[0.1; 128], p, FusedAct::Relu, &mut scratch, &mut out);
+        let cap = scratch.pack.capacity();
+        assert!(cap <= bound(oc), "conv ({oc}, {ic}, {hw}²): arena {cap} > {}", bound(oc));
+
+        let (m, k, n) = (40, 3 * KC + 5, 19);
+        let (a, b) = (rand_vec(m * k, &mut rng), rand_vec(k * n, &mut rng));
+        let (mut scratch, mut c) = (Scratch::new(), vec![0.0; m * n]);
+        gemm_fused(m, k, n, &a, &b, &mut c, None, FusedAct::Identity, &mut scratch);
+        let cap = scratch.pack.capacity();
+        assert!(cap <= bound(m), "gemm_fused ({m},{k},{n}): arena {cap} > {}", bound(m));
     }
 
     #[test]

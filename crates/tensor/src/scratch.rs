@@ -39,12 +39,13 @@ pub(crate) fn with_arena<T: Default, R>(
 
 /// Arena of reusable buffers for convolution / GEMM internals.
 ///
-/// `pack` holds the GEMM's packed operands — the `MR`-wide A panels of the
-/// current call, then one `KC×NR` B panel per row-block task — and `pad` the
-/// zero-padded copy of the image a padded convolution gathers its patches
-/// from. They are separate fields (not a bump allocator) because `conv2d`
-/// needs both alive at once. There is no im2col matrix: patches go straight
-/// into the B panel, or the tile reads them where they lie.
+/// `pack` holds the GEMM's packed operands — per row-block task, one
+/// k-block of its `MR`-wide A panels and one `KC×NR` B panel, at most
+/// `⌈m/MR⌉·MR·KC + tasks·KC·NR` floats — and `pad` the zero-padded copy of
+/// the image a padded convolution gathers its patches from. They are
+/// separate fields (not a bump allocator) because `conv2d` needs both alive
+/// at once. There is no im2col matrix: patches go straight into the B
+/// panel, or the tile reads them where they lie.
 #[derive(Clone, Debug, Default)]
 pub struct Scratch {
     pub(crate) pack: Vec<f32>,
@@ -119,6 +120,11 @@ impl ActBuf {
     #[inline]
     pub fn numel(&self) -> usize {
         self.data.len()
+    }
+
+    /// Bytes of storage held (capacity, not the current shape's length).
+    pub fn capacity_bytes(&self) -> usize {
+        self.data.capacity() * std::mem::size_of::<f32>()
     }
 
     /// Flat data view.

@@ -6,7 +6,9 @@
 //! packed-vs-seed pair every PR since the first has extended. Writes
 //! `results/BENCH_gemm.json` with this build's `gflops` beside
 //! `parent_gflops` and its conv `us` beside `parent_us`, the readings at the
-//! parent commits named in the tables below.
+//! parent commits named in the tables below, and each conv's `scratch_kib`:
+//! the bytes a fresh `Scratch` holds after it (the GEMM's pack arena plus
+//! the padded image), i.e. what that layer asks of a serving thread.
 //!
 //! A plain `main`, best of `REPS` wall-clock calls each, through public calls
 //! only. The parent has no `simd_tier`, `tile_rows` or `register_tile`, so
@@ -50,13 +52,13 @@ const SERVED_SHAPES: [((usize, usize, usize), f64); 9] = [
 ];
 
 /// The commit `PARENT_CONV_US` was read at.
-const CONV_PARENT: &str = "206394d";
+const CONV_PARENT: &str = "c1ae51b";
 /// `conv2d_into` µs at [`CONV_PARENT`], one per [`SERVED_SHAPES`] entry: the
 /// 3×3 "same" stride-1 convolution whose im2col GEMM that shape is (`oc =
 /// m`, `ic = k / 9`, a square `n`-pixel image), bias and fused ReLU, taken
 /// by this file in a clone of that commit, pinned to one CPU, alternating
 /// with this build four times and keeping each shape's best.
-const PARENT_CONV_US: [f64; 9] = [36.80, 513.07, 245.53, 496.55, 163.64, 3.27, 14.68, 21.64, 46.73];
+const PARENT_CONV_US: [f64; 9] = [39.88, 629.26, 322.90, 650.56, 223.04, 2.74, 11.47, 21.28, 44.61];
 
 /// Best-of-`reps` wall-clock seconds for one invocation of `f`.
 fn best_secs(reps: usize, mut f: impl FnMut()) -> f64 {
@@ -143,7 +145,10 @@ fn main() {
         ));
     }
 
-    println!("{:<24} {:>10} {:>9} {:>7}", "conv (oc, ic, hw)", "parent_us", "us", "x");
+    println!(
+        "{:<24} {:>10} {:>9} {:>7} {:>12}",
+        "conv (oc, ic, hw)", "parent_us", "us", "x", "scratch_kib"
+    );
     let mut out = ActBuf::new();
     let mut conv_rows = Vec::new();
     for (((m, k, n), _), parent) in SERVED_SHAPES.into_iter().zip(PARENT_CONV_US) {
@@ -151,20 +156,23 @@ fn main() {
         let x = rand_vec(ic * hw * hw);
         let w = Tensor::from_vec([oc, ic, 3, 3], rand_vec(oc * k));
         let bias = vec![0.1f32; oc];
+        // A fresh arena per conv: what it holds afterwards is what this
+        // geometry asks of a serving thread (pack arena + padded image).
+        let mut scratch = Scratch::new();
         let s = best_secs(REPS, || {
             let (dims, p) = ((1, ic, hw, hw), Conv2dParams::same(3));
             conv2d_into(black_box(&x), dims, &w, &bias, p, FusedAct::Relu, &mut scratch, &mut out);
             black_box(out.as_slice());
         });
-        let us = s * 1e6;
+        let (us, kib) = (s * 1e6, scratch.capacity_bytes() as f64 / 1024.0);
         println!(
-            "{:<24} {parent:>10.2} {us:>9.2} {:>7.2}",
+            "{:<24} {parent:>10.2} {us:>9.2} {:>7.2} {kib:>12.1}",
             format!("({oc}, {ic}, {hw})"),
             parent / us
         );
         conv_rows.push(format!(
             "    {{\"oc\": {oc}, \"ic\": {ic}, \"hw\": {hw}, \"parent_us\": {parent:.2}, \
-             \"us\": {us:.2}}}"
+             \"us\": {us:.2}, \"scratch_kib\": {kib:.1}}}"
         ));
     }
 

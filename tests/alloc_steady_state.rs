@@ -106,6 +106,7 @@ fn steady_state_tile_loop_is_allocation_free() {
 
     // A deep, narrow conv through the same arena: K = 32·9 = 288 spans two
     // k-blocks and M = 8 leaves a ragged last row panel, so the A-pack arena
+    // (one k-block deep: ⌈M/MR⌉·MR·KC + KC·NR floats, re-packed per block)
     // and the one-pass B panel are exercised past a single block (still
     // 8·288·16 multiply-adds, under the parallel threshold).
     let deep = Tensor::randn([1, 32, 4, 4], 0.5, &mut rng);
