@@ -24,6 +24,7 @@
 
 use crate::layer::Layer;
 use crate::network::{Block, Network};
+use crate::zoo::MapDims;
 use adcnn_tensor::conv::{conv2d_affine_into, conv2d_into};
 use adcnn_tensor::gemm::FusedAct;
 use adcnn_tensor::linear::linear_into;
@@ -175,7 +176,95 @@ fn forward_layers_infer<'b>(
     (a, b)
 }
 
+/// The layer's variant name, for [`Network::map_dims`]' refusals.
+fn kind(layer: &Layer) -> &'static str {
+    match layer {
+        Layer::Conv2d { .. } => "Conv2d",
+        Layer::BatchNorm { .. } => "BatchNorm",
+        Layer::Relu => "Relu",
+        Layer::ClippedRelu(_) => "ClippedRelu",
+        Layer::MaxPool(_) => "MaxPool",
+        Layer::AvgPool(_) => "AvgPool",
+        Layer::GlobalAvgPool => "GlobalAvgPool",
+        Layer::Flatten => "Flatten",
+        Layer::Linear { .. } => "Linear",
+        Layer::Tanh => "Tanh",
+    }
+}
+
+/// The dims `layers` turn a `(C, H, W)` map into; `at` names layer `i` in a
+/// refusal.
+fn layers_dims(
+    layers: &[Layer],
+    (mut c, mut h, mut w): MapDims,
+    at: &dyn Fn(usize) -> String,
+) -> Result<MapDims, String> {
+    for (i, layer) in layers.iter().enumerate() {
+        let refuse = |why: String| Err(format!("{} ({}) {why}", at(i), kind(layer)));
+        (c, h, w) = match layer {
+            Layer::Conv2d { w: weight, p, .. } => {
+                let &[oc, ic, kh, kw] = weight.value.dims() else {
+                    return refuse(format!("has a {:?} weight", weight.value.dims()));
+                };
+                if ic != c {
+                    return refuse(format!("takes {ic} channels, its input has {c}"));
+                }
+                if (kh, kw) != (p.kernel, p.kernel) {
+                    return refuse(format!(
+                        "has a {kh}x{kw} weight for a {0}x{0} kernel",
+                        p.kernel
+                    ));
+                }
+                (oc, p.out_dim(h), p.out_dim(w))
+            }
+            Layer::BatchNorm { bn, .. } if bn.channels() != c => {
+                return refuse(format!("normalizes {} channels, its input has {c}", bn.channels()));
+            }
+            Layer::BatchNorm { .. } | Layer::Relu | Layer::ClippedRelu(_) | Layer::Tanh => {
+                (c, h, w)
+            }
+            Layer::MaxPool(p) | Layer::AvgPool(p) => (c, p.out_dim(h), p.out_dim(w)),
+            Layer::GlobalAvgPool | Layer::Flatten | Layer::Linear { .. } => {
+                return refuse("does not emit a [C, H, W] map".into());
+            }
+        };
+        if h == 0 || w == 0 {
+            return refuse("leaves an empty map".into());
+        }
+    }
+    Ok((c, h, w))
+}
+
 impl Network {
+    /// The `(C, H, W)` the inference forward emits for one `(C, H, W)`
+    /// input, from the layers' hyper-parameters alone: nothing runs and
+    /// nothing is allocated on success. Refuses, naming the block and the
+    /// layer, a broken channel chain, a residual block whose two paths
+    /// disagree, a layer that leaves the `[C, H, W]` form (global pooling,
+    /// flatten, linear) and a map that shrinks to nothing.
+    pub fn map_dims(&self, input: MapDims) -> Result<MapDims, String> {
+        let mut dims = input;
+        for (bi, block) in self.blocks.iter().enumerate() {
+            dims = match block {
+                Block::Seq(layers) => {
+                    layers_dims(layers, dims, &|i| format!("block {bi} layer {i}"))?
+                }
+                Block::Residual { body, shortcut } => {
+                    let main = layers_dims(body, dims, &|i| format!("block {bi} body layer {i}"))?;
+                    let skip =
+                        layers_dims(shortcut, dims, &|i| format!("block {bi} shortcut layer {i}"))?;
+                    if main != skip {
+                        return Err(format!(
+                            "block {bi} (Residual): the body emits {main:?}, the shortcut {skip:?}"
+                        ));
+                    }
+                    main
+                }
+            };
+        }
+        Ok(dims)
+    }
+
     /// Inference forward through blocks `range` using only scratch-owned
     /// buffers. The result stays inside `s`; read it via the returned
     /// reference or copy it out at the boundary.
@@ -416,6 +505,99 @@ mod tests {
             for (g, &v) in got.as_slice().iter().zip(&specials) {
                 assert_eq!(g.to_bits(), act.apply(v).to_bits(), "{act:?}({v})");
             }
+        }
+    }
+
+    /// The shape pass agrees with the forward it stands in for: on every
+    /// leading run of blocks of every small model and of the VGG blocks,
+    /// for every grid that divides the input, it returns the dims a real
+    /// tile's forward emits, or refuses a run that leaves `[C, H, W]`, or
+    /// a tile the run shrinks to nothing (on a separable prefix the
+    /// forward then emits an empty map).
+    #[test]
+    fn map_dims_is_the_forward_on_every_dividing_grid() {
+        use crate::small::{shapes_cnn, small_charcnn, small_fcn, small_resnet, vgg_blocks};
+        let mut rng = StdRng::seed_from_u64(14);
+        let models = [
+            shapes_cnn(6, &mut rng),
+            small_resnet(6, &mut rng),
+            small_fcn(6, &mut rng),
+            small_charcnn(16, 4, &mut rng),
+            vgg_blocks(10, &mut rng),
+        ];
+        let divisors = |n: usize| (1..=n).filter(move |d| n.is_multiple_of(*d));
+        let mut s = InferScratch::new();
+        for m in &models {
+            let (c, h, w) = m.input;
+            for blocks in 1..=m.net.len() {
+                let prefix = Network::new(m.net.blocks[..blocks].to_vec());
+                for (rows, cols) in divisors(h).flat_map(|r| divisors(w).map(move |c| (r, c))) {
+                    let (th, tw) = (h / rows, w / cols);
+                    let at = format!("{} blocks 0..{blocks} on a {rows}x{cols} grid", m.name);
+                    let tile = Tensor::zeros([1, c, th, tw]);
+                    match prefix.map_dims((c, th, tw)) {
+                        Ok((oc, oh, ow)) => {
+                            let out = prefix.forward_infer_with(&tile, &mut s);
+                            assert_eq!(out.dims(), &[1, oc, oh, ow], "{at}");
+                        }
+                        Err(e) if e.contains("leaves an empty map") => {
+                            if blocks <= m.separable_prefix {
+                                let out = prefix.forward_infer_with(&tile, &mut s);
+                                assert_eq!(out.numel(), 0, "{at}: {e}");
+                            }
+                        }
+                        Err(e) => assert!(e.contains("does not emit a [C, H, W] map"), "{at}: {e}"),
+                    }
+                }
+            }
+        }
+    }
+
+    /// What the forward cannot serve as a tile, the shape pass refuses,
+    /// naming the block and the layer.
+    #[test]
+    fn map_dims_refuses_and_names_the_layer() {
+        let mut rng = StdRng::seed_from_u64(15);
+        let same = Conv2dParams::same(3);
+        let mut conv = |ic, oc| Layer::conv2d(ic, oc, 3, same, &mut rng);
+        let cases = [
+            (
+                vec![Block::Seq(vec![conv(3, 8), Layer::Relu]), Block::Seq(vec![conv(4, 8)])],
+                "block 1 layer 0 (Conv2d) takes 4 channels, its input has 8",
+            ),
+            (
+                vec![Block::Seq(vec![conv(3, 8), Layer::batch_norm(6)])],
+                "block 0 layer 1 (BatchNorm) normalizes 6 channels, its input has 8",
+            ),
+            (
+                vec![Block::Residual { body: vec![conv(3, 8)], shortcut: vec![] }],
+                "block 0 (Residual): the body emits (8, 8, 8), the shortcut (3, 8, 8)",
+            ),
+            (
+                vec![Block::Seq(vec![conv(3, 8)]), Block::Seq(vec![Layer::GlobalAvgPool])],
+                "block 1 layer 0 (GlobalAvgPool) does not emit a [C, H, W] map",
+            ),
+            (
+                vec![Block::Seq(vec![conv(3, 8), Layer::Flatten])],
+                "block 0 layer 1 (Flatten) does not emit a [C, H, W] map",
+            ),
+            (
+                vec![Block::Residual {
+                    body: vec![],
+                    shortcut: vec![Layer::Linear {
+                        w: crate::Param::new(Tensor::zeros([3, 2])),
+                        b: crate::Param::new(Tensor::zeros([2])),
+                    }],
+                }],
+                "block 0 shortcut layer 0 (Linear) does not emit a [C, H, W] map",
+            ),
+            (
+                vec![Block::Seq(vec![Layer::MaxPool(Pool2dParams::non_overlapping(16))])],
+                "block 0 layer 0 (MaxPool) leaves an empty map",
+            ),
+        ];
+        for (blocks, want) in cases {
+            assert_eq!(Network::new(blocks).map_dims((3, 8, 8)), Err(want.to_string()));
         }
     }
 

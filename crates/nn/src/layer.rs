@@ -16,30 +16,65 @@ use adcnn_tensor::pool::{
 use adcnn_tensor::Tensor;
 use rand::Rng;
 
-/// A learnable parameter: value, gradient accumulator, and SGD momentum
-/// buffer, all the same shape.
+/// A learnable parameter: its value, plus the gradient accumulator and SGD
+/// momentum buffer training writes.
+///
+/// The two training buffers do not exist until the first backward pass or
+/// [`Sgd::step`](crate::Sgd::step) writes them, so a model that has never
+/// trained — built, cloned, split or served — holds one `f32` per weight. A
+/// buffer that does not exist yet reads as zeros, which is what a fresh one
+/// holds. A clone copies whatever exists, so a model cloned mid-training
+/// carries its momentum.
 #[derive(Clone, Debug)]
 pub struct Param {
     /// Current value.
     pub value: Tensor,
     /// Accumulated gradient (summed over tiles/microbatches since the last
-    /// optimizer step).
-    pub grad: Tensor,
-    /// SGD momentum (velocity) buffer.
-    pub vel: Tensor,
+    /// optimizer step); `None` until a backward pass writes it.
+    grad: Option<Tensor>,
+    /// SGD momentum (velocity) buffer; `None` until an optimizer step
+    /// writes it.
+    vel: Option<Tensor>,
 }
 
 impl Param {
-    /// Wrap an initial value with zeroed gradient and velocity.
+    /// Wrap an initial value; the gradient and velocity come with training.
     pub fn new(value: Tensor) -> Self {
-        let grad = Tensor::zeros(value.dims());
-        let vel = Tensor::zeros(value.dims());
-        Param { value, grad, vel }
+        Param { value, grad: None, vel: None }
     }
 
-    /// Zero the gradient accumulator.
+    /// The accumulated gradient, or `None` if nothing has written one yet
+    /// (an all-zero gradient).
+    pub fn grad(&self) -> Option<&Tensor> {
+        self.grad.as_ref()
+    }
+
+    /// The gradient accumulator, created zero-filled on first use.
+    pub fn grad_mut(&mut self) -> &mut Tensor {
+        let dims = self.value.dims();
+        self.grad.get_or_insert_with(|| Tensor::zeros(dims))
+    }
+
+    /// The momentum buffer, created zero-filled on first use.
+    pub fn vel_mut(&mut self) -> &mut Tensor {
+        let dims = self.value.dims();
+        self.vel.get_or_insert_with(|| Tensor::zeros(dims))
+    }
+
+    /// The value, gradient and momentum buffer at once, for an optimizer
+    /// step; creates whichever buffer does not exist yet.
+    pub(crate) fn step_parts(&mut self) -> (&mut Tensor, &Tensor, &mut Tensor) {
+        let dims = self.value.dims();
+        let grad = self.grad.get_or_insert_with(|| Tensor::zeros(dims));
+        let vel = self.vel.get_or_insert_with(|| Tensor::zeros(dims));
+        (&mut self.value, grad, vel)
+    }
+
+    /// Zero the gradient accumulator (a no-op before the first backward).
     pub fn zero_grad(&mut self) {
-        self.grad.fill_zero();
+        if let Some(g) = &mut self.grad {
+            g.fill_zero();
+        }
     }
 }
 
@@ -204,18 +239,18 @@ impl Layer {
         match (self, ctx) {
             (Layer::Conv2d { w, b, p }, Ctx::Conv(x)) => {
                 let grads = conv2d_backward(x, &w.value, dy, *p);
-                w.grad.add_scaled(&grads.dweight, 1.0);
-                for (g, &d) in b.grad.as_mut_slice().iter_mut().zip(&grads.dbias) {
+                w.grad_mut().add_scaled(&grads.dweight, 1.0);
+                for (g, &d) in b.grad_mut().as_mut_slice().iter_mut().zip(&grads.dbias) {
                     *g += d;
                 }
                 grads.dinput
             }
             (Layer::BatchNorm { bn, g_gamma, g_beta }, Ctx::Bn(c)) => {
                 let (dx, dgamma, dbeta) = bn.backward(c, dy);
-                for (g, &d) in g_gamma.grad.as_mut_slice().iter_mut().zip(&dgamma) {
+                for (g, &d) in g_gamma.grad_mut().as_mut_slice().iter_mut().zip(&dgamma) {
                     *g += d;
                 }
-                for (g, &d) in g_beta.grad.as_mut_slice().iter_mut().zip(&dbeta) {
+                for (g, &d) in g_beta.grad_mut().as_mut_slice().iter_mut().zip(&dbeta) {
                     *g += d;
                 }
                 dx
@@ -230,8 +265,8 @@ impl Layer {
             (Layer::Flatten, Ctx::Shape(s)) => dy.clone().reshape(s.as_slice()),
             (Layer::Linear { w, b }, Ctx::Input(x)) => {
                 let grads = linear_backward(x, &w.value, dy);
-                w.grad.add_scaled(&grads.dw, 1.0);
-                for (g, &d) in b.grad.as_mut_slice().iter_mut().zip(&grads.db) {
+                w.grad_mut().add_scaled(&grads.dw, 1.0);
+                for (g, &d) in b.grad_mut().as_mut_slice().iter_mut().zip(&grads.db) {
                     *g += d;
                 }
                 grads.dx
@@ -307,7 +342,7 @@ mod tests {
         assert_eq!(dx.dims(), x.dims());
         // gradient accumulated
         if let Layer::Conv2d { w, .. } = &l {
-            assert!(w.grad.max_abs() > 0.0);
+            assert!(w.grad().expect("backward wrote the gradient").max_abs() > 0.0);
         }
     }
 
@@ -320,8 +355,8 @@ mod tests {
         l.backward(&ctx, &Tensor::full(y.shape().clone(), 1.0));
         l.zero_grad();
         if let Layer::Linear { w, b } = &l {
-            assert_eq!(w.grad.max_abs(), 0.0);
-            assert_eq!(b.grad.max_abs(), 0.0);
+            assert_eq!(w.grad().map(Tensor::max_abs), Some(0.0));
+            assert_eq!(b.grad().map(Tensor::max_abs), Some(0.0));
         }
     }
 
@@ -346,13 +381,19 @@ mod tests {
 
         let (y1, c1) = l.forward(&x1);
         l.backward(&c1, &Tensor::full(y1.shape().clone(), 1.0));
-        let g_after_one =
-            if let Layer::Linear { w, .. } = &l { w.grad.clone() } else { unreachable!() };
+        let g_after_one = if let Layer::Linear { w, .. } = &l {
+            w.grad().unwrap().clone()
+        } else {
+            unreachable!()
+        };
 
         let (y2, c2) = l.forward(&x2);
         l.backward(&c2, &Tensor::full(y2.shape().clone(), 1.0));
-        let g_after_two =
-            if let Layer::Linear { w, .. } = &l { w.grad.clone() } else { unreachable!() };
+        let g_after_two = if let Layer::Linear { w, .. } = &l {
+            w.grad().unwrap().clone()
+        } else {
+            unreachable!()
+        };
 
         // second pass must have added, not replaced
         assert!(!g_after_two.approx_eq(&g_after_one, 1e-9));

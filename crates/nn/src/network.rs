@@ -267,7 +267,7 @@ mod tests {
             net.backward(&ctxs, &dl);
             // manual SGD
             net.visit_params(&mut |p| {
-                let g = p.grad.clone();
+                let g = p.grad().expect("backward wrote every gradient").clone();
                 p.value.add_scaled(&g, -0.1);
             });
             if first.is_none() {

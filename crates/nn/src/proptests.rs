@@ -82,7 +82,7 @@ proptest! {
         // every learnable parameter accumulated a finite gradient buffer
         let mut all_finite = true;
         net.visit_params(&mut |p| {
-            if !p.grad.as_slice().iter().all(|v| v.is_finite()) {
+            if !p.grad().is_some_and(|g| g.as_slice().iter().all(|v| v.is_finite())) {
                 all_finite = false;
             }
         });

@@ -29,6 +29,8 @@ impl Sgd {
     }
 
     /// Apply one update step to every parameter, then zero the gradients.
+    /// A parameter's first step creates its momentum buffer (and its
+    /// gradient, if no backward pass has), zero-filled.
     ///
     /// Update rule (PyTorch convention):
     /// `v ← μ·v + (g + λ·w)` ; `w ← w − lr·v`.
@@ -37,11 +39,10 @@ impl Sgd {
         let mu = self.momentum;
         let wd = self.weight_decay;
         net.visit_params(&mut |p| {
-            let n = p.value.numel();
-            debug_assert_eq!(p.grad.numel(), n);
-            let v = p.vel.as_mut_slice();
-            let g = p.grad.as_slice();
-            let w = p.value.as_mut_slice();
+            let (w, g, v) = p.step_parts();
+            let n = w.numel();
+            debug_assert_eq!(g.numel(), n);
+            let (w, g, v) = (w.as_mut_slice(), g.as_slice(), v.as_mut_slice());
             for i in 0..n {
                 let grad = g[i] + wd * w[i];
                 v[i] = mu * v[i] + grad;
@@ -119,7 +120,51 @@ mod tests {
         let (y, ctxs) = net.forward(&x);
         net.backward(&ctxs, &Tensor::full(y.shape().clone(), 1.0));
         Sgd::new(0.01).step(&mut net);
-        net.visit_params(&mut |p| assert_eq!(p.grad.max_abs(), 0.0));
+        net.visit_params(&mut |p| assert_eq!(p.grad().map(Tensor::max_abs), Some(0.0)));
+    }
+
+    /// Every value, as bits, in visiting order.
+    fn value_bits(net: &mut Network) -> Vec<u32> {
+        let mut bits = Vec::new();
+        net.visit_params(&mut |p| bits.extend(p.value.as_slice().iter().map(|v| v.to_bits())));
+        bits
+    }
+
+    /// Optimizer state created lazily trains bit for bit like state
+    /// created up front, and a clone taken mid-training carries the
+    /// momentum: it continues exactly as the original does.
+    #[test]
+    fn lazy_optimizer_state_trains_bit_for_bit() {
+        use crate::small::shapes_cnn;
+        use adcnn_tensor::loss::softmax_cross_entropy;
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut lazy = shapes_cnn(6, &mut rng).net;
+        let mut eager = lazy.clone();
+        eager.visit_params(&mut |p| {
+            p.grad_mut();
+            p.vel_mut();
+        });
+        lazy.visit_params(&mut |p| assert!(p.grad().is_none(), "a fresh model has no gradient"));
+        let x = Tensor::randn([4, 3, 32, 32], 1.0, &mut rng);
+        let targets = [0, 3, 5, 1];
+        let opt = Sgd::with_momentum(0.05, 0.9, 1e-4);
+        let train_step = |net: &mut Network| {
+            let (logits, ctxs) = net.forward(&x);
+            net.backward(&ctxs, &softmax_cross_entropy(&logits, &targets).1);
+            opt.step(net);
+        };
+        let mut copy = None;
+        for step in 1..=3 {
+            train_step(&mut lazy);
+            train_step(&mut eager);
+            assert_eq!(value_bits(&mut lazy), value_bits(&mut eager), "step {step}");
+            if step == 1 {
+                copy = Some(lazy.clone());
+            } else if let Some(copy) = copy.as_mut() {
+                train_step(copy);
+                assert_eq!(value_bits(copy), value_bits(&mut lazy), "clone, step {step}");
+            }
+        }
     }
 
     #[test]
@@ -133,8 +178,8 @@ mod tests {
 
         let apply_const_grad = |net: &mut Network| {
             net.visit_params(&mut |p| {
-                let ones = Tensor::full(p.grad.dims(), 1.0);
-                p.grad.add_scaled(&ones, 1.0);
+                let ones = Tensor::full(p.value.dims(), 1.0);
+                p.grad_mut().add_scaled(&ones, 1.0);
             });
         };
         let opt_plain = Sgd::new(0.01);

@@ -128,6 +128,36 @@ pub fn small_charcnn(alphabet: usize, classes: usize, rng: &mut impl Rng) -> Sma
     }
 }
 
+/// VGG16's blocks 1–2 at their real widths on a 3×64×64 input, as four
+/// separable blocks (conv 3→64, 64→64 · pool, 64→128, 128→128 · pool;
+/// ReLU after every conv, no BN), then a small classifier (pool · conv
+/// 128→128 · ReLU · global pool · linear): ≈ 409 K weights, 1.6 MB.
+pub fn vgg_blocks(classes: usize, rng: &mut impl Rng) -> SmallModel {
+    let same = Conv2dParams::same(3);
+    let pool = || Layer::MaxPool(Pool2dParams::non_overlapping(2));
+    let net = Network::new(vec![
+        Block::Seq(vec![Layer::conv2d(3, 64, 3, same, rng), Layer::Relu]),
+        Block::Seq(vec![Layer::conv2d(64, 64, 3, same, rng), Layer::Relu, pool()]),
+        Block::Seq(vec![Layer::conv2d(64, 128, 3, same, rng), Layer::Relu]),
+        Block::Seq(vec![Layer::conv2d(128, 128, 3, same, rng), Layer::Relu, pool()]),
+        Block::Seq(vec![
+            pool(),
+            Layer::conv2d(128, 128, 3, same, rng),
+            Layer::Relu,
+            Layer::GlobalAvgPool,
+            Layer::linear(128, classes, rng),
+        ]),
+    ]);
+    SmallModel {
+        net,
+        name: "VGGBlocks",
+        input: (3, 64, 64),
+        classes,
+        separable_prefix: 4,
+        prefix_scale: (4, 4),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

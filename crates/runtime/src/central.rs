@@ -737,9 +737,9 @@ impl Collector {
 
 /// Model geometry and pipeline pieces shared by the in-process and remote
 /// launch paths: the Conv-side prefix (with its boundary compression) and
-/// the Central-side suffix, plus the probed boundary-map dimensions. The
-/// prefix is read-only once split, so every in-process Conv node shares
-/// this one copy.
+/// the Central-side suffix, plus the boundary-map dimensions. The prefix is
+/// read-only once split, so every in-process Conv node shares this one
+/// copy.
 struct SplitModel {
     grid: TileGrid,
     prefix: Arc<Network>,
@@ -749,20 +749,23 @@ struct SplitModel {
     boundary: (usize, usize, usize),
 }
 
-/// Split a model into its Conv/Central halves and probe the per-tile
-/// boundary dims with a zero tile.
-fn split_model(mut model: PartitionedModel) -> SplitModel {
+/// Split a model into its Conv/Central halves and size the per-tile
+/// boundary with a shape pass over the prefix ([`Network::map_dims`]): no
+/// forward runs and no scratch is allocated. Refuses a grid that does not
+/// divide the input and a prefix that cannot emit a `[C, H, W]` tile.
+fn split_model(mut model: PartitionedModel) -> Result<SplitModel, String> {
     let (grid, (c, h, w)) = (model.grid, model.input);
-    assert!(h % grid.rows == 0 && w % grid.cols == 0, "input {h}x{w} not divisible by {grid}");
+    if h % grid.rows != 0 || w % grid.cols != 0 {
+        return Err(format!("input {h}x{w} not divisible by {grid}"));
+    }
+    let tile = (c, h / grid.rows, w / grid.cols);
     let suffix = Network::new(model.net.blocks.split_off(model.prefix));
     let (prefix, compression) = prefix_and_compression(model);
-    let probe = Tensor::zeros([1, c, h / grid.rows, w / grid.cols]);
-    let mut scratch = InferScratch::new();
-    let out = prefix.forward_infer_with(&probe, &mut scratch);
-    let &[_, oc, oh, ow] = out.dims() else { panic!("the prefix emits [1, C, H, W] tiles") };
-    let tile_out = (oc, oh, ow);
+    let tile_out @ (oc, oh, ow) = prefix
+        .map_dims(tile)
+        .map_err(|e| format!("the prefix cannot serve a {tile:?} tile: {e}"))?;
     let boundary = (oc, oh * grid.rows, ow * grid.cols);
-    SplitModel { grid, prefix: Arc::new(prefix), suffix, compression, tile_out, boundary }
+    Ok(SplitModel { grid, prefix: Arc::new(prefix), suffix, compression, tile_out, boundary })
 }
 
 /// Attribution rides the same event stream as any user sink: tee it in
@@ -798,7 +801,8 @@ impl AdcnnRuntime {
     /// and the Central suffix, launch one worker thread per entry of
     /// `worker_opts`, and start the collector thread. The prefix is held
     /// once: every worker thread reads the same `Arc<Network>`, and only
-    /// its scratch is its own.
+    /// its scratch is its own. A shape pass sizes the split; panics, naming
+    /// the layer, if the prefix cannot emit `[C, H, W]` tiles on the grid.
     pub fn launch(
         model: PartitionedModel,
         worker_opts: &[WorkerOptions],
@@ -814,7 +818,7 @@ impl AdcnnRuntime {
             }
         }
         let k = worker_opts.len();
-        let sm = split_model(model);
+        let sm = split_model(model).unwrap_or_else(|e| panic!("cannot launch this model: {e}"));
 
         // The epoch — origin of the abstract time axis — must exist before
         // the workers do: they stamp their compute/compress spans against
@@ -889,7 +893,9 @@ impl AdcnnRuntime {
     /// machinery — and a reconnecting process rejoins its slot as a fresh
     /// worker. The collector, dispatch and deadline paths are *exactly*
     /// the ones [`launch`](Self::launch) uses; only the transport behind
-    /// the channel seams differs. See DESIGN.md §15.
+    /// the channel seams differs. See DESIGN.md §15. A model whose prefix
+    /// cannot emit `[C, H, W]` tiles on the spec's grid is an
+    /// `InvalidInput` error that names the layer.
     pub fn launch_remote(
         spec: RemoteModelSpec,
         workers: usize,
@@ -901,8 +907,8 @@ impl AdcnnRuntime {
         if let Err(e) = cfg.validate() {
             panic!("invalid RuntimeConfig: {e}");
         }
-        let model = spec.build();
-        let sm = split_model(model);
+        let sm = split_model(spec.build())
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
         let k = workers;
         let (epoch, sink) = (Instant::now(), effective_sink(&cfg));
         let (inbound_tx, inbound_rx) = unbounded();

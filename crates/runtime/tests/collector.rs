@@ -12,8 +12,13 @@ use adcnn_core::sched::TileAllocator;
 use adcnn_core::ClippedRelu;
 use adcnn_nn::layer::QuantizeSte;
 use adcnn_nn::small::shapes_cnn;
+use adcnn_nn::{Block, Layer, Network};
 use adcnn_retrain::PartitionedModel;
-use adcnn_runtime::{AdcnnRuntime, InferHandle, RuntimeConfig, WorkerOptions};
+use adcnn_runtime::{
+    AdcnnRuntime, Endpoint, InferHandle, RemoteModelSpec, RuntimeConfig, WorkerListener,
+    WorkerOptions,
+};
+use adcnn_tensor::conv::Conv2dParams;
 use adcnn_tensor::Tensor;
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
@@ -146,6 +151,64 @@ fn distributed_matches_local_partitioned_model() {
         assert_eq!(bits(&out.output), bits(&want), "distributed output diverges from local model");
     }
     rt.shutdown();
+}
+
+/// Launch sizes its split with a shape pass over the prefix and refuses,
+/// naming the layer, a prefix that cannot emit `[C, H, W]` tiles: a broken
+/// channel chain, or a prefix that ends in global pooling or flatten.
+#[test]
+fn launch_refuses_a_prefix_that_cannot_emit_tiles() {
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut conv = |ic, oc| Layer::conv2d(ic, oc, 3, Conv2dParams::same(3), &mut rng);
+    let cases = [
+        (
+            vec![Block::Seq(vec![conv(3, 8), Layer::Relu]), Block::Seq(vec![conv(4, 8)])],
+            "block 1 layer 0 (Conv2d) takes 4 channels, its input has 8",
+        ),
+        (
+            vec![Block::Seq(vec![conv(3, 8)]), Block::Seq(vec![Layer::GlobalAvgPool])],
+            "block 1 layer 0 (GlobalAvgPool) does not emit a [C, H, W] map",
+        ),
+        (
+            vec![Block::Seq(vec![conv(3, 8), Layer::Relu, Layer::Flatten])],
+            "block 0 layer 2 (Flatten) does not emit a [C, H, W] map",
+        ),
+    ];
+    for (blocks, want) in cases {
+        let prefix = blocks.len();
+        let model = PartitionedModel {
+            net: Network::new(blocks),
+            prefix,
+            grid: TileGrid::new(2, 2),
+            boundary_crelu: None,
+            boundary_quant: None,
+            input: (3, 8, 8),
+            classes: 8,
+        };
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            AdcnnRuntime::launch(model, &[WorkerOptions::default()], RuntimeConfig::default())
+        }))
+        .err()
+        .expect("launch must refuse the model");
+        let msg = refused.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(msg.contains(want), "{msg:?} does not say {want:?}");
+    }
+}
+
+/// The remote launch runs the same shape pass and refuses the same way,
+/// with an error: here a grid whose 1×1 tiles ShapesCNN's pool empties
+/// (a remote spec always builds ShapesCNN, whose channel chain holds).
+#[test]
+fn launch_remote_refuses_a_tile_the_prefix_empties() {
+    let spec = RemoteModelSpec::paper_default(6, 1, TileGrid::new(32, 32));
+    let listener = WorkerListener::bind(&Endpoint::Tcp("127.0.0.1:0".into())).expect("bind");
+    let cfg = RuntimeConfig::default();
+    let err = AdcnnRuntime::launch_remote(spec, 1, cfg, listener, Duration::from_secs(1))
+        .err()
+        .expect("launch_remote must refuse the model");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    let want = "block 1 layer 3 (MaxPool) leaves an empty map";
+    assert!(err.to_string().contains(want), "{err} does not say {want:?}");
 }
 
 #[test]
@@ -644,13 +707,17 @@ fn stream_survives_failed_worker() {
     let mut rt = AdcnnRuntime::launch(build_model(29, grid), &workers, cfg_t_l(40));
     let got = rt.infer_stream(&images);
     rt.shutdown();
-    assert_eq!(got.len(), 8);
+    // Every message names each image's regime, so a failure says which
+    // one the run met.
+    let regime: Vec<_> = got.iter().map(|o| (&o.alloc, o.redispatched, o.zero_filled)).collect();
+    let regime = format!("per image (alloc, redispatched, zero_filled): {regime:?}");
+    assert_eq!(got.len(), 8, "{regime}");
     // the crash is absorbed by re-dispatch, never by zero-fill …
-    assert!(got.iter().all(|o| o.zero_filled == 0), "no image may lose tiles");
-    assert!(got.iter().any(|o| o.redispatched > 0), "the crash must trigger recovery");
+    assert!(got.iter().all(|o| o.zero_filled == 0), "no image may lose tiles; {regime}");
+    assert!(got.iter().any(|o| o.redispatched > 0), "the crash must trigger recovery; {regime}");
     // … and the statistics still starve the dead worker out
-    assert_eq!(got.last().unwrap().alloc[1], 0);
-    assert_eq!(got.last().unwrap().redispatched, 0);
+    assert_eq!(got.last().unwrap().alloc[1], 0, "{regime}");
+    assert_eq!(got.last().unwrap().redispatched, 0, "{regime}");
 }
 
 #[test]

@@ -20,6 +20,7 @@
 use adcnn::core::compress::{clip_and_compress_into, CompressScratch, Quantizer};
 use adcnn::core::wire::{make_result_from_parts, TileKey};
 use adcnn::nn::infer::InferScratch;
+use adcnn::nn::small::vgg_blocks;
 use adcnn::nn::{Block, Layer, Network};
 use adcnn::tensor::activ::ClippedRelu;
 use adcnn::tensor::conv::{conv2d_into, Conv2dParams};
@@ -323,7 +324,9 @@ fn central_result_path_is_allocation_free() {
 /// the same read-only weights, so launching four workers instead of one
 /// costs the calling thread channels and thread handles, not another copy
 /// of the prefix (a per-worker clone would cost its value, gradient and
-/// momentum buffers: three times the weights per extra worker).
+/// momentum buffers once it has trained). Nor does launch run a tile
+/// forward to size the split: the calling thread allocates less than the
+/// activation buffers and pack arena of one prefix forward.
 #[test]
 fn launch_holds_one_prefix_whatever_k() {
     use adcnn::core::fdsp::TileGrid;
@@ -371,9 +374,45 @@ fn launch_holds_one_prefix_whatever_k() {
         spent
     };
     let (one, four) = (launch_bytes(1), launch_bytes(4));
+    let tile_scratch = {
+        let mut m = model();
+        m.net.blocks.truncate(m.prefix);
+        let mut s = InferScratch::new();
+        m.net.forward_infer_with(&Tensor::zeros([1, 64, 4, 4]), &mut s);
+        s.capacity_bytes()
+    };
     assert!(
         four.saturating_sub(one) < prefix_value_bytes as u64,
         "launching 4 workers allocated {four} B on the calling thread, 1 worker {one} B: the \
          difference must stay under one copy of the prefix ({prefix_value_bytes} B)"
     );
+    assert!(
+        one < tile_scratch as u64,
+        "launching 1 worker allocated {one} B on the calling thread: a shape pass sizes the \
+         split, so launch holds no tile forward's activation buffers and pack arena \
+         ({tile_scratch} B)"
+    );
+}
+
+/// A model that never trained holds its weights once: building the VGG
+/// blocks, or cloning them, allocates one `f32` per weight and little
+/// else; the gradient and momentum buffers come with training.
+#[test]
+fn an_untrained_model_holds_its_weights_once() {
+    let mut rng = StdRng::seed_from_u64(47);
+    let before = bytes();
+    let net = vgg_blocks(10, &mut rng).net;
+    let built = bytes() - before;
+    let before = bytes();
+    let copy = net.clone();
+    let cloned = bytes() - before;
+    let weights = (net.param_count() * std::mem::size_of::<f32>()) as f64;
+    assert!(weights > 1.5e6, "the VGG blocks hold {weights} B of weights");
+    for (what, spent) in [("building", built), ("cloning", cloned)] {
+        assert!(
+            spent as f64 <= 1.05 * weights,
+            "{what} the VGG blocks allocated {spent} B for {weights} B of weights"
+        );
+    }
+    drop(copy);
 }
