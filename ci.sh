@@ -94,9 +94,11 @@ tools/machine-facts.sh results/BENCH_gemm.json
 
 echo "==> record the element-wise passes (results/BENCH_datapath.json)"
 # Pool, clip+quantize+RLE, decode, paste, tile extraction and the task codec
-# on the two served geometries, each beside the parent commit's reading.
+# on the two served geometries, each beside the parent commit's reading, and
+# the tier the codec passes dispatched to at run time.
 cargo run --release --example data_path
 grep -q '"clock": "wall"' results/BENCH_datapath.json
+tools/machine-facts.sh results/BENCH_datapath.json codec
 
 echo "==> record the training path (results/BENCH_train.json)"
 # The two backward products on four conv-backward shapes and two epochs of

@@ -14,10 +14,29 @@
 //! accounting, and [`wire_bits_estimate`] is the closed-form size model the
 //! discrete-event simulator uses at Raspberry-Pi-cluster scale (validated
 //! against the real codec in this module's tests).
+//!
+//! The three hot loops — quantization, the RLE encoder and the RLE decoder
+//! — run a block per step on CPUs with AVX-512 BW + VBMI + VBMI2 and BMI2
+//! (`x86`, probed once per process) and the scalar loops (`scalar`)
+//! everywhere else. Both write the same levels, bytes and `f32` bits and
+//! give the same verdict on every payload (DESIGN.md §9).
 
 use adcnn_tensor::activ::ClippedRelu;
 use bytes::Bytes;
 use serde::Serialize;
+
+mod scalar;
+#[cfg(target_arch = "x86_64")]
+mod x86;
+
+#[cfg(target_arch = "x86_64")]
+use x86::Lane;
+/// What a decoded level becomes (`u8` or `f32`); the vector tier's
+/// per-type table step lives in `x86`.
+#[cfg(not(target_arch = "x86_64"))]
+trait Lane: Copy {}
+#[cfg(not(target_arch = "x86_64"))]
+impl<T: Copy> Lane for T {}
 
 /// Linear quantizer over `[0, range]` with `2^bits − 1` non-zero levels.
 ///
@@ -81,14 +100,30 @@ impl Quantizer {
     /// Quantize into a reusable buffer (clears `out` first; capacity is
     /// kept, so steady-state calls do not allocate).
     pub fn quantize_into(&self, xs: &[f32], out: &mut Vec<u8>) {
-        self.quantize_with(xs, out, |x| x);
+        self.quantize_with(xs, out, None);
     }
 
-    /// The one quantization loop: `out[i] = level(pre(xs[i]))`, branch-free
-    /// into a pre-sized buffer so it runs four (or eight) lanes at a time.
+    /// The one quantization loop: `out[i] = level(clip(xs[i]))` (no clip
+    /// when `None`) into a pre-sized buffer, 16 lanes a step where the CPU
+    /// has the codec's vector tier, else branch-free so LLVM runs it four
+    /// (or eight) lanes at a time.
     #[inline]
-    fn quantize_with(&self, xs: &[f32], out: &mut Vec<u8>, pre: impl Fn(f32) -> f32) {
+    fn quantize_with(&self, xs: &[f32], out: &mut Vec<u8>, clip: Option<ClippedRelu>) {
         out.resize(xs.len(), 0);
+        #[cfg(target_arch = "x86_64")]
+        if x86::available() {
+            // SAFETY: the probe found the tier's CPU features.
+            return unsafe { x86::quantize(*self, clip, xs, out) };
+        }
+        match clip {
+            Some(cr) => self.quantize_scalar(xs, out, |x| cr.apply(x)),
+            None => self.quantize_scalar(xs, out, |x| x),
+        }
+    }
+
+    /// The scalar loop, on CPUs without the vector tier.
+    #[inline]
+    fn quantize_scalar(&self, xs: &[f32], out: &mut [u8], pre: impl Fn(f32) -> f32) {
         for (l, &x) in out.iter_mut().zip(xs) {
             *l = self.level(pre(x));
         }
@@ -133,41 +168,6 @@ fn round_half_away(y: f32) -> u8 {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RleCodec;
 
-/// Writes a nibble stream into a pre-sized byte buffer, high nibble first
-/// (a trailing odd nibble leaves the low half zero) — the wire format of
-/// [`RleCodec`]. The cursor and the half-filled byte live in locals; the
-/// buffer is touched once per finished byte.
-struct NibblePacker<'a> {
-    out: &'a mut [u8],
-    /// Bytes finished so far.
-    len: usize,
-    /// The high nibble waiting for its low half.
-    pending: Option<u8>,
-}
-
-impl NibblePacker<'_> {
-    #[inline]
-    fn push(&mut self, nib: u8) {
-        debug_assert!(nib <= 15);
-        match self.pending.take() {
-            Some(high) => {
-                self.out[self.len] = high | nib;
-                self.len += 1;
-            }
-            None => self.pending = Some(nib << 4),
-        }
-    }
-
-    /// Flush a trailing odd nibble; the number of bytes written.
-    fn finish(mut self) -> usize {
-        if let Some(high) = self.pending {
-            self.out[self.len] = high;
-            self.len += 1;
-        }
-        self.len
-    }
-}
-
 impl RleCodec {
     /// Encode a level stream (values must fit in a nibble, i.e. `<= 15`).
     pub fn encode(&self, levels: &[u8]) -> Bytes {
@@ -179,37 +179,14 @@ impl RleCodec {
     /// [`RleCodec::encode`] into a reusable byte buffer (cleared first,
     /// capacity kept). Produces exactly the same bytes as `encode`.
     pub fn encode_into(&self, levels: &[u8], out: &mut Vec<u8>) {
-        // Worst case is a lone zero between literals: two nibbles for one
-        // level, so one byte per level (+1 for the odd nibble) always fits.
-        out.clear();
-        out.resize(levels.len() + 1, 0);
-        let mut packer = NibblePacker { out, len: 0, pending: None };
-        let mut i = 0usize;
-        while i < levels.len() {
-            let v = levels[i];
-            debug_assert!(v <= 15, "level {v} does not fit in a nibble");
-            if v != 0 {
-                packer.push(v);
-                i += 1;
-                continue;
-            }
-            let start = i;
-            while i < levels.len() && levels[i] == 0 {
-                i += 1;
-            }
-            packer.push(0);
-            let mut rem = i - start - 1;
-            loop {
-                let group = (rem & 0x7) as u8;
-                rem >>= 3;
-                packer.push(if rem > 0 { group | 0x8 } else { group });
-                if rem == 0 {
-                    break;
-                }
-            }
+        // The two tiers pack a wider level differently; neither may see one.
+        debug_assert!(levels.iter().all(|&l| l <= 15), "a level does not fit in a nibble");
+        #[cfg(target_arch = "x86_64")]
+        if x86::available() {
+            // SAFETY: the probe found the tier's CPU features.
+            return unsafe { x86::encode_into(levels, out) };
         }
-        let len = packer.finish();
-        out.truncate(len);
+        scalar::encode_into(levels, out)
     }
 
     /// Decode `n` levels from an encoded stream.
@@ -225,44 +202,15 @@ impl RleCodec {
     /// The one decoder: fill `out` with `out.len()` decoded levels, each
     /// mapped through `table` (the identity for [`decode`](Self::decode),
     /// the quantizer's values for [`decompress_into`]). `None` on the same
-    /// malformed inputs as `decode`; `out` is then unspecified.
-    ///
-    /// Whether a nibble is a literal or a zero token is a coin flip the
-    /// branch predictor loses, so the two common tokens — a literal, a run
-    /// of 1–8 — are told apart by selects: `out` starts as all zeros, a
-    /// literal lands on the cursor and steps it by one, a zero token leaves
-    /// it alone and the length nibble after it steps it by the run. Only a
-    /// longer run (a varint that continues) takes a branch.
-    fn decode_mapped<T: Copy>(&self, data: &[u8], table: &[T; 16], out: &mut [T]) -> Option<()> {
-        out.fill(table[0]);
-        let mut nibbles = data.iter().flat_map(|&b| [b >> 4, b & 0x0f]);
-        let (mut filled, mut after_zero) = (0usize, false);
-        while filled < out.len() {
-            let nib = nibbles.next()? as usize;
-            if after_zero && nib & 0x8 != 0 {
-                let (mut rem, mut shift) = (nib & 0x7, 3u32);
-                loop {
-                    let g = nibbles.next()? as usize;
-                    if shift > 60 {
-                        return None; // varint overflow
-                    }
-                    rem |= (g & 0x7) << shift;
-                    shift += 3;
-                    if g & 0x8 == 0 {
-                        break;
-                    }
-                }
-                filled = filled.checked_add(rem + 1)?;
-                after_zero = false;
-                continue;
-            }
-            let literal = usize::from(!after_zero & (nib != 0));
-            out[filled] = table[nib * literal];
-            filled += literal + usize::from(after_zero) * (nib + 1);
-            after_zero = !after_zero & (nib == 0);
+    /// malformed inputs as `decode`; `out` is then unspecified. 64 nibbles a
+    /// step where the CPU has the vector tier, the scalar loop elsewhere.
+    fn decode_mapped<T: Lane>(&self, data: &[u8], table: &[T; 16], out: &mut [T]) -> Option<()> {
+        #[cfg(target_arch = "x86_64")]
+        if x86::available() {
+            // SAFETY: the probe found the tier's CPU features.
+            return unsafe { x86::decode_mapped(data, table, out) };
         }
-        // A run that overshot `out` left the cursor past its end.
-        (filled == out.len()).then_some(())
+        scalar::decode_mapped(data, table, out)
     }
 }
 
@@ -385,7 +333,7 @@ pub fn clip_and_compress_into<'s>(
         "the nibble RLE wire codec carries at most 4-bit levels (got {})",
         quantizer.bits
     );
-    quantizer.quantize_with(xs, &mut s.levels, |x| cr.apply(x));
+    quantizer.quantize_with(xs, &mut s.levels, Some(cr));
     RleCodec.encode_into(&s.levels, &mut s.bytes);
     &s.bytes
 }

@@ -3,6 +3,13 @@
 //! kept in this file — `(x / range * max).round()`, a push-per-nibble
 //! packer, a get-per-nibble decoder — through the public entry points
 //! only. A payload byte or an output bit that differs fails.
+//!
+//! The public entry points run the codec's vector tier where the CPU has
+//! it (AVX-512 BW + VBMI + VBMI2, and BMI2). The scalar RLE loops are
+//! compiled here from their own source file and called directly, so one
+//! run on such a CPU checks both paths against the references, and against
+//! each other; elsewhere both calls are the scalar codec, and the tests say
+//! so.
 
 use adcnn_core::compress::{
     clip_and_compress, clip_and_compress_into, compress, compress_into, decompress,
@@ -12,6 +19,9 @@ use adcnn_core::wire::{make_result_from_parts, TileKey, TileResult, MAX_TILE_ELE
 use adcnn_tensor::activ::ClippedRelu;
 use bytes::Bytes;
 use rand::{rngs::StdRng, Rng, SeedableRng};
+
+#[path = "../src/compress/scalar.rs"]
+mod scalar;
 
 /// The rounding rule the wire format was defined with.
 fn level_ref(bits: u8, range: f32, x: f32) -> u8 {
@@ -432,4 +442,228 @@ fn declared_sizes_are_checked_before_the_payload_is_read() {
         quantizer: q,
     };
     assert_eq!(decompress(&at).map(|v| v.len()), Some(MAX_TILE_ELEMS));
+}
+
+/// Whether the public entry points run the vector tier on this CPU: the
+/// probe the codec makes, repeated.
+fn vector_tier() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::is_x86_feature_detected as has;
+        has!("avx512f")
+            && has!("avx512bw")
+            && has!("avx512vbmi")
+            && has!("avx512vbmi2")
+            && has!("bmi2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+fn paths_checked() -> &'static str {
+    if vector_tier() {
+        "checked the vector and the scalar path"
+    } else {
+        "this CPU has no AVX-512 VBMI2: checked only the scalar path"
+    }
+}
+
+/// The scalar encoder, called directly.
+fn encode_scalar(levels: &[u8]) -> Vec<u8> {
+    let mut out = vec![0x5Au8; 3];
+    scalar::encode_into(levels, &mut out);
+    out
+}
+
+/// Both decoders on the same bytes, as levels and as `f32` values: the
+/// public one (vector tier where the CPU has it) and the scalar one. They
+/// must give the same verdict, and on `Some` the same levels and bits.
+fn decode_both(data: &[u8], n: usize, q: Quantizer) -> Option<Vec<u8>> {
+    let identity: [u8; 16] = std::array::from_fn(|l| l as u8);
+    let mut levels = vec![0u8; n];
+    let scalar_levels = scalar::decode_mapped(data, &identity, &mut levels).map(|()| levels);
+    let public_levels = RleCodec.decode(data, n);
+    assert_eq!(public_levels, scalar_levels, "levels, n {n}, payload {data:02x?}");
+
+    let values: [f32; 16] = std::array::from_fn(|l| q.value(l as u8));
+    let mut out = vec![f32::NAN; n];
+    let scalar_values = scalar::decode_mapped(data, &values, &mut out).map(|()| bits_of(&out));
+    let c = Compressed { payload: Bytes::copy_from_slice(data), elems: n, quantizer: q };
+    let public_values = decompress(&c).map(|v| bits_of(&v));
+    assert_eq!(public_values, scalar_values, "f32 bits, n {n}, payload {data:02x?}");
+    public_levels
+}
+
+/// Level streams for the block paths: every zero share at every length
+/// around a 64-level block, runs of the lengths where a block stops or
+/// hands over (8 | 9, 64 | 65, > 512) at every offset across a block edge,
+/// and bursty streams whose runs straddle blocks.
+fn block_streams() -> Vec<Vec<u8>> {
+    let mut rng = StdRng::seed_from_u64(0xB10C);
+    let mut streams = Vec::new();
+    for &share in &[0.0, 0.137, 0.37, 0.9, 1.0] {
+        for &n in &[0usize, 1, 63, 64, 65, 127, 1024, 8192] {
+            for _ in 0..3 {
+                streams.push(level_stream(n, share, &mut rng));
+            }
+        }
+    }
+    for run in [8usize, 9, 64, 65, 513, 1500] {
+        for lead in [0usize, 1, 7, 31, 32, 55, 56, 57, 62, 63, 64, 65, 120] {
+            let head = level_stream(lead, 0.3, &mut rng);
+            let zeros = vec![0u8; run];
+            streams.push([&head[..], &zeros[..]].concat());
+            streams.push([&head[..], &zeros[..], &[4]].concat());
+            streams.push([&head[..], &zeros[..], &[4], &zeros[..], &[0, 0, 2]].concat());
+            let tail = level_stream(70, 0.5, &mut rng);
+            streams.push([&head[..], &zeros[..], &tail[..]].concat());
+        }
+    }
+    for _ in 0..3000 {
+        // Alternate bursts of zeros (1..=80 long) and of mixed levels.
+        let n = rng.gen_range(0..700);
+        let mut levels = Vec::with_capacity(n);
+        while levels.len() < n {
+            if rng.gen_bool(0.5) {
+                let longest = if rng.gen_bool(0.2) { 80 } else { 10 };
+                let run = rng.gen_range(1..=longest);
+                levels.extend(std::iter::repeat_n(0u8, run));
+            } else {
+                let share = rng.gen_range(0.0..0.8);
+                let len = rng.gen_range(1..40);
+                levels.extend(level_stream(len, share, &mut rng));
+            }
+        }
+        levels.truncate(n);
+        streams.push(levels);
+    }
+    streams
+}
+
+#[test]
+fn vector_and_scalar_codecs_match_the_references_on_block_edges() {
+    let q = Quantizer::new(4, 1.8);
+    let mut out = Vec::new();
+    for levels in block_streams() {
+        let n = levels.len();
+        let want = encode_ref(&levels);
+        RleCodec.encode_into(&levels, &mut out);
+        assert_eq!(out, want, "public encoder, n {n}");
+        assert_eq!(encode_scalar(&levels), want, "scalar encoder, n {n}");
+        assert_eq!(decode_ref(&want, n).as_deref(), Some(&levels[..]), "reference, n {n}");
+        assert_eq!(decode_both(&want, n, q).as_deref(), Some(&levels[..]), "decoders, n {n}");
+    }
+    println!("{}", paths_checked());
+}
+
+#[test]
+fn vector_and_scalar_decoders_give_one_verdict_on_malformed_payloads() {
+    let q = Quantizer::new(4, 2.0);
+    let mut rng = StdRng::seed_from_u64(0xBAD);
+    let mut streams = vec![
+        level_stream(300, 0.37, &mut rng),
+        level_stream(1024, 0.9, &mut rng),
+        level_stream(129, 0.137, &mut rng),
+        [&[5u8][..], &vec![0u8; 600][..], &[7], &vec![0u8; 9][..], &[1]].concat(),
+    ];
+    streams.extend((0..40).map(|i| level_stream(60 + 7 * i, 0.5, &mut rng)));
+    let mut checked = 0usize;
+    let mut check = |data: &[u8], n: usize| {
+        let want = decode_ref(data, n);
+        assert_eq!(decode_both(data, n, q), want, "verdict vs reference, n {n}");
+        checked += 1;
+    };
+    for levels in &streams {
+        let n = levels.len();
+        let enc = encode_ref(levels);
+        for cut in 0..enc.len() {
+            check(&enc[..cut], n);
+        }
+        for bit in 0..8 * enc.len().min(96) {
+            let mut bad = enc.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            check(&bad, n);
+            check(&bad, n + 1);
+        }
+        for pad in [&[0u8][..], &[0xff], &[0x00; 40], &[0x12, 0x34, 0x80, 0x08]] {
+            check(&[&enc[..], pad].concat(), n);
+        }
+        check(&enc, n + 1);
+        if n > 0 {
+            check(&enc, n - 1);
+        }
+    }
+    // Random bytes: varints that continue, overflow or overshoot anywhere.
+    for _ in 0..2000 {
+        let len = rng.gen_range(0..80);
+        let data: Vec<u8> = (0..len).map(|_| rng.gen::<u32>() as u8).collect();
+        check(&data, rng.gen_range(0..400));
+    }
+    println!("{} on {checked} payloads", paths_checked());
+}
+
+#[test]
+fn quantizer_lanes_match_the_scalar_level_at_every_position() {
+    // NaN, ±inf and exact ties at every lane of a 16-float step, in
+    // buffers of every length across two steps.
+    let cr = ClippedRelu::new(0.2, 2.0);
+    let q = Quantizer::new(4, cr.range());
+    let step = cr.range() / 15.0;
+    let mut specials = specials(q.range);
+    specials.extend((0..=30).map(|h| h as f32 * 0.5 * step));
+    specials.extend((0..=30).map(|h| h as f32 * 0.5 * step + cr.lo));
+    let mut s = CompressScratch::new();
+    for len in 0..=40usize {
+        for (k, &x) in specials.iter().enumerate() {
+            let xs: Vec<f32> = (0..len).map(|i| if (i + k) % 5 == 0 { x } else { -x }).collect();
+            let plain: Vec<u8> = xs.iter().map(|&x| q.level(x)).collect();
+            let mut got = Vec::new();
+            q.quantize_into(&xs, &mut got);
+            assert_eq!(got, plain, "quantize_into, len {len}, x {x:e}");
+            assert_eq!(plain, xs.iter().map(|&x| level_ref(4, q.range, x)).collect::<Vec<_>>());
+
+            let clipped: Vec<u8> = xs.iter().map(|&x| q.level(cr.apply(x))).collect();
+            let payload = clip_and_compress_into(&xs, cr, q, &mut s);
+            assert_eq!(payload, &encode_scalar(&clipped)[..], "clip path, len {len}, x {x:e}");
+            assert_eq!(s.levels, clipped, "clip levels, len {len}, x {x:e}");
+        }
+    }
+    println!("{}", paths_checked());
+}
+
+#[test]
+fn served_boundary_tiles_give_one_payload_on_both_paths() {
+    use adcnn_core::fdsp::TileGrid;
+    use adcnn_nn::infer::InferScratch;
+    use adcnn_nn::small::{shapes_cnn, vgg_blocks};
+    use adcnn_tensor::Tensor;
+
+    let cr = ClippedRelu::new(0.0, 2.0);
+    let q = Quantizer::paper_default(cr);
+    let mut rng = StdRng::seed_from_u64(0x7113);
+    let (mut s, mut scratch) = (CompressScratch::new(), InferScratch::new());
+    let mut tiles = 0;
+    for (model, images) in [(shapes_cnn(10, &mut rng), 4), (vgg_blocks(10, &mut rng), 1)] {
+        let (c, h, w) = model.input;
+        let grid = TileGrid::new(2, 2);
+        for _ in 0..images {
+            let image = Tensor::randn([1, c, h, w], 1.0, &mut rng);
+            for tile in grid.extract(&image) {
+                let act = model.net.forward_infer_range_with(
+                    &tile,
+                    0..model.separable_prefix,
+                    &mut scratch,
+                );
+                let xs = act.as_slice();
+                let levels: Vec<u8> = xs.iter().map(|&x| q.level(cr.apply(x))).collect();
+                let want = encode_ref(&levels);
+                assert_eq!(encode_scalar(&levels), want, "{} scalar", model.name);
+                assert_eq!(clip_and_compress_into(xs, cr, q, &mut s), &want[..], "{}", model.name);
+                let back = decode_both(&want, xs.len(), q).expect("a served payload decodes");
+                assert_eq!(back, levels, "{}", model.name);
+                tiles += 1;
+            }
+        }
+    }
+    println!("{} on {tiles} served tiles", paths_checked());
 }

@@ -752,7 +752,8 @@ struct SplitModel {
 /// Split a model into its Conv/Central halves and size the per-tile
 /// boundary with a shape pass over the prefix ([`Network::map_dims`]): no
 /// forward runs and no scratch is allocated. Refuses a grid that does not
-/// divide the input and a prefix that cannot emit a `[C, H, W]` tile.
+/// divide the input, a boundary quantizer wider than the wire's 4 bits and
+/// a prefix that cannot emit a `[C, H, W]` tile.
 fn split_model(mut model: PartitionedModel) -> Result<SplitModel, String> {
     let (grid, (c, h, w)) = (model.grid, model.input);
     if h % grid.rows != 0 || w % grid.cols != 0 {
@@ -761,6 +762,11 @@ fn split_model(mut model: PartitionedModel) -> Result<SplitModel, String> {
     let tile = (c, h / grid.rows, w / grid.cols);
     let suffix = Network::new(model.net.blocks.split_off(model.prefix));
     let (prefix, compression) = prefix_and_compression(model);
+    if let Some(bits) = compression.map(|c| c.quantizer.bits).filter(|&b| b > 4) {
+        return Err(format!(
+            "the boundary quantizer has {bits} bits; the nibble RLE wire codec carries at most 4"
+        ));
+    }
     let tile_out @ (oc, oh, ow) = prefix
         .map_dims(tile)
         .map_err(|e| format!("the prefix cannot serve a {tile:?} tile: {e}"))?;
@@ -801,8 +807,10 @@ impl AdcnnRuntime {
     /// and the Central suffix, launch one worker thread per entry of
     /// `worker_opts`, and start the collector thread. The prefix is held
     /// once: every worker thread reads the same `Arc<Network>`, and only
-    /// its scratch is its own. A shape pass sizes the split; panics, naming
-    /// the layer, if the prefix cannot emit `[C, H, W]` tiles on the grid.
+    /// its scratch is its own. A shape pass sizes the split; panics if the
+    /// grid does not divide the input, if the boundary quantizer is wider
+    /// than the wire's 4 bits, or (naming the layer) if the prefix cannot
+    /// emit `[C, H, W]` tiles on the grid.
     pub fn launch(
         model: PartitionedModel,
         worker_opts: &[WorkerOptions],
@@ -893,9 +901,10 @@ impl AdcnnRuntime {
     /// machinery — and a reconnecting process rejoins its slot as a fresh
     /// worker. The collector, dispatch and deadline paths are *exactly*
     /// the ones [`launch`](Self::launch) uses; only the transport behind
-    /// the channel seams differs. See DESIGN.md §15. A model whose prefix
-    /// cannot emit `[C, H, W]` tiles on the spec's grid is an
-    /// `InvalidInput` error that names the layer.
+    /// the channel seams differs. See DESIGN.md §15. A spec whose grid
+    /// does not divide the input, whose boundary quantizer is wider than
+    /// the wire's 4 bits, or whose prefix cannot emit `[C, H, W]` tiles on
+    /// the grid (the error names the layer) is an `InvalidInput` error.
     pub fn launch_remote(
         spec: RemoteModelSpec,
         workers: usize,
@@ -907,7 +916,9 @@ impl AdcnnRuntime {
         if let Err(e) = cfg.validate() {
             panic!("invalid RuntimeConfig: {e}");
         }
-        let sm = split_model(spec.build())
+        let sm = spec
+            .checked_build()
+            .and_then(split_model)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
         let k = workers;
         let (epoch, sink) = (Instant::now(), effective_sink(&cfg));

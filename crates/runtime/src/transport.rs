@@ -523,16 +523,29 @@ impl RemoteModelSpec {
         }
     }
 
-    /// Rebuild the partitioned model this spec describes.
+    /// Rebuild the partitioned model this spec describes; panics if the
+    /// grid does not divide the model's input.
     pub fn build(&self) -> PartitionedModel {
+        self.checked_build().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`build`](Self::build), or the reason this spec names no model: a
+    /// grid that does not divide the input. A received spec goes through
+    /// here, so a bad one is an error and not a panic.
+    pub(crate) fn checked_build(&self) -> Result<PartitionedModel, String> {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let grid = TileGrid::new(self.grid_rows, self.grid_cols);
-        let mut m = PartitionedModel::fdsp(shapes_cnn(self.classes, &mut rng), grid);
+        let model = shapes_cnn(self.classes, &mut rng);
+        let (_, h, w) = model.input;
+        if h % grid.rows != 0 || w % grid.cols != 0 {
+            return Err(format!("input {h}x{w} not divisible by {grid}"));
+        }
+        let mut m = PartitionedModel::fdsp(model, grid);
         if let Some((lo, hi)) = self.crelu {
             let cr = ClippedRelu::new(lo, hi);
             m = m.with_crelu(cr).with_quant(QuantizeSte::new(self.quant_bits, cr.range()));
         }
-        m
+        Ok(m)
     }
 
     /// Serialize into `buf`.
@@ -573,7 +586,8 @@ impl RemoteModelSpec {
             1 if lo.is_finite() && hi.is_finite() && lo < hi => Some((lo, hi)),
             _ => return None,
         };
-        if crelu.is_some() && !(1..=8).contains(&quant_bits) {
+        // The nibble RLE codec carries at most 4-bit levels.
+        if crelu.is_some() && !(1..=4).contains(&quant_bits) {
             return None;
         }
         Some(RemoteModelSpec { classes, seed, grid_rows, grid_cols, crelu, quant_bits })
@@ -935,7 +949,8 @@ fn run_worker_on(mut conn: Conn) -> io::Result<()> {
         return Err(bad("expected WELCOME"));
     }
     let (_worker_id, spec) = decode_welcome(&body).ok_or_else(|| bad("unreadable WELCOME"))?;
-    let (prefix, compression) = prefix_and_compression(spec.build());
+    let model = spec.checked_build().map_err(|e| bad(&e))?;
+    let (prefix, compression) = prefix_and_compression(model);
     let mut scratch = InferScratch::new();
     let mut cs = CompressScratch::new();
     // Buffered from here on: the handshake was read frame by frame, so no
@@ -1050,6 +1065,13 @@ mod tests {
         let mut b = Vec::new();
         spec.encode_into(&mut b);
         assert_eq!(RemoteModelSpec::decode(&mut &b[..]), None);
+        // The nibble RLE codec carries at most 4-bit levels.
+        for (bits, ok) in [(4u8, true), (5, false), (8, false)] {
+            spec.quant_bits = bits;
+            let mut b = Vec::new();
+            spec.encode_into(&mut b);
+            assert_eq!(RemoteModelSpec::decode(&mut &b[..]).is_some(), ok, "{bits} bits");
+        }
         // No compression: quant_bits is unconstrained and preserved.
         let spec = RemoteModelSpec {
             classes: 4,
@@ -1062,6 +1084,22 @@ mod tests {
         let mut b = Vec::new();
         spec.encode_into(&mut b);
         assert_eq!(RemoteModelSpec::decode(&mut &b[..]), Some(spec));
+    }
+
+    /// A WELCOME whose grid does not divide the input ends the worker with
+    /// an error; building the model from it must not panic.
+    #[test]
+    fn a_worker_handed_an_undividable_grid_ends_with_an_error() {
+        let listener = WorkerListener::bind(&Endpoint::Tcp("127.0.0.1:0".into())).expect("bind");
+        let worker = spawn_loopback_worker(listener.endpoint().clone());
+        let mut conn = listener.accept().expect("accept");
+        let (tag, _) = read_frame(&mut conn).expect("read").expect("HELLO");
+        assert_eq!(tag, TAG_HELLO);
+        let spec = RemoteModelSpec::paper_default(6, 1, TileGrid::new(3, 3));
+        write_frame(&mut conn, TAG_WELCOME, &encode_welcome(0, &spec)).expect("WELCOME");
+        let err = worker.join().expect("the worker must not panic").expect_err("nor serve");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("not divisible"), "{err}");
     }
 
     #[test]

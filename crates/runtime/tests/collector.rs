@@ -211,6 +211,62 @@ fn launch_remote_refuses_a_tile_the_prefix_empties() {
     assert!(err.to_string().contains(want), "{err} does not say {want:?}");
 }
 
+/// A boundary quantizer wider than the wire's 4-bit nibbles is refused at
+/// launch, before any worker has a tile to fail on: `launch` panics with
+/// the reason and `launch_remote` returns it.
+#[test]
+fn launch_refuses_a_quantizer_the_wire_cannot_carry() {
+    let cr = ClippedRelu::new(0.0, 2.0);
+    let want = "the boundary quantizer has 5 bits";
+    let mut rng = StdRng::seed_from_u64(3);
+    let model = PartitionedModel::fdsp(shapes_cnn(6, &mut rng), TileGrid::new(2, 2))
+        .with_crelu(cr)
+        .with_quant(QuantizeSte::new(5, cr.range()));
+    let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        AdcnnRuntime::launch(model, &[WorkerOptions::default()], RuntimeConfig::default())
+    }))
+    .err()
+    .expect("launch must refuse the model");
+    let msg = refused.downcast_ref::<String>().map_or("", String::as_str);
+    assert!(msg.contains(want), "{msg:?} does not say {want:?}");
+
+    let spec = RemoteModelSpec {
+        quant_bits: 5,
+        ..RemoteModelSpec::paper_default(6, 1, TileGrid::new(2, 2))
+    };
+    let listener = WorkerListener::bind(&Endpoint::Tcp("127.0.0.1:0".into())).expect("bind");
+    let err = AdcnnRuntime::launch_remote(
+        spec,
+        1,
+        RuntimeConfig::default(),
+        listener,
+        Duration::from_secs(1),
+    )
+    .err()
+    .expect("launch_remote must refuse the spec");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(err.to_string().contains(want), "{err} does not say {want:?}");
+}
+
+/// A grid that does not divide ShapesCNN's 32×32 input is an error from
+/// `launch_remote`, not a panic in the model build.
+#[test]
+fn launch_remote_refuses_a_grid_that_does_not_divide_the_input() {
+    let spec = RemoteModelSpec::paper_default(6, 1, TileGrid::new(3, 3));
+    let listener = WorkerListener::bind(&Endpoint::Tcp("127.0.0.1:0".into())).expect("bind");
+    let err = AdcnnRuntime::launch_remote(
+        spec,
+        1,
+        RuntimeConfig::default(),
+        listener,
+        Duration::from_secs(1),
+    )
+    .err()
+    .expect("launch_remote must refuse the spec");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(err.to_string().contains("not divisible"), "{err}");
+}
+
 #[test]
 fn allocation_adapts_to_slow_worker() {
     let grid = TileGrid::new(4, 4);

@@ -22,7 +22,7 @@ use std::time::Instant;
 const REPS: usize = 2000;
 /// Distinct tiles the data-dependent passes cycle through.
 const TILES: usize = 64;
-const PARENT: &str = "3b642c1";
+const PARENT: &str = "4408e3f";
 const PASSES: [&str; 6] = ["pool", "encode", "decode", "paste", "extract", "task_codec"];
 
 /// One served geometry: the input image, the channels of the boundary map,
@@ -41,13 +41,13 @@ const GEOMETRIES: [Geometry; 2] = [
         name: "hub",
         input: (3, 32, 32),
         channels: 16,
-        parent_us: [3.54, 12.25, 5.26, 3.26, 9.63, 4.11],
+        parent_us: [0.48, 4.81, 2.54, 0.40, 0.81, 0.20],
     },
     Geometry {
         name: "vgg",
         input: (3, 64, 64),
         channels: 128,
-        parent_us: [27.97, 102.98, 46.17, 25.76, 37.94, 15.10],
+        parent_us: [3.44, 41.08, 19.87, 4.22, 2.08, 0.56],
     },
 ];
 
@@ -64,8 +64,9 @@ fn best_us(mut f: impl FnMut()) -> f64 {
     best * 1e6
 }
 
-/// The widest vector extension these passes were *compiled* for: they are
-/// plain loops with no runtime dispatch, so this is the tier they run at.
+/// The widest vector extension these passes were *compiled* for: all but
+/// the codec's are plain loops with no runtime dispatch, so this is the
+/// tier they run at.
 fn simd_tier() -> &'static str {
     if cfg!(target_feature = "avx2") {
         "avx2"
@@ -74,6 +75,26 @@ fn simd_tier() -> &'static str {
     } else {
         "scalar"
     }
+}
+
+/// The tier the codec passes (`encode`: clip + quantize + RLE, `decode`)
+/// dispatch to at run time: `adcnn_core::compress` probes the CPU once, the
+/// same rule as here, and runs its AVX-512 VBMI2 tier where the CPU has it,
+/// else the scalar loops (at `simd_tier()`).
+fn codec_tier() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::is_x86_feature_detected as has;
+        if has!("avx512f")
+            && has!("avx512bw")
+            && has!("avx512vbmi")
+            && has!("avx512vbmi2")
+            && has!("bmi2")
+        {
+            return "avx512vbmi2";
+        }
+    }
+    "scalar"
 }
 
 fn time_geometry(g: &Geometry) -> [f64; 6] {
@@ -180,9 +201,10 @@ fn main() {
     }
     let json = format!(
         "{{\n  \"bench\": \"data_path\",\n  \"clock\": \"wall\",\n  \"simd\": \"{}\",\n  \
-         \"nproc\": {nproc},\n  \"reps\": {REPS},\n  \"stat\": \"best\",\n  \
+         \"codec\": \"{}\",\n  \"nproc\": {nproc},\n  \"reps\": {REPS},\n  \"stat\": \"best\",\n  \
          \"parent\": \"{PARENT}\",\n  \"geometries\": [\n{}\n  ]\n}}\n",
         simd_tier(),
+        codec_tier(),
         geometries.join(",\n"),
     );
     assert!(adcnn::core::obs::json::is_well_formed(&json), "BENCH_datapath.json is malformed");
